@@ -12,6 +12,12 @@
 # in $ARTIFACT_DIR for upload.  Schedules are fixed trigger counts, so a
 # failure reproduces with the printed command line.
 #
+# A run whose fault never fired also exits 0, so every --inject-fault
+# schedule must show that it fired somewhere: at least one of its runs
+# takes the structured-error arm or prints a degrade "note:".
+# A schedule that fired nowhere fails the sweep; the summary line gives
+# each schedule's count of such runs.
+#
 # Usage: scripts/fault-smoke.sh <tools-dir> [artifact-dir]
 
 set -u
@@ -37,25 +43,38 @@ SCHEDULES=(
 
 failures=0
 checked=0
+declare -A fired=() # --inject-fault schedule -> runs where it fired
+fault_schedules=()  # The same schedules, in first-run order.
 
 run_one() {
   local subject="$1" image="$2" tool="$3" schedule="$4"
   shift 4
-  local flags=()
+  local flags=() fault=""
   if [[ "$schedule" == budget* ]]; then
     read -r -a flags <<<"${schedule#budget }"
   else
     read -r -a extra <<<"$schedule"
     flags=(--inject-fault "${extra[0]}" "${extra[@]:1}")
+    fault="${extra[0]}"
+    if [[ -z "${fired[$fault]+set}" ]]; then
+      fired[$fault]=0
+      fault_schedules+=("$fault")
+    fi
   fi
   local log="$SCRATCH/run.log"
   "$TOOLS/$tool" "$image" "$@" "${flags[@]}" >"$log" 2>&1
   local rc=$?
   checked=$((checked + 1))
   if [[ $rc -eq 0 ]]; then
+    if [[ -n "$fault" ]] && grep -q '^note: ' "$log"; then
+      fired[$fault]=$((fired[$fault] + 1)) # Absorbed by degrading.
+    fi
     return 0
   fi
   if [[ $rc -eq 1 ]] && grep -q '^error: \[' "$log"; then
+    if [[ -n "$fault" ]]; then
+      fired[$fault]=$((fired[$fault] + 1))
+    fi
     return 0 # Structured failure: the other legal arm.
   fi
   failures=$((failures + 1))
@@ -98,5 +117,16 @@ for entry in "${subjects[@]}"; do
     -o "$SCRATCH/opt.spkx" --jobs 4
 done
 
-echo "fault-smoke: $checked schedule(s) checked, $failures failure(s)"
+fired_summary=""
+for fault in "${fault_schedules[@]}"; do
+  fired_summary+=" $fault=${fired[$fault]}"
+  if [[ ${fired[$fault]} -eq 0 ]]; then
+    failures=$((failures + 1))
+    echo "FAIL $fault never fired: no run ended in a structured error" \
+      "or a degrade note" >&2
+  fi
+done
+
+echo "fault-smoke: $checked schedule(s) checked, $failures failure(s);" \
+  "fired:$fired_summary"
 exit $((failures > 0))

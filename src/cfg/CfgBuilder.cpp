@@ -28,10 +28,21 @@ int32_t spike::findRoutineByAddress(const Program &Prog, uint64_t Address) {
 
 namespace {
 
+/// Scratch buffers of the routine builder.  One instance per pool lane
+/// is reused across all routines that lane builds, so building a routine
+/// allocates only the routine's own block and arc arrays.
+struct RoutineScratch {
+  std::vector<bool> IsLeader;
+  std::vector<uint32_t> BlockOfAddress;
+  std::vector<uint32_t> Succs; ///< Successor lists, block after block.
+};
+
 /// Builds the basic blocks of one routine.
 class RoutineBuilder {
 public:
-  RoutineBuilder(const Program &Prog, Routine &R) : Prog(Prog), R(R) {}
+  RoutineBuilder(const Program &Prog, Routine &R, RoutineScratch &Scratch)
+      : Prog(Prog), R(R), IsLeader(Scratch.IsLeader),
+        BlockOfAddress(Scratch.BlockOfAddress), Succs(Scratch.Succs) {}
 
   void run() {
     findLeaders();
@@ -88,6 +99,9 @@ private:
   }
 
   void makeBlocks() {
+    // Every block starts at a leader and every leader starts a block.
+    R.Blocks.reserve(
+        size_t(std::count(IsLeader.begin(), IsLeader.end(), true)));
     BlockOfAddress.assign(localSize(), ~uint32_t(0));
     uint64_t Address = R.Begin;
     while (Address < R.End) {
@@ -117,16 +131,22 @@ private:
     return Block;
   }
 
-  void addSucc(BasicBlock &Block, uint32_t Succ) {
-    if (std::find(Block.Succs.begin(), Block.Succs.end(), Succ) ==
-        Block.Succs.end())
-      Block.Succs.push_back(Succ);
+  /// Appends \p Succ to the successor list being built for \p Block.
+  void addSucc(const BasicBlock &Block, uint32_t Succ) {
+    auto First = Succs.begin() + Block.FirstSucc;
+    if (std::find(First, Succs.end(), Succ) == Succs.end())
+      Succs.push_back(Succ);
   }
 
+  /// Sets each block's terminator kind and packs Routine::Arcs: the
+  /// successor lists in block order, then the predecessor lists, filled
+  /// in ascending source-block order.
   void connectBlocks() {
+    Succs.clear();
     for (uint32_t BlockIndex = 0; BlockIndex < R.Blocks.size();
          ++BlockIndex) {
       BasicBlock &Block = R.Blocks[BlockIndex];
+      Block.FirstSucc = uint32_t(Succs.size());
       uint64_t Last = Block.End - 1;
       const Instruction &Term = Prog.Insts[Last];
       const OpcodeInfo &Info = opcodeInfo(Term.Op);
@@ -218,14 +238,38 @@ private:
       Block.Term = TerminatorKind::Halt;
     }
 
+    // Each successor list ends where the next block's begins.
+    uint32_t NumArcs = uint32_t(Succs.size());
+    for (uint32_t BlockIndex = 0; BlockIndex < R.Blocks.size();
+         ++BlockIndex) {
+      BasicBlock &Block = R.Blocks[BlockIndex];
+      uint32_t End = BlockIndex + 1 < R.Blocks.size()
+                         ? R.Blocks[BlockIndex + 1].FirstSucc
+                         : NumArcs;
+      Block.NumSuccs = End - Block.FirstSucc;
+    }
+
+    R.Arcs.resize(2 * size_t(NumArcs));
+    std::copy(Succs.begin(), Succs.end(), R.Arcs.begin());
+    for (uint32_t Succ : Succs)
+      ++R.Blocks[Succ].NumPreds;
+    uint32_t Next = NumArcs;
+    for (BasicBlock &Block : R.Blocks) {
+      Block.FirstPred = Next;
+      Next += Block.NumPreds;
+      Block.NumPreds = 0;
+    }
     for (uint32_t BlockIndex = 0; BlockIndex < R.Blocks.size();
          ++BlockIndex)
-      for (uint32_t Succ : R.Blocks[BlockIndex].Succs)
-        R.Blocks[Succ].Preds.push_back(BlockIndex);
+      for (uint32_t Succ : R.succs(BlockIndex)) {
+        BasicBlock &SuccBlock = R.Blocks[Succ];
+        R.Arcs[SuccBlock.FirstPred + SuccBlock.NumPreds++] = BlockIndex;
+      }
   }
 
   void indexAnchors() {
     R.EntryBlocks.clear();
+    R.EntryBlocks.reserve(R.EntryAddresses.size());
     for (uint64_t Entry : R.EntryAddresses) {
       assert(Prog.Insts.size() > Entry && inRoutine(Entry));
       // Entrances always start a block (they were marked as leaders).
@@ -233,6 +277,13 @@ private:
              "entrance does not start a block");
       R.EntryBlocks.push_back(blockAt(Entry));
     }
+    size_t NumExits = 0, NumCalls = 0;
+    for (const BasicBlock &Block : R.Blocks) {
+      NumExits += Block.Term == TerminatorKind::Return;
+      NumCalls += Block.endsWithCall();
+    }
+    R.ExitBlocks.reserve(NumExits);
+    R.CallBlocks.reserve(NumCalls);
     for (uint32_t BlockIndex = 0; BlockIndex < R.Blocks.size();
          ++BlockIndex) {
       const BasicBlock &Block = R.Blocks[BlockIndex];
@@ -245,8 +296,9 @@ private:
 
   const Program &Prog;
   Routine &R;
-  std::vector<bool> IsLeader;
-  std::vector<uint32_t> BlockOfAddress;
+  std::vector<bool> &IsLeader;
+  std::vector<uint32_t> &BlockOfAddress;
+  std::vector<uint32_t> &Succs;
 };
 
 } // namespace
@@ -314,6 +366,7 @@ Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
     R.EntryAddresses.push_back(0);
     Prog.Routines.push_back(std::move(R));
   } else {
+    Prog.Routines.reserve(Primaries.size());
     for (size_t I = 0; I < Primaries.size(); ++I) {
       Routine R;
       R.Name = Primaries[I]->Name;
@@ -419,7 +472,9 @@ Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
   // by an unresolved jump, using and defining nothing we can rely on —
   // worst-case UBD, empty DEF — with no exits and no call sites.  Every
   // entrance maps to that block.
-  forEachTask(Pool, Prog.Routines.size(), [&](size_t RoutineIndex, unsigned) {
+  std::vector<RoutineScratch> Scratch(Pool ? Pool->jobs() : 1);
+  forEachTask(Pool, Prog.Routines.size(), [&](size_t RoutineIndex,
+                                              unsigned Lane) {
     Routine &R = Prog.Routines[RoutineIndex];
     std::sort(R.EntryAddresses.begin(), R.EntryAddresses.end());
     if (R.Quarantined) {
@@ -432,7 +487,7 @@ Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
       R.EntryBlocks.assign(R.EntryAddresses.size(), 0);
       return;
     }
-    RoutineBuilder Builder(Prog, R);
+    RoutineBuilder Builder(Prog, R, Scratch[Lane]);
     Builder.run();
   });
 
@@ -492,8 +547,7 @@ Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
                       sizeof(uint32_t));
       for (const BasicBlock &Block : R.Blocks)
         Mem->charge(sizeof(BasicBlock) +
-                    (Block.Succs.size() + Block.Preds.size()) *
-                        sizeof(uint32_t));
+                    (Block.NumSuccs + Block.NumPreds) * sizeof(uint32_t));
     }
   }
 

@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,12 +51,12 @@ struct BasicBlock {
   uint64_t Begin = 0;
   uint64_t End = 0;
 
-  /// Intra-routine successor / predecessor block indices.  Call blocks
-  /// have their return point (fall-through block) as successor; the
-  /// interprocedural effect of the call is modelled by the analyses, not
-  /// by CFG arcs.
-  std::vector<uint32_t> Succs;
-  std::vector<uint32_t> Preds;
+  /// This block's successor and predecessor lists as ranges of the
+  /// owning Routine::Arcs; read them through Routine::succs()/preds().
+  uint32_t FirstSucc = 0;
+  uint32_t NumSuccs = 0;
+  uint32_t FirstPred = 0;
+  uint32_t NumPreds = 0;
 
   TerminatorKind Term = TerminatorKind::FallThrough;
 
@@ -122,6 +123,14 @@ struct Routine {
 
   std::vector<BasicBlock> Blocks;
 
+  /// Intra-routine CFG arcs, CSR-packed: every block's successor list in
+  /// block order, then every block's predecessor list in block order.
+  /// Call blocks have their return point (fall-through block) as
+  /// successor; the interprocedural effect of the call is modelled by the
+  /// analyses, not by CFG arcs.  Successors are deduplicated;
+  /// predecessors are in ascending block order.
+  std::vector<uint32_t> Arcs;
+
   /// Entrance addresses: EntryAddresses[0] is the primary entry; the rest
   /// are secondary entrances (extra symbols or call-targeted addresses).
   std::vector<uint64_t> EntryAddresses;
@@ -169,6 +178,18 @@ struct Routine {
 
   /// Returns the number of entrances.
   unsigned numEntries() const { return unsigned(EntryAddresses.size()); }
+
+  /// Returns the successor block indices of block \p BlockIndex.
+  std::span<const uint32_t> succs(uint32_t BlockIndex) const {
+    const BasicBlock &Block = Blocks[BlockIndex];
+    return {Arcs.data() + Block.FirstSucc, Block.NumSuccs};
+  }
+
+  /// Returns the predecessor block indices of block \p BlockIndex.
+  std::span<const uint32_t> preds(uint32_t BlockIndex) const {
+    const BasicBlock &Block = Blocks[BlockIndex];
+    return {Arcs.data() + Block.FirstPred, Block.NumPreds};
+  }
 };
 
 /// Targets of one jump table (address list), decoded form.
@@ -246,8 +267,7 @@ struct Program {
   uint64_t numArcs() const {
     uint64_t Count = 0;
     for (const Routine &R : Routines)
-      for (const BasicBlock &B : R.Blocks)
-        Count += B.Succs.size();
+      Count += R.Arcs.size() / 2;
     return Count;
   }
 };

@@ -72,7 +72,7 @@ LivenessResult solveLiveness(const Routine &R, CallFnT &&CallFn,
     const BasicBlock &Block = R.Blocks[BlockIndex];
 
     RegSet LiveOut;
-    for (uint32_t Succ : Block.Succs)
+    for (uint32_t Succ : R.succs(BlockIndex))
       LiveOut |= Result.LiveIn[Succ];
     switch (Block.Term) {
     case TerminatorKind::Return:
@@ -97,7 +97,7 @@ LivenessResult solveLiveness(const Routine &R, CallFnT &&CallFn,
       continue;
     Result.LiveOut[BlockIndex] = LiveOut;
     Result.LiveIn[BlockIndex] = LiveIn;
-    for (uint32_t Pred : Block.Preds)
+    for (uint32_t Pred : R.preds(BlockIndex))
       List.push(Pred);
   }
   return Result;

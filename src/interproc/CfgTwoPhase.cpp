@@ -154,7 +154,7 @@ private:
         break;
       default: {
         bool First = true;
-        for (uint32_t Succ : Block.Succs) {
+        for (uint32_t Succ : R.succs(BlockIndex)) {
           Out = First ? In[Succ] : Out.meet(In[Succ]);
           First = false;
         }
@@ -169,7 +169,7 @@ private:
       if (NewIn == In[BlockIndex])
         continue;
       In[BlockIndex] = NewIn;
-      for (uint32_t Pred : Block.Preds)
+      for (uint32_t Pred : R.preds(BlockIndex))
         List.push(Pred);
     }
     return In;

@@ -16,10 +16,13 @@ using namespace spike;
 namespace {
 
 /// Field-wise basic-block equality (the record has no operator== because
-/// nothing else needs one).
+/// nothing else needs one).  The arc ranges compare as offsets; the arcs
+/// themselves are compared once per routine.
 bool sameBlockRecord(const BasicBlock &A, const BasicBlock &B) {
-  return A.Begin == B.Begin && A.End == B.End && A.Succs == B.Succs &&
-         A.Preds == B.Preds && A.Term == B.Term &&
+  return A.Begin == B.Begin && A.End == B.End &&
+         A.FirstSucc == B.FirstSucc && A.NumSuccs == B.NumSuccs &&
+         A.FirstPred == B.FirstPred && A.NumPreds == B.NumPreds &&
+         A.Term == B.Term &&
          A.CalleeRoutine == B.CalleeRoutine &&
          A.CalleeEntry == B.CalleeEntry &&
          A.JumpTableIndex == B.JumpTableIndex && A.Def == B.Def &&
@@ -32,7 +35,7 @@ bool sameBlockRecord(const BasicBlock &A, const BasicBlock &B) {
 /// layout and identical transfer functions — the PhaseReuse premise.
 bool sameRoutineRecord(const Routine &A, const Routine &B) {
   if (A.Name != B.Name || A.Begin != B.Begin || A.End != B.End ||
-      A.Blocks.size() != B.Blocks.size())
+      A.Blocks.size() != B.Blocks.size() || A.Arcs != B.Arcs)
     return false;
   for (size_t I = 0; I < A.Blocks.size(); ++I)
     if (!sameBlockRecord(A.Blocks[I], B.Blocks[I]))
@@ -140,6 +143,7 @@ IncrementalOutcome spike::reanalyzeIncremental(const Image &NewImg,
   {
     StageTimer::Scope Scope(New.Stages, AnalysisStage::CfgBuild);
     New.Prog = buildProgram(NewImg, Conv, &New.Memory, Opts.Cfg, &Pool);
+    New.CfgBytes = New.Memory.liveBytes();
   }
   if (Gov)
     Gov->pollOrThrow("analyze.cfg-build");
@@ -157,6 +161,7 @@ IncrementalOutcome spike::reanalyzeIncremental(const Image &NewImg,
                           .Saved;
                 });
     New.Memory.charge(New.SavedPerRoutine.size() * sizeof(RegSet));
+    New.InitBytes = New.Memory.liveBytes() - New.CfgBytes;
   }
 
   if (!samePartition(A.Prog, New.Prog))
@@ -185,6 +190,7 @@ IncrementalOutcome spike::reanalyzeIncremental(const Image &NewImg,
   {
     StageTimer::Scope Scope(New.Stages, AnalysisStage::PsgBuild);
     New.Psg = buildPsg(New.Prog, Opts.Psg, &New.Memory, &Pool);
+    New.PsgBytes = New.Memory.liveBytes() - New.CfgBytes - New.InitBytes;
   }
   if (Gov)
     Gov->pollOrThrow("analyze.psg-build");

@@ -52,7 +52,7 @@ Supergraph spike::buildSupergraph(const Program &Prog) {
       uint32_t From = Graph.nodeOf(RoutineIndex, BlockIndex);
 
       if (!Block.endsWithCall()) {
-        for (uint32_t Succ : Block.Succs) {
+        for (uint32_t Succ : R.succs(BlockIndex)) {
           AddArc(From, Graph.nodeOf(RoutineIndex, Succ));
           ++Graph.NumIntraArcs;
         }
@@ -67,7 +67,7 @@ Supergraph spike::buildSupergraph(const Program &Prog) {
             Callee.EntryBlocks[uint32_t(Block.CalleeEntry)];
         AddArc(From, Graph.nodeOf(Block.CalleeRoutine, EntryBlock));
         ++Graph.NumCallArcs;
-        for (uint32_t Succ : Block.Succs)
+        for (uint32_t Succ : R.succs(BlockIndex))
           for (uint32_t ExitBlock : Callee.ExitBlocks) {
             AddArc(Graph.nodeOf(Block.CalleeRoutine, ExitBlock),
                    Graph.nodeOf(RoutineIndex, Succ));
@@ -77,7 +77,7 @@ Supergraph spike::buildSupergraph(const Program &Prog) {
         assert(Graph.HubCall >= 0 && "indirect call without hubs");
         AddArc(From, uint32_t(Graph.HubCall));
         ++Graph.NumCallArcs;
-        for (uint32_t Succ : Block.Succs) {
+        for (uint32_t Succ : R.succs(BlockIndex)) {
           AddArc(uint32_t(Graph.HubReturn),
                  Graph.nodeOf(RoutineIndex, Succ));
           ++Graph.NumReturnArcs;

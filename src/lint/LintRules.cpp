@@ -48,7 +48,7 @@ std::vector<bool> spike::reachableBlocks(const Routine &R) {
   while (!Stack.empty()) {
     uint32_t BlockIndex = Stack.back();
     Stack.pop_back();
-    for (uint32_t Succ : R.Blocks[BlockIndex].Succs)
+    for (uint32_t Succ : R.succs(BlockIndex))
       if (!Seen[Succ]) {
         Seen[Succ] = true;
         Stack.push_back(Succ);
@@ -382,7 +382,7 @@ void spike::checkControlFlow(LintContext &Ctx) {
       // SL008: a reachable block with no terminator and no successor
       // runs off the end of its routine into whatever comes next.
       if (Block.Term == TerminatorKind::FallThrough &&
-          Block.Succs.empty() && ReachKnown && Reach[BlockIndex] &&
+          Block.NumSuccs == 0 && ReachKnown && Reach[BlockIndex] &&
           Ctx.Opts.ruleEnabled(RuleId::FallThroughExit))
         Ctx.Out.push_back(makeDiagnostic(
             RuleId::FallThroughExit, int32_t(RoutineIndex), R.Name,

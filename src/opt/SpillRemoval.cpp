@@ -37,10 +37,10 @@ spike::removeCallSpills(Image &Img, const Program &Prog,
       continue;
     for (uint32_t CallBlock : R.CallBlocks) {
       const BasicBlock &Block = R.Blocks[CallBlock];
-      if (Block.Succs.size() != 1)
+      if (Block.NumSuccs != 1)
         continue;
-      uint32_t ReturnBlock = Block.Succs[0];
-      if (R.Blocks[ReturnBlock].Preds.size() != 1)
+      uint32_t ReturnBlock = R.succs(CallBlock)[0];
+      if (R.Blocks[ReturnBlock].NumPreds != 1)
         continue;
 
       RegSet Killed = Summaries.callKilled(Prog, RoutineIndex, CallBlock);

@@ -644,7 +644,7 @@ DeadDefExplanation spike::explainDeadDef(const AnalysisResult &A,
   if (Scan.K == ScanOutcome::Flows) {
     std::vector<bool> Visited(R.Blocks.size(), false);
     std::vector<uint32_t> Queue;
-    for (uint32_t Succ : Block.Succs)
+    for (uint32_t Succ : R.succs(BlockIndex))
       if (Live.LiveIn[Succ].contains(Reg) && !Visited[Succ]) {
         Visited[Succ] = true;
         Queue.push_back(Succ);
@@ -659,7 +659,7 @@ DeadDefExplanation spike::explainDeadDef(const AnalysisResult &A,
       }
       if (S.K == ScanOutcome::Killed)
         continue;
-      for (uint32_t Succ : R.Blocks[B].Succs)
+      for (uint32_t Succ : R.succs(B))
         if (Live.LiveIn[Succ].contains(Reg) && !Visited[Succ]) {
           Visited[Succ] = true;
           Queue.push_back(Succ);

@@ -36,6 +36,7 @@ AnalysisResult spike::analyzeImage(const Image &Img,
   {
     StageTimer::Scope Scope(Result.Stages, AnalysisStage::CfgBuild);
     Result.Prog = buildProgram(Img, Conv, &Result.Memory, Opts.Cfg, &Pool);
+    Result.CfgBytes = Result.Memory.liveBytes();
   }
   if (Gov)
     Gov->pollOrThrow("analyze.cfg-build");
@@ -53,11 +54,14 @@ AnalysisResult spike::analyzeImage(const Image &Img,
                           .Saved;
                 });
     Result.Memory.charge(Result.SavedPerRoutine.size() * sizeof(RegSet));
+    Result.InitBytes = Result.Memory.liveBytes() - Result.CfgBytes;
   }
 
   {
     StageTimer::Scope Scope(Result.Stages, AnalysisStage::PsgBuild);
     Result.Psg = buildPsg(Result.Prog, Opts.Psg, &Result.Memory, &Pool);
+    Result.PsgBytes =
+        Result.Memory.liveBytes() - Result.CfgBytes - Result.InitBytes;
   }
   if (Gov)
     Gov->pollOrThrow("analyze.psg-build");
@@ -91,6 +95,9 @@ AnalysisResult spike::analyzeImage(const Image &Img,
                          Result.Phase2Stats.ProvenanceRecords);
     telemetry::gaugeHigh("provenance.bytes", Result.Provenance.bytes());
   }
+  telemetry::gaugeHigh("analyze.memory.cfg_bytes", Result.CfgBytes);
+  telemetry::gaugeHigh("analyze.memory.init_bytes", Result.InitBytes);
+  telemetry::gaugeHigh("analyze.memory.psg_bytes", Result.PsgBytes);
   telemetry::gaugeHigh("analyze.memory.peak_bytes",
                        Result.Memory.peakBytes());
   telemetry::gaugeSet("analysis.jobs", Pool.jobs());

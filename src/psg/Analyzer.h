@@ -75,6 +75,13 @@ struct AnalysisResult {
   /// Analysis memory accounting (Table 2 / Figure 15).
   MemoryTracker Memory;
 
+  /// Tracked bytes the CFG build, initialization and PSG build stages
+  /// each added to Memory.  Nothing is released during a run, so these
+  /// plus Provenance.bytes() (when recording) sum to Memory.peakBytes().
+  uint64_t CfgBytes = 0;
+  uint64_t InitBytes = 0;
+  uint64_t PsgBytes = 0;
+
   SolverStats Phase1Stats;
   SolverStats Phase2Stats;
 

@@ -80,7 +80,7 @@ std::string spike::cfgToDot(const Program &Prog, uint32_t RoutineIndex) {
        << Block.Begin << "," << Block.End << ") " << terminatorName(Block.Term)
        << "\\nDEF " << escape(Block.Def.str()) << "\\nUBD "
        << escape(Block.Ubd.str()) << "\"];\n";
-    for (uint32_t Succ : Block.Succs)
+    for (uint32_t Succ : R.succs(BlockIndex))
       OS << "  b" << BlockIndex << " -> b" << Succ << ";\n";
   }
   for (size_t E = 0; E < R.EntryBlocks.size(); ++E)

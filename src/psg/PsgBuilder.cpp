@@ -9,7 +9,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
+#include <span>
 #include <utility>
 
 using namespace spike;
@@ -39,26 +39,53 @@ namespace {
 
 constexpr uint32_t NoNode = ~uint32_t(0);
 
-/// A PSG source anchor within one routine: the node and the blocks at
-/// whose starts its paths begin.
-struct SourceAnchor {
-  uint32_t NodeId;
-  std::vector<uint32_t> StartBlocks;
+/// Returns the number of PSG nodes routine \p R contributes; it follows
+/// from the CFG alone, so every routine's id range is known before any
+/// routine is built.
+uint32_t countNodes(const Routine &R, const PsgBuildOptions &Opts) {
+  size_t Count = R.EntryBlocks.size() + R.ExitBlocks.size() +
+                 2 * R.CallBlocks.size();
+  for (const BasicBlock &Block : R.Blocks)
+    Count += Block.Term == TerminatorKind::UnresolvedJump ||
+             Block.Term == TerminatorKind::Halt ||
+             (Block.Term == TerminatorKind::TableJump && Opts.UseBranchNodes);
+  return uint32_t(Count);
+}
+
+/// Scratch state of the routine builder.  One instance per pool lane is
+/// reused across every routine the lane builds; its Edges buffer collects
+/// the lane's edges, routine segment after routine segment.
+struct BuildScratch {
+  std::vector<uint32_t> SinkNodeOfBlock;
+  std::vector<uint32_t> SinkRowOfBlock;
+  /// Backward sets, one row of a bit per block for each sink block.
+  std::vector<bool> Bwd;
+  std::vector<uint32_t> Stack;
+
+  std::vector<uint32_t> Visited; ///< Blocks reached, in BFS order.
+  std::vector<bool> Seen;
+  std::vector<uint32_t> ReachedSinks;
+
+  std::vector<uint32_t> SubBlocks;
+  std::vector<FlowSets> In;
+  Worklist List{0};
+  std::vector<uint32_t> LocalIndex;
+  std::vector<uint32_t> LocalEpoch;
+  uint32_t Epoch = 0;
+
+  std::vector<PsgEdge> Edges;
 };
 
-/// One routine's build output, in routine-local node ids.  Routines build
-/// independently (possibly concurrently); the rebase in buildPsg shifts
-/// the ids by each routine's node offset, reproducing exactly the ids a
-/// serial single-pass build would assign.
-struct RoutineBuildResult {
-  std::vector<PsgNode> Nodes;
-  std::vector<PsgEdge> Edges; ///< Src/Dst are routine-local.
-  RoutinePsg Info;            ///< Node ids are routine-local.
-  uint64_t NumFlowSummaryEdges = 0;
-  uint64_t NumBranchNodes = 0;
+/// Where one routine's edges sit in its lane's buffer.
+struct EdgeSegment {
+  unsigned Lane = 0;
+  size_t Begin = 0;
+  size_t Count = 0;
 };
 
-/// Builds the PSG nodes and flow-summary edges of a single routine.
+/// Builds the PSG nodes and edges of a single routine: nodes are written
+/// in place at their final ids, edges are appended to the lane's buffer
+/// in source-node order — the order of the CSR edge array.
 ///
 /// Terminology: a block whose terminator is a sink anchor (call, return
 /// instruction, multiway branch with branch nodes enabled, unresolved
@@ -68,27 +95,30 @@ struct RoutineBuildResult {
 class RoutinePsgBuilder {
 public:
   RoutinePsgBuilder(const Program &Prog, uint32_t RoutineIndex,
-                    const PsgBuildOptions &Opts, RoutineBuildResult &Out)
+                    const PsgBuildOptions &Opts, ProgramSummaryGraph &Psg,
+                    BuildScratch &S)
       : Prog(Prog), RoutineIndex(RoutineIndex),
-        R(Prog.Routines[RoutineIndex]), Opts(Opts), Out(Out) {}
+        R(Prog.Routines[RoutineIndex]), Opts(Opts), Psg(Psg),
+        Info(Psg.RoutineInfo[RoutineIndex]), S(S),
+        NextNode(Psg.RoutineNodeBegin[RoutineIndex]) {}
 
   void run() {
     createNodes();
+    assert(NextNode == Psg.RoutineNodeBegin[RoutineIndex + 1] &&
+           "node count disagrees with countNodes");
     computeBackwardSets();
-    discoverAndLabelEdges();
-    addCallReturnEdges();
+    addEdges();
   }
 
 private:
   uint32_t newNode(PsgNodeKind Kind, uint32_t BlockIndex,
                    uint32_t AuxIndex = 0) {
-    PsgNode Node;
+    PsgNode &Node = Psg.Nodes[NextNode];
     Node.Kind = Kind;
     Node.RoutineIndex = RoutineIndex;
     Node.BlockIndex = BlockIndex;
     Node.AuxIndex = AuxIndex;
-    Out.Nodes.push_back(Node);
-    return uint32_t(Out.Nodes.size() - 1);
+    return NextNode++;
   }
 
   bool blockIsCut(const BasicBlock &Block) const {
@@ -111,53 +141,54 @@ private:
   }
 
   void createNodes() {
-    RoutinePsg &Info = Out.Info;
-    SinkNodeOfBlock.assign(R.Blocks.size(), NoNode);
+    S.SinkNodeOfBlock.assign(R.Blocks.size(), NoNode);
 
+    Info.EntryNodes.reserve(R.EntryBlocks.size());
     for (uint32_t EntryIndex = 0; EntryIndex < R.EntryBlocks.size();
-         ++EntryIndex) {
-      uint32_t NodeId = newNode(PsgNodeKind::Entry,
-                                R.EntryBlocks[EntryIndex], EntryIndex);
-      Info.EntryNodes.push_back(NodeId);
-      Sources.push_back({NodeId, {R.EntryBlocks[EntryIndex]}});
-    }
+         ++EntryIndex)
+      Info.EntryNodes.push_back(newNode(PsgNodeKind::Entry,
+                                        R.EntryBlocks[EntryIndex],
+                                        EntryIndex));
 
+    Info.ExitNodes.reserve(R.ExitBlocks.size());
     for (uint32_t ExitIndex = 0; ExitIndex < R.ExitBlocks.size();
          ++ExitIndex) {
       uint32_t Block = R.ExitBlocks[ExitIndex];
       uint32_t NodeId = newNode(PsgNodeKind::Exit, Block, ExitIndex);
       Info.ExitNodes.push_back(NodeId);
-      SinkNodeOfBlock[Block] = NodeId;
+      S.SinkNodeOfBlock[Block] = NodeId;
     }
 
+    Info.CallNodes.reserve(R.CallBlocks.size());
+    Info.ReturnNodes.reserve(R.CallBlocks.size());
     for (uint32_t Block : R.CallBlocks) {
       uint32_t CallNode = newNode(PsgNodeKind::Call, Block);
       uint32_t ReturnNode = newNode(PsgNodeKind::Return, Block);
       Info.CallNodes.push_back(CallNode);
       Info.ReturnNodes.push_back(ReturnNode);
-      SinkNodeOfBlock[Block] = CallNode;
-      const BasicBlock &BlockRef = R.Blocks[Block];
-      if (!BlockRef.Succs.empty())
-        Sources.push_back({ReturnNode, BlockRef.Succs});
+      S.SinkNodeOfBlock[Block] = CallNode;
     }
 
+    if (Opts.UseBranchNodes)
+      Info.BranchNodes.reserve(size_t(
+          std::count_if(R.Blocks.begin(), R.Blocks.end(),
+                        [](const BasicBlock &Block) {
+                          return Block.Term == TerminatorKind::TableJump;
+                        })));
     for (uint32_t Block = 0; Block < R.Blocks.size(); ++Block) {
-      const BasicBlock &BlockRef = R.Blocks[Block];
-      switch (BlockRef.Term) {
+      switch (R.Blocks[Block].Term) {
       case TerminatorKind::TableJump:
         if (Opts.UseBranchNodes) {
           uint32_t NodeId = newNode(PsgNodeKind::Branch, Block);
           Info.BranchNodes.push_back(NodeId);
-          SinkNodeOfBlock[Block] = NodeId;
-          Sources.push_back({NodeId, BlockRef.Succs});
-          ++Out.NumBranchNodes;
+          S.SinkNodeOfBlock[Block] = NodeId;
         }
         break;
       case TerminatorKind::UnresolvedJump:
-        SinkNodeOfBlock[Block] = newNode(PsgNodeKind::Unknown, Block);
+        S.SinkNodeOfBlock[Block] = newNode(PsgNodeKind::Unknown, Block);
         break;
       case TerminatorKind::Halt:
-        SinkNodeOfBlock[Block] = newNode(PsgNodeKind::Halt, Block);
+        S.SinkNodeOfBlock[Block] = newNode(PsgNodeKind::Halt, Block);
         break;
       default:
         break;
@@ -169,53 +200,63 @@ private:
   /// sink is reachable along anchor-free paths (the "backward" half of
   /// each edge's CFG subgraph).
   void computeBackwardSets() {
-    for (uint32_t Block = 0; Block < R.Blocks.size(); ++Block) {
-      if (SinkNodeOfBlock[Block] == NoNode)
+    size_t NumBlocks = R.Blocks.size();
+    S.SinkRowOfBlock.resize(NumBlocks);
+    size_t NumSinks = 0;
+    for (uint32_t Block = 0; Block < NumBlocks; ++Block)
+      if (S.SinkNodeOfBlock[Block] != NoNode)
+        S.SinkRowOfBlock[Block] = uint32_t(NumSinks++);
+    S.Bwd.assign(NumSinks * NumBlocks, false);
+
+    for (uint32_t Block = 0; Block < NumBlocks; ++Block) {
+      if (S.SinkNodeOfBlock[Block] == NoNode)
         continue;
-      std::vector<bool> Reaches(R.Blocks.size(), false);
-      std::vector<uint32_t> Stack;
-      Reaches[Block] = true;
-      Stack.push_back(Block);
-      while (!Stack.empty()) {
-        uint32_t Current = Stack.back();
-        Stack.pop_back();
-        for (uint32_t Pred : R.Blocks[Current].Preds) {
-          if (Reaches[Pred] || blockIsCut(R.Blocks[Pred]))
+      size_t Row = S.SinkRowOfBlock[Block] * NumBlocks;
+      S.Bwd[Row + Block] = true;
+      S.Stack.push_back(Block);
+      while (!S.Stack.empty()) {
+        uint32_t Current = S.Stack.back();
+        S.Stack.pop_back();
+        for (uint32_t Pred : R.preds(Current)) {
+          if (S.Bwd[Row + Pred] || blockIsCut(R.Blocks[Pred]))
             continue;
-          Reaches[Pred] = true;
-          Stack.push_back(Pred);
+          S.Bwd[Row + Pred] = true;
+          S.Stack.push_back(Pred);
         }
       }
-      BwdSets.emplace(Block, std::move(Reaches));
     }
   }
 
   /// Runs the Figure 6 dataflow on the subgraph consisting of the blocks
-  /// in \p SubBlocks (which must include \p SinkBlock) and returns the IN
-  /// sets, indexed like \p SubBlocks.
-  std::vector<FlowSets> solveSubgraph(const std::vector<uint32_t> &SubBlocks,
-                                      uint32_t SinkBlock) {
+  /// in S.SubBlocks (which must include \p SinkBlock) and leaves the IN
+  /// sets, indexed like S.SubBlocks, in S.In.
+  void solveSubgraph(uint32_t SinkBlock) {
     // Map blocks to dense local indices via an epoch-stamped scratch map.
-    ++Epoch;
-    if (LocalIndex.size() < R.Blocks.size()) {
-      LocalIndex.assign(R.Blocks.size(), 0);
-      LocalEpoch.assign(R.Blocks.size(), 0);
+    if (++S.Epoch == 0) {
+      std::fill(S.LocalEpoch.begin(), S.LocalEpoch.end(), 0);
+      S.Epoch = 1;
     }
+    if (S.LocalIndex.size() < R.Blocks.size()) {
+      S.LocalIndex.resize(R.Blocks.size(), 0);
+      S.LocalEpoch.resize(R.Blocks.size(), 0);
+    }
+    const std::vector<uint32_t> &SubBlocks = S.SubBlocks;
     for (uint32_t I = 0; I < SubBlocks.size(); ++I) {
-      LocalIndex[SubBlocks[I]] = I;
-      LocalEpoch[SubBlocks[I]] = Epoch;
+      S.LocalIndex[SubBlocks[I]] = I;
+      S.LocalEpoch[SubBlocks[I]] = S.Epoch;
     }
     auto InSubgraph = [&](uint32_t Block) {
-      return LocalEpoch[Block] == Epoch;
+      return S.LocalEpoch[Block] == S.Epoch;
     };
 
     // MUST-DEF is a must problem: interior values start at top and
     // shrink to the greatest fixpoint (= meet over the X->Y paths); the
     // MAY sets start at bottom and grow.
-    std::vector<FlowSets> In(
-        SubBlocks.size(),
-        FlowSets{RegSet(), RegSet(), RegSet::allBelow(NumIntRegs)});
-    Worklist List(static_cast<uint32_t>(SubBlocks.size()));
+    std::vector<FlowSets> &In = S.In;
+    In.assign(SubBlocks.size(),
+              FlowSets{RegSet(), RegSet(), RegSet::allBelow(NumIntRegs)});
+    Worklist &List = S.List;
+    List.reset(SubBlocks.size());
     List.pushAll();
     while (!List.empty()) {
       uint32_t Local = List.pop();
@@ -223,10 +264,10 @@ private:
       FlowSets Out;
       if (Block != SinkBlock) {
         bool First = true;
-        for (uint32_t Succ : R.Blocks[Block].Succs) {
+        for (uint32_t Succ : R.succs(Block)) {
           if (!InSubgraph(Succ))
             continue;
-          const FlowSets &SuccIn = In[LocalIndex[Succ]];
+          const FlowSets &SuccIn = In[S.LocalIndex[Succ]];
           Out = First ? SuccIn : Out.meet(SuccIn);
           First = false;
         }
@@ -237,111 +278,117 @@ private:
       if (NewIn == In[Local])
         continue;
       In[Local] = NewIn;
-      for (uint32_t Pred : R.Blocks[Block].Preds)
+      for (uint32_t Pred : R.preds(Block))
         if (InSubgraph(Pred) && Pred != SinkBlock)
-          List.push(LocalIndex[Pred]);
+          List.push(S.LocalIndex[Pred]);
     }
-    return In;
   }
 
-  void discoverAndLabelEdges() {
-    std::vector<uint32_t> Visited;          // Blocks reached, in BFS order.
-    std::vector<bool> Seen(R.Blocks.size(), false);
-    std::vector<uint32_t> ReachedSinks;     // Sink blocks reached.
-
-    for (const SourceAnchor &Source : Sources) {
-      // Forward reachability from the source, stopping at cuts.
-      Visited.clear();
-      ReachedSinks.clear();
-      std::fill(Seen.begin(), Seen.end(), false);
-      for (uint32_t Start : Source.StartBlocks) {
-        if (Seen[Start])
+  /// Appends the flow-summary edges of source node \p NodeId, whose paths
+  /// start at the blocks \p StartBlocks.
+  void addFlowEdges(uint32_t NodeId, std::span<const uint32_t> StartBlocks) {
+    // Forward reachability from the source, stopping at cuts.
+    S.Visited.clear();
+    S.ReachedSinks.clear();
+    for (uint32_t Start : StartBlocks) {
+      if (S.Seen[Start])
+        continue;
+      S.Seen[Start] = true;
+      S.Visited.push_back(Start);
+    }
+    for (size_t Cursor = 0; Cursor < S.Visited.size(); ++Cursor) {
+      uint32_t Block = S.Visited[Cursor];
+      if (S.SinkNodeOfBlock[Block] != NoNode) {
+        S.ReachedSinks.push_back(Block);
+        if (blockIsCut(R.Blocks[Block]))
           continue;
-        Seen[Start] = true;
-        Visited.push_back(Start);
       }
-      for (size_t Cursor = 0; Cursor < Visited.size(); ++Cursor) {
-        uint32_t Block = Visited[Cursor];
-        if (SinkNodeOfBlock[Block] != NoNode) {
-          ReachedSinks.push_back(Block);
-          if (blockIsCut(R.Blocks[Block]))
-            continue;
-        }
-        for (uint32_t Succ : R.Blocks[Block].Succs) {
-          if (Seen[Succ])
-            continue;
-          Seen[Succ] = true;
-          Visited.push_back(Succ);
-        }
+      for (uint32_t Succ : R.succs(Block)) {
+        if (S.Seen[Succ])
+          continue;
+        S.Seen[Succ] = true;
+        S.Visited.push_back(Succ);
       }
+    }
+    for (uint32_t Block : S.Visited)
+      S.Seen[Block] = false;
 
-      // One flow-summary edge per reached sink, labelled by the Figure 6
-      // dataflow on (forward-reachable ∩ backward-reachable) blocks.
-      for (uint32_t SinkBlock : ReachedSinks) {
-        const std::vector<bool> &Bwd = BwdSets.at(SinkBlock);
-        std::vector<uint32_t> SubBlocks;
-        for (uint32_t Block : Visited)
-          if (Bwd[Block])
-            SubBlocks.push_back(Block);
-        std::vector<FlowSets> In = solveSubgraph(SubBlocks, SinkBlock);
+    // One flow-summary edge per reached sink, labelled by the Figure 6
+    // dataflow on (forward-reachable ∩ backward-reachable) blocks.
+    for (uint32_t SinkBlock : S.ReachedSinks) {
+      size_t Row = S.SinkRowOfBlock[SinkBlock] * R.Blocks.size();
+      S.SubBlocks.clear();
+      for (uint32_t Block : S.Visited)
+        if (S.Bwd[Row + Block])
+          S.SubBlocks.push_back(Block);
+      solveSubgraph(SinkBlock);
 
-        // The edge label is the path meet over the source's start blocks
-        // that lie in the subgraph (Figure 6's "sets associated with
-        // location X").
-        FlowSets Label;
-        bool First = true;
-        for (uint32_t Start : Source.StartBlocks) {
-          if (LocalEpoch[Start] != Epoch)
-            continue;
-          const FlowSets &StartIn = In[LocalIndex[Start]];
-          Label = First ? StartIn : Label.meet(StartIn);
-          First = false;
-        }
-        assert(!First && "edge discovered with no start block on a path");
-
-        PsgEdge Edge;
-        Edge.Src = Source.NodeId;
-        Edge.Dst = SinkNodeOfBlock[SinkBlock];
-        Edge.Label = Label;
-        Out.Edges.push_back(Edge);
-        ++Out.NumFlowSummaryEdges;
+      // The edge label is the path meet over the source's start blocks
+      // that lie in the subgraph (Figure 6's "sets associated with
+      // location X").
+      FlowSets Label;
+      bool First = true;
+      for (uint32_t Start : StartBlocks) {
+        if (S.LocalEpoch[Start] != S.Epoch)
+          continue;
+        const FlowSets &StartIn = S.In[S.LocalIndex[Start]];
+        Label = First ? StartIn : Label.meet(StartIn);
+        First = false;
       }
+      assert(!First && "edge discovered with no start block on a path");
+
+      PsgEdge Edge;
+      Edge.Src = NodeId;
+      Edge.Dst = S.SinkNodeOfBlock[SinkBlock];
+      Edge.Label = Label;
+      S.Edges.push_back(Edge);
     }
   }
 
-  void addCallReturnEdges() {
-    const RoutinePsg &Info = Out.Info;
+  void addCallReturnEdge(size_t CallIndex) {
+    const BasicBlock &Block = R.Blocks[R.CallBlocks[CallIndex]];
+    PsgEdge Edge;
+    Edge.Src = Info.CallNodes[CallIndex];
+    Edge.Dst = Info.ReturnNodes[CallIndex];
+    Edge.IsCallReturn = true;
+    // Section 3.5: indirect calls carry a fixed label (annotation or
+    // calling-standard assumption).  Direct calls start with empty
+    // sets ("each call-return edge is initialized with empty MUST-DEF,
+    // MAY-DEF, and MAY-USE sets"); phase 1 copies the callee's entry
+    // sets here.
+    if (Block.Term == TerminatorKind::IndirectCall)
+      Edge.Label = indirectCallLabel(Prog, Block);
+    S.Edges.push_back(Edge);
+  }
+
+  /// Appends the routine's edges in source-node order: entries, then
+  /// each call node's call-return edge followed by its return node's
+  /// flow-summary edges, then branch nodes.  Exit, unknown and halt
+  /// nodes have no out-edges.
+  void addEdges() {
+    S.Seen.resize(R.Blocks.size(), false);
+    for (uint32_t EntryIndex = 0; EntryIndex < R.EntryBlocks.size();
+         ++EntryIndex)
+      addFlowEdges(Info.EntryNodes[EntryIndex],
+                   std::span<const uint32_t>(&R.EntryBlocks[EntryIndex], 1));
     for (size_t CallIndex = 0; CallIndex < R.CallBlocks.size();
          ++CallIndex) {
-      const BasicBlock &Block = R.Blocks[R.CallBlocks[CallIndex]];
-      PsgEdge Edge;
-      Edge.Src = Info.CallNodes[CallIndex];
-      Edge.Dst = Info.ReturnNodes[CallIndex];
-      Edge.IsCallReturn = true;
-      // Section 3.5: indirect calls carry a fixed label (annotation or
-      // calling-standard assumption).  Direct calls start with empty
-      // sets ("each call-return edge is initialized with empty MUST-DEF,
-      // MAY-DEF, and MAY-USE sets"); phase 1 copies the callee's entry
-      // sets here.
-      if (Block.Term == TerminatorKind::IndirectCall)
-        Edge.Label = indirectCallLabel(Prog, Block);
-      Out.Edges.push_back(Edge);
+      addCallReturnEdge(CallIndex);
+      addFlowEdges(Info.ReturnNodes[CallIndex],
+                   R.succs(R.CallBlocks[CallIndex]));
     }
+    for (uint32_t NodeId : Info.BranchNodes)
+      addFlowEdges(NodeId, R.succs(Psg.Nodes[NodeId].BlockIndex));
   }
 
   const Program &Prog;
   uint32_t RoutineIndex;
   const Routine &R;
   const PsgBuildOptions &Opts;
-  RoutineBuildResult &Out;
-
-  std::vector<uint32_t> SinkNodeOfBlock;
-  std::vector<SourceAnchor> Sources;
-  std::map<uint32_t, std::vector<bool>> BwdSets;
-
-  std::vector<uint32_t> LocalIndex;
-  std::vector<uint32_t> LocalEpoch;
-  uint32_t Epoch = 0;
+  ProgramSummaryGraph &Psg;
+  RoutinePsg &Info;
+  BuildScratch &S;
+  uint32_t NextNode;
 };
 
 } // namespace
@@ -354,63 +401,51 @@ ProgramSummaryGraph spike::buildPsg(const Program &Prog,
   size_t Count = Prog.Routines.size();
   Psg.RoutineInfo.resize(Count);
 
-  // Each routine's nodes and edges depend only on its own CFG, so the
-  // expensive part — edge discovery and the Figure 6 subgraph dataflow —
-  // runs one task per routine.
-  std::vector<RoutineBuildResult> Built(Count);
-  forEachTask(Pool, Count, [&](size_t RoutineIndex, unsigned) {
-    RoutinePsgBuilder Builder(Prog, uint32_t(RoutineIndex), Opts,
-                              Built[RoutineIndex]);
-    Builder.run();
-  });
-
-  // Rebase routine-local ids by prefix-summed node offsets.  Nodes land
-  // in routine order and edges concatenate in routine order, which is
-  // exactly the sequence a serial single-pass build produces.
+  // Each routine's node count follows from its CFG, so the node id
+  // ranges are fixed up front and every routine writes its nodes in
+  // place.
   Psg.RoutineNodeBegin.assign(Count + 1, 0);
-  size_t TotalEdges = 0;
-  for (size_t RoutineIndex = 0; RoutineIndex < Count; ++RoutineIndex) {
+  for (size_t RoutineIndex = 0; RoutineIndex < Count; ++RoutineIndex)
     Psg.RoutineNodeBegin[RoutineIndex + 1] =
         Psg.RoutineNodeBegin[RoutineIndex] +
-        uint32_t(Built[RoutineIndex].Nodes.size());
-    TotalEdges += Built[RoutineIndex].Edges.size();
-  }
-  Psg.Nodes.reserve(Psg.RoutineNodeBegin[Count]);
-  std::vector<PsgEdge> Edges;
-  Edges.reserve(TotalEdges);
-  for (size_t RoutineIndex = 0; RoutineIndex < Count; ++RoutineIndex) {
-    RoutineBuildResult &B = Built[RoutineIndex];
-    uint32_t Off = Psg.RoutineNodeBegin[RoutineIndex];
-    Psg.Nodes.insert(Psg.Nodes.end(), B.Nodes.begin(), B.Nodes.end());
-    for (PsgEdge Edge : B.Edges) {
-      Edge.Src += Off;
-      Edge.Dst += Off;
-      Edges.push_back(Edge);
-    }
-    RoutinePsg &Info = Psg.RoutineInfo[RoutineIndex];
-    Info = std::move(B.Info);
-    for (std::vector<uint32_t> *Ids :
-         {&Info.EntryNodes, &Info.ExitNodes, &Info.CallNodes,
-          &Info.ReturnNodes, &Info.BranchNodes})
-      for (uint32_t &NodeId : *Ids)
-        NodeId += Off;
-    Psg.NumFlowSummaryEdges += B.NumFlowSummaryEdges;
-    Psg.NumBranchNodes += B.NumBranchNodes;
-  }
-  Built.clear();
+        countNodes(Prog.Routines[RoutineIndex], Opts);
+  Psg.Nodes.resize(Psg.RoutineNodeBegin[Count]);
 
-  // CSR-pack the edges by source node.
-  std::stable_sort(Edges.begin(), Edges.end(),
-                   [](const PsgEdge &A, const PsgEdge &B) {
-                     return A.Src < B.Src;
-                   });
-  Psg.Edges = std::move(Edges);
+  // The expensive part — edge discovery and the Figure 6 subgraph
+  // dataflow — runs one task per routine.  Edges land in per-lane
+  // buffers, each routine's already in source-node order.
+  std::vector<BuildScratch> Scratch(Pool ? Pool->jobs() : 1);
+  std::vector<EdgeSegment> Segments(Count);
+  forEachTask(Pool, Count, [&](size_t RoutineIndex, unsigned Lane) {
+    BuildScratch &S = Scratch[Lane];
+    size_t Begin = S.Edges.size();
+    RoutinePsgBuilder(Prog, uint32_t(RoutineIndex), Opts, Psg, S).run();
+    Segments[RoutineIndex] = {Lane, Begin, S.Edges.size() - Begin};
+  });
+
+  // Routine node ranges ascend, so concatenating the segments in routine
+  // order yields the edge array sorted by source node: the CSR order.
+  size_t TotalEdges = 0;
+  for (const EdgeSegment &Seg : Segments)
+    TotalEdges += Seg.Count;
+  Psg.Edges.reserve(TotalEdges);
+  for (const EdgeSegment &Seg : Segments) {
+    const std::vector<PsgEdge> &LaneEdges = Scratch[Seg.Lane].Edges;
+    Psg.Edges.insert(Psg.Edges.end(), LaneEdges.begin() + Seg.Begin,
+                     LaneEdges.begin() + Seg.Begin + Seg.Count);
+  }
+  Scratch.clear(); // Frees the lane buffers before the CSR indexes grow.
+
   for (uint32_t EdgeId = 0; EdgeId < Psg.Edges.size(); ++EdgeId) {
-    PsgNode &Src = Psg.Nodes[Psg.Edges[EdgeId].Src];
+    const PsgEdge &Edge = Psg.Edges[EdgeId];
+    PsgNode &Src = Psg.Nodes[Edge.Src];
     if (Src.NumOut == 0)
       Src.FirstOut = EdgeId;
     ++Src.NumOut;
+    Psg.NumFlowSummaryEdges += !Edge.IsCallReturn;
   }
+  for (const RoutinePsg &Info : Psg.RoutineInfo)
+    Psg.NumBranchNodes += Info.BranchNodes.size();
 
   // Reverse CSR: incoming edge ids per node.
   Psg.InEdgeIds.resize(Psg.Edges.size());

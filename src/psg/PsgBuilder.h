@@ -35,9 +35,10 @@ struct PsgBuildOptions {
 
 /// Builds the PSG for \p Prog.  \p Mem, when non-null, is charged for the
 /// graph's memory.  When \p Pool is non-null, routines build their node
-/// and edge sets concurrently (each routine's subgraph is independent);
-/// a serial rebase then assigns ids, so the resulting graph is identical
-/// to the serial build bit for bit.
+/// and edge sets concurrently (each routine's subgraph is independent).
+/// Node ids are fixed before the build from the CFG and edges are
+/// gathered in routine order, so the resulting graph is identical to the
+/// serial build bit for bit.
 ProgramSummaryGraph buildPsg(const Program &Prog,
                              const PsgBuildOptions &Opts = {},
                              MemoryTracker *Mem = nullptr,

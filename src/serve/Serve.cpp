@@ -727,7 +727,10 @@ Server::Reply Server::handlePatch(const Request &Req) {
   }
 
   Img = std::move(NewImg);
-  {
+  // The dependence graph is a function of the resident analysis and slot
+  // facts alone.  An all-clean patch (the no-op save) returns before
+  // touching either, so its cached graph stays valid.
+  if (Out.Full || Out.StructDirty != 0 || Degraded) {
     std::lock_guard<std::mutex> Lock(DepsMu);
     Deps.reset();
   }

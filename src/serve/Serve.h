@@ -213,7 +213,8 @@ private:
   AnalysisResult A;
   SlotFlowResult Slots;
 
-  // Lazily built dependence graph; reset by load / patch-routine.
+  // Lazily built dependence graph; reset by load and by every
+  // patch-routine except an all-clean one.
   std::optional<DependenceGraph> Deps;
   std::mutex DepsMu;
 

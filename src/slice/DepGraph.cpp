@@ -70,7 +70,7 @@ std::vector<bool> reachableBlocks(const Routine &R) {
   while (!Work.empty()) {
     uint32_t Block = Work.back();
     Work.pop_back();
-    for (uint32_t Succ : R.Blocks[Block].Succs)
+    for (uint32_t Succ : R.succs(Block))
       if (!Reach[Succ]) {
         Reach[Succ] = true;
         Work.push_back(Succ);
@@ -142,7 +142,7 @@ void addRegEdges(const Program &Prog, const InterprocSummaries &Summaries,
     if (IsEntry)
       for (unsigned Reg = 0; Reg < NumIntRegs; ++Reg)
         State[Reg].set(EntryBit);
-    for (uint32_t Pred : R.Blocks[BlockIndex].Preds)
+    for (uint32_t Pred : R.preds(BlockIndex))
       for (unsigned Reg = 0; Reg < NumIntRegs; ++Reg)
         State[Reg] |= BlockOut[Pred][Reg];
     return State;
@@ -302,7 +302,7 @@ void addSlotEdges(const Program &Prog, const SlotFlowResult &Flow,
       for (size_t I = 0; I < NumSlots; ++I)
         if (Interesting[I] >= 0) // Caller-frame slots carry values in.
           State[I].set(EntryBit);
-    for (uint32_t Pred : R.Blocks[BlockIndex].Preds)
+    for (uint32_t Pred : R.preds(BlockIndex))
       for (size_t I = 0; I < NumSlots; ++I)
         State[I] |= BlockOut[Pred][I];
     return State;
@@ -426,17 +426,6 @@ void addControlEdges(const Program &Prog, uint32_t RoutineIndex,
   size_t NumBlocks = R.Blocks.size();
   size_t VirtualExit = NumBlocks;
 
-  auto SuccsOf = [&](uint32_t BlockIndex) {
-    std::vector<size_t> Succs;
-    const BasicBlock &Block = R.Blocks[BlockIndex];
-    if (Block.Succs.empty())
-      Succs.push_back(VirtualExit);
-    else
-      for (uint32_t Succ : Block.Succs)
-        Succs.push_back(Succ);
-    return Succs;
-  };
-
   std::vector<Bits> PDom(NumBlocks + 1, Bits(NumBlocks + 1));
   PDom[VirtualExit].set(VirtualExit);
   for (uint32_t BlockIndex = 0; BlockIndex < NumBlocks; ++BlockIndex)
@@ -449,7 +438,10 @@ void addControlEdges(const Program &Prog, uint32_t RoutineIndex,
         continue;
       Bits New(NumBlocks + 1);
       New.setAll(NumBlocks + 1);
-      for (size_t Succ : SuccsOf(BlockIndex))
+      // A block without successors leaves through the virtual exit.
+      if (R.Blocks[BlockIndex].NumSuccs == 0)
+        New &= PDom[VirtualExit];
+      for (uint32_t Succ : R.succs(BlockIndex))
         New &= PDom[Succ];
       New.set(BlockIndex);
       if (!(New == PDom[BlockIndex])) {
@@ -462,10 +454,10 @@ void addControlEdges(const Program &Prog, uint32_t RoutineIndex,
   std::vector<bool> HasCdep(NumBlocks, false);
   std::vector<DepEdge> Local;
   for (uint32_t Branch = 0; Branch < NumBlocks; ++Branch) {
-    if (!Reach[Branch] || R.Blocks[Branch].Succs.size() < 2)
+    if (!Reach[Branch] || R.Blocks[Branch].NumSuccs < 2)
       continue;
     uint64_t BranchAddr = R.Blocks[Branch].End - 1;
-    for (uint32_t Succ : R.Blocks[Branch].Succs)
+    for (uint32_t Succ : R.succs(Branch))
       PDom[Succ].forEach([&](size_t Dep) {
         if (Dep == VirtualExit)
           return;

@@ -115,7 +115,7 @@ void prepRoutine(const Program &Prog, uint32_t RoutineIndex,
       Prep.BadFrame = true;
       return;
     }
-    for (uint32_t Succ : Block.Succs)
+    for (uint32_t Succ : R.succs(BlockIndex))
       Join(Succ, Delta);
   }
 }
@@ -234,10 +234,10 @@ void solveBlockLiveness(const Program &Prog, uint32_t RoutineIndex,
         Out = F.LiveAtExit;
       else if (Block.Term == TerminatorKind::Halt)
         Out = SlotSet();
-      else if (Block.Succs.empty())
+      else if (Block.NumSuccs == 0)
         Out = SlotSet::top(); // Falls off the routine: unknowable.
       else
-        for (uint32_t Succ : Block.Succs)
+        for (uint32_t Succ : R.succs(BlockIndex))
           Out |= F.BlockLiveIn[Succ];
 
       SlotSet Before = Out;

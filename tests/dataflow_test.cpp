@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+
 using namespace spike;
 
 TEST(WorklistTest, FifoWithDeduplication) {
@@ -28,6 +31,53 @@ TEST(WorklistTest, PushAll) {
   Worklist List(3);
   List.pushAll();
   EXPECT_EQ(List.size(), 3u);
+}
+
+TEST(WorklistTest, RingWrapsAroundInFifoOrder) {
+  // Interleaved pushes and pops carry the ring's head and tail past Size
+  // many times; a deduplicating std::deque is the FIFO reference.
+  Worklist List(3);
+  std::deque<uint32_t> Model;
+  auto Push = [&](uint32_t Index) {
+    List.push(Index);
+    if (std::find(Model.begin(), Model.end(), Index) == Model.end())
+      Model.push_back(Index);
+  };
+  unsigned Pops = 0;
+  for (uint32_t Step = 0; Step < 40; ++Step) {
+    Push(Step * 7 % 3);
+    Push((Step * 5 + 1) % 3);
+    ASSERT_EQ(List.size(), Model.size());
+    for (unsigned I = 0; I < 1 + Step % 2 && !Model.empty(); ++I, ++Pops) {
+      ASSERT_EQ(List.pop(), Model.front());
+      Model.pop_front();
+    }
+  }
+  while (!Model.empty()) {
+    ASSERT_EQ(List.pop(), Model.front());
+    Model.pop_front();
+  }
+  EXPECT_TRUE(List.empty());
+  EXPECT_GT(Pops, 10u); // Far more traffic than the ring's three slots.
+}
+
+TEST(WorklistTest, ResetReusesAndResizes) {
+  Worklist List(2);
+  List.push(1);
+  List.push(0);
+  List.reset(5);
+  EXPECT_TRUE(List.empty());
+  List.push(4); // Beyond the old size.
+  List.push(1); // Queued before the reset, fresh after it.
+  List.push(4); // Still deduplicated.
+  EXPECT_EQ(List.size(), 2u);
+  EXPECT_EQ(List.pop(), 4u);
+  EXPECT_EQ(List.pop(), 1u);
+  List.reset(1);
+  List.pushAll();
+  EXPECT_EQ(List.size(), 1u);
+  EXPECT_EQ(List.pop(), 0u);
+  EXPECT_TRUE(List.empty());
 }
 
 TEST(FlowSetsTest, TransferMatchesFigure6) {

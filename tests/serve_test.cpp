@@ -331,6 +331,72 @@ TEST(ServeConcurrencyTest, BatchRepliesIndependentOfSubmissionOrder) {
     EXPECT_EQ(stripSeq(Again[I]), stripSeq(OutOfOrder[I]));
 }
 
+namespace {
+
+/// The patch-routine line publishing \p Code as the words of \p Rt.
+std::string patchLine(const Routine &Rt, const std::vector<uint64_t> &Code) {
+  std::string Line =
+      "patch-routine {\"routine\":\"" + Rt.Name + "\",\"code\":[";
+  for (size_t I = 0; I < Code.size(); ++I)
+    Line += (I ? ",\"" : "\"") + std::to_string(Code[I]) + "\"";
+  return Line + "]}";
+}
+
+} // namespace
+
+TEST(ServeIncrementalTest, NoOpSaveKeepsDependenceGraph) {
+  ExecProfile P;
+  P.Routines = 24;
+  P.IndirectCallProb = 0.05;
+  P.Seed = 11;
+  ServerOptions SOpts;
+  SOpts.Jobs = 2;
+  Server S(SOpts);
+  ASSERT_TRUE(S.loadImage(generateExecProgram(P)));
+
+  std::vector<const Routine *> Healthy;
+  for (const Routine &Rt : S.analysis().Prog.Routines)
+    if (!Rt.Name.empty() && !Rt.Quarantined && Rt.End - Rt.Begin >= 4)
+      Healthy.push_back(&Rt);
+  ASSERT_GE(Healthy.size(), 2u);
+  const Routine &Sliced = *Healthy[0], &Patched = *Healthy[1];
+  const std::string Slice = "slice {\"addr\":" +
+                            std::to_string(Sliced.End - 1) +
+                            ",\"dir\":\"backward\"}";
+  auto CodeOf = [&](const Routine &Rt) {
+    return std::vector<uint64_t>(S.image().Code.begin() + Rt.Begin,
+                                 S.image().Code.begin() + Rt.End);
+  };
+
+  std::string First = S.handleLine(Slice);
+  ASSERT_NE(First.find("\"ok\":true"), std::string::npos) << First;
+  EXPECT_EQ(S.stats().DepGraphBuilds, 1u);
+  EXPECT_EQ(S.stats().DepGraphHits, 0u);
+
+  // A no-op save: the routine's own words, republished.
+  std::string Save = S.handleLine(patchLine(Patched, CodeOf(Patched)));
+  ASSERT_NE(Save.find("\"struct_dirty\":0"), std::string::npos) << Save;
+  std::string Second = S.handleLine(Slice);
+  EXPECT_EQ(S.stats().DepGraphBuilds, 1u);
+  EXPECT_EQ(S.stats().DepGraphHits, 1u);
+  Server Fresh(SOpts);
+  ASSERT_TRUE(Fresh.loadImage(S.image()));
+  EXPECT_EQ(stripSeq(Second), stripSeq(Fresh.handleLine(Slice)));
+
+  // A one-word edit changes the analysis, so the next slice rebuilds.
+  std::vector<uint64_t> Code = CodeOf(Patched);
+  size_t Dst = 1;
+  while (Dst < Code.size() && Code[Dst] == Code[0])
+    ++Dst;
+  ASSERT_LT(Dst, Code.size());
+  Code[Dst] = Code[0];
+  std::string Edit = S.handleLine(patchLine(Patched, Code));
+  ASSERT_EQ(Edit.find("\"struct_dirty\":0"), std::string::npos) << Edit;
+  S.handleLine(Slice);
+  EXPECT_EQ(S.stats().DepGraphBuilds, 2u);
+  EXPECT_EQ(S.stats().DepGraphHits, 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Robustness floor.
 // ---------------------------------------------------------------------------

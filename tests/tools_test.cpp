@@ -163,6 +163,21 @@ TEST(ToolsTest, UsageErrorsExitNonZero) {
   EXPECT_NE(Status, 0);
 }
 
+TEST(ToolsTest, FuzzCreatesMissingArtifactDir) {
+  // The serve arm's `load` crossovers read corpus files written into the
+  // artifact directory, so a missing directory must be created.
+  std::string Dir = scratchPath("artifacts");
+  std::filesystem::remove_all(Dir);
+  int Status = 0;
+  std::string Out =
+      runCommand(toolsDir() + "/spike-fuzz --seed 1 --iterations 0 "
+                              "--serve-iterations 3 --skip-oracle "
+                              "--artifact-dir " + Dir,
+                 &Status);
+  EXPECT_EQ(Status, 0) << Out;
+  EXPECT_NE(Out.find("replayed clean"), std::string::npos) << Out;
+}
+
 //===----------------------------------------------------------------------===//
 // Telemetry flags and spike-stats
 //===----------------------------------------------------------------------===//

@@ -186,6 +186,13 @@ int runTool(int Argc, char **Argv) {
       std::printf("  %-15s %.4f s\n", stageName(AnalysisStage(S)),
                   Result.Stages.seconds(AnalysisStage(S)));
     std::printf("memory:        %.2f MB\n", Result.Memory.peakMBytes());
+    const std::pair<AnalysisStage, uint64_t> Layers[] = {
+        {AnalysisStage::CfgBuild, Result.CfgBytes},
+        {AnalysisStage::Initialization, Result.InitBytes},
+        {AnalysisStage::PsgBuild, Result.PsgBytes}};
+    for (const auto &[Stage, Bytes] : Layers)
+      std::printf("  %-15s %.2f MB\n", stageName(Stage),
+                  double(Bytes) / (1024.0 * 1024.0));
   }
   return 0;
 }

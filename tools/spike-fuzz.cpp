@@ -64,6 +64,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -823,6 +824,19 @@ int runTool(int Argc, char **Argv) {
       ;
     else
       return usage(Argv[0]);
+  }
+
+  // Crash artifacts and the serve arm's on-disk load corpus both go to
+  // the artifact directory; without it every `load` crossover would fail
+  // and the shadow image would diverge from the server's.
+  if (!Config.ArtifactDir.empty()) {
+    std::error_code EC;
+    std::filesystem::create_directories(Config.ArtifactDir, EC);
+    if (EC) {
+      std::fprintf(stderr, "error: cannot create --artifact-dir '%s': %s\n",
+                   Config.ArtifactDir.c_str(), EC.message().c_str());
+      return 2;
+    }
   }
 
   toolbudget::Session Faults(Config.Budget);
