@@ -164,7 +164,7 @@ public:
   /// the harness's replacement for a raw stopwatch: the interval also
   /// lands in the trace and the RunReport's phase table, and the sample
   /// feeds the "bench.<name>_ns" histogram so repeated measurements of
-  /// one benchmark diff percentile-aware in spike-profile / spike-stats.
+  /// one benchmark diff percentile-aware in spike-profile --diff.
   template <typename Fn> double timed(std::string_view Name, Fn &&Body) {
     uint32_t Id = S.beginSpan(Name);
     std::forward<Fn>(Body)();

@@ -2,7 +2,7 @@
 # Snapshots one profiling run into the repo root as BENCH_<n>.json, where
 # <n> is one past the highest existing snapshot — a dated trail of run
 # reports (histograms and hot-spot attribution included) that
-# spike-profile --diff and spike-stats can compare pairwise or against
+# spike-profile --diff can compare pairwise or against
 # bench/BENCH_baseline.json.
 #
 # The run mirrors the checked-in baseline's recipe (go profile, scale

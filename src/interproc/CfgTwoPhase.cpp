@@ -2,17 +2,14 @@
 
 #include "interproc/CfgTwoPhase.h"
 
-#include "telemetry/Profiling.h"
 #include "telemetry/Telemetry.h"
 
-#include "cfg/SccSchedule.h"
+#include "cfg/SccDriver.h"
 #include "dataflow/CallPolicy.h"
 #include "dataflow/FlowSets.h"
 #include "dataflow/Liveness.h"
 #include "dataflow/Worklist.h"
 #include "psg/PsgSolver.h"
-#include "support/Budget.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cassert>
@@ -185,17 +182,6 @@ private:
     return int32_t(It - Members.begin());
   }
 
-  /// Throws the budget-blown error for one component, naming its member
-  /// routines so the governed driver can degrade exactly that group.
-  [[noreturn]] void throwBlown(BudgetVerdict Verdict, const char *Phase,
-                               const std::vector<uint32_t> &Members) const {
-    std::vector<std::string> Names;
-    Names.reserve(Members.size());
-    for (uint32_t R : Members)
-      Names.push_back(Prog.Routines[R].Name);
-    throw BudgetBlownError(Verdict, Phase, std::move(Names));
-  }
-
   /// Bits flipped between \p OldSet and \p NewSet — the convergence
   /// trace's unit of set growth (symmetric difference, so a greatest-
   /// fixpoint shrink counts the same as a least-fixpoint grow).
@@ -205,28 +191,21 @@ private:
 
   /// Solves one component's phase-1 pass: callee summaries outside the
   /// component have converged in earlier levels, so only in-component
-  /// callers requeue.  \p Prof, when non-null, accumulates the group's
-  /// cost (same discipline as the PSG solvers: one writer per group).
-  void solveGroupPhase1(const std::vector<uint32_t> &Members, bool MayUsePass,
-                        telemetry::GroupCost *Prof) {
+  /// callers requeue.
+  void solveGroupPhase1(GroupTask &T, bool MayUsePass) {
+    const std::vector<uint32_t> &Members = T.Members;
+    telemetry::GroupCost *Prof = T.Cost;
     Worklist List(Members.size());
     List.pushAll();
-    uint64_t Pops = 0;
     std::vector<uint32_t> LocalPops(Prof ? Members.size() : 0, 0);
     while (!List.empty()) {
-      if (Gov) {
-        BudgetVerdict V = Gov->poll(++Pops);
-        if (V != BudgetVerdict::Ok)
-          throwBlown(V, "cfg-two-phase.phase1", Members);
-      }
+      T.step();
       uint32_t Local = List.pop();
       uint32_t RoutineIndex = Members[Local];
       const Routine &R = Prog.Routines[RoutineIndex];
-      if (Prof) {
-        ++Prof->Pops;
-        ++Prof->RoutinePops[RoutineIndex];
+      T.pop(RoutineIndex);
+      if (Prof)
         ++LocalPops[Local];
-      }
       std::vector<FlowSets> In =
           solveRoutineSets(RoutineIndex, Prof ? &Prof->SetOps : nullptr);
       bool Changed = false;
@@ -274,21 +253,10 @@ private:
   // pass B restarts MAY-USE from bottom with them frozen.
   void runPhase1() {
     SccSchedule Sched = buildCalleeFirstSchedule(Prog, Graph);
-    bool Profile = telemetry::profiling();
-    std::vector<telemetry::GroupCost> Profiles(Profile ? Sched.NumGroups : 0);
-    std::vector<uint64_t> RoutinePops(Profile ? Prog.Routines.size() : 0, 0);
-    for (telemetry::GroupCost &P : Profiles)
-      P.RoutinePops = RoutinePops.data();
+    SccDriver Driver(Prog, Sched, Pool, Gov, nullptr);
     auto RunPass = [&](bool MayUsePass) {
-      for (const std::vector<uint32_t> &Level : Sched.Levels)
-        forEachTask(Pool, Level.size(), [&](size_t I, unsigned) {
-          uint32_t Group = Level[I];
-          telemetry::GroupCost *Prof = Profile ? &Profiles[Group] : nullptr;
-          uint64_t T0 = Prof ? telemetry::costClockNs() : 0;
-          solveGroupPhase1(Sched.Members[Group], MayUsePass, Prof);
-          if (Prof)
-            Prof->Ns += telemetry::costClockNs() - T0;
-        });
+      Driver.run("cfg-two-phase.phase1",
+                 [&](GroupTask &T) { solveGroupPhase1(T, MayUsePass); });
     };
 
     RunPass(false);
@@ -296,16 +264,7 @@ private:
       for (FlowSets &Sets : PerEntry)
         Sets.MayUse = RegSet();
     RunPass(true);
-    if (Profile)
-      telemetry::emitGroupCosts(
-          "interproc.phase1", Profiles,
-          [&](size_t Group) -> const std::vector<uint32_t> & {
-            return Sched.Members[Group];
-          },
-          [&](uint32_t Routine) -> std::string_view {
-            return Prog.Routines[Routine].Name;
-          },
-          RoutinePops.data());
+    Driver.emit("interproc.phase1");
   }
 
   /// Solves intra-routine liveness for \p RoutineIndex with the current
@@ -332,25 +291,20 @@ private:
   /// the indirect accumulator.  \p AccumIn is the accumulator merged from
   /// earlier levels; the (possibly grown) value is returned for the level
   /// join, exactly like the PSG solver.
-  RegSet solveGroupPhase2(const std::vector<uint32_t> &Members,
-                          RegSet AccumIn, telemetry::GroupCost *Prof) {
+  RegSet solveGroupPhase2(GroupTask &T, RegSet AccumIn) {
+    const std::vector<uint32_t> &Members = T.Members;
+    telemetry::GroupCost *Prof = T.Cost;
     RegSet LocalAccum = AccumIn;
     Worklist List(Members.size());
     List.pushAll();
-    uint64_t Pops = 0;
     std::vector<uint32_t> LocalPops(Prof ? Members.size() : 0, 0);
     while (!List.empty()) {
-      if (Gov) {
-        BudgetVerdict V = Gov->poll(++Pops);
-        if (V != BudgetVerdict::Ok)
-          throwBlown(V, "cfg-two-phase.phase2", Members);
-      }
+      T.step();
       uint32_t Local = List.pop();
       uint32_t RoutineIndex = Members[Local];
       const Routine &R = Prog.Routines[RoutineIndex];
+      T.pop(RoutineIndex);
       if (Prof) {
-        ++Prof->Pops;
-        ++Prof->RoutinePops[RoutineIndex];
         ++LocalPops[Local];
         // No inner worklist stats from solveLiveness, so the blocks it
         // sweeps stand in for the set operations of this solve.
@@ -416,38 +370,20 @@ private:
     }
 
     SccSchedule Sched = buildCallerFirstSchedule(Prog, Graph);
-    bool Profile = telemetry::profiling();
-    std::vector<telemetry::GroupCost> Profiles(Profile ? Sched.NumGroups : 0);
-    std::vector<uint64_t> RoutinePops(Profile ? Prog.Routines.size() : 0, 0);
-    for (telemetry::GroupCost &P : Profiles)
-      P.RoutinePops = RoutinePops.data();
     RegSet IndirectAccum;
     std::vector<RegSet> GroupAccum(Sched.NumGroups);
-    for (const std::vector<uint32_t> &Level : Sched.Levels) {
-      forEachTask(Pool, Level.size(), [&](size_t I, unsigned) {
-        uint32_t Group = Level[I];
-        if (Sched.Members[Group].empty())
-          return;
-        telemetry::GroupCost *Prof = Profile ? &Profiles[Group] : nullptr;
-        uint64_t T0 = Prof ? telemetry::costClockNs() : 0;
-        GroupAccum[Group] =
-            solveGroupPhase2(Sched.Members[Group], IndirectAccum, Prof);
-        if (Prof)
-          Prof->Ns += telemetry::costClockNs() - T0;
-      });
-      for (uint32_t Group : Level)
-        IndirectAccum |= GroupAccum[Group];
-    }
-    if (Profile)
-      telemetry::emitGroupCosts(
-          "interproc.phase2", Profiles,
-          [&](size_t Group) -> const std::vector<uint32_t> & {
-            return Sched.Members[Group];
-          },
-          [&](uint32_t Routine) -> std::string_view {
-            return Prog.Routines[Routine].Name;
-          },
-          RoutinePops.data());
+    SccDriver Driver(Prog, Sched, Pool, Gov, nullptr);
+    Driver.run(
+        "cfg-two-phase.phase2",
+        [&](GroupTask &T) {
+          GroupAccum[T.Group] = solveGroupPhase2(T, IndirectAccum);
+        },
+        SccDriver::NoHook(),
+        [&](const std::vector<uint32_t> &Level) {
+          for (uint32_t Group : Level)
+            IndirectAccum |= GroupAccum[Group];
+        });
+    Driver.emit("interproc.phase2");
   }
 
   const Program &Prog;

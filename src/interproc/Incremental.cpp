@@ -4,12 +4,11 @@
 
 #include "cfg/CfgBuilder.h"
 #include "cfg/SaveRestore.h"
+#include "cfg/SccDriver.h"
 #include "support/ThreadPool.h"
 #include "telemetry/Telemetry.h"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
 
 using namespace spike;
 
@@ -203,82 +202,57 @@ IncrementalOutcome spike::reanalyzeIncremental(const Image &NewImg,
   }
 
   IncrementalOutcome Out;
-  std::unique_ptr<std::atomic<uint8_t>[]> Dirty(
-      new std::atomic<uint8_t>[NumRoutines]);
-  for (size_t R = 0; R < NumRoutines; ++R) {
-    Dirty[R].store(StructClean[R] ? 0 : 1, std::memory_order_relaxed);
-    Out.StructDirty += !StructClean[R];
-  }
-  std::atomic<uint8_t> Escalated{0};
+  DirtyFrontier Dirty(StructClean);
+  Out.StructDirty = Dirty.count();
+
+  // One phase 2 seed set for the register and the slot engine: every
+  // routine a struct-dirty routine calls in *either* version re-solves —
+  // a dropped call site shrinks the old callee's exit liveness, which no
+  // new-graph walk would notice.
+  std::vector<uint8_t> CalleeSeeds(NumRoutines, 0);
+  for (uint32_t R = 0; R < NumRoutines; ++R)
+    if (!StructClean[R])
+      for (const Program *P : {&A.Prog, &New.Prog})
+        for (uint32_t CallBlock : P->Routines[R].CallBlocks)
+          if (int32_t Callee = P->Routines[R].Blocks[CallBlock].CalleeRoutine;
+              Callee >= 0)
+            CalleeSeeds[Callee] = 1;
 
   PhaseReuse Reuse;
   Reuse.OldProg = &A.Prog;
   Reuse.OldPsg = &A.Psg;
   Reuse.OldProv = Opts.RecordProvenance ? &A.Provenance : nullptr;
   Reuse.StructClean = &StructClean;
-  Reuse.Dirty = Dirty.get();
-  Reuse.EscalatedOut = &Escalated;
+  Reuse.Dirty = &Dirty;
+  Reuse.EscalatedOut = &Out.Phase2Escalated;
 
   {
     StageTimer::Scope Scope(New.Stages, AnalysisStage::Phase1);
     New.Phase1Stats = runPhase1(New.Prog, New.Psg, New.SavedPerRoutine,
                                 &Pool, Prov, Gov, &Reuse);
   }
-  for (size_t R = 0; R < NumRoutines; ++R)
-    Out.Phase1Dirty += Dirty[R].load(std::memory_order_relaxed) != 0;
+  Out.Phase1Dirty = Dirty.count();
 
-  // Phase 2 seeding: beyond phase 1's final flags, every routine a
-  // struct-dirty routine calls in *either* version re-solves — a dropped
-  // call site shrinks the old callee's exit liveness, which no new-graph
-  // walk would notice.
-  auto FlagCallees = [&](const Program &P, uint32_t R) {
-    for (uint32_t CallBlock : P.Routines[R].CallBlocks) {
-      int32_t Callee = P.Routines[R].Blocks[CallBlock].CalleeRoutine;
-      if (Callee >= 0)
-        Dirty[Callee].store(1, std::memory_order_relaxed);
-    }
-  };
-  for (uint32_t R = 0; R < NumRoutines; ++R)
-    if (!StructClean[R]) {
-      FlagCallees(A.Prog, R);
-      FlagCallees(New.Prog, R);
-    }
-
+  // Phase 2 starts from phase 1's final flags plus the callee seeds.
+  Dirty.flagEach(CalleeSeeds);
   {
     StageTimer::Scope Scope(New.Stages, AnalysisStage::Phase2);
     New.Phase2Stats = runPhase2(New.Prog, New.Psg, &Pool, Prov, Gov, &Reuse);
   }
-  Out.Phase2Escalated = Escalated.load(std::memory_order_relaxed) != 0;
-  for (size_t R = 0; R < NumRoutines; ++R)
-    Out.Phase2Dirty += Dirty[R].load(std::memory_order_relaxed) != 0;
+  Out.Phase2Dirty = Dirty.count();
 
   // Summary extraction is a cheap pure read of the converged graph; run
   // it in full rather than diffing.
   New.Summaries = extractSummaries(New.Prog, New.Psg, New.SavedPerRoutine);
 
-  // The slot engine re-solves with its own reuse seeds before the swap,
-  // so a budget blow leaves both resident stores untouched.
+  // The slot engine re-solves with its own frontier before the swap, so
+  // a budget blow leaves both resident stores untouched.
   SlotFlowResult NewSlots;
   if (Slots) {
-    std::vector<uint8_t> SlotPhase2Seeds(NumRoutines, 0);
-    for (uint32_t R = 0; R < NumRoutines; ++R)
-      if (!StructClean[R]) {
-        for (uint32_t CallBlock : A.Prog.Routines[R].CallBlocks) {
-          int32_t Callee = A.Prog.Routines[R].Blocks[CallBlock].CalleeRoutine;
-          if (Callee >= 0)
-            SlotPhase2Seeds[Callee] = 1;
-        }
-        for (uint32_t CallBlock : New.Prog.Routines[R].CallBlocks) {
-          int32_t Callee =
-              New.Prog.Routines[R].Blocks[CallBlock].CalleeRoutine;
-          if (Callee >= 0)
-            SlotPhase2Seeds[Callee] = 1;
-        }
-      }
     SlotReuse SReuse;
     SReuse.Old = Slots;
     SReuse.StructClean = &StructClean;
-    SReuse.Phase2Seeds = &SlotPhase2Seeds;
+    SReuse.Phase2Seeds = &CalleeSeeds;
     SlotReuseStats SStats;
     NewSlots = solveSlotFlowIncremental(New.Prog, SReuse, &Pool, Gov,
                                         &SStats);

@@ -2,13 +2,10 @@
 
 #include "psg/PsgSolver.h"
 
-#include "cfg/SccSchedule.h"
+#include "cfg/SccDriver.h"
 #include "dataflow/CallPolicy.h"
 #include "dataflow/Worklist.h"
 #include "provenance/Provenance.h"
-#include "support/Budget.h"
-#include "support/ThreadPool.h"
-#include "telemetry/Profiling.h"
 #include "telemetry/Telemetry.h"
 
 #include <array>
@@ -28,20 +25,6 @@ namespace {
 bool isFixedPhase1(PsgNodeKind Kind) {
   return Kind == PsgNodeKind::Exit || Kind == PsgNodeKind::Unknown ||
          Kind == PsgNodeKind::Halt;
-}
-
-unsigned laneCount(ThreadPool *Pool) { return Pool ? Pool->jobs() : 1; }
-
-/// Throws the budget-blown error for one SCC group, naming its member
-/// routines so the governed driver can degrade exactly that group.
-[[noreturn]] void throwBlown(BudgetVerdict Verdict, const char *Phase,
-                             const Program &Prog,
-                             const std::vector<uint32_t> &Members) {
-  std::vector<std::string> Names;
-  Names.reserve(Members.size());
-  for (uint32_t R : Members)
-    Names.push_back(Prog.Routines[R].Name);
-  throw BudgetBlownError(Verdict, Phase, std::move(Names));
 }
 
 /// Per-lane scratch for mapping one component's nodes to dense local
@@ -70,12 +53,14 @@ struct LaneScratch {
   bool inGroup(uint32_t NodeId) const { return Stamp[NodeId] == Epoch; }
 };
 
-/// Profiling accumulator of one SCC group, filled inside the group's own
-/// task (race-free: a group is solved by exactly one task per pass) and
-/// merged into the telemetry session serially after the joins, in
-/// group-id order — the same discipline SolverStats already follows, so
-/// everything except the measured Ns is bit-identical at every --jobs.
-using GroupProfile = telemetry::GroupCost;
+/// One scratch per pool lane, sized for \p Psg.
+std::vector<LaneScratch> laneScratch(ThreadPool *Pool,
+                                     const ProgramSummaryGraph &Psg) {
+  std::vector<LaneScratch> Scratch(Pool ? Pool->jobs() : 1);
+  for (LaneScratch &S : Scratch)
+    S.sizeFor(Psg.Nodes.size(), telemetry::profiling());
+  return Scratch;
+}
 
 /// Gives the nodes of the component's member routines dense local ids,
 /// in ascending global order (members are ascending and each routine's
@@ -95,12 +80,25 @@ void mapGroup(const std::vector<uint32_t> &Members,
     }
 }
 
-/// Folds the group-local per-node pop counts into \p Prof at the end of
-/// one pass: total pops already accumulated per pop; Iters is the
-/// deepest per-node count (how many sweeps the slowest equation took).
-void finishPassProfile(const LaneScratch &S, GroupProfile *Prof) {
+/// Per-pop accounting shared by the three kernels: the solver counter,
+/// the profile, and the governor poll.
+void countPop(GroupTask &T, LaneScratch &S, SolverStats &Stats,
+              uint32_t NodeId, uint32_t Routine) {
+  ++Stats.NodeEvaluations;
+  T.pop(Routine);
+  if (T.Cost)
+    ++S.PopCounts[NodeId];
+  T.step();
+}
+
+/// Folds one pass into the group's profile: the pass's \p SetOps (edge
+/// visits), and as Iters the deepest group-local per-node pop count (how
+/// many sweeps the slowest equation took).
+void finishPassProfile(const LaneScratch &S, telemetry::GroupCost *Prof,
+                       uint64_t SetOps) {
   if (!Prof)
     return;
+  Prof->SetOps += SetOps;
   uint32_t MaxPops = 0;
   for (uint32_t NodeId : S.NodeIds)
     if (S.PopCounts[NodeId] > MaxPops)
@@ -248,20 +246,7 @@ struct ReuseMaps {
     return (*R->StructClean)[Routine] != 0;
   }
 
-  bool routineDirty(uint32_t Routine) const {
-    return R->Dirty[Routine].load(std::memory_order_relaxed) != 0;
-  }
-
-  bool groupDirty(const std::vector<uint32_t> &Members) const {
-    for (uint32_t Routine : Members)
-      if (routineDirty(Routine))
-        return true;
-    return false;
-  }
-
-  void flag(uint32_t Routine) const {
-    R->Dirty[Routine].store(1, std::memory_order_relaxed);
-  }
+  void flag(uint32_t Routine) const { R->Dirty->flag(Routine); }
 
   uint32_t newNode(uint32_t OldNode) const {
     const PsgNode &Node = R->OldPsg->Nodes[OldNode];
@@ -298,26 +283,18 @@ struct ReuseMaps {
 };
 
 ReuseMaps buildReuseMaps(const PhaseReuse *Reuse,
-                         const ProgramSummaryGraph &Psg,
-                         const std::vector<uint32_t> &NodeBegin) {
+                         const ProgramSummaryGraph &Psg) {
   ReuseMaps Maps;
   if (!Reuse)
     return Maps;
   Maps.R = Reuse;
   Maps.NewPsg = &Psg;
-  Maps.NewNodeBegin = NodeBegin;
-  Maps.OldNodeBegin.assign(Reuse->OldPsg->RoutineNodeBegin.begin(),
-                           Reuse->OldPsg->RoutineNodeBegin.end());
-  if (Maps.OldNodeBegin.size() != NodeBegin.size()) {
-    // Derive the old ranges when the cached graph predates the directory.
-    Maps.OldNodeBegin.assign(NodeBegin.size(), 0);
-    for (const PsgNode &Node : Reuse->OldPsg->Nodes)
-      ++Maps.OldNodeBegin[Node.RoutineIndex + 1];
-    for (size_t I = 1; I < Maps.OldNodeBegin.size(); ++I)
-      Maps.OldNodeBegin[I] += Maps.OldNodeBegin[I - 1];
-  }
+  Maps.NewNodeBegin = Psg.RoutineNodeBegin;
+  Maps.OldNodeBegin = Reuse->OldPsg->RoutineNodeBegin;
+  assert(Maps.OldNodeBegin.size() == Maps.NewNodeBegin.size() &&
+         "reuse across different routine partitions");
   Maps.OldEdgeBegin = routineEdgeBegins(*Reuse->OldPsg, Maps.OldNodeBegin);
-  Maps.NewEdgeBegin = routineEdgeBegins(Psg, NodeBegin);
+  Maps.NewEdgeBegin = routineEdgeBegins(Psg, Maps.NewNodeBegin);
   return Maps;
 }
 
@@ -465,19 +442,25 @@ void flagCalleesOnLiveDiff(const ProgramSummaryGraph &Psg,
   }
 }
 
-/// Returns the per-routine node ranges, deriving them from the nodes'
-/// routine indices when the graph predates buildPsg's directory (nodes
-/// are created routine by routine, so each range is contiguous).
-std::vector<uint32_t> routineNodeBegins(const Program &Prog,
-                                        const ProgramSummaryGraph &Psg) {
-  if (Psg.RoutineNodeBegin.size() == Prog.Routines.size() + 1)
-    return Psg.RoutineNodeBegin;
-  std::vector<uint32_t> Begin(Prog.Routines.size() + 1, 0);
-  for (const PsgNode &Node : Psg.Nodes)
-    ++Begin[Node.RoutineIndex + 1];
-  for (size_t R = 1; R < Begin.size(); ++R)
-    Begin[R] += Begin[R - 1];
-  return Begin;
+/// Sums the per-group statistics and emits the phase's counters, its
+/// dirty-frontier size when re-solving, and the driver's telemetry.
+SolverStats finishPhase(const std::string &Prefix,
+                        const std::vector<SolverStats> &GroupStats,
+                        const SccDriver &Driver, const PhaseReuse *Reuse) {
+  SolverStats Stats;
+  for (const SolverStats &Group : GroupStats) {
+    Stats.NodeEvaluations += Group.NodeEvaluations;
+    Stats.EdgeVisits += Group.EdgeVisits;
+    Stats.ProvenanceRecords += Group.ProvenanceRecords;
+  }
+  if (telemetry::active()) {
+    telemetry::count(Prefix + ".worklist_pops", Stats.NodeEvaluations);
+    telemetry::count(Prefix + ".edge_visits", Stats.EdgeVisits);
+    if (Reuse)
+      telemetry::count(Prefix + ".dirty_routines", Reuse->Dirty->count());
+    Driver.emit(Prefix);
+  }
+  return Stats;
 }
 
 /// Solves one component's MUST-DEF / MAY-DEF subsystem (pass A) to its
@@ -486,12 +469,10 @@ std::vector<uint32_t> routineNodeBegins(const Program &Prog,
 /// call-return labels it broadcasts — is exactly the serial one.
 void solveGroupPassA(const Program &Prog, ProgramSummaryGraph &Psg,
                      const std::vector<RegSet> &SavedPerRoutine,
-                     RegSet AllRegs, RegSet RaOnly,
-                     const std::vector<uint32_t> &Members,
-                     const std::vector<uint32_t> &NodeBegin, LaneScratch &S,
-                     SolverStats &Stats, GroupProfile *Prof,
-                     ProvenanceStore *Prov, const ResourceGovernor *Gov) {
-  mapGroup(Members, NodeBegin, S);
+                     RegSet AllRegs, RegSet RaOnly, GroupTask &T,
+                     LaneScratch &S, SolverStats &Stats,
+                     ProvenanceStore *Prov) {
+  mapGroup(T.Members, Psg.RoutineNodeBegin, S);
   uint32_t NumLocal = uint32_t(S.NodeIds.size());
   uint64_t EdgeVisitsBefore = Stats.EdgeVisits;
   Worklist List(NumLocal);
@@ -502,21 +483,10 @@ void solveGroupPassA(const Program &Prog, ProgramSummaryGraph &Psg,
       List.push(Local);
 
   std::vector<uint32_t> ChangedCalls;
-  uint64_t Pops = 0;
   while (!List.empty()) {
     uint32_t NodeId = S.NodeIds[List.pop()];
     PsgNode &Node = Psg.Nodes[NodeId];
-    ++Stats.NodeEvaluations;
-    if (Prof) {
-      ++Prof->Pops;
-      ++Prof->RoutinePops[Node.RoutineIndex];
-      ++S.PopCounts[NodeId];
-    }
-    if (Gov) {
-      BudgetVerdict V = Gov->poll(++Pops);
-      if (V != BudgetVerdict::Ok)
-        throwBlown(V, "psg.phase1.must-def", Prog, Members);
-    }
+    countPop(T, S, Stats, NodeId, Node.RoutineIndex);
 
     RegSet NewMustDef, NewMayDef;
     bool First = true;
@@ -533,9 +503,9 @@ void solveGroupPassA(const Program &Prog, ProgramSummaryGraph &Psg,
 
     if (NewMustDef == Node.Sets.MustDef && NewMayDef == Node.Sets.MayDef)
       continue;
-    if (Prof)
-      Prof->ChangedBits.record(changedBits(Node.Sets.MustDef, NewMustDef) +
-                               changedBits(Node.Sets.MayDef, NewMayDef));
+    if (T.Cost)
+      T.Cost->ChangedBits.record(changedBits(Node.Sets.MustDef, NewMustDef) +
+                                 changedBits(Node.Sets.MayDef, NewMayDef));
     if (Prov) {
       RegSet Added = NewMayDef - Node.Sets.MayDef;
       if (!Added.empty())
@@ -581,20 +551,16 @@ void solveGroupPassA(const Program &Prog, ProgramSummaryGraph &Psg,
         List.push(S.LocalOf[CallNode]);
   }
 
-  if (Prof)
-    Prof->SetOps += Stats.EdgeVisits - EdgeVisitsBefore;
-  finishPassProfile(S, Prof);
+  finishPassProfile(S, T.Cost, Stats.EdgeVisits - EdgeVisitsBefore);
 }
 
 /// Solves one component's MAY-USE subsystem (pass B) with all MUST-DEF
 /// labels frozen.
 void solveGroupPassB(const Program &Prog, ProgramSummaryGraph &Psg,
                      const std::vector<RegSet> &SavedPerRoutine, RegSet RaOnly,
-                     const std::vector<uint32_t> &Members,
-                     const std::vector<uint32_t> &NodeBegin, LaneScratch &S,
-                     SolverStats &Stats, GroupProfile *Prof,
-                     ProvenanceStore *Prov, const ResourceGovernor *Gov) {
-  mapGroup(Members, NodeBegin, S);
+                     GroupTask &T, LaneScratch &S, SolverStats &Stats,
+                     ProvenanceStore *Prov) {
+  mapGroup(T.Members, Psg.RoutineNodeBegin, S);
   uint32_t NumLocal = uint32_t(S.NodeIds.size());
   uint64_t EdgeVisitsBefore = Stats.EdgeVisits;
   Worklist List(NumLocal);
@@ -603,21 +569,10 @@ void solveGroupPassB(const Program &Prog, ProgramSummaryGraph &Psg,
       List.push(Local);
 
   std::vector<uint32_t> ChangedCalls;
-  uint64_t Pops = 0;
   while (!List.empty()) {
     uint32_t NodeId = S.NodeIds[List.pop()];
     PsgNode &Node = Psg.Nodes[NodeId];
-    ++Stats.NodeEvaluations;
-    if (Prof) {
-      ++Prof->Pops;
-      ++Prof->RoutinePops[Node.RoutineIndex];
-      ++S.PopCounts[NodeId];
-    }
-    if (Gov) {
-      BudgetVerdict V = Gov->poll(++Pops);
-      if (V != BudgetVerdict::Ok)
-        throwBlown(V, "psg.phase1.may-use", Prog, Members);
-    }
+    countPop(T, S, Stats, NodeId, Node.RoutineIndex);
 
     // Figure 8: MAY-USE[N_X] = MAY-USE[E] ∪ (MAY-USE[N_Y] −
     // MUST-DEF[E]), unioned across out-edges.
@@ -630,8 +585,8 @@ void solveGroupPassB(const Program &Prog, ProgramSummaryGraph &Psg,
 
     if (NewMayUse == Node.Sets.MayUse)
       continue;
-    if (Prof)
-      Prof->ChangedBits.record(changedBits(Node.Sets.MayUse, NewMayUse));
+    if (T.Cost)
+      T.Cost->ChangedBits.record(changedBits(Node.Sets.MayUse, NewMayUse));
     if (Prov) {
       RegSet Added = NewMayUse - Node.Sets.MayUse;
       Stats.ProvenanceRecords +=
@@ -666,9 +621,7 @@ void solveGroupPassB(const Program &Prog, ProgramSummaryGraph &Psg,
         List.push(S.LocalOf[CallNode]);
   }
 
-  if (Prof)
-    Prof->SetOps += Stats.EdgeVisits - EdgeVisitsBefore;
-  finishPassProfile(S, Prof);
+  finishPassProfile(S, T.Cost, Stats.EdgeVisits - EdgeVisitsBefore);
 }
 
 /// Solves one component's phase 2 liveness to its fixpoint.  \p AccumIn
@@ -682,18 +635,16 @@ RegSet solveGroupPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
                         const std::vector<RegSet> &ExitSeed,
                         const std::vector<bool> &IsAddressTakenExit,
                         const std::vector<bool> &IsIndirectReturn,
-                        RegSet AccumIn, const std::vector<uint32_t> &Members,
-                        const std::vector<uint32_t> &NodeBegin, LaneScratch &S,
-                        SolverStats &Stats, GroupProfile *Prof,
-                        const Phase2Prov &PP, const ResourceGovernor *Gov) {
-  mapGroup(Members, NodeBegin, S);
+                        RegSet AccumIn, GroupTask &T, LaneScratch &S,
+                        SolverStats &Stats, const Phase2Prov &PP) {
+  mapGroup(T.Members, Psg.RoutineNodeBegin, S);
   uint32_t NumLocal = uint32_t(S.NodeIds.size());
   uint64_t EdgeVisitsBefore = Stats.EdgeVisits;
 
   // Exits of in-group address-taken routines: requeued whenever an
   // in-group indirect return grows the accumulator.
   std::vector<uint32_t> GroupATExits;
-  for (uint32_t R : Members)
+  for (uint32_t R : T.Members)
     if (Prog.Routines[R].AddressTaken)
       for (uint32_t ExitNode : Psg.RoutineInfo[R].ExitNodes)
         GroupATExits.push_back(ExitNode);
@@ -706,21 +657,10 @@ RegSet solveGroupPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
       List.push(Local);
   }
 
-  uint64_t Pops = 0;
   while (!List.empty()) {
     uint32_t NodeId = S.NodeIds[List.pop()];
     PsgNode &Node = Psg.Nodes[NodeId];
-    ++Stats.NodeEvaluations;
-    if (Prof) {
-      ++Prof->Pops;
-      ++Prof->RoutinePops[Node.RoutineIndex];
-      ++S.PopCounts[NodeId];
-    }
-    if (Gov) {
-      BudgetVerdict V = Gov->poll(++Pops);
-      if (V != BudgetVerdict::Ok)
-        throwBlown(V, "psg.phase2", Prog, Members);
-    }
+    countPop(T, S, Stats, NodeId, Node.RoutineIndex);
 
     RegSet NewLive;
     if (Node.Kind == PsgNodeKind::Exit) {
@@ -745,8 +685,8 @@ RegSet solveGroupPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
 
     if (NewLive == Node.Live)
       continue;
-    if (Prof)
-      Prof->ChangedBits.record(changedBits(Node.Live, NewLive));
+    if (T.Cost)
+      T.Cost->ChangedBits.record(changedBits(Node.Live, NewLive));
     if (PP.Store) {
       RegSet Remaining = NewLive - Node.Live;
       if (Node.Kind == PsgNodeKind::Exit) {
@@ -832,9 +772,7 @@ RegSet solveGroupPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
     }
   }
 
-  if (Prof)
-    Prof->SetOps += Stats.EdgeVisits - EdgeVisitsBefore;
-  finishPassProfile(S, Prof);
+  finishPassProfile(S, T.Cost, Stats.EdgeVisits - EdgeVisitsBefore);
   return LocalAccum;
 }
 
@@ -875,7 +813,6 @@ SolverStats spike::runPhase1(const Program &Prog, ProgramSummaryGraph &Psg,
   assert((!Reuse || !Prov || (Reuse->OldProv && Reuse->OldProv->enabled())) &&
          "incremental re-solve with recording needs the cached store");
   telemetry::Span PhaseSpan("psg.phase1");
-  SolverStats Stats;
   RegSet AllRegs = RegSet::allBelow(NumIntRegs);
   RegSet RaOnly;
   RaOnly.insert(Prog.Conv.RaReg);
@@ -917,52 +854,30 @@ SolverStats spike::runPhase1(const Program &Prog, ProgramSummaryGraph &Psg,
 
   CallGraph Graph = buildCallGraph(Prog);
   SccSchedule Sched = buildCalleeFirstSchedule(Prog, Graph);
-  std::vector<uint32_t> NodeBegin = routineNodeBegins(Prog, Psg);
-  ReuseMaps Maps = buildReuseMaps(Reuse, Psg, NodeBegin);
-  bool Profile = telemetry::profiling();
-  std::vector<LaneScratch> Scratch(laneCount(Pool));
-  for (LaneScratch &S : Scratch)
-    S.sizeFor(Psg.Nodes.size(), Profile);
+  ReuseMaps Maps = buildReuseMaps(Reuse, Psg);
+  std::vector<LaneScratch> Scratch = laneScratch(Pool, Psg);
   std::vector<SolverStats> GroupStats(Sched.NumGroups);
-  std::vector<GroupProfile> Profiles(Profile ? Sched.NumGroups : 0);
-  std::vector<uint64_t> RoutinePops(Profile ? Prog.Routines.size() : 0, 0);
-  for (GroupProfile &P : Profiles)
-    P.RoutinePops = RoutinePops.data();
-  // Written only by each group's own task; read after the joins.
-  std::vector<uint8_t> Restored(Maps ? 2 * size_t(Sched.NumGroups) : 0, 0);
+  SccDriver Driver(Prog, Sched, Pool, Gov, Maps ? Reuse->Dirty : nullptr);
 
   auto RunPass = [&](bool MayUsePass) {
-    for (const std::vector<uint32_t> &Level : Sched.Levels)
-      forEachTask(Pool, Level.size(), [&](size_t I, unsigned Lane) {
-        uint32_t Group = Level[I];
-        if (Sched.Members[Group].empty())
-          return;
-        if (Maps && !Maps.groupDirty(Sched.Members[Group])) {
+    Driver.run(
+        MayUsePass ? "psg.phase1.may-use" : "psg.phase1.must-def",
+        [&](GroupTask &T) {
+          if (MayUsePass)
+            solveGroupPassB(Prog, Psg, SavedPerRoutine, RaOnly, T,
+                            Scratch[T.Lane], GroupStats[T.Group], Prov);
+          else
+            solveGroupPassA(Prog, Psg, SavedPerRoutine, AllRegs, RaOnly, T,
+                            Scratch[T.Lane], GroupStats[T.Group], Prov);
+          if (Maps)
+            flagCallersOnLabelDiff(Psg, MayUsePass, T.Members, Maps);
+        },
+        [&](const std::vector<uint32_t> &Members) {
           // Every input this group would read matches the cached solve:
           // restore its converged state instead of iterating.
           restoreGroupPhase1(Psg, SavedPerRoutine, AllRegs, RaOnly,
-                             MayUsePass, Sched.Members[Group], Maps, Prov);
-          Restored[size_t(MayUsePass) * Sched.NumGroups + Group] = 1;
-          return;
-        }
-        if (Maps)
-          for (uint32_t R : Sched.Members[Group])
-            Maps.flag(R); // Once any member is dirty, the whole group is.
-        GroupProfile *Prof = Profile ? &Profiles[Group] : nullptr;
-        uint64_t T0 = Prof ? telemetry::costClockNs() : 0;
-        if (MayUsePass)
-          solveGroupPassB(Prog, Psg, SavedPerRoutine, RaOnly,
-                          Sched.Members[Group], NodeBegin, Scratch[Lane],
-                          GroupStats[Group], Prof, Prov, Gov);
-        else
-          solveGroupPassA(Prog, Psg, SavedPerRoutine, AllRegs, RaOnly,
-                          Sched.Members[Group], NodeBegin, Scratch[Lane],
-                          GroupStats[Group], Prof, Prov, Gov);
-        if (Maps)
-          flagCallersOnLabelDiff(Psg, MayUsePass, Sched.Members[Group], Maps);
-        if (Prof)
-          Prof->Ns += telemetry::costClockNs() - T0;
-      });
+                             MayUsePass, Members, Maps, Prov);
+        });
   };
 
   // --- Pass A: MUST-DEF and MAY-DEF. -------------------------------------
@@ -981,35 +896,7 @@ SolverStats spike::runPhase1(const Program &Prog, ProgramSummaryGraph &Psg,
       Psg.Edges[Psg.CrEdgeOfEntryIds[I]].Label.MayUse = RegSet();
 
   RunPass(true);
-
-  for (const SolverStats &Group : GroupStats) {
-    Stats.NodeEvaluations += Group.NodeEvaluations;
-    Stats.EdgeVisits += Group.EdgeVisits;
-    Stats.ProvenanceRecords += Group.ProvenanceRecords;
-  }
-  telemetry::count("psg.phase1.worklist_pops", Stats.NodeEvaluations);
-  telemetry::count("psg.phase1.edge_visits", Stats.EdgeVisits);
-  if (Maps) {
-    uint64_t Reused = 0;
-    for (uint8_t Flag : Restored)
-      Reused += Flag;
-    uint64_t DirtyRoutines = 0;
-    for (size_t R = 0; R < Prog.Routines.size(); ++R)
-      DirtyRoutines += Maps.routineDirty(uint32_t(R));
-    telemetry::count("psg.phase1.groups_reused", Reused);
-    telemetry::count("psg.phase1.dirty_routines", DirtyRoutines);
-  }
-  if (Profile)
-    telemetry::emitGroupCosts(
-        "psg.phase1", Profiles,
-        [&](size_t Group) -> const std::vector<uint32_t> & {
-          return Sched.Members[Group];
-        },
-        [&](uint32_t Routine) -> std::string_view {
-          return Prog.Routines[Routine].Name;
-        },
-        RoutinePops.data());
-  return Stats;
+  return finishPhase("psg.phase1", GroupStats, Driver, Reuse);
 }
 
 SolverStats spike::runPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
@@ -1021,7 +908,6 @@ SolverStats spike::runPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
   assert((!Reuse || !Prov || (Reuse->OldProv && Reuse->OldProv->enabled())) &&
          "incremental re-solve with recording needs the cached store");
   telemetry::Span PhaseSpan("psg.phase2");
-  SolverStats Stats;
 
   // Exit seeds: routines that can return to unknown code (the program
   // entry routine and address-taken routines) get the calling standard's
@@ -1079,8 +965,7 @@ SolverStats spike::runPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
   // ordering does the same for the indirect-call accumulator.
   CallGraph Graph = buildCallGraph(Prog);
   SccSchedule Sched = buildCallerFirstSchedule(Prog, Graph);
-  std::vector<uint32_t> NodeBegin = routineNodeBegins(Prog, Psg);
-  ReuseMaps Maps = buildReuseMaps(Reuse, Psg, NodeBegin);
+  ReuseMaps Maps = buildReuseMaps(Reuse, Psg);
 
   if (Maps) {
     // Escalation guard: close the seeded dirty frontier over the schedule
@@ -1093,7 +978,7 @@ SolverStats spike::runPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
     std::vector<uint8_t> InClosure(Sched.NumGroups, 0);
     std::vector<uint32_t> Work;
     for (uint32_t R = 0; R < Prog.Routines.size(); ++R)
-      if (Maps.routineDirty(R)) {
+      if (Reuse->Dirty->dirty(R)) {
         uint32_t Group = Sched.GroupOfRoutine[R];
         if (!InClosure[Group]) {
           InClosure[Group] = 1;
@@ -1120,7 +1005,7 @@ SolverStats spike::runPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
     if (Escalate) {
       telemetry::count("psg.phase2.reuse_escalations");
       if (Reuse->EscalatedOut)
-        Reuse->EscalatedOut->store(1, std::memory_order_relaxed);
+        *Reuse->EscalatedOut = true;
       for (uint32_t R = 0; R < Prog.Routines.size(); ++R)
         Maps.flag(R);
     }
@@ -1135,15 +1020,8 @@ SolverStats spike::runPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
             Maps.flag(Psg.Nodes[Psg.ExitsOfReturnIds[I]].RoutineIndex);
   }
 
-  bool Profile = telemetry::profiling();
-  std::vector<LaneScratch> Scratch(laneCount(Pool));
-  for (LaneScratch &S : Scratch)
-    S.sizeFor(Psg.Nodes.size(), Profile);
+  std::vector<LaneScratch> Scratch = laneScratch(Pool, Psg);
   std::vector<SolverStats> GroupStats(Sched.NumGroups);
-  std::vector<GroupProfile> Profiles(Profile ? Sched.NumGroups : 0);
-  std::vector<uint64_t> RoutinePops(Profile ? Prog.Routines.size() : 0, 0);
-  for (GroupProfile &P : Profiles)
-    P.RoutinePops = RoutinePops.data();
 
   // Union of the live sets of all indirect-call return nodes; flows into
   // every address-taken routine's exits.  Components read a level-start
@@ -1166,78 +1044,33 @@ SolverStats spike::runPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
   std::vector<std::array<uint32_t, NumIntRegs>> GroupAccumSrc(
       Prov ? Sched.NumGroups : 0, NoSrcRow);
 
-  // Written only by each group's own task; read after the joins.
-  std::vector<uint8_t> Restored(Maps ? Sched.NumGroups : 0, 0);
-
-  for (const std::vector<uint32_t> &Level : Sched.Levels) {
-    forEachTask(Pool, Level.size(), [&](size_t I, unsigned Lane) {
-      uint32_t Group = Level[I];
-      if (Sched.Members[Group].empty())
-        return;
-      if (Maps && !Maps.groupDirty(Sched.Members[Group])) {
+  SccDriver Driver(Prog, Sched, Pool, Gov, Maps ? Reuse->Dirty : nullptr);
+  Driver.run(
+      "psg.phase2",
+      [&](GroupTask &T) {
+        Phase2Prov PP;
+        if (Prov)
+          PP = {Prov, &SeedUnknownCaller, &SeedQuarantine,
+                GlobalAccumSrc.data(), GroupAccumSrc[T.Group].data()};
+        GroupAccum[T.Group] = solveGroupPhase2(
+            Prog, Psg, ExitSeed, IsAddressTakenExit, IsIndirectReturn,
+            IndirectAccum, T, Scratch[T.Lane], GroupStats[T.Group], PP);
+        if (Maps)
+          flagCalleesOnLiveDiff(Psg, T.Members, Maps);
+      },
+      [&](const std::vector<uint32_t> &Members) {
         // The guard above proved no clean group touches the accumulator
         // as a producer-to-dirty-consumer, so restoring is safe; its
         // GroupAccum contribution stays empty.
-        restoreGroupPhase2(Psg, Sched.Members[Group], Maps, Prov);
-        Restored[Group] = 1;
-        return;
-      }
-      if (Maps)
-        for (uint32_t R : Sched.Members[Group])
-          Maps.flag(R);
-      Phase2Prov PP;
-      if (Prov) {
-        PP.Store = Prov;
-        PP.SeedUnknownCaller = &SeedUnknownCaller;
-        PP.SeedQuarantine = &SeedQuarantine;
-        PP.GlobalAccumSrc = GlobalAccumSrc.data();
-        PP.LocalAccumSrc = GroupAccumSrc[Group].data();
-      }
-      GroupProfile *Prof = Profile ? &Profiles[Group] : nullptr;
-      uint64_t T0 = Prof ? telemetry::costClockNs() : 0;
-      GroupAccum[Group] = solveGroupPhase2(
-          Prog, Psg, ExitSeed, IsAddressTakenExit, IsIndirectReturn,
-          IndirectAccum, Sched.Members[Group], NodeBegin, Scratch[Lane],
-          GroupStats[Group], Prof, PP, Gov);
-      if (Maps)
-        flagCalleesOnLiveDiff(Psg, Sched.Members[Group], Maps);
-      if (Prof)
-        Prof->Ns += telemetry::costClockNs() - T0;
-    });
-    for (uint32_t Group : Level) {
-      if (Prov)
-        for (unsigned Reg : GroupAccum[Group] - IndirectAccum)
-          GlobalAccumSrc[Reg] = GroupAccumSrc[Group][Reg];
-      IndirectAccum |= GroupAccum[Group];
-    }
-  }
-
-  for (const SolverStats &Group : GroupStats) {
-    Stats.NodeEvaluations += Group.NodeEvaluations;
-    Stats.EdgeVisits += Group.EdgeVisits;
-    Stats.ProvenanceRecords += Group.ProvenanceRecords;
-  }
-  telemetry::count("psg.phase2.worklist_pops", Stats.NodeEvaluations);
-  telemetry::count("psg.phase2.edge_visits", Stats.EdgeVisits);
-  if (Maps) {
-    uint64_t Reused = 0;
-    for (uint8_t Flag : Restored)
-      Reused += Flag;
-    uint64_t DirtyRoutines = 0;
-    for (size_t R = 0; R < Prog.Routines.size(); ++R)
-      DirtyRoutines += Maps.routineDirty(uint32_t(R));
-    telemetry::count("psg.phase2.groups_reused", Reused);
-    telemetry::count("psg.phase2.dirty_routines", DirtyRoutines);
-  }
-  if (Profile)
-    telemetry::emitGroupCosts(
-        "psg.phase2", Profiles,
-        [&](size_t Group) -> const std::vector<uint32_t> & {
-          return Sched.Members[Group];
-        },
-        [&](uint32_t Routine) -> std::string_view {
-          return Prog.Routines[Routine].Name;
-        },
-        RoutinePops.data());
-  return Stats;
+        restoreGroupPhase2(Psg, Members, Maps, Prov);
+      },
+      [&](const std::vector<uint32_t> &Level) {
+        for (uint32_t Group : Level) {
+          if (Prov)
+            for (unsigned Reg : GroupAccum[Group] - IndirectAccum)
+              GlobalAccumSrc[Reg] = GroupAccumSrc[Group][Reg];
+          IndirectAccum |= GroupAccum[Group];
+        }
+      });
+  return finishPhase("psg.phase2", GroupStats, Driver, Reuse);
 }

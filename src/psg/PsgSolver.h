@@ -22,12 +22,12 @@
 /// solution discussed in Section 5).
 ///
 /// Both phases are scheduled over the Tarjan SCC condensation of the call
-/// graph (see cfg/SccSchedule.h): each strongly connected component is
-/// solved with the serial worklist, components with no dependency between
-/// them run concurrently on the optional ThreadPool, and condensation
-/// levels are separated by joins.  Because every PSG edge is
-/// intra-routine, a component's worklist is self-contained and its
-/// iteration sequence — and therefore SolverStats — is identical for
+/// graph by the shared driver (cfg/SccDriver.h): each strongly connected
+/// component is solved with the serial worklist, components with no
+/// dependency between them run concurrently on the optional ThreadPool,
+/// and condensation levels are separated by joins.  Because every PSG
+/// edge is intra-routine, a component's worklist is self-contained and
+/// its iteration sequence — and therefore SolverStats — is identical for
 /// every job count, including the pool-less serial path.
 ///
 //===----------------------------------------------------------------------===//
@@ -38,12 +38,12 @@
 #include "psg/PsgGraph.h"
 #include "support/RegSet.h"
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
 namespace spike {
 
+class DirtyFrontier;
 class ProvenanceStore;
 class ResourceGovernor;
 class ThreadPool;
@@ -73,9 +73,9 @@ struct SolverStats {
 /// partition (count, names, boundaries).  StructClean[r] is 1 when
 /// routine r's code, CFG record, and annotation slices are identical in
 /// both versions, so its per-routine PSG layout — node and edge id
-/// ranges — is identical up to a constant offset.  Dirty[r] is a
-/// monotone (false -> true only) per-routine flag array the caller seeds
-/// and the solver grows:
+/// ranges — is identical up to a constant offset.  Dirty is the
+/// monotone per-routine frontier (cfg/SccDriver.h) the caller seeds and
+/// the solver grows:
 ///
 ///   - Phase 1 expects Dirty seeded with the struct-dirty routines.
 ///   - Phase 2 expects Dirty seeded with phase 1's final flags plus the
@@ -83,11 +83,12 @@ struct SolverStats {
 ///     routine in *either* version (a dropped call still shrinks the old
 ///     callee's exit liveness).
 ///
-/// At its scheduled slot, an SCC group with no dirty member restores the
-/// cached converged values (and, when recording, the remapped provenance
-/// slots) instead of iterating; a dirty group iterates from the standard
-/// initial values — exactly what a fresh solve would do, because every
-/// input it reads has converged to the fresh solve's value — and then
+/// At its scheduled slot (the SccDriver's restore-or-solve step), an SCC
+/// group with no dirty member restores the cached converged values (and,
+/// when recording, the remapped provenance slots) instead of iterating;
+/// a dirty group iterates from the standard initial values — exactly
+/// what a fresh solve would do, because every input it reads has
+/// converged to the fresh solve's value — and then
 /// compares its outward-facing results (phase 1: call-return labels,
 /// phase 2: return-site liveness) against the cache, flagging dependent
 /// routines on any difference.  Phase 2 additionally escalates to a full
@@ -101,11 +102,11 @@ struct PhaseReuse {
   const ProgramSummaryGraph *OldPsg = nullptr;
   const ProvenanceStore *OldProv = nullptr; ///< Null when recording is off.
   const std::vector<uint8_t> *StructClean = nullptr; ///< Per routine.
-  std::atomic<uint8_t> *Dirty = nullptr; ///< Per routine, monotone.
+  DirtyFrontier *Dirty = nullptr;
 
   /// Out-flag (optional): phase 2 sets it when the dirty closure forced a
   /// full re-solve.
-  std::atomic<uint8_t> *EscalatedOut = nullptr;
+  bool *EscalatedOut = nullptr;
 };
 
 /// Runs phase 1 to convergence.  \p SavedPerRoutine holds, per routine,

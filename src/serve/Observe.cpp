@@ -83,7 +83,7 @@ void RequestObserver::observe(const RequestRecord &R, const std::string &RawCmd,
   QueueWait[Idx].record(R.QueueNs);
 
   // Mirror into the active session so RunReports (and therefore
-  // spike-stats diffs) carry the per-command distributions.
+  // spike-profile --diff) carry the per-command distributions.
   const char *Name = commandName(R.Cmd);
   if (telemetry::active()) {
     telemetry::record(std::string("serve.latency.") + Name, R.ExecNs);

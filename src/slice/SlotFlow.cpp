@@ -3,15 +3,12 @@
 #include "slice/SlotFlow.h"
 
 #include "cfg/CallGraph.h"
-#include "cfg/SccSchedule.h"
+#include "cfg/SccDriver.h"
 #include "isa/StackRef.h"
-#include "support/Budget.h"
-#include "telemetry/Profiling.h"
 #include "telemetry/Telemetry.h"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
+#include <optional>
 
 using namespace spike;
 
@@ -302,21 +299,6 @@ SlotSet SlotFlowResult::callMayDef(const Program &Prog, uint32_t Routine,
 
 namespace {
 
-/// Throws the budget-blown error for one SCC group of the slot solver.
-[[noreturn]] void throwSlotBlown(BudgetVerdict Verdict, const char *Phase,
-                                 const Program &Prog,
-                                 const std::vector<uint32_t> &Members) {
-  std::vector<std::string> Names;
-  Names.reserve(Members.size());
-  for (uint32_t R : Members)
-    Names.push_back(Prog.Routines[R].Name);
-  throw BudgetBlownError(Verdict, Phase, std::move(Names));
-}
-
-} // namespace
-
-namespace {
-
 SlotFlowResult solveSlotFlowImpl(const Program &Prog, ThreadPool *Pool,
                                  const ResourceGovernor *Gov,
                                  const SlotReuse *Reuse,
@@ -359,22 +341,10 @@ SlotFlowResult solveSlotFlowImpl(const Program &Prog, ThreadPool *Pool,
     Reuse = nullptr;
   if (Stats)
     Stats->Full = Reuse == nullptr;
-  // Monotone per-routine dirty flags; relaxed atomics because same-level
-  // groups may flag a common later-level dependent concurrently, and the
-  // pool's level joins order every cross-level read after the writes.
-  std::unique_ptr<std::atomic<uint8_t>[]> Dirty;
-  if (Reuse) {
-    Dirty.reset(new std::atomic<uint8_t>[NumRoutines]);
-    for (size_t R = 0; R < NumRoutines; ++R)
-      Dirty[R].store((*Reuse->StructClean)[R] ? 0 : 1,
-                     std::memory_order_relaxed);
-  }
-  auto GroupDirty = [&](const std::vector<uint32_t> &Members) {
-    for (uint32_t R : Members)
-      if (Dirty[R].load(std::memory_order_relaxed))
-        return true;
-    return false;
-  };
+  std::optional<DirtyFrontier> Dirty;
+  if (Reuse)
+    Dirty.emplace(*Reuse->StructClean);
+  DirtyFrontier *Frontier = Dirty ? &*Dirty : nullptr;
 
   uint64_t Phase1Iters = 0, Phase2Iters = 0;
   if (Result.GlobalEscape) {
@@ -384,201 +354,116 @@ SlotFlowResult solveSlotFlowImpl(const Program &Prog, ThreadPool *Pool,
       F.BlockLiveOut.assign(F.DeltaIn.size(), SlotSet::top());
     }
   } else {
-    bool Profile = telemetry::profiling();
     {
       telemetry::Span Phase1Span("slice.phase1");
       SccSchedule Sched = buildCalleeFirstSchedule(Prog, Graph);
-      std::vector<uint64_t> GroupIters(Sched.NumGroups, 0);
-      std::vector<uint8_t> Restored(Reuse ? Sched.NumGroups : 0, 0);
-      std::vector<telemetry::GroupCost> Profiles(Profile ? Sched.NumGroups
-                                                         : 0);
-      std::vector<uint64_t> RoutinePops(Profile ? NumRoutines : 0, 0);
-      for (telemetry::GroupCost &P : Profiles)
-        P.RoutinePops = RoutinePops.data();
-      for (const std::vector<uint32_t> &Level : Sched.Levels)
-        forEachTask(Pool, Level.size(), [&](size_t I, unsigned) {
-          uint32_t Group = Level[I];
-          if (Reuse && !GroupDirty(Sched.Members[Group])) {
+      SccDriver Driver(Prog, Sched, Pool, Gov, Frontier);
+      Driver.run(
+          "slice.phase1",
+          [&](GroupTask &T) {
+            bool Changed = true;
+            while (Changed) {
+              Changed = false;
+              T.step();
+              for (uint32_t R : T.Members) {
+                uint64_t Delta = 0;
+                T.pop(R);
+                if (T.Cost)
+                  T.Cost->SetOps += Prog.Routines[R].Blocks.size();
+                bool RChanged = computeMayUseDef(Prog, R, Prep, Result.Routines,
+                                                 T.Cost ? &Delta : nullptr);
+                Changed |= RChanged;
+                if (T.Cost && RChanged)
+                  T.Cost->ChangedBits.record(Delta);
+              }
+            }
+            if (T.Cost)
+              T.Cost->Iters = T.steps();
+            if (Frontier)
+              // Callers whose inputs actually changed join the frontier;
+              // they sit at strictly later schedule levels.
+              for (uint32_t R : T.Members) {
+                const RoutineSlotFacts &OldF = Reuse->Old->Routines[R];
+                if (!(Result.Routines[R].MayUse == OldF.MayUse) ||
+                    !(Result.Routines[R].MayDef == OldF.MayDef))
+                  for (uint32_t Caller : Graph.Callers[R])
+                    Frontier->flag(Caller);
+              }
+          },
+          [&](const std::vector<uint32_t> &Members) {
             // Every input this group reads equals the old version's, so
             // its unique fixpoint is the cached one.
-            for (uint32_t R : Sched.Members[Group]) {
+            for (uint32_t R : Members) {
               Result.Routines[R].MayUse = Reuse->Old->Routines[R].MayUse;
               Result.Routines[R].MayDef = Reuse->Old->Routines[R].MayDef;
             }
-            Restored[Group] = 1;
-            return;
-          }
-          if (Reuse)
-            for (uint32_t R : Sched.Members[Group])
-              Dirty[R].store(1, std::memory_order_relaxed);
-          telemetry::GroupCost *Prof = Profile ? &Profiles[Group] : nullptr;
-          uint64_t T0 = Prof ? telemetry::costClockNs() : 0;
-          bool Changed = true;
-          while (Changed) {
-            Changed = false;
-            ++GroupIters[Group];
-            if (Gov) {
-              BudgetVerdict V = Gov->poll(GroupIters[Group]);
-              if (V != BudgetVerdict::Ok)
-                throwSlotBlown(V, "slice.phase1", Prog,
-                               Sched.Members[Group]);
-            }
-            for (uint32_t R : Sched.Members[Group]) {
-              uint64_t Delta = 0;
-              if (Prof) {
-                ++Prof->Pops;
-                ++Prof->RoutinePops[R];
-                Prof->SetOps += Prog.Routines[R].Blocks.size();
-              }
-              bool RChanged = computeMayUseDef(Prog, R, Prep,
-                                               Result.Routines,
-                                               Prof ? &Delta : nullptr);
-              Changed |= RChanged;
-              if (Prof && RChanged)
-                Prof->ChangedBits.record(Delta);
-            }
-          }
-          if (Reuse)
-            // Callers whose inputs actually changed join the frontier;
-            // they sit at strictly later schedule levels.
-            for (uint32_t R : Sched.Members[Group]) {
-              const RoutineSlotFacts &OldF = Reuse->Old->Routines[R];
-              if (!(Result.Routines[R].MayUse == OldF.MayUse) ||
-                  !(Result.Routines[R].MayDef == OldF.MayDef))
-                for (uint32_t Caller : Graph.Callers[R])
-                  Dirty[Caller].store(1, std::memory_order_relaxed);
-            }
-          if (Prof) {
-            Prof->Iters = GroupIters[Group];
-            Prof->Ns += telemetry::costClockNs() - T0;
-          }
-        });
-      for (uint64_t Iters : GroupIters) // Serial: after the joins.
-        Phase1Iters += Iters;
-      if (Reuse) {
-        uint64_t Reused = 0;
-        for (uint8_t Flag : Restored)
-          Reused += Flag;
-        telemetry::count("slice.phase1.groups_reused", Reused);
-        if (Stats)
-          for (size_t R = 0; R < NumRoutines; ++R)
-            Stats->Phase1Dirty += Dirty[R].load(std::memory_order_relaxed);
-      }
-      if (Profile)
-        telemetry::emitGroupCosts(
-            "slice.phase1", Profiles,
-            [&](size_t Group) -> const std::vector<uint32_t> & {
-              return Sched.Members[Group];
-            },
-            [&](uint32_t Routine) -> std::string_view {
-              return Prog.Routines[Routine].Name;
-            },
-            RoutinePops.data());
+          });
+      Phase1Iters = Driver.steps();
+      if (Stats && Frontier)
+        Stats->Phase1Dirty = Frontier->count();
+      Driver.emit("slice.phase1");
     }
     {
       telemetry::Span Phase2Span("slice.phase2");
       SccSchedule Sched = buildCallerFirstSchedule(Prog, Graph);
-      if (Reuse && Reuse->Phase2Seeds &&
+      if (Frontier && Reuse->Phase2Seeds &&
           Reuse->Phase2Seeds->size() == NumRoutines)
-        for (size_t R = 0; R < NumRoutines; ++R)
-          if ((*Reuse->Phase2Seeds)[R])
-            Dirty[R].store(1, std::memory_order_relaxed);
-      std::vector<uint64_t> GroupIters(Sched.NumGroups, 0);
-      std::vector<uint8_t> Restored(Reuse ? Sched.NumGroups : 0, 0);
-      std::vector<telemetry::GroupCost> Profiles(Profile ? Sched.NumGroups
-                                                         : 0);
-      std::vector<uint64_t> RoutinePops(Profile ? NumRoutines : 0, 0);
-      for (telemetry::GroupCost &P : Profiles)
-        P.RoutinePops = RoutinePops.data();
-      for (const std::vector<uint32_t> &Level : Sched.Levels)
-        forEachTask(Pool, Level.size(), [&](size_t I, unsigned) {
-          uint32_t Group = Level[I];
-          if (Reuse && !GroupDirty(Sched.Members[Group])) {
-            for (uint32_t R : Sched.Members[Group]) {
+        Frontier->flagEach(*Reuse->Phase2Seeds);
+      SccDriver Driver(Prog, Sched, Pool, Gov, Frontier);
+      Driver.run(
+          "slice.phase2",
+          [&](GroupTask &T) {
+            bool Changed = true;
+            while (Changed) {
+              Changed = false;
+              T.step();
+              for (uint32_t R : T.Members) {
+                T.pop(R);
+                SlotSet Exit =
+                    computeLiveAtExit(Prog, R, Graph, Result.Routines);
+                if (!(Exit == Result.Routines[R].LiveAtExit)) {
+                  if (T.Cost)
+                    T.Cost->ChangedBits.record(
+                        changedSlotBits(Result.Routines[R].LiveAtExit, Exit));
+                  Result.Routines[R].LiveAtExit = Exit;
+                  Changed = true;
+                }
+                // Block liveness is a pure function of LiveAtExit and the
+                // callees' final phase-1 facts; recompute each sweep so
+                // in-group callers read current values.
+                solveBlockLiveness(Prog, R, Prep, Result.Routines,
+                                   T.Cost ? &T.Cost->SetOps : nullptr);
+              }
+            }
+            if (T.Cost)
+              T.Cost->Iters = T.steps();
+            if (Frontier)
+              // Callees read this group's members' liveness after their
+              // call sites; flag them when it moved.  Struct-dirty members
+              // are skipped (block counts may differ) — their callees in
+              // both versions are pre-seeded by Phase2Seeds.
+              for (uint32_t R : T.Members) {
+                if (!(*Reuse->StructClean)[R])
+                  continue;
+                const RoutineSlotFacts &OldF = Reuse->Old->Routines[R];
+                if (!(Result.Routines[R].LiveAtExit == OldF.LiveAtExit) ||
+                    Result.Routines[R].BlockLiveOut != OldF.BlockLiveOut)
+                  for (uint32_t Callee : Graph.Callees[R])
+                    Frontier->flag(Callee);
+              }
+          },
+          [&](const std::vector<uint32_t> &Members) {
+            for (uint32_t R : Members) {
               const RoutineSlotFacts &OldF = Reuse->Old->Routines[R];
               Result.Routines[R].LiveAtExit = OldF.LiveAtExit;
               Result.Routines[R].BlockLiveIn = OldF.BlockLiveIn;
               Result.Routines[R].BlockLiveOut = OldF.BlockLiveOut;
             }
-            Restored[Group] = 1;
-            return;
-          }
-          if (Reuse)
-            for (uint32_t R : Sched.Members[Group])
-              Dirty[R].store(1, std::memory_order_relaxed);
-          telemetry::GroupCost *Prof = Profile ? &Profiles[Group] : nullptr;
-          uint64_t T0 = Prof ? telemetry::costClockNs() : 0;
-          bool Changed = true;
-          while (Changed) {
-            Changed = false;
-            ++GroupIters[Group];
-            if (Gov) {
-              BudgetVerdict V = Gov->poll(GroupIters[Group]);
-              if (V != BudgetVerdict::Ok)
-                throwSlotBlown(V, "slice.phase2", Prog,
-                               Sched.Members[Group]);
-            }
-            for (uint32_t R : Sched.Members[Group]) {
-              if (Prof) {
-                ++Prof->Pops;
-                ++Prof->RoutinePops[R];
-              }
-              SlotSet Exit =
-                  computeLiveAtExit(Prog, R, Graph, Result.Routines);
-              if (!(Exit == Result.Routines[R].LiveAtExit)) {
-                if (Prof)
-                  Prof->ChangedBits.record(
-                      changedSlotBits(Result.Routines[R].LiveAtExit, Exit));
-                Result.Routines[R].LiveAtExit = Exit;
-                Changed = true;
-              }
-              // Block liveness is a pure function of LiveAtExit and the
-              // callees' final phase-1 facts; recompute each sweep so
-              // in-group callers read current values.
-              solveBlockLiveness(Prog, R, Prep, Result.Routines,
-                                 Prof ? &Prof->SetOps : nullptr);
-            }
-          }
-          if (Reuse)
-            // Callees read this group's members' liveness after their
-            // call sites; flag them when it moved.  Struct-dirty members
-            // are skipped (block counts may differ) — their callees in
-            // both versions are pre-seeded by Phase2Seeds.
-            for (uint32_t R : Sched.Members[Group]) {
-              if (!(*Reuse->StructClean)[R])
-                continue;
-              const RoutineSlotFacts &OldF = Reuse->Old->Routines[R];
-              if (!(Result.Routines[R].LiveAtExit == OldF.LiveAtExit) ||
-                  Result.Routines[R].BlockLiveOut != OldF.BlockLiveOut)
-                for (uint32_t Callee : Graph.Callees[R])
-                  Dirty[Callee].store(1, std::memory_order_relaxed);
-            }
-          if (Prof) {
-            Prof->Iters = GroupIters[Group];
-            Prof->Ns += telemetry::costClockNs() - T0;
-          }
-        });
-      for (uint64_t Iters : GroupIters)
-        Phase2Iters += Iters;
-      if (Reuse) {
-        uint64_t Reused = 0;
-        for (uint8_t Flag : Restored)
-          Reused += Flag;
-        telemetry::count("slice.phase2.groups_reused", Reused);
-        if (Stats)
-          for (size_t R = 0; R < NumRoutines; ++R)
-            Stats->Phase2Dirty += Dirty[R].load(std::memory_order_relaxed);
-      }
-      if (Profile)
-        telemetry::emitGroupCosts(
-            "slice.phase2", Profiles,
-            [&](size_t Group) -> const std::vector<uint32_t> & {
-              return Sched.Members[Group];
-            },
-            [&](uint32_t Routine) -> std::string_view {
-              return Prog.Routines[Routine].Name;
-            },
-            RoutinePops.data());
+          });
+      Phase2Iters = Driver.steps();
+      if (Stats && Frontier)
+        Stats->Phase2Dirty = Frontier->count();
+      Driver.emit("slice.phase2");
     }
   }
 

@@ -9,8 +9,8 @@
 /// session's phase breakdown (span aggregation), counters, and gauges —
 /// the machine-readable form of the paper's Table 4/5-style stage
 /// statistics.  Written by telemetry::runReportJson(), read back here,
-/// and diffed by spike-stats (and CI) for threshold-based regression
-/// verdicts.
+/// and diffed by spike-profile --diff (and CI) for threshold-based
+/// regression verdicts.
 ///
 /// Schema (version 1):
 ///
@@ -67,9 +67,10 @@ struct RunReport {
 
   /// The "build" provenance object (git/compiler/flags/type/sanitizer),
   /// verbatim.  Additive member: empty for reports written before build
-  /// provenance existed.  Informational — never diffed — but spike-stats
-  /// prints a note when the two sides were produced by different
-  /// binaries, since that alone explains most timing deltas.
+  /// provenance existed.  Informational — never diffed — but
+  /// spike-profile --diff prints a note when the two sides were produced
+  /// by different binaries, since that alone explains most timing
+  /// deltas.
   std::map<std::string, std::string> Build;
 
   struct Phase {

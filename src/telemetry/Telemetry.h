@@ -115,9 +115,9 @@ struct HotSpotRecord {
 /// One soundness-preserving degradation the resource governor forced: a
 /// routine collapsed to a Section 3.5 unknowable summary because its
 /// analysis blew the budget.  Rendered as the "degraded" array of a
-/// RunReport and diffed by spike-stats, where *any* growth is flagged as
-/// a regression (precision silently lost is the failure mode these
-/// records exist to catch).
+/// RunReport and diffed by spike-profile --diff, where *any* growth is
+/// flagged as a regression (precision silently lost is the failure mode
+/// these records exist to catch).
 struct DegradeRecord {
   std::string Routine; ///< Routine name.
   std::string Reason;  ///< Blown verdict: "deadline", "memory", ...

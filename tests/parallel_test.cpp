@@ -6,7 +6,11 @@
 // counter and the analysis.jobs gauge may reflect the lane count; both
 // are excluded from every comparison below.)
 //
-// Three layers of evidence:
+// Four layers of evidence:
+//   - the SCC-schedule driver (cfg/SccDriver.h) that all three solvers
+//     share, on a hand-built schedule at jobs 1 and 4: one solve per
+//     non-empty group, ordered level joins, restore-or-solve against the
+//     dirty frontier, and deterministic budget errors,
 //   - differential: all 20 synthetic profiles (the paper's 16 benchmark
 //     shapes plus 4 executable programs) analyzed at jobs 2/4/7 against
 //     the serial run — whole-program summaries, solver statistics, and
@@ -21,11 +25,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "cfg/SccDriver.h"
 #include "interproc/CfgTwoPhase.h"
 #include "opt/Pipeline.h"
 #include "provenance/Witness.h"
 #include "psg/Analyzer.h"
 #include "sim/Simulator.h"
+#include "slice/SlotFlow.h"
 #include "support/ThreadPool.h"
 #include "synth/CfgGenerator.h"
 #include "synth/ExecGenerator.h"
@@ -245,7 +251,179 @@ std::string canonicalReport(const std::string &Json) {
   return Out;
 }
 
+/// A hand-built schedule over routines r0..r7 plus a hub node 8 that is
+/// then dropped from its group, the way buildCallerFirstSchedule drops
+/// its coupling hub:
+///
+///   level 0: {r0}   level 1: {r1} {r2}   level 2: {r3}
+///   level 3: {r4 r5 r6}   level 4: {} (hub)   level 5: {r7}
+///
+/// r0..r3 form a diamond, r4 -> r5 -> r6 -> r4 a 3-cycle.
+struct DriverFixture {
+  Program Prog;
+  SccSchedule Sched;
+  uint32_t HubGroup = 0;
+
+  DriverFixture() {
+    std::vector<std::vector<uint32_t>> Deps(9);
+    Deps[0] = {1, 2};
+    Deps[1] = {3};
+    Deps[2] = {3};
+    Deps[3] = {4};
+    Deps[4] = {5};
+    Deps[5] = {6};
+    Deps[6] = {4, 8};
+    Deps[8] = {7};
+    Sched = buildSccSchedule(9, Deps);
+    HubGroup = Sched.GroupOfRoutine[8];
+    Sched.Members[HubGroup].clear();
+    Sched.GroupOfRoutine.resize(8);
+    Prog.Routines.resize(8);
+    for (uint32_t R = 0; R < 8; ++R)
+      Prog.Routines[R].Name = "r" + std::to_string(R);
+  }
+
+  uint32_t groupOf(uint32_t Routine) const {
+    return Sched.GroupOfRoutine[Routine];
+  }
+};
+
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// The SCC-schedule driver
+//===----------------------------------------------------------------------===//
+
+TEST(ParallelSchedule, SolvesEachNonEmptyGroupOnceAndJoinsLevelsInOrder) {
+  DriverFixture F;
+  ASSERT_EQ(F.Sched.Levels.size(), 6u);
+  ASSERT_EQ(F.Sched.Levels[1].size(), 2u);
+  ASSERT_EQ(F.Sched.Members[F.groupOf(5)], (std::vector<uint32_t>{4, 5, 6}));
+  ASSERT_EQ(F.Sched.Levels[4], std::vector<uint32_t>{F.HubGroup});
+  for (unsigned Jobs : {1u, 4u}) {
+    ThreadPool Pool(Jobs);
+    std::vector<uint32_t> LevelOf(F.Sched.NumGroups);
+    for (uint32_t L = 0; L < F.Sched.Levels.size(); ++L)
+      for (uint32_t Group : F.Sched.Levels[L])
+        LevelOf[Group] = L;
+
+    // Each group is written by its own task only; Joined only by the
+    // serial hook, which the level joins order against the tasks.
+    std::vector<int> Solves(F.Sched.NumGroups, 0);
+    std::vector<uint32_t> SolvedAfterJoins(F.Sched.NumGroups, 0);
+    std::vector<uint32_t> Joined;
+    SccDriver Driver(F.Prog, F.Sched, &Pool, nullptr, nullptr);
+    Driver.run(
+        "test.phase",
+        [&](GroupTask &T) {
+          ++Solves[T.Group];
+          SolvedAfterJoins[T.Group] = uint32_t(Joined.size());
+          EXPECT_EQ(&T.Members, &F.Sched.Members[T.Group]);
+          EXPECT_LT(T.Lane, Jobs);
+          for (size_t I = 0; I < T.Members.size(); ++I)
+            T.step();
+        },
+        SccDriver::NoHook(),
+        [&](const std::vector<uint32_t> &Level) {
+          for (uint32_t Group : Level)
+            EXPECT_EQ(Solves[Group], F.Sched.Members[Group].empty() ? 0 : 1)
+                << "group " << Group << " before its level's join";
+          Joined.push_back(LevelOf[Level.front()]);
+        });
+
+    const std::string Where = "jobs=" + std::to_string(Jobs);
+    for (uint32_t Group = 0; Group < F.Sched.NumGroups; ++Group) {
+      EXPECT_EQ(Solves[Group], Group == F.HubGroup ? 0 : 1) << Where;
+      if (Group != F.HubGroup) {
+        EXPECT_EQ(SolvedAfterJoins[Group], LevelOf[Group]) << Where;
+      }
+    }
+    EXPECT_EQ(Joined, (std::vector<uint32_t>{0, 1, 2, 3, 4, 5})) << Where;
+    EXPECT_EQ(Driver.steps(), 8u) << Where; // One step per member.
+    // The memberless group still costs its (empty) task.
+    EXPECT_EQ(Pool.tasksRun(), uint64_t(F.Sched.NumGroups)) << Where;
+  }
+}
+
+TEST(ParallelSchedule, CleanGroupsRestoreAndDirtyGroupsFlagMembersFirst) {
+  DriverFixture F;
+  for (unsigned Jobs : {1u, 4u}) {
+    ThreadPool Pool(Jobs);
+    // r1 and r5 start dirty; solving r1 flags its dependent r3.
+    std::vector<uint8_t> Clean(8, 1);
+    Clean[1] = Clean[5] = 0;
+    DirtyFrontier Frontier(Clean);
+    std::vector<int> Solves(F.Sched.NumGroups, 0);
+    std::vector<int> Restores(F.Sched.NumGroups, 0);
+
+    telemetry::Session S("driver_test");
+    {
+      telemetry::SessionScope Scope(S);
+      SccDriver Driver(F.Prog, F.Sched, &Pool, nullptr, &Frontier);
+      Driver.run(
+          "test.phase",
+          [&](GroupTask &T) {
+            ++Solves[T.Group];
+            for (uint32_t R : T.Members)
+              EXPECT_TRUE(Frontier.dirty(R)) << "r" << R << " unflagged";
+            if (T.Group == F.groupOf(1))
+              Frontier.flag(3);
+          },
+          [&](const std::vector<uint32_t> &Members) {
+            ++Restores[F.groupOf(Members.front())];
+          });
+      Driver.emit("test.phase");
+    }
+
+    const std::string Where = "jobs=" + std::to_string(Jobs);
+    for (uint32_t R : {1u, 3u, 4u})
+      EXPECT_EQ(Solves[F.groupOf(R)], 1) << Where << " r" << R;
+    for (uint32_t R : {0u, 2u, 7u})
+      EXPECT_EQ(Restores[F.groupOf(R)], 1) << Where << " r" << R;
+    EXPECT_EQ(Solves[F.HubGroup] + Restores[F.HubGroup], 0) << Where;
+    // The whole cycle re-solved, so all of it is dirty now.
+    EXPECT_EQ(Frontier.count(), 5u) << Where;
+    EXPECT_TRUE(Frontier.dirty(4) && Frontier.dirty(6)) << Where;
+    EXPECT_EQ(S.counter("test.phase.groups_reused"), 3u) << Where;
+  }
+}
+
+TEST(ParallelSchedule, BlownBudgetNamesTheLowestIndexBlownGroup) {
+  DriverFixture F;
+  BudgetOptions Opts;
+  Opts.MaxIterations = 2;
+  ResourceGovernor Gov(Opts);
+  Gov.arm();
+  // Groups holding one of \p Blowing take three steps, past the cap.
+  auto RunBlowing = [&](ThreadPool &Pool, std::vector<uint32_t> Blowing) {
+    SccDriver Driver(F.Prog, F.Sched, &Pool, &Gov, nullptr);
+    try {
+      Driver.run("test.phase", [&](GroupTask &T) {
+        bool Blows = false;
+        for (uint32_t R : Blowing)
+          Blows |= F.groupOf(R) == T.Group;
+        for (int I = 0; I < (Blows ? 3 : 2); ++I)
+          T.step();
+      });
+    } catch (const BudgetBlownError &E) {
+      EXPECT_EQ(E.verdict(), BudgetVerdict::IterationCapHit);
+      EXPECT_EQ(E.phase(), "test.phase");
+      return E.routines();
+    }
+    return std::vector<std::string>{"no error"};
+  };
+  for (unsigned Jobs : {1u, 4u}) {
+    ThreadPool Pool(Jobs);
+    const std::string Where = "jobs=" + std::to_string(Jobs);
+    // Both level-1 groups and the cycle blow: the level-1 group with the
+    // lower index wins.
+    EXPECT_EQ(RunBlowing(Pool, {2, 1, 5}), std::vector<std::string>{"r1"})
+        << Where;
+    EXPECT_EQ(RunBlowing(Pool, {5}),
+              (std::vector<std::string>{"r4", "r5", "r6"}))
+        << Where;
+  }
+}
 
 //===----------------------------------------------------------------------===//
 // Differential: every profile, every lane count, against serial
@@ -353,6 +531,30 @@ TEST(ParallelDifferential, HotSpotPopsPartitionThePhaseCounters) {
       S.histogram("psg.phase1.group_pops");
   ASSERT_NE(Pops, nullptr);
   EXPECT_EQ(Pops->sum(), S.counter("psg.phase1.worklist_pops"));
+}
+
+TEST(ParallelDifferential, SlotSweepCountersMatchTheirHistograms) {
+  // Every sweep the slot solver counts belongs to a scheduled group, so
+  // each phase's group_iterations counter equals the sum of its
+  // per-group histogram — on every subject, including those whose phase
+  // 2 schedule holds a memberless coupling-hub group.
+  std::vector<std::pair<std::string, Image>> Corpus = differentialCorpus();
+  ASSERT_EQ(Corpus.size(), 20u);
+  for (const auto &[Name, Img] : Corpus) {
+    AnalysisResult A = analyzeImage(Img, CallingConv(), AnalysisOptions());
+    telemetry::Session S("slot_sweeps");
+    {
+      telemetry::SessionScope Scope(S);
+      solveSlotFlow(A.Prog, 1u);
+    }
+    for (std::string Phase : {"slice.phase1", "slice.phase2"}) {
+      const telemetry::Histogram *Iters =
+          S.histogram(Phase + ".group_iters");
+      EXPECT_EQ(S.counter(Phase + ".group_iterations"),
+                Iters ? Iters->sum() : 0)
+          << Name << " " << Phase;
+    }
+  }
 }
 
 TEST(ParallelDifferential, ProvenanceWitnessesByteIdenticalAcrossJobs) {

@@ -20,6 +20,8 @@
 #include <sstream>
 #include <string>
 
+#include <sys/wait.h>
+
 namespace {
 
 std::string toolsDir() { return SPIKE_TOOLS_DIR; }
@@ -179,7 +181,7 @@ TEST(ToolsTest, FuzzCreatesMissingArtifactDir) {
 }
 
 //===----------------------------------------------------------------------===//
-// Telemetry flags and spike-stats
+// Telemetry flags and run-report diffs (spike-profile --diff)
 //===----------------------------------------------------------------------===//
 
 TEST(ToolsTest, AnalyzeWritesMetricsAndTrace) {
@@ -270,11 +272,15 @@ TEST(ToolsTest, StatsSelfDiffIsCleanAndExitsZero) {
              &Status);
   ASSERT_EQ(Status, 0);
 
-  std::string Out = runCommand(toolsDir() + "/spike-stats " + Metrics +
-                                   " " + Metrics,
+  std::string Out = runCommand(toolsDir() + "/spike-profile --diff " +
+                                   Metrics + " " + Metrics,
                                &Status);
   EXPECT_EQ(Status, 0) << Out;
   EXPECT_NE(Out.find("0 regression(s)"), std::string::npos) << Out;
+  // One build on both sides: no cross-build note.
+  EXPECT_EQ(Out.find("note: reports come from different builds"),
+            std::string::npos)
+      << Out;
 
   for (const std::string &Path : {Asm, Img, Metrics})
     std::remove(Path.c_str());
@@ -293,28 +299,54 @@ TEST(ToolsTest, StatsGoldenDiffFlagsRegression) {
     "counters":{"worklist.pops":150,"stable":7},"gauges":{}})");
 
   int Status = 0;
-  std::string Out = runCommand(toolsDir() + "/spike-stats " + Baseline +
-                                   " " + Current,
+  std::string Out = runCommand(toolsDir() + "/spike-profile --diff " +
+                                   Baseline + " " + Current,
                                &Status);
-  EXPECT_NE(Status, 0) << Out;
+  EXPECT_EQ(WEXITSTATUS(Status), 1) << Out;
   EXPECT_NE(Out.find("counter worklist.pops"), std::string::npos) << Out;
   EXPECT_NE(Out.find("phase solve"), std::string::npos) << Out;
   EXPECT_NE(Out.find("2 regression(s)"), std::string::npos) << Out;
   EXPECT_EQ(Out.find("stable"), std::string::npos) << Out;
 
   // --warn-only reports but does not fail.
-  Out = runCommand(toolsDir() + "/spike-stats " + Baseline + " " +
+  Out = runCommand(toolsDir() + "/spike-profile --diff " + Baseline + " " +
                        Current + " --warn-only",
                    &Status);
   EXPECT_EQ(Status, 0) << Out;
   EXPECT_NE(Out.find("2 regression(s)"), std::string::npos) << Out;
 
   // Loosened thresholds accept the same pair.
-  Out = runCommand(toolsDir() + "/spike-stats " + Baseline + " " +
+  Out = runCommand(toolsDir() + "/spike-profile --diff " + Baseline + " " +
                        Current +
                        " --max-counter-growth 1.0 --max-time-growth 2.0",
                    &Status);
   EXPECT_EQ(Status, 0) << Out;
+  EXPECT_NE(Out.find("0 regression(s)"), std::string::npos) << Out;
+
+  for (const std::string &Path : {Baseline, Current})
+    std::remove(Path.c_str());
+}
+
+TEST(ToolsTest, ProfileDiffNotesReportsFromDifferentBuilds) {
+  std::string Baseline = scratchPath("build_base.json");
+  std::string Current = scratchPath("build_cur.json");
+  writeFile(Baseline, R"({"schema":"spike-run-report","version":1,
+    "tool":"t","total_seconds":1.0,"phases":[],"counters":{"c":1},
+    "gauges":{},"build":{"git":"v1","type":"Release","sanitizer":"none"}})");
+  writeFile(Current, R"({"schema":"spike-run-report","version":1,
+    "tool":"t","total_seconds":1.0,"phases":[],"counters":{"c":1},
+    "gauges":{},"build":{"git":"v2","type":"Debug"}})");
+
+  // Informational only: the verdict and exit status are unaffected.
+  int Status = 0;
+  std::string Out = runCommand(toolsDir() + "/spike-profile --diff " +
+                                   Baseline + " " + Current,
+                               &Status);
+  EXPECT_EQ(Status, 0) << Out;
+  EXPECT_NE(Out.find("note: reports come from different builds (baseline "
+                     "v1/Release/none, current v2/Debug/?)"),
+            std::string::npos)
+      << Out;
   EXPECT_NE(Out.find("0 regression(s)"), std::string::npos) << Out;
 
   for (const std::string &Path : {Baseline, Current})
@@ -451,12 +483,13 @@ TEST(ToolsTest, StatsRejectsBadInput) {
   writeFile(Garbage, "not json at all");
 
   int Status = 0;
-  std::string Out = runCommand(
-      toolsDir() + "/spike-stats " + Garbage + " " + Garbage, &Status);
-  EXPECT_NE(Status, 0);
+  std::string Out = runCommand(toolsDir() + "/spike-profile --diff " +
+                                   Garbage + " " + Garbage,
+                               &Status);
+  EXPECT_EQ(WEXITSTATUS(Status), 2) << Out;
 
-  runCommand(toolsDir() + "/spike-stats", &Status);
-  EXPECT_NE(Status, 0);
+  runCommand(toolsDir() + "/spike-profile --diff", &Status);
+  EXPECT_EQ(WEXITSTATUS(Status), 2);
 
   std::remove(Garbage.c_str());
 }
@@ -598,7 +631,7 @@ TEST(ToolsTest, VersionFlagIsUniformAcrossTools) {
   int Status = 0;
   std::string Suffix;
   for (const char *Tool :
-       {"spike-as", "spike-analyze", "spike-serve", "spike-stats",
+       {"spike-as", "spike-analyze", "spike-serve", "spike-explain",
         "spike-top", "spike-profile"}) {
     std::string Out =
         runCommand(toolsDir() + "/" + Tool + " --version", &Status);

@@ -4,13 +4,21 @@
 // --metrics flag) and renders the profiling layer's view of it: ranked
 // hot-SCC and hot-routine tables, histogram summaries, and per-phase
 // attribution coverage.  Can also re-export the report as folded stacks
-// (speedscope / inferno flamegraph input) and diff two reports with the
-// same percentile-aware thresholds spike-stats uses.
+// (speedscope / inferno flamegraph input) and diff two reports.
 //
 //   spike-profile report.json [--topk N] [--folded <out>]
 //   spike-profile --diff baseline.json current.json
 //                 [--max-counter-growth f] [--max-time-growth f]
 //                 [--time-floor s] [--warn-only]
+//
+// The diff reports counter deltas, per-phase time ratios, and a
+// threshold-based regression verdict (telemetry::diffReports: a counter
+// regresses when it grows more than --max-counter-growth, default 0.10,
+// over a nonzero baseline; a phase when both runs spend more than
+// --time-floor seconds, default 0.01, in it and the current run is more
+// than --max-time-growth, default 0.25, slower; histogram percentiles
+// must move more than one log2 bucket).  Reports from different builds
+// get a note up front.
 //
 // A report whose run degraded routines to unknowable summaries (budget
 // blows) is flagged prominently: its hot-spot attribution describes the
@@ -258,6 +266,24 @@ int runDiff(const std::string &BaselinePath, const std::string &CurrentPath,
   std::printf("current:  %s (%s, %.4f s)\n", CurrentPath.c_str(),
               Current->Tool.c_str(), Current->TotalSeconds);
   printDegradedBanner(*Current);
+
+  // Different binaries explain most timing deltas on their own; say so
+  // up front (informational — never a regression by itself).
+  if (!Baseline->Build.empty() && !Current->Build.empty() &&
+      Baseline->Build != Current->Build) {
+    auto Field = [](const RunReport &R, const char *K) {
+      auto It = R.Build.find(K);
+      return It == R.Build.end() ? std::string("?") : It->second;
+    };
+    std::printf("note: reports come from different builds "
+                "(baseline %s/%s/%s, current %s/%s/%s)\n",
+                Field(*Baseline, "git").c_str(),
+                Field(*Baseline, "type").c_str(),
+                Field(*Baseline, "sanitizer").c_str(),
+                Field(*Current, "git").c_str(),
+                Field(*Current, "type").c_str(),
+                Field(*Current, "sanitizer").c_str());
+  }
 
   ReportDiff Diff = diffReports(*Baseline, *Current, Opts);
   std::fputs(Diff.str().c_str(), stdout);
