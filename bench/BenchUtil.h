@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Helpers shared by the table/figure reproduction harnesses.
+/// Helpers shared by the bench harnesses (bench_paper, bench_serve).
 ///
 /// Every harness accepts:
 ///   --scale <f>      scale every profile's routine count by f (default
@@ -21,17 +21,15 @@
 /// for --scale.
 ///
 /// Harness owns the run's telemetry::Session and keeps it installed for
-/// the harness's whole lifetime, so every measurement — timing included —
-/// goes through the telemetry span API and the library counter registry
-/// rather than ad-hoc stopwatches, and the numbers a table prints are
-/// exactly the numbers the RunReport carries.
+/// the harness's whole lifetime, so every timing goes through the
+/// telemetry span API rather than ad-hoc stopwatches, and the seconds a
+/// table prints are exactly the spans the RunReport carries.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPIKE_BENCH_BENCHUTIL_H
 #define SPIKE_BENCH_BENCHUTIL_H
 
-#include "psg/Summaries.h"
 #include "synth/Profiles.h"
 #include "telemetry/Telemetry.h"
 
@@ -104,61 +102,32 @@ inline std::vector<BenchmarkProfile> selectedProfiles(const Options &Opts) {
   return Result;
 }
 
-/// Exact equality of two whole-program summary sets — the jobs sweeps
-/// assert the parallel engine reproduced the serial result bit for bit.
-inline bool summariesEqual(const InterprocSummaries &A,
-                           const InterprocSummaries &B) {
-  if (A.Routines.size() != B.Routines.size())
-    return false;
-  for (size_t R = 0; R < A.Routines.size(); ++R) {
-    const RoutineResults &X = A.Routines[R];
-    const RoutineResults &Y = B.Routines[R];
-    if (X.EntrySummaries.size() != Y.EntrySummaries.size() ||
-        X.LiveAtEntry.size() != Y.LiveAtEntry.size() ||
-        X.LiveAtExit.size() != Y.LiveAtExit.size())
-      return false;
-    for (size_t E = 0; E < X.EntrySummaries.size(); ++E)
-      if (!(X.EntrySummaries[E].Used == Y.EntrySummaries[E].Used) ||
-          !(X.EntrySummaries[E].Defined == Y.EntrySummaries[E].Defined) ||
-          !(X.EntrySummaries[E].Killed == Y.EntrySummaries[E].Killed))
-        return false;
-    for (size_t E = 0; E < X.LiveAtEntry.size(); ++E)
-      if (!(X.LiveAtEntry[E] == Y.LiveAtEntry[E]))
-        return false;
-    for (size_t E = 0; E < X.LiveAtExit.size(); ++E)
-      if (!(X.LiveAtExit[E] == Y.LiveAtExit[E]))
-        return false;
-  }
-  return true;
-}
-
 /// Prints the standard harness banner.
 inline void banner(const char *What, const Options &Opts) {
   std::printf("== %s (scale %.3g) ==\n", What, Opts.Scale);
 }
 
-/// The harness's telemetry session: always active (the tables read the
-/// counter registry), written out as a RunReport / trace on destruction
-/// when the flags asked for one.
+/// The harness's telemetry session: always active (the tables read its
+/// stage spans), written out as a RunReport / trace on destruction when
+/// the flags asked for one.
 class Harness {
 public:
   Harness(const char *Name, Options Opts)
       : S(Name), HarnessOpts(std::move(Opts)), Scope(S) {}
 
   ~Harness() {
-    auto Write = [](const std::string &Path, const std::string &Text) {
-      if (!Path.empty() && !telemetry::writeTextFile(Path, Text))
+    auto Write = [&](const std::string &Path,
+                     std::string (*Render)(const telemetry::Session &)) {
+      if (!Path.empty() && !telemetry::writeTextFile(Path, Render(S)))
         std::fprintf(stderr, "warning: cannot write telemetry file '%s'\n",
                      Path.c_str());
     };
-    Write(HarnessOpts.TracePath, telemetry::traceJson(S));
-    Write(HarnessOpts.MetricsPath, telemetry::runReportJson(S));
+    Write(HarnessOpts.TracePath, telemetry::traceJson);
+    Write(HarnessOpts.MetricsPath, telemetry::runReportJson);
   }
 
   Harness(const Harness &) = delete;
   Harness &operator=(const Harness &) = delete;
-
-  telemetry::Session &session() { return S; }
 
   /// Runs \p Body inside a span named \p Name and returns its seconds —
   /// the harness's replacement for a raw stopwatch: the interval also
@@ -174,9 +143,6 @@ public:
              uint64_t(Seconds * 1e9 + 0.5));
     return Seconds;
   }
-
-  /// Current value of registry counter \p Name.
-  uint64_t counter(std::string_view Name) const { return S.counter(Name); }
 
 private:
   telemetry::Session S;

@@ -15,9 +15,11 @@
 #include "psg/Analyzer.h"
 #include "synth/CfgGenerator.h"
 #include "synth/Profiles.h"
+#include "telemetry/Telemetry.h"
 
 #include <cstdio>
 #include <cstdlib>
+#include <numeric>
 
 using namespace spike;
 
@@ -41,7 +43,16 @@ int main(int Argc, char **Argv) {
   Image Img = generateCfgProgram(Profile);
   std::printf("analyzing %zu instructions...\n\n", Img.Code.size());
 
-  AnalysisResult Result = analyzeImage(Img);
+  // The stage times are the analysis's telemetry spans, so the one
+  // analysis runs under a session.
+  telemetry::Session Session("whole_program_analysis");
+  AnalysisResult Result;
+  {
+    telemetry::SessionScope Scope(Session);
+    Result = analyzeImage(Img);
+  }
+  StageSeconds Seconds = stageSeconds(Session);
+  double Total = std::accumulate(Seconds.begin(), Seconds.end(), 0.0);
   Supergraph Graph = buildSupergraph(Result.Prog);
 
   std::printf("-- program --\n");
@@ -64,14 +75,11 @@ int main(int Argc, char **Argv) {
               (unsigned long long)Result.Psg.NumBranchNodes);
 
   std::printf("-- cost --\n");
-  std::printf("total dataflow time: %.3f s\n",
-              Result.Stages.totalSeconds());
-  for (unsigned S = 0; S < NumAnalysisStages; ++S) {
-    AnalysisStage Stage = AnalysisStage(S);
-    std::printf("  %-15s %6.1f%%  (%.4f s)\n", stageName(Stage),
-                100.0 * Result.Stages.fraction(Stage),
-                Result.Stages.seconds(Stage));
-  }
+  std::printf("total dataflow time: %.3f s (measured with telemetry on)\n",
+              Total);
+  for (size_t I = 0; I < StageSpans.size(); ++I)
+    std::printf("  %-15s %6.1f%%  (%.4f s)\n", StageSpans[I].Label,
+                Total > 0 ? 100.0 * Seconds[I] / Total : 0.0, Seconds[I]);
   std::printf("analysis memory: %.2f MB\n", Result.Memory.peakMBytes());
 
   // A taste of the results: the three busiest routines' summaries.

@@ -2,8 +2,6 @@
 
 #include "interproc/Incremental.h"
 
-#include "cfg/CfgBuilder.h"
-#include "cfg/SaveRestore.h"
 #include "cfg/SccDriver.h"
 #include "support/ThreadPool.h"
 #include "telemetry/Telemetry.h"
@@ -130,38 +128,9 @@ IncrementalOutcome spike::reanalyzeIncremental(const Image &NewImg,
     return fullFallback(NewImg, Conv, Opts, A, Slots);
 
   AnalysisResult New;
-  const ResourceGovernor *Gov = nullptr;
-  if (Opts.Governor && Opts.Governor->enabled()) {
-    Opts.Governor->attachMemory(&New.Memory);
-    Opts.Governor->arm();
-    Gov = Opts.Governor;
-  }
-
   ThreadPool Pool(Opts.Jobs);
-
-  {
-    StageTimer::Scope Scope(New.Stages, AnalysisStage::CfgBuild);
-    New.Prog = buildProgram(NewImg, Conv, &New.Memory, Opts.Cfg, &Pool);
-    New.CfgBytes = New.Memory.liveBytes();
-  }
-  if (Gov)
-    Gov->pollOrThrow("analyze.cfg-build");
-
-  {
-    StageTimer::Scope Scope(New.Stages, AnalysisStage::Initialization);
-    telemetry::Span InitSpan("init");
-    computeDefUbd(New.Prog, &Pool);
-    New.SavedPerRoutine.resize(New.Prog.Routines.size());
-    forEachTask(&Pool, New.Prog.Routines.size(),
-                [&](size_t RoutineIndex, unsigned) {
-                  New.SavedPerRoutine[RoutineIndex] =
-                      analyzeSaveRestore(New.Prog,
-                                         New.Prog.Routines[RoutineIndex])
-                          .Saved;
-                });
-    New.Memory.charge(New.SavedPerRoutine.size() * sizeof(RegSet));
-    New.InitBytes = New.Memory.liveBytes() - New.CfgBytes;
-  }
+  const ResourceGovernor *Gov =
+      buildAndInitialize(NewImg, Conv, Opts, Pool, New);
 
   if (!samePartition(A.Prog, New.Prog))
     return fullFallback(NewImg, Conv, Opts, A, Slots);
@@ -186,11 +155,8 @@ IncrementalOutcome spike::reanalyzeIncremental(const Image &NewImg,
     return IncrementalOutcome();
   }
 
-  {
-    StageTimer::Scope Scope(New.Stages, AnalysisStage::PsgBuild);
-    New.Psg = buildPsg(New.Prog, Opts.Psg, &New.Memory, &Pool);
-    New.PsgBytes = New.Memory.liveBytes() - New.CfgBytes - New.InitBytes;
-  }
+  New.Psg = buildPsg(New.Prog, Opts.Psg, &New.Memory, &Pool);
+  New.PsgBytes = New.Memory.liveBytes() - New.CfgBytes - New.InitBytes;
   if (Gov)
     Gov->pollOrThrow("analyze.psg-build");
 
@@ -226,19 +192,13 @@ IncrementalOutcome spike::reanalyzeIncremental(const Image &NewImg,
   Reuse.Dirty = &Dirty;
   Reuse.EscalatedOut = &Out.Phase2Escalated;
 
-  {
-    StageTimer::Scope Scope(New.Stages, AnalysisStage::Phase1);
-    New.Phase1Stats = runPhase1(New.Prog, New.Psg, New.SavedPerRoutine,
-                                &Pool, Prov, Gov, &Reuse);
-  }
+  New.Phase1Stats = runPhase1(New.Prog, New.Psg, New.SavedPerRoutine, &Pool,
+                              Prov, Gov, &Reuse);
   Out.Phase1Dirty = Dirty.count();
 
   // Phase 2 starts from phase 1's final flags plus the callee seeds.
   Dirty.flagEach(CalleeSeeds);
-  {
-    StageTimer::Scope Scope(New.Stages, AnalysisStage::Phase2);
-    New.Phase2Stats = runPhase2(New.Prog, New.Psg, &Pool, Prov, Gov, &Reuse);
-  }
+  New.Phase2Stats = runPhase2(New.Prog, New.Psg, &Pool, Prov, Gov, &Reuse);
   Out.Phase2Dirty = Dirty.count();
 
   // Summary extraction is a cheap pure read of the converged graph; run

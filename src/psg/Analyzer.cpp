@@ -18,51 +18,17 @@ AnalysisResult spike::analyzeImage(const Image &Img,
   telemetry::Span AnalyzeSpan("analyze");
   telemetry::count("analyze.runs");
 
-  // The memory tracker the governor meters is this run's own; re-arming
-  // here makes --deadline-ms bound one attempt, not the sum of retries.
-  const ResourceGovernor *Gov = nullptr;
-  if (Opts.Governor && Opts.Governor->enabled()) {
-    Opts.Governor->attachMemory(&Result.Memory);
-    Opts.Governor->arm();
-    Gov = Opts.Governor;
-  }
-
   // The pool exists for every job count: at Jobs == 1 it spawns no
   // threads and runs tasks inline, so pool.tasks is identical across job
   // counts.  Tasks never touch the telemetry layer (sessions are
   // single-threaded); all accounting happens after the joins, here.
   ThreadPool Pool(Opts.Jobs);
+  const ResourceGovernor *Gov =
+      buildAndInitialize(Img, Conv, Opts, Pool, Result);
 
-  {
-    StageTimer::Scope Scope(Result.Stages, AnalysisStage::CfgBuild);
-    Result.Prog = buildProgram(Img, Conv, &Result.Memory, Opts.Cfg, &Pool);
-    Result.CfgBytes = Result.Memory.liveBytes();
-  }
-  if (Gov)
-    Gov->pollOrThrow("analyze.cfg-build");
-
-  {
-    StageTimer::Scope Scope(Result.Stages, AnalysisStage::Initialization);
-    telemetry::Span InitSpan("init");
-    computeDefUbd(Result.Prog, &Pool);
-    Result.SavedPerRoutine.resize(Result.Prog.Routines.size());
-    forEachTask(&Pool, Result.Prog.Routines.size(),
-                [&](size_t RoutineIndex, unsigned) {
-                  Result.SavedPerRoutine[RoutineIndex] =
-                      analyzeSaveRestore(Result.Prog,
-                                         Result.Prog.Routines[RoutineIndex])
-                          .Saved;
-                });
-    Result.Memory.charge(Result.SavedPerRoutine.size() * sizeof(RegSet));
-    Result.InitBytes = Result.Memory.liveBytes() - Result.CfgBytes;
-  }
-
-  {
-    StageTimer::Scope Scope(Result.Stages, AnalysisStage::PsgBuild);
-    Result.Psg = buildPsg(Result.Prog, Opts.Psg, &Result.Memory, &Pool);
-    Result.PsgBytes =
-        Result.Memory.liveBytes() - Result.CfgBytes - Result.InitBytes;
-  }
+  Result.Psg = buildPsg(Result.Prog, Opts.Psg, &Result.Memory, &Pool);
+  Result.PsgBytes =
+      Result.Memory.liveBytes() - Result.CfgBytes - Result.InitBytes;
   if (Gov)
     Gov->pollOrThrow("analyze.psg-build");
 
@@ -76,16 +42,9 @@ AnalysisResult spike::analyzeImage(const Image &Img,
     Prov = &Result.Provenance;
   }
 
-  {
-    StageTimer::Scope Scope(Result.Stages, AnalysisStage::Phase1);
-    Result.Phase1Stats = runPhase1(Result.Prog, Result.Psg,
-                                   Result.SavedPerRoutine, &Pool, Prov, Gov);
-  }
-
-  {
-    StageTimer::Scope Scope(Result.Stages, AnalysisStage::Phase2);
-    Result.Phase2Stats = runPhase2(Result.Prog, Result.Psg, &Pool, Prov, Gov);
-  }
+  Result.Phase1Stats = runPhase1(Result.Prog, Result.Psg,
+                                 Result.SavedPerRoutine, &Pool, Prov, Gov);
+  Result.Phase2Stats = runPhase2(Result.Prog, Result.Psg, &Pool, Prov, Gov);
 
   Result.Summaries = extractSummaries(Result.Prog, Result.Psg,
                                       Result.SavedPerRoutine);
@@ -118,6 +77,54 @@ AnalysisResult spike::analyzeImage(const Image &Img,
     }
   }
   return Result;
+}
+
+const ResourceGovernor *
+spike::buildAndInitialize(const Image &Img, const CallingConv &Conv,
+                          const AnalysisOptions &Opts, ThreadPool &Pool,
+                          AnalysisResult &Result) {
+  // The memory tracker the governor meters is this run's own; re-arming
+  // here makes --deadline-ms bound one attempt, not the sum of retries.
+  const ResourceGovernor *Gov = nullptr;
+  if (Opts.Governor && Opts.Governor->enabled()) {
+    Opts.Governor->attachMemory(&Result.Memory);
+    Opts.Governor->arm();
+    Gov = Opts.Governor;
+  }
+
+  Result.Prog = buildProgram(Img, Conv, &Result.Memory, Opts.Cfg, &Pool);
+  Result.CfgBytes = Result.Memory.liveBytes();
+  if (Gov)
+    Gov->pollOrThrow("analyze.cfg-build");
+
+  telemetry::Span InitSpan("init");
+  computeDefUbd(Result.Prog, &Pool);
+  Result.SavedPerRoutine.resize(Result.Prog.Routines.size());
+  forEachTask(&Pool, Result.Prog.Routines.size(),
+              [&](size_t RoutineIndex, unsigned) {
+                Result.SavedPerRoutine[RoutineIndex] =
+                    analyzeSaveRestore(Result.Prog,
+                                       Result.Prog.Routines[RoutineIndex])
+                        .Saved;
+              });
+  Result.Memory.charge(Result.SavedPerRoutine.size() * sizeof(RegSet));
+  Result.InitBytes = Result.Memory.liveBytes() - Result.CfgBytes;
+  return Gov;
+}
+
+StageSeconds spike::stageSeconds(const telemetry::Session &S,
+                                 size_t FirstSpan) {
+  StageSeconds Seconds = {};
+  const std::vector<telemetry::SpanEvent> &Spans = S.spans();
+  for (size_t Id = FirstSpan; Id < Spans.size(); ++Id) {
+    const telemetry::SpanEvent &E = Spans[Id];
+    if (E.Open || E.Parent < 0 || Spans[E.Parent].Name != "analyze")
+      continue;
+    for (size_t I = 0; I < StageSpans.size(); ++I)
+      if (E.Name == StageSpans[I].Span)
+        Seconds[I] += double(E.DurNs) * 1e-9;
+  }
+  return Seconds;
 }
 
 std::vector<std::string> spike::primaryRoutineNames(const Image &Img) {

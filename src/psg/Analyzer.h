@@ -6,14 +6,17 @@
 ///
 /// \file
 /// The top-level driver: Image -> summaries, with the paper's five-stage
-/// pipeline and per-stage timing / memory accounting (Table 2, Figure 13,
-/// Figure 15):
+/// pipeline and per-stage memory accounting (Table 2, Figure 15):
 ///
 ///   1. CFG Build        decode + routine partition + basic blocks
 ///   2. Initialization   DEF/UBD sets, callee-saved save/restore analysis
 ///   3. PSG Build        nodes, flow-summary edge discovery + labelling
 ///   4. Phase 1          call-used / call-defined / call-killed
 ///   5. Phase 2          live-at-entry / live-at-exit
+///
+/// Each stage is one telemetry span under the run's "analyze" span, and
+/// those spans are the only stage clock (Table 2's total, Figure 13's
+/// breakdown): stageSeconds() reads them back from a session.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,9 +31,15 @@
 #include "psg/Summaries.h"
 #include "support/Budget.h"
 #include "support/MemoryTracker.h"
-#include "support/Stopwatch.h"
+
+#include <array>
 
 namespace spike {
+
+class ThreadPool;
+namespace telemetry {
+class Session;
+} // namespace telemetry
 
 /// Options for a full analysis run.
 struct AnalysisOptions {
@@ -68,10 +77,6 @@ struct AnalysisResult {
 
   InterprocSummaries Summaries;
 
-  /// Per-stage wall-clock time (Figure 13) — totalSeconds() is Table 2's
-  /// "Total Dataflow Time".
-  StageTimer Stages;
-
   /// Analysis memory accounting (Table 2 / Figure 15).
   MemoryTracker Memory;
 
@@ -101,6 +106,43 @@ struct AnalysisResult {
 /// Runs the complete analysis on \p Img.
 AnalysisResult analyzeImage(const Image &Img, const CallingConv &Conv = {},
                             const AnalysisOptions &Opts = {});
+
+/// Stages 1 and 2, shared by analyzeImage and reanalyzeIncremental: arms
+/// Opts.Governor against Result.Memory, builds Result.Prog, polls the
+/// governor, then computes DEF/UBD and the Section 3.4 save sets under an
+/// "init" span, recording CfgBytes and InitBytes.  Returns the armed
+/// governor, or null when the run is ungoverned.
+const ResourceGovernor *buildAndInitialize(const Image &Img,
+                                           const CallingConv &Conv,
+                                           const AnalysisOptions &Opts,
+                                           ThreadPool &Pool,
+                                           AnalysisResult &Result);
+
+/// One Figure 13 stage: its column label and the name of the span
+/// analyzeImage opens for it under "analyze".
+struct StageSpan {
+  const char *Label;
+  const char *Span;
+};
+
+inline constexpr std::array<StageSpan, 5> StageSpans = {{
+    {"CFG Build", "cfg.build"},
+    {"Initialization", "init"},
+    {"PSG Build", "psg.build"},
+    {"Phase 1", "psg.phase1"},
+    {"Phase 2", "psg.phase2"},
+}};
+
+/// Seconds per StageSpans entry.
+using StageSeconds = std::array<double, StageSpans.size()>;
+
+/// The closed spans of \p S named after each stage whose parent is an
+/// "analyze" span, summed over span ids \p FirstSpan onward.  Pass the
+/// span count taken before one analyzeImage call to time that call
+/// alone; 0 sums every analysis of the session, which is what a
+/// RunReport's "analyze/<stage>" phases hold when "analyze" is a root
+/// span.
+StageSeconds stageSeconds(const telemetry::Session &S, size_t FirstSpan = 0);
 
 /// Every primary symbol name of \p Img, sorted and deduplicated: the
 /// degrade-everything escalation set of the governed retry ladders

@@ -38,6 +38,8 @@ struct CallSummary {
   RegSet Used;    ///< call-used: may be used before being defined.
   RegSet Defined; ///< call-defined: must be defined.
   RegSet Killed;  ///< call-killed: may be overwritten.
+
+  bool operator==(const CallSummary &) const = default;
 };
 
 /// Summaries for one routine.
@@ -50,11 +52,17 @@ struct RoutineResults {
 
   /// Registers live at each exit (parallel to Routine::ExitBlocks).
   std::vector<RegSet> LiveAtExit;
+
+  bool operator==(const RoutineResults &) const = default;
 };
 
 /// Whole-program summaries plus the lookups optimizations need.
 struct InterprocSummaries {
   std::vector<RoutineResults> Routines;
+
+  /// Bit-exact equality: what the jobs sweeps and the incremental oracles
+  /// compare.
+  bool operator==(const InterprocSummaries &) const = default;
 
   /// Returns the liveness effect of the call that terminates block
   /// \p BlockIndex of routine \p RoutineIndex: Used excludes ra (the call

@@ -78,6 +78,8 @@ struct RoutineSlotFacts {
   /// Per block: slot liveness at block entry / exit (phase 2).
   std::vector<SlotSet> BlockLiveIn;
   std::vector<SlotSet> BlockLiveOut;
+
+  bool operator==(const RoutineSlotFacts &) const = default;
 };
 
 /// The solved slot dataflow of a whole program.
@@ -90,6 +92,9 @@ struct SlotFlowResult {
 
   /// Number of routines with Opaque facts.
   uint64_t OpaqueRoutines = 0;
+
+  /// Bit-exact equality, as the incremental and jobs oracles compare.
+  bool operator==(const SlotFlowResult &) const = default;
 
   /// The slot analogue of the register call-used set: slots (in the
   /// *caller's* entry coordinates) the call in \p Block of \p Routine

@@ -10,9 +10,8 @@
 /// Table 2 and Figure 15 of the paper report the memory required to perform
 /// interprocedural dataflow analysis.  Spike's numbers count the analysis
 /// data structures (CFG, DEF/UBD sets, PSG nodes and edges, dataflow sets),
-/// not the program image itself.  We reproduce that by routing all analysis
-/// allocations through a tracked Arena and by letting containers report
-/// their footprint to a MemoryTracker.
+/// not the program image itself.  We reproduce that by letting every
+/// analysis container report its footprint to a MemoryTracker.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -5,22 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Timing helpers for the analysis-time experiments.
-///
-/// Table 2 reports total dataflow analysis time per benchmark, and Figure 13
-/// breaks the total into five stages (CFG build, initialization, PSG build,
-/// phase 1, phase 2).  StageTimer accumulates per-stage wall-clock time so
-/// the driver can print exactly that breakdown.
+/// A plain wall-clock stopwatch for timings that are not telemetry spans
+/// (the optimizer's per-round seconds, the fuzzer's loop rate).  The
+/// analysis stages of Table 2 and Figure 13 are timed by their telemetry
+/// spans instead; see stageSeconds() in psg/Analyzer.h.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPIKE_SUPPORT_STOPWATCH_H
 #define SPIKE_SUPPORT_STOPWATCH_H
 
-#include <array>
-#include <cassert>
 #include <chrono>
-#include <cstdint>
 
 namespace spike {
 
@@ -38,96 +33,6 @@ public:
 private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point Begin = Clock::now();
-};
-
-/// The analysis stages reported by Figure 13 of the paper.
-enum class AnalysisStage : unsigned {
-  CfgBuild,       ///< Building the CFG for each routine.
-  Initialization, ///< DEF/UBD set generation and other setup.
-  PsgBuild,       ///< PSG node and edge construction (incl. edge labels).
-  Phase1,         ///< First dataflow phase (call-used/defined/killed).
-  Phase2,         ///< Second dataflow phase (live-at-entry/exit).
-};
-
-inline constexpr unsigned NumAnalysisStages = 5;
-
-/// Returns a short human-readable stage name ("CFG Build", ...).
-inline const char *stageName(AnalysisStage Stage) {
-  switch (Stage) {
-  case AnalysisStage::CfgBuild:
-    return "CFG Build";
-  case AnalysisStage::Initialization:
-    return "Initialization";
-  case AnalysisStage::PsgBuild:
-    return "PSG Build";
-  case AnalysisStage::Phase1:
-    return "Phase 1";
-  case AnalysisStage::Phase2:
-    return "Phase 2";
-  }
-  assert(false && "unknown analysis stage");
-  return "<unknown>";
-}
-
-/// Accumulates elapsed seconds per analysis stage.
-class StageTimer {
-public:
-  /// RAII guard that charges its lifetime to one stage.
-  class Scope {
-  public:
-    Scope(StageTimer &Timer, AnalysisStage Stage)
-        : Timer(&Timer), Stage(Stage) {
-      Watch.start();
-    }
-
-    Scope(StageTimer *Timer, AnalysisStage Stage)
-        : Timer(Timer), Stage(Stage) {
-      Watch.start();
-    }
-
-    Scope(const Scope &) = delete;
-    Scope &operator=(const Scope &) = delete;
-
-    ~Scope() {
-      if (Timer)
-        Timer->add(Stage, Watch.seconds());
-    }
-
-  private:
-    StageTimer *Timer;
-    AnalysisStage Stage;
-    Stopwatch Watch;
-  };
-
-  /// Adds \p Seconds to \p Stage.
-  void add(AnalysisStage Stage, double Seconds) {
-    Elapsed[unsigned(Stage)] += Seconds;
-  }
-
-  /// Returns accumulated seconds for \p Stage.
-  double seconds(AnalysisStage Stage) const {
-    return Elapsed[unsigned(Stage)];
-  }
-
-  /// Returns the sum over all stages.
-  double totalSeconds() const {
-    double Total = 0;
-    for (double S : Elapsed)
-      Total += S;
-    return Total;
-  }
-
-  /// Returns the fraction of total time spent in \p Stage (0 if total is 0).
-  double fraction(AnalysisStage Stage) const {
-    double Total = totalSeconds();
-    return Total > 0 ? seconds(Stage) / Total : 0;
-  }
-
-  /// Resets all stages to zero.
-  void reset() { Elapsed.fill(0); }
-
-private:
-  std::array<double, NumAnalysisStages> Elapsed = {};
 };
 
 } // namespace spike

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 using namespace spike;
 
 namespace {
@@ -21,17 +23,47 @@ AnalysisResult analyzeScaled(const char *Name, double Scale) {
 } // namespace
 
 TEST(AnalyzerTest, EndToEndOnScaledCompress) {
-  AnalysisResult Result = analyzeScaled("compress", 1.0);
+  telemetry::Session S("analyzer_test");
+  AnalysisResult Result;
+  {
+    telemetry::SessionScope Scope(S);
+    Result = analyzeScaled("compress", 1.0);
+  }
   EXPECT_EQ(Result.Prog.Routines.size(), 123u); // 122 + __start.
   EXPECT_GT(Result.Psg.Nodes.size(), 200u);
   EXPECT_GT(Result.Psg.Edges.size(), 200u);
   EXPECT_GT(Result.Memory.peakBytes(), 10000u);
-  EXPECT_GT(Result.Stages.totalSeconds(), 0.0);
-  // Every stage ran.
-  EXPECT_GT(Result.Stages.seconds(AnalysisStage::CfgBuild), 0.0);
-  EXPECT_GT(Result.Stages.seconds(AnalysisStage::PsgBuild), 0.0);
-  EXPECT_GT(Result.Stages.seconds(AnalysisStage::Phase1), 0.0);
-  EXPECT_GT(Result.Stages.seconds(AnalysisStage::Phase2), 0.0);
+  // Every stage ran, and its seconds are its "analyze/<stage>" span.
+  StageSeconds Seconds = stageSeconds(S);
+  for (size_t I = 0; I < StageSpans.size(); ++I)
+    EXPECT_GT(Seconds[I], 0.0) << StageSpans[I].Label;
+  for (const telemetry::PhaseRow &Row : S.phaseRows())
+    for (size_t I = 0; I < StageSpans.size(); ++I)
+      if (Row.Path == std::string("analyze/") + StageSpans[I].Span) {
+        EXPECT_EQ(Row.Seconds, Seconds[I]) << Row.Path;
+      }
+}
+
+TEST(AnalyzerTest, StageSecondsTimeOneAnalysisFromItsFirstSpan) {
+  const BenchmarkProfile *Base = findProfile("li");
+  ASSERT_NE(Base, nullptr);
+  Image Img = generateCfgProgram(scaledProfile(*Base, 0.3));
+  telemetry::Session S("analyzer_test");
+  telemetry::SessionScope Scope(S);
+  analyzeImage(Img);
+  StageSeconds First = stageSeconds(S);
+  size_t Mark = S.spans().size();
+  analyzeImage(Img);
+  StageSeconds Second = stageSeconds(S, Mark);
+  StageSeconds Both = stageSeconds(S);
+  for (size_t I = 0; I < StageSpans.size(); ++I)
+    EXPECT_NEAR(Both[I], First[I] + Second[I], 1e-12) << StageSpans[I].Label;
+  // Spans outside an "analyze" parent (the pipeline's own, a bench's)
+  // are no stage.
+  {
+    telemetry::Span Outer("cfg.build");
+  }
+  EXPECT_EQ(stageSeconds(S, Mark), Second);
 }
 
 TEST(AnalyzerTest, LayerBytesSumToPeak) {
@@ -88,6 +120,23 @@ TEST(AnalyzerTest, BranchNodeCountsReported) {
   EXPECT_GT(Result.Psg.NumBranchNodes, 0u);
   EXPECT_GT(Result.Psg.NumFlowSummaryEdges, 0u);
   EXPECT_LT(Result.Psg.NumFlowSummaryEdges, Result.Psg.Edges.size());
+}
+
+TEST(AnalyzerTest, SummariesCompareBitExact) {
+  const BenchmarkProfile *Base = findProfile("gcc");
+  ASSERT_NE(Base, nullptr);
+  Image Img = generateCfgProgram(scaledProfile(*Base, 0.05));
+  AnalysisResult A = analyzeImage(Img);
+  AnalysisResult B = analyzeImage(Img);
+  EXPECT_TRUE(A.Summaries == B.Summaries);
+
+  for (RoutineResults &RR : B.Summaries.Routines)
+    if (!RR.LiveAtExit.empty()) {
+      RegSet &Live = RR.LiveAtExit.back();
+      Live = RegSet::fromMask(Live.mask() ^ 1);
+      break;
+    }
+  EXPECT_FALSE(A.Summaries == B.Summaries);
 }
 
 TEST(AnalyzerTest, DeterministicAcrossRuns) {

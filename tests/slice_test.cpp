@@ -422,13 +422,6 @@ std::vector<Image> jobsCorpus() {
   return Corpus;
 }
 
-bool sameFacts(const RoutineSlotFacts &A, const RoutineSlotFacts &B) {
-  return A.Opaque == B.Opaque && A.MayUse == B.MayUse &&
-         A.MayDef == B.MayDef && A.LiveAtExit == B.LiveAtExit &&
-         A.DeltaIn == B.DeltaIn && A.DeltaOut == B.DeltaOut &&
-         A.BlockLiveIn == B.BlockLiveIn && A.BlockLiveOut == B.BlockLiveOut;
-}
-
 } // namespace
 
 TEST(SliceJobsTest, SlotFactsAndDepEdgesBitIdenticalAtEveryLaneCount) {
@@ -446,7 +439,7 @@ TEST(SliceJobsTest, SlotFactsAndDepEdgesBitIdenticalAtEveryLaneCount) {
       EXPECT_EQ(Serial.OpaqueRoutines, Parallel.OpaqueRoutines);
       ASSERT_EQ(Serial.Routines.size(), Parallel.Routines.size());
       for (size_t R = 0; R < Serial.Routines.size(); ++R)
-        EXPECT_TRUE(sameFacts(Serial.Routines[R], Parallel.Routines[R]))
+        EXPECT_TRUE(Serial.Routines[R] == Parallel.Routines[R])
             << "subject " << Subject << " routine " << R << " jobs "
             << Jobs;
       DependenceGraph ParallelGraph = buildDepGraph(

@@ -1,10 +1,8 @@
 //===- tests/support_test.cpp - support library unit tests ---------------===//
 
-#include "support/Arena.h"
 #include "support/MemoryTracker.h"
 #include "support/RegSet.h"
 #include "support/Rng.h"
-#include "support/Stopwatch.h"
 #include "support/TablePrinter.h"
 
 #include <gtest/gtest.h>
@@ -96,49 +94,6 @@ TEST(RegSetTest, Str) {
   EXPECT_EQ(RegSet({2, 5}).str(), "{R2, R5}");
 }
 
-TEST(ArenaTest, AllocatesDistinctAlignedObjects) {
-  Arena A;
-  int *X = A.create<int>(41);
-  int *Y = A.create<int>(42);
-  EXPECT_NE(X, Y);
-  EXPECT_EQ(*X, 41);
-  EXPECT_EQ(*Y, 42);
-  double *D = A.create<double>(1.5);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(D) % alignof(double), 0u);
-}
-
-TEST(ArenaTest, LargeAllocationsSpanSlabs) {
-  Arena A;
-  // Allocate more than one 64 KiB slab's worth.
-  char *First = static_cast<char *>(A.allocate(40 << 10));
-  char *Second = static_cast<char *>(A.allocate(40 << 10));
-  EXPECT_NE(First, Second);
-  First[0] = 1;
-  Second[(40 << 10) - 1] = 2;
-  EXPECT_GT(A.bytesAllocated(), uint64_t(64) << 10);
-}
-
-TEST(ArenaTest, RunsDestructors) {
-  static int Destroyed = 0;
-  struct Probe {
-    ~Probe() { ++Destroyed; }
-  };
-  Destroyed = 0;
-  {
-    Arena A;
-    A.create<Probe>();
-    A.create<Probe>();
-  }
-  EXPECT_EQ(Destroyed, 2);
-}
-
-TEST(ArenaTest, ChargesTracker) {
-  MemoryTracker Tracker;
-  Arena A(&Tracker);
-  A.allocate(1000);
-  EXPECT_GE(Tracker.peakBytes(), 1000u);
-}
-
 TEST(MemoryTrackerTest, PeakTracksHighWater) {
   MemoryTracker T;
   T.charge(100);
@@ -191,36 +146,6 @@ TEST(RngTest, CountAroundZeroMean) {
   Rng R(1);
   EXPECT_EQ(R.countAround(0.0), 0u);
   EXPECT_EQ(R.countAround(-1.0), 0u);
-}
-
-TEST(StageTimerTest, AccumulatesAndFractions) {
-  StageTimer T;
-  T.add(AnalysisStage::CfgBuild, 1.0);
-  T.add(AnalysisStage::Phase1, 3.0);
-  T.add(AnalysisStage::Phase1, 1.0);
-  EXPECT_DOUBLE_EQ(T.totalSeconds(), 5.0);
-  EXPECT_DOUBLE_EQ(T.seconds(AnalysisStage::Phase1), 4.0);
-  EXPECT_DOUBLE_EQ(T.fraction(AnalysisStage::CfgBuild), 0.2);
-  T.reset();
-  EXPECT_DOUBLE_EQ(T.totalSeconds(), 0.0);
-  EXPECT_DOUBLE_EQ(T.fraction(AnalysisStage::Phase1), 0.0);
-}
-
-TEST(StageTimerTest, ScopeChargesElapsedTime) {
-  StageTimer T;
-  {
-    StageTimer::Scope Scope(T, AnalysisStage::PsgBuild);
-    volatile uint64_t Sink = 0;
-    for (uint64_t I = 0; I < 100000; ++I)
-      Sink = Sink + I;
-  }
-  EXPECT_GT(T.seconds(AnalysisStage::PsgBuild), 0.0);
-  EXPECT_EQ(T.seconds(AnalysisStage::Phase2), 0.0);
-}
-
-TEST(StageTimerTest, StageNames) {
-  EXPECT_STREQ(stageName(AnalysisStage::CfgBuild), "CFG Build");
-  EXPECT_STREQ(stageName(AnalysisStage::Phase2), "Phase 2");
 }
 
 TEST(TablePrinterTest, FormatHelpers) {

@@ -2,8 +2,9 @@
 //
 // Drives the installed command-line tools end to end through a real
 // shell: assemble -> simulate -> analyze -> optimize (verified) ->
-// disassemble -> re-assemble.  SPIKE_TOOLS_DIR and a scratch directory
-// come from the build system.
+// disassemble -> re-assemble, plus a small-scale bench_paper run.
+// SPIKE_TOOLS_DIR, SPIKE_BENCH_DIR and a scratch directory come from the
+// build system.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,9 +17,11 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include <sys/wait.h>
 
@@ -840,4 +843,80 @@ TEST(ToolsTest, ServeAccessLogMetricsAndTopEndToEnd) {
 
   for (const std::string &Path : {Asm, Img, Session, Log, Replies, Prom})
     std::remove(Path.c_str());
+}
+
+TEST(ToolsTest, AnalyzeStatsStageTimesAreTheSpans) {
+  std::string Img = scratchPath("stats_spans.spkx");
+  std::string Metrics = scratchPath("stats_spans.metrics.json");
+  int Status = 0;
+  std::string Out = runCommand(toolsDir() + "/spike-gen --benchmark gcc "
+                                   "--scale 0.05 -o " + Img,
+                               &Status);
+  ASSERT_EQ(Status, 0) << Out;
+
+  // Each stage line is the seconds of its "analyze/<stage>" span.
+  const std::pair<const char *, const char *> Stages[] = {
+      {"CFG Build", "analyze/cfg.build"},
+      {"Initialization", "analyze/init"},
+      {"PSG Build", "analyze/psg.build"},
+      {"Phase 1", "analyze/psg.phase1"},
+      {"Phase 2", "analyze/psg.phase2"}};
+  // The seconds printed on the "  <Label> ... s" line, or -1 if none.
+  auto StageLine = [](const std::string &Text, const std::string &Label) {
+    std::istringstream Lines(Text);
+    for (std::string Line; std::getline(Lines, Line);)
+      if (Line.rfind("  " + Label + " ", 0) == 0 && Line.back() == 's' &&
+          Line.find("MB") == std::string::npos)
+        return std::atof(Line.c_str() + 2 + std::strlen(Label.c_str()));
+    return -1.0;
+  };
+
+  Out = runCommand(toolsDir() + "/spike-analyze " + Img +
+                       " --stats --metrics=" + Metrics,
+                   &Status);
+  ASSERT_EQ(Status, 0) << Out;
+  std::string Error;
+  std::optional<spike::telemetry::RunReport> Report =
+      spike::telemetry::readRunReportFile(Metrics, &Error);
+  ASSERT_TRUE(Report.has_value()) << Error;
+  size_t TotalAt = Out.find("total time:");
+  ASSERT_NE(TotalAt, std::string::npos) << Out;
+  EXPECT_NE(Out.find("telemetry on", TotalAt), std::string::npos) << Out;
+  double Total = std::atof(Out.c_str() + TotalAt + 11);
+  double Sum = 0;
+  for (const auto &[Label, Path] : Stages) {
+    double Printed = StageLine(Out, Label);
+    ASSERT_GE(Printed, 0.0) << Label << "\n" << Out;
+    // Equal at 4 decimals: the line's rounding plus the report's 6.
+    EXPECT_NEAR(Printed, Report->phaseSeconds(Path), 0.51e-4) << Label;
+    Sum += Printed;
+  }
+  EXPECT_NEAR(Sum, Total, 3e-4) << Out;
+
+  // Without telemetry there is no stage clock: sizes and memory only.
+  Out = runCommand(toolsDir() + "/spike-analyze " + Img + " --stats",
+                   &Status);
+  ASSERT_EQ(Status, 0) << Out;
+  EXPECT_EQ(Out.find("total time:"), std::string::npos) << Out;
+  EXPECT_NE(Out.find("add --metrics"), std::string::npos) << Out;
+  EXPECT_NE(Out.find("memory:"), std::string::npos) << Out;
+  for (const auto &[Label, Path] : Stages)
+    EXPECT_LT(StageLine(Out, Label), 0.0) << Label << "\n" << Out;
+
+  for (const std::string &Path : {Img, Metrics})
+    std::remove(Path.c_str());
+}
+
+TEST(BenchPaper, Smoke) {
+  int Status = 0;
+  std::string Out = runCommand(
+      std::string(SPIKE_BENCH_DIR) + "/bench_paper --scale 0.05 --jobs 2",
+      &Status);
+  EXPECT_EQ(Status, 0) << Out;
+  for (const char *Title :
+       {"== Table 2:", "== Table 3:", "== Table 4:", "== Table 5:",
+        "== Figure 13:", "== Figure 14:", "== Figure 15:", "== Ablation:",
+        "== Optimization benefit", "jobs sweep (acad)",
+        "jobs sweep (exec 96 routines)"})
+    EXPECT_NE(Out.find(Title), std::string::npos) << Title << "\n" << Out;
 }

@@ -113,14 +113,16 @@ public:
       return;
     Done = true;
     Scope.reset(); // Stop observing before serializing.
-    auto Write = [&](const std::string &Path, const std::string &Text) {
-      if (!Path.empty() && !telemetry::writeTextFile(Path, Text))
+    // Each document is rendered only when its file was asked for.
+    auto Write = [&](const std::string &Path,
+                     std::string (*Render)(const telemetry::Session &)) {
+      if (!Path.empty() && !telemetry::writeTextFile(Path, Render(*S)))
         std::fprintf(stderr, "warning: cannot write telemetry file '%s'\n",
                      Path.c_str());
     };
-    Write(Opts.TracePath, telemetry::traceJson(*S));
-    Write(Opts.MetricsPath, telemetry::runReportJson(*S));
-    Write(Opts.FoldedPath, telemetry::foldedStacks(*S));
+    Write(Opts.TracePath, telemetry::traceJson);
+    Write(Opts.MetricsPath, telemetry::runReportJson);
+    Write(Opts.FoldedPath, telemetry::foldedStacks);
   }
 
 private:

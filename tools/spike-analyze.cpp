@@ -6,7 +6,9 @@
 //   spike-analyze app.spkx [--summaries] [--stats] [--routine <name>]
 //
 // With no flags, prints stats.  --summaries prints every routine's
-// call-used/call-defined/call-killed and live-at-entry/exit sets.
+// call-used/call-defined/call-killed and live-at-entry/exit sets.  The
+// per-stage seconds in --stats are the run's telemetry spans, so they are
+// printed only when --trace, --metrics or --folded turned telemetry on.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +22,8 @@
 
 #include <cstdio>
 #include <cstring>
+#include <iterator>
+#include <numeric>
 #include <string>
 
 using namespace spike;
@@ -181,18 +185,25 @@ int runTool(int Argc, char **Argv) {
     std::printf("PSG edges:     %zu (%llu flow-summary)\n",
                 Result.Psg.Edges.size(),
                 (unsigned long long)Result.Psg.NumFlowSummaryEdges);
-    std::printf("total time:    %.4f s\n", Result.Stages.totalSeconds());
-    for (unsigned S = 0; S < NumAnalysisStages; ++S)
-      std::printf("  %-15s %.4f s\n", stageName(AnalysisStage(S)),
-                  Result.Stages.seconds(AnalysisStage(S)));
+    // The stage clock is the telemetry spans; --stats installs no session
+    // of its own, since a session adds per-group cost attribution to the
+    // phases it would be timing.
+    if (const telemetry::Session *Sess = Telemetry.session()) {
+      StageSeconds Seconds = stageSeconds(*Sess);
+      std::printf("total time:    %.4f s (measured with telemetry on)\n",
+                  std::accumulate(Seconds.begin(), Seconds.end(), 0.0));
+      for (size_t I = 0; I < StageSpans.size(); ++I)
+        std::printf("  %-15s %.4f s\n", StageSpans[I].Label, Seconds[I]);
+    } else {
+      std::printf("stage times:   add --metrics=<file> to time the five "
+                  "stages\n");
+    }
     std::printf("memory:        %.2f MB\n", Result.Memory.peakMBytes());
-    const std::pair<AnalysisStage, uint64_t> Layers[] = {
-        {AnalysisStage::CfgBuild, Result.CfgBytes},
-        {AnalysisStage::Initialization, Result.InitBytes},
-        {AnalysisStage::PsgBuild, Result.PsgBytes}};
-    for (const auto &[Stage, Bytes] : Layers)
-      std::printf("  %-15s %.2f MB\n", stageName(Stage),
-                  double(Bytes) / (1024.0 * 1024.0));
+    const uint64_t Layers[] = {Result.CfgBytes, Result.InitBytes,
+                               Result.PsgBytes};
+    for (size_t I = 0; I < std::size(Layers); ++I)
+      std::printf("  %-15s %.2f MB\n", StageSpans[I].Label,
+                  double(Layers[I]) / (1024.0 * 1024.0));
   }
   return 0;
 }

@@ -519,52 +519,6 @@ std::vector<Image> buildCorpus() {
 // Serve arm: fuzz the resident server's line protocol
 //===----------------------------------------------------------------------===//
 
-/// Field-by-field equality mirroring the differential oracle in
-/// tests/serve_test.cpp, as predicates so FUZZ_CHECK can name the
-/// divergence.
-bool summariesEqual(const InterprocSummaries &A, const InterprocSummaries &B) {
-  if (A.Routines.size() != B.Routines.size())
-    return false;
-  for (size_t R = 0; R < A.Routines.size(); ++R) {
-    const RoutineResults &G = A.Routines[R];
-    const RoutineResults &W = B.Routines[R];
-    if (G.EntrySummaries.size() != W.EntrySummaries.size() ||
-        G.LiveAtEntry.size() != W.LiveAtEntry.size() ||
-        G.LiveAtExit.size() != W.LiveAtExit.size())
-      return false;
-    for (size_t E = 0; E < G.EntrySummaries.size(); ++E)
-      if (!(G.EntrySummaries[E].Used == W.EntrySummaries[E].Used) ||
-          !(G.EntrySummaries[E].Defined == W.EntrySummaries[E].Defined) ||
-          !(G.EntrySummaries[E].Killed == W.EntrySummaries[E].Killed))
-        return false;
-    for (size_t E = 0; E < G.LiveAtEntry.size(); ++E)
-      if (!(G.LiveAtEntry[E] == W.LiveAtEntry[E]))
-        return false;
-    for (size_t E = 0; E < G.LiveAtExit.size(); ++E)
-      if (!(G.LiveAtExit[E] == W.LiveAtExit[E]))
-        return false;
-  }
-  return true;
-}
-
-bool slotsEqual(const SlotFlowResult &A, const SlotFlowResult &B) {
-  if (A.GlobalEscape != B.GlobalEscape ||
-      A.OpaqueRoutines != B.OpaqueRoutines ||
-      A.Routines.size() != B.Routines.size())
-    return false;
-  for (size_t R = 0; R < A.Routines.size(); ++R) {
-    const RoutineSlotFacts &G = A.Routines[R];
-    const RoutineSlotFacts &W = B.Routines[R];
-    if (G.Opaque != W.Opaque || !(G.MayUse == W.MayUse) ||
-        !(G.MayDef == W.MayDef) || !(G.LiveAtExit == W.LiveAtExit) ||
-        !(G.DeltaIn == W.DeltaIn) || !(G.DeltaOut == W.DeltaOut) ||
-        !(G.BlockLiveIn == W.BlockLiveIn) ||
-        !(G.BlockLiveOut == W.BlockLiveOut))
-      return false;
-  }
-  return true;
-}
-
 /// A patchable routine of the resident program: named and wide enough
 /// for a within-routine word shuffle.
 const Routine *servePickRoutine(const Program &Prog, Rng &Rand) {
@@ -790,12 +744,12 @@ void runServeSession(const std::vector<Image> &Corpus,
   AO.Jobs = 1;
   AO.RecordProvenance = true;
   AnalysisResult Fresh = analyzeImage(Shadow, CallingConv(), AO);
-  FUZZ_CHECK(summariesEqual(S.analysis().Summaries, Fresh.Summaries), V,
+  FUZZ_CHECK(S.analysis().Summaries == Fresh.Summaries, V,
              Context + " resident summaries diverge from fresh solve");
   FUZZ_CHECK(S.analysis().Provenance == Fresh.Provenance, V,
              Context + " resident provenance diverges from fresh solve");
   SlotFlowResult FreshSlots = solveSlotFlow(Fresh.Prog, 1);
-  FUZZ_CHECK(slotsEqual(S.slotFlow(), FreshSlots), V,
+  FUZZ_CHECK(S.slotFlow() == FreshSlots, V,
              Context + " resident slot facts diverge from fresh solve");
 }
 
