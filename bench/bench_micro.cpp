@@ -117,7 +117,7 @@ void BM_PhasesProvenance(benchmark::State &State) {
   ProgramSummaryGraph Psg = buildPsg(Prog);
   ProvenanceStore Prov;
   for (auto _ : State) {
-    Prov.init(Psg.Nodes.size());
+    Prov.init(Psg.Nodes.size(), Psg.Edges.size());
     runPhase1(Prog, Psg, Saved, nullptr, &Prov);
     runPhase2(Prog, Psg, nullptr, &Prov);
     benchmark::DoNotOptimize(Psg.Nodes[0].Live);
@@ -129,9 +129,7 @@ void BM_RecordProvenanceDisabled(benchmark::State &State) {
   // The disabled path the solver takes on every set-growing step when
   // recording is off: one null check, no memory touched (the allocator-
   // level proof is tests/provenance_noalloc_test.cpp).
-  ProvDerivation D;
-  D.Kind = ProvKind::EdgeLabel;
-  D.Edge = 3;
+  ProvRecord D(ProvKind::EdgeLabel, 3);
   for (auto _ : State) {
     uint64_t Fresh =
         recordProvenance(nullptr, ProvFact::Live, 7, RegSet({1, 5, 9}), D);

@@ -162,7 +162,7 @@ IncrementalOutcome spike::reanalyzeIncremental(const Image &NewImg,
 
   ProvenanceStore *Prov = nullptr;
   if (Opts.RecordProvenance) {
-    New.Provenance.init(New.Psg.Nodes.size());
+    New.Provenance.init(New.Psg.Nodes.size(), New.Psg.Edges.size());
     New.Memory.charge(New.Provenance.bytes());
     Prov = &New.Provenance;
   }

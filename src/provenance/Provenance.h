@@ -30,6 +30,17 @@
 /// recorded chain is acyclic: a bit's justification only references bits
 /// that were set strictly earlier.
 ///
+/// Layout: a slot is one four-byte ProvRecord — the kind and a single
+/// 28-bit id — so the store is 3 facts x 32 registers x 4 bytes = 384
+/// bytes per PSG node.  The rest of a derivation is not stored because
+/// the graph determines it: an EdgeFlow step continues at the edge's
+/// destination, a CallSummary step at the callee entry its call block
+/// names, and the referenced fact kind follows from the record's kind and
+/// fact.  buildWitness (Witness.cpp) is the one place that expands a
+/// record into a ProvDerivation; replay then re-checks every field.
+/// Graphs whose node or edge count does not fit in 28 bits (268 M) are
+/// rejected by ProvenanceStore::init.
+///
 /// Determinism: records are written exclusively by the serial per-SCC
 ///-group worklists of PsgSolver (each node belongs to exactly one group,
 /// and a group's node range is touched by no other task), and the
@@ -45,8 +56,11 @@
 #include "isa/Registers.h"
 #include "support/RegSet.h"
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace spike {
@@ -123,9 +137,11 @@ inline bool isGroundKind(ProvKind Kind) {
   }
 }
 
-/// One recorded derivation: how a (fact, node, register) bit was first
-/// set.  Edge and Node are meaningful per ProvKind (see above); unused
-/// fields stay at their defaults so derivations compare bitwise.
+/// One derivation as a witness step carries it: how a (fact, node,
+/// register) bit was first set.  Edge, Node and Ref are meaningful per
+/// ProvKind (see above); unused fields stay at their defaults so
+/// derivations compare bitwise.  The store keeps only a ProvRecord;
+/// buildWitness expands it back into this form.
 struct ProvDerivation {
   /// "No edge" / "no node" sentinel.
   static constexpr uint32_t NoId = 0xffffffffu;
@@ -138,17 +154,73 @@ struct ProvDerivation {
   bool operator==(const ProvDerivation &) const = default;
 };
 
-/// The whole-program derivation store: one ProvDerivation slot per
-/// (fact kind, PSG node, integer register), flat and index-computed so
+/// True if a \p Kind record's id is a PSG edge id.
+inline bool provIdIsEdge(ProvKind Kind) {
+  switch (Kind) {
+  case ProvKind::EdgeLabel:
+  case ProvKind::IndirectCall:
+  case ProvKind::CallRa:
+  case ProvKind::EdgeFlow:
+  case ProvKind::CallSummary:
+    return true;
+  default:
+    return false;
+  }
+}
+
+/// True if a \p Kind record's id is a PSG node id.
+inline bool provIdIsNode(ProvKind Kind) {
+  return Kind == ProvKind::ReturnLive || Kind == ProvKind::IndirectHub;
+}
+
+/// One store slot: the ProvKind in the top 4 bits and one 28-bit id in
+/// the low bits — an edge id for the edge-borne kinds, a node id for
+/// ReturnLive and IndirectHub, unused for the two seeds.  A derivation's
+/// other fields are functions of that id and the graph.  The all-zero
+/// record is the empty slot (ProvKind::None is 0).
+class ProvRecord {
+public:
+  static constexpr unsigned IdBits = 28;
+  /// The widest id; ProvenanceStore::init keeps every node and edge id
+  /// below it.
+  static constexpr uint32_t IdMask = (uint32_t(1) << IdBits) - 1;
+  /// ProvDerivation::NoId in a node-id record.
+  static constexpr uint32_t NoId = IdMask;
+
+  constexpr ProvRecord() = default;
+  explicit constexpr ProvRecord(ProvKind Kind, uint32_t Id = 0)
+      : Bits(uint32_t(Kind) << IdBits | Id) {
+    assert(Id <= IdMask && "record id wider than 28 bits");
+  }
+
+  ProvKind kind() const { return ProvKind(Bits >> IdBits); }
+  uint32_t id() const { return Bits & IdMask; }
+  bool empty() const { return Bits == 0; }
+
+  bool operator==(const ProvRecord &) const = default;
+
+private:
+  uint32_t Bits = 0;
+};
+static_assert(sizeof(ProvRecord) == 4, "a store slot is four bytes");
+static_assert(unsigned(ProvKind::IndirectHub) < 16, "kinds fit in 4 bits");
+
+/// The whole-program derivation store: one ProvRecord slot per (fact
+/// kind, PSG node, integer register), flat and index-computed so
 /// recording is a bounds-free array write.  Empty (default-constructed)
 /// means disabled.
 class ProvenanceStore {
 public:
-  /// Enables the store for a graph of \p NumNodes nodes, clearing any
-  /// prior contents.
-  void init(size_t NumNodes) {
-    for (std::vector<ProvDerivation> &Table : Tables)
-      Table.assign(NumNodes * NumIntRegs, ProvDerivation());
+  /// Enables the store for a graph of \p NumNodes nodes and \p NumEdges
+  /// edges, clearing any prior contents.  Throws std::length_error, before
+  /// allocating, when either count does not fit a record's 28-bit id.
+  void init(size_t NumNodes, size_t NumEdges) {
+    if (NumNodes > ProvRecord::IdMask || NumEdges > ProvRecord::IdMask)
+      throw std::length_error(
+          "provenance store: " + std::to_string(NumNodes) + " nodes / " +
+          std::to_string(NumEdges) + " edges exceed the 28-bit record id");
+    for (std::vector<ProvRecord> &Table : Tables)
+      Table.assign(NumNodes * NumIntRegs, ProvRecord());
   }
 
   /// True once init() ran (recording and lookups are live).
@@ -157,49 +229,46 @@ public:
   /// Number of nodes the store was sized for (0 when disabled).
   size_t numNodes() const { return Tables[0].size() / NumIntRegs; }
 
-  /// Bytes held by the derivation tables.
+  /// Bytes held by the record tables.
   size_t bytes() const {
-    return NumProvFacts * Tables[0].size() * sizeof(ProvDerivation);
+    return NumProvFacts * Tables[0].size() * sizeof(ProvRecord);
   }
 
   /// The writable slot for one bit.  Only valid when enabled.
-  ProvDerivation &slot(ProvFact Fact, uint32_t NodeId, unsigned Reg) {
+  ProvRecord &slot(ProvFact Fact, uint32_t NodeId, unsigned Reg) {
     return Tables[unsigned(Fact)][size_t(NodeId) * NumIntRegs + Reg];
   }
 
-  /// The recorded derivation of one bit, or null when the store is
+  /// The recorded derivation of one bit; empty when the store is
   /// disabled or nothing was recorded.
-  const ProvDerivation *lookup(ProvFact Fact, uint32_t NodeId,
-                               unsigned Reg) const {
+  ProvRecord lookup(ProvFact Fact, uint32_t NodeId, unsigned Reg) const {
     if (!enabled())
-      return nullptr;
-    const ProvDerivation &D =
-        Tables[unsigned(Fact)][size_t(NodeId) * NumIntRegs + Reg];
-    return D.Kind == ProvKind::None ? nullptr : &D;
+      return ProvRecord();
+    return Tables[unsigned(Fact)][size_t(NodeId) * NumIntRegs + Reg];
   }
 
   bool operator==(const ProvenanceStore &) const = default;
 
 private:
-  std::vector<ProvDerivation> Tables[NumProvFacts];
+  std::vector<ProvRecord> Tables[NumProvFacts];
 };
 
-/// Records \p D as the derivation of fact \p Fact for every register of
-/// \p Regs at \p NodeId.  First derivation wins: slots already holding a
-/// record are left untouched, keeping chains acyclic.  A null \p Store is
-/// the disabled path — one branch, no memory touched — so the solver can
-/// call this unconditionally.  Returns the number of freshly recorded
+/// Records \p Rec as the derivation of fact \p Fact for every register
+/// of \p Regs at \p NodeId.  First derivation wins: slots already holding
+/// a record are left untouched, keeping chains acyclic.  A null \p Store
+/// is the disabled path — one branch, no memory touched — so the solver
+/// can call this unconditionally.  Returns the number of freshly recorded
 /// bits (the provenance.records counter).
 inline uint64_t recordProvenance(ProvenanceStore *Store, ProvFact Fact,
                                  uint32_t NodeId, RegSet Regs,
-                                 const ProvDerivation &D) {
+                                 ProvRecord Rec) {
   if (!Store)
     return 0;
   uint64_t Fresh = 0;
   for (unsigned Reg : Regs) {
-    ProvDerivation &Slot = Store->slot(Fact, NodeId, Reg);
-    if (Slot.Kind == ProvKind::None) {
-      Slot = D;
+    ProvRecord &Slot = Store->slot(Fact, NodeId, Reg);
+    if (Slot.empty()) {
+      Slot = Rec;
       ++Fresh;
     }
   }

@@ -26,6 +26,52 @@ RegSet spike::factSet(const AnalysisResult &A, ProvFact Fact,
   return RegSet();
 }
 
+namespace {
+
+/// Expands the store's record of a \p Fact bit back into its derivation.
+/// The record holds the kind and one id; the other fields follow from
+/// the graph: an EdgeFlow step continues at the edge's destination, a
+/// CallSummary step at the callee entry named by the call block the edge
+/// leaves, and ReturnLive / IndirectHub steps reference Live.
+ProvDerivation expandRecord(const AnalysisResult &A, ProvFact Fact,
+                            ProvRecord Rec) {
+  const ProgramSummaryGraph &Psg = A.Psg;
+  ProvDerivation D;
+  D.Kind = Rec.kind();
+  uint32_t Id = Rec.id();
+  if (provIdIsEdge(D.Kind))
+    D.Edge = Id;
+  switch (D.Kind) {
+  case ProvKind::EdgeFlow:
+    D.Ref = Fact;
+    if (Id < Psg.Edges.size())
+      D.Node = Psg.Edges[Id].Dst;
+    break;
+  case ProvKind::CallSummary: {
+    D.Ref = Fact == ProvFact::MayDef ? ProvFact::MayDef : ProvFact::MayUse;
+    if (Id >= Psg.Edges.size())
+      break;
+    const PsgNode &Call = Psg.Nodes[Psg.Edges[Id].Src];
+    const BasicBlock &Block =
+        A.Prog.Routines[Call.RoutineIndex].Blocks[Call.BlockIndex];
+    if (Block.CalleeRoutine >= 0 && Block.CalleeEntry >= 0)
+      D.Node = Psg.RoutineInfo[uint32_t(Block.CalleeRoutine)]
+                   .EntryNodes[uint32_t(Block.CalleeEntry)];
+    break;
+  }
+  case ProvKind::ReturnLive:
+  case ProvKind::IndirectHub:
+    D.Ref = ProvFact::Live;
+    D.Node = Id == ProvRecord::NoId ? ProvDerivation::NoId : Id;
+    break;
+  default:
+    break;
+  }
+  return D;
+}
+
+} // namespace
+
 Witness spike::buildWitness(const AnalysisResult &A, ProvFact Fact,
                             uint32_t NodeId, unsigned Reg) {
   Witness W;
@@ -46,8 +92,9 @@ Witness spike::buildWitness(const AnalysisResult &A, ProvFact Fact,
     Step.Fact = CurFact;
     Step.Node = CurNode;
     Step.Reg = Reg;
-    if (const ProvDerivation *D = A.Provenance.lookup(CurFact, CurNode, Reg))
-      Step.How = *D;
+    if (ProvRecord Rec = A.Provenance.lookup(CurFact, CurNode, Reg);
+        !Rec.empty())
+      Step.How = expandRecord(A, CurFact, Rec);
     else if (A.Psg.Nodes[CurNode].Kind == PsgNodeKind::Unknown)
       // The solver never evaluates Unknown nodes: their sets are the
       // Section 3.5 boundary values, a ground fact replay can recompute.
@@ -55,8 +102,9 @@ Witness spike::buildWitness(const AnalysisResult &A, ProvFact Fact,
     // else: leave Kind == None; replay reports the missing derivation.
     W.Steps.push_back(Step);
     telemetry::count("explain.steps");
-    if (Step.How.Kind == ProvKind::None || isGroundKind(Step.How.Kind))
-      break;
+    if (Step.How.Kind == ProvKind::None || isGroundKind(Step.How.Kind) ||
+        Step.How.Node >= A.Psg.Nodes.size())
+      break; // A dangling reference is left for replay to report.
     CurFact = Step.How.Ref;
     CurNode = Step.How.Node;
   }

@@ -37,10 +37,11 @@ namespace spike {
 struct AnalysisResult;
 
 /// One link of a witness chain: the fact (Fact, Node, Reg) and the
-/// recorded derivation justifying it.  For facts the solver never
-/// evaluates (Section 3.5 Unknown boundary nodes) the walker
-/// synthesizes How.Kind == UnknownBoundary; replay verifies it by
-/// recomputing the boundary sets.
+/// recorded derivation justifying it, expanded from the store's
+/// ProvRecord (buildWitness derives the fields the record omits).  For
+/// facts the solver never evaluates (Section 3.5 Unknown boundary nodes)
+/// the walker synthesizes How.Kind == UnknownBoundary; replay verifies it
+/// by recomputing the boundary sets.
 struct WitnessStep {
   ProvFact Fact = ProvFact::Live;
   uint32_t Node = 0;
@@ -63,7 +64,8 @@ struct Witness {
 RegSet factSet(const AnalysisResult &A, ProvFact Fact, uint32_t NodeId);
 
 /// Walks the recorded derivations of (\p Fact, \p NodeId, \p Reg) back
-/// to a ground fact.  \p A must come from a RecordProvenance analysis.
+/// to a ground fact, expanding each stored record into a ProvDerivation.
+/// \p A must come from a RecordProvenance analysis.
 Witness buildWitness(const AnalysisResult &A, ProvFact Fact, uint32_t NodeId,
                      unsigned Reg);
 

@@ -37,7 +37,7 @@ AnalysisResult spike::analyzeImage(const Image &Img,
   // without touching memory.
   ProvenanceStore *Prov = nullptr;
   if (Opts.RecordProvenance) {
-    Result.Provenance.init(Result.Psg.Nodes.size());
+    Result.Provenance.init(Result.Psg.Nodes.size(), Result.Psg.Edges.size());
     Result.Memory.charge(Result.Provenance.bytes());
     Prov = &Result.Provenance;
   }

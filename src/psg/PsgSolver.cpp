@@ -137,11 +137,9 @@ uint64_t attributeAdded(const Program &Prog, const ProgramSummaryGraph &Psg,
         Fact == ProvFact::MayDef ? Edge.Label.MayDef : Edge.Label.MayUse;
     RegSet FromLabel = LabelSet & Added;
     if (!FromLabel.empty()) {
-      ProvDerivation D;
-      D.Edge = EdgeId;
       if (!Edge.IsCallReturn) {
-        D.Kind = ProvKind::EdgeLabel;
-        Fresh += recordProvenance(Prov, Fact, NodeId, FromLabel, D);
+        Fresh += recordProvenance(Prov, Fact, NodeId, FromLabel,
+                                  ProvRecord(ProvKind::EdgeLabel, EdgeId));
       } else {
         const BasicBlock &Block =
             Prog.Routines[Node.RoutineIndex].Blocks[Node.BlockIndex];
@@ -149,25 +147,17 @@ uint64_t attributeAdded(const Program &Prog, const ProgramSummaryGraph &Psg,
           RegSet RaPart;
           if (FromLabel.contains(RaReg))
             RaPart.insert(RaReg);
-          if (!RaPart.empty()) {
-            ProvDerivation Ra = D;
-            Ra.Kind = ProvKind::CallRa;
-            Fresh += recordProvenance(Prov, Fact, NodeId, RaPart, Ra);
-          }
-          RegSet Rest = FromLabel - RaPart;
-          if (!Rest.empty()) {
-            assert(Block.CalleeRoutine >= 0 && Block.CalleeEntry >= 0 &&
-                   "direct call without a resolved callee");
-            D.Kind = ProvKind::CallSummary;
-            D.Ref =
-                Fact == ProvFact::MayDef ? ProvFact::MayDef : ProvFact::MayUse;
-            D.Node = Psg.RoutineInfo[uint32_t(Block.CalleeRoutine)]
-                         .EntryNodes[uint32_t(Block.CalleeEntry)];
-            Fresh += recordProvenance(Prov, Fact, NodeId, Rest, D);
-          }
+          Fresh += recordProvenance(Prov, Fact, NodeId, RaPart,
+                                    ProvRecord(ProvKind::CallRa, EdgeId));
+          // The callee entry the summary came from is named by this call
+          // block, so the witness walker derives it from the edge.
+          assert(Block.CalleeRoutine >= 0 && Block.CalleeEntry >= 0 &&
+                 "direct call without a resolved callee");
+          Fresh += recordProvenance(Prov, Fact, NodeId, FromLabel - RaPart,
+                                    ProvRecord(ProvKind::CallSummary, EdgeId));
         } else {
-          D.Kind = ProvKind::IndirectCall;
-          Fresh += recordProvenance(Prov, Fact, NodeId, FromLabel, D);
+          Fresh += recordProvenance(Prov, Fact, NodeId, FromLabel,
+                                    ProvRecord(ProvKind::IndirectCall, EdgeId));
         }
       }
       Added -= FromLabel;
@@ -187,12 +177,8 @@ uint64_t attributeAdded(const Program &Prog, const ProgramSummaryGraph &Psg,
     }
     RegSet FromDst = DstSet & Added;
     if (!FromDst.empty()) {
-      ProvDerivation D;
-      D.Kind = ProvKind::EdgeFlow;
-      D.Ref = Fact;
-      D.Edge = EdgeId;
-      D.Node = Edge.Dst;
-      Fresh += recordProvenance(Prov, Fact, NodeId, FromDst, D);
+      Fresh += recordProvenance(Prov, Fact, NodeId, FromDst,
+                                ProvRecord(ProvKind::EdgeFlow, EdgeId));
       Added -= FromDst;
     }
   }
@@ -231,12 +217,9 @@ std::vector<uint32_t> routineEdgeBegins(const ProgramSummaryGraph &Psg,
 /// Id-remapping tables between the cached converged graph and the freshly
 /// rebuilt one, plus the shared dirty-flag plumbing.  Struct-clean
 /// routines have identical per-routine node/edge layout in both versions,
-/// so their ids remap by a per-routine offset; entry nodes additionally
-/// remap through the routine directory, which stays valid even when the
-/// owning routine restructured.
+/// so their ids remap by a per-routine offset.
 struct ReuseMaps {
   const PhaseReuse *R = nullptr;
-  const ProgramSummaryGraph *NewPsg = nullptr;
   std::vector<uint32_t> OldNodeBegin, NewNodeBegin;
   std::vector<uint32_t> OldEdgeBegin, NewEdgeBegin;
 
@@ -249,13 +232,10 @@ struct ReuseMaps {
   void flag(uint32_t Routine) const { R->Dirty->flag(Routine); }
 
   uint32_t newNode(uint32_t OldNode) const {
-    const PsgNode &Node = R->OldPsg->Nodes[OldNode];
-    if (Node.Kind == PsgNodeKind::Entry)
-      return NewPsg->RoutineInfo[Node.RoutineIndex].EntryNodes[Node.AuxIndex];
-    assert(structClean(Node.RoutineIndex) &&
-           "remapping a non-entry node of a restructured routine");
-    return NewNodeBegin[Node.RoutineIndex] +
-           (OldNode - OldNodeBegin[Node.RoutineIndex]);
+    uint32_t Routine = R->OldPsg->Nodes[OldNode].RoutineIndex;
+    assert(structClean(Routine) &&
+           "remapping a node of a restructured routine");
+    return NewNodeBegin[Routine] + (OldNode - OldNodeBegin[Routine]);
   }
 
   uint32_t newEdge(uint32_t OldEdge) const {
@@ -271,15 +251,6 @@ struct ReuseMaps {
   uint32_t oldEdge(uint32_t NewEdgeId, uint32_t Routine) const {
     return OldEdgeBegin[Routine] + (NewEdgeId - NewEdgeBegin[Routine]);
   }
-
-  ProvDerivation remap(const ProvDerivation &D) const {
-    ProvDerivation Out = D;
-    if (Out.Edge != ProvDerivation::NoId)
-      Out.Edge = newEdge(Out.Edge);
-    if (Out.Node != ProvDerivation::NoId)
-      Out.Node = newNode(Out.Node);
-    return Out;
-  }
 };
 
 ReuseMaps buildReuseMaps(const PhaseReuse *Reuse,
@@ -288,7 +259,6 @@ ReuseMaps buildReuseMaps(const PhaseReuse *Reuse,
   if (!Reuse)
     return Maps;
   Maps.R = Reuse;
-  Maps.NewPsg = &Psg;
   Maps.NewNodeBegin = Psg.RoutineNodeBegin;
   Maps.OldNodeBegin = Reuse->OldPsg->RoutineNodeBegin;
   assert(Maps.OldNodeBegin.size() == Maps.NewNodeBegin.size() &&
@@ -299,7 +269,8 @@ ReuseMaps buildReuseMaps(const PhaseReuse *Reuse,
 }
 
 /// Copies the cached provenance slots of one fact for the \p Count nodes
-/// starting at \p OldBase / \p NewBase, remapping every reference.
+/// starting at \p OldBase / \p NewBase, remapping each record's id by
+/// its kind.
 void restoreProvenance(ProvenanceStore *Prov, const ReuseMaps &Maps,
                        ProvFact Fact, uint32_t OldBase, uint32_t NewBase,
                        uint32_t Count) {
@@ -307,9 +278,15 @@ void restoreProvenance(ProvenanceStore *Prov, const ReuseMaps &Maps,
     return;
   const ProvenanceStore *OldProv = Maps.R->OldProv;
   for (uint32_t K = 0; K < Count; ++K)
-    for (unsigned Reg = 0; Reg < NumIntRegs; ++Reg)
-      if (const ProvDerivation *D = OldProv->lookup(Fact, OldBase + K, Reg))
-        Prov->slot(Fact, NewBase + K, Reg) = Maps.remap(*D);
+    for (unsigned Reg = 0; Reg < NumIntRegs; ++Reg) {
+      ProvRecord Rec = OldProv->lookup(Fact, OldBase + K, Reg);
+      uint32_t Id = Rec.id();
+      if (provIdIsEdge(Rec.kind()))
+        Id = Maps.newEdge(Id);
+      else if (provIdIsNode(Rec.kind()) && Id != ProvRecord::NoId)
+        Id = Maps.newNode(Id);
+      Prov->slot(Fact, NewBase + K, Reg) = ProvRecord(Rec.kind(), Id);
+    }
 }
 
 /// Restores one clean group's pass-specific phase 1 state: the member
@@ -693,17 +670,16 @@ RegSet solveGroupPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
         // Attribute in the order the exit equation unions its terms:
         // seeds first (ground facts), then feeding returns in registry
         // order, then the indirect-call accumulator.
-        ProvDerivation D;
-        D.Kind = ProvKind::SeedUnknownCaller;
         RegSet Part = (*PP.SeedUnknownCaller)[NodeId] & Remaining;
         Stats.ProvenanceRecords +=
-            recordProvenance(PP.Store, ProvFact::Live, NodeId, Part, D);
+            recordProvenance(PP.Store, ProvFact::Live, NodeId, Part,
+                             ProvRecord(ProvKind::SeedUnknownCaller));
         Remaining -= Part;
 
-        D.Kind = ProvKind::SeedQuarantine;
         Part = (*PP.SeedQuarantine)[NodeId] & Remaining;
         Stats.ProvenanceRecords +=
-            recordProvenance(PP.Store, ProvFact::Live, NodeId, Part, D);
+            recordProvenance(PP.Store, ProvFact::Live, NodeId, Part,
+                             ProvRecord(ProvKind::SeedQuarantine));
         Remaining -= Part;
 
         for (uint32_t I = Psg.ReturnsOfExitBegin[NodeId],
@@ -711,26 +687,21 @@ RegSet solveGroupPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
              I != E && !Remaining.empty(); ++I) {
           uint32_t Ret = Psg.ReturnsOfExitIds[I];
           Part = Psg.Nodes[Ret].Live & Remaining;
-          if (Part.empty())
-            continue;
-          D.Kind = ProvKind::ReturnLive;
-          D.Ref = ProvFact::Live;
-          D.Node = Ret;
           Stats.ProvenanceRecords +=
-              recordProvenance(PP.Store, ProvFact::Live, NodeId, Part, D);
+              recordProvenance(PP.Store, ProvFact::Live, NodeId, Part,
+                               ProvRecord(ProvKind::ReturnLive, Ret));
           Remaining -= Part;
         }
 
         if (IsAddressTakenExit[NodeId]) {
           for (unsigned Reg : LocalAccum & Remaining) {
-            D.Kind = ProvKind::IndirectHub;
-            D.Ref = ProvFact::Live;
-            D.Node = AccumIn.contains(Reg) ? PP.GlobalAccumSrc[Reg]
-                                           : PP.LocalAccumSrc[Reg];
+            uint32_t Src = AccumIn.contains(Reg) ? PP.GlobalAccumSrc[Reg]
+                                                 : PP.LocalAccumSrc[Reg];
             RegSet One;
             One.insert(Reg);
             Stats.ProvenanceRecords +=
-                recordProvenance(PP.Store, ProvFact::Live, NodeId, One, D);
+                recordProvenance(PP.Store, ProvFact::Live, NodeId, One,
+                                 ProvRecord(ProvKind::IndirectHub, Src));
           }
         }
       } else {
@@ -1037,7 +1008,7 @@ SolverStats spike::runPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
   // during a level and only written at the serial level join, in
   // group-id order — the same discipline that makes IndirectAccum itself
   // deterministic.
-  constexpr uint32_t NoSrc = ProvDerivation::NoId;
+  constexpr uint32_t NoSrc = ProvRecord::NoId;
   std::array<uint32_t, NumIntRegs> NoSrcRow;
   NoSrcRow.fill(NoSrc);
   std::vector<uint32_t> GlobalAccumSrc(Prov ? NumIntRegs : 0, NoSrc);

@@ -522,8 +522,10 @@ Server::Reply Server::handleExplain(const Request &Req) const {
 
   if (Fact == "dead") {
     const JsonValue *AddrV = Req.Args.find("addr");
-    if (!AddrV || !AddrV->isNumber())
-      return errorReply(Req, "explain dead needs a numeric \"addr\"");
+    std::optional<uint64_t> Addr = AddrV ? AddrV->exactUint() : std::nullopt;
+    if (!Addr)
+      return errorReply(Req, "explain dead needs an integer \"addr\" in "
+                             "[0, 2^53]");
     int RegArg = -1;
     std::string RegStr = Req.Args.stringOr("reg", "");
     if (!RegStr.empty()) {
@@ -532,8 +534,7 @@ Server::Reply Server::handleExplain(const Request &Req) const {
         return errorReply(Req, "unknown register '" + RegStr + "'");
       RegArg = int(Reg);
     }
-    DeadDefExplanation Ex =
-        explainDeadDef(A, uint64_t(AddrV->Num), RegArg);
+    DeadDefExplanation Ex = explainDeadDef(A, *Addr, RegArg);
     Reply R;
     R.Text = replyHead(Req, true) +
              std::string(",\"found\":") + (Ex.Found ? "true" : "false") +
@@ -602,9 +603,10 @@ Server::Reply Server::handleSlice(const Request &Req) {
   if (!Loaded)
     return errorReply(Req, "no image loaded");
   const JsonValue *AddrV = Req.Args.find("addr");
-  if (!AddrV || !AddrV->isNumber())
-    return errorReply(Req, "slice needs a numeric \"addr\"");
-  uint64_t Addr = uint64_t(AddrV->Num);
+  std::optional<uint64_t> AddrArg = AddrV ? AddrV->exactUint() : std::nullopt;
+  if (!AddrArg)
+    return errorReply(Req, "slice needs an integer \"addr\" in [0, 2^53]");
+  uint64_t Addr = *AddrArg;
   std::string Dir = Req.Args.stringOr("dir", "backward");
   if (Dir != "backward" && Dir != "forward")
     return errorReply(Req, "dir must be backward|forward");
@@ -654,11 +656,11 @@ Server::Reply Server::handlePatch(const Request &Req) {
   Words.reserve(CodeV->Items.size());
   for (const JsonValue &W : CodeV->Items) {
     if (W.isNumber()) {
-      if (W.Num < 0 || W.Num > 9007199254740992.0 ||
-          double(uint64_t(W.Num)) != W.Num)
+      std::optional<uint64_t> Word = W.exactUint();
+      if (!Word)
         return errorReply(Req, "\"code\" number not exactly representable; "
                                "send words above 2^53 as strings");
-      Words.push_back(uint64_t(W.Num));
+      Words.push_back(*Word);
     } else if (W.isString() && !W.Str.empty()) {
       char *End = nullptr;
       errno = 0;
@@ -763,6 +765,9 @@ Server::Reply Server::handleStats(const Request &Req) const {
   R.Text = replyHead(Req, true) + std::string(",\"loaded\":") +
            (Loaded ? "true" : "false") + ",\"jobs\":" + u64(Pool.jobs()) +
            ",\"routines\":" + u64(Loaded ? A.Prog.Routines.size() : 0) +
+           ",\"analysis_bytes\":" +
+           u64(A.Memory.peakBytes() - A.Provenance.bytes()) +
+           ",\"provenance_bytes\":" + u64(A.Provenance.bytes()) +
            ",\"queries\":" + u64(St.Queries) + ",\"loads\":" + u64(St.Loads) +
            ",\"patches\":" + u64(St.Patches) +
            ",\"patch_full_solves\":" + u64(St.PatchFullSolves) +

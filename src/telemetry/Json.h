@@ -16,6 +16,7 @@
 #ifndef SPIKE_TELEMETRY_JSON_H
 #define SPIKE_TELEMETRY_JSON_H
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -68,6 +69,18 @@ struct JsonValue {
   double numberOr(std::string_view Name, double Default) const {
     const JsonValue *V = find(Name);
     return V && V->isNumber() ? V->Num : Default;
+  }
+
+  /// This value as an exact integer in [0, 2^53] (the range a double
+  /// holds without rounding), or std::nullopt for anything else:
+  /// non-numbers, fractions, negatives and larger magnitudes.
+  std::optional<uint64_t> exactUint() const {
+    if (K != Kind::Number || !(Num >= 0 && Num <= 9007199254740992.0))
+      return std::nullopt;
+    uint64_t V = uint64_t(Num);
+    if (double(V) != Num)
+      return std::nullopt;
+    return V;
   }
 
   /// Member \p Name as a string, or \p Default.

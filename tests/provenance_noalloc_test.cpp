@@ -56,13 +56,11 @@ TEST(ProvenanceNoAlloc, DisabledRecorderPerformsNoAllocations) {
   ProvenanceStore Disabled;
   ASSERT_FALSE(Disabled.enabled());
 
-  ProvDerivation D;
-  D.Kind = ProvKind::EdgeLabel;
-  D.Edge = 12;
+  ProvRecord D(ProvKind::EdgeLabel, 12);
 
   uint64_t Before = LiveAllocations.load();
   uint64_t Recorded = 0;
-  const ProvDerivation *Found = nullptr;
+  ProvRecord Found;
   for (int I = 0; I < 1000; ++I) {
     // The null-store path the solver takes on every set-growing step.
     Recorded += recordProvenance(nullptr, ProvFact::MayUse, uint32_t(I),
@@ -70,13 +68,13 @@ TEST(ProvenanceNoAlloc, DisabledRecorderPerformsNoAllocations) {
     Recorded +=
         recordProvenance(nullptr, ProvFact::Live, uint32_t(I),
                          RegSet::allBelow(NumIntRegs), D);
-    if (const ProvDerivation *Hit =
-            Disabled.lookup(ProvFact::Live, uint32_t(I) % 4, 3))
+    if (ProvRecord Hit = Disabled.lookup(ProvFact::Live, uint32_t(I) % 4, 3);
+        !Hit.empty())
       Found = Hit;
   }
   EXPECT_EQ(LiveAllocations.load(), Before);
   EXPECT_EQ(Recorded, 0u);
-  EXPECT_EQ(Found, nullptr);
+  EXPECT_TRUE(Found.empty());
 }
 
 TEST(ProvenanceNoAlloc, EnabledStoreRecords) {
@@ -84,10 +82,9 @@ TEST(ProvenanceNoAlloc, EnabledStoreRecords) {
   // disabled-mode result above is not vacuous.  init() itself allocates
   // the tables; recording into existing slots does not.
   ProvenanceStore Store;
-  Store.init(8);
+  Store.init(8, 8);
 
-  ProvDerivation D;
-  D.Kind = ProvKind::SeedUnknownCaller;
+  ProvRecord D(ProvKind::SeedUnknownCaller);
 
   uint64_t Before = LiveAllocations.load();
   EXPECT_EQ(recordProvenance(&Store, ProvFact::Live, 3, RegSet({2, 4}), D),
@@ -96,9 +93,9 @@ TEST(ProvenanceNoAlloc, EnabledStoreRecords) {
             0u); // First derivation wins.
   EXPECT_EQ(LiveAllocations.load(), Before);
 
-  const ProvDerivation *Hit = Store.lookup(ProvFact::Live, 3, 4);
-  ASSERT_NE(Hit, nullptr);
-  EXPECT_EQ(Hit->Kind, ProvKind::SeedUnknownCaller);
+  ProvRecord Hit = Store.lookup(ProvFact::Live, 3, 4);
+  ASSERT_FALSE(Hit.empty());
+  EXPECT_EQ(Hit.kind(), ProvKind::SeedUnknownCaller);
 }
 
 } // namespace

@@ -29,6 +29,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -122,39 +124,64 @@ uint64_t firstDefAddress(const Program &Prog, uint32_t RoutineIndex,
 TEST(ProvenanceStoreTest, DisabledByDefaultAndFirstWins) {
   ProvenanceStore Store;
   EXPECT_FALSE(Store.enabled());
-  EXPECT_EQ(Store.lookup(ProvFact::Live, 0, 0), nullptr);
+  EXPECT_TRUE(Store.lookup(ProvFact::Live, 0, 0).empty());
   EXPECT_EQ(recordProvenance(nullptr, ProvFact::Live, 0, RegSet({1}),
-                             ProvDerivation()),
+                             ProvRecord(ProvKind::EdgeLabel, 0)),
             0u);
 
-  Store.init(4);
+  Store.init(4, 16);
   ASSERT_TRUE(Store.enabled());
   EXPECT_EQ(Store.numNodes(), 4u);
 
-  ProvDerivation First;
-  First.Kind = ProvKind::EdgeLabel;
-  First.Edge = 7;
+  ProvRecord First(ProvKind::EdgeLabel, 7);
   EXPECT_EQ(recordProvenance(&Store, ProvFact::MayUse, 2, RegSet({3, 5}),
                              First),
             2u);
 
   // A later derivation of an already-set bit records nothing.
-  ProvDerivation Second;
-  Second.Kind = ProvKind::SeedQuarantine;
+  ProvRecord Second(ProvKind::SeedQuarantine);
   EXPECT_EQ(recordProvenance(&Store, ProvFact::MayUse, 2, RegSet({5, 6}),
                              Second),
             1u);
 
-  const ProvDerivation *Kept = Store.lookup(ProvFact::MayUse, 2, 5);
-  ASSERT_NE(Kept, nullptr);
-  EXPECT_EQ(Kept->Kind, ProvKind::EdgeLabel);
-  EXPECT_EQ(Kept->Edge, 7u);
-  const ProvDerivation *Fresh = Store.lookup(ProvFact::MayUse, 2, 6);
-  ASSERT_NE(Fresh, nullptr);
-  EXPECT_EQ(Fresh->Kind, ProvKind::SeedQuarantine);
+  ProvRecord Kept = Store.lookup(ProvFact::MayUse, 2, 5);
+  ASSERT_FALSE(Kept.empty());
+  EXPECT_EQ(Kept.kind(), ProvKind::EdgeLabel);
+  EXPECT_EQ(Kept.id(), 7u);
+  ProvRecord Fresh = Store.lookup(ProvFact::MayUse, 2, 6);
+  ASSERT_FALSE(Fresh.empty());
+  EXPECT_EQ(Fresh.kind(), ProvKind::SeedQuarantine);
   // Other fact kinds and nodes stay untouched.
-  EXPECT_EQ(Store.lookup(ProvFact::MayDef, 2, 5), nullptr);
-  EXPECT_EQ(Store.lookup(ProvFact::MayUse, 3, 5), nullptr);
+  EXPECT_TRUE(Store.lookup(ProvFact::MayDef, 2, 5).empty());
+  EXPECT_TRUE(Store.lookup(ProvFact::MayUse, 3, 5).empty());
+}
+
+TEST(ProvenanceStoreTest, FourBytesPerSlot) {
+  // One four-byte record per (fact, node, register): 384 bytes a node.
+  Figure2Results R = analyzeFigure2();
+  size_t Nodes = R.Analysis.Psg.Nodes.size();
+  EXPECT_EQ(R.Analysis.Provenance.bytes(), 3 * Nodes * 32 * 4);
+
+  // The widest id and the node-id sentinel survive packing beside the
+  // highest kind.
+  ProvRecord Widest(ProvKind::IndirectHub, ProvRecord::IdMask - 1);
+  EXPECT_EQ(Widest.kind(), ProvKind::IndirectHub);
+  EXPECT_EQ(Widest.id(), ProvRecord::IdMask - 1);
+  ProvRecord Sentinel(ProvKind::IndirectHub, ProvRecord::NoId);
+  EXPECT_EQ(Sentinel.id(), 0x0fffffffu);
+  EXPECT_FALSE(ProvRecord(ProvKind::SeedUnknownCaller).empty());
+}
+
+TEST(ProvenanceStoreTest, RejectsIdsWiderThan28Bits) {
+  ProvenanceStore Store;
+  EXPECT_THROW(Store.init(4, size_t(1) << 28), std::length_error);
+  EXPECT_THROW(Store.init(size_t(1) << 28, 4), std::length_error);
+  // The check runs before the tables are sized.
+  EXPECT_FALSE(Store.enabled());
+  EXPECT_EQ(Store.bytes(), 0u);
+  // The widest edge count that fits is accepted (edges size nothing).
+  Store.init(4, ProvRecord::IdMask);
+  EXPECT_TRUE(Store.enabled());
 }
 
 TEST(ProvenanceStoreTest, AnalysisPopulatesOnlyWhenRequested) {
@@ -348,6 +375,43 @@ TEST(ProvenanceAudit, EveryLiveAtEntryBitReplaysAcrossAllProfiles) {
     TotalBits += Audit.BitsChecked;
   }
   EXPECT_GT(TotalBits, 1000u);
+}
+
+TEST(ProvenanceAudit, EveryRecordedBitReplays) {
+  // Every MAY-USE, MAY-DEF and Live bit at every node, not only the
+  // live-at-entry bits: the MAY chains run through EdgeFlow and
+  // CallSummary steps whose referenced node the witness walker derives
+  // from the graph rather than reading it from the store.
+  std::array<uint64_t, 16> KindSteps{};
+  uint64_t TotalBits = 0;
+  for (const char *Profile : {"compress", "go", "perl"}) {
+    Image Img = generateCfgProgram(scaledProfile(*findProfile(Profile), 0.1));
+    for (unsigned Jobs : {1u, 4u}) {
+      AnalysisOptions Opts;
+      Opts.RecordProvenance = true;
+      Opts.Jobs = Jobs;
+      AnalysisResult A = analyzeImage(Img, {}, Opts);
+      const std::string Where =
+          std::string(Profile) + " jobs=" + std::to_string(Jobs);
+      for (ProvFact Fact : {ProvFact::MayUse, ProvFact::MayDef, ProvFact::Live})
+        for (uint32_t NodeId = 0; NodeId < A.Psg.Nodes.size(); ++NodeId)
+          for (unsigned Reg : factSet(A, Fact, NodeId)) {
+            ++TotalBits;
+            Witness W = buildWitness(A, Fact, NodeId, Reg);
+            std::string Err;
+            if (!replayWitness(A, W, &Err))
+              ADD_FAILURE() << Where << ": " << provFactName(Fact) << " "
+                            << regName(Reg) << " at "
+                            << describeNode(A, NodeId) << ": " << Err;
+            for (const WitnessStep &Step : W.Steps)
+              ++KindSteps[unsigned(Step.How.Kind)];
+          }
+    }
+  }
+  EXPECT_GT(TotalBits, 10000u);
+  for (ProvKind Kind : {ProvKind::EdgeFlow, ProvKind::CallSummary,
+                        ProvKind::ReturnLive, ProvKind::EdgeLabel})
+    EXPECT_GT(KindSteps[unsigned(Kind)], 0u) << unsigned(Kind);
 }
 
 TEST(ProvenanceAudit, ExplainCountersReachTheSession) {

@@ -420,6 +420,11 @@ TEST(ServeProtocolTest, MalformedLinesAreErrorRepliesNotCrashes) {
       "patch-routine {\"routine\":\"main\",\"code\":[-1]}",
       "slice {\"addr\":\"not-a-number\"}",
       "slice {\"addr\":999999999}",
+      "slice {\"addr\":1.5}",
+      "slice {\"addr\":-1}",
+      "slice {\"addr\":1e300}",
+      "explain {\"fact\":\"dead\",\"addr\":2.5}",
+      "explain {\"fact\":\"dead\",\"addr\":-3}",
       "explain {\"fact\":\"frobnicate\"}",
       "explain {\"fact\":\"live\",\"loc\":\"zz9@entry:main\"}",
       "no-such-command {}",
@@ -694,6 +699,16 @@ TEST(ServeObserveTest, ObservedStatsGrowHistogramsUnobservedStaysStable) {
       << PlainStats;
   EXPECT_EQ(PlainStats.find("\"latency\""), std::string::npos) << PlainStats;
   EXPECT_FALSE(Plain.observer().enabled());
+
+  // The resident provenance store's share of tracked memory: one
+  // four-byte record per (fact, node, register), 384 bytes a node.
+  std::optional<telemetry::JsonValue> Doc = telemetry::parseJson(PlainStats);
+  ASSERT_TRUE(Doc) << PlainStats;
+  const AnalysisResult &A = Plain.analysis();
+  EXPECT_EQ(Doc->numberOr("provenance_bytes", -1),
+            384.0 * double(A.Psg.Nodes.size()));
+  EXPECT_EQ(Doc->numberOr("analysis_bytes", -1),
+            double(A.Memory.peakBytes() - A.Provenance.bytes()));
 }
 
 TEST(ServeObserveTest, MetricsReplyIsParseableExposition) {
