@@ -2,8 +2,8 @@
 //
 // Primitive costs underlying the analysis: register-set algebra, the
 // Figure 6 transfer function, instruction encode/decode, CFG
-// construction, PSG construction, and the two dataflow phases on a
-// fixed medium-size program.
+// construction, PSG construction, the two dataflow phases, and witness
+// queries on a fixed medium-size program.
 //
 //===----------------------------------------------------------------------===//
 
@@ -11,6 +11,7 @@
 #include "cfg/SaveRestore.h"
 #include "dataflow/FlowSets.h"
 #include "isa/Encoding.h"
+#include "provenance/Witness.h"
 #include "psg/Analyzer.h"
 #include "psg/PsgBuilder.h"
 #include "psg/PsgSolver.h"
@@ -105,38 +106,27 @@ void BM_Phases(benchmark::State &State) {
 }
 BENCHMARK(BM_Phases)->Unit(benchmark::kMillisecond);
 
-void BM_PhasesProvenance(benchmark::State &State) {
-  // BM_Phases with derivation recording on: the difference between the
-  // two is the whole cost of provenance (one table write per set bit
-  // plus the attribution walk).
-  Program Prog = buildProgram(mediumImage(), CallingConv());
-  computeDefUbd(Prog);
-  std::vector<RegSet> Saved;
-  for (const Routine &R : Prog.Routines)
-    Saved.push_back(analyzeSaveRestore(Prog, R).Saved);
-  ProgramSummaryGraph Psg = buildPsg(Prog);
-  ProvenanceStore Prov;
-  for (auto _ : State) {
-    Prov.init(Psg.Nodes.size(), Psg.Edges.size());
-    runPhase1(Prog, Psg, Saved, nullptr, &Prov);
-    runPhase2(Prog, Psg, nullptr, &Prov);
-    benchmark::DoNotOptimize(Psg.Nodes[0].Live);
-  }
+void BM_WitnessQuery(benchmark::State &State) {
+  // The on-demand price of an explanation: buildWitness (one search over
+  // the converged graph) plus replayWitness, over 64 entry-Live bits
+  // spread evenly across the program.
+  AnalysisResult Analysis = analyzeImage(mediumImage());
+  std::vector<std::pair<uint32_t, unsigned>> Bits;
+  for (const RoutinePsg &Info : Analysis.Psg.RoutineInfo)
+    for (uint32_t NodeId : Info.EntryNodes)
+      for (unsigned Reg : Analysis.Psg.Nodes[NodeId].Live)
+        Bits.push_back({NodeId, Reg});
+  std::vector<std::pair<uint32_t, unsigned>> Queries;
+  for (size_t I = 0; I < 64 && !Bits.empty(); ++I)
+    Queries.push_back(Bits[I * Bits.size() / 64]);
+  for (auto _ : State)
+    for (auto [NodeId, Reg] : Queries) {
+      Witness W = buildWitness(Analysis, ProvFact::Live, NodeId, Reg);
+      benchmark::DoNotOptimize(replayWitness(Analysis, W));
+    }
+  State.SetItemsProcessed(int64_t(State.iterations() * Queries.size()));
 }
-BENCHMARK(BM_PhasesProvenance)->Unit(benchmark::kMillisecond);
-
-void BM_RecordProvenanceDisabled(benchmark::State &State) {
-  // The disabled path the solver takes on every set-growing step when
-  // recording is off: one null check, no memory touched (the allocator-
-  // level proof is tests/provenance_noalloc_test.cpp).
-  ProvRecord D(ProvKind::EdgeLabel, 3);
-  for (auto _ : State) {
-    uint64_t Fresh =
-        recordProvenance(nullptr, ProvFact::Live, 7, RegSet({1, 5, 9}), D);
-    benchmark::DoNotOptimize(Fresh);
-  }
-}
-BENCHMARK(BM_RecordProvenanceDisabled);
+BENCHMARK(BM_WitnessQuery)->Unit(benchmark::kMillisecond);
 
 void BM_FullAnalysis(benchmark::State &State) {
   const Image &Img = mediumImage();

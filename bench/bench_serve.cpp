@@ -81,7 +81,6 @@ int main(int Argc, char **Argv) {
 
     AnalysisOptions AO;
     AO.Jobs = Opts.Jobs;
-    AO.RecordProvenance = true;
     AnalysisResult Resident = analyzeImage(Img, CallingConv(), AO);
     SlotFlowResult Slots = solveSlotFlow(Resident.Prog, Opts.Jobs);
 

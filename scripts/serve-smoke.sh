@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Scripted spike-serve session over the go paper profile: load once,
 # query, patch a routine in place, and re-query — the whole demand-driven
-# loop one client would drive, pipelined over stdin.  CI runs this under
+# loop one client would drive, pipelined over stdin.  The patched
+# routine's live-at-entry witness is asked for before and after the
+# patch, so the witness search also runs on an incrementally re-solved
+# graph.  CI runs this under
 # ASan/UBSan and uploads the RunReport (the serve.* counters) as an
 # artifact.
 #
@@ -49,7 +52,9 @@ test "$PATCHED" != "$CODE" || { echo "serve-smoke: patch is a no-op" >&2; exit 1
   echo 'lint {"min-severity":"warning"}'
   echo 'slice {"addr":5}'
   echo 'explain {"fact":"dead","addr":5}'
+  printf 'explain {"fact":"live","loc":"ra@entry:%s"}\n' "$ROUTINE"
   printf 'patch-routine {"routine":"%s","code":%s}\n' "$ROUTINE" "$PATCHED"
+  printf 'explain {"fact":"live","loc":"ra@entry:%s"}\n' "$ROUTINE"
   echo 'analyze'
   printf 'analyze {"routine":"%s"}\n' "$ROUTINE"
   echo 'stats'
@@ -81,6 +86,14 @@ if [ "$ERRORS" -ne 1 ]; then
 fi
 if ! grep -q '"cmd":"patch-routine".*"ok":true.*"full":false' "$SCRATCH/replies.txt"; then
   echo "serve-smoke: patch did not take the incremental path" >&2; FAIL=1
+fi
+# The witness search answers on the loaded graph and again on the
+# incrementally re-solved one.
+LIVE=$(grep -c '"cmd":"explain".*"ok":true.*"holds":true.*"witness":"witness: ' \
+  "$SCRATCH/replies.txt" || true)
+if [ "$LIVE" -ne 2 ]; then
+  echo "serve-smoke: expected 2 live witnesses around the patch, got $LIVE" >&2
+  FAIL=1
 fi
 if ! grep -q '"cmd":"stats".*"patches":1' "$SCRATCH/replies.txt"; then
   echo "serve-smoke: stats does not report the patch" >&2; FAIL=1

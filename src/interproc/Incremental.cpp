@@ -122,11 +122,6 @@ IncrementalOutcome spike::reanalyzeIncremental(const Image &NewImg,
   telemetry::Span Span("reanalyze");
   telemetry::count("incremental.runs");
 
-  // Reuse restores provenance slots from the old store; without one there
-  // is nothing to restore from.
-  if (Opts.RecordProvenance && !A.Provenance.enabled())
-    return fullFallback(NewImg, Conv, Opts, A, Slots);
-
   AnalysisResult New;
   ThreadPool Pool(Opts.Jobs);
   const ResourceGovernor *Gov =
@@ -160,13 +155,6 @@ IncrementalOutcome spike::reanalyzeIncremental(const Image &NewImg,
   if (Gov)
     Gov->pollOrThrow("analyze.psg-build");
 
-  ProvenanceStore *Prov = nullptr;
-  if (Opts.RecordProvenance) {
-    New.Provenance.init(New.Psg.Nodes.size(), New.Psg.Edges.size());
-    New.Memory.charge(New.Provenance.bytes());
-    Prov = &New.Provenance;
-  }
-
   IncrementalOutcome Out;
   DirtyFrontier Dirty(StructClean);
   Out.StructDirty = Dirty.count();
@@ -187,18 +175,17 @@ IncrementalOutcome spike::reanalyzeIncremental(const Image &NewImg,
   PhaseReuse Reuse;
   Reuse.OldProg = &A.Prog;
   Reuse.OldPsg = &A.Psg;
-  Reuse.OldProv = Opts.RecordProvenance ? &A.Provenance : nullptr;
   Reuse.StructClean = &StructClean;
   Reuse.Dirty = &Dirty;
   Reuse.EscalatedOut = &Out.Phase2Escalated;
 
-  New.Phase1Stats = runPhase1(New.Prog, New.Psg, New.SavedPerRoutine, &Pool,
-                              Prov, Gov, &Reuse);
+  New.Phase1Stats =
+      runPhase1(New.Prog, New.Psg, New.SavedPerRoutine, &Pool, Gov, &Reuse);
   Out.Phase1Dirty = Dirty.count();
 
   // Phase 2 starts from phase 1's final flags plus the callee seeds.
   Dirty.flagEach(CalleeSeeds);
-  New.Phase2Stats = runPhase2(New.Prog, New.Psg, &Pool, Prov, Gov, &Reuse);
+  New.Phase2Stats = runPhase2(New.Prog, New.Psg, &Pool, Gov, &Reuse);
   Out.Phase2Dirty = Dirty.count();
 
   // Summary extraction is a cheap pure read of the converged graph; run
@@ -221,12 +208,6 @@ IncrementalOutcome spike::reanalyzeIncremental(const Image &NewImg,
     Out.SlotPhase2Dirty = SStats.Phase2Dirty;
   }
 
-  if (Prov) {
-    telemetry::count("provenance.records",
-                     New.Phase1Stats.ProvenanceRecords +
-                         New.Phase2Stats.ProvenanceRecords);
-    telemetry::gaugeHigh("provenance.bytes", New.Provenance.bytes());
-  }
   telemetry::count("incremental.struct_dirty", Out.StructDirty);
   telemetry::count("incremental.phase1_dirty", Out.Phase1Dirty);
   telemetry::count("incremental.phase2_dirty", Out.Phase2Dirty);

@@ -15,19 +15,20 @@
 /// small fraction of total time), diffs the routine records to find the
 /// *structurally dirty* set, and re-runs the two PSG phases with the
 /// solver's PhaseReuse protocol (psg/PsgSolver.h): SCC groups outside the
-/// dirty frontier restore their cached converged sets, labels, and
-/// provenance slots; groups on the frontier iterate exactly as a fresh
-/// solve would and extend the frontier to dependents whose inputs
-/// actually changed (phase 1 toward callers, phase 2 toward callees).
-/// The stack-slot dataflow re-solves the same way (slice/SlotFlow.h).
+/// dirty frontier restore their cached converged sets and labels; groups
+/// on the frontier iterate exactly as a fresh solve would and extend the
+/// frontier to dependents whose inputs actually changed (phase 1 toward
+/// callers, phase 2 toward callees).  The stack-slot dataflow re-solves
+/// the same way (slice/SlotFlow.h).
 ///
 /// The contract — enforced by the differential oracle tests — is strict
-/// bit-identity: the resulting summaries, PSG sets, provenance store,
-/// and slot facts equal a from-scratch solve of the new image at every
-/// job count.  When the identity cannot be guaranteed cheaply (routine
-/// partition changed, phase 2's dirty closure reaches the indirect-call
-/// accumulator), the engine falls back to a full solve and says so in
-/// the outcome instead of risking a stale fact.
+/// bit-identity: the resulting summaries, PSG sets, labels, and slot
+/// facts equal a from-scratch solve of the new image at every job
+/// count, and so does every witness searched from them.  When the
+/// identity cannot be guaranteed cheaply (routine partition changed,
+/// phase 2's dirty closure reaches the indirect-call accumulator), the
+/// engine falls back to a full solve and says so in the outcome instead
+/// of risking a stale fact.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,9 +44,8 @@ namespace spike {
 /// a serving layer reports per patch (`stats` command, serve.* run-report
 /// counters).
 struct IncrementalOutcome {
-  /// The engine fell back to a full from-scratch solve (routine
-  /// partition changed, or the resident result lacks the provenance
-  /// store the options ask for).  The result is still correct.
+  /// The engine fell back to a full from-scratch solve (the routine
+  /// partition changed).  The result is still correct.
   bool Full = false;
 
   /// Phase 2's dirty closure reached an address-taken or
@@ -72,9 +72,7 @@ struct IncrementalOutcome {
 /// Re-analyzes \p NewImg against the resident converged result \p A of a
 /// previous image version, replacing \p A (and, when non-null, the
 /// resident slot facts \p Slots) with state bit-identical to a fresh
-/// analyzeImage / solveSlotFlow of \p NewImg under the same options.
-/// \p Opts must request the same provenance mode the resident result was
-/// produced with; a mismatch falls back to a full solve.  On a
+/// analyzeImage / solveSlotFlow of \p NewImg under the same options.  On a
 /// BudgetBlownError (governed runs) \p A and \p Slots are untouched —
 /// the caller keeps serving the old version and may retry degraded.
 IncrementalOutcome reanalyzeIncremental(const Image &NewImg,

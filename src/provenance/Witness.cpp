@@ -1,4 +1,4 @@
-//===- provenance/Witness.cpp - Witness chains over derivations -----------===//
+//===- provenance/Witness.cpp - Witness chains on demand -------------------===//
 
 #include "provenance/Witness.h"
 
@@ -8,6 +8,7 @@
 #include "psg/Analyzer.h"
 #include "telemetry/Telemetry.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace spike;
@@ -28,87 +29,177 @@ RegSet spike::factSet(const AnalysisResult &A, ProvFact Fact,
 
 namespace {
 
-/// Expands the store's record of a \p Fact bit back into its derivation.
-/// The record holds the kind and one id; the other fields follow from
-/// the graph: an EdgeFlow step continues at the edge's destination, a
-/// CallSummary step at the callee entry named by the call block the edge
-/// leaves, and ReturnLive / IndirectHub steps reference Live.
-ProvDerivation expandRecord(const AnalysisResult &A, ProvFact Fact,
-                            ProvRecord Rec) {
-  const ProgramSummaryGraph &Psg = A.Psg;
-  ProvDerivation D;
-  D.Kind = Rec.kind();
-  uint32_t Id = Rec.id();
-  if (provIdIsEdge(D.Kind))
-    D.Edge = Id;
-  switch (D.Kind) {
-  case ProvKind::EdgeFlow:
-    D.Ref = Fact;
-    if (Id < Psg.Edges.size())
-      D.Node = Psg.Edges[Id].Dst;
-    break;
-  case ProvKind::CallSummary: {
-    D.Ref = Fact == ProvFact::MayDef ? ProvFact::MayDef : ProvFact::MayUse;
-    if (Id >= Psg.Edges.size())
-      break;
-    const PsgNode &Call = Psg.Nodes[Psg.Edges[Id].Src];
-    const BasicBlock &Block =
-        A.Prog.Routines[Call.RoutineIndex].Blocks[Call.BlockIndex];
-    if (Block.CalleeRoutine >= 0 && Block.CalleeEntry >= 0)
-      D.Node = Psg.RoutineInfo[uint32_t(Block.CalleeRoutine)]
-                   .EntryNodes[uint32_t(Block.CalleeEntry)];
-    break;
-  }
-  case ProvKind::ReturnLive:
-  case ProvKind::IndirectHub:
-    D.Ref = ProvFact::Live;
-    D.Node = Id == ProvRecord::NoId ? ProvDerivation::NoId : Id;
-    break;
-  default:
-    break;
-  }
-  return D;
+constexpr uint8_t factBit(ProvFact Fact) {
+  return uint8_t(1u << unsigned(Fact));
 }
 
 } // namespace
 
-Witness spike::buildWitness(const AnalysisResult &A, ProvFact Fact,
-                            uint32_t NodeId, unsigned Reg) {
+WitnessSearch::WitnessSearch(const AnalysisResult &A, unsigned Reg,
+                             ProvFact Goal, uint32_t StopNode)
+    : A(A), Reg(Reg),
+      Facts(Goal == ProvFact::Live
+                ? uint8_t(factBit(ProvFact::MayUse) | factBit(ProvFact::Live))
+                : factBit(Goal)),
+      NumNodes(uint32_t(A.Psg.Nodes.size())),
+      Stop(StopNode < NumNodes ? uint32_t(Goal) * NumNodes + StopNode
+                               : ProvDerivation::NoId),
+      How(size_t(NumProvFacts) * NumNodes) {
+  assert(Reg < NumIntRegs && "witness search for a non-register");
+  for (uint32_t NodeId = 0; NodeId < NumNodes && !Done; ++NodeId)
+    for (ProvFact Fact : {ProvFact::MayUse, ProvFact::MayDef, ProvFact::Live})
+      if (open(Fact, NodeId))
+        if (ProvDerivation D = groundOf(Fact, NodeId);
+            D.Kind != ProvKind::None)
+          reach(Fact, NodeId, D);
+  for (size_t Head = 0; Head < Queue.size() && !Done; ++Head)
+    extend(ProvFact(Queue[Head] / NumNodes), Queue[Head] % NumNodes);
+}
+
+bool WitnessSearch::open(ProvFact Fact, uint32_t NodeId) const {
+  return !Done && (Facts & factBit(Fact)) &&
+         How[uint32_t(Fact) * NumNodes + NodeId].Kind == ProvKind::None &&
+         factSet(A, Fact, NodeId).contains(Reg);
+}
+
+void WitnessSearch::reach(ProvFact Fact, uint32_t NodeId,
+                          const ProvDerivation &D) {
+  uint32_t State = uint32_t(Fact) * NumNodes + NodeId;
+  How[State] = D;
+  Queue.push_back(State);
+  Done = State == Stop;
+}
+
+void WitnessSearch::derive(ProvFact Fact, uint32_t NodeId,
+                           const ProvDerivation &D) {
+  if (open(Fact, NodeId))
+    reach(Fact, NodeId, D);
+}
+
+/// The ground derivation of (Fact, NodeId), or None: the node's own
+/// boundary or exit seed, else the first out-edge in CSR order whose
+/// label carries the register as a ground fact.
+ProvDerivation WitnessSearch::groundOf(ProvFact Fact, uint32_t NodeId) const {
+  const Program &Prog = A.Prog;
+  const PsgNode &Node = A.Psg.Nodes[NodeId];
+  const Routine &R = Prog.Routines[Node.RoutineIndex];
+  ProvDerivation D;
+  if (Node.Kind == PsgNodeKind::Unknown) {
+    D.Kind = ProvKind::UnknownBoundary;
+    return D;
+  }
+  if (Node.Kind == PsgNodeKind::Exit) {
+    if (Fact != ProvFact::Live)
+      return D;
+    if ((R.AddressTaken || int32_t(Node.RoutineIndex) == Prog.EntryRoutine) &&
+        Prog.Conv.unknownCallerLiveAtExit().contains(Reg))
+      D.Kind = ProvKind::SeedUnknownCaller;
+    else if (R.CalledFromQuarantine)
+      D.Kind = ProvKind::SeedQuarantine;
+    return D;
+  }
+  for (uint32_t EdgeId = Node.FirstOut, End = Node.FirstOut + Node.NumOut;
+       EdgeId != End; ++EdgeId) {
+    const PsgEdge &Edge = A.Psg.Edges[EdgeId];
+    RegSet Label =
+        Fact == ProvFact::MayDef ? Edge.Label.MayDef : Edge.Label.MayUse;
+    if (!Label.contains(Reg))
+      continue;
+    D.Edge = EdgeId;
+    if (!Edge.IsCallReturn)
+      D.Kind = ProvKind::EdgeLabel;
+    else if (R.Blocks[Node.BlockIndex].Term == TerminatorKind::IndirectCall)
+      D.Kind = ProvKind::IndirectCall;
+    else if (Fact == ProvFact::MayDef && Reg == Prog.Conv.RaReg)
+      D.Kind = ProvKind::CallRa;
+    else
+      continue; // A callee summary: a step, derived from the callee entry.
+    return D;
+  }
+  return ProvDerivation();
+}
+
+/// Derives every state one step from (Fact, NodeId): the inverse of the
+/// solver's equations, walked along its reverse indexes.
+void WitnessSearch::extend(ProvFact Fact, uint32_t NodeId) {
+  const ProgramSummaryGraph &Psg = A.Psg;
+  const PsgNode &Node = Psg.Nodes[NodeId];
+
+  // Flow: each in-edge's source unions this set minus the path's MUST-DEF.
+  for (uint32_t I = Node.FirstIn, E = Node.FirstIn + Node.NumIn; I != E; ++I) {
+    uint32_t EdgeId = Psg.InEdgeIds[I];
+    const PsgEdge &Edge = Psg.Edges[EdgeId];
+    if (Fact == ProvFact::MayDef || !Edge.Label.MustDef.contains(Reg))
+      derive(Fact, Edge.Src, {ProvKind::EdgeFlow, Fact, EdgeId, NodeId});
+  }
+
+  // Callee summary: an entry's filtered sets label its call sites'
+  // call-return edges; MAY-USE feeds both the caller's MAY-USE and Live.
+  if (Node.Kind == PsgNodeKind::Entry && Fact != ProvFact::Live)
+    for (uint32_t I = Psg.CrEdgeOfEntryBegin[NodeId],
+                  E = Psg.CrEdgeOfEntryBegin[NodeId + 1];
+         I != E; ++I) {
+      uint32_t EdgeId = Psg.CrEdgeOfEntryIds[I];
+      const PsgEdge &Edge = Psg.Edges[EdgeId];
+      ProvDerivation D{ProvKind::CallSummary, Fact, EdgeId, NodeId};
+      if (Fact == ProvFact::MayDef) {
+        if (Edge.Label.MayDef.contains(Reg))
+          derive(ProvFact::MayDef, Edge.Src, D);
+      } else if (Edge.Label.MayUse.contains(Reg)) {
+        derive(ProvFact::MayUse, Edge.Src, D);
+        derive(ProvFact::Live, Edge.Src, D);
+      }
+    }
+
+  // Return-site liveness: a return node feeds its callees' exits, and an
+  // indirect return feeds every address-taken exit via the accumulator
+  // (the first one reached derives them all).
+  if (Node.Kind == PsgNodeKind::Return && Fact == ProvFact::Live) {
+    for (uint32_t I = Psg.ExitsOfReturnBegin[NodeId],
+                  E = Psg.ExitsOfReturnBegin[NodeId + 1];
+         I != E; ++I)
+      derive(ProvFact::Live, Psg.ExitsOfReturnIds[I],
+             {ProvKind::ReturnLive, ProvFact::Live, ProvDerivation::NoId,
+              NodeId});
+    const BasicBlock &Block =
+        A.Prog.Routines[Node.RoutineIndex].Blocks[Node.BlockIndex];
+    if (Block.Term == TerminatorKind::IndirectCall && !HubReached) {
+      HubReached = true;
+      for (uint32_t ExitNode : Psg.AddressTakenExitNodes)
+        derive(ProvFact::Live, ExitNode,
+               {ProvKind::IndirectHub, ProvFact::Live, ProvDerivation::NoId,
+                NodeId});
+    }
+  }
+}
+
+Witness WitnessSearch::witness(ProvFact Fact, uint32_t NodeId) const {
+  assert((Facts & factBit(Fact)) && "fact kind outside this search");
   Witness W;
-  if (NodeId >= A.Psg.Nodes.size() || Reg >= NumIntRegs ||
-      !factSet(A, Fact, NodeId).contains(Reg))
+  if (NodeId >= NumNodes || !factSet(A, Fact, NodeId).contains(Reg))
     return W;
   W.Holds = true;
   telemetry::count("explain.queries");
-
-  // Recorded chains are acyclic (first derivation wins, and every
-  // reference points at a bit set strictly earlier), so the cap is a
-  // defensive bound, not a truncation point.
-  size_t Cap = size_t(NumProvFacts) * A.Psg.Nodes.size() + 1;
-  ProvFact CurFact = Fact;
-  uint32_t CurNode = NodeId;
-  while (W.Steps.size() < Cap) {
-    WitnessStep Step;
-    Step.Fact = CurFact;
-    Step.Node = CurNode;
-    Step.Reg = Reg;
-    if (ProvRecord Rec = A.Provenance.lookup(CurFact, CurNode, Reg);
-        !Rec.empty())
-      Step.How = expandRecord(A, CurFact, Rec);
-    else if (A.Psg.Nodes[CurNode].Kind == PsgNodeKind::Unknown)
-      // The solver never evaluates Unknown nodes: their sets are the
-      // Section 3.5 boundary values, a ground fact replay can recompute.
-      Step.How.Kind = ProvKind::UnknownBoundary;
-    // else: leave Kind == None; replay reports the missing derivation.
-    W.Steps.push_back(Step);
-    telemetry::count("explain.steps");
-    if (Step.How.Kind == ProvKind::None || isGroundKind(Step.How.Kind) ||
-        Step.How.Node >= A.Psg.Nodes.size())
-      break; // A dangling reference is left for replay to report.
-    CurFact = Step.How.Ref;
-    CurNode = Step.How.Node;
+  // Each reached state's derivation references a state reached strictly
+  // earlier, so the walk ends; an unreached state ends it at once.
+  for (;;) {
+    const ProvDerivation &D = How[uint32_t(Fact) * NumNodes + NodeId];
+    W.Steps.push_back({Fact, NodeId, Reg, D});
+    if (D.Kind == ProvKind::None || isGroundKind(D.Kind))
+      break;
+    Fact = D.Ref;
+    NodeId = D.Node;
   }
+  telemetry::count("explain.steps", W.Steps.size());
   return W;
+}
+
+Witness spike::buildWitness(const AnalysisResult &A, ProvFact Fact,
+                            uint32_t NodeId, unsigned Reg) {
+  if (NodeId >= A.Psg.Nodes.size() || Reg >= NumIntRegs ||
+      !factSet(A, Fact, NodeId).contains(Reg))
+    return Witness();
+  return WitnessSearch(A, Reg, Fact, NodeId).witness(Fact, NodeId);
 }
 
 namespace {
@@ -459,37 +550,69 @@ WitnessPath spike::witnessPath(const Witness &W) {
   return Path;
 }
 
+namespace {
+
+/// Calls \p Visit(Bit, NodeId, Reg, W) for every live-at-entry bit, with
+/// one WitnessSearch per register.  Bit numbers the bits in (routine,
+/// entrance, register) order, so callers can emit results in that order.
+template <class VisitFn>
+void forEachEntryWitness(const AnalysisResult &A, VisitFn Visit) {
+  std::vector<uint32_t> Entries, FirstBit;
+  uint32_t NumBits = 0;
+  RegSet AnyLive;
+  for (const RoutinePsg &Info : A.Psg.RoutineInfo)
+    for (uint32_t NodeId : Info.EntryNodes) {
+      Entries.push_back(NodeId);
+      FirstBit.push_back(NumBits);
+      NumBits += A.Psg.Nodes[NodeId].Live.count();
+      AnyLive |= A.Psg.Nodes[NodeId].Live;
+    }
+  for (unsigned Reg : AnyLive) {
+    WitnessSearch Search(A, Reg, ProvFact::Live);
+    for (size_t I = 0; I < Entries.size(); ++I) {
+      RegSet Live = A.Psg.Nodes[Entries[I]].Live;
+      if (Live.contains(Reg))
+        Visit(FirstBit[I] + (Live & RegSet::allBelow(Reg)).count(),
+              Entries[I], Reg, Search.witness(ProvFact::Live, Entries[I]));
+    }
+  }
+}
+
+} // namespace
+
 WitnessAudit spike::auditEntryLiveness(const AnalysisResult &A) {
   WitnessAudit Audit;
-  for (uint32_t R = 0; R < A.Prog.Routines.size(); ++R)
-    for (uint32_t E = 0; E < A.Psg.RoutineInfo[R].EntryNodes.size(); ++E) {
-      uint32_t NodeId = A.Psg.RoutineInfo[R].EntryNodes[E];
-      ++Audit.EntriesChecked;
-      for (unsigned Reg : A.Psg.Nodes[NodeId].Live) {
-        ++Audit.BitsChecked;
-        Witness W = buildWitness(A, ProvFact::Live, NodeId, Reg);
-        std::string Context = std::string(regName(Reg)) + " at " +
-                              describeNode(A, NodeId) + ": ";
-        if (!W.Holds) {
-          Audit.Failures.push_back(Context + "no witness built");
-          continue;
-        }
-        std::string Err;
-        if (!replayWitness(A, W, &Err))
-          Audit.Failures.push_back(Context + "replay failed (" + Err + ")");
-      }
-    }
+  for (const RoutinePsg &Info : A.Psg.RoutineInfo)
+    Audit.EntriesChecked += Info.EntryNodes.size();
+  std::vector<std::pair<uint32_t, std::string>> Failures;
+  forEachEntryWitness(A, [&](uint32_t Bit, uint32_t NodeId, unsigned Reg,
+                             const Witness &W) {
+    ++Audit.BitsChecked;
+    std::string Context =
+        std::string(regName(Reg)) + " at " + describeNode(A, NodeId) + ": ";
+    std::string Err;
+    if (!W.Holds)
+      Failures.push_back({Bit, Context + "no witness built"});
+    else if (!replayWitness(A, W, &Err))
+      Failures.push_back({Bit, Context + "replay failed (" + Err + ")"});
+  });
+  std::sort(Failures.begin(), Failures.end());
+  for (auto &[Bit, Text] : Failures)
+    Audit.Failures.push_back(std::move(Text));
   return Audit;
 }
 
 std::string spike::renderEntryWitnesses(const AnalysisResult &A) {
+  std::vector<std::string> Texts;
+  forEachEntryWitness(A, [&](uint32_t Bit, uint32_t, unsigned,
+                             const Witness &W) {
+    if (Texts.size() <= Bit)
+      Texts.resize(Bit + 1);
+    Texts[Bit] = renderWitness(A, W);
+  });
   std::string Out;
-  for (uint32_t R = 0; R < A.Prog.Routines.size(); ++R)
-    for (uint32_t E = 0; E < A.Psg.RoutineInfo[R].EntryNodes.size(); ++E) {
-      uint32_t NodeId = A.Psg.RoutineInfo[R].EntryNodes[E];
-      for (unsigned Reg : A.Psg.Nodes[NodeId].Live)
-        Out += renderWitness(A, buildWitness(A, ProvFact::Live, NodeId, Reg));
-    }
+  for (const std::string &Text : Texts)
+    Out += Text;
   return Out;
 }
 

@@ -1,25 +1,31 @@
-//===- provenance/Witness.h - Witness chains over derivations -*- C++ -*-===//
+//===- provenance/Witness.h - Witness chains on demand --------*- C++ -*-===//
 //
 // Part of the spike-psg project (Goodwin, PLDI 1997 reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The query side of the provenance engine: walk the derivations a
-/// recording analysis captured (see Provenance.h) into a *witness chain*
-/// — the concrete sequence of PSG edges, callee summaries, and seeds
-/// that forces a queried bit — then independently *replay* the chain,
-/// re-deriving every justification from the graph and the calling
-/// standard rather than trusting the recorder.  `spike-explain` is a
-/// thin CLI over these functions; the differential tests compare
-/// rendered witnesses byte-for-byte across thread counts.
+/// The provenance engine: answer "why does this bit hold?" with a
+/// *witness chain* — the concrete sequence of PSG edges, callee
+/// summaries, and seeds that forces the bit — found by searching the
+/// converged graph, then independently *replay* the chain, re-deriving
+/// every justification from the graph and the calling standard rather
+/// than trusting the search.  `spike-explain` is a thin CLI over these
+/// functions; the differential tests compare rendered witnesses
+/// byte-for-byte across thread counts and against incremental re-solves.
 ///
-/// Minimality: each recorded derivation is the *first* one that set its
-/// bit, so a witness is a single path (never a DAG of alternatives) and
-/// every step is necessary to reach the ground fact along that path.
+/// Nothing is recorded while solving.  Every bit of a least fixpoint has
+/// a finite derivation, so a breadth-first search per register over
+/// (fact, node) states, rooted at the register's ground facts and
+/// extended along the solver's reverse indexes into states whose
+/// converged set holds the register, reaches every set bit.  Reading the
+/// BFS parents back from the queried state yields a *shortest* witness:
+/// a single acyclic path that ends in a ground fact.  The search reads
+/// only the converged graph, in a fixed id order, so witnesses are
+/// identical at every --jobs value and after any incremental re-solve.
 /// When a queried fact does not hold, no witness exists by construction
-/// — the solver computes least fixpoints, and a bit a least fixpoint
-/// omits is a bit nothing demands (the `--why-dead` argument).
+/// — a bit a least fixpoint omits is a bit nothing demands (the
+/// `--why-dead` argument).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +33,7 @@
 #define SPIKE_PROVENANCE_WITNESS_H
 
 #include "provenance/Provenance.h"
+#include "support/RegSet.h"
 
 #include <cstdint>
 #include <string>
@@ -37,11 +44,10 @@ namespace spike {
 struct AnalysisResult;
 
 /// One link of a witness chain: the fact (Fact, Node, Reg) and the
-/// recorded derivation justifying it, expanded from the store's
-/// ProvRecord (buildWitness derives the fields the record omits).  For
-/// facts the solver never evaluates (Section 3.5 Unknown boundary nodes)
-/// the walker synthesizes How.Kind == UnknownBoundary; replay verifies it
-/// by recomputing the boundary sets.
+/// derivation justifying it.  For facts the solver never evaluates
+/// (Section 3.5 Unknown boundary nodes) the derivation is
+/// UnknownBoundary, which replay verifies by recomputing the boundary
+/// sets.
 struct WitnessStep {
   ProvFact Fact = ProvFact::Live;
   uint32_t Node = 0;
@@ -63,13 +69,56 @@ struct Witness {
 /// Returns the current fact set of kind \p Fact at \p NodeId.
 RegSet factSet(const AnalysisResult &A, ProvFact Fact, uint32_t NodeId);
 
-/// Walks the recorded derivations of (\p Fact, \p NodeId, \p Reg) back
-/// to a ground fact, expanding each stored record into a ProvDerivation.
-/// \p A must come from a RecordProvenance analysis.
+/// One register's breadth-first search over the converged graph.  The
+/// states are (fact, node) pairs whose converged set holds the register.
+/// The search seeds every ground state in node-id order (and within a
+/// node in ProvFact order), then extends each dequeued state along the
+/// reverse indexes in a fixed order: in-edges, the call-return edges of
+/// an entry's call sites, the exits a return node feeds, and, for an
+/// indirect return, every address-taken exit.  Each state keeps the
+/// derivation that first reached it, so every reached state's chain is
+/// a shortest one.  Scratch lives in the object: one search per query or
+/// per register of an audit, nothing shared between searches.
+class WitnessSearch {
+public:
+  /// Searches the states that can derive a \p Goal fact of register
+  /// \p Reg (MAY-DEF states for MayDef, MAY-USE states for MayUse, both
+  /// MAY-USE and Live states for Live).  With \p StopNode, the search
+  /// ends as soon as (\p Goal, \p StopNode) is reached; the chains of
+  /// every state reached by then are the ones a full search finds.
+  WitnessSearch(const AnalysisResult &A, unsigned Reg, ProvFact Goal,
+                uint32_t StopNode = ProvDerivation::NoId);
+
+  /// The witness of (\p Fact, \p NodeId, Reg), which must be a fact
+  /// kind this search covers.  Holds is false when the fact does not
+  /// hold; a set bit the search never reached yields a one-step chain
+  /// with no derivation, which replay rejects.
+  Witness witness(ProvFact Fact, uint32_t NodeId) const;
+
+private:
+  bool open(ProvFact Fact, uint32_t NodeId) const;
+  void reach(ProvFact Fact, uint32_t NodeId, const ProvDerivation &D);
+  void derive(ProvFact Fact, uint32_t NodeId, const ProvDerivation &D);
+  ProvDerivation groundOf(ProvFact Fact, uint32_t NodeId) const;
+  void extend(ProvFact Fact, uint32_t NodeId);
+
+  const AnalysisResult &A;
+  unsigned Reg;
+  uint8_t Facts; ///< Bit mask of the searched ProvFact kinds.
+  uint32_t NumNodes;
+  uint32_t Stop; ///< Target state id, or ProvDerivation::NoId.
+  bool Done = false;
+  bool HubReached = false; ///< An indirect return's Live was extended.
+  std::vector<ProvDerivation> How; ///< Per state: Fact * NumNodes + node.
+  std::vector<uint32_t> Queue;     ///< Reached states in BFS order.
+};
+
+/// The shortest witness of (\p Fact, \p NodeId, \p Reg): one
+/// WitnessSearch that stops at the queried state.
 Witness buildWitness(const AnalysisResult &A, ProvFact Fact, uint32_t NodeId,
                      unsigned Reg);
 
-/// Re-verifies \p W against the graph without consulting the recorder:
+/// Re-verifies \p W against the graph without consulting the search:
 /// every step's fact must hold, every justification must re-derive (edge
 /// endpoints, Section 3.4 filter, calling-standard labels, boundary and
 /// seed sets), consecutive steps must connect, and the chain must end in
@@ -93,7 +142,8 @@ struct WitnessPath {
 WitnessPath witnessPath(const Witness &W);
 
 /// Builds and replays a witness for *every* live-at-entry bit of every
-/// routine entrance — the `--check-witnesses` / CI contract.
+/// routine entrance — the `--check-witnesses` / CI contract.  Runs one
+/// WitnessSearch per register, not one per bit.
 struct WitnessAudit {
   uint64_t EntriesChecked = 0;
   uint64_t BitsChecked = 0;

@@ -32,28 +32,12 @@ AnalysisResult spike::analyzeImage(const Image &Img,
   if (Gov)
     Gov->pollOrThrow("analyze.psg-build");
 
-  // Opt-in derivation recording (spike-explain).  The null pointer *is*
-  // the disabled path: the solver's recording entry points no-op on it
-  // without touching memory.
-  ProvenanceStore *Prov = nullptr;
-  if (Opts.RecordProvenance) {
-    Result.Provenance.init(Result.Psg.Nodes.size(), Result.Psg.Edges.size());
-    Result.Memory.charge(Result.Provenance.bytes());
-    Prov = &Result.Provenance;
-  }
-
   Result.Phase1Stats = runPhase1(Result.Prog, Result.Psg,
-                                 Result.SavedPerRoutine, &Pool, Prov, Gov);
-  Result.Phase2Stats = runPhase2(Result.Prog, Result.Psg, &Pool, Prov, Gov);
+                                 Result.SavedPerRoutine, &Pool, Gov);
+  Result.Phase2Stats = runPhase2(Result.Prog, Result.Psg, &Pool, Gov);
 
   Result.Summaries = extractSummaries(Result.Prog, Result.Psg,
                                       Result.SavedPerRoutine);
-  if (Prov) {
-    telemetry::count("provenance.records",
-                     Result.Phase1Stats.ProvenanceRecords +
-                         Result.Phase2Stats.ProvenanceRecords);
-    telemetry::gaugeHigh("provenance.bytes", Result.Provenance.bytes());
-  }
   telemetry::gaugeHigh("analyze.memory.cfg_bytes", Result.CfgBytes);
   telemetry::gaugeHigh("analyze.memory.init_bytes", Result.InitBytes);
   telemetry::gaugeHigh("analyze.memory.psg_bytes", Result.PsgBytes);

@@ -25,7 +25,6 @@
 
 #include "binary/Image.h"
 #include "cfg/CfgBuilder.h"
-#include "provenance/Provenance.h"
 #include "psg/PsgBuilder.h"
 #include "psg/PsgSolver.h"
 #include "psg/Summaries.h"
@@ -52,13 +51,6 @@ struct AnalysisOptions {
   /// pool.steals and the analysis.jobs gauge reflect the setting).
   unsigned Jobs = 1;
 
-  /// Record, for every MAY-USE / MAY-DEF / Live bit the solver sets, the
-  /// edge or seed that first derived it (the spike-explain witness
-  /// source).  Off by default: the disabled path performs no allocation
-  /// and no recording work, and the recorded store — like every other
-  /// analysis output — is bit-identical at any Jobs value.
-  bool RecordProvenance = false;
-
   /// Resource governor the solver phases poll (null = ungoverned).  At
   /// the start of the run the analyzer attaches its MemoryTracker and
   /// re-arms the deadline, so a deadline bounds one analysis attempt.
@@ -82,17 +74,13 @@ struct AnalysisResult {
 
   /// Tracked bytes the CFG build, initialization and PSG build stages
   /// each added to Memory.  Nothing is released during a run, so these
-  /// plus Provenance.bytes() (when recording) sum to Memory.peakBytes().
+  /// sum to Memory.peakBytes().
   uint64_t CfgBytes = 0;
   uint64_t InitBytes = 0;
   uint64_t PsgBytes = 0;
 
   SolverStats Phase1Stats;
   SolverStats Phase2Stats;
-
-  /// First derivations of the solved bits (empty unless
-  /// AnalysisOptions::RecordProvenance was set).
-  ProvenanceStore Provenance;
 
   /// Returns the converged *unfiltered* flow sets of entrance \p Entry of
   /// routine \p RoutineIndex (the Section 3.4 callee-saved filter is only

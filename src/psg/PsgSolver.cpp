@@ -5,10 +5,8 @@
 #include "cfg/SccDriver.h"
 #include "dataflow/CallPolicy.h"
 #include "dataflow/Worklist.h"
-#include "provenance/Provenance.h"
 #include "telemetry/Telemetry.h"
 
-#include <array>
 #include <cassert>
 
 using namespace spike;
@@ -113,91 +111,6 @@ uint64_t changedBits(RegSet OldA, RegSet NewA) {
   return (NewA - OldA).count() + (OldA - NewA).count();
 }
 
-/// Attributes a fresh growth \p Added of fact \p Fact at \p NodeId to
-/// first derivations, re-walking the node's out-edges in CSR order: for
-/// each edge, first the bits the edge's own label contributes (a ground
-/// fact, a callee summary, or the call's def of ra), then the bits
-/// flowing through from the destination's current set.  The equation
-/// that produced the growth unions exactly these terms, so every Added
-/// bit is attributed; the first contributing term in edge order wins,
-/// which makes the record independent of worklist history.  Must run
-/// *before* the node's own set is updated: the destination sets read
-/// here are the ones the equation read, and on a self-edge the node's
-/// stale set cannot justify a bit with itself.
-uint64_t attributeAdded(const Program &Prog, const ProgramSummaryGraph &Psg,
-                        ProvenanceStore *Prov, ProvFact Fact, uint32_t NodeId,
-                        RegSet Added, unsigned RaReg) {
-  uint64_t Fresh = 0;
-  const PsgNode &Node = Psg.Nodes[NodeId];
-  for (uint32_t EdgeId = Node.FirstOut, End = Node.FirstOut + Node.NumOut;
-       EdgeId != End && !Added.empty(); ++EdgeId) {
-    const PsgEdge &Edge = Psg.Edges[EdgeId];
-
-    RegSet LabelSet =
-        Fact == ProvFact::MayDef ? Edge.Label.MayDef : Edge.Label.MayUse;
-    RegSet FromLabel = LabelSet & Added;
-    if (!FromLabel.empty()) {
-      if (!Edge.IsCallReturn) {
-        Fresh += recordProvenance(Prov, Fact, NodeId, FromLabel,
-                                  ProvRecord(ProvKind::EdgeLabel, EdgeId));
-      } else {
-        const BasicBlock &Block =
-            Prog.Routines[Node.RoutineIndex].Blocks[Node.BlockIndex];
-        if (Block.Term == TerminatorKind::Call) {
-          RegSet RaPart;
-          if (FromLabel.contains(RaReg))
-            RaPart.insert(RaReg);
-          Fresh += recordProvenance(Prov, Fact, NodeId, RaPart,
-                                    ProvRecord(ProvKind::CallRa, EdgeId));
-          // The callee entry the summary came from is named by this call
-          // block, so the witness walker derives it from the edge.
-          assert(Block.CalleeRoutine >= 0 && Block.CalleeEntry >= 0 &&
-                 "direct call without a resolved callee");
-          Fresh += recordProvenance(Prov, Fact, NodeId, FromLabel - RaPart,
-                                    ProvRecord(ProvKind::CallSummary, EdgeId));
-        } else {
-          Fresh += recordProvenance(Prov, Fact, NodeId, FromLabel,
-                                    ProvRecord(ProvKind::IndirectCall, EdgeId));
-        }
-      }
-      Added -= FromLabel;
-    }
-
-    RegSet DstSet;
-    switch (Fact) {
-    case ProvFact::MayDef:
-      DstSet = Psg.Nodes[Edge.Dst].Sets.MayDef;
-      break;
-    case ProvFact::MayUse:
-      DstSet = Psg.Nodes[Edge.Dst].Sets.MayUse - Edge.Label.MustDef;
-      break;
-    case ProvFact::Live:
-      DstSet = Psg.Nodes[Edge.Dst].Live - Edge.Label.MustDef;
-      break;
-    }
-    RegSet FromDst = DstSet & Added;
-    if (!FromDst.empty()) {
-      Fresh += recordProvenance(Prov, Fact, NodeId, FromDst,
-                                ProvRecord(ProvKind::EdgeFlow, EdgeId));
-      Added -= FromDst;
-    }
-  }
-  assert(Added.empty() && "growth not covered by any equation term");
-  return Fresh;
-}
-
-/// Provenance plumbing for one phase-2 component (all null when
-/// recording is off).  The accumulator sources realize the serial-merge
-/// determinism argument: GlobalAccumSrc is only written between levels,
-/// LocalAccumSrc only by this component's own worklist.
-struct Phase2Prov {
-  ProvenanceStore *Store = nullptr;
-  const std::vector<RegSet> *SeedUnknownCaller = nullptr;
-  const std::vector<RegSet> *SeedQuarantine = nullptr;
-  const uint32_t *GlobalAccumSrc = nullptr; ///< Reg -> indirect return node.
-  uint32_t *LocalAccumSrc = nullptr; ///< Reg -> in-group contributor.
-};
-
 /// Returns the per-routine first-edge ids, CSR-style (edges are sorted by
 /// source node and nodes are contiguous per routine, so routine r owns
 /// exactly [EdgeBegin[r], EdgeBegin[r+1])).  Empty routines inherit the
@@ -231,21 +144,6 @@ struct ReuseMaps {
 
   void flag(uint32_t Routine) const { R->Dirty->flag(Routine); }
 
-  uint32_t newNode(uint32_t OldNode) const {
-    uint32_t Routine = R->OldPsg->Nodes[OldNode].RoutineIndex;
-    assert(structClean(Routine) &&
-           "remapping a node of a restructured routine");
-    return NewNodeBegin[Routine] + (OldNode - OldNodeBegin[Routine]);
-  }
-
-  uint32_t newEdge(uint32_t OldEdge) const {
-    uint32_t Routine =
-        R->OldPsg->Nodes[R->OldPsg->Edges[OldEdge].Src].RoutineIndex;
-    assert(structClean(Routine) &&
-           "remapping an edge of a restructured routine");
-    return NewEdgeBegin[Routine] + (OldEdge - OldEdgeBegin[Routine]);
-  }
-
   /// The cached id of new edge \p NewEdgeId hosted by struct-clean
   /// routine \p Routine.
   uint32_t oldEdge(uint32_t NewEdgeId, uint32_t Routine) const {
@@ -268,38 +166,17 @@ ReuseMaps buildReuseMaps(const PhaseReuse *Reuse,
   return Maps;
 }
 
-/// Copies the cached provenance slots of one fact for the \p Count nodes
-/// starting at \p OldBase / \p NewBase, remapping each record's id by
-/// its kind.
-void restoreProvenance(ProvenanceStore *Prov, const ReuseMaps &Maps,
-                       ProvFact Fact, uint32_t OldBase, uint32_t NewBase,
-                       uint32_t Count) {
-  if (!Prov)
-    return;
-  const ProvenanceStore *OldProv = Maps.R->OldProv;
-  for (uint32_t K = 0; K < Count; ++K)
-    for (unsigned Reg = 0; Reg < NumIntRegs; ++Reg) {
-      ProvRecord Rec = OldProv->lookup(Fact, OldBase + K, Reg);
-      uint32_t Id = Rec.id();
-      if (provIdIsEdge(Rec.kind()))
-        Id = Maps.newEdge(Id);
-      else if (provIdIsNode(Rec.kind()) && Id != ProvRecord::NoId)
-        Id = Maps.newNode(Id);
-      Prov->slot(Fact, NewBase + K, Reg) = ProvRecord(Rec.kind(), Id);
-    }
-}
-
 /// Restores one clean group's pass-specific phase 1 state: the member
-/// nodes' converged sets, their provenance slots, and the call-return
-/// labels their entries broadcast.  Entries still at the pass's initial
-/// value are skipped when re-broadcasting — a fresh solve never refreshes
-/// a label whose entry node never changed, so the label must keep its
-/// initial value to stay bit-identical.
+/// nodes' converged sets and the call-return labels their entries
+/// broadcast.  Entries still at the pass's initial value are skipped
+/// when re-broadcasting — a fresh solve never refreshes a label whose
+/// entry node never changed, so the label must keep its initial value
+/// to stay bit-identical.
 void restoreGroupPhase1(ProgramSummaryGraph &Psg,
                         const std::vector<RegSet> &SavedPerRoutine,
                         RegSet AllRegs, RegSet RaOnly, bool MayUsePass,
                         const std::vector<uint32_t> &Members,
-                        const ReuseMaps &Maps, ProvenanceStore *Prov) {
+                        const ReuseMaps &Maps) {
   const ProgramSummaryGraph &Old = *Maps.R->OldPsg;
   for (uint32_t R : Members) {
     assert(Maps.structClean(R) && "restoring a restructured routine");
@@ -316,9 +193,6 @@ void restoreGroupPhase1(ProgramSummaryGraph &Psg,
         To.Sets.MayDef = From.Sets.MayDef;
       }
     }
-    restoreProvenance(Prov, Maps,
-                      MayUsePass ? ProvFact::MayUse : ProvFact::MayDef,
-                      OldBase, NewBase, Count);
 
     RegSet Saved = SavedPerRoutine[R];
     for (uint32_t EntryNode : Psg.RoutineInfo[R].EntryNodes) {
@@ -373,11 +247,10 @@ void flagCallersOnLabelDiff(const ProgramSummaryGraph &Psg, bool MayUsePass,
       }
 }
 
-/// Restores one clean group's phase 2 state: member Live sets and their
-/// provenance slots.
+/// Restores one clean group's phase 2 state: the member Live sets.
 void restoreGroupPhase2(ProgramSummaryGraph &Psg,
                         const std::vector<uint32_t> &Members,
-                        const ReuseMaps &Maps, ProvenanceStore *Prov) {
+                        const ReuseMaps &Maps) {
   const ProgramSummaryGraph &Old = *Maps.R->OldPsg;
   for (uint32_t R : Members) {
     assert(Maps.structClean(R) && "restoring a restructured routine");
@@ -386,7 +259,6 @@ void restoreGroupPhase2(ProgramSummaryGraph &Psg,
     uint32_t Count = Maps.NewNodeBegin[R + 1] - NewBase;
     for (uint32_t K = 0; K < Count; ++K)
       Psg.Nodes[NewBase + K].Live = Old.Nodes[OldBase + K].Live;
-    restoreProvenance(Prov, Maps, ProvFact::Live, OldBase, NewBase, Count);
   }
 }
 
@@ -428,7 +300,6 @@ SolverStats finishPhase(const std::string &Prefix,
   for (const SolverStats &Group : GroupStats) {
     Stats.NodeEvaluations += Group.NodeEvaluations;
     Stats.EdgeVisits += Group.EdgeVisits;
-    Stats.ProvenanceRecords += Group.ProvenanceRecords;
   }
   if (telemetry::active()) {
     telemetry::count(Prefix + ".worklist_pops", Stats.NodeEvaluations);
@@ -444,11 +315,10 @@ SolverStats finishPhase(const std::string &Prefix,
 /// fixpoint.  All dependencies outside the component (callee entry
 /// summaries) have already converged, so the iteration — and the final
 /// call-return labels it broadcasts — is exactly the serial one.
-void solveGroupPassA(const Program &Prog, ProgramSummaryGraph &Psg,
+void solveGroupPassA(ProgramSummaryGraph &Psg,
                      const std::vector<RegSet> &SavedPerRoutine,
                      RegSet AllRegs, RegSet RaOnly, GroupTask &T,
-                     LaneScratch &S, SolverStats &Stats,
-                     ProvenanceStore *Prov) {
+                     LaneScratch &S, SolverStats &Stats) {
   mapGroup(T.Members, Psg.RoutineNodeBegin, S);
   uint32_t NumLocal = uint32_t(S.NodeIds.size());
   uint64_t EdgeVisitsBefore = Stats.EdgeVisits;
@@ -483,13 +353,6 @@ void solveGroupPassA(const Program &Prog, ProgramSummaryGraph &Psg,
     if (T.Cost)
       T.Cost->ChangedBits.record(changedBits(Node.Sets.MustDef, NewMustDef) +
                                  changedBits(Node.Sets.MayDef, NewMayDef));
-    if (Prov) {
-      RegSet Added = NewMayDef - Node.Sets.MayDef;
-      if (!Added.empty())
-        Stats.ProvenanceRecords +=
-            attributeAdded(Prog, Psg, Prov, ProvFact::MayDef, NodeId, Added,
-                           Prog.Conv.RaReg);
-    }
     Node.Sets.MustDef = NewMustDef;
     Node.Sets.MayDef = NewMayDef;
     for (uint32_t I = Node.FirstIn, E = Node.FirstIn + Node.NumIn; I != E;
@@ -533,10 +396,9 @@ void solveGroupPassA(const Program &Prog, ProgramSummaryGraph &Psg,
 
 /// Solves one component's MAY-USE subsystem (pass B) with all MUST-DEF
 /// labels frozen.
-void solveGroupPassB(const Program &Prog, ProgramSummaryGraph &Psg,
+void solveGroupPassB(ProgramSummaryGraph &Psg,
                      const std::vector<RegSet> &SavedPerRoutine, RegSet RaOnly,
-                     GroupTask &T, LaneScratch &S, SolverStats &Stats,
-                     ProvenanceStore *Prov) {
+                     GroupTask &T, LaneScratch &S, SolverStats &Stats) {
   mapGroup(T.Members, Psg.RoutineNodeBegin, S);
   uint32_t NumLocal = uint32_t(S.NodeIds.size());
   uint64_t EdgeVisitsBefore = Stats.EdgeVisits;
@@ -564,12 +426,6 @@ void solveGroupPassB(const Program &Prog, ProgramSummaryGraph &Psg,
       continue;
     if (T.Cost)
       T.Cost->ChangedBits.record(changedBits(Node.Sets.MayUse, NewMayUse));
-    if (Prov) {
-      RegSet Added = NewMayUse - Node.Sets.MayUse;
-      Stats.ProvenanceRecords +=
-          attributeAdded(Prog, Psg, Prov, ProvFact::MayUse, NodeId, Added,
-                         Prog.Conv.RaReg);
-    }
     Node.Sets.MayUse = NewMayUse;
     for (uint32_t I = Node.FirstIn, E = Node.FirstIn + Node.NumIn; I != E;
          ++I) {
@@ -613,7 +469,7 @@ RegSet solveGroupPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
                         const std::vector<bool> &IsAddressTakenExit,
                         const std::vector<bool> &IsIndirectReturn,
                         RegSet AccumIn, GroupTask &T, LaneScratch &S,
-                        SolverStats &Stats, const Phase2Prov &PP) {
+                        SolverStats &Stats) {
   mapGroup(T.Members, Psg.RoutineNodeBegin, S);
   uint32_t NumLocal = uint32_t(S.NodeIds.size());
   uint64_t EdgeVisitsBefore = Stats.EdgeVisits;
@@ -664,52 +520,6 @@ RegSet solveGroupPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
       continue;
     if (T.Cost)
       T.Cost->ChangedBits.record(changedBits(Node.Live, NewLive));
-    if (PP.Store) {
-      RegSet Remaining = NewLive - Node.Live;
-      if (Node.Kind == PsgNodeKind::Exit) {
-        // Attribute in the order the exit equation unions its terms:
-        // seeds first (ground facts), then feeding returns in registry
-        // order, then the indirect-call accumulator.
-        RegSet Part = (*PP.SeedUnknownCaller)[NodeId] & Remaining;
-        Stats.ProvenanceRecords +=
-            recordProvenance(PP.Store, ProvFact::Live, NodeId, Part,
-                             ProvRecord(ProvKind::SeedUnknownCaller));
-        Remaining -= Part;
-
-        Part = (*PP.SeedQuarantine)[NodeId] & Remaining;
-        Stats.ProvenanceRecords +=
-            recordProvenance(PP.Store, ProvFact::Live, NodeId, Part,
-                             ProvRecord(ProvKind::SeedQuarantine));
-        Remaining -= Part;
-
-        for (uint32_t I = Psg.ReturnsOfExitBegin[NodeId],
-                      E = Psg.ReturnsOfExitBegin[NodeId + 1];
-             I != E && !Remaining.empty(); ++I) {
-          uint32_t Ret = Psg.ReturnsOfExitIds[I];
-          Part = Psg.Nodes[Ret].Live & Remaining;
-          Stats.ProvenanceRecords +=
-              recordProvenance(PP.Store, ProvFact::Live, NodeId, Part,
-                               ProvRecord(ProvKind::ReturnLive, Ret));
-          Remaining -= Part;
-        }
-
-        if (IsAddressTakenExit[NodeId]) {
-          for (unsigned Reg : LocalAccum & Remaining) {
-            uint32_t Src = AccumIn.contains(Reg) ? PP.GlobalAccumSrc[Reg]
-                                                 : PP.LocalAccumSrc[Reg];
-            RegSet One;
-            One.insert(Reg);
-            Stats.ProvenanceRecords +=
-                recordProvenance(PP.Store, ProvFact::Live, NodeId, One,
-                                 ProvRecord(ProvKind::IndirectHub, Src));
-          }
-        }
-      } else {
-        Stats.ProvenanceRecords +=
-            attributeAdded(Prog, Psg, PP.Store, ProvFact::Live, NodeId,
-                           Remaining, Prog.Conv.RaReg);
-      }
-    }
     Node.Live = NewLive;
 
     for (uint32_t I = Node.FirstIn, E = Node.FirstIn + Node.NumIn; I != E;
@@ -733,9 +543,6 @@ RegSet solveGroupPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
           List.push(S.LocalOf[ExitNode]);
       }
       if (IsIndirectReturn[NodeId] && !LocalAccum.containsAll(Node.Live)) {
-        if (PP.Store)
-          for (unsigned Reg : Node.Live - LocalAccum)
-            PP.LocalAccumSrc[Reg] = NodeId;
         LocalAccum |= Node.Live;
         for (uint32_t ExitNode : GroupATExits)
           List.push(S.LocalOf[ExitNode]);
@@ -776,13 +583,8 @@ RegSet solveGroupPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
 // per-component iteration counts.
 SolverStats spike::runPhase1(const Program &Prog, ProgramSummaryGraph &Psg,
                              const std::vector<RegSet> &SavedPerRoutine,
-                             ThreadPool *Pool, ProvenanceStore *Prov,
-                             const ResourceGovernor *Gov,
+                             ThreadPool *Pool, const ResourceGovernor *Gov,
                              const PhaseReuse *Reuse) {
-  assert((!Prov || Prov->numNodes() == Psg.Nodes.size()) &&
-         "provenance store not initialized for this graph");
-  assert((!Reuse || !Prov || (Reuse->OldProv && Reuse->OldProv->enabled())) &&
-         "incremental re-solve with recording needs the cached store");
   telemetry::Span PhaseSpan("psg.phase1");
   RegSet AllRegs = RegSet::allBelow(NumIntRegs);
   RegSet RaOnly;
@@ -835,11 +637,11 @@ SolverStats spike::runPhase1(const Program &Prog, ProgramSummaryGraph &Psg,
         MayUsePass ? "psg.phase1.may-use" : "psg.phase1.must-def",
         [&](GroupTask &T) {
           if (MayUsePass)
-            solveGroupPassB(Prog, Psg, SavedPerRoutine, RaOnly, T,
-                            Scratch[T.Lane], GroupStats[T.Group], Prov);
+            solveGroupPassB(Psg, SavedPerRoutine, RaOnly, T, Scratch[T.Lane],
+                            GroupStats[T.Group]);
           else
-            solveGroupPassA(Prog, Psg, SavedPerRoutine, AllRegs, RaOnly, T,
-                            Scratch[T.Lane], GroupStats[T.Group], Prov);
+            solveGroupPassA(Psg, SavedPerRoutine, AllRegs, RaOnly, T,
+                            Scratch[T.Lane], GroupStats[T.Group]);
           if (Maps)
             flagCallersOnLabelDiff(Psg, MayUsePass, T.Members, Maps);
         },
@@ -847,7 +649,7 @@ SolverStats spike::runPhase1(const Program &Prog, ProgramSummaryGraph &Psg,
           // Every input this group would read matches the cached solve:
           // restore its converged state instead of iterating.
           restoreGroupPhase1(Psg, SavedPerRoutine, AllRegs, RaOnly,
-                             MayUsePass, Members, Maps, Prov);
+                             MayUsePass, Members, Maps);
         });
   };
 
@@ -871,13 +673,8 @@ SolverStats spike::runPhase1(const Program &Prog, ProgramSummaryGraph &Psg,
 }
 
 SolverStats spike::runPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
-                             ThreadPool *Pool, ProvenanceStore *Prov,
-                             const ResourceGovernor *Gov,
+                             ThreadPool *Pool, const ResourceGovernor *Gov,
                              const PhaseReuse *Reuse) {
-  assert((!Prov || Prov->numNodes() == Psg.Nodes.size()) &&
-         "provenance store not initialized for this graph");
-  assert((!Reuse || !Prov || (Reuse->OldProv && Reuse->OldProv->enabled())) &&
-         "incremental re-solve with recording needs the cached store");
   telemetry::Span PhaseSpan("psg.phase2");
 
   // Exit seeds: routines that can return to unknown code (the program
@@ -885,10 +682,6 @@ SolverStats spike::runPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
   // conservative live-at-exit assumption.
   std::vector<RegSet> ExitSeed(Psg.Nodes.size());
   std::vector<bool> IsAddressTakenExit(Psg.Nodes.size(), false);
-  // Seeds split by origin, so provenance can name which ground
-  // assumption put a bit into an exit (sized only when recording).
-  std::vector<RegSet> SeedUnknownCaller(Prov ? Psg.Nodes.size() : 0);
-  std::vector<RegSet> SeedQuarantine(Prov ? Psg.Nodes.size() : 0);
   RegSet UnknownCallerLive = Prog.Conv.unknownCallerLiveAtExit();
   for (uint32_t ExitNode : Psg.AddressTakenExitNodes) {
     ExitSeed[ExitNode] = UnknownCallerLive;
@@ -907,17 +700,6 @@ SolverStats spike::runPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
     if (Prog.Routines[R].CalledFromQuarantine)
       for (uint32_t ExitNode : Psg.RoutineInfo[R].ExitNodes)
         ExitSeed[ExitNode] |= AllRegs;
-
-  if (Prov)
-    for (uint32_t NodeId = 0; NodeId < Psg.Nodes.size(); ++NodeId)
-      if (Psg.Nodes[NodeId].Kind == PsgNodeKind::Exit) {
-        const Routine &R = Prog.Routines[Psg.Nodes[NodeId].RoutineIndex];
-        if (IsAddressTakenExit[NodeId] ||
-            int32_t(Psg.Nodes[NodeId].RoutineIndex) == Prog.EntryRoutine)
-          SeedUnknownCaller[NodeId] = UnknownCallerLive;
-        if (R.CalledFromQuarantine)
-          SeedQuarantine[NodeId] = AllRegs;
-      }
 
   std::vector<bool> IsIndirectReturn(Psg.Nodes.size(), false);
   for (uint32_t ReturnNode : Psg.IndirectReturnNodes)
@@ -1002,30 +784,13 @@ SolverStats spike::runPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
   RegSet IndirectAccum;
   std::vector<RegSet> GroupAccum(Sched.NumGroups);
 
-  // Provenance for the accumulator: which indirect return node first
-  // contributed each register.  Components track their own contributions
-  // in GroupAccumSrc (disjoint per task); the global map is only read
-  // during a level and only written at the serial level join, in
-  // group-id order — the same discipline that makes IndirectAccum itself
-  // deterministic.
-  constexpr uint32_t NoSrc = ProvRecord::NoId;
-  std::array<uint32_t, NumIntRegs> NoSrcRow;
-  NoSrcRow.fill(NoSrc);
-  std::vector<uint32_t> GlobalAccumSrc(Prov ? NumIntRegs : 0, NoSrc);
-  std::vector<std::array<uint32_t, NumIntRegs>> GroupAccumSrc(
-      Prov ? Sched.NumGroups : 0, NoSrcRow);
-
   SccDriver Driver(Prog, Sched, Pool, Gov, Maps ? Reuse->Dirty : nullptr);
   Driver.run(
       "psg.phase2",
       [&](GroupTask &T) {
-        Phase2Prov PP;
-        if (Prov)
-          PP = {Prov, &SeedUnknownCaller, &SeedQuarantine,
-                GlobalAccumSrc.data(), GroupAccumSrc[T.Group].data()};
         GroupAccum[T.Group] = solveGroupPhase2(
             Prog, Psg, ExitSeed, IsAddressTakenExit, IsIndirectReturn,
-            IndirectAccum, T, Scratch[T.Lane], GroupStats[T.Group], PP);
+            IndirectAccum, T, Scratch[T.Lane], GroupStats[T.Group]);
         if (Maps)
           flagCalleesOnLiveDiff(Psg, T.Members, Maps);
       },
@@ -1033,15 +798,11 @@ SolverStats spike::runPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
         // The guard above proved no clean group touches the accumulator
         // as a producer-to-dirty-consumer, so restoring is safe; its
         // GroupAccum contribution stays empty.
-        restoreGroupPhase2(Psg, Members, Maps, Prov);
+        restoreGroupPhase2(Psg, Members, Maps);
       },
       [&](const std::vector<uint32_t> &Level) {
-        for (uint32_t Group : Level) {
-          if (Prov)
-            for (unsigned Reg : GroupAccum[Group] - IndirectAccum)
-              GlobalAccumSrc[Reg] = GroupAccumSrc[Group][Reg];
+        for (uint32_t Group : Level)
           IndirectAccum |= GroupAccum[Group];
-        }
       });
   return finishPhase("psg.phase2", GroupStats, Driver, Reuse);
 }

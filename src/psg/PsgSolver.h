@@ -44,7 +44,6 @@
 namespace spike {
 
 class DirtyFrontier;
-class ProvenanceStore;
 class ResourceGovernor;
 class ThreadPool;
 
@@ -59,10 +58,6 @@ struct SolverStats {
   /// number of RegSet operations, so this tracks the solver's set-op
   /// cost.
   uint64_t EdgeVisits = 0;
-
-  /// Bits freshly recorded in the provenance store (0 when recording is
-  /// off).  Like the other members, aggregated in component-id order.
-  uint64_t ProvenanceRecords = 0;
 };
 
 /// Converged state of a previous solve of a *previous version* of the
@@ -84,23 +79,21 @@ struct SolverStats {
 ///     callee's exit liveness).
 ///
 /// At its scheduled slot (the SccDriver's restore-or-solve step), an SCC
-/// group with no dirty member restores the cached converged values (and,
-/// when recording, the remapped provenance slots) instead of iterating;
-/// a dirty group iterates from the standard initial values — exactly
-/// what a fresh solve would do, because every input it reads has
-/// converged to the fresh solve's value — and then
+/// group with no dirty member restores the cached converged values
+/// instead of iterating; a dirty group iterates from the standard
+/// initial values — exactly what a fresh solve would do, because every
+/// input it reads has converged to the fresh solve's value — and then
 /// compares its outward-facing results (phase 1: call-return labels,
 /// phase 2: return-site liveness) against the cache, flagging dependent
 /// routines on any difference.  Phase 2 additionally escalates to a full
 /// re-solve when the dirty closure over the schedule DAG reaches any
 /// address-taken or indirect-calling routine, side-stepping the
-/// order-dependent indirect-call accumulator.  The result — values,
-/// labels, and provenance tables — is bit-identical to a fresh solve of
-/// the new program; only SolverStats (work actually done) shrinks.
+/// order-dependent indirect-call accumulator.  The result — values and
+/// labels — is bit-identical to a fresh solve of the new program; only
+/// SolverStats (work actually done) shrinks.
 struct PhaseReuse {
   const Program *OldProg = nullptr;
   const ProgramSummaryGraph *OldPsg = nullptr;
-  const ProvenanceStore *OldProv = nullptr; ///< Null when recording is off.
   const std::vector<uint8_t> *StructClean = nullptr; ///< Per routine.
   DirtyFrontier *Dirty = nullptr;
 
@@ -113,29 +106,23 @@ struct PhaseReuse {
 /// the callee-saved registers it saves and restores (Section 3.4).  When
 /// \p Pool is non-null, call-graph components without mutual dependencies
 /// solve concurrently on it; the results and statistics are identical
-/// either way.  When \p Prov is non-null (and initialized for this
-/// graph), every MAY-USE / MAY-DEF bit's first derivation is recorded;
-/// the recorded tables are bit-identical at every job count.
-/// When \p Gov is non-null (and enabled), every SCC group's worklist
-/// polls it per pop; a non-Ok verdict throws BudgetBlownError naming the
-/// group's routines (unwound deterministically through the pool: the
-/// lowest-index group of the level wins).
+/// either way.  When \p Gov is non-null (and enabled), every SCC group's
+/// worklist polls it per pop; a non-Ok verdict throws BudgetBlownError
+/// naming the group's routines (unwound deterministically through the
+/// pool: the lowest-index group of the level wins).
 /// When \p Reuse is non-null, clean SCC groups restore cached state
 /// instead of iterating (see PhaseReuse).
 SolverStats runPhase1(const Program &Prog, ProgramSummaryGraph &Psg,
                       const std::vector<RegSet> &SavedPerRoutine,
                       ThreadPool *Pool = nullptr,
-                      ProvenanceStore *Prov = nullptr,
                       const ResourceGovernor *Gov = nullptr,
                       const PhaseReuse *Reuse = nullptr);
 
 /// Runs phase 2 to convergence.  Phase 1 must have run first (the
 /// call-return edge labels it produced are inputs here).  \p Pool,
-/// \p Prov, and \p Gov as in runPhase1 (phase 2 records Live
-/// derivations).
+/// \p Gov, and \p Reuse as in runPhase1.
 SolverStats runPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
                       ThreadPool *Pool = nullptr,
-                      ProvenanceStore *Prov = nullptr,
                       const ResourceGovernor *Gov = nullptr,
                       const PhaseReuse *Reuse = nullptr);
 

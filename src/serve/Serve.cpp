@@ -270,7 +270,6 @@ void Server::installFresh(Image NewImg, AnalysisResult NewA,
 bool Server::loadImage(Image NewImg, std::string *Error) {
   AnalysisOptions AOpts;
   AOpts.Jobs = Opts.Jobs;
-  AOpts.RecordProvenance = Opts.RecordProvenance;
   try {
     AnalysisResult NewA;
     if (Opts.Budget.any()) {
@@ -385,7 +384,6 @@ Server::Reply Server::handleLoad(const Request &Req) {
 
   AnalysisOptions AOpts;
   AOpts.Jobs = Opts.Jobs;
-  AOpts.RecordProvenance = Opts.RecordProvenance;
   std::vector<std::string> DegradedRoutines;
   AnalysisResult NewA;
   if (Opts.Budget.any()) {
@@ -553,10 +551,6 @@ Server::Reply Server::handleExplain(const Request &Req) const {
     PF = ProvFact::MayDef;
   else
     return errorReply(Req, "fact must be live|may-use|may-def|dead");
-  if (!A.Provenance.enabled())
-    return errorReply(Req,
-                      "provenance recording is off (server started without "
-                      "it); explain cannot answer");
 
   std::string Loc = Req.Args.stringOr("loc", "");
   unsigned Reg = NumIntRegs;
@@ -679,7 +673,6 @@ Server::Reply Server::handlePatch(const Request &Req) {
 
   AnalysisOptions AOpts;
   AOpts.Jobs = Opts.Jobs;
-  AOpts.RecordProvenance = Opts.RecordProvenance;
   ResourceGovernor Gov(Opts.Budget, nullptr, nullptr);
   if (Opts.Budget.any())
     AOpts.Governor = &Gov;
@@ -765,9 +758,7 @@ Server::Reply Server::handleStats(const Request &Req) const {
   R.Text = replyHead(Req, true) + std::string(",\"loaded\":") +
            (Loaded ? "true" : "false") + ",\"jobs\":" + u64(Pool.jobs()) +
            ",\"routines\":" + u64(Loaded ? A.Prog.Routines.size() : 0) +
-           ",\"analysis_bytes\":" +
-           u64(A.Memory.peakBytes() - A.Provenance.bytes()) +
-           ",\"provenance_bytes\":" + u64(A.Provenance.bytes()) +
+           ",\"analysis_bytes\":" + u64(A.Memory.peakBytes()) +
            ",\"queries\":" + u64(St.Queries) + ",\"loads\":" + u64(St.Loads) +
            ",\"patches\":" + u64(St.Patches) +
            ",\"patch_full_solves\":" + u64(St.PatchFullSolves) +

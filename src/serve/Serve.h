@@ -6,9 +6,9 @@
 ///
 /// \file
 /// A long-lived, demand-driven front end over the interprocedural
-/// analysis: load an image once, keep the converged PSG summaries,
-/// provenance store, and stack-slot facts resident, and answer queries
-/// over a newline-delimited line protocol.  Each request is one line
+/// analysis: load an image once, keep the converged PSG summaries and
+/// stack-slot facts resident, and answer queries over a
+/// newline-delimited line protocol.  Each request is one line
 ///
 ///   <command> [<json-object>]
 ///
@@ -20,7 +20,8 @@
 ///                                           one routine)
 ///   lint          [{"min-severity": "..."}] rule-catalogue diagnostics
 ///   explain       {"fact": "live|may-use|may-def",
-///                  "loc": "r5@entry:foo"}   provenance witness chain
+///                  "loc": "r5@entry:foo"}   witness chain, searched
+///                                           on demand
 ///                 {"fact": "dead", "addr": N [, "reg": "r3"]}
 ///   slice         {"addr": N [, "dir": "backward|forward"]}
 ///   patch-routine {"routine": "name",
@@ -96,9 +97,6 @@ struct ServerOptions {
   /// Per-request resource budget (empty = ungoverned).  A blown request
   /// degrades its own reply; the server survives.
   BudgetOptions Budget;
-
-  /// Record provenance during (re-)analysis so `explain` can answer.
-  bool RecordProvenance = true;
 
   /// Calling standard used for every analysis.
   CallingConv Conv;

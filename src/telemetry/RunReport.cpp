@@ -20,6 +20,35 @@ std::optional<RunReport> failParse(std::string *Error, const char *Message) {
   return std::nullopt;
 }
 
+/// Stores \p V in \p Out if it is an exact integer in [0, 2^53];
+/// false for anything else (a fraction, a negative, a huge or
+/// non-numeric value), which must fail the parse.
+bool asUint(const JsonValue &V, uint64_t &Out) {
+  std::optional<uint64_t> U = V.exactUint();
+  if (U)
+    Out = *U;
+  return U.has_value();
+}
+
+/// asUint on member \p Name of \p Obj; an absent member keeps \p Out.
+bool readUint(const JsonValue &Obj, std::string_view Name, uint64_t &Out) {
+  const JsonValue *V = Obj.find(Name);
+  return !V || asUint(*V, Out);
+}
+
+/// readUint for the signed fields whose -1 (or absence) means "none".
+bool readIndex(const JsonValue &Obj, std::string_view Name, int64_t &Out) {
+  const JsonValue *V = Obj.find(Name);
+  uint64_t U = 0;
+  if (!V || (V->isNumber() && V->Num == -1))
+    Out = -1;
+  else if (asUint(*V, U))
+    Out = int64_t(U);
+  else
+    return false;
+  return true;
+}
+
 std::optional<RunReport> fromJson(const JsonValue &Doc, std::string *Error) {
   if (!Doc.isObject())
     return failParse(Error, "run report is not a JSON object");
@@ -47,7 +76,8 @@ std::optional<RunReport> fromJson(const JsonValue &Doc, std::string *Error) {
       if (Phase.Path.empty())
         return failParse(Error, "phase entry without a path");
       Phase.Seconds = Item.numberOr("seconds", 0);
-      Phase.Count = uint64_t(Item.numberOr("count", 0));
+      if (!readUint(Item, "count", Phase.Count))
+        return failParse(Error, "phase count is not an integer in [0, 2^53]");
       Report.Phases.push_back(std::move(Phase));
     }
   }
@@ -56,11 +86,13 @@ std::optional<RunReport> fromJson(const JsonValue &Doc, std::string *Error) {
                           std::map<std::string, uint64_t> &Into) {
     if (const JsonValue *Registry = Doc.findObject(Name))
       for (const auto &[Key, Value] : Registry->Members)
-        if (Value.isNumber())
-          Into[Key] = uint64_t(Value.Num);
+        if (!asUint(Value, Into[Key]))
+          return false;
+    return true;
   };
-  ReadRegistry("counters", Report.Counters);
-  ReadRegistry("gauges", Report.Gauges);
+  if (!ReadRegistry("counters", Report.Counters) ||
+      !ReadRegistry("gauges", Report.Gauges))
+    return failParse(Error, "counter or gauge is not an integer in [0, 2^53]");
 
   // Optional, additive: absent in reports written without attribution
   // (and in every pre-attribution baseline on disk).
@@ -73,7 +105,9 @@ std::optional<RunReport> fromJson(const JsonValue &Doc, std::string *Error) {
       T.Outcome = Item.stringOr("outcome", "");
       if (T.Pass.empty() || T.Outcome.empty())
         return failParse(Error, "transform entry without pass/outcome");
-      T.Address = int64_t(Item.numberOr("address", -1));
+      if (!readIndex(Item, "address", T.Address))
+        return failParse(Error, "transform address is not -1 or an integer "
+                                "in [0, 2^53]");
       T.Routine = Item.stringOr("routine", "");
       T.Detail = Item.stringOr("detail", "");
       Report.Transforms.push_back(std::move(T));
@@ -87,18 +121,19 @@ std::optional<RunReport> fromJson(const JsonValue &Doc, std::string *Error) {
       if (!Value.isObject())
         return failParse(Error, "histogram entry is not an object");
       RunReport::HistogramData H;
-      H.Count = uint64_t(Value.numberOr("count", 0));
-      H.Sum = uint64_t(Value.numberOr("sum", 0));
-      H.Min = uint64_t(Value.numberOr("min", 0));
-      H.Max = uint64_t(Value.numberOr("max", 0));
+      if (!readUint(Value, "count", H.Count) ||
+          !readUint(Value, "sum", H.Sum) || !readUint(Value, "min", H.Min) ||
+          !readUint(Value, "max", H.Max))
+        return failParse(Error, "histogram count/sum/min/max is not an "
+                                "integer in [0, 2^53]");
       if (const JsonValue *Buckets = Value.findObject("buckets"))
         for (const auto &[Index, N] : Buckets->Members) {
           char *End = nullptr;
           unsigned long Bucket = std::strtoul(Index.c_str(), &End, 10);
           if (End != Index.c_str() + Index.size() ||
-              Bucket >= Histogram::NumBuckets || !N.isNumber())
+              Bucket >= Histogram::NumBuckets ||
+              !asUint(N, H.Buckets[unsigned(Bucket)]))
             return failParse(Error, "malformed histogram bucket");
-          H.Buckets[unsigned(Bucket)] = uint64_t(N.Num);
         }
       Report.Histograms.emplace(Name, std::move(H));
     }
@@ -114,11 +149,11 @@ std::optional<RunReport> fromJson(const JsonValue &Doc, std::string *Error) {
       if (H.Phase.empty())
         return failParse(Error, "hotspot entry without a phase");
       H.Routine = Item.stringOr("routine", "");
-      H.Scc = int64_t(Item.numberOr("scc", -1));
-      H.Pops = uint64_t(Item.numberOr("pops", 0));
-      H.Iters = uint64_t(Item.numberOr("iters", 0));
-      H.SetOps = uint64_t(Item.numberOr("set_ops", 0));
-      H.Ns = uint64_t(Item.numberOr("ns", 0));
+      if (!readIndex(Item, "scc", H.Scc) || !readUint(Item, "pops", H.Pops) ||
+          !readUint(Item, "iters", H.Iters) ||
+          !readUint(Item, "set_ops", H.SetOps) || !readUint(Item, "ns", H.Ns))
+        return failParse(Error, "hotspot scc/pops/iters/set_ops/ns is not an "
+                                "integer in [0, 2^53]");
       Report.Hotspots.push_back(std::move(H));
     }
   }

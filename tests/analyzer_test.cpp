@@ -70,29 +70,23 @@ TEST(AnalyzerTest, LayerBytesSumToPeak) {
   const BenchmarkProfile *Base = findProfile("gcc");
   ASSERT_NE(Base, nullptr);
   Image Img = generateCfgProgram(scaledProfile(*Base, 0.1));
-  for (bool Provenance : {false, true}) {
-    telemetry::Session S("analyzer_test");
-    AnalysisResult Result;
-    {
-      telemetry::SessionScope Scope(S);
-      AnalysisOptions Opts;
-      Opts.RecordProvenance = Provenance;
-      Result = analyzeImage(Img, {}, Opts);
-    }
-    uint64_t Cfg = S.gauge("analyze.memory.cfg_bytes");
-    uint64_t Init = S.gauge("analyze.memory.init_bytes");
-    uint64_t Psg = S.gauge("analyze.memory.psg_bytes");
-    uint64_t Prov = S.gauge("provenance.bytes");
-    EXPECT_GT(Cfg, 0u);
-    EXPECT_GT(Init, 0u);
-    EXPECT_GT(Psg, 0u);
-    EXPECT_EQ(Prov > 0, Provenance);
-    EXPECT_EQ(Cfg + Init + Psg + Prov, S.gauge("analyze.memory.peak_bytes"));
-    EXPECT_EQ(Cfg + Init + Psg + Prov, Result.Memory.peakBytes());
-    EXPECT_EQ(Cfg, Result.CfgBytes);
-    EXPECT_EQ(Init, Result.InitBytes);
-    EXPECT_EQ(Psg, Result.PsgBytes);
+  telemetry::Session S("analyzer_test");
+  AnalysisResult Result;
+  {
+    telemetry::SessionScope Scope(S);
+    Result = analyzeImage(Img);
   }
+  uint64_t Cfg = S.gauge("analyze.memory.cfg_bytes");
+  uint64_t Init = S.gauge("analyze.memory.init_bytes");
+  uint64_t Psg = S.gauge("analyze.memory.psg_bytes");
+  EXPECT_GT(Cfg, 0u);
+  EXPECT_GT(Init, 0u);
+  EXPECT_GT(Psg, 0u);
+  EXPECT_EQ(Cfg + Init + Psg, S.gauge("analyze.memory.peak_bytes"));
+  EXPECT_EQ(Cfg + Init + Psg, Result.Memory.peakBytes());
+  EXPECT_EQ(Cfg, Result.CfgBytes);
+  EXPECT_EQ(Init, Result.InitBytes);
+  EXPECT_EQ(Psg, Result.PsgBytes);
 }
 
 TEST(AnalyzerTest, SummariesCoverEveryRoutineAndEntrance) {

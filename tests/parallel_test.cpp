@@ -558,27 +558,23 @@ TEST(ParallelDifferential, SlotSweepCountersMatchTheirHistograms) {
 }
 
 TEST(ParallelDifferential, ProvenanceWitnessesByteIdenticalAcrossJobs) {
-  // The recorded derivation tables — and therefore every rendered
-  // witness — are solver outputs, so the determinism contract covers
-  // them too: at any lane count the store compares equal to the serial
-  // one and the full entry-liveness witness text is byte-identical.
+  // Witnesses are searched from the converged graph alone, so the
+  // determinism contract covers them too: at any lane count the full
+  // entry-liveness witness text is byte-identical to the serial one.
   std::vector<std::pair<std::string, Image>> Corpus = differentialCorpus();
   ASSERT_EQ(Corpus.size(), 20u);
 
   for (const auto &[Name, Img] : Corpus) {
     AnalysisOptions Opts;
-    Opts.RecordProvenance = true;
     Opts.Jobs = 1;
     AnalysisResult Serial = analyzeImage(Img, CallingConv(), Opts);
-    ASSERT_TRUE(Serial.Provenance.enabled()) << Name;
     const std::string SerialText = renderEntryWitnesses(Serial);
+    ASSERT_FALSE(SerialText.empty()) << Name;
 
     for (unsigned Jobs : {2u, 4u, 7u}) {
       const std::string Where = Name + " jobs=" + std::to_string(Jobs);
       Opts.Jobs = Jobs;
       AnalysisResult Parallel = analyzeImage(Img, CallingConv(), Opts);
-      EXPECT_TRUE(Serial.Provenance == Parallel.Provenance)
-          << Where << ": recorded derivations depend on --jobs";
       EXPECT_EQ(SerialText, renderEntryWitnesses(Parallel))
           << Where << ": rendered witnesses depend on --jobs";
     }

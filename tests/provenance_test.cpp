@@ -1,17 +1,20 @@
 //===- tests/provenance_test.cpp - witness chains over derivations ---------===//
 //
-// The provenance engine's contract: every bit a RecordProvenance analysis
-// sets gets a witness chain that walks back to a ground fact, and the
-// chain replays against the graph without consulting the recorder.
+// The provenance engine's contract: every bit the analysis sets gets a
+// shortest witness chain, searched on demand over the converged graph,
+// that walks back to a ground fact and replays against the graph without
+// consulting the search.
 //
 // Three layers of evidence:
 //   - semantics: the Figure 2 program's live-at-entry bits produce the
 //     chains the paper's worked example predicts (intraprocedural uses
-//     ground immediately, R0-through-P2 crosses into the caller),
+//     ground immediately, R0-through-P2 crosses into the caller), and a
+//     bit with a long and a short derivation gets the short one,
 //   - adversarial: tampered witnesses (wrong register, truncated ground,
 //     wrong edge) fail replay with a diagnostic,
 //   - differential: all 20 synthetic profiles audit clean — every
-//     live-at-entry bit of every entrance builds and replays.
+//     live-at-entry bit of every entrance, and every MAY-USE, MAY-DEF and
+//     Live bit at every node, builds and replays.
 //
 // The jobs-count byte-identity of rendered witnesses lives in
 // parallel_test.cpp next to the rest of the determinism evidence.
@@ -30,7 +33,6 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -42,7 +44,7 @@ const RegSet PaperMask = {0, 1, 2, 3};
 
 RegSet masked(RegSet S) { return S & PaperMask; }
 
-/// The Figure 2 program of psg_paper_test.cpp, analyzed with recording on:
+/// The Figure 2 program of psg_paper_test.cpp:
 ///   P1: defines R0 and R1, calls P2, then uses R0.
 ///   P2: uses R1, always defines R2, defines R3 on one path.
 ///   P3: defines R1 and calls P2.
@@ -85,9 +87,7 @@ struct Figure2Results {
 
 Figure2Results analyzeFigure2() {
   Figure2Results R;
-  AnalysisOptions Opts;
-  Opts.RecordProvenance = true;
-  R.Analysis = analyzeImage(figure2Program(), {}, Opts);
+  R.Analysis = analyzeImage(figure2Program());
   for (uint32_t I = 0; I < R.Analysis.Prog.Routines.size(); ++I) {
     const std::string &Name = R.Analysis.Prog.Routines[I].Name;
     if (Name == "P1")
@@ -116,87 +116,6 @@ uint64_t firstDefAddress(const Program &Prog, uint32_t RoutineIndex,
 }
 
 } // namespace
-
-//===----------------------------------------------------------------------===//
-// Store plumbing
-//===----------------------------------------------------------------------===//
-
-TEST(ProvenanceStoreTest, DisabledByDefaultAndFirstWins) {
-  ProvenanceStore Store;
-  EXPECT_FALSE(Store.enabled());
-  EXPECT_TRUE(Store.lookup(ProvFact::Live, 0, 0).empty());
-  EXPECT_EQ(recordProvenance(nullptr, ProvFact::Live, 0, RegSet({1}),
-                             ProvRecord(ProvKind::EdgeLabel, 0)),
-            0u);
-
-  Store.init(4, 16);
-  ASSERT_TRUE(Store.enabled());
-  EXPECT_EQ(Store.numNodes(), 4u);
-
-  ProvRecord First(ProvKind::EdgeLabel, 7);
-  EXPECT_EQ(recordProvenance(&Store, ProvFact::MayUse, 2, RegSet({3, 5}),
-                             First),
-            2u);
-
-  // A later derivation of an already-set bit records nothing.
-  ProvRecord Second(ProvKind::SeedQuarantine);
-  EXPECT_EQ(recordProvenance(&Store, ProvFact::MayUse, 2, RegSet({5, 6}),
-                             Second),
-            1u);
-
-  ProvRecord Kept = Store.lookup(ProvFact::MayUse, 2, 5);
-  ASSERT_FALSE(Kept.empty());
-  EXPECT_EQ(Kept.kind(), ProvKind::EdgeLabel);
-  EXPECT_EQ(Kept.id(), 7u);
-  ProvRecord Fresh = Store.lookup(ProvFact::MayUse, 2, 6);
-  ASSERT_FALSE(Fresh.empty());
-  EXPECT_EQ(Fresh.kind(), ProvKind::SeedQuarantine);
-  // Other fact kinds and nodes stay untouched.
-  EXPECT_TRUE(Store.lookup(ProvFact::MayDef, 2, 5).empty());
-  EXPECT_TRUE(Store.lookup(ProvFact::MayUse, 3, 5).empty());
-}
-
-TEST(ProvenanceStoreTest, FourBytesPerSlot) {
-  // One four-byte record per (fact, node, register): 384 bytes a node.
-  Figure2Results R = analyzeFigure2();
-  size_t Nodes = R.Analysis.Psg.Nodes.size();
-  EXPECT_EQ(R.Analysis.Provenance.bytes(), 3 * Nodes * 32 * 4);
-
-  // The widest id and the node-id sentinel survive packing beside the
-  // highest kind.
-  ProvRecord Widest(ProvKind::IndirectHub, ProvRecord::IdMask - 1);
-  EXPECT_EQ(Widest.kind(), ProvKind::IndirectHub);
-  EXPECT_EQ(Widest.id(), ProvRecord::IdMask - 1);
-  ProvRecord Sentinel(ProvKind::IndirectHub, ProvRecord::NoId);
-  EXPECT_EQ(Sentinel.id(), 0x0fffffffu);
-  EXPECT_FALSE(ProvRecord(ProvKind::SeedUnknownCaller).empty());
-}
-
-TEST(ProvenanceStoreTest, RejectsIdsWiderThan28Bits) {
-  ProvenanceStore Store;
-  EXPECT_THROW(Store.init(4, size_t(1) << 28), std::length_error);
-  EXPECT_THROW(Store.init(size_t(1) << 28, 4), std::length_error);
-  // The check runs before the tables are sized.
-  EXPECT_FALSE(Store.enabled());
-  EXPECT_EQ(Store.bytes(), 0u);
-  // The widest edge count that fits is accepted (edges size nothing).
-  Store.init(4, ProvRecord::IdMask);
-  EXPECT_TRUE(Store.enabled());
-}
-
-TEST(ProvenanceStoreTest, AnalysisPopulatesOnlyWhenRequested) {
-  Image Img = figure2Program();
-  AnalysisResult Off = analyzeImage(Img);
-  EXPECT_FALSE(Off.Provenance.enabled());
-
-  AnalysisOptions Opts;
-  Opts.RecordProvenance = true;
-  AnalysisResult On = analyzeImage(Img, {}, Opts);
-  ASSERT_TRUE(On.Provenance.enabled());
-  EXPECT_EQ(On.Provenance.numNodes(), On.Psg.Nodes.size());
-  EXPECT_GT(On.Phase1Stats.ProvenanceRecords, 0u);
-  EXPECT_GT(On.Phase2Stats.ProvenanceRecords, 0u);
-}
 
 //===----------------------------------------------------------------------===//
 // Figure 2 semantics
@@ -248,6 +167,46 @@ TEST(WitnessTest, LivenessThroughCalleeCrossesIntoCaller) {
   for (size_t I = 0; I + 1 < W.Steps.size(); ++I) {
     EXPECT_FALSE(isGroundKind(W.Steps[I].How.Kind));
     EXPECT_EQ(W.Steps[I].How.Node, W.Steps[I + 1].Node);
+  }
+}
+
+TEST(WitnessTest, ShortestDerivationWinsOverFirstFound) {
+  // P reads t3 on one path and calls Q, which reads t3, on the other.
+  // P's entry edge to the call node comes first in CSR order, and the
+  // solver sets t3 at the call node before it evaluates P's entry, so
+  // the first derivation found runs through the call and Q's summary
+  // (three steps).  The shortest one is the entry's own edge label.
+  ProgramBuilder B;
+  B.beginRoutine("__start");
+  B.emitCall("P");
+  B.emit(inst::lda(reg::V0, 0));
+  B.emit(inst::halt(reg::V0));
+  B.setEntry("__start");
+
+  B.beginRoutine("P");
+  ProgramBuilder::LabelId Call = B.makeLabel();
+  B.emitCondBr(Opcode::Beq, 5, Call);
+  B.emit(inst::mov(6, 4)); // use t3
+  B.emit(inst::ret());
+  B.bind(Call);
+  B.emitCall("Q");
+  B.emit(inst::ret());
+
+  B.beginRoutine("Q");
+  B.emit(inst::mov(7, 4)); // use t3
+  B.emit(inst::ret());
+
+  AnalysisResult A = analyzeImage(B.build());
+  uint32_t P = 0;
+  while (A.Prog.Routines[P].Name != "P")
+    ++P;
+  uint32_t Entry = A.Psg.RoutineInfo[P].EntryNodes[0];
+  for (ProvFact Fact : {ProvFact::MayUse, ProvFact::Live}) {
+    Witness W = buildWitness(A, Fact, Entry, 4);
+    ASSERT_TRUE(W.Holds) << provFactName(Fact);
+    EXPECT_TRUE(replayWitness(A, W));
+    ASSERT_EQ(W.Steps.size(), 1u) << renderWitness(A, W);
+    EXPECT_EQ(W.Steps[0].How.Kind, ProvKind::EdgeLabel);
   }
 }
 
@@ -342,12 +301,14 @@ TEST(DeadDefTest, BogusAddressIsReported) {
 }
 
 //===----------------------------------------------------------------------===//
-// Differential audit: every profile, every live-at-entry bit
+// Differential audit: every profile, every bit
 //===----------------------------------------------------------------------===//
 
-TEST(ProvenanceAudit, EveryLiveAtEntryBitReplaysAcrossAllProfiles) {
-  // The 20 differential subjects of parallel_test.cpp: every paper
-  // profile capped at ~120 routines plus 4 executable programs.
+namespace {
+
+/// The 20 differential subjects of parallel_test.cpp: every paper profile
+/// capped at ~120 routines plus 4 executable programs.
+std::vector<std::pair<std::string, Image>> auditCorpus() {
   std::vector<std::pair<std::string, Image>> Corpus;
   for (const BenchmarkProfile &P : paperProfiles()) {
     double Scale = P.Routines > 120 ? 120.0 / P.Routines : 1.0;
@@ -361,13 +322,18 @@ TEST(ProvenanceAudit, EveryLiveAtEntryBitReplaysAcrossAllProfiles) {
     Corpus.emplace_back("exec-" + std::to_string(Seed),
                         generateExecProgram(P));
   }
+  return Corpus;
+}
+
+} // namespace
+
+TEST(ProvenanceAudit, EveryLiveAtEntryBitReplaysAcrossAllProfiles) {
+  std::vector<std::pair<std::string, Image>> Corpus = auditCorpus();
   ASSERT_EQ(Corpus.size(), 20u);
 
   uint64_t TotalBits = 0;
   for (const auto &[Name, Img] : Corpus) {
-    AnalysisOptions Opts;
-    Opts.RecordProvenance = true;
-    AnalysisResult Result = analyzeImage(Img, {}, Opts);
+    AnalysisResult Result = analyzeImage(Img);
     WitnessAudit Audit = auditEntryLiveness(Result);
     EXPECT_GT(Audit.EntriesChecked, 0u) << Name;
     for (const std::string &Failure : Audit.Failures)
@@ -378,39 +344,54 @@ TEST(ProvenanceAudit, EveryLiveAtEntryBitReplaysAcrossAllProfiles) {
 }
 
 TEST(ProvenanceAudit, EveryRecordedBitReplays) {
-  // Every MAY-USE, MAY-DEF and Live bit at every node, not only the
-  // live-at-entry bits: the MAY chains run through EdgeFlow and
-  // CallSummary steps whose referenced node the witness walker derives
-  // from the graph rather than reading it from the store.
+  // Every MAY-USE, MAY-DEF and Live bit at every node of the 20 subjects
+  // at jobs 1 and 4, not only the live-at-entry bits: one search per
+  // (register, goal) must reach every set bit, and its chain must replay.
+  // A sample of bits also checks that buildWitness, which stops at the
+  // queried state, finds the chain the full search finds.
   std::array<uint64_t, 16> KindSteps{};
-  uint64_t TotalBits = 0;
-  for (const char *Profile : {"compress", "go", "perl"}) {
-    Image Img = generateCfgProgram(scaledProfile(*findProfile(Profile), 0.1));
+  uint64_t TotalBits = 0, Sampled = 0;
+  for (const auto &[Name, Img] : auditCorpus())
     for (unsigned Jobs : {1u, 4u}) {
       AnalysisOptions Opts;
-      Opts.RecordProvenance = true;
       Opts.Jobs = Jobs;
       AnalysisResult A = analyzeImage(Img, {}, Opts);
-      const std::string Where =
-          std::string(Profile) + " jobs=" + std::to_string(Jobs);
-      for (ProvFact Fact : {ProvFact::MayUse, ProvFact::MayDef, ProvFact::Live})
-        for (uint32_t NodeId = 0; NodeId < A.Psg.Nodes.size(); ++NodeId)
-          for (unsigned Reg : factSet(A, Fact, NodeId)) {
-            ++TotalBits;
-            Witness W = buildWitness(A, Fact, NodeId, Reg);
-            std::string Err;
-            if (!replayWitness(A, W, &Err))
-              ADD_FAILURE() << Where << ": " << provFactName(Fact) << " "
-                            << regName(Reg) << " at "
-                            << describeNode(A, NodeId) << ": " << Err;
-            for (const WitnessStep &Step : W.Steps)
-              ++KindSteps[unsigned(Step.How.Kind)];
+      const std::string Where = Name + " jobs=" + std::to_string(Jobs);
+      for (unsigned Reg = 0; Reg < NumIntRegs; ++Reg)
+        for (ProvFact Goal : {ProvFact::Live, ProvFact::MayDef}) {
+          WitnessSearch Search(A, Reg, Goal);
+          for (ProvFact Fact :
+               {ProvFact::MayUse, ProvFact::MayDef, ProvFact::Live}) {
+            if ((Fact == ProvFact::MayDef) != (Goal == ProvFact::MayDef))
+              continue;
+            for (uint32_t NodeId = 0; NodeId < A.Psg.Nodes.size(); ++NodeId) {
+              if (!factSet(A, Fact, NodeId).contains(Reg))
+                continue;
+              Witness W = Search.witness(Fact, NodeId);
+              std::string Err;
+              if (!replayWitness(A, W, &Err))
+                ADD_FAILURE() << Where << ": " << provFactName(Fact) << " "
+                              << regName(Reg) << " at "
+                              << describeNode(A, NodeId) << ": " << Err;
+              for (const WitnessStep &Step : W.Steps)
+                ++KindSteps[unsigned(Step.How.Kind)];
+              if (TotalBits++ % 97 == 0) {
+                ++Sampled;
+                EXPECT_EQ(renderWitness(A, buildWitness(A, Fact, NodeId, Reg)),
+                          renderWitness(A, W))
+                    << Where;
+              }
+            }
           }
+        }
     }
-  }
-  EXPECT_GT(TotalBits, 10000u);
-  for (ProvKind Kind : {ProvKind::EdgeFlow, ProvKind::CallSummary,
-                        ProvKind::ReturnLive, ProvKind::EdgeLabel})
+  EXPECT_GT(TotalBits, 100000u);
+  EXPECT_GT(Sampled, 1000u);
+  EXPECT_EQ(KindSteps[unsigned(ProvKind::None)], 0u);
+  for (ProvKind Kind :
+       {ProvKind::EdgeLabel, ProvKind::IndirectCall, ProvKind::CallRa,
+        ProvKind::SeedUnknownCaller, ProvKind::EdgeFlow,
+        ProvKind::CallSummary, ProvKind::ReturnLive, ProvKind::IndirectHub})
     EXPECT_GT(KindSteps[unsigned(Kind)], 0u) << unsigned(Kind);
 }
 

@@ -3,10 +3,10 @@
 // The serving layer's contract has two halves, both enforced here:
 //
 //   - Incremental bit-identity: after any sequence of `patch-routine`
-//     commands, the resident summaries, provenance store, slot facts,
-//     and lint findings equal a fresh full solve of the patched image —
-//     at every job count (the differential oracle, over the same 20
-//     synthetic profiles the parallel engine is tested on).
+//     commands, the resident summaries, rendered entry witnesses, slot
+//     facts, and lint findings equal a fresh full solve of the patched
+//     image — at every job count (the differential oracle, over the same
+//     20 synthetic profiles the parallel engine is tested on).
 //
 //   - Query determinism: a batch of in-flight analyze/explain/slice/lint
 //     queries fanned out over the pool returns byte-identical replies
@@ -19,6 +19,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "lint/Linter.h"
+#include "provenance/Witness.h"
 #include "serve/Serve.h"
 #include "slice/SlotFlow.h"
 #include "synth/CfgGenerator.h"
@@ -176,7 +177,6 @@ TEST(ServeIncrementalTest, DifferentialOracleAcrossProfilesAndJobs) {
     // the fresh solve across job counts is parallel_test's theorem).
     AnalysisOptions OracleOpts;
     OracleOpts.Jobs = 1;
-    OracleOpts.RecordProvenance = true;
     AnalysisResult Base = analyzeImage(BaseImg, CallingConv(), OracleOpts);
 
     std::mt19937_64 Rng(0x5e71e ^ std::hash<std::string>()(Name));
@@ -185,6 +185,7 @@ TEST(ServeIncrementalTest, DifferentialOracleAcrossProfilesAndJobs) {
     std::vector<AnalysisResult> Fresh;
     std::vector<SlotFlowResult> FreshSlots;
     std::vector<std::vector<std::string>> FreshLint;
+    std::vector<std::string> FreshWitnesses;
     std::vector<Image> PatchedImages;
     for (int R = 0; R < Rounds; ++R) {
       const Routine *Rt = pickRoutine(Base.Prog, Rng);
@@ -194,12 +195,12 @@ TEST(ServeIncrementalTest, DifferentialOracleAcrossProfilesAndJobs) {
       Fresh.push_back(analyzeImage(Cur, CallingConv(), OracleOpts));
       FreshSlots.push_back(solveSlotFlow(Fresh.back().Prog, 1u));
       FreshLint.push_back(lintStrings(Cur, Fresh.back()));
+      FreshWitnesses.push_back(renderEntryWitnesses(Fresh.back()));
     }
 
     for (unsigned Jobs : {1u, 2u, 4u, 7u}) {
       ServerOptions SOpts;
       SOpts.Jobs = Jobs;
-      SOpts.RecordProvenance = true;
       Server S(SOpts);
       std::string Error;
       ASSERT_TRUE(S.loadImage(BaseImg, &Error)) << Name << ": " << Error;
@@ -218,8 +219,8 @@ TEST(ServeIncrementalTest, DifferentialOracleAcrossProfilesAndJobs) {
 
         expectSummariesEqual(S.analysis().Summaries, Fresh[R].Summaries,
                              Where);
-        EXPECT_TRUE(S.analysis().Provenance == Fresh[R].Provenance)
-            << Where << ": provenance stores differ";
+        EXPECT_EQ(renderEntryWitnesses(S.analysis()), FreshWitnesses[R])
+            << Where << ": witnesses differ";
         expectSlotsEqual(S.slotFlow(), FreshSlots[R], Where);
         EXPECT_EQ(lintStrings(S.image(), S.analysis()), FreshLint[R])
             << Where;
@@ -700,15 +701,13 @@ TEST(ServeObserveTest, ObservedStatsGrowHistogramsUnobservedStaysStable) {
   EXPECT_EQ(PlainStats.find("\"latency\""), std::string::npos) << PlainStats;
   EXPECT_FALSE(Plain.observer().enabled());
 
-  // The resident provenance store's share of tracked memory: one
-  // four-byte record per (fact, node, register), 384 bytes a node.
+  // The resident analysis is all the tracked memory: witnesses are
+  // searched on demand, so nothing beside it stays resident.
   std::optional<telemetry::JsonValue> Doc = telemetry::parseJson(PlainStats);
   ASSERT_TRUE(Doc) << PlainStats;
-  const AnalysisResult &A = Plain.analysis();
-  EXPECT_EQ(Doc->numberOr("provenance_bytes", -1),
-            384.0 * double(A.Psg.Nodes.size()));
   EXPECT_EQ(Doc->numberOr("analysis_bytes", -1),
-            double(A.Memory.peakBytes() - A.Provenance.bytes()));
+            double(Plain.analysis().Memory.peakBytes()));
+  EXPECT_EQ(Doc->find("provenance_bytes"), nullptr) << PlainStats;
 }
 
 TEST(ServeObserveTest, MetricsReplyIsParseableExposition) {

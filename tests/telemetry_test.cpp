@@ -226,6 +226,49 @@ TEST(TelemetryJson, RunReportParserRejectsWrongSchema) {
           .has_value());
 }
 
+TEST(TelemetryJson, RunReportParserRejectsInexactIntegers) {
+  // Every integer field takes an exact integer in [0, 2^53]; the address
+  // and scc fields also take their -1 "none" sentinel.
+  const std::string Head = R"({"schema":"spike-run-report","version":1,)";
+  const std::vector<std::string> Fields = {
+      R"("phases":[{"path":"a","seconds":0,"count":%}])",
+      R"("counters":{"c":%})",
+      R"("gauges":{"g":%})",
+      R"("histograms":{"h":{"count":%}})",
+      R"("histograms":{"h":{"sum":%}})",
+      R"("histograms":{"h":{"min":%}})",
+      R"("histograms":{"h":{"max":%}})",
+      R"("histograms":{"h":{"buckets":{"3":%}}})",
+      R"("hotspots":[{"phase":"p","pops":%}])",
+      R"("hotspots":[{"phase":"p","iters":%}])",
+      R"("hotspots":[{"phase":"p","set_ops":%}])",
+      R"("hotspots":[{"phase":"p","ns":%}])",
+      R"("hotspots":[{"phase":"p","scc":%}])",
+      R"("transforms":[{"pass":"p","outcome":"o","address":%}])",
+  };
+  auto Parse = [&](const std::string &Field, const std::string &Value) {
+    std::string Body = Field;
+    Body.replace(Body.find('%'), 1, Value);
+    std::string Error;
+    bool Ok = parseRunReport(Head + Body + "}", &Error).has_value();
+    EXPECT_EQ(Ok, Error.empty()) << Body;
+    return Ok;
+  };
+  for (const std::string &Field : Fields) {
+    EXPECT_TRUE(Parse(Field, "9007199254740992")) << Field;
+    for (const char *Bad : {"2.5", "1e300", "\"7\""})
+      EXPECT_FALSE(Parse(Field, Bad)) << Field << " " << Bad;
+    bool Sentinel = Field.find("scc") != std::string::npos ||
+                    Field.find("address") != std::string::npos;
+    EXPECT_EQ(Parse(Field, "-1"), Sentinel) << Field;
+  }
+  std::optional<RunReport> R = parseRunReport(
+      Head + R"("hotspots":[{"phase":"p","scc":-1,"pops":12}]})");
+  ASSERT_TRUE(R);
+  EXPECT_EQ(R->Hotspots[0].Scc, -1);
+  EXPECT_EQ(R->Hotspots[0].Pops, 12u);
+}
+
 //===----------------------------------------------------------------------===//
 // Determinism
 //===----------------------------------------------------------------------===//

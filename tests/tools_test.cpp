@@ -168,6 +168,34 @@ TEST(ToolsTest, UsageErrorsExitNonZero) {
   EXPECT_NE(Status, 0);
 }
 
+TEST(ToolsTest, ExplainRejectsMalformedAddresses) {
+  // An address operand is a whole decimal integer in [0, 2^53]; anything
+  // else is a usage error, never a query about a truncated address.
+  std::string Asm = scratchPath("explain_demo.s");
+  std::string Img = scratchPath("explain_demo.spkx");
+  writeFile(Asm, DemoSource);
+  int Status = 0;
+  std::string Out =
+      runCommand(toolsDir() + "/spike-as " + Asm + " -o " + Img, &Status);
+  ASSERT_EQ(Status, 0) << Out;
+
+  std::string Explain = toolsDir() + "/spike-explain " + Img;
+  for (const char *Query :
+       {"--why-dead foo", "--why-dead 12abc", "--why-dead -1",
+        "--why-transformed xyz", "--why-dead t0@9007199254740993"}) {
+    Out = runCommand(Explain + " " + Query, &Status);
+    EXPECT_EQ(WEXITSTATUS(Status), 2) << Query << "\n" << Out;
+    EXPECT_EQ(Out.find("def-site"), std::string::npos) << Query << Out;
+  }
+  // Well-formed addresses still answer.
+  Out = runCommand(Explain + " --why-dead 1", &Status);
+  EXPECT_EQ(WEXITSTATUS(Status), 0) << Out;
+  EXPECT_NE(Out.find("def-site @1"), std::string::npos) << Out;
+  Out = runCommand(Explain + " --why-transformed 1", &Status);
+  EXPECT_EQ(WEXITSTATUS(Status), 0) << Out;
+  EXPECT_NE(Out.find("(address-filtered)"), std::string::npos) << Out;
+}
+
 TEST(ToolsTest, FuzzCreatesMissingArtifactDir) {
   // The serve arm's `load` crossovers read corpus files written into the
   // artifact directory, so a missing directory must be created.
@@ -785,6 +813,20 @@ TEST(ToolsTest, TopValidatesStrictly) {
   Out = runCommand(toolsDir() + "/spike-top --validate < " + BadLog, &Status);
   EXPECT_NE(Status, 0);
   EXPECT_NE(Out.find("access log invalid"), std::string::npos) << Out;
+
+  // So does a seq or exec_ns that is not an integer in [0, 2^53].
+  for (const char *Fields :
+       {R"("seq":-1,"exec_ns":10)", R"("seq":2.5,"exec_ns":10)",
+        R"("seq":4,"exec_ns":1e300)", R"("seq":4,"exec_ns":-1)"}) {
+    writeFile(BadLog, std::string(GoldenAccessLog) + "{" + Fields +
+                          R"(,"cmd":"lint","command":"lint","ok":true,)"
+                          R"("queue_ns":1,"slow":true})" + "\n");
+    Out = runCommand(toolsDir() + "/spike-top --validate < " + BadLog,
+                     &Status);
+    EXPECT_NE(Status, 0) << Fields;
+    EXPECT_NE(Out.find("access log invalid"), std::string::npos)
+        << Fields << Out;
+  }
 }
 
 TEST(ToolsTest, ServeAccessLogMetricsAndTopEndToEnd) {

@@ -1,9 +1,10 @@
 //===- tools/spike-explain.cpp - why is this register live? ---------------===//
 //
 // Answers provenance queries over the interprocedural analysis: for any
-// solved bit, prints the witness chain — the concrete PSG edges, callee
-// summaries, and seeds that force it — and independently replays the
-// chain against the graph before believing it.
+// solved bit, searches the converged graph for a shortest witness chain
+// — the concrete PSG edges, callee summaries, and seeds that force it —
+// and independently replays the chain against the graph before
+// believing it.
 //
 //   spike-explain app.spkx --why-live r5@entry:foo
 //   spike-explain app.spkx --why-may-use a1@call:bar#0
@@ -15,7 +16,8 @@
 // Locations are <reg>@<kind>:<routine>[#i] with kind one of entry, exit,
 // call, return (i indexes the routine's entrances / exits / call sites,
 // default 0), or <reg>@node:<psg-node-id>.  --why-dead takes the
-// definition's instruction address instead.
+// definition's instruction address instead, and --why-transformed an
+// optional address filter; an address is a decimal integer in [0, 2^53].
 //
 // Exit codes: 0 query answered (including "fact does not hold"), 1 load
 // or replay or audit failure, 2 usage error.
@@ -64,6 +66,26 @@ struct Location {
   unsigned Reg = NumIntRegs;
   std::string Where; // Everything after the '@'.
 };
+
+/// Parses \p Text as a whole-string decimal integer in [0, 2^53], the
+/// address rule of the serve protocol.
+bool parseAddress(const std::string &Text, uint64_t &Address) {
+  // Sixteen digits hold 2^53 and cannot overflow strtoull.
+  if (Text.empty() || Text.size() > 16 ||
+      Text.find_first_not_of("0123456789") != std::string::npos)
+    return false;
+  Address = std::strtoull(Text.c_str(), nullptr, 10);
+  return Address <= (uint64_t(1) << 53);
+}
+
+/// Reports a malformed address operand; returns the usage exit code.
+int badAddress(const std::string &Operand) {
+  std::fprintf(stderr,
+               "error: '%s' is not an address (want a decimal integer in "
+               "[0, 2^53])\n",
+               Operand.c_str());
+  return 2;
+}
 
 bool parseLocation(const std::string &Spec, Location &Loc) {
   size_t At = Spec.find('@');
@@ -180,6 +202,21 @@ int runTool(int Argc, char **Argv) {
   if (Path.empty() || Query.empty())
     return usage(Argv[0]);
 
+  // Address operands are checked before anything is loaded.
+  uint64_t Address = 0;
+  int RegArg = -1;
+  if (Query == "--why-dead") {
+    // Accept both "<reg>@<addr>" and a bare address.
+    Location Loc;
+    bool HasReg = parseLocation(Operand, Loc);
+    if (!parseAddress(HasReg ? Loc.Where : Operand, Address))
+      return badAddress(Operand);
+    RegArg = HasReg ? int(Loc.Reg) : -1;
+  } else if (Query == "--why-transformed" && !Operand.empty() &&
+             !parseAddress(Operand, Address)) {
+    return badAddress(Operand);
+  }
+
   toolbudget::Session Faults(BudgetOpts);
   tooltel::Emitter Telemetry("spike-explain", TelemetryOpts);
 
@@ -190,7 +227,7 @@ int runTool(int Argc, char **Argv) {
     return 1;
   }
 
-  // --why-transformed needs the optimizer, not the provenance store.
+  // --why-transformed needs the optimizer, not the analysis.
   if (Query == "--why-transformed") {
     PipelineOptions Opts;
     Opts.AttributeTransforms = true;
@@ -199,9 +236,7 @@ int runTool(int Argc, char **Argv) {
     Opts.Cancel = Faults.token();
     Image Work = *Img; // The image on disk stays untouched.
     PipelineStats Stats = optimizeImage(Work, {}, Opts);
-    int64_t Filter =
-        Operand.empty() ? -1 : int64_t(std::strtoull(Operand.c_str(),
-                                                     nullptr, 10));
+    int64_t Filter = Operand.empty() ? -1 : int64_t(Address);
     uint64_t Shown = 0;
     for (const telemetry::TransformRecord &R : Stats.Transforms) {
       if (Filter >= 0 && R.Address != Filter)
@@ -222,7 +257,6 @@ int runTool(int Argc, char **Argv) {
 
   AnalysisOptions AOpts;
   AOpts.Jobs = Jobs;
-  AOpts.RecordProvenance = true;
   AnalysisResult Result;
   if (BudgetOpts.any()) {
     Expected<GovernedAnalysis> Governed = analyzeImageGoverned(
@@ -252,15 +286,6 @@ int runTool(int Argc, char **Argv) {
   }
 
   if (Query == "--why-dead") {
-    // Accept both "<reg>@<addr>" and a bare address.
-    Location Loc;
-    uint64_t Address;
-    int RegArg = -1;
-    if (parseLocation(Operand, Loc)) {
-      Address = std::strtoull(Loc.Where.c_str(), nullptr, 10);
-      RegArg = int(Loc.Reg);
-    } else
-      Address = std::strtoull(Operand.c_str(), nullptr, 10);
     DeadDefExplanation Ex = explainDeadDef(Result, Address, RegArg);
     std::fputs(Ex.Text.c_str(), stdout);
     return Ex.Found ? 0 : 1;
@@ -283,8 +308,8 @@ int runTool(int Argc, char **Argv) {
   Witness W = buildWitness(Result, Fact, NodeId, Loc.Reg);
   if (W.Holds && !replayWitness(Result, W, &Error)) {
     std::fprintf(stderr,
-                 "error: witness replay failed (%s) — provenance and "
-                 "graph disagree\n",
+                 "error: witness replay failed (%s) — search and graph "
+                 "disagree\n",
                  Error.c_str());
     return 1;
   }

@@ -34,9 +34,9 @@
 //      lines, truncated JSON, random batching) against the resident
 //      server.  Every reply must be one well-formed JSON object, the
 //      server must never die, and at the end of the stream the resident
-//      summaries, provenance, and slot facts must be bit-identical to a
-//      fresh full solve of the final patched image (the fresh-solve
-//      oracle mirroring tests/serve_test.cpp).
+//      summaries, slot facts, and rendered entry witnesses must be
+//      identical to a fresh full solve of the final patched image (the
+//      fresh-solve oracle mirroring tests/serve_test.cpp).
 //
 // Exit status: 0 all iterations clean, 1 any property violated (the
 // offending mutant is written to --artifact-dir if given), 2 usage.
@@ -47,6 +47,7 @@
 #include "isa/Encoding.h"
 #include "lint/Linter.h"
 #include "opt/Pipeline.h"
+#include "provenance/Witness.h"
 #include "psg/Analyzer.h"
 #include "serve/Serve.h"
 #include "slice/Slicer.h"
@@ -742,12 +743,12 @@ void runServeSession(const std::vector<Image> &Corpus,
              Context + " resident image diverged from the patch stream");
   AnalysisOptions AO;
   AO.Jobs = 1;
-  AO.RecordProvenance = true;
   AnalysisResult Fresh = analyzeImage(Shadow, CallingConv(), AO);
   FUZZ_CHECK(S.analysis().Summaries == Fresh.Summaries, V,
              Context + " resident summaries diverge from fresh solve");
-  FUZZ_CHECK(S.analysis().Provenance == Fresh.Provenance, V,
-             Context + " resident provenance diverges from fresh solve");
+  FUZZ_CHECK(renderEntryWitnesses(S.analysis()) ==
+                 renderEntryWitnesses(Fresh),
+             V, Context + " resident witnesses diverge from fresh solve");
   SlotFlowResult FreshSlots = solveSlotFlow(Fresh.Prog, 1);
   FUZZ_CHECK(S.slotFlow() == FreshSlots, V,
              Context + " resident slot facts diverge from fresh solve");

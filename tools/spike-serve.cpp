@@ -1,9 +1,9 @@
 //===- tools/spike-serve.cpp - resident analysis server -------------------===//
 //
 // Serves the interprocedural analysis over a newline-delimited line
-// protocol (see serve/Serve.h): load an image once, keep the summaries,
-// provenance, and slot facts resident, answer queries, and re-analyze
-// incrementally when a routine is patched.
+// protocol (see serve/Serve.h): load an image once, keep the summaries
+// and slot facts resident, answer queries, and re-analyze incrementally
+// when a routine is patched.
 //
 //   spike-serve app.spkx                      serve stdin/stdout
 //   spike-serve app.spkx --socket=/tmp/s      serve a unix-domain socket
@@ -42,7 +42,7 @@ namespace {
 
 int usage(const char *Tool) {
   std::fprintf(stderr,
-               "usage: %s [<image.spkx>] [--socket=<path>] [--no-provenance] "
+               "usage: %s [<image.spkx>] [--socket=<path>] "
                "[--access-log=<file>] [--slow-ms=<n>] [--no-observe] "
                "%s %s\n"
                "protocol: one `<command> [<json>]` per line on stdin (or the "
@@ -93,7 +93,7 @@ bool parseSlowMs(int Argc, char **Argv, int &I, int64_t &SlowMs) {
 
 int runTool(int Argc, char **Argv) {
   std::string ImagePath, SocketPath, AccessLogPath;
-  bool NoProvenance = false, NoObserve = false;
+  bool NoObserve = false;
   int64_t SlowMs = -1;
   unsigned Jobs = toolopts::defaultJobs();
   tooltel::Options TelemetryOpts;
@@ -107,8 +107,6 @@ int runTool(int Argc, char **Argv) {
       ;
     else if (std::strcmp(Argv[I], "--no-observe") == 0)
       NoObserve = true;
-    else if (std::strcmp(Argv[I], "--no-provenance") == 0)
-      NoProvenance = true;
     else if (toolopts::parseJobs(Argc, Argv, I, Jobs))
       ;
     else if (tooltel::parseFlag(Argc, Argv, I, TelemetryOpts))
@@ -129,7 +127,6 @@ int runTool(int Argc, char **Argv) {
   ServerOptions Opts;
   Opts.Jobs = Jobs;
   Opts.Budget = BudgetOpts.Budget;
-  Opts.RecordProvenance = !NoProvenance;
   // The served tool observes by default (the embeddable library does
   // not); --no-observe restores the zero-timestamp configuration.
   Opts.Observe = !NoObserve;

@@ -332,19 +332,24 @@ bool foldLogRecord(const JsonValue &V, LogStats &L, std::string *Error) {
       *Error = "record missing seq/command/ok/exec_ns/queue_ns/slow";
     return false;
   }
+  std::optional<uint64_t> SeqN = Seq->exactUint(), ExecNs = Exec->exactUint();
+  if (!SeqN || !ExecNs) {
+    if (Error)
+      *Error = "record seq/exec_ns is not an integer in [0, 2^53]";
+    return false;
+  }
   ++L.Records;
   LogStats::PerCmd &P = L.ByCmd[Cmd->Str];
   ++P.Count;
   P.Errors += !Ok->B;
   P.Slow += Slow->B;
-  P.ExecNs += uint64_t(Exec->Num);
+  P.ExecNs += *ExecNs;
   if (const JsonValue *PE = V.find("protocol_error"); PE && PE->isBool())
     L.ProtocolErrors += PE->B;
   if (const JsonValue *D = V.find("degraded"); D && D->isBool())
     L.Degraded += D->B;
   if (Slow->B)
-    L.Slow.push_back(
-        {uint64_t(Seq->Num), uint64_t(Exec->Num), Cmd->Str});
+    L.Slow.push_back({*SeqN, *ExecNs, Cmd->Str});
   return true;
 }
 
