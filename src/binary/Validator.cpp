@@ -2,11 +2,12 @@
 
 #include "binary/Validator.h"
 
+#include "isa/Encoding.h"
+#include "support/ThreadPool.h"
 #include "telemetry/Telemetry.h"
 
-#include "isa/Encoding.h"
-
 #include <algorithm>
+#include <string_view>
 
 using namespace spike;
 
@@ -52,7 +53,7 @@ struct Partition {
   struct Entry {
     uint64_t Begin = 0;
     uint64_t End = 0;
-    std::string Name;
+    std::string_view Name; ///< Points into the image's symbol table.
   };
   std::vector<Entry> Routines;
 
@@ -104,11 +105,11 @@ public:
   explicit ImageValidator(const Image &Img)
       : Img(Img), Part(makePartition(Img)) {}
 
-  ValidationReport run() {
+  ValidationReport run(ThreadPool *Pool) {
     checkSymbols();
     checkEntry();
     checkJumpTables();
-    checkCode();
+    checkCode(Pool);
     checkGap();
     checkAnnotations();
     return std::move(Report);
@@ -117,6 +118,16 @@ public:
 private:
   void add(ErrCode Code, int64_t Address, bool Strict, bool Quarantines,
            std::string Message) {
+    add(Report.Findings, Code, Address, Strict, Quarantines,
+        std::move(Message));
+  }
+
+  /// Appends a finding to \p Out, attributed to the routine containing
+  /// \p Address when it quarantines one.  Reads only the partition, so
+  /// code-check tasks may call it concurrently with their own \p Out.
+  void add(std::vector<ValidationFinding> &Out, ErrCode Code,
+           int64_t Address, bool Strict, bool Quarantines,
+           std::string Message) const {
     ValidationFinding F;
     F.Code = Code;
     F.Address = Address;
@@ -125,11 +136,11 @@ private:
     if (Quarantines && Address >= 0) {
       int32_t Owner = Part.ownerOf(uint64_t(Address));
       if (Owner >= 0) {
-        F.RoutineName = Part.Routines[Owner].Name;
+        F.RoutineName = std::string(Part.Routines[Owner].Name);
         F.Quarantines = true;
       }
     }
-    Report.Findings.push_back(std::move(F));
+    Out.push_back(std::move(F));
   }
 
   void checkSymbols() {
@@ -206,24 +217,53 @@ private:
     return false;
   }
 
-  void checkCode() {
-    for (uint64_t Address = 0; Address < Img.Code.size(); ++Address) {
+  /// The per-word checks, one task per routine plus one for the words
+  /// before the first routine; each task collects its own findings, and
+  /// they are appended in address order.
+  void checkCode(ThreadPool *Pool) {
+    std::vector<std::vector<ValidationFinding>> Found(Part.Routines.size() +
+                                                      1);
+    {
+      telemetry::Span CodeSpan("binary.validate.code");
+      forEachTask(Pool, Found.size(), [&](size_t Chunk, unsigned) {
+        uint64_t Begin = 0, End = Img.Code.size();
+        if (Chunk == 0) {
+          if (!Part.Routines.empty())
+            End = Part.Routines.front().Begin;
+        } else {
+          Begin = Part.Routines[Chunk - 1].Begin;
+          End = Part.Routines[Chunk - 1].End;
+        }
+        checkWords(Begin, End, Found[Chunk]);
+      });
+    }
+    for (std::vector<ValidationFinding> &Chunk : Found)
+      for (ValidationFinding &F : Chunk)
+        Report.Findings.push_back(std::move(F));
+  }
+
+  /// Checks the code words [Begin, End): each decodes, a jmp_tab names a
+  /// usable table, and a jsr lands inside some routine.
+  void checkWords(uint64_t Begin, uint64_t End,
+                  std::vector<ValidationFinding> &Out) const {
+    for (uint64_t Address = Begin; Address < End; ++Address) {
       std::optional<Instruction> Inst = decodeInstruction(Img.Code[Address]);
       if (!Inst) {
-        add(ErrCode::UndecodableOpcode, int64_t(Address), /*Strict=*/true,
-            /*Quarantines=*/true,
+        add(Out, ErrCode::UndecodableOpcode, int64_t(Address),
+            /*Strict=*/true, /*Quarantines=*/true,
             "undecodable instruction at address " + std::to_string(Address));
         continue;
       }
       if (Inst->Op == Opcode::JmpTab) {
         uint64_t TableIndex = uint64_t(uint32_t(Inst->Imm));
         if (TableIndex >= Img.JumpTables.size())
-          add(ErrCode::DanglingJumpTableIndex, int64_t(Address),
+          add(Out, ErrCode::DanglingJumpTableIndex, int64_t(Address),
               /*Strict=*/true, /*Quarantines=*/true,
               "jmp_tab at address " + std::to_string(Address) +
                   " names a missing jump table");
         else if (tableBad(TableIndex))
-          add(Img.JumpTables[TableIndex].Targets.empty()
+          add(Out,
+              Img.JumpTables[TableIndex].Targets.empty()
                   ? ErrCode::EmptyJumpTable
                   : ErrCode::JumpTableTargetOutOfRange,
               int64_t(Address), /*Strict=*/true, /*Quarantines=*/true,
@@ -233,12 +273,12 @@ private:
       }
       if (Inst->Op == Opcode::Jsr) {
         if (Inst->Imm < 0 || uint64_t(Inst->Imm) >= Img.Code.size())
-          add(ErrCode::CallTargetOutOfRange, int64_t(Address),
+          add(Out, ErrCode::CallTargetOutOfRange, int64_t(Address),
               /*Strict=*/true, /*Quarantines=*/true,
               "jsr at address " + std::to_string(Address) +
                   " targets outside the code section");
         else if (Part.ownerOf(uint64_t(Inst->Imm)) < 0)
-          add(ErrCode::CallTargetOutOfRange, int64_t(Address),
+          add(Out, ErrCode::CallTargetOutOfRange, int64_t(Address),
               /*Strict=*/true, /*Quarantines=*/true,
               "jsr at address " + std::to_string(Address) +
                   " targets code outside every routine");
@@ -291,9 +331,9 @@ private:
 
 } // namespace
 
-ValidationReport spike::validateImage(const Image &Img) {
+ValidationReport spike::validateImage(const Image &Img, ThreadPool *Pool) {
   telemetry::Span ValidateSpan("binary.validate");
-  ValidationReport Report = ImageValidator(Img).run();
+  ValidationReport Report = ImageValidator(Img).run(Pool);
   if (telemetry::active()) {
     uint64_t Strict = 0, Quarantines = 0;
     for (const ValidationFinding &F : Report.Findings) {

@@ -39,6 +39,8 @@
 
 namespace spike {
 
+class ThreadPool;
+
 /// One semantic defect found in an image.
 struct ValidationFinding {
   ErrCode Code = ErrCode::None;
@@ -81,8 +83,11 @@ struct ValidationReport {
 };
 
 /// Validates \p Img.  Never crashes on arbitrary (container-well-formed)
-/// images; every check is bounds-guarded.
-ValidationReport validateImage(const Image &Img);
+/// images; every check is bounds-guarded.  The per-word code checks run
+/// one task per routine on \p Pool (inline when null), and their
+/// findings are concatenated in address order, so the report is the same
+/// at every job count.
+ValidationReport validateImage(const Image &Img, ThreadPool *Pool = nullptr);
 
 } // namespace spike
 

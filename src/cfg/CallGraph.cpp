@@ -2,11 +2,14 @@
 
 #include "cfg/CallGraph.h"
 
+#include "cfg/Program.h"
+#include "support/ThreadPool.h"
+
 #include <algorithm>
 
 using namespace spike;
 
-CallGraph spike::buildCallGraph(const Program &Prog) {
+CallGraph spike::buildCallGraph(const Program &Prog, ThreadPool *Pool) {
   CallGraph Graph;
   size_t Count = Prog.Routines.size();
   Graph.Callees.resize(Count);
@@ -18,31 +21,40 @@ CallGraph spike::buildCallGraph(const Program &Prog) {
   if (Count == 0)
     return Graph;
 
-  // Adjacency (deduplicated), self-calls noted as cycles immediately.
-  for (uint32_t R = 0; R < Count; ++R) {
-    for (uint32_t Block : Prog.Routines[R].CallBlocks) {
-      const BasicBlock &B = Prog.Routines[R].Blocks[Block];
+  // Adjacency (deduplicated), one task per routine; self-calls are
+  // noted as cycles immediately.  Each list is allocated once at its
+  // final capacity; callers are appended in ascending caller order, so
+  // they come out sorted.
+  std::vector<uint8_t> Indirect(Count, 0), SelfCall(Count, 0);
+  forEachTask(Pool, Count, [&](size_t R, unsigned) {
+    const Routine &Rt = Prog.Routines[R];
+    std::vector<uint32_t> &Callees = Graph.Callees[R];
+    Callees.reserve(Rt.CallBlocks.size());
+    for (uint32_t Block : Rt.CallBlocks) {
+      const BasicBlock &B = Rt.Blocks[Block];
       if (B.Term == TerminatorKind::IndirectCall) {
-        Graph.HasIndirectCalls[R] = true;
+        Indirect[R] = 1;
         continue;
       }
       uint32_t Callee = uint32_t(B.CalleeRoutine);
-      if (Callee == R)
-        Graph.InCycle[R] = true;
-      Graph.Callees[R].push_back(Callee);
+      SelfCall[R] |= Callee == R;
+      Callees.push_back(Callee);
     }
-    std::sort(Graph.Callees[R].begin(), Graph.Callees[R].end());
-    Graph.Callees[R].erase(
-        std::unique(Graph.Callees[R].begin(), Graph.Callees[R].end()),
-        Graph.Callees[R].end());
+    std::sort(Callees.begin(), Callees.end());
+    Callees.erase(std::unique(Callees.begin(), Callees.end()), Callees.end());
+  });
+  std::vector<uint32_t> NumCallers(Count, 0);
+  for (uint32_t R = 0; R < Count; ++R) {
+    Graph.HasIndirectCalls[R] = Indirect[R];
+    Graph.InCycle[R] = SelfCall[R];
+    for (uint32_t Callee : Graph.Callees[R])
+      ++NumCallers[Callee];
+  }
+  for (uint32_t R = 0; R < Count; ++R)
+    Graph.Callers[R].reserve(NumCallers[R]);
+  for (uint32_t R = 0; R < Count; ++R)
     for (uint32_t Callee : Graph.Callees[R])
       Graph.Callers[Callee].push_back(R);
-  }
-  for (auto &Callers : Graph.Callers) {
-    std::sort(Callers.begin(), Callers.end());
-    Callers.erase(std::unique(Callers.begin(), Callers.end()),
-                  Callers.end());
-  }
 
   // Iterative Tarjan SCC.
   std::vector<int32_t> Index(Count, -1), Low(Count, 0);

@@ -24,12 +24,13 @@
 #ifndef SPIKE_CFG_CALLGRAPH_H
 #define SPIKE_CFG_CALLGRAPH_H
 
-#include "cfg/Program.h"
-
 #include <cstdint>
 #include <vector>
 
 namespace spike {
+
+struct Program;
+class ThreadPool;
 
 /// The call graph and its derived facts.
 struct CallGraph {
@@ -67,8 +68,10 @@ struct CallGraph {
   }
 };
 
-/// Builds the call graph of \p Prog.
-CallGraph buildCallGraph(const Program &Prog);
+/// Builds the call graph of \p Prog; each routine's callee list is one
+/// task on \p Pool (inline when null).  buildProgram stores the result
+/// in Program::Calls, and every consumer reads that copy.
+CallGraph buildCallGraph(const Program &Prog, ThreadPool *Pool = nullptr);
 
 } // namespace spike
 

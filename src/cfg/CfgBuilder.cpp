@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 using namespace spike;
 
@@ -49,6 +50,7 @@ public:
     makeBlocks();
     connectBlocks();
     indexAnchors();
+    resolveCalls();
   }
 
 private:
@@ -294,12 +296,92 @@ private:
     }
   }
 
+  /// Resolves each direct call to its (routine, entrance) pair.  The
+  /// validator quarantines a routine with a wild call, so a healthy
+  /// routine's targets always resolve, and the scan registered each
+  /// target as an entrance of its routine.
+  void resolveCalls() {
+    for (uint32_t BlockIndex : R.CallBlocks) {
+      BasicBlock &Block = R.Blocks[BlockIndex];
+      if (Block.Term != TerminatorKind::Call)
+        continue;
+      uint64_t Target = uint64_t(uint32_t(Prog.Insts[Block.End - 1].Imm));
+      int32_t CalleeIndex = findRoutineByAddress(Prog, Target);
+      assert(CalleeIndex >= 0 && "unresolved direct call");
+      const std::vector<uint64_t> &Entries =
+          Prog.Routines[CalleeIndex].EntryAddresses;
+      auto It = std::find(Entries.begin(), Entries.end(), Target);
+      assert(It != Entries.end() &&
+             "call target was not registered as an entrance");
+      Block.CalleeRoutine = CalleeIndex;
+      Block.CalleeEntry = int32_t(It - Entries.begin());
+    }
+  }
+
   const Program &Prog;
   Routine &R;
   std::vector<bool> &IsLeader;
   std::vector<uint32_t> &BlockOfAddress;
   std::vector<uint32_t> &Succs;
 };
+
+/// A direct call the entrance scan found: the routine it enters, the
+/// entrance address, and whether the calling word lies in quarantined
+/// or unowned code.
+struct CallFact {
+  uint32_t Callee = 0;
+  uint64_t Target = 0;
+  bool FromBadRegion = false;
+};
+
+/// Where one scanned chunk's call facts sit in its lane's buffer.
+struct CallFactSegment {
+  unsigned Lane = 0;
+  size_t Begin = 0;
+  size_t Count = 0;
+};
+
+/// One pool lane's scan output, reused across the chunks it scans.
+struct ScanLane {
+  std::vector<CallFact> Facts;
+  /// An undecodable word, or an indirect call in quarantined or unowned
+  /// code: either may reach any routine.
+  bool Opaque = false;
+};
+
+/// Adds \p Address to \p R's entrances unless it is already one.
+void addEntrance(Routine &R, uint64_t Address) {
+  if (std::find(R.EntryAddresses.begin(), R.EntryAddresses.end(),
+                Address) == R.EntryAddresses.end())
+    R.EntryAddresses.push_back(Address);
+}
+
+/// Quarantines \p R for \p Reason unless an earlier cause already did.
+void quarantine(Routine &R, const std::string &Reason, DegradeReason Cause) {
+  if (R.Quarantined)
+    return;
+  R.Quarantined = true;
+  R.QuarantineReason = Reason;
+  R.Degrade = Cause;
+}
+
+/// Quarantines every routine whose name is in \p Names.  \p ByName
+/// lists the routine indices sorted by name, so each name costs one
+/// binary search however many names and routines there are.  Unknown
+/// names match nothing; a repeated name finds its routines already
+/// quarantined.
+void quarantineNamed(Program &Prog, const std::vector<uint32_t> &ByName,
+                     const std::vector<std::string> &Names,
+                     const std::string &Reason, DegradeReason Cause) {
+  for (const std::string &Name : Names) {
+    auto It = std::lower_bound(ByName.begin(), ByName.end(), Name,
+                               [&](uint32_t R, const std::string &Key) {
+                                 return Prog.Routines[R].Name < Key;
+                               });
+    for (; It != ByName.end() && Prog.Routines[*It].Name == Name; ++It)
+      quarantine(Prog.Routines[*It], Reason, Cause);
+  }
+}
 
 } // namespace
 
@@ -310,26 +392,10 @@ Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
   telemetry::Span BuildSpan("cfg.build");
   Program Prog;
   Prog.Conv = Conv;
-  Prog.Validation = validateImage(Img);
+  Prog.Validation = validateImage(Img, Pool);
 
-  // Decode the code section.  Undecodable words get a halt placeholder:
-  // the validator quarantines their owning routine (or, for unowned
-  // garbage, the opaque-region scan below makes every routine
-  // CalledFromQuarantine), so the placeholder is never analyzed as if it
-  // were real code.
-  std::vector<bool> Undecodable(Img.Code.size(), false);
-  Prog.Insts.reserve(Img.Code.size());
-  for (uint64_t Address = 0; Address < Img.Code.size(); ++Address) {
-    std::optional<Instruction> Inst = decodeInstruction(Img.Code[Address]);
-    if (!Inst) {
-      Undecodable[Address] = true;
-      Instruction Placeholder;
-      Placeholder.Op = Opcode::Halt;
-      Prog.Insts.push_back(Placeholder);
-      continue;
-    }
-    Prog.Insts.push_back(*Inst);
-  }
+  // The decoded code section; the scan below fills it.
+  Prog.Insts.resize(Img.Code.size());
   chargeIf(Mem, Prog.Insts.size() * sizeof(Instruction));
 
   for (const JumpTable &Table : Img.JumpTables) {
@@ -379,35 +445,30 @@ Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
     }
   }
 
-  // Quarantine routines the validator attributed defects to, plus any
-  // the caller forces (the fuzzer's soundness oracle).
+  // Quarantine routines the validator attributed defects to, then those
+  // the caller forces (the fuzzer's soundness oracle), then those a
+  // blown budget degrades; the first cause's reason sticks.
   for (const ValidationFinding &F : Prog.Validation.Findings) {
     if (!F.Quarantines || F.Address < 0)
       continue;
     int32_t RoutineIndex = findRoutineByAddress(Prog, uint64_t(F.Address));
     if (RoutineIndex < 0)
       continue;
-    Routine &R = Prog.Routines[RoutineIndex];
-    if (!R.Quarantined) {
-      R.Quarantined = true;
-      R.QuarantineReason = F.Message;
-      R.Degrade = DegradeReason::Validation;
-    }
+    quarantine(Prog.Routines[RoutineIndex], F.Message,
+               DegradeReason::Validation);
   }
-  for (const std::string &Name : Options.ForceQuarantine)
-    for (Routine &R : Prog.Routines)
-      if (R.Name == Name && !R.Quarantined) {
-        R.Quarantined = true;
-        R.QuarantineReason = "quarantine forced by build options";
-        R.Degrade = DegradeReason::Forced;
-      }
-  for (const std::string &Name : Options.BudgetDegrade)
-    for (Routine &R : Prog.Routines)
-      if (R.Name == Name && !R.Quarantined) {
-        R.Quarantined = true;
-        R.QuarantineReason = "analysis budget exceeded";
-        R.Degrade = DegradeReason::Budget;
-      }
+  if (!Options.ForceQuarantine.empty() || !Options.BudgetDegrade.empty()) {
+    std::vector<uint32_t> ByName(Prog.Routines.size());
+    std::iota(ByName.begin(), ByName.end(), 0);
+    std::sort(ByName.begin(), ByName.end(), [&](uint32_t A, uint32_t B) {
+      return Prog.Routines[A].Name < Prog.Routines[B].Name;
+    });
+    quarantineNamed(Prog, ByName, Options.ForceQuarantine,
+                    "quarantine forced by build options",
+                    DegradeReason::Forced);
+    quarantineNamed(Prog, ByName, Options.BudgetDegrade,
+                    "analysis budget exceeded", DegradeReason::Budget);
+  }
 
   // Attach secondary entrances to their containing routines; orphaned
   // secondaries (out of range or in a symbol gap) are dropped — the
@@ -419,98 +480,116 @@ Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
     if (RoutineIndex < 0)
       continue;
     Routine &R = Prog.Routines[RoutineIndex];
-    if (std::find(R.EntryAddresses.begin(), R.EntryAddresses.end(),
-                  Sym.Address) == R.EntryAddresses.end())
-      R.EntryAddresses.push_back(Sym.Address);
+    addEntrance(R, Sym.Address);
     if (Sym.AddressTaken)
       R.AddressTaken = true;
   }
 
-  // Discover call-targeted entrances the symbol table does not name, and
-  // work out what quarantined (or unowned) code can reach.  A direct jsr
-  // from such a region names its target, which must then assume a caller
-  // that ignores the calling standard; indirect calls or undecodable
-  // words there can reach *anything*.
+  // Decode the code section and discover call-targeted entrances, one
+  // task per routine plus one for the unowned words before the first
+  // routine.  Undecodable words get a halt placeholder: the validator
+  // quarantines their owning routine (or, for unowned garbage, the
+  // opaque flag below makes every routine CalledFromQuarantine), so the
+  // placeholder is never analyzed as if it were real code.  A direct jsr
+  // from quarantined or unowned code names its target, which must then
+  // assume a caller that ignores the calling standard; indirect calls or
+  // undecodable words there can reach *anything*.
+  std::vector<uint8_t> Undecodable(Img.Code.size(), 0);
+  std::vector<ScanLane> Lanes(Pool ? Pool->jobs() : 1);
+  std::vector<CallFactSegment> Segments(Prog.Routines.size() + 1);
+  {
+    telemetry::Span ScanSpan("cfg.scan");
+    forEachTask(Pool, Segments.size(), [&](size_t Chunk, unsigned Lane) {
+      uint64_t Begin = 0, End = Prog.Insts.size();
+      bool InBadRegion = true;
+      if (Chunk == 0) {
+        if (!Prog.Routines.empty())
+          End = Prog.Routines.front().Begin;
+      } else {
+        const Routine &Owner = Prog.Routines[Chunk - 1];
+        Begin = Owner.Begin;
+        End = Owner.End;
+        InBadRegion = Owner.Quarantined;
+      }
+      ScanLane &L = Lanes[Lane];
+      Segments[Chunk] = {Lane, L.Facts.size(), 0};
+      for (uint64_t Address = Begin; Address < End; ++Address) {
+        std::optional<Instruction> Inst =
+            decodeInstruction(Img.Code[Address]);
+        if (!Inst) {
+          Undecodable[Address] = 1;
+          Prog.Insts[Address].Op = Opcode::Halt;
+          L.Opaque = true;
+          continue;
+        }
+        Prog.Insts[Address] = *Inst;
+        if (Inst->Op == Opcode::JsrR && InBadRegion)
+          L.Opaque = true;
+        if (Inst->Op != Opcode::Jsr)
+          continue;
+        // A wild call has no entrance to register: the validator
+        // quarantined its owner (or it sits in unowned code).
+        if (Inst->Imm < 0 || uint64_t(Inst->Imm) >= Prog.Insts.size())
+          continue;
+        // A healthy call to a primary entrance adds nothing: every
+        // routine already has its primary entrance.
+        int32_t Callee = findRoutineByAddress(Prog, uint64_t(Inst->Imm));
+        if (Callee >= 0 &&
+            (InBadRegion ||
+             uint64_t(Inst->Imm) != Prog.Routines[uint32_t(Callee)].Begin))
+          L.Facts.push_back(
+              {uint32_t(Callee), uint64_t(Inst->Imm), InBadRegion});
+      }
+      Segments[Chunk].Count = L.Facts.size() - Segments[Chunk].Begin;
+    });
+  }
+
+  // Register the discovered entrances in routine order.
   bool OpaqueQuarantine = false;
-  for (uint64_t Address = 0; Address < Prog.Insts.size(); ++Address) {
-    int32_t Owner = findRoutineByAddress(Prog, Address);
-    bool InBadRegion =
-        Owner < 0 || Prog.Routines[uint32_t(Owner)].Quarantined;
-    if (Undecodable[Address]) {
-      OpaqueQuarantine = true;
-      continue;
+  for (const ScanLane &L : Lanes)
+    OpaqueQuarantine |= L.Opaque;
+  for (const CallFactSegment &Seg : Segments)
+    for (size_t I = Seg.Begin; I < Seg.Begin + Seg.Count; ++I) {
+      const CallFact &Fact = Lanes[Seg.Lane].Facts[I];
+      Routine &R = Prog.Routines[Fact.Callee];
+      addEntrance(R, Fact.Target);
+      if (Fact.FromBadRegion)
+        R.CalledFromQuarantine = true;
     }
-    const Instruction &Inst = Prog.Insts[Address];
-    if (Inst.Op == Opcode::JsrR && InBadRegion)
-      OpaqueQuarantine = true;
-    if (Inst.Op != Opcode::Jsr)
-      continue;
-    int32_t TargetRoutine = -1;
-    if (Inst.Imm >= 0 && uint64_t(Inst.Imm) < Prog.Insts.size())
-      TargetRoutine = findRoutineByAddress(Prog, uint64_t(Inst.Imm));
-    if (TargetRoutine < 0) {
-      // Wild call: the validator quarantined its owner (or it sits in
-      // unowned code).  Either way there is no entrance to register.
-      continue;
-    }
-    Routine &R = Prog.Routines[uint32_t(TargetRoutine)];
-    uint64_t Target = uint64_t(Inst.Imm);
-    if (std::find(R.EntryAddresses.begin(), R.EntryAddresses.end(),
-                  Target) == R.EntryAddresses.end())
-      R.EntryAddresses.push_back(Target);
-    if (InBadRegion)
+  Lanes.clear();
+  for (Routine &R : Prog.Routines) {
+    std::sort(R.EntryAddresses.begin(), R.EntryAddresses.end());
+    if (OpaqueQuarantine)
       R.CalledFromQuarantine = true;
   }
-  if (OpaqueQuarantine)
-    for (Routine &R : Prog.Routines)
-      R.CalledFromQuarantine = true;
 
-  // Build per-routine CFGs, one task per routine: each builder reads
-  // only the shared instruction stream and writes only its own routine.
-  // A quarantined routine is modelled exactly like the paper's unknowable
-  // code (Section 3.5): one block spanning the whole routine, terminated
-  // by an unresolved jump, using and defining nothing we can rely on —
-  // worst-case UBD, empty DEF — with no exits and no call sites.  Every
-  // entrance maps to that block.
-  std::vector<RoutineScratch> Scratch(Pool ? Pool->jobs() : 1);
-  forEachTask(Pool, Prog.Routines.size(), [&](size_t RoutineIndex,
-                                              unsigned Lane) {
-    Routine &R = Prog.Routines[RoutineIndex];
-    std::sort(R.EntryAddresses.begin(), R.EntryAddresses.end());
-    if (R.Quarantined) {
-      BasicBlock Block;
-      Block.Begin = R.Begin;
-      Block.End = R.End;
-      Block.Term = TerminatorKind::UnresolvedJump;
-      Block.Ubd = RegSet::allBelow(NumIntRegs);
-      R.Blocks.push_back(std::move(Block));
-      R.EntryBlocks.assign(R.EntryAddresses.size(), 0);
-      return;
-    }
-    RoutineBuilder Builder(Prog, R, Scratch[Lane]);
-    Builder.run();
-  });
-
-  // Resolve direct-call targets to (routine, entrance) pairs.
-  // Quarantined routines have no call blocks; healthy routines' call
-  // targets are guaranteed resolvable by the validator.
-  for (Routine &R : Prog.Routines) {
-    for (uint32_t BlockIndex : R.CallBlocks) {
-      BasicBlock &Block = R.Blocks[BlockIndex];
-      if (Block.Term != TerminatorKind::Call)
-        continue;
-      const Instruction &Call = Prog.Insts[Block.End - 1];
-      uint64_t Target = uint64_t(uint32_t(Call.Imm));
-      int32_t CalleeIndex = findRoutineByAddress(Prog, Target);
-      assert(CalleeIndex >= 0 && "unresolved direct call");
-      const Routine &Callee = Prog.Routines[CalleeIndex];
-      auto It = std::find(Callee.EntryAddresses.begin(),
-                          Callee.EntryAddresses.end(), Target);
-      assert(It != Callee.EntryAddresses.end() &&
-             "call target was not registered as an entrance");
-      Block.CalleeRoutine = CalleeIndex;
-      Block.CalleeEntry = int32_t(It - Callee.EntryAddresses.begin());
-    }
+  // Build per-routine CFGs and resolve their direct calls, one task per
+  // routine: each task reads only the instruction stream and the (now
+  // final) routine bounds and entrances, and writes only its own
+  // routine.  A quarantined routine is modelled exactly like the paper's
+  // unknowable code (Section 3.5): one block spanning the whole routine,
+  // terminated by an unresolved jump, using and defining nothing we can
+  // rely on — worst-case UBD, empty DEF — with no exits and no call
+  // sites.  Every entrance maps to that block.
+  {
+    telemetry::Span RoutinesSpan("cfg.routines");
+    std::vector<RoutineScratch> Scratch(Pool ? Pool->jobs() : 1);
+    forEachTask(Pool, Prog.Routines.size(), [&](size_t RoutineIndex,
+                                                unsigned Lane) {
+      Routine &R = Prog.Routines[RoutineIndex];
+      if (R.Quarantined) {
+        BasicBlock Block;
+        Block.Begin = R.Begin;
+        Block.End = R.End;
+        Block.Term = TerminatorKind::UnresolvedJump;
+        Block.Ubd = RegSet::allBelow(NumIntRegs);
+        R.Blocks.push_back(std::move(Block));
+        R.EntryBlocks.assign(R.EntryAddresses.size(), 0);
+        return;
+      }
+      RoutineBuilder Builder(Prog, R, Scratch[Lane]);
+      Builder.run();
+    });
   }
 
   // Copy the Section 3.5 side tables, dropping annotations that do not
@@ -538,6 +617,8 @@ Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
                           ? findRoutineByAddress(Prog, Img.EntryAddress)
                           : -1;
 
+  // Charges stay serial and in routine order, so the Nth tracked
+  // allocation (--inject-fault alloc@N) is the same at every job count.
   if (Mem) {
     for (const Routine &R : Prog.Routines) {
       Mem->charge(sizeof(Routine) +
@@ -549,6 +630,18 @@ Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
         Mem->charge(sizeof(BasicBlock) +
                     (Block.NumSuccs + Block.NumPreds) * sizeof(uint32_t));
     }
+  }
+
+  {
+    telemetry::Span GraphSpan("cfg.callgraph");
+    Prog.Calls = buildCallGraph(Prog, Pool);
+    // The two schedules only read the graph: one task each.
+    forEachTask(Pool, 2, [&](size_t Which, unsigned) {
+      if (Which == 0)
+        Prog.CalleeFirst = buildCalleeFirstSchedule(Prog, Prog.Calls);
+      else
+        Prog.CallerFirst = buildCallerFirstSchedule(Prog, Prog.Calls);
+    });
   }
 
   if (telemetry::active()) {

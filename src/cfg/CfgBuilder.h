@@ -58,9 +58,12 @@ struct CfgBuildOptions {
 /// Program::Validation).  DEF/UBD sets are *not* filled in; call
 /// computeDefUbd afterwards (the split matches the paper's stage
 /// breakdown).  \p Mem, when non-null, is charged for the analysis data
-/// structures created here.  When \p Pool is non-null, per-routine block
-/// discovery runs one task per routine (each task writes only its own
-/// routine); the result is identical to the serial build.
+/// structures created here, serially and in routine order.  Validation,
+/// decoding, entrance discovery, block building and call resolution run
+/// one task per routine on \p Pool (inline when null); cross-routine
+/// facts merge serially in routine order, so the Program is identical at
+/// every job count.  The Program leaves with its call graph and both
+/// solver schedules built (Program::Calls, CalleeFirst, CallerFirst).
 Program buildProgram(const Image &Img, const CallingConv &Conv,
                      MemoryTracker *Mem = nullptr,
                      const CfgBuildOptions &Options = {},

@@ -21,6 +21,8 @@
 
 #include "binary/Image.h"
 #include "binary/Validator.h"
+#include "cfg/CallGraph.h"
+#include "cfg/SccSchedule.h"
 #include "isa/CallingConv.h"
 #include "isa/Instruction.h"
 #include "support/RegSet.h"
@@ -223,6 +225,14 @@ struct Program {
   /// The semantic-validation findings the builder acted on (quarantines,
   /// dropped symbols/annotations); kept for diagnostics (lint rule SL011).
   ValidationReport Validation;
+
+  /// The call graph and the two solver schedules over it, built once by
+  /// buildProgram after every routine is final.  Every analysis,
+  /// optimization and export reads these copies; nothing later edits a
+  /// routine's calls, entrances or flags, so they cannot go stale.
+  CallGraph Calls;
+  SccSchedule CalleeFirst; ///< Phase 1 order (buildCalleeFirstSchedule).
+  SccSchedule CallerFirst; ///< Phase 2 order (buildCallerFirstSchedule).
 
   /// Returns the number of quarantined routines (all degrade reasons).
   uint64_t numQuarantined() const {

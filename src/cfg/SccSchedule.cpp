@@ -2,13 +2,32 @@
 
 #include "cfg/SccSchedule.h"
 
+#include "cfg/Program.h"
+
 #include <algorithm>
+#include <span>
 
 using namespace spike;
 
-SccSchedule
-spike::buildSccSchedule(size_t NumNodes,
-                        const std::vector<std::vector<uint32_t>> &Deps) {
+namespace {
+
+/// A dependency graph in CSR form: node U's successors are
+/// Targets[Begin[U], Begin[U + 1]).  Two arrays whatever the node
+/// count, where a list per node would cost an allocation per node.
+struct DepGraph {
+  std::vector<uint32_t> Begin{0};
+  std::vector<uint32_t> Targets;
+
+  size_t numNodes() const { return Begin.size() - 1; }
+  /// Closes the current node's successor list.
+  void endNode() { Begin.push_back(uint32_t(Targets.size())); }
+  std::span<const uint32_t> succs(uint32_t Node) const {
+    return {Targets.data() + Begin[Node], Begin[Node + 1] - Begin[Node]};
+  }
+};
+
+SccSchedule scheduleOf(const DepGraph &Deps) {
+  size_t NumNodes = Deps.numNodes();
   SccSchedule Sched;
   Sched.GroupOfRoutine.assign(NumNodes, 0);
   if (NumNodes == 0)
@@ -37,8 +56,9 @@ spike::buildSccSchedule(size_t NumNodes,
     OnStack[Root] = true;
     while (!Dfs.empty()) {
       Frame &Top = Dfs.back();
-      if (Top.Child < Deps[Top.Node].size()) {
-        uint32_t Next = Deps[Top.Node][Top.Child++];
+      std::span<const uint32_t> Succs = Deps.succs(Top.Node);
+      if (Top.Child < Succs.size()) {
+        uint32_t Next = Succs[Top.Child++];
         if (Index[Next] < 0) {
           Index[Next] = Low[Next] = NextIndex++;
           Stack.push_back(Next);
@@ -67,38 +87,69 @@ spike::buildSccSchedule(size_t NumNodes,
     }
   }
 
+  // Every per-group and per-level list is allocated once, at its final
+  // size.
+  std::vector<uint32_t> Sizes(Sched.NumGroups, 0);
+  for (uint32_t Group : Sched.GroupOfRoutine)
+    ++Sizes[Group];
   Sched.Members.resize(Sched.NumGroups);
+  for (uint32_t Group = 0; Group < Sched.NumGroups; ++Group)
+    Sched.Members[Group].reserve(Sizes[Group]);
   for (uint32_t Node = 0; Node < NumNodes; ++Node)
     Sched.Members[Sched.GroupOfRoutine[Node]].push_back(Node);
 
   // Levels: longest dependency distance.  Descending group-id order
   // visits every predecessor group before its successors, so one sweep
   // over the cross-group edges suffices; the same sweep collects the
-  // condensation DAG's successor adjacency.
+  // condensation DAG's successor adjacency, deduplicated by stamping
+  // each successor group with the group that last listed it.
   std::vector<uint32_t> LevelOfGroup(Sched.NumGroups, 0);
+  std::vector<uint32_t> ListedBy(Sched.NumGroups, ~uint32_t(0));
+  std::vector<uint32_t> Succs;
   Sched.GroupSucc.resize(Sched.NumGroups);
   uint32_t MaxLevel = 0;
   for (uint32_t Group = Sched.NumGroups; Group-- > 0;) {
+    Succs.clear();
     for (uint32_t Node : Sched.Members[Group])
-      for (uint32_t Succ : Deps[Node]) {
+      for (uint32_t Succ : Deps.succs(Node)) {
         uint32_t SuccGroup = Sched.GroupOfRoutine[Succ];
-        if (SuccGroup != Group) {
-          LevelOfGroup[SuccGroup] = std::max(LevelOfGroup[SuccGroup],
-                                             LevelOfGroup[Group] + 1);
-          Sched.GroupSucc[Group].push_back(SuccGroup);
+        if (SuccGroup == Group)
+          continue;
+        LevelOfGroup[SuccGroup] =
+            std::max(LevelOfGroup[SuccGroup], LevelOfGroup[Group] + 1);
+        if (ListedBy[SuccGroup] != Group) {
+          ListedBy[SuccGroup] = Group;
+          Succs.push_back(SuccGroup);
         }
       }
+    std::sort(Succs.begin(), Succs.end());
+    Sched.GroupSucc[Group].assign(Succs.begin(), Succs.end());
     MaxLevel = std::max(MaxLevel, LevelOfGroup[Group]);
   }
-  for (std::vector<uint32_t> &Succs : Sched.GroupSucc) {
-    std::sort(Succs.begin(), Succs.end());
-    Succs.erase(std::unique(Succs.begin(), Succs.end()), Succs.end());
-  }
-  Sched.Levels.resize(size_t(MaxLevel) + 1);
+  Sizes.assign(size_t(MaxLevel) + 1, 0);
+  for (uint32_t Level : LevelOfGroup)
+    ++Sizes[Level];
+  Sched.Levels.resize(Sizes.size());
+  for (size_t Level = 0; Level < Sizes.size(); ++Level)
+    Sched.Levels[Level].reserve(Sizes[Level]);
   for (uint32_t Group = 0; Group < Sched.NumGroups; ++Group)
     Sched.Levels[LevelOfGroup[Group]].push_back(Group);
 
   return Sched;
+}
+
+} // namespace
+
+SccSchedule
+spike::buildSccSchedule(size_t NumNodes,
+                        const std::vector<std::vector<uint32_t>> &Deps) {
+  DepGraph Graph;
+  for (size_t Node = 0; Node < NumNodes; ++Node) {
+    Graph.Targets.insert(Graph.Targets.end(), Deps[Node].begin(),
+                         Deps[Node].end());
+    Graph.endNode();
+  }
+  return scheduleOf(Graph);
 }
 
 SccSchedule spike::buildCalleeFirstSchedule(const Program &Prog,
@@ -106,12 +157,15 @@ SccSchedule spike::buildCalleeFirstSchedule(const Program &Prog,
   // Dependency edge callee -> caller: a caller's call-return labels read
   // its callees' converged entry summaries.
   size_t Count = Prog.Routines.size();
-  std::vector<std::vector<uint32_t>> Deps(Count);
-  for (uint32_t Caller = 0; Caller < Count; ++Caller)
-    for (uint32_t Callee : Graph.Callees[Caller])
-      if (Callee != Caller)
-        Deps[Callee].push_back(Caller);
-  return buildSccSchedule(Count, Deps);
+  DepGraph Deps;
+  Deps.Begin.reserve(Count + 1);
+  for (uint32_t Callee = 0; Callee < Count; ++Callee) {
+    for (uint32_t Caller : Graph.Callers[Callee])
+      if (Caller != Callee)
+        Deps.Targets.push_back(Caller);
+    Deps.endNode();
+  }
+  return scheduleOf(Deps);
 }
 
 SccSchedule spike::buildCallerFirstSchedule(const Program &Prog,
@@ -129,23 +183,26 @@ SccSchedule spike::buildCallerFirstSchedule(const Program &Prog,
     AnyTaken |= Prog.Routines[R].AddressTaken;
   }
   bool UseHub = AnyIndirect && AnyTaken;
-  size_t NumNodes = Count + (UseHub ? 1 : 0);
   uint32_t Hub = uint32_t(Count);
 
-  std::vector<std::vector<uint32_t>> Deps(NumNodes);
-  for (uint32_t Caller = 0; Caller < Count; ++Caller)
+  DepGraph Deps;
+  Deps.Begin.reserve(Count + 2);
+  for (uint32_t Caller = 0; Caller < Count; ++Caller) {
     for (uint32_t Callee : Graph.Callees[Caller])
       if (Callee != Caller)
-        Deps[Caller].push_back(Callee);
-  if (UseHub)
-    for (uint32_t R = 0; R < Count; ++R) {
-      if (Graph.HasIndirectCalls[R])
-        Deps[R].push_back(Hub);
+        Deps.Targets.push_back(Callee);
+    if (UseHub && Graph.HasIndirectCalls[Caller])
+      Deps.Targets.push_back(Hub);
+    Deps.endNode();
+  }
+  if (UseHub) {
+    for (uint32_t R = 0; R < Count; ++R)
       if (Prog.Routines[R].AddressTaken)
-        Deps[Hub].push_back(R);
-    }
+        Deps.Targets.push_back(R);
+    Deps.endNode();
+  }
 
-  SccSchedule Sched = buildSccSchedule(NumNodes, Deps);
+  SccSchedule Sched = scheduleOf(Deps);
   if (UseHub) {
     // Drop the hub from its group's member list (its group stays in the
     // level structure; an empty group simply schedules nothing).

@@ -26,12 +26,14 @@
 #define SPIKE_CFG_SCCSCHEDULE_H
 
 #include "cfg/CallGraph.h"
-#include "cfg/Program.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace spike {
+
+struct Program;
 
 /// A dependency-respecting execution schedule over routine groups.
 struct SccSchedule {

@@ -51,7 +51,6 @@ public:
           Prog.Routines[RoutineIndex].CallBlocks.size(), RegSet());
     }
     buildCallers();
-    Graph = buildCallGraph(Prog);
   }
 
   void run() {
@@ -252,8 +251,7 @@ private:
   // converges the (monotone, self-contained) MUST-DEF/MAY-DEF summaries;
   // pass B restarts MAY-USE from bottom with them frozen.
   void runPhase1() {
-    SccSchedule Sched = buildCalleeFirstSchedule(Prog, Graph);
-    SccDriver Driver(Prog, Sched, Pool, Gov, nullptr);
+    SccDriver Driver(Prog, Prog.CalleeFirst, Pool, Gov, nullptr);
     auto RunPass = [&](bool MayUsePass) {
       Driver.run("cfg-two-phase.phase1",
                  [&](GroupTask &T) { solveGroupPhase1(T, MayUsePass); });
@@ -369,7 +367,7 @@ private:
         ExitSeedOfRoutine[RoutineIndex] |= AllRegs;
     }
 
-    SccSchedule Sched = buildCallerFirstSchedule(Prog, Graph);
+    const SccSchedule &Sched = Prog.CallerFirst;
     RegSet IndirectAccum;
     std::vector<RegSet> GroupAccum(Sched.NumGroups);
     SccDriver Driver(Prog, Sched, Pool, Gov, nullptr);
@@ -392,7 +390,6 @@ private:
   const ResourceGovernor *Gov;
   RegSet RaOnly;
   RegSet AllRegs;
-  CallGraph Graph;
 
   /// Unfiltered entry IN sets, per routine per entrance.
   std::vector<std::vector<FlowSets>> EntrySets;

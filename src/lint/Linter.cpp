@@ -49,8 +49,7 @@ LintResult spike::lintAnalysis(const Image &Img,
                                const LintOptions &Opts) {
   telemetry::Span LintSpan("lint");
   LintResult Result;
-  CallGraph Graph = buildCallGraph(Analysis.Prog);
-  LintContext Ctx{Img, Analysis, Graph, Opts, Result.Diags};
+  LintContext Ctx{Img, Analysis, Analysis.Prog.Calls, Opts, Result.Diags};
 
   if (Opts.ruleEnabled(RuleId::UndefEntryRead))
     checkUndefEntryReads(Ctx);

@@ -102,7 +102,7 @@ spike::eliminateSaveRestores(Image &Img, const Program &Prog,
   // anywhere.  (The pipeline re-analyzes between rounds, so later rounds
   // get a fresh budget with updated summaries.)
   RegSet GlobalReplacements;
-  CallGraph Graph = buildCallGraph(Prog);
+  const CallGraph &Graph = Prog.Calls;
 
   for (uint32_t RoutineIndex = 0; RoutineIndex < Prog.Routines.size();
        ++RoutineIndex) {

@@ -2,7 +2,6 @@
 
 #include "opt/UnreachableElim.h"
 
-#include "cfg/CallGraph.h"
 #include "isa/Encoding.h"
 
 #include <algorithm>
@@ -17,7 +16,7 @@ spike::eliminateUnreachableRoutines(Image &Img, const Program &Prog) {
   if (Count == 0)
     return Stats;
 
-  const std::vector<bool> Reachable = buildCallGraph(Prog).Reachable;
+  const std::vector<bool> &Reachable = Prog.Calls.Reachable;
 
   uint64_t RetWord = encodeInstruction(inst::ret());
   uint64_t NopWord = encodeInstruction(inst::nop());

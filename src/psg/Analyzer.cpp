@@ -111,6 +111,30 @@ StageSeconds spike::stageSeconds(const telemetry::Session &S,
   return Seconds;
 }
 
+StageSeconds spike::poolRegionSeconds(const telemetry::Session &S,
+                                      size_t FirstSpan) {
+  StageSeconds Seconds = {};
+  const std::vector<telemetry::SpanEvent> &Spans = S.spans();
+  for (size_t Id = FirstSpan; Id < Spans.size(); ++Id) {
+    const telemetry::SpanEvent &E = Spans[Id];
+    if (E.Open || std::find(PoolRegionSpans.begin(), PoolRegionSpans.end(),
+                            E.Name) == PoolRegionSpans.end())
+      continue;
+    // Climb to the enclosing stage span, the one directly under
+    // "analyze".
+    for (int32_t Up = E.Parent; Up >= 0; Up = Spans[Up].Parent) {
+      int32_t Parent = Spans[Up].Parent;
+      if (Parent < 0 || Spans[Parent].Name != "analyze")
+        continue;
+      for (size_t I = 0; I < StageSpans.size(); ++I)
+        if (Spans[Up].Name == StageSpans[I].Span)
+          Seconds[I] += double(E.DurNs) * 1e-9;
+      break;
+    }
+  }
+  return Seconds;
+}
+
 std::vector<std::string> spike::primaryRoutineNames(const Image &Img) {
   std::vector<std::string> Names;
   for (const Symbol &Sym : Img.Symbols)

@@ -32,6 +32,7 @@
 #include "support/MemoryTracker.h"
 
 #include <array>
+#include <string_view>
 
 namespace spike {
 
@@ -124,6 +125,13 @@ inline constexpr std::array<StageSpan, 5> StageSpans = {{
 /// Seconds per StageSpans entry.
 using StageSeconds = std::array<double, StageSpans.size()>;
 
+/// The spans that wrap the build stages' per-routine pool regions.  A
+/// stage's serial seconds — what --jobs cannot shrink — are its span
+/// minus the pool-region spans nested under it.
+inline constexpr std::array<std::string_view, 6> PoolRegionSpans = {
+    "binary.validate.code", "cfg.scan",    "cfg.routines",
+    "psg.count",            "psg.routines", "psg.index"};
+
 /// The closed spans of \p S named after each stage whose parent is an
 /// "analyze" span, summed over span ids \p FirstSpan onward.  Pass the
 /// span count taken before one analyzeImage call to time that call
@@ -131,6 +139,11 @@ using StageSeconds = std::array<double, StageSpans.size()>;
 /// RunReport's "analyze/<stage>" phases hold when "analyze" is a root
 /// span.
 StageSeconds stageSeconds(const telemetry::Session &S, size_t FirstSpan = 0);
+
+/// Like stageSeconds, but sums only the PoolRegionSpans nested (at any
+/// depth) under each stage span.
+StageSeconds poolRegionSeconds(const telemetry::Session &S,
+                               size_t FirstSpan = 0);
 
 /// Every primary symbol name of \p Img, sorted and deduplicated: the
 /// degrade-everything escalation set of the governed retry ladders

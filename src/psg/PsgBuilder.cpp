@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 #include <span>
 #include <utility>
 
@@ -391,6 +392,45 @@ private:
   uint32_t NextNode;
 };
 
+/// One call site as the linkage CSRs see it.
+struct CallLink {
+  uint32_t Entry = NoNode; ///< Callee entry node; NoNode for indirect calls.
+  uint32_t CrEdge = 0;     ///< The call's call-return edge.
+  uint32_t Return = 0;     ///< The call's return node.
+  /// The callee's exit nodes, which are consecutive ids.
+  uint32_t FirstExit = 0;
+  uint32_t NumExits = 0;
+};
+
+/// Fills \p Links with one record per call site of routine
+/// \p RoutineIndex, in call-site order.  Reads only the routine's own
+/// nodes and its callees' directories, so routines can link in parallel.
+void linkCalls(const Program &Prog, const ProgramSummaryGraph &Psg,
+               uint32_t RoutineIndex, CallLink *Links) {
+  const Routine &R = Prog.Routines[RoutineIndex];
+  const RoutinePsg &Info = Psg.RoutineInfo[RoutineIndex];
+  for (size_t CallIndex = 0; CallIndex < R.CallBlocks.size(); ++CallIndex) {
+    CallLink &Link = Links[CallIndex];
+    Link.Return = Info.ReturnNodes[CallIndex];
+    const BasicBlock &Block = R.Blocks[R.CallBlocks[CallIndex]];
+    if (Block.Term != TerminatorKind::Call)
+      continue;
+    // The call-return edge is the call node's only out-edge.
+    const PsgNode &CallRef = Psg.Nodes[Info.CallNodes[CallIndex]];
+    assert(CallRef.NumOut == 1 && Psg.Edges[CallRef.FirstOut].IsCallReturn &&
+           "call node must have exactly its call-return edge");
+    const RoutinePsg &Callee = Psg.RoutineInfo[Block.CalleeRoutine];
+    Link.Entry = Callee.EntryNodes[uint32_t(Block.CalleeEntry)];
+    Link.CrEdge = CallRef.FirstOut;
+    Link.NumExits = uint32_t(Callee.ExitNodes.size());
+    if (Link.NumExits != 0)
+      Link.FirstExit = Callee.ExitNodes.front();
+    assert((Link.NumExits == 0 ||
+            Callee.ExitNodes.back() == Link.FirstExit + Link.NumExits - 1) &&
+           "exit nodes are created consecutively");
+  }
+}
+
 } // namespace
 
 ProgramSummaryGraph spike::buildPsg(const Program &Prog,
@@ -405,10 +445,16 @@ ProgramSummaryGraph spike::buildPsg(const Program &Prog,
   // ranges are fixed up front and every routine writes its nodes in
   // place.
   Psg.RoutineNodeBegin.assign(Count + 1, 0);
+  {
+    telemetry::Span CountSpan("psg.count");
+    forEachTask(Pool, Count, [&](size_t RoutineIndex, unsigned) {
+      Psg.RoutineNodeBegin[RoutineIndex + 1] =
+          countNodes(Prog.Routines[RoutineIndex], Opts);
+    });
+  }
   for (size_t RoutineIndex = 0; RoutineIndex < Count; ++RoutineIndex)
-    Psg.RoutineNodeBegin[RoutineIndex + 1] =
-        Psg.RoutineNodeBegin[RoutineIndex] +
-        countNodes(Prog.Routines[RoutineIndex], Opts);
+    Psg.RoutineNodeBegin[RoutineIndex + 1] +=
+        Psg.RoutineNodeBegin[RoutineIndex];
   Psg.Nodes.resize(Psg.RoutineNodeBegin[Count]);
 
   // The expensive part — edge discovery and the Figure 6 subgraph
@@ -416,112 +462,130 @@ ProgramSummaryGraph spike::buildPsg(const Program &Prog,
   // buffers, each routine's already in source-node order.
   std::vector<BuildScratch> Scratch(Pool ? Pool->jobs() : 1);
   std::vector<EdgeSegment> Segments(Count);
-  forEachTask(Pool, Count, [&](size_t RoutineIndex, unsigned Lane) {
-    BuildScratch &S = Scratch[Lane];
-    size_t Begin = S.Edges.size();
-    RoutinePsgBuilder(Prog, uint32_t(RoutineIndex), Opts, Psg, S).run();
-    Segments[RoutineIndex] = {Lane, Begin, S.Edges.size() - Begin};
-  });
-
-  // Routine node ranges ascend, so concatenating the segments in routine
-  // order yields the edge array sorted by source node: the CSR order.
-  size_t TotalEdges = 0;
-  for (const EdgeSegment &Seg : Segments)
-    TotalEdges += Seg.Count;
-  Psg.Edges.reserve(TotalEdges);
-  for (const EdgeSegment &Seg : Segments) {
-    const std::vector<PsgEdge> &LaneEdges = Scratch[Seg.Lane].Edges;
-    Psg.Edges.insert(Psg.Edges.end(), LaneEdges.begin() + Seg.Begin,
-                     LaneEdges.begin() + Seg.Begin + Seg.Count);
-  }
-  Scratch.clear(); // Frees the lane buffers before the CSR indexes grow.
-
-  for (uint32_t EdgeId = 0; EdgeId < Psg.Edges.size(); ++EdgeId) {
-    const PsgEdge &Edge = Psg.Edges[EdgeId];
-    PsgNode &Src = Psg.Nodes[Edge.Src];
-    if (Src.NumOut == 0)
-      Src.FirstOut = EdgeId;
-    ++Src.NumOut;
-    Psg.NumFlowSummaryEdges += !Edge.IsCallReturn;
-  }
-  for (const RoutinePsg &Info : Psg.RoutineInfo)
-    Psg.NumBranchNodes += Info.BranchNodes.size();
-
-  // Reverse CSR: incoming edge ids per node.
-  Psg.InEdgeIds.resize(Psg.Edges.size());
   {
-    std::vector<uint32_t> Counts(Psg.Nodes.size() + 1, 0);
-    for (const PsgEdge &Edge : Psg.Edges)
-      ++Counts[Edge.Dst + 1];
-    for (size_t I = 1; I < Counts.size(); ++I)
-      Counts[I] += Counts[I - 1];
-    for (uint32_t NodeId = 0; NodeId < Psg.Nodes.size(); ++NodeId) {
-      Psg.Nodes[NodeId].FirstIn = Counts[NodeId];
-      Psg.Nodes[NodeId].NumIn = Counts[NodeId + 1] - Counts[NodeId];
-    }
-    std::vector<uint32_t> Cursor(Counts.begin(), Counts.end() - 1);
-    for (uint32_t EdgeId = 0; EdgeId < Psg.Edges.size(); ++EdgeId)
-      Psg.InEdgeIds[Cursor[Psg.Edges[EdgeId].Dst]++] = EdgeId;
+    telemetry::Span RoutinesSpan("psg.routines");
+    forEachTask(Pool, Count, [&](size_t RoutineIndex, unsigned Lane) {
+      BuildScratch &S = Scratch[Lane];
+      size_t Begin = S.Edges.size();
+      RoutinePsgBuilder(Prog, uint32_t(RoutineIndex), Opts, Psg, S).run();
+      Segments[RoutineIndex] = {Lane, Begin, S.Edges.size() - Begin};
+    });
   }
+
+  // Routine node ranges ascend, so placing the segments in routine order
+  // yields the edge array sorted by source node: the CSR order.  No edge
+  // crosses routines, so a routine's edges are exactly the in-edges of
+  // its nodes too, and each routine fills both CSR indexes of its own
+  // id ranges.  Each routine also records, per call site, what the
+  // linkage CSRs need, so the serial counting sort below reads one array
+  // in order instead of chasing callee directories.
+  std::vector<uint32_t> RoutineEdgeBegin(Count + 1, 0);
+  std::vector<uint32_t> RoutineCallBegin(Count + 1, 0);
+  for (size_t RoutineIndex = 0; RoutineIndex < Count; ++RoutineIndex) {
+    RoutineEdgeBegin[RoutineIndex + 1] =
+        RoutineEdgeBegin[RoutineIndex] +
+        uint32_t(Segments[RoutineIndex].Count);
+    RoutineCallBegin[RoutineIndex + 1] =
+        RoutineCallBegin[RoutineIndex] +
+        uint32_t(Prog.Routines[RoutineIndex].CallBlocks.size());
+  }
+  Psg.Edges.resize(RoutineEdgeBegin[Count]);
+  Psg.InEdgeIds.resize(Psg.Edges.size());
+  std::vector<CallLink> Links(RoutineCallBegin[Count]);
+  std::vector<uint64_t> FlowSummaryEdges(Scratch.size(), 0);
+  {
+    telemetry::Span IndexSpan("psg.index");
+    forEachTask(Pool, Count, [&](size_t RoutineIndex, unsigned Lane) {
+      const EdgeSegment &Seg = Segments[RoutineIndex];
+      const uint32_t First = RoutineEdgeBegin[RoutineIndex];
+      const uint32_t Last = RoutineEdgeBegin[RoutineIndex + 1];
+      const std::vector<PsgEdge> &LaneEdges = Scratch[Seg.Lane].Edges;
+      std::copy(LaneEdges.begin() + Seg.Begin,
+                LaneEdges.begin() + Seg.Begin + Seg.Count,
+                Psg.Edges.begin() + First);
+      for (uint32_t EdgeId = First; EdgeId < Last; ++EdgeId) {
+        const PsgEdge &Edge = Psg.Edges[EdgeId];
+        PsgNode &Src = Psg.Nodes[Edge.Src];
+        if (Src.NumOut == 0)
+          Src.FirstOut = EdgeId;
+        ++Src.NumOut;
+        ++Psg.Nodes[Edge.Dst].NumIn;
+        FlowSummaryEdges[Lane] += !Edge.IsCallReturn;
+      }
+      uint32_t Next = First;
+      for (uint32_t NodeId = Psg.RoutineNodeBegin[RoutineIndex];
+           NodeId < Psg.RoutineNodeBegin[RoutineIndex + 1]; ++NodeId) {
+        PsgNode &Node = Psg.Nodes[NodeId];
+        Node.FirstIn = Next;
+        Next += Node.NumIn;
+        Node.NumIn = 0;
+      }
+      for (uint32_t EdgeId = First; EdgeId < Last; ++EdgeId) {
+        PsgNode &Dst = Psg.Nodes[Psg.Edges[EdgeId].Dst];
+        Psg.InEdgeIds[Dst.FirstIn + Dst.NumIn++] = EdgeId;
+      }
+      linkCalls(Prog, Psg, uint32_t(RoutineIndex),
+                Links.data() + RoutineCallBegin[RoutineIndex]);
+    });
+  }
+  Scratch.clear(); // Frees the lane buffers before the linkage grows.
+  for (uint64_t Edges : FlowSummaryEdges)
+    Psg.NumFlowSummaryEdges += Edges;
 
   // Phase 1 broadcast lists: entry node -> call-return edges of its
-  // direct call sites.  Phase 2 linkage: exit node <-> return nodes.
-  std::vector<std::pair<uint32_t, uint32_t>> EntryToCr;
-  std::vector<std::pair<uint32_t, uint32_t>> ExitToReturn;
-  for (uint32_t RoutineIndex = 0; RoutineIndex < Prog.Routines.size();
-       ++RoutineIndex) {
-    const Routine &R = Prog.Routines[RoutineIndex];
-    const RoutinePsg &Info = Psg.RoutineInfo[RoutineIndex];
-    for (size_t CallIndex = 0; CallIndex < R.CallBlocks.size();
-         ++CallIndex) {
-      const BasicBlock &Block = R.Blocks[R.CallBlocks[CallIndex]];
-      uint32_t CallNode = Info.CallNodes[CallIndex];
-      uint32_t ReturnNode = Info.ReturnNodes[CallIndex];
-      // The call-return edge is the call node's only out-edge.
-      const PsgNode &CallRef = Psg.Nodes[CallNode];
-      assert(CallRef.NumOut == 1 &&
-             Psg.Edges[CallRef.FirstOut].IsCallReturn &&
-             "call node must have exactly its call-return edge");
-      uint32_t CrEdgeId = CallRef.FirstOut;
-
-      if (Block.Term == TerminatorKind::Call) {
-        const RoutinePsg &CalleeInfo = Psg.RoutineInfo[Block.CalleeRoutine];
-        uint32_t EntryNode =
-            CalleeInfo.EntryNodes[uint32_t(Block.CalleeEntry)];
-        EntryToCr.push_back({EntryNode, CrEdgeId});
-        for (uint32_t ExitNode : CalleeInfo.ExitNodes)
-          ExitToReturn.push_back({ExitNode, ReturnNode});
-      } else {
-        Psg.IndirectReturnNodes.push_back(ReturnNode);
+  // direct call sites.  Phase 2 linkage: exit node <-> return nodes.  A
+  // counting sort keyed by node id: one pass over the call sites in
+  // routine order counts, a second fills.  Call sites in routine order
+  // visit call-return edges and return nodes in ascending id order, and
+  // each callee's exits ascend, so every key's ids come out ascending
+  // and (one pair per call site and exit) distinct.
+  size_t NumNodes = Psg.Nodes.size();
+  Psg.CrEdgeOfEntryBegin.assign(NumNodes + 1, 0);
+  Psg.ReturnsOfExitBegin.assign(NumNodes + 1, 0);
+  Psg.ExitsOfReturnBegin.assign(NumNodes + 1, 0);
+  for (const CallLink &Link : Links) {
+    if (Link.Entry == NoNode) {
+      Psg.IndirectReturnNodes.push_back(Link.Return);
+      continue;
+    }
+    ++Psg.CrEdgeOfEntryBegin[Link.Entry + 1];
+    for (uint32_t I = 0; I < Link.NumExits; ++I)
+      ++Psg.ReturnsOfExitBegin[Link.FirstExit + I + 1];
+    Psg.ExitsOfReturnBegin[Link.Return + 1] = Link.NumExits;
+  }
+  for (std::vector<uint32_t> *Begin :
+       {&Psg.CrEdgeOfEntryBegin, &Psg.ReturnsOfExitBegin,
+        &Psg.ExitsOfReturnBegin})
+    std::partial_sum(Begin->begin(), Begin->end(), Begin->begin());
+  Psg.CrEdgeOfEntryIds.resize(Psg.CrEdgeOfEntryBegin[NumNodes]);
+  Psg.ReturnsOfExitIds.resize(Psg.ReturnsOfExitBegin[NumNodes]);
+  Psg.ExitsOfReturnIds.resize(Psg.ExitsOfReturnBegin[NumNodes]);
+  {
+    std::vector<uint32_t> CrCursor(Psg.CrEdgeOfEntryBegin.begin(),
+                                   Psg.CrEdgeOfEntryBegin.end() - 1);
+    std::vector<uint32_t> ReturnCursor(Psg.ReturnsOfExitBegin.begin(),
+                                       Psg.ReturnsOfExitBegin.end() - 1);
+    for (const CallLink &Link : Links) {
+      if (Link.Entry == NoNode)
+        continue;
+      Psg.CrEdgeOfEntryIds[CrCursor[Link.Entry]++] = Link.CrEdge;
+      uint32_t ExitCursor = Psg.ExitsOfReturnBegin[Link.Return];
+      for (uint32_t Exit = Link.FirstExit;
+           Exit < Link.FirstExit + Link.NumExits; ++Exit) {
+        Psg.ReturnsOfExitIds[ReturnCursor[Exit]++] = Link.Return;
+        Psg.ExitsOfReturnIds[ExitCursor++] = Exit;
       }
     }
-    if (R.AddressTaken)
-      for (uint32_t ExitNode : Info.ExitNodes)
-        Psg.AddressTakenExitNodes.push_back(ExitNode);
   }
 
-  auto PackCsr = [&](std::vector<std::pair<uint32_t, uint32_t>> &Pairs,
-                     std::vector<uint32_t> &Begin,
-                     std::vector<uint32_t> &Ids) {
-    std::sort(Pairs.begin(), Pairs.end());
-    Pairs.erase(std::unique(Pairs.begin(), Pairs.end()), Pairs.end());
-    Begin.assign(Psg.Nodes.size() + 1, 0);
-    for (const auto &[Key, Value] : Pairs)
-      ++Begin[Key + 1];
-    for (size_t I = 1; I < Begin.size(); ++I)
-      Begin[I] += Begin[I - 1];
-    Ids.resize(Pairs.size());
-    for (size_t I = 0; I < Pairs.size(); ++I)
-      Ids[I] = Pairs[I].second;
-  };
-  std::vector<std::pair<uint32_t, uint32_t>> ReturnToExit;
-  ReturnToExit.reserve(ExitToReturn.size());
-  for (const auto &[ExitNode, ReturnNode] : ExitToReturn)
-    ReturnToExit.push_back({ReturnNode, ExitNode});
-
-  PackCsr(EntryToCr, Psg.CrEdgeOfEntryBegin, Psg.CrEdgeOfEntryIds);
-  PackCsr(ExitToReturn, Psg.ReturnsOfExitBegin, Psg.ReturnsOfExitIds);
-  PackCsr(ReturnToExit, Psg.ExitsOfReturnBegin, Psg.ExitsOfReturnIds);
+  for (uint32_t RoutineIndex = 0; RoutineIndex < Count; ++RoutineIndex) {
+    const RoutinePsg &Info = Psg.RoutineInfo[RoutineIndex];
+    Psg.NumBranchNodes += Info.BranchNodes.size();
+    if (Prog.Routines[RoutineIndex].AddressTaken)
+      Psg.AddressTakenExitNodes.insert(Psg.AddressTakenExitNodes.end(),
+                                       Info.ExitNodes.begin(),
+                                       Info.ExitNodes.end());
+  }
 
   if (Mem) {
     Mem->charge(Psg.Nodes.size() * sizeof(PsgNode));

@@ -625,8 +625,7 @@ SolverStats spike::runPhase1(const Program &Prog, ProgramSummaryGraph &Psg,
          I != E; ++I)
       Psg.Edges[Psg.CrEdgeOfEntryIds[I]].Label.MustDef = AllRegs;
 
-  CallGraph Graph = buildCallGraph(Prog);
-  SccSchedule Sched = buildCalleeFirstSchedule(Prog, Graph);
+  const SccSchedule &Sched = Prog.CalleeFirst;
   ReuseMaps Maps = buildReuseMaps(Reuse, Psg);
   std::vector<LaneScratch> Scratch = laneScratch(Pool, Psg);
   std::vector<SolverStats> GroupStats(Sched.NumGroups);
@@ -716,8 +715,7 @@ SolverStats spike::runPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
   // Caller-first schedule: an exit's feeding return sites converge before
   // the exit's component runs (or share its component), and the hub
   // ordering does the same for the indirect-call accumulator.
-  CallGraph Graph = buildCallGraph(Prog);
-  SccSchedule Sched = buildCallerFirstSchedule(Prog, Graph);
+  const SccSchedule &Sched = Prog.CallerFirst;
   ReuseMaps Maps = buildReuseMaps(Reuse, Psg);
 
   if (Maps) {
@@ -751,7 +749,8 @@ SolverStats spike::runPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
     for (uint32_t Group = 0; Group < Sched.NumGroups && !Escalate; ++Group)
       if (InClosure[Group])
         for (uint32_t R : Sched.Members[Group])
-          if (Prog.Routines[R].AddressTaken || Graph.HasIndirectCalls[R]) {
+          if (Prog.Routines[R].AddressTaken ||
+              Prog.Calls.HasIndirectCalls[R]) {
             Escalate = true;
             break;
           }

@@ -2,7 +2,6 @@
 
 #include "slice/SlotFlow.h"
 
-#include "cfg/CallGraph.h"
 #include "cfg/SccDriver.h"
 #include "isa/StackRef.h"
 #include "telemetry/Telemetry.h"
@@ -308,7 +307,7 @@ SlotFlowResult solveSlotFlowImpl(const Program &Prog, ThreadPool *Pool,
   size_t NumRoutines = Prog.Routines.size();
   Result.Routines.resize(NumRoutines);
   std::vector<RoutinePrep> Prep(NumRoutines);
-  CallGraph Graph = buildCallGraph(Prog);
+  const CallGraph &Graph = Prog.Calls;
 
   // Per-routine prep (deltas, escapes, slot ops) is independent work.
   forEachTask(Pool, NumRoutines, [&](size_t R, unsigned) {
@@ -356,8 +355,7 @@ SlotFlowResult solveSlotFlowImpl(const Program &Prog, ThreadPool *Pool,
   } else {
     {
       telemetry::Span Phase1Span("slice.phase1");
-      SccSchedule Sched = buildCalleeFirstSchedule(Prog, Graph);
-      SccDriver Driver(Prog, Sched, Pool, Gov, Frontier);
+      SccDriver Driver(Prog, Prog.CalleeFirst, Pool, Gov, Frontier);
       Driver.run(
           "slice.phase1",
           [&](GroupTask &T) {
@@ -405,23 +403,23 @@ SlotFlowResult solveSlotFlowImpl(const Program &Prog, ThreadPool *Pool,
     }
     {
       telemetry::Span Phase2Span("slice.phase2");
-      SccSchedule Sched = buildCallerFirstSchedule(Prog, Graph);
       if (Frontier && Reuse->Phase2Seeds &&
           Reuse->Phase2Seeds->size() == NumRoutines)
         Frontier->flagEach(*Reuse->Phase2Seeds);
-      SccDriver Driver(Prog, Sched, Pool, Gov, Frontier);
+      SccDriver Driver(Prog, Prog.CallerFirst, Pool, Gov, Frontier);
       Driver.run(
           "slice.phase2",
           [&](GroupTask &T) {
             bool Changed = true;
-            while (Changed) {
+            for (bool FirstSweep = true; Changed; FirstSweep = false) {
               Changed = false;
               T.step();
               for (uint32_t R : T.Members) {
                 T.pop(R);
                 SlotSet Exit =
                     computeLiveAtExit(Prog, R, Graph, Result.Routines);
-                if (!(Exit == Result.Routines[R].LiveAtExit)) {
+                bool ExitChanged = !(Exit == Result.Routines[R].LiveAtExit);
+                if (ExitChanged) {
                   if (T.Cost)
                     T.Cost->ChangedBits.record(
                         changedSlotBits(Result.Routines[R].LiveAtExit, Exit));
@@ -429,10 +427,12 @@ SlotFlowResult solveSlotFlowImpl(const Program &Prog, ThreadPool *Pool,
                   Changed = true;
                 }
                 // Block liveness is a pure function of LiveAtExit and the
-                // callees' final phase-1 facts; recompute each sweep so
-                // in-group callers read current values.
-                solveBlockLiveness(Prog, R, Prep, Result.Routines,
-                                   T.Cost ? &T.Cost->SetOps : nullptr);
+                // callees' final phase-1 facts, so it only moves when
+                // LiveAtExit does; solve once per group, then on change,
+                // so in-group callers read current values.
+                if (FirstSweep || ExitChanged)
+                  solveBlockLiveness(Prog, R, Prep, Result.Routines,
+                                     T.Cost ? &T.Cost->SetOps : nullptr);
               }
             }
             if (T.Cost)

@@ -88,6 +88,9 @@ public:
   /// True iff the plan's fault has fired at least once.
   bool fired() const { return Fired.load(std::memory_order_relaxed); }
 
+  /// Events of the plan's kind counted so far.
+  uint64_t events() const { return Count.load(std::memory_order_relaxed); }
+
   /// Advances the counter for \p Kind; returns true exactly once, when
   /// the trigger count is reached.
   bool step(FaultKind Kind) {

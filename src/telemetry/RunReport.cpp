@@ -251,6 +251,8 @@ void diffRegistry(const std::map<std::string, uint64_t> &Baseline,
     // regression these counters exist to catch.
     if (isScheduleDependent(Name))
       Row.Regression = false;
+    else if (K == DiffRow::Kind::Counter && Opts.ExactCounts)
+      Row.Regression = Cur != Base;
     else if (K == DiffRow::Kind::Counter &&
              (Name.rfind("degrade.", 0) == 0 || isServeHealthCounter(Name)))
       Row.Regression = Cur > Base;
@@ -304,7 +306,7 @@ ReportDiff spike::telemetry::diffReports(const RunReport &Baseline,
     Row.Baseline = Base;
     Row.Current = Cur;
     Row.Ratio = Base > 0 ? Cur / Base : (Cur > 0 ? Cur / 1e-9 : 1.0);
-    Row.Regression = Base > Opts.TimeFloorSeconds &&
+    Row.Regression = !Opts.ExactCounts && Base > Opts.TimeFloorSeconds &&
                      Cur > Opts.TimeFloorSeconds &&
                      Cur > Base * (1 + Opts.MaxTimeGrowth);
     Diff.Regressions += Row.Regression;
@@ -363,6 +365,7 @@ ReportDiff spike::telemetry::diffReports(const RunReport &Baseline,
       const RunReport::HistogramData &Cur =
           Sides.second ? *Sides.second : Empty;
       bool Timed = isTimeHistogram(Name);
+      bool Judged = !isScheduleDependent(Name) && !(Timed && Opts.ExactCounts);
       // The phase floor expressed in this histogram's unit: sub-floor
       // time percentiles are noise exactly like sub-floor phases.
       double Floor = Timed ? Opts.TimeFloorSeconds * 1e9 : 0;
@@ -381,9 +384,8 @@ ReportDiff spike::telemetry::diffReports(const RunReport &Baseline,
         Row.Ratio = Row.Baseline == 0
                         ? (Row.Current == 0 ? 1.0 : Row.Current)
                         : Row.Current / Row.Baseline;
-        Row.Regression = !isScheduleDependent(Name) &&
-                         Row.Baseline > Floor && Row.Current > Floor &&
-                         Row.Baseline > 0 &&
+        Row.Regression = Judged && Row.Baseline > Floor &&
+                         Row.Current > Floor && Row.Baseline > 0 &&
                          Row.Current > Row.Baseline * (1 + Growth);
         Diff.Regressions += Row.Regression;
         Diff.Rows.push_back(std::move(Row));
@@ -403,9 +405,8 @@ ReportDiff spike::telemetry::diffReports(const RunReport &Baseline,
         Row.Ratio = Row.Baseline == 0
                         ? (Row.Current == 0 ? 1.0 : Row.Current)
                         : Row.Current / Row.Baseline;
-        Row.Regression = !isScheduleDependent(Name) &&
-                         Row.Baseline > Floor && Row.Current > Floor &&
-                         Row.Baseline > 0 &&
+        Row.Regression = Judged && Row.Baseline > Floor &&
+                         Row.Current > Floor && Row.Baseline > 0 &&
                          Row.Current > Row.Baseline * (1 + Growth) &&
                          Row.Current > Row.Baseline * 2.5;
         Diff.Regressions += Row.Regression;

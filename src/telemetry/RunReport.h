@@ -199,6 +199,11 @@ struct DiffOptions {
 
   /// ...and both sides are above this floor (sub-floor phases are noise).
   double TimeFloorSeconds = 0.01;
+
+  /// Strict count mode: a counter regresses on any change, up or down,
+  /// unless it is schedule-dependent, and times (phases, time-valued
+  /// histograms) are never judged.
+  bool ExactCounts = false;
 };
 
 /// One compared quantity.
@@ -254,6 +259,10 @@ struct ReportDiff {
 /// The mean is exact and carries the thresholds unmodified; p50/p90 are
 /// quantized to log2 bucket bounds and additionally require more than
 /// one bucket step to regress.
+///
+/// With DiffOptions::ExactCounts, counters must be equal (the thresholds
+/// above do not apply to them) and no time regresses; gauges, count-valued
+/// histograms, transforms and degradations keep the verdicts above.
 ///
 /// Schedule-dependent quantities — steal accounting ("pool.steals",
 /// "pool.batch_steals") and per-lane utilization ("pool.lane.*") — are

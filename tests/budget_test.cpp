@@ -36,6 +36,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 #include <string>
@@ -140,6 +141,37 @@ TEST(BudgetDifferential, IterationCapDegradesSoundlyOnAllProfiles) {
   // The cap of one pop must actually bite somewhere, or this test is a
   // no-op.
   EXPECT_GE(ProfilesDegraded, 15u);
+}
+
+TEST(BudgetDifferential, NamedDegradeQuarantinesExactlyTheNamedRoutines) {
+  // The degrade-everything escalation passes every primary name; unknown
+  // and repeated names must be harmless, and a forced quarantine keeps
+  // its reason.
+  Image Img = generateCfgProgram(
+      scaledProfile(*findProfile("gcc"), 120.0 / findProfile("gcc")->Routines));
+  std::vector<std::string> All = primaryRoutineNames(Img);
+  ASSERT_GT(All.size(), 4u);
+  std::vector<std::string> Half;
+  for (size_t I = 0; I < All.size(); I += 2)
+    Half.push_back(All[I]);
+  for (const std::vector<std::string> *Named : {&All, &Half}) {
+    CfgBuildOptions Opts;
+    Opts.ForceQuarantine = {All[2]};
+    Opts.BudgetDegrade = *Named;
+    Opts.BudgetDegrade.push_back("no-such-routine");
+    Opts.BudgetDegrade.push_back(All[0]);
+    Opts.BudgetDegrade.push_back(All[2]);
+    Program Prog = buildProgram(Img, CallingConv(), nullptr, Opts);
+    for (const Routine &R : Prog.Routines) {
+      bool IsNamed =
+          std::find(Named->begin(), Named->end(), R.Name) != Named->end();
+      DegradeReason Want = R.Name == All[2] ? DegradeReason::Forced
+                           : IsNamed        ? DegradeReason::Budget
+                                            : DegradeReason::None;
+      EXPECT_EQ(R.Degrade, Want) << R.Name;
+      EXPECT_EQ(R.Quarantined, Want != DegradeReason::None) << R.Name;
+    }
+  }
 }
 
 TEST(BudgetDifferential, IterationCapBitIdenticalAcrossJobCounts) {

@@ -6,7 +6,10 @@
 // counter and the analysis.jobs gauge may reflect the lane count; both
 // are excluded from every comparison below.)
 //
-// Four layers of evidence:
+// Five layers of evidence:
+//   - the front end (CFG build, call graph, schedules, PSG build) at
+//     jobs 1/2/4/7 on the corpus and on hand-built edge cases: every
+//     field of the Program and the PSG, and every tracked charge,
 //   - the SCC-schedule driver (cfg/SccDriver.h) that all three solvers
 //     share, on a hand-built schedule at jobs 1 and 4: one solve per
 //     non-empty group, ordered level joins, restore-or-solve against the
@@ -25,13 +28,17 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "binary/ProgramBuilder.h"
 #include "cfg/SccDriver.h"
 #include "interproc/CfgTwoPhase.h"
+#include "isa/Encoding.h"
+#include "isa/Registers.h"
 #include "opt/Pipeline.h"
 #include "provenance/Witness.h"
 #include "psg/Analyzer.h"
 #include "sim/Simulator.h"
 #include "slice/SlotFlow.h"
+#include "support/FaultInjection.h"
 #include "support/ThreadPool.h"
 #include "synth/CfgGenerator.h"
 #include "synth/ExecGenerator.h"
@@ -47,6 +54,7 @@
 #include <cstring>
 #include <iterator>
 #include <fstream>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -289,6 +297,422 @@ struct DriverFixture {
 };
 
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// The front end: per-routine CFG and PSG builds at every lane count
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+template <class T> std::string listOf(const std::vector<T> &Values) {
+  std::string Out;
+  for (const T &V : Values)
+    Out += std::to_string(V) + ",";
+  return Out;
+}
+
+void describeCallGraph(const CallGraph &G, std::vector<std::string> &Out) {
+  for (size_t R = 0; R < G.Callees.size(); ++R)
+    Out.push_back("callgraph " + std::to_string(R) + " callees " +
+                  listOf(G.Callees[R]) + " callers " + listOf(G.Callers[R]) +
+                  " indirect " + std::to_string(G.HasIndirectCalls[R]) +
+                  " scc " + std::to_string(G.SccId[R]) + " cycle " +
+                  std::to_string(G.InCycle[R]) + " reachable " +
+                  std::to_string(G.Reachable[R]));
+  Out.push_back("sccs " + std::to_string(G.NumSccs));
+}
+
+void describeSchedule(const char *Name, const SccSchedule &S,
+                      std::vector<std::string> &Out) {
+  Out.push_back(std::string(Name) + " groups " + std::to_string(S.NumGroups) +
+                " of " + listOf(S.GroupOfRoutine));
+  for (uint32_t G = 0; G < S.NumGroups; ++G)
+    Out.push_back(std::string(Name) + " group " + std::to_string(G) + " " +
+                  listOf(S.Members[G]) + " succ " + listOf(S.GroupSucc[G]));
+  for (const std::vector<uint32_t> &Level : S.Levels)
+    Out.push_back(std::string(Name) + " level " + listOf(Level));
+}
+
+std::string flowText(const FlowSets &F) {
+  return F.MayUse.str() + "/" + F.MayDef.str() + "/" + F.MustDef.str();
+}
+
+/// Every field of \p Prog, one line per routine, block and table.
+std::vector<std::string> describeProgram(const Program &Prog) {
+  std::vector<std::string> Out;
+  Out.push_back("insts " + std::to_string(Prog.Insts.size()) + " entry " +
+                std::to_string(Prog.EntryRoutine));
+  for (uint64_t Address = 0; Address < Prog.Insts.size(); ++Address)
+    Out.push_back("inst " + Prog.Insts[Address].str(int64_t(Address)));
+  for (const JumpTableTargets &Table : Prog.JumpTables)
+    Out.push_back("table " + listOf(Table.Targets));
+  for (const Routine &R : Prog.Routines) {
+    Out.push_back("routine " + R.Name + " [" + std::to_string(R.Begin) + "," +
+                  std::to_string(R.End) + ") entries " +
+                  listOf(R.EntryAddresses) + " at " + listOf(R.EntryBlocks) +
+                  " exits " + listOf(R.ExitBlocks) + " calls " +
+                  listOf(R.CallBlocks) + " arcs " + listOf(R.Arcs) +
+                  " taken " + std::to_string(R.AddressTaken) + " quarantined " +
+                  std::to_string(R.Quarantined) + " (" + R.QuarantineReason +
+                  ") " + degradeReasonName(R.Degrade) + " fromq " +
+                  std::to_string(R.CalledFromQuarantine) + " branches " +
+                  std::to_string(R.NumBranches));
+    for (const BasicBlock &B : R.Blocks)
+      Out.push_back("block [" + std::to_string(B.Begin) + "," +
+                    std::to_string(B.End) + ") succ " +
+                    std::to_string(B.FirstSucc) + "+" +
+                    std::to_string(B.NumSuccs) + " pred " +
+                    std::to_string(B.FirstPred) + "+" +
+                    std::to_string(B.NumPreds) + " term " +
+                    std::to_string(int(B.Term)) + " callee " +
+                    std::to_string(B.CalleeRoutine) + "." +
+                    std::to_string(B.CalleeEntry) + " table " +
+                    std::to_string(B.JumpTableIndex) + " def " + B.Def.str() +
+                    " ubd " + B.Ubd.str());
+  }
+  for (const auto &[Address, Annot] : Prog.CallAnnotations)
+    Out.push_back("call-annotation " + std::to_string(Address) + " " +
+                  Annot.Used.str() + "/" + Annot.Defined.str() + "/" +
+                  Annot.Killed.str());
+  for (const auto &[Address, Live] : Prog.JumpLiveAnnotations)
+    Out.push_back("jump-annotation " + std::to_string(Address) + " " +
+                  Live.str());
+  for (const ValidationFinding &F : Prog.Validation.Findings)
+    Out.push_back("finding " + std::to_string(int(F.Code)) + " @" +
+                  std::to_string(F.Address) + " " + F.RoutineName + " " +
+                  std::to_string(F.Strict) + std::to_string(F.Quarantines) +
+                  " " + F.Message);
+  describeCallGraph(Prog.Calls, Out);
+  describeSchedule("callee-first", Prog.CalleeFirst, Out);
+  describeSchedule("caller-first", Prog.CallerFirst, Out);
+  return Out;
+}
+
+/// Every field of \p Psg: nodes with both CSR ranges, edges, the
+/// reverse index, the node directories and the linkage CSRs.
+std::vector<std::string> describePsg(const ProgramSummaryGraph &Psg) {
+  std::vector<std::string> Out;
+  for (const PsgNode &N : Psg.Nodes)
+    Out.push_back("node " + std::string(psgNodeKindName(N.Kind)) + " " +
+                  std::to_string(N.RoutineIndex) + "." +
+                  std::to_string(N.BlockIndex) + "." +
+                  std::to_string(N.AuxIndex) + " out " +
+                  std::to_string(N.FirstOut) + "+" + std::to_string(N.NumOut) +
+                  " in " + std::to_string(N.FirstIn) + "+" +
+                  std::to_string(N.NumIn) + " sets " + flowText(N.Sets) +
+                  " live " + N.Live.str());
+  for (const PsgEdge &E : Psg.Edges)
+    Out.push_back("edge " + std::to_string(E.Src) + "->" +
+                  std::to_string(E.Dst) + " " + flowText(E.Label) +
+                  (E.IsCallReturn ? " cr" : ""));
+  for (const RoutinePsg &Info : Psg.RoutineInfo)
+    Out.push_back("info " + listOf(Info.EntryNodes) + " " +
+                  listOf(Info.ExitNodes) + " " + listOf(Info.CallNodes) +
+                  " " + listOf(Info.ReturnNodes) + " " +
+                  listOf(Info.BranchNodes));
+  Out.push_back("in " + listOf(Psg.InEdgeIds));
+  Out.push_back("routine-nodes " + listOf(Psg.RoutineNodeBegin));
+  Out.push_back("cr-of-entry " + listOf(Psg.CrEdgeOfEntryBegin) + " " +
+                listOf(Psg.CrEdgeOfEntryIds));
+  Out.push_back("returns-of-exit " + listOf(Psg.ReturnsOfExitBegin) + " " +
+                listOf(Psg.ReturnsOfExitIds));
+  Out.push_back("exits-of-return " + listOf(Psg.ExitsOfReturnBegin) + " " +
+                listOf(Psg.ExitsOfReturnIds));
+  Out.push_back("indirect-returns " + listOf(Psg.IndirectReturnNodes));
+  Out.push_back("taken-exits " + listOf(Psg.AddressTakenExitNodes));
+  Out.push_back("counts " + std::to_string(Psg.NumFlowSummaryEdges) + " " +
+                std::to_string(Psg.NumBranchNodes));
+  return Out;
+}
+
+/// The front end of one image at one lane count: the Program with its
+/// call graph and schedules, the PSG, and the tracked charges (their
+/// count is the alloc@N fault schedule's clock).
+struct FrontEnd {
+  Program Prog;
+  ProgramSummaryGraph Psg;
+  std::vector<std::string> Lines;
+};
+
+FrontEnd buildFrontEnd(const Image &Img, unsigned Jobs,
+                       const CfgBuildOptions &Opts = {}) {
+  ThreadPool Pool(Jobs);
+  MemoryTracker Mem;
+  faultinject::Injector Charges(
+      {faultinject::FaultKind::Alloc, ~uint64_t(0)});
+  FrontEnd F;
+  {
+    faultinject::Scope Counting(Charges);
+    F.Prog = buildProgram(Img, CallingConv(), &Mem, Opts, &Pool);
+    computeDefUbd(F.Prog, &Pool);
+    F.Psg = buildPsg(F.Prog, {}, &Mem, &Pool);
+  }
+  F.Lines = describeProgram(F.Prog);
+  std::vector<std::string> PsgLines = describePsg(F.Psg);
+  F.Lines.insert(F.Lines.end(), PsgLines.begin(), PsgLines.end());
+  F.Lines.push_back("charges " + std::to_string(Charges.events()) +
+                    " bytes " + std::to_string(Mem.peakBytes()));
+  return F;
+}
+
+void expectSameLines(const std::vector<std::string> &Expected,
+                     const std::vector<std::string> &Actual,
+                     const std::string &Where) {
+  ASSERT_EQ(Expected.size(), Actual.size()) << Where;
+  for (size_t I = 0; I < Expected.size(); ++I)
+    ASSERT_EQ(Expected[I], Actual[I]) << Where << " line " << I;
+}
+
+/// Packs (key, value) pairs into a CSR over \p NumKeys keys the way the
+/// builder once did: sort, drop duplicates, count, prefix-sum.
+std::pair<std::vector<uint32_t>, std::vector<uint32_t>>
+sortedCsr(std::vector<std::pair<uint32_t, uint32_t>> Pairs, size_t NumKeys) {
+  std::sort(Pairs.begin(), Pairs.end());
+  Pairs.erase(std::unique(Pairs.begin(), Pairs.end()), Pairs.end());
+  std::vector<uint32_t> Begin(NumKeys + 1, 0), Ids;
+  for (const auto &[Key, Value] : Pairs) {
+    ++Begin[Key + 1];
+    Ids.push_back(Value);
+  }
+  std::partial_sum(Begin.begin(), Begin.end(), Begin.begin());
+  return {Begin, Ids};
+}
+
+/// Checks the PSG's indexes against constructions that sort: the edge
+/// CSR, the reverse index by destination, and the three linkage CSRs
+/// from sorted, deduplicated pair lists.
+void expectIndexesMatchSortedReference(const FrontEnd &F,
+                                       const std::string &Where) {
+  const Program &Prog = F.Prog;
+  const ProgramSummaryGraph &Psg = F.Psg;
+  size_t NumNodes = Psg.Nodes.size();
+  std::vector<uint32_t> Out(NumNodes, 0), In(NumNodes, 0);
+  std::vector<uint32_t> FirstOut(NumNodes, 0);
+  for (uint32_t EdgeId = 0; EdgeId < Psg.Edges.size(); ++EdgeId) {
+    const PsgEdge &E = Psg.Edges[EdgeId];
+    if (Out[E.Src]++ == 0)
+      FirstOut[E.Src] = EdgeId;
+    ++In[E.Dst];
+  }
+  uint32_t FirstIn = 0;
+  for (uint32_t NodeId = 0; NodeId < NumNodes; ++NodeId) {
+    const PsgNode &N = Psg.Nodes[NodeId];
+    ASSERT_EQ(N.FirstOut, FirstOut[NodeId]) << Where << " node " << NodeId;
+    ASSERT_EQ(N.NumOut, Out[NodeId]) << Where << " node " << NodeId;
+    ASSERT_EQ(N.FirstIn, FirstIn) << Where << " node " << NodeId;
+    ASSERT_EQ(N.NumIn, In[NodeId]) << Where << " node " << NodeId;
+    FirstIn += In[NodeId];
+  }
+  std::vector<uint32_t> ByDst(Psg.Edges.size());
+  std::iota(ByDst.begin(), ByDst.end(), 0);
+  std::stable_sort(ByDst.begin(), ByDst.end(), [&](uint32_t A, uint32_t B) {
+    return Psg.Edges[A].Dst < Psg.Edges[B].Dst;
+  });
+  EXPECT_EQ(Psg.InEdgeIds, ByDst) << Where;
+
+  std::vector<std::pair<uint32_t, uint32_t>> EntryToCr, ExitToReturn,
+      ReturnToExit;
+  std::vector<uint32_t> IndirectReturns, TakenExits;
+  for (uint32_t R = 0; R < Prog.Routines.size(); ++R) {
+    const Routine &Rt = Prog.Routines[R];
+    const RoutinePsg &Info = Psg.RoutineInfo[R];
+    for (size_t CallIndex = 0; CallIndex < Rt.CallBlocks.size();
+         ++CallIndex) {
+      const BasicBlock &Block = Rt.Blocks[Rt.CallBlocks[CallIndex]];
+      uint32_t Return = Info.ReturnNodes[CallIndex];
+      if (Block.Term != TerminatorKind::Call) {
+        IndirectReturns.push_back(Return);
+        continue;
+      }
+      const RoutinePsg &Callee = Psg.RoutineInfo[Block.CalleeRoutine];
+      EntryToCr.push_back({Callee.EntryNodes[Block.CalleeEntry],
+                           Psg.Nodes[Info.CallNodes[CallIndex]].FirstOut});
+      for (uint32_t Exit : Callee.ExitNodes) {
+        ExitToReturn.push_back({Exit, Return});
+        ReturnToExit.push_back({Return, Exit});
+      }
+    }
+    if (Rt.AddressTaken)
+      TakenExits.insert(TakenExits.end(), Info.ExitNodes.begin(),
+                        Info.ExitNodes.end());
+  }
+  EXPECT_EQ(sortedCsr(EntryToCr, NumNodes),
+            std::make_pair(Psg.CrEdgeOfEntryBegin, Psg.CrEdgeOfEntryIds))
+      << Where;
+  EXPECT_EQ(sortedCsr(ExitToReturn, NumNodes),
+            std::make_pair(Psg.ReturnsOfExitBegin, Psg.ReturnsOfExitIds))
+      << Where;
+  EXPECT_EQ(sortedCsr(ReturnToExit, NumNodes),
+            std::make_pair(Psg.ExitsOfReturnBegin, Psg.ExitsOfReturnIds))
+      << Where;
+  EXPECT_EQ(Psg.IndirectReturnNodes, IndirectReturns) << Where;
+  EXPECT_EQ(Psg.AddressTakenExitNodes, TakenExits) << Where;
+
+  // The stored call graph and schedules are the builders' output.
+  std::vector<std::string> Stored, Rebuilt;
+  describeCallGraph(Prog.Calls, Stored);
+  describeSchedule("callee-first", Prog.CalleeFirst, Stored);
+  describeSchedule("caller-first", Prog.CallerFirst, Stored);
+  CallGraph Graph = buildCallGraph(Prog);
+  describeCallGraph(Graph, Rebuilt);
+  describeSchedule("callee-first", buildCalleeFirstSchedule(Prog, Graph),
+                   Rebuilt);
+  describeSchedule("caller-first", buildCallerFirstSchedule(Prog, Graph),
+                   Rebuilt);
+  expectSameLines(Rebuilt, Stored, Where + " stored call graph");
+}
+
+/// A program exercising every cross-routine fact the entrance scan
+/// merges: a jsr in unowned code before the first routine, calls to an
+/// unnamed secondary entrance, duplicate call targets, an annotated
+/// indirect call, a wild jsr, and a jsr from a routine the validator
+/// quarantines.  \p QuarantinedIndirect adds a jsr_r to that routine
+/// and \p Undecodable plants an undecodable word; either lets
+/// quarantined code reach every routine.
+Image frontEndEdgeCase(bool QuarantinedIndirect, bool Undecodable) {
+  ProgramBuilder B;
+  B.beginRoutine("unowned"); // Its symbol is dropped below.
+  B.emitCall("helper");
+  B.emit(inst::nop());
+  B.beginRoutine("main");
+  ProgramBuilder::LabelId Secondary = B.makeLabel();
+  B.emitCall("helper");
+  B.emitCall("helper");
+  B.emitCallTo(Secondary);
+  B.emitCallTo(Secondary);
+  B.emitLoadRoutineAddress(reg::T0, "leaf");
+  uint64_t IndirectAt = B.currentAddress();
+  B.emit(inst::jsrR(reg::T0));
+  B.emitCall("victim");
+  B.emit(inst::halt(reg::V0));
+  B.beginRoutine("helper");
+  B.emit(inst::rri(Opcode::AddI, reg::V0, reg::A0, 1));
+  B.bind(Secondary);
+  B.emit(inst::rri(Opcode::AddI, reg::V0, reg::V0, 1));
+  B.emit(inst::ret());
+  B.beginRoutine("leaf", /*AddressTaken=*/true);
+  B.emit(inst::ret());
+  B.beginRoutine("wild");
+  uint64_t WildAt = B.currentAddress();
+  B.emit(inst::jsr(0)); // Retargeted outside the code below.
+  B.emit(inst::ret());
+  B.beginRoutine("garbled"); // A dangling jump-table index quarantines it.
+  B.emitCall("victim");
+  if (QuarantinedIndirect)
+    B.emit(inst::jsrR(reg::T7));
+  uint64_t GarbleAt = B.currentAddress();
+  B.emit(inst::ret()); // Becomes the dangling jmp_tab below.
+  B.beginRoutine("victim");
+  B.emit(inst::ret());
+  B.beginRoutine("junk");
+  uint64_t JunkAt = B.currentAddress();
+  B.emit(inst::nop());
+  B.emit(inst::ret());
+  B.setEntry("main");
+  Image Img = B.build();
+
+  // The builder verifies what it builds, so the defects go in after.
+  Img.Code[WildAt] =
+      encodeInstruction(inst::jsr(int32_t(Img.Code.size() + 100)));
+  Img.Code[GarbleAt] = encodeInstruction(inst::jmpTab(reg::T8, 99));
+  if (Undecodable)
+    Img.Code[JunkAt] = ~uint64_t(0);
+  IndirectCallAnnotation Annot;
+  Annot.Address = IndirectAt;
+  Annot.Used = RegSet{reg::A0};
+  Annot.Killed = RegSet{reg::V0};
+  Img.CallAnnotations.push_back(Annot);
+  std::erase_if(Img.Symbols,
+                [](const Symbol &Sym) { return Sym.Name == "unowned"; });
+  return Img;
+}
+
+const Routine &routineNamed(const Program &Prog, const std::string &Name) {
+  for (const Routine &R : Prog.Routines)
+    if (R.Name == Name)
+      return R;
+  ADD_FAILURE() << "no routine " << Name;
+  return Prog.Routines.front();
+}
+
+} // namespace
+
+TEST(ParallelFrontEnd, CorpusIsBitIdenticalAtEveryJobCount) {
+  for (const auto &[Name, Img] : differentialCorpus()) {
+    FrontEnd Serial = buildFrontEnd(Img, 1);
+    expectIndexesMatchSortedReference(Serial, Name);
+    for (unsigned Jobs : {2u, 4u, 7u})
+      expectSameLines(Serial.Lines, buildFrontEnd(Img, Jobs).Lines,
+                      Name + " jobs=" + std::to_string(Jobs));
+  }
+}
+
+TEST(ParallelFrontEnd, EdgeCasesAreBitIdenticalAtEveryJobCount) {
+  CfgBuildOptions Degrade;
+  Degrade.ForceQuarantine = {"helper", "no-such-routine", "garbled",
+                             "helper"};
+  Degrade.BudgetDegrade = {"main", "helper", "no-such-routine", "main"};
+  const struct {
+    const char *Name;
+    Image Img;
+    CfgBuildOptions Opts;
+  } Cases[] = {
+      {"edge", frontEndEdgeCase(false, false), {}},
+      {"edge-quarantined-jsr_r", frontEndEdgeCase(true, false), {}},
+      {"edge-undecodable", frontEndEdgeCase(false, true), {}},
+      {"edge-degraded", frontEndEdgeCase(false, false), Degrade},
+  };
+  for (const auto &Case : Cases) {
+    FrontEnd Serial = buildFrontEnd(Case.Img, 1, Case.Opts);
+    expectIndexesMatchSortedReference(Serial, Case.Name);
+    for (unsigned Jobs : {2u, 4u, 7u})
+      expectSameLines(Serial.Lines,
+                      buildFrontEnd(Case.Img, Jobs, Case.Opts).Lines,
+                      std::string(Case.Name) + " jobs=" +
+                          std::to_string(Jobs));
+  }
+
+  // What the scan merged, on the plain case: the unowned jsr and the
+  // quarantined routine's jsr mark their callees, nothing else is
+  // marked, and both calls to the unnamed secondary entrance resolve to
+  // one registered entrance.
+  FrontEnd Edge = buildFrontEnd(Cases[0].Img, 4);
+  const Program &Prog = Edge.Prog;
+  EXPECT_EQ(Prog.Routines.front().Name, "main");
+  EXPECT_TRUE(routineNamed(Prog, "helper").CalledFromQuarantine);
+  EXPECT_TRUE(routineNamed(Prog, "victim").CalledFromQuarantine);
+  EXPECT_FALSE(routineNamed(Prog, "leaf").CalledFromQuarantine);
+  EXPECT_FALSE(routineNamed(Prog, "main").CalledFromQuarantine);
+  EXPECT_EQ(routineNamed(Prog, "wild").Degrade, DegradeReason::Validation);
+  EXPECT_EQ(routineNamed(Prog, "garbled").Degrade,
+            DegradeReason::Validation);
+  const Routine &Helper = routineNamed(Prog, "helper");
+  ASSERT_EQ(Helper.EntryAddresses.size(), 2u);
+  const Routine &Main = routineNamed(Prog, "main");
+  std::vector<int32_t> Entries;
+  for (uint32_t Block : Main.CallBlocks)
+    if (Main.Blocks[Block].Term == TerminatorKind::Call &&
+        Prog.Routines[Main.Blocks[Block].CalleeRoutine].Name == "helper")
+      Entries.push_back(Main.Blocks[Block].CalleeEntry);
+  EXPECT_EQ(Entries, (std::vector<int32_t>{0, 0, 1, 1}));
+  EXPECT_EQ(Prog.CallAnnotations.size(), 1u);
+
+  // Indirect calls or undecodable words in bad code reach everything.
+  for (const auto &Case : {Cases[1], Cases[2]})
+    for (const Routine &R : buildFrontEnd(Case.Img, 2).Prog.Routines)
+      EXPECT_TRUE(R.CalledFromQuarantine) << Case.Name << " " << R.Name;
+
+  // Validation beats forced beats budget; repeats and unknown names are
+  // harmless.
+  FrontEnd Degraded = buildFrontEnd(Cases[3].Img, 4, Cases[3].Opts);
+  EXPECT_EQ(routineNamed(Degraded.Prog, "garbled").Degrade,
+            DegradeReason::Validation);
+  EXPECT_EQ(routineNamed(Degraded.Prog, "helper").Degrade,
+            DegradeReason::Forced);
+  EXPECT_EQ(routineNamed(Degraded.Prog, "main").Degrade,
+            DegradeReason::Budget);
+  EXPECT_EQ(routineNamed(Degraded.Prog, "leaf").Degrade, DegradeReason::None);
+}
 
 //===----------------------------------------------------------------------===//
 // The SCC-schedule driver

@@ -358,6 +358,48 @@ TEST(ToolsTest, StatsGoldenDiffFlagsRegression) {
     std::remove(Path.c_str());
 }
 
+TEST(ToolsTest, ProfileDiffExactCountsJudgesEveryCounterButSteals) {
+  std::string Baseline = scratchPath("exact_base.json");
+  std::string Changed = scratchPath("exact_changed.json");
+  std::string Steals = scratchPath("exact_steals.json");
+  writeFile(Baseline, R"({"schema":"spike-run-report","version":1,
+    "tool":"t","total_seconds":1.0,
+    "phases":[{"path":"solve","seconds":0.10,"count":1}],
+    "counters":{"psg.nodes":100,"pool.steals":5},"gauges":{}})");
+  // One counter drops by one, which the threshold diff accepts.
+  writeFile(Changed, R"({"schema":"spike-run-report","version":1,
+    "tool":"t","total_seconds":1.0,
+    "phases":[{"path":"solve","seconds":0.10,"count":1}],
+    "counters":{"psg.nodes":99,"pool.steals":5},"gauges":{}})");
+  // Only the steal count and the time move.
+  writeFile(Steals, R"({"schema":"spike-run-report","version":1,
+    "tool":"t","total_seconds":5.0,
+    "phases":[{"path":"solve","seconds":0.50,"count":1}],
+    "counters":{"psg.nodes":100,"pool.steals":50},"gauges":{}})");
+
+  int Status = 0;
+  std::string Out = runCommand(toolsDir() + "/spike-profile --diff " +
+                                   Baseline + " " + Changed +
+                                   " --exact-counts",
+                               &Status);
+  EXPECT_EQ(WEXITSTATUS(Status), 1) << Out;
+  EXPECT_NE(Out.find("counter psg.nodes"), std::string::npos) << Out;
+  EXPECT_NE(Out.find("1 regression(s)"), std::string::npos) << Out;
+  Out = runCommand(toolsDir() + "/spike-profile --diff " + Baseline + " " +
+                       Changed,
+                   &Status);
+  EXPECT_EQ(Status, 0) << Out;
+
+  Out = runCommand(toolsDir() + "/spike-profile --diff " + Baseline + " " +
+                       Steals + " --exact-counts",
+                   &Status);
+  EXPECT_EQ(Status, 0) << Out;
+  EXPECT_NE(Out.find("0 regression(s)"), std::string::npos) << Out;
+
+  for (const std::string &Path : {Baseline, Changed, Steals})
+    std::remove(Path.c_str());
+}
+
 TEST(ToolsTest, ProfileDiffNotesReportsFromDifferentBuilds) {
   std::string Baseline = scratchPath("build_base.json");
   std::string Current = scratchPath("build_cur.json");
@@ -934,6 +976,37 @@ TEST(ToolsTest, AnalyzeStatsStageTimesAreTheSpans) {
     Sum += Printed;
   }
   EXPECT_NEAR(Sum, Total, 3e-4) << Out;
+
+  // Under each build stage, "serial" is the stage's span minus the
+  // pool-region spans nested under it; the other stages print none.
+  struct BuildStage {
+    const char *Label;
+    std::string Path;
+    std::vector<std::string> Regions;
+  };
+  const BuildStage Builds[] = {
+      {"CFG Build",
+       "analyze/cfg.build",
+       {"binary.validate/binary.validate.code", "cfg.scan", "cfg.routines"}},
+      {"PSG Build",
+       "analyze/psg.build",
+       {"psg.count", "psg.routines", "psg.index"}}};
+  for (const BuildStage &B : Builds) {
+    size_t At = Out.find("  " + std::string(B.Label) + " ");
+    ASSERT_NE(At, std::string::npos) << Out;
+    size_t Next = Out.find('\n', At) + 1;
+    ASSERT_EQ(Out.compare(Next, 10, "    serial"), 0) << B.Label << "\n" << Out;
+    double Serial = std::atof(Out.c_str() + Next + 10);
+    double Expected = Report->phaseSeconds(B.Path);
+    for (const std::string &Region : B.Regions)
+      Expected -= Report->phaseSeconds(B.Path + "/" + Region);
+    EXPECT_NEAR(Serial, Expected, 2e-4) << B.Label;
+  }
+  size_t SerialLines = 0;
+  for (size_t At = Out.find("    serial"); At != std::string::npos;
+       At = Out.find("    serial", At + 1))
+    ++SerialLines;
+  EXPECT_EQ(SerialLines, 2u) << Out;
 
   // Without telemetry there is no stage clock: sizes and memory only.
   Out = runCommand(toolsDir() + "/spike-analyze " + Img + " --stats",

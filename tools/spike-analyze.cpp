@@ -12,7 +12,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "cfg/CallGraph.h"
 #include "lint/Linter.h"
 #include "psg/Analyzer.h"
 #include "psg/DotExport.h"
@@ -139,8 +138,8 @@ int runTool(int Argc, char **Argv) {
 
   if (!DotWhat.empty()) {
     if (DotWhat == "callgraph") {
-      CallGraph Graph = buildCallGraph(Result.Prog);
-      std::fputs(callGraphToDot(Result.Prog, Graph).c_str(), stdout);
+      std::fputs(callGraphToDot(Result.Prog, Result.Prog.Calls).c_str(),
+                 stdout);
       return 0;
     }
     for (uint32_t R = 0; R < Result.Prog.Routines.size(); ++R) {
@@ -188,12 +187,18 @@ int runTool(int Argc, char **Argv) {
     // The stage clock is the telemetry spans; --stats installs no session
     // of its own, since a session adds per-group cost attribution to the
     // phases it would be timing.
+    // A build stage also shows its serial seconds: the time outside its
+    // per-routine pool regions, which --jobs does not shrink.
     if (const telemetry::Session *Sess = Telemetry.session()) {
       StageSeconds Seconds = stageSeconds(*Sess);
+      StageSeconds InPool = poolRegionSeconds(*Sess);
       std::printf("total time:    %.4f s (measured with telemetry on)\n",
                   std::accumulate(Seconds.begin(), Seconds.end(), 0.0));
-      for (size_t I = 0; I < StageSpans.size(); ++I)
+      for (size_t I = 0; I < StageSpans.size(); ++I) {
         std::printf("  %-15s %.4f s\n", StageSpans[I].Label, Seconds[I]);
+        if (InPool[I] > 0)
+          std::printf("    %-13s %.4f s\n", "serial", Seconds[I] - InPool[I]);
+      }
     } else {
       std::printf("stage times:   add --metrics=<file> to time the five "
                   "stages\n");

@@ -9,7 +9,7 @@
 //   spike-profile report.json [--topk N] [--folded <out>]
 //   spike-profile --diff baseline.json current.json
 //                 [--max-counter-growth f] [--max-time-growth f]
-//                 [--time-floor s] [--warn-only]
+//                 [--time-floor s] [--exact-counts] [--warn-only]
 //
 // The diff reports counter deltas, per-phase time ratios, and a
 // threshold-based regression verdict (telemetry::diffReports: a counter
@@ -18,7 +18,9 @@
 // --time-floor seconds, default 0.01, in it and the current run is more
 // than --max-time-growth, default 0.25, slower; histogram percentiles
 // must move more than one log2 bucket).  Reports from different builds
-// get a note up front.
+// get a note up front.  --exact-counts makes the diff strict on counts:
+// every counter must be equal on both sides except the schedule-dependent
+// steal and lane accounting, and times are not judged.
 //
 // A report whose run degraded routines to unknowable summaries (budget
 // blows) is flagged prominently: its hot-spot attribution describes the
@@ -53,7 +55,7 @@ int usage(const char *Prog) {
                "       %s --diff <baseline.json> <current.json> "
                "[--max-counter-growth <fraction>] "
                "[--max-time-growth <fraction>] [--time-floor <seconds>] "
-               "[--warn-only]\n",
+               "[--exact-counts] [--warn-only]\n",
                Prog, Prog);
   return 2;
 }
@@ -307,6 +309,8 @@ int main(int Argc, char **Argv) {
       DiffMode = true;
     else if (std::strcmp(Argv[I], "--warn-only") == 0)
       WarnOnly = true;
+    else if (std::strcmp(Argv[I], "--exact-counts") == 0)
+      Opts.ExactCounts = true;
     else if (std::strcmp(Argv[I], "--topk") == 0 && I + 1 < Argc) {
       char *End = nullptr;
       unsigned long Parsed = std::strtoul(Argv[++I], &End, 10);
