@@ -112,8 +112,8 @@ void BM_WitnessQuery(benchmark::State &State) {
   // spread evenly across the program.
   AnalysisResult Analysis = analyzeImage(mediumImage());
   std::vector<std::pair<uint32_t, unsigned>> Bits;
-  for (const RoutinePsg &Info : Analysis.Psg.RoutineInfo)
-    for (uint32_t NodeId : Info.EntryNodes)
+  for (uint32_t R = 0; R < Analysis.Prog.Routines.size(); ++R)
+    for (uint32_t NodeId : Analysis.Psg.entryNodes(Analysis.Prog, R))
       for (unsigned Reg : Analysis.Psg.Nodes[NodeId].Live)
         Bits.push_back({NodeId, Reg});
   std::vector<std::pair<uint32_t, unsigned>> Queries;

@@ -44,7 +44,7 @@ int main() {
 
   auto Report = [&](const char *Title, const Image &Target) {
     AnalysisResult Result = analyzeImage(Target);
-    uint32_t CallBlock = Result.Prog.Routines[0].CallBlocks.at(0);
+    uint32_t CallBlock = Result.Prog.Routines[0].CallBlocks[0];
     RegSet Killed = Result.Summaries.callKilled(Result.Prog, 0, CallBlock);
     std::printf("%s\n  indirect call kills: %s\n", Title,
                 Killed.str().c_str());

@@ -112,7 +112,7 @@ int main() {
     std::printf("  edge %2u -> %2u %s  MAY-USE %s MAY-DEF %s MUST-DEF "
                 "%s\n",
                 Edge.Src, Edge.Dst,
-                Edge.IsCallReturn ? "(call-return) " : "(flow-summary)",
+                Result.Psg.isCallReturn(Edge) ? "(call-return) " : "(flow-summary)",
                 paperRegs(Edge.Label.MayUse).str().c_str(),
                 paperRegs(Edge.Label.MayDef).str().c_str(),
                 paperRegs(Edge.Label.MustDef).str().c_str());

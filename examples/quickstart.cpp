@@ -76,7 +76,7 @@ int main() {
   // -- 4. Ask an optimizer-style question. ---------------------------------
   // Does t5 survive main's call to twice?  (Figure 1(c)/(d) reasoning.)
   const Routine &Main = Result.Prog.Routines[0];
-  uint32_t CallBlock = Main.CallBlocks.at(0);
+  uint32_t CallBlock = Main.CallBlocks[0];
   RegSet Killed = Result.Summaries.callKilled(Result.Prog, 0, CallBlock);
   unsigned T5 = reg::T0 + 5;
   std::printf("\nthe call to 'twice' kills %s; t5 %s the call, so a value "

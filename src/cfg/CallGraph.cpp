@@ -6,14 +6,13 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <numeric>
 
 using namespace spike;
 
 CallGraph spike::buildCallGraph(const Program &Prog, ThreadPool *Pool) {
   CallGraph Graph;
   size_t Count = Prog.Routines.size();
-  Graph.Callees.resize(Count);
-  Graph.Callers.resize(Count);
   Graph.HasIndirectCalls.assign(Count, false);
   Graph.SccId.assign(Count, 0);
   Graph.InCycle.assign(Count, false);
@@ -21,15 +20,20 @@ CallGraph spike::buildCallGraph(const Program &Prog, ThreadPool *Pool) {
   if (Count == 0)
     return Graph;
 
-  // Adjacency (deduplicated), one task per routine; self-calls are
-  // noted as cycles immediately.  Each list is allocated once at its
-  // final capacity; callers are appended in ascending caller order, so
-  // they come out sorted.
+  // Adjacency (deduplicated), one task per routine: each routine sorts
+  // and deduplicates its direct callees in its own slot of an array
+  // sized by call sites, and a serial pass packs the slots.  Self-calls
+  // are noted as cycles immediately.
+  std::vector<uint32_t> Slot(Count + 1, 0);
+  for (uint32_t R = 0; R < Count; ++R)
+    Slot[R + 1] = Slot[R] + uint32_t(Prog.Routines[R].CallBlocks.size());
+  std::vector<uint32_t> &Ids = Graph.Callees.Ids;
+  Ids.resize(Slot[Count]);
+  std::vector<uint32_t> NumCallees(Count, 0);
   std::vector<uint8_t> Indirect(Count, 0), SelfCall(Count, 0);
   forEachTask(Pool, Count, [&](size_t R, unsigned) {
     const Routine &Rt = Prog.Routines[R];
-    std::vector<uint32_t> &Callees = Graph.Callees[R];
-    Callees.reserve(Rt.CallBlocks.size());
+    uint32_t *First = Ids.data() + Slot[R], *Last = First;
     for (uint32_t Block : Rt.CallBlocks) {
       const BasicBlock &B = Rt.Blocks[Block];
       if (B.Term == TerminatorKind::IndirectCall) {
@@ -38,23 +42,38 @@ CallGraph spike::buildCallGraph(const Program &Prog, ThreadPool *Pool) {
       }
       uint32_t Callee = uint32_t(B.CalleeRoutine);
       SelfCall[R] |= Callee == R;
-      Callees.push_back(Callee);
+      *Last++ = Callee;
     }
-    std::sort(Callees.begin(), Callees.end());
-    Callees.erase(std::unique(Callees.begin(), Callees.end()), Callees.end());
+    std::sort(First, Last);
+    NumCallees[R] = uint32_t(std::unique(First, Last) - First);
   });
-  std::vector<uint32_t> NumCallers(Count, 0);
+  Graph.Callees.Begin.resize(Count + 1);
+  uint32_t Packed = 0;
   for (uint32_t R = 0; R < Count; ++R) {
     Graph.HasIndirectCalls[R] = Indirect[R];
     Graph.InCycle[R] = SelfCall[R];
-    for (uint32_t Callee : Graph.Callees[R])
-      ++NumCallers[Callee];
+    if (Packed != Slot[R])
+      std::copy(Ids.begin() + Slot[R], Ids.begin() + Slot[R] + NumCallees[R],
+                Ids.begin() + Packed);
+    Packed += NumCallees[R];
+    Graph.Callees.Begin[R + 1] = Packed;
   }
-  for (uint32_t R = 0; R < Count; ++R)
-    Graph.Callers[R].reserve(NumCallers[R]);
+  Ids.resize(Packed);
+  Ids.shrink_to_fit();
+
+  // Callers by a counting sort over the callee lists in caller order, so
+  // each caller list comes out ascending.
+  std::vector<uint32_t> &CallerBegin = Graph.Callers.Begin;
+  CallerBegin.assign(Count + 1, 0);
+  for (uint32_t Callee : Ids)
+    ++CallerBegin[Callee + 1];
+  std::partial_sum(CallerBegin.begin(), CallerBegin.end(),
+                   CallerBegin.begin());
+  Graph.Callers.Ids.resize(Ids.size());
+  std::vector<uint32_t> Cursor(CallerBegin.begin(), CallerBegin.end() - 1);
   for (uint32_t R = 0; R < Count; ++R)
     for (uint32_t Callee : Graph.Callees[R])
-      Graph.Callers[Callee].push_back(R);
+      Graph.Callers.Ids[Cursor[Callee]++] = R;
 
   // Iterative Tarjan SCC.
   std::vector<int32_t> Index(Count, -1), Low(Count, 0);

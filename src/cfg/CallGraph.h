@@ -24,7 +24,9 @@
 #ifndef SPIKE_CFG_CALLGRAPH_H
 #define SPIKE_CFG_CALLGRAPH_H
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace spike {
@@ -32,13 +34,33 @@ namespace spike {
 struct Program;
 class ThreadPool;
 
+/// Lists of ids packed back to back (CSR): list I is
+/// Ids[Begin[I], Begin[I + 1]).  Two arrays however many lists there are.
+struct CsrLists {
+  std::vector<uint32_t> Begin{0};
+  std::vector<uint32_t> Ids;
+
+  /// Returns the number of lists.
+  size_t size() const { return Begin.size() - 1; }
+  bool empty() const { return size() == 0; }
+
+  std::span<const uint32_t> operator[](size_t I) const {
+    return std::span<const uint32_t>(Ids).subspan(Begin[I],
+                                                  Begin[I + 1] - Begin[I]);
+  }
+
+  /// Closes the list being appended to Ids.
+  void endList() { Begin.push_back(uint32_t(Ids.size())); }
+};
+
 /// The call graph and its derived facts.
 struct CallGraph {
-  /// Deduplicated direct callees per routine.
-  std::vector<std::vector<uint32_t>> Callees;
+  /// Deduplicated direct callees per routine, ascending.
+  CsrLists Callees;
 
-  /// Deduplicated direct callers per routine (inverse of Callees).
-  std::vector<std::vector<uint32_t>> Callers;
+  /// Deduplicated direct callers per routine (inverse of Callees),
+  /// ascending.
+  CsrLists Callers;
 
   /// True for routines containing at least one indirect call.
   std::vector<bool> HasIndirectCalls;

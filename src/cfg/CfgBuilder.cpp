@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <span>
 
 using namespace spike;
 
@@ -29,27 +30,90 @@ int32_t spike::findRoutineByAddress(const Program &Prog, uint64_t Address) {
 
 namespace {
 
+/// Returns the branch target of the relative branch at \p Address.
+uint64_t branchTarget(const Program &Prog, uint64_t Address) {
+  return uint64_t(int64_t(Address) + 1 + Prog.Insts[Address].Imm);
+}
+
+/// Marks the leaders of healthy routine \p R in \p Leader (indexed by
+/// address; each routine writes only its own range) and returns the
+/// routine's block count: every block starts at a leader and every
+/// leader starts a block.
+uint32_t markLeaders(const Program &Prog, const Routine &R,
+                     std::vector<uint8_t> &Leader) {
+  auto Mark = [&](uint64_t Address) {
+    if (Address >= R.Begin && Address < R.End)
+      Leader[Address] = 1;
+  };
+  Leader[R.Begin] = 1;
+  for (uint64_t Entry : R.EntryAddresses)
+    Mark(Entry);
+  for (uint64_t Address = R.Begin; Address < R.End; ++Address) {
+    const Instruction &Inst = Prog.Insts[Address];
+    const OpcodeInfo &Info = opcodeInfo(Inst.Op);
+    if (!Inst.endsBlock())
+      continue;
+    if (Address + 1 < R.End)
+      Leader[Address + 1] = 1;
+    if (Info.IsCondBranch || Info.IsUncondBranch)
+      Mark(branchTarget(Prog, Address));
+    if (Info.IsTableJump) {
+      // The validator quarantines routines with dangling table
+      // indices, so a healthy routine's index is in range; the bounds
+      // check is defense in depth, not a reachable path.
+      uint64_t TableIndex = uint64_t(uint32_t(Inst.Imm));
+      if (TableIndex >= Prog.JumpTables.size())
+        continue;
+      for (uint64_t Target : Prog.JumpTables[TableIndex].Targets)
+        Mark(Target);
+    }
+  }
+  return uint32_t(std::count(Leader.begin() + R.Begin,
+                             Leader.begin() + R.End, uint8_t(1)));
+}
+
 /// Scratch buffers of the routine builder.  One instance per pool lane
 /// is reused across all routines that lane builds, so building a routine
-/// allocates only the routine's own block and arc arrays.
+/// allocates nothing.
 struct RoutineScratch {
-  std::vector<bool> IsLeader;
   std::vector<uint32_t> BlockOfAddress;
-  std::vector<uint32_t> Succs; ///< Successor lists, block after block.
+  /// Successor lists of the lane's routines, routine after routine and,
+  /// within a routine, block after block.
+  std::vector<uint32_t> Succs;
 };
 
-/// Builds the basic blocks of one routine.
+/// Where one chunk's records sit in its lane's buffer.
+struct LaneSegment {
+  unsigned Lane = 0;
+  size_t Begin = 0;
+  size_t Count = 0;
+};
+
+/// Returns routine \p R's slice of \p All, given the routine-order
+/// offsets \p Begin of every routine's slice.
+template <class T>
+std::span<T> sliceOf(std::vector<T> &All, const std::vector<uint32_t> &Begin,
+                     size_t R) {
+  return std::span(All).subspan(Begin[R], Begin[R + 1] - Begin[R]);
+}
+
+/// Builds the basic blocks of one healthy routine in place, in its slice
+/// of Program::AllBlocks, and its entrance blocks.  Successor lists go
+/// to the lane's Succs buffer: the routine's arc count is known only
+/// once they are deduplicated, so placeArcs packs them later.
 class RoutineBuilder {
 public:
-  RoutineBuilder(const Program &Prog, Routine &R, RoutineScratch &Scratch)
-      : Prog(Prog), R(R), IsLeader(Scratch.IsLeader),
-        BlockOfAddress(Scratch.BlockOfAddress), Succs(Scratch.Succs) {}
+  RoutineBuilder(const Program &Prog, Routine &R, std::span<BasicBlock> Blocks,
+                 std::span<uint32_t> EntryBlocks,
+                 const std::vector<uint8_t> &Leader, RoutineScratch &Scratch)
+      : Prog(Prog), R(R), Blocks(Blocks), EntryBlocks(EntryBlocks),
+        Leader(Leader), BlockOfAddress(Scratch.BlockOfAddress),
+        Succs(Scratch.Succs), SuccBase(Scratch.Succs.size()) {}
 
   void run() {
-    findLeaders();
     makeBlocks();
     connectBlocks();
-    indexAnchors();
+    indexEntries();
     resolveCalls();
   }
 
@@ -60,70 +124,29 @@ private:
     return Address >= R.Begin && Address < R.End;
   }
 
-  /// Returns the branch target of the instruction at \p Address, assuming
-  /// it is a relative branch.
-  uint64_t branchTarget(uint64_t Address) const {
-    const Instruction &Inst = Prog.Insts[Address];
-    return uint64_t(int64_t(Address) + 1 + Inst.Imm);
-  }
-
-  void markLeader(uint64_t Address) {
-    if (inRoutine(Address))
-      IsLeader[Address - R.Begin] = true;
-  }
-
-  void findLeaders() {
-    IsLeader.assign(localSize(), false);
-    IsLeader[0] = true;
-    for (uint64_t Entry : R.EntryAddresses)
-      markLeader(Entry);
-    for (uint64_t Address = R.Begin; Address < R.End; ++Address) {
-      const Instruction &Inst = Prog.Insts[Address];
-      const OpcodeInfo &Info = opcodeInfo(Inst.Op);
-      if (!Inst.endsBlock())
-        continue;
-      if (Address + 1 < R.End)
-        IsLeader[Address + 1 - R.Begin] = true;
-      if (Info.IsCondBranch || Info.IsUncondBranch)
-        markLeader(branchTarget(Address));
-      if (Info.IsTableJump) {
-        // The validator quarantines routines with dangling table
-        // indices, so a healthy routine's index is in range; the bounds
-        // check is defense in depth, not a reachable path.
-        uint64_t TableIndex = uint64_t(uint32_t(Inst.Imm));
-        if (TableIndex >= Prog.JumpTables.size())
-          continue;
-        const JumpTableTargets &Table = Prog.JumpTables[TableIndex];
-        for (uint64_t Target : Table.Targets)
-          markLeader(Target);
-      }
-    }
-  }
-
   void makeBlocks() {
-    // Every block starts at a leader and every leader starts a block.
-    R.Blocks.reserve(
-        size_t(std::count(IsLeader.begin(), IsLeader.end(), true)));
     BlockOfAddress.assign(localSize(), ~uint32_t(0));
+    uint32_t Next = 0;
     uint64_t Address = R.Begin;
     while (Address < R.End) {
-      BasicBlock Block;
+      BasicBlock &Block = Blocks[Next];
       Block.Begin = Address;
       uint64_t Cursor = Address;
       for (;;) {
-        BlockOfAddress[Cursor - R.Begin] = uint32_t(R.Blocks.size());
+        BlockOfAddress[Cursor - R.Begin] = Next;
         if (Prog.Insts[Cursor].endsBlock()) {
           ++Cursor;
           break;
         }
         ++Cursor;
-        if (Cursor == R.End || IsLeader[Cursor - R.Begin])
+        if (Cursor == R.End || Leader[Cursor])
           break;
       }
       Block.End = Cursor;
-      R.Blocks.push_back(std::move(Block));
+      ++Next;
       Address = Cursor;
     }
+    assert(Next == Blocks.size() && "block count disagrees with markLeaders");
   }
 
   uint32_t blockAt(uint64_t Address) const {
@@ -135,20 +158,16 @@ private:
 
   /// Appends \p Succ to the successor list being built for \p Block.
   void addSucc(const BasicBlock &Block, uint32_t Succ) {
-    auto First = Succs.begin() + Block.FirstSucc;
+    auto First = Succs.begin() + SuccBase + Block.FirstSucc;
     if (std::find(First, Succs.end(), Succ) == Succs.end())
       Succs.push_back(Succ);
   }
 
-  /// Sets each block's terminator kind and packs Routine::Arcs: the
-  /// successor lists in block order, then the predecessor lists, filled
-  /// in ascending source-block order.
+  /// Sets each block's terminator kind and successor list.
   void connectBlocks() {
-    Succs.clear();
-    for (uint32_t BlockIndex = 0; BlockIndex < R.Blocks.size();
-         ++BlockIndex) {
-      BasicBlock &Block = R.Blocks[BlockIndex];
-      Block.FirstSucc = uint32_t(Succs.size());
+    for (uint32_t BlockIndex = 0; BlockIndex < Blocks.size(); ++BlockIndex) {
+      BasicBlock &Block = Blocks[BlockIndex];
+      Block.FirstSucc = uint32_t(Succs.size() - SuccBase);
       uint64_t Last = Block.End - 1;
       const Instruction &Term = Prog.Insts[Last];
       const OpcodeInfo &Info = opcodeInfo(Term.Op);
@@ -162,7 +181,7 @@ private:
       }
 
       if (Info.IsUncondBranch) {
-        uint64_t Target = branchTarget(Last);
+        uint64_t Target = branchTarget(Prog, Last);
         if (!inRoutine(Target)) {
           // A branch leaving the routine (e.g. a tail call) has unknown
           // register behaviour at this level; treat conservatively.
@@ -177,7 +196,7 @@ private:
       }
 
       if (Info.IsCondBranch) {
-        uint64_t Target = branchTarget(Last);
+        uint64_t Target = branchTarget(Prog, Last);
         if (!inRoutine(Target)) {
           Block.Term = TerminatorKind::UnresolvedJump;
           ++R.NumBranches;
@@ -207,7 +226,7 @@ private:
       if (Info.IsTableJump) {
         uint64_t TableIndex = uint64_t(uint32_t(Term.Imm));
         if (TableIndex >= Prog.JumpTables.size()) {
-          // Dangling index: same defense in depth as in findLeaders —
+          // Dangling index: same defense in depth as in markLeaders —
           // degrade to an unresolved jump instead of indexing out of
           // bounds.
           Block.Term = TerminatorKind::UnresolvedJump;
@@ -241,77 +260,42 @@ private:
     }
 
     // Each successor list ends where the next block's begins.
-    uint32_t NumArcs = uint32_t(Succs.size());
-    for (uint32_t BlockIndex = 0; BlockIndex < R.Blocks.size();
-         ++BlockIndex) {
-      BasicBlock &Block = R.Blocks[BlockIndex];
-      uint32_t End = BlockIndex + 1 < R.Blocks.size()
-                         ? R.Blocks[BlockIndex + 1].FirstSucc
-                         : NumArcs;
+    uint32_t NumSuccs = uint32_t(Succs.size() - SuccBase);
+    for (uint32_t BlockIndex = 0; BlockIndex < Blocks.size(); ++BlockIndex) {
+      BasicBlock &Block = Blocks[BlockIndex];
+      uint32_t End = BlockIndex + 1 < Blocks.size()
+                         ? Blocks[BlockIndex + 1].FirstSucc
+                         : NumSuccs;
       Block.NumSuccs = End - Block.FirstSucc;
     }
-
-    R.Arcs.resize(2 * size_t(NumArcs));
-    std::copy(Succs.begin(), Succs.end(), R.Arcs.begin());
-    for (uint32_t Succ : Succs)
-      ++R.Blocks[Succ].NumPreds;
-    uint32_t Next = NumArcs;
-    for (BasicBlock &Block : R.Blocks) {
-      Block.FirstPred = Next;
-      Next += Block.NumPreds;
-      Block.NumPreds = 0;
-    }
-    for (uint32_t BlockIndex = 0; BlockIndex < R.Blocks.size();
-         ++BlockIndex)
-      for (uint32_t Succ : R.succs(BlockIndex)) {
-        BasicBlock &SuccBlock = R.Blocks[Succ];
-        R.Arcs[SuccBlock.FirstPred + SuccBlock.NumPreds++] = BlockIndex;
-      }
   }
 
-  void indexAnchors() {
-    R.EntryBlocks.clear();
-    R.EntryBlocks.reserve(R.EntryAddresses.size());
-    for (uint64_t Entry : R.EntryAddresses) {
+  void indexEntries() {
+    for (size_t I = 0; I < R.EntryAddresses.size(); ++I) {
+      uint64_t Entry = R.EntryAddresses[I];
       assert(Prog.Insts.size() > Entry && inRoutine(Entry));
       // Entrances always start a block (they were marked as leaders).
-      assert(R.Blocks[blockAt(Entry)].Begin == Entry &&
+      assert(Blocks[blockAt(Entry)].Begin == Entry &&
              "entrance does not start a block");
-      R.EntryBlocks.push_back(blockAt(Entry));
-    }
-    size_t NumExits = 0, NumCalls = 0;
-    for (const BasicBlock &Block : R.Blocks) {
-      NumExits += Block.Term == TerminatorKind::Return;
-      NumCalls += Block.endsWithCall();
-    }
-    R.ExitBlocks.reserve(NumExits);
-    R.CallBlocks.reserve(NumCalls);
-    for (uint32_t BlockIndex = 0; BlockIndex < R.Blocks.size();
-         ++BlockIndex) {
-      const BasicBlock &Block = R.Blocks[BlockIndex];
-      if (Block.Term == TerminatorKind::Return)
-        R.ExitBlocks.push_back(BlockIndex);
-      if (Block.endsWithCall())
-        R.CallBlocks.push_back(BlockIndex);
+      EntryBlocks[I] = blockAt(Entry);
     }
   }
 
   /// Resolves each direct call to its (routine, entrance) pair.  The
   /// validator quarantines a routine with a wild call, so a healthy
-  /// routine's targets always resolve, and the scan registered each
-  /// target as an entrance of its routine.
+  /// routine's targets always resolve, and the entrance registration
+  /// listed each target as an entrance of its routine.
   void resolveCalls() {
-    for (uint32_t BlockIndex : R.CallBlocks) {
-      BasicBlock &Block = R.Blocks[BlockIndex];
+    for (BasicBlock &Block : Blocks) {
       if (Block.Term != TerminatorKind::Call)
         continue;
       uint64_t Target = uint64_t(uint32_t(Prog.Insts[Block.End - 1].Imm));
       int32_t CalleeIndex = findRoutineByAddress(Prog, Target);
       assert(CalleeIndex >= 0 && "unresolved direct call");
-      const std::vector<uint64_t> &Entries =
+      std::span<const uint64_t> Entries =
           Prog.Routines[CalleeIndex].EntryAddresses;
-      auto It = std::find(Entries.begin(), Entries.end(), Target);
-      assert(It != Entries.end() &&
+      auto It = std::lower_bound(Entries.begin(), Entries.end(), Target);
+      assert(It != Entries.end() && *It == Target &&
              "call target was not registered as an entrance");
       Block.CalleeRoutine = CalleeIndex;
       Block.CalleeEntry = int32_t(It - Entries.begin());
@@ -320,10 +304,43 @@ private:
 
   const Program &Prog;
   Routine &R;
-  std::vector<bool> &IsLeader;
+  std::span<BasicBlock> Blocks;
+  std::span<uint32_t> EntryBlocks;
+  const std::vector<uint8_t> &Leader;
   std::vector<uint32_t> &BlockOfAddress;
   std::vector<uint32_t> &Succs;
+  size_t SuccBase;
 };
+
+/// Packs a routine's arcs into \p Arcs, its slice of Program::AllArcs:
+/// the successor lists \p Succs that RoutineBuilder left in its lane's
+/// buffer, then the predecessor lists, filled in ascending source-block
+/// order.  Also lists the routine's exit and call blocks.
+void placeArcs(std::span<BasicBlock> Blocks, std::span<const uint32_t> Succs,
+               std::span<uint32_t> Arcs, std::span<uint32_t> ExitBlocks,
+               std::span<uint32_t> CallBlocks) {
+  std::copy(Succs.begin(), Succs.end(), Arcs.begin());
+  for (uint32_t Succ : Succs)
+    ++Blocks[Succ].NumPreds;
+  uint32_t Next = uint32_t(Succs.size());
+  for (BasicBlock &Block : Blocks) {
+    Block.FirstPred = Next;
+    Next += Block.NumPreds;
+    Block.NumPreds = 0;
+  }
+  size_t NumExits = 0, NumCalls = 0;
+  for (uint32_t BlockIndex = 0; BlockIndex < Blocks.size(); ++BlockIndex) {
+    const BasicBlock &Block = Blocks[BlockIndex];
+    for (uint32_t Succ : Succs.subspan(Block.FirstSucc, Block.NumSuccs)) {
+      BasicBlock &SuccBlock = Blocks[Succ];
+      Arcs[SuccBlock.FirstPred + SuccBlock.NumPreds++] = BlockIndex;
+    }
+    if (Block.Term == TerminatorKind::Return)
+      ExitBlocks[NumExits++] = BlockIndex;
+    if (Block.endsWithCall())
+      CallBlocks[NumCalls++] = BlockIndex;
+  }
+}
 
 /// A direct call the entrance scan found: the routine it enters, the
 /// entrance address, and whether the calling word lies in quarantined
@@ -334,13 +351,6 @@ struct CallFact {
   bool FromBadRegion = false;
 };
 
-/// Where one scanned chunk's call facts sit in its lane's buffer.
-struct CallFactSegment {
-  unsigned Lane = 0;
-  size_t Begin = 0;
-  size_t Count = 0;
-};
-
 /// One pool lane's scan output, reused across the chunks it scans.
 struct ScanLane {
   std::vector<CallFact> Facts;
@@ -348,13 +358,6 @@ struct ScanLane {
   /// code: either may reach any routine.
   bool Opaque = false;
 };
-
-/// Adds \p Address to \p R's entrances unless it is already one.
-void addEntrance(Routine &R, uint64_t Address) {
-  if (std::find(R.EntryAddresses.begin(), R.EntryAddresses.end(),
-                Address) == R.EntryAddresses.end())
-    R.EntryAddresses.push_back(Address);
-}
 
 /// Quarantines \p R for \p Reason unless an earlier cause already did.
 void quarantine(Routine &R, const std::string &Reason, DegradeReason Cause) {
@@ -429,7 +432,6 @@ Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
     R.Name = "<anon>";
     R.Begin = 0;
     R.End = Img.Code.size();
-    R.EntryAddresses.push_back(0);
     Prog.Routines.push_back(std::move(R));
   } else {
     Prog.Routines.reserve(Primaries.size());
@@ -440,7 +442,6 @@ Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
       R.End = I + 1 < Primaries.size() ? Primaries[I + 1]->Address
                                        : Img.Code.size();
       R.AddressTaken = Primaries[I]->AddressTaken;
-      R.EntryAddresses.push_back(R.Begin);
       Prog.Routines.push_back(std::move(R));
     }
   }
@@ -470,19 +471,20 @@ Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
                     "analysis budget exceeded", DegradeReason::Budget);
   }
 
-  // Attach secondary entrances to their containing routines; orphaned
+  // Entrances besides the primaries, as (routine, address) pairs: the
+  // secondary symbols here, the scan's call targets below.  Orphaned
   // secondaries (out of range or in a symbol gap) are dropped — the
   // validator reported them.
+  std::vector<std::pair<uint32_t, uint64_t>> Entrances;
   for (const Symbol &Sym : Img.Symbols) {
     if (!Sym.Secondary)
       continue;
     int32_t RoutineIndex = findRoutineByAddress(Prog, Sym.Address);
     if (RoutineIndex < 0)
       continue;
-    Routine &R = Prog.Routines[RoutineIndex];
-    addEntrance(R, Sym.Address);
+    Entrances.push_back({uint32_t(RoutineIndex), Sym.Address});
     if (Sym.AddressTaken)
-      R.AddressTaken = true;
+      Prog.Routines[RoutineIndex].AddressTaken = true;
   }
 
   // Decode the code section and discover call-targeted entrances, one
@@ -496,7 +498,7 @@ Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
   // undecodable words there can reach *anything*.
   std::vector<uint8_t> Undecodable(Img.Code.size(), 0);
   std::vector<ScanLane> Lanes(Pool ? Pool->jobs() : 1);
-  std::vector<CallFactSegment> Segments(Prog.Routines.size() + 1);
+  std::vector<LaneSegment> Segments(Prog.Routines.size() + 1);
   {
     telemetry::Span ScanSpan("cfg.scan");
     forEachTask(Pool, Segments.size(), [&](size_t Chunk, unsigned Lane) {
@@ -544,52 +546,149 @@ Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
     });
   }
 
-  // Register the discovered entrances in routine order.
+  // Register the entrances in routine order: a counting sort puts each
+  // routine's primary, secondary symbols and call targets in its slice
+  // of AllEntryAddresses, where they are sorted, deduplicated and packed
+  // down.
+  size_t Count = Prog.Routines.size();
   bool OpaqueQuarantine = false;
   for (const ScanLane &L : Lanes)
     OpaqueQuarantine |= L.Opaque;
-  for (const CallFactSegment &Seg : Segments)
+  for (const LaneSegment &Seg : Segments)
     for (size_t I = Seg.Begin; I < Seg.Begin + Seg.Count; ++I) {
       const CallFact &Fact = Lanes[Seg.Lane].Facts[I];
-      Routine &R = Prog.Routines[Fact.Callee];
-      addEntrance(R, Fact.Target);
+      Entrances.push_back({Fact.Callee, Fact.Target});
       if (Fact.FromBadRegion)
-        R.CalledFromQuarantine = true;
+        Prog.Routines[Fact.Callee].CalledFromQuarantine = true;
     }
   Lanes.clear();
-  for (Routine &R : Prog.Routines) {
-    std::sort(R.EntryAddresses.begin(), R.EntryAddresses.end());
+  std::vector<uint32_t> EntryBegin(Count + 1, 0);
+  for (const auto &[Owner, Address] : Entrances)
+    ++EntryBegin[Owner + 1];
+  for (size_t RoutineIndex = 0; RoutineIndex < Count; ++RoutineIndex)
+    EntryBegin[RoutineIndex + 1] += EntryBegin[RoutineIndex] + 1;
+  std::vector<uint64_t> &Entries = Prog.AllEntryAddresses;
+  Entries.resize(EntryBegin[Count]);
+  {
+    std::vector<uint32_t> Cursor(EntryBegin.begin(), EntryBegin.end() - 1);
+    for (size_t RoutineIndex = 0; RoutineIndex < Count; ++RoutineIndex)
+      Entries[Cursor[RoutineIndex]++] = Prog.Routines[RoutineIndex].Begin;
+    for (const auto &[Owner, Address] : Entrances)
+      Entries[Cursor[Owner]++] = Address;
+  }
+  uint32_t Packed = 0;
+  for (size_t RoutineIndex = 0; RoutineIndex < Count; ++RoutineIndex) {
+    auto First = Entries.begin() + EntryBegin[RoutineIndex];
+    auto Last = Entries.begin() + EntryBegin[RoutineIndex + 1];
+    std::sort(First, Last);
+    Last = std::unique(First, Last);
+    if (Entries.begin() + Packed != First)
+      std::copy(First, Last, Entries.begin() + Packed);
+    EntryBegin[RoutineIndex] = Packed;
+    Packed += uint32_t(Last - First);
+  }
+  EntryBegin[Count] = Packed;
+  Entries.resize(Packed);
+  Entries.shrink_to_fit();
+  for (size_t RoutineIndex = 0; RoutineIndex < Count; ++RoutineIndex) {
+    Routine &R = Prog.Routines[RoutineIndex];
+    R.EntryAddresses = sliceOf(Entries, EntryBegin, RoutineIndex);
     if (OpaqueQuarantine)
       R.CalledFromQuarantine = true;
   }
 
-  // Build per-routine CFGs and resolve their direct calls, one task per
-  // routine: each task reads only the instruction stream and the (now
-  // final) routine bounds and entrances, and writes only its own
-  // routine.  A quarantined routine is modelled exactly like the paper's
+  // Build the per-routine CFGs in three passes, each one task per
+  // routine that reads the instruction stream and the (now final)
+  // routine bounds and entrances, and writes only its own routine and
+  // its own slices of the program-wide arrays.  The serial steps between
+  // the passes size those arrays from the counts the pass before found,
+  // so every routine writes in place:
+  //   1. mark leaders and count each routine's blocks;
+  //   2. split and connect the blocks, index the entrances and resolve
+  //      the direct calls;
+  //   3. pack the arcs and list the exit and call blocks.
+  // A quarantined routine is modelled exactly like the paper's
   // unknowable code (Section 3.5): one block spanning the whole routine,
   // terminated by an unresolved jump, using and defining nothing we can
   // rely on — worst-case UBD, empty DEF — with no exits and no call
   // sites.  Every entrance maps to that block.
+  std::vector<uint32_t> BlockBegin(Count + 1, 0);
   {
-    telemetry::Span RoutinesSpan("cfg.routines");
+    std::vector<uint8_t> Leader(Prog.Insts.size(), 0);
+    {
+      telemetry::Span LeadersSpan("cfg.leaders");
+      forEachTask(Pool, Count, [&](size_t RoutineIndex, unsigned) {
+        const Routine &R = Prog.Routines[RoutineIndex];
+        BlockBegin[RoutineIndex + 1] =
+            R.Quarantined ? 1 : markLeaders(Prog, R, Leader);
+      });
+    }
+    std::partial_sum(BlockBegin.begin(), BlockBegin.end(),
+                     BlockBegin.begin());
+    Prog.AllBlocks.resize(BlockBegin[Count]);
+    Prog.AllEntryBlocks.resize(Entries.size());
+
     std::vector<RoutineScratch> Scratch(Pool ? Pool->jobs() : 1);
-    forEachTask(Pool, Prog.Routines.size(), [&](size_t RoutineIndex,
-                                                unsigned Lane) {
-      Routine &R = Prog.Routines[RoutineIndex];
-      if (R.Quarantined) {
-        BasicBlock Block;
-        Block.Begin = R.Begin;
-        Block.End = R.End;
-        Block.Term = TerminatorKind::UnresolvedJump;
-        Block.Ubd = RegSet::allBelow(NumIntRegs);
-        R.Blocks.push_back(std::move(Block));
-        R.EntryBlocks.assign(R.EntryAddresses.size(), 0);
-        return;
-      }
-      RoutineBuilder Builder(Prog, R, Scratch[Lane]);
-      Builder.run();
-    });
+    std::vector<LaneSegment> SuccSegments(Count);
+    std::vector<uint32_t> ArcBegin(Count + 1, 0), ExitBegin(Count + 1, 0),
+        CallBegin(Count + 1, 0);
+    {
+      telemetry::Span RoutinesSpan("cfg.routines");
+      forEachTask(Pool, Count, [&](size_t RoutineIndex, unsigned Lane) {
+        Routine &R = Prog.Routines[RoutineIndex];
+        std::span<BasicBlock> Blocks =
+            sliceOf(Prog.AllBlocks, BlockBegin, RoutineIndex);
+        std::span<uint32_t> EntryBlocks =
+            sliceOf(Prog.AllEntryBlocks, EntryBegin, RoutineIndex);
+        RoutineScratch &S = Scratch[Lane];
+        size_t SuccBase = S.Succs.size();
+        if (R.Quarantined) {
+          BasicBlock &Block = Blocks[0];
+          Block.Begin = R.Begin;
+          Block.End = R.End;
+          Block.Term = TerminatorKind::UnresolvedJump;
+          Block.Ubd = RegSet::allBelow(NumIntRegs);
+        } else {
+          RoutineBuilder(Prog, R, Blocks, EntryBlocks, Leader, S).run();
+        }
+        uint32_t NumExits = 0, NumCalls = 0;
+        for (const BasicBlock &Block : Blocks) {
+          NumExits += Block.Term == TerminatorKind::Return;
+          NumCalls += Block.endsWithCall();
+        }
+        SuccSegments[RoutineIndex] = {Lane, SuccBase,
+                                      S.Succs.size() - SuccBase};
+        ArcBegin[RoutineIndex + 1] = 2 * uint32_t(S.Succs.size() - SuccBase);
+        ExitBegin[RoutineIndex + 1] = NumExits;
+        CallBegin[RoutineIndex + 1] = NumCalls;
+        R.Blocks = Blocks;
+        R.EntryBlocks = EntryBlocks;
+      });
+    }
+    for (std::vector<uint32_t> *Begin : {&ArcBegin, &ExitBegin, &CallBegin})
+      std::partial_sum(Begin->begin(), Begin->end(), Begin->begin());
+    Prog.AllArcs.resize(ArcBegin[Count]);
+    Prog.AllExitBlocks.resize(ExitBegin[Count]);
+    Prog.AllCallBlocks.resize(CallBegin[Count]);
+    {
+      telemetry::Span ArcsSpan("cfg.arcs");
+      forEachTask(Pool, Count, [&](size_t RoutineIndex, unsigned) {
+        Routine &R = Prog.Routines[RoutineIndex];
+        const LaneSegment &Seg = SuccSegments[RoutineIndex];
+        std::span<uint32_t> Arcs = sliceOf(Prog.AllArcs, ArcBegin, RoutineIndex);
+        std::span<uint32_t> ExitBlocks =
+            sliceOf(Prog.AllExitBlocks, ExitBegin, RoutineIndex);
+        std::span<uint32_t> CallBlocks =
+            sliceOf(Prog.AllCallBlocks, CallBegin, RoutineIndex);
+        placeArcs(sliceOf(Prog.AllBlocks, BlockBegin, RoutineIndex),
+                  std::span<const uint32_t>(Scratch[Seg.Lane].Succs)
+                      .subspan(Seg.Begin, Seg.Count),
+                  Arcs, ExitBlocks, CallBlocks);
+        R.Arcs = Arcs;
+        R.ExitBlocks = ExitBlocks;
+        R.CallBlocks = CallBlocks;
+      });
+    }
   }
 
   // Copy the Section 3.5 side tables, dropping annotations that do not
@@ -617,8 +716,23 @@ Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
                           ? findRoutineByAddress(Prog, Img.EntryAddress)
                           : -1;
 
+  {
+    telemetry::Span GraphSpan("cfg.callgraph");
+    Prog.Calls = buildCallGraph(Prog, Pool);
+    // The two schedules only read the graph: one task each.
+    forEachTask(Pool, 2, [&](size_t Which, unsigned) {
+      if (Which == 0)
+        Prog.CalleeFirst = buildCalleeFirstSchedule(Prog, Prog.Calls);
+      else
+        Prog.CallerFirst = buildCallerFirstSchedule(Prog, Prog.Calls);
+    });
+  }
+
   // Charges stay serial and in routine order, so the Nth tracked
   // allocation (--inject-fault alloc@N) is the same at every job count.
+  // Each routine charges its own record and slices of the six CFG
+  // arrays, one charge per block; the call graph and the schedules
+  // follow, one charge per container.
   if (Mem) {
     for (const Routine &R : Prog.Routines) {
       Mem->charge(sizeof(Routine) +
@@ -630,18 +744,20 @@ Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
         Mem->charge(sizeof(BasicBlock) +
                     (Block.NumSuccs + Block.NumPreds) * sizeof(uint32_t));
     }
-  }
-
-  {
-    telemetry::Span GraphSpan("cfg.callgraph");
-    Prog.Calls = buildCallGraph(Prog, Pool);
-    // The two schedules only read the graph: one task each.
-    forEachTask(Pool, 2, [&](size_t Which, unsigned) {
-      if (Which == 0)
-        Prog.CalleeFirst = buildCalleeFirstSchedule(Prog, Prog.Calls);
-      else
-        Prog.CallerFirst = buildCallerFirstSchedule(Prog, Prog.Calls);
-    });
+    const CallGraph &Graph = Prog.Calls;
+    for (const std::vector<uint32_t> *Ids :
+         {&Graph.Callees.Begin, &Graph.Callees.Ids, &Graph.Callers.Begin,
+          &Graph.Callers.Ids, &Graph.SccId})
+      Mem->charge(elementBytes(*Ids));
+    for (const std::vector<bool> *Flags :
+         {&Graph.HasIndirectCalls, &Graph.InCycle, &Graph.Reachable})
+      Mem->charge(elementBytes(*Flags));
+    for (const SccSchedule *Sched : {&Prog.CalleeFirst, &Prog.CallerFirst}) {
+      Mem->charge(elementBytes(Sched->GroupOfRoutine));
+      for (const std::vector<std::vector<uint32_t>> *Lists :
+           {&Sched->Members, &Sched->Levels, &Sched->GroupSucc})
+        Mem->charge(elementBytes(*Lists) + nestedElementBytes(*Lists));
+    }
   }
 
   if (telemetry::active()) {
@@ -657,13 +773,16 @@ Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
 
 void spike::computeDefUbd(Program &Prog, ThreadPool *Pool) {
   forEachTask(Pool, Prog.Routines.size(), [&](size_t RoutineIndex, unsigned) {
-    Routine &R = Prog.Routines[RoutineIndex];
+    const Routine &R = Prog.Routines[RoutineIndex];
     // Quarantined routines keep their hand-set worst-case sets (empty
     // DEF, all-registers UBD); recomputing from the placeholder-decoded
     // garbage would be unsound.
     if (R.Quarantined)
       return;
-    for (BasicBlock &Block : R.Blocks) {
+    // Routine::Blocks is a read-only view; write through the owning array.
+    std::span<BasicBlock> Blocks = std::span(Prog.AllBlocks).subspan(
+        size_t(R.Blocks.data() - Prog.AllBlocks.data()), R.Blocks.size());
+    for (BasicBlock &Block : Blocks) {
       RegSet Def, Ubd;
       for (uint64_t Address = Block.Begin; Address < Block.End; ++Address) {
         const Instruction &Inst = Prog.Insts[Address];

@@ -118,12 +118,16 @@ inline const char *degradeReasonName(DegradeReason Reason) {
 }
 
 /// A routine: a contiguous instruction range with one or more entrances.
+///
+/// A Routine is a view: its CFG lists are spans into the owning
+/// Program's arrays (Program::AllBlocks and its siblings), so building a
+/// routine allocates nothing of its own.
 struct Routine {
   std::string Name;
   uint64_t Begin = 0;
   uint64_t End = 0;
 
-  std::vector<BasicBlock> Blocks;
+  std::span<const BasicBlock> Blocks;
 
   /// Intra-routine CFG arcs, CSR-packed: every block's successor list in
   /// block order, then every block's predecessor list in block order.
@@ -131,21 +135,22 @@ struct Routine {
   /// successor; the interprocedural effect of the call is modelled by the
   /// analyses, not by CFG arcs.  Successors are deduplicated;
   /// predecessors are in ascending block order.
-  std::vector<uint32_t> Arcs;
+  std::span<const uint32_t> Arcs;
 
-  /// Entrance addresses: EntryAddresses[0] is the primary entry; the rest
-  /// are secondary entrances (extra symbols or call-targeted addresses).
-  std::vector<uint64_t> EntryAddresses;
+  /// Entrance addresses, ascending: EntryAddresses[0] is the primary
+  /// entry; the rest are secondary entrances (extra symbols or
+  /// call-targeted addresses).
+  std::span<const uint64_t> EntryAddresses;
 
   /// Block index of each entrance (parallel to EntryAddresses).
-  std::vector<uint32_t> EntryBlocks;
+  std::span<const uint32_t> EntryBlocks;
 
   /// Blocks ending with Return, in block-index order.
-  std::vector<uint32_t> ExitBlocks;
+  std::span<const uint32_t> ExitBlocks;
 
   /// Blocks ending with a call, in block-index order (the routine's call
   /// sites).
-  std::vector<uint32_t> CallBlocks;
+  std::span<const uint32_t> CallBlocks;
 
   /// True if the routine's address escapes: it may be called indirectly
   /// and may return to unknown callers.
@@ -184,13 +189,13 @@ struct Routine {
   /// Returns the successor block indices of block \p BlockIndex.
   std::span<const uint32_t> succs(uint32_t BlockIndex) const {
     const BasicBlock &Block = Blocks[BlockIndex];
-    return {Arcs.data() + Block.FirstSucc, Block.NumSuccs};
+    return Arcs.subspan(Block.FirstSucc, Block.NumSuccs);
   }
 
   /// Returns the predecessor block indices of block \p BlockIndex.
   std::span<const uint32_t> preds(uint32_t BlockIndex) const {
     const BasicBlock &Block = Blocks[BlockIndex];
-    return {Arcs.data() + Block.FirstPred, Block.NumPreds};
+    return Arcs.subspan(Block.FirstPred, Block.NumPreds);
   }
 };
 
@@ -200,7 +205,19 @@ struct JumpTableTargets {
 };
 
 /// The decoded whole program.
+///
+/// Every routine's CFG lists live in the six All* arrays below, routine
+/// after routine in routine order; Routine holds spans into them.  A
+/// Program is therefore move-only: moving keeps the arrays' storage (and
+/// every span) in place, where a copy would leave the copy's routines
+/// pointing into the original.
 struct Program {
+  Program() = default;
+  Program(Program &&) = default;
+  Program &operator=(Program &&) = default;
+  Program(const Program &) = delete;
+  Program &operator=(const Program &) = delete;
+
   /// Decoded instructions, indexed by address.
   std::vector<Instruction> Insts;
 
@@ -225,6 +242,16 @@ struct Program {
   /// The semantic-validation findings the builder acted on (quarantines,
   /// dropped symbols/annotations); kept for diagnostics (lint rule SL011).
   ValidationReport Validation;
+
+  /// The storage behind Routine::Blocks, Arcs, EntryAddresses,
+  /// EntryBlocks, ExitBlocks and CallBlocks, filled in place by
+  /// buildProgram.  Block indices stored in them are routine-local.
+  std::vector<BasicBlock> AllBlocks;
+  std::vector<uint32_t> AllArcs;
+  std::vector<uint64_t> AllEntryAddresses;
+  std::vector<uint32_t> AllEntryBlocks;
+  std::vector<uint32_t> AllExitBlocks;
+  std::vector<uint32_t> AllCallBlocks;
 
   /// The call graph and the two solver schedules over it, built once by
   /// buildProgram after every routine is final.  Every analysis,
@@ -265,21 +292,11 @@ struct Program {
   }
 
   /// Returns the total number of basic blocks (Table 2 statistic).
-  uint64_t numBlocks() const {
-    uint64_t Count = 0;
-    for (const Routine &R : Routines)
-      Count += R.Blocks.size();
-    return Count;
-  }
+  uint64_t numBlocks() const { return AllBlocks.size(); }
 
   /// Returns the total number of intra-routine CFG arcs, not counting
   /// call/return arcs.
-  uint64_t numArcs() const {
-    uint64_t Count = 0;
-    for (const Routine &R : Routines)
-      Count += R.Arcs.size() / 2;
-    return Count;
-  }
+  uint64_t numArcs() const { return AllArcs.size() / 2; }
 };
 
 } // namespace spike

@@ -128,29 +128,34 @@ public:
   template <class SolveFn, class RestoreFn = NoHook, class JoinFn = NoHook>
   void run(const char *Phase, SolveFn Solve, RestoreFn Restore = {},
            JoinFn Join = {}) {
-    for (const std::vector<uint32_t> &Level : Sched.Levels) {
-      forEachTask(Pool, Level.size(), [&](size_t I, unsigned Lane) {
-        uint32_t Group = Level[I];
-        const std::vector<uint32_t> &Members = Sched.Members[Group];
-        if (Members.empty())
+    // One task body for every level, so running a level allocates
+    // nothing however many levels the schedule has.
+    const std::vector<uint32_t> *LevelPtr = nullptr;
+    ThreadPool::Body Task = [&](size_t I, unsigned Lane) {
+      uint32_t Group = (*LevelPtr)[I];
+      const std::vector<uint32_t> &Members = Sched.Members[Group];
+      if (Members.empty())
+        return;
+      if (Frontier) {
+        if (!Frontier->anyDirty(Members)) {
+          Restore(Members);
+          ++Reused;
           return;
-        if (Frontier) {
-          if (!Frontier->anyDirty(Members)) {
-            Restore(Members);
-            ++Reused;
-            return;
-          }
-          for (uint32_t R : Members)
-            Frontier->flag(R);
         }
-        GroupTask T(Group, Lane, Members, Profile ? &Costs[Group] : nullptr,
-                    Prog, Gov, Phase);
-        uint64_t T0 = T.Cost ? telemetry::costClockNs() : 0;
-        Solve(T);
-        if (T.Cost)
-          T.Cost->Ns += telemetry::costClockNs() - T0;
-        Steps += T.steps();
-      });
+        for (uint32_t R : Members)
+          Frontier->flag(R);
+      }
+      GroupTask T(Group, Lane, Members, Profile ? &Costs[Group] : nullptr,
+                  Prog, Gov, Phase);
+      uint64_t T0 = T.Cost ? telemetry::costClockNs() : 0;
+      Solve(T);
+      if (T.Cost)
+        T.Cost->Ns += telemetry::costClockNs() - T0;
+      Steps += T.steps();
+    };
+    for (const std::vector<uint32_t> &Level : Sched.Levels) {
+      LevelPtr = &Level;
+      forEachTask(Pool, Level.size(), Task);
       Join(Level);
     }
   }

@@ -11,23 +11,13 @@ using namespace spike;
 
 namespace {
 
-/// A dependency graph in CSR form: node U's successors are
-/// Targets[Begin[U], Begin[U + 1]).  Two arrays whatever the node
-/// count, where a list per node would cost an allocation per node.
-struct DepGraph {
-  std::vector<uint32_t> Begin{0};
-  std::vector<uint32_t> Targets;
-
-  size_t numNodes() const { return Begin.size() - 1; }
-  /// Closes the current node's successor list.
-  void endNode() { Begin.push_back(uint32_t(Targets.size())); }
-  std::span<const uint32_t> succs(uint32_t Node) const {
-    return {Targets.data() + Begin[Node], Begin[Node + 1] - Begin[Node]};
-  }
-};
+/// A dependency graph: node U's successors are Deps[U].  Two arrays
+/// whatever the node count, where a list per node would cost an
+/// allocation per node.
+using DepGraph = CsrLists;
 
 SccSchedule scheduleOf(const DepGraph &Deps) {
-  size_t NumNodes = Deps.numNodes();
+  size_t NumNodes = Deps.size();
   SccSchedule Sched;
   Sched.GroupOfRoutine.assign(NumNodes, 0);
   if (NumNodes == 0)
@@ -56,7 +46,7 @@ SccSchedule scheduleOf(const DepGraph &Deps) {
     OnStack[Root] = true;
     while (!Dfs.empty()) {
       Frame &Top = Dfs.back();
-      std::span<const uint32_t> Succs = Deps.succs(Top.Node);
+      std::span<const uint32_t> Succs = Deps[Top.Node];
       if (Top.Child < Succs.size()) {
         uint32_t Next = Succs[Top.Child++];
         if (Index[Next] < 0) {
@@ -111,7 +101,7 @@ SccSchedule scheduleOf(const DepGraph &Deps) {
   for (uint32_t Group = Sched.NumGroups; Group-- > 0;) {
     Succs.clear();
     for (uint32_t Node : Sched.Members[Group])
-      for (uint32_t Succ : Deps.succs(Node)) {
+      for (uint32_t Succ : Deps[Node]) {
         uint32_t SuccGroup = Sched.GroupOfRoutine[Succ];
         if (SuccGroup == Group)
           continue;
@@ -145,9 +135,8 @@ spike::buildSccSchedule(size_t NumNodes,
                         const std::vector<std::vector<uint32_t>> &Deps) {
   DepGraph Graph;
   for (size_t Node = 0; Node < NumNodes; ++Node) {
-    Graph.Targets.insert(Graph.Targets.end(), Deps[Node].begin(),
-                         Deps[Node].end());
-    Graph.endNode();
+    Graph.Ids.insert(Graph.Ids.end(), Deps[Node].begin(), Deps[Node].end());
+    Graph.endList();
   }
   return scheduleOf(Graph);
 }
@@ -162,8 +151,8 @@ SccSchedule spike::buildCalleeFirstSchedule(const Program &Prog,
   for (uint32_t Callee = 0; Callee < Count; ++Callee) {
     for (uint32_t Caller : Graph.Callers[Callee])
       if (Caller != Callee)
-        Deps.Targets.push_back(Caller);
-    Deps.endNode();
+        Deps.Ids.push_back(Caller);
+    Deps.endList();
   }
   return scheduleOf(Deps);
 }
@@ -190,16 +179,16 @@ SccSchedule spike::buildCallerFirstSchedule(const Program &Prog,
   for (uint32_t Caller = 0; Caller < Count; ++Caller) {
     for (uint32_t Callee : Graph.Callees[Caller])
       if (Callee != Caller)
-        Deps.Targets.push_back(Callee);
+        Deps.Ids.push_back(Callee);
     if (UseHub && Graph.HasIndirectCalls[Caller])
-      Deps.Targets.push_back(Hub);
-    Deps.endNode();
+      Deps.Ids.push_back(Hub);
+    Deps.endList();
   }
   if (UseHub) {
     for (uint32_t R = 0; R < Count; ++R)
       if (Prog.Routines[R].AddressTaken)
-        Deps.Targets.push_back(R);
-    Deps.endNode();
+        Deps.Ids.push_back(R);
+    Deps.endList();
   }
 
   SccSchedule Sched = scheduleOf(Deps);

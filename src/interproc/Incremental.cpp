@@ -32,14 +32,16 @@ bool sameBlockRecord(const BasicBlock &A, const BasicBlock &B) {
 /// layout and identical transfer functions — the PhaseReuse premise.
 bool sameRoutineRecord(const Routine &A, const Routine &B) {
   if (A.Name != B.Name || A.Begin != B.Begin || A.End != B.End ||
-      A.Blocks.size() != B.Blocks.size() || A.Arcs != B.Arcs)
+      A.Blocks.size() != B.Blocks.size() || !std::ranges::equal(A.Arcs, B.Arcs))
     return false;
   for (size_t I = 0; I < A.Blocks.size(); ++I)
     if (!sameBlockRecord(A.Blocks[I], B.Blocks[I]))
       return false;
-  return A.EntryAddresses == B.EntryAddresses &&
-         A.EntryBlocks == B.EntryBlocks && A.ExitBlocks == B.ExitBlocks &&
-         A.CallBlocks == B.CallBlocks && A.AddressTaken == B.AddressTaken &&
+  return std::ranges::equal(A.EntryAddresses, B.EntryAddresses) &&
+         std::ranges::equal(A.EntryBlocks, B.EntryBlocks) &&
+         std::ranges::equal(A.ExitBlocks, B.ExitBlocks) &&
+         std::ranges::equal(A.CallBlocks, B.CallBlocks) &&
+         A.AddressTaken == B.AddressTaken &&
          A.Quarantined == B.Quarantined &&
          A.QuarantineReason == B.QuarantineReason &&
          A.Degrade == B.Degrade &&

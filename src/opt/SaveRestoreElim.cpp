@@ -51,14 +51,16 @@ bool usesIncomingValue(const Program &Prog, uint32_t RoutineIndex,
     Ubd[BlockIndex] = U;
   }
 
-  // Copy the routine with the adjusted block sets, then ask liveness
-  // whether Reg is live at any entrance.
-  Routine Adjusted = R;
+  // View the routine through a copy of its blocks with the adjusted
+  // sets, then ask liveness whether Reg is live at any entrance.
+  std::vector<BasicBlock> Blocks(R.Blocks.begin(), R.Blocks.end());
   for (uint32_t BlockIndex = 0; BlockIndex < R.Blocks.size();
        ++BlockIndex) {
-    Adjusted.Blocks[BlockIndex].Def = Def[BlockIndex];
-    Adjusted.Blocks[BlockIndex].Ubd = Ubd[BlockIndex];
+    Blocks[BlockIndex].Def = Def[BlockIndex];
+    Blocks[BlockIndex].Ubd = Ubd[BlockIndex];
   }
+  Routine Adjusted = R;
+  Adjusted.Blocks = Blocks;
   LivenessResult Live = solveLiveness(
       Adjusted,
       [&](uint32_t BlockIndex) {

@@ -98,7 +98,8 @@ ProvDerivation WitnessSearch::groundOf(ProvFact Fact, uint32_t NodeId) const {
       D.Kind = ProvKind::SeedQuarantine;
     return D;
   }
-  for (uint32_t EdgeId = Node.FirstOut, End = Node.FirstOut + Node.NumOut;
+  for (uint32_t EdgeId = Node.FirstOut,
+                End = Node.FirstOut + A.Psg.outEdges(NodeId).size();
        EdgeId != End; ++EdgeId) {
     const PsgEdge &Edge = A.Psg.Edges[EdgeId];
     RegSet Label =
@@ -106,7 +107,7 @@ ProvDerivation WitnessSearch::groundOf(ProvFact Fact, uint32_t NodeId) const {
     if (!Label.contains(Reg))
       continue;
     D.Edge = EdgeId;
-    if (!Edge.IsCallReturn)
+    if (Node.Kind != PsgNodeKind::Call)
       D.Kind = ProvKind::EdgeLabel;
     else if (R.Blocks[Node.BlockIndex].Term == TerminatorKind::IndirectCall)
       D.Kind = ProvKind::IndirectCall;
@@ -126,8 +127,7 @@ void WitnessSearch::extend(ProvFact Fact, uint32_t NodeId) {
   const PsgNode &Node = Psg.Nodes[NodeId];
 
   // Flow: each in-edge's source unions this set minus the path's MUST-DEF.
-  for (uint32_t I = Node.FirstIn, E = Node.FirstIn + Node.NumIn; I != E; ++I) {
-    uint32_t EdgeId = Psg.InEdgeIds[I];
+  for (uint32_t EdgeId : Psg.inEdgeIds(NodeId)) {
     const PsgEdge &Edge = Psg.Edges[EdgeId];
     if (Fact == ProvFact::MayDef || !Edge.Label.MustDef.contains(Reg))
       derive(Fact, Edge.Src, {ProvKind::EdgeFlow, Fact, EdgeId, NodeId});
@@ -210,7 +210,7 @@ uint64_t nodeAddress(const AnalysisResult &A, uint32_t NodeId) {
   const PsgNode &Node = A.Psg.Nodes[NodeId];
   const Routine &R = A.Prog.Routines[Node.RoutineIndex];
   if (Node.Kind == PsgNodeKind::Entry)
-    return R.EntryAddresses[Node.AuxIndex];
+    return R.EntryAddresses[A.Psg.anchorIndex(A.Prog, NodeId)];
   return R.Blocks[Node.BlockIndex].End - 1;
 }
 
@@ -234,7 +234,7 @@ bool replayStep(const AnalysisResult &A, const WitnessStep &Step,
     if (How.Edge >= Psg.Edges.size() || Psg.Edges[How.Edge].Src != Step.Node)
       return nullptr;
     const PsgEdge &Edge = Psg.Edges[How.Edge];
-    return Edge.IsCallReturn == WantCallReturn ? &Edge : nullptr;
+    return Psg.isCallReturn(Edge) == WantCallReturn ? &Edge : nullptr;
   };
   const BasicBlock &Block =
       Prog.Routines[Node.RoutineIndex].Blocks[Node.BlockIndex];
@@ -288,8 +288,7 @@ bool replayStep(const AnalysisResult &A, const WitnessStep &Step,
         Block.CalleeEntry < 0)
       return fail(Error, StepIndex, "node's block is not a direct call");
     uint32_t Callee = uint32_t(Block.CalleeRoutine);
-    uint32_t EntryNode =
-        Psg.RoutineInfo[Callee].EntryNodes[uint32_t(Block.CalleeEntry)];
+    uint32_t EntryNode = Psg.entryNode(Callee, uint32_t(Block.CalleeEntry));
     if (How.Node != EntryNode)
       return fail(Error, StepIndex,
                   "referenced node is not the callee's entry node");
@@ -430,7 +429,7 @@ std::string spike::describeNode(const AnalysisResult &A, uint32_t NodeId) {
 
   std::string S = psgNodeKindName(Node.Kind);
   if (Node.Kind == PsgNodeKind::Entry || Node.Kind == PsgNodeKind::Exit)
-    S += "#" + std::to_string(Node.AuxIndex);
+    S += "#" + std::to_string(A.Psg.anchorIndex(A.Prog, NodeId));
   S += " node " + std::to_string(NodeId) + " of '" + R.Name + "' (block " +
        std::to_string(Node.BlockIndex) + " @" +
        std::to_string(nodeAddress(A, NodeId));
@@ -560,8 +559,8 @@ void forEachEntryWitness(const AnalysisResult &A, VisitFn Visit) {
   std::vector<uint32_t> Entries, FirstBit;
   uint32_t NumBits = 0;
   RegSet AnyLive;
-  for (const RoutinePsg &Info : A.Psg.RoutineInfo)
-    for (uint32_t NodeId : Info.EntryNodes) {
+  for (uint32_t R = 0; R < A.Prog.Routines.size(); ++R)
+    for (uint32_t NodeId : A.Psg.entryNodes(A.Prog, R)) {
       Entries.push_back(NodeId);
       FirstBit.push_back(NumBits);
       NumBits += A.Psg.Nodes[NodeId].Live.count();
@@ -582,8 +581,8 @@ void forEachEntryWitness(const AnalysisResult &A, VisitFn Visit) {
 
 WitnessAudit spike::auditEntryLiveness(const AnalysisResult &A) {
   WitnessAudit Audit;
-  for (const RoutinePsg &Info : A.Psg.RoutineInfo)
-    Audit.EntriesChecked += Info.EntryNodes.size();
+  for (const Routine &R : A.Prog.Routines)
+    Audit.EntriesChecked += R.numEntries();
   std::vector<std::pair<uint32_t, std::string>> Failures;
   forEachEntryWitness(A, [&](uint32_t Bit, uint32_t NodeId, unsigned Reg,
                              const Witness &W) {
@@ -672,9 +671,8 @@ ScanOutcome scanBlockForObserver(const AnalysisResult &A, uint32_t RIdx,
                  " is call-used";
       if (Block.Term == TerminatorKind::Call && Block.CalleeRoutine >= 0 &&
           Block.CalleeEntry >= 0) {
-        uint32_t EntryNode =
-            A.Psg.RoutineInfo[uint32_t(Block.CalleeRoutine)]
-                .EntryNodes[uint32_t(Block.CalleeEntry)];
+        uint32_t EntryNode = A.Psg.entryNode(uint32_t(Block.CalleeRoutine),
+                                             uint32_t(Block.CalleeEntry));
         Out.Text += "\n" + renderWitness(A, buildWitness(A, ProvFact::MayUse,
                                                          EntryNode, Reg));
       }
@@ -695,7 +693,7 @@ ScanOutcome scanBlockForObserver(const AnalysisResult &A, uint32_t RIdx,
                  " (block " + std::to_string(BlockIndex) + ")";
       for (uint32_t ExitIdx = 0; ExitIdx < R.ExitBlocks.size(); ++ExitIdx)
         if (R.ExitBlocks[ExitIdx] == BlockIndex) {
-          uint32_t ExitNode = A.Psg.RoutineInfo[RIdx].ExitNodes[ExitIdx];
+          uint32_t ExitNode = A.Psg.exitNodes(Prog, RIdx)[ExitIdx];
           Out.Text += "\n" + renderWitness(A, buildWitness(A, ProvFact::Live,
                                                            ExitNode, Reg));
           break;

@@ -88,7 +88,7 @@ struct AnalysisResult {
   /// applied when extracting Summaries; diagnostics that reason about
   /// save/restore behaviour need the raw sets).
   const FlowSets &entrySets(uint32_t RoutineIndex, uint32_t Entry) const {
-    return Psg.Nodes[Psg.RoutineInfo[RoutineIndex].EntryNodes[Entry]].Sets;
+    return Psg.Nodes[Psg.entryNode(RoutineIndex, Entry)].Sets;
   }
 };
 
@@ -128,9 +128,10 @@ using StageSeconds = std::array<double, StageSpans.size()>;
 /// The spans that wrap the build stages' per-routine pool regions.  A
 /// stage's serial seconds — what --jobs cannot shrink — are its span
 /// minus the pool-region spans nested under it.
-inline constexpr std::array<std::string_view, 6> PoolRegionSpans = {
-    "binary.validate.code", "cfg.scan",    "cfg.routines",
-    "psg.count",            "psg.routines", "psg.index"};
+inline constexpr std::array<std::string_view, 8> PoolRegionSpans = {
+    "binary.validate.code", "cfg.scan",  "cfg.leaders",
+    "cfg.routines",         "cfg.arcs",  "psg.count",
+    "psg.routines",         "psg.index"};
 
 /// The closed spans of \p S named after each stage whose parent is an
 /// "analyze" span, summed over span ids \p FirstSpan onward.  Pass the

@@ -122,7 +122,7 @@ std::string spike::psgToDot(const Program &Prog,
     if (Psg.Nodes[Edge.Src].RoutineIndex != RoutineIndex)
       continue;
     OS << "  n" << Edge.Src << " -> n" << Edge.Dst << " [";
-    if (Edge.IsCallReturn)
+    if (Psg.isCallReturn(Edge))
       OS << "style=dashed, ";
     OS << "label=\"U " << escape(Edge.Label.MayUse.str()) << "\\nD "
        << escape(Edge.Label.MayDef.str()) << "\\nM "
@@ -183,7 +183,7 @@ std::string spike::psgPathToDot(const Program &Prog,
         !InRoutine[Psg.Nodes[Edge.Dst].RoutineIndex])
       continue;
     OS << "  n" << Edge.Src << " -> n" << Edge.Dst << " [";
-    if (Edge.IsCallReturn)
+    if (Psg.isCallReturn(Edge))
       OS << "style=dashed, ";
     if (HotEdge[EdgeId])
       OS << "color=red, penwidth=2, ";

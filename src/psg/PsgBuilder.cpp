@@ -75,6 +75,7 @@ struct BuildScratch {
   uint32_t Epoch = 0;
 
   std::vector<PsgEdge> Edges;
+  uint64_t NumBranchNodes = 0;
 };
 
 /// Where one routine's edges sit in its lane's buffer.
@@ -85,8 +86,9 @@ struct EdgeSegment {
 };
 
 /// Builds the PSG nodes and edges of a single routine: nodes are written
-/// in place at their final ids, edges are appended to the lane's buffer
-/// in source-node order — the order of the CSR edge array.
+/// in place at their final ids, in the order PsgGraph.h fixes, and edges
+/// are appended to the lane's buffer in source-node order — the order of
+/// the CSR edge array.
 ///
 /// Terminology: a block whose terminator is a sink anchor (call, return
 /// instruction, multiway branch with branch nodes enabled, unresolved
@@ -99,8 +101,7 @@ public:
                     const PsgBuildOptions &Opts, ProgramSummaryGraph &Psg,
                     BuildScratch &S)
       : Prog(Prog), RoutineIndex(RoutineIndex),
-        R(Prog.Routines[RoutineIndex]), Opts(Opts), Psg(Psg),
-        Info(Psg.RoutineInfo[RoutineIndex]), S(S),
+        R(Prog.Routines[RoutineIndex]), Opts(Opts), Psg(Psg), S(S),
         NextNode(Psg.RoutineNodeBegin[RoutineIndex]) {}
 
   void run() {
@@ -112,13 +113,11 @@ public:
   }
 
 private:
-  uint32_t newNode(PsgNodeKind Kind, uint32_t BlockIndex,
-                   uint32_t AuxIndex = 0) {
+  uint32_t newNode(PsgNodeKind Kind, uint32_t BlockIndex) {
     PsgNode &Node = Psg.Nodes[NextNode];
     Node.Kind = Kind;
     Node.RoutineIndex = RoutineIndex;
     Node.BlockIndex = BlockIndex;
-    Node.AuxIndex = AuxIndex;
     return NextNode++;
   }
 
@@ -143,46 +142,20 @@ private:
 
   void createNodes() {
     S.SinkNodeOfBlock.assign(R.Blocks.size(), NoNode);
-
-    Info.EntryNodes.reserve(R.EntryBlocks.size());
-    for (uint32_t EntryIndex = 0; EntryIndex < R.EntryBlocks.size();
-         ++EntryIndex)
-      Info.EntryNodes.push_back(newNode(PsgNodeKind::Entry,
-                                        R.EntryBlocks[EntryIndex],
-                                        EntryIndex));
-
-    Info.ExitNodes.reserve(R.ExitBlocks.size());
-    for (uint32_t ExitIndex = 0; ExitIndex < R.ExitBlocks.size();
-         ++ExitIndex) {
-      uint32_t Block = R.ExitBlocks[ExitIndex];
-      uint32_t NodeId = newNode(PsgNodeKind::Exit, Block, ExitIndex);
-      Info.ExitNodes.push_back(NodeId);
-      S.SinkNodeOfBlock[Block] = NodeId;
-    }
-
-    Info.CallNodes.reserve(R.CallBlocks.size());
-    Info.ReturnNodes.reserve(R.CallBlocks.size());
+    for (uint32_t Block : R.EntryBlocks)
+      newNode(PsgNodeKind::Entry, Block);
+    for (uint32_t Block : R.ExitBlocks)
+      S.SinkNodeOfBlock[Block] = newNode(PsgNodeKind::Exit, Block);
     for (uint32_t Block : R.CallBlocks) {
-      uint32_t CallNode = newNode(PsgNodeKind::Call, Block);
-      uint32_t ReturnNode = newNode(PsgNodeKind::Return, Block);
-      Info.CallNodes.push_back(CallNode);
-      Info.ReturnNodes.push_back(ReturnNode);
-      S.SinkNodeOfBlock[Block] = CallNode;
+      S.SinkNodeOfBlock[Block] = newNode(PsgNodeKind::Call, Block);
+      newNode(PsgNodeKind::Return, Block);
     }
-
-    if (Opts.UseBranchNodes)
-      Info.BranchNodes.reserve(size_t(
-          std::count_if(R.Blocks.begin(), R.Blocks.end(),
-                        [](const BasicBlock &Block) {
-                          return Block.Term == TerminatorKind::TableJump;
-                        })));
     for (uint32_t Block = 0; Block < R.Blocks.size(); ++Block) {
       switch (R.Blocks[Block].Term) {
       case TerminatorKind::TableJump:
         if (Opts.UseBranchNodes) {
-          uint32_t NodeId = newNode(PsgNodeKind::Branch, Block);
-          Info.BranchNodes.push_back(NodeId);
-          S.SinkNodeOfBlock[Block] = NodeId;
+          S.SinkNodeOfBlock[Block] = newNode(PsgNodeKind::Branch, Block);
+          ++S.NumBranchNodes;
         }
         break;
       case TerminatorKind::UnresolvedJump:
@@ -346,12 +319,11 @@ private:
     }
   }
 
-  void addCallReturnEdge(size_t CallIndex) {
+  void addCallReturnEdge(uint32_t CallIndex) {
     const BasicBlock &Block = R.Blocks[R.CallBlocks[CallIndex]];
     PsgEdge Edge;
-    Edge.Src = Info.CallNodes[CallIndex];
-    Edge.Dst = Info.ReturnNodes[CallIndex];
-    Edge.IsCallReturn = true;
+    Edge.Src = Psg.callNode(Prog, RoutineIndex, CallIndex);
+    Edge.Dst = Edge.Src + 1;
     // Section 3.5: indirect calls carry a fixed label (annotation or
     // calling-standard assumption).  Direct calls start with empty
     // sets ("each call-return edge is initialized with empty MUST-DEF,
@@ -370,16 +342,18 @@ private:
     S.Seen.resize(R.Blocks.size(), false);
     for (uint32_t EntryIndex = 0; EntryIndex < R.EntryBlocks.size();
          ++EntryIndex)
-      addFlowEdges(Info.EntryNodes[EntryIndex],
-                   std::span<const uint32_t>(&R.EntryBlocks[EntryIndex], 1));
-    for (size_t CallIndex = 0; CallIndex < R.CallBlocks.size();
+      addFlowEdges(Psg.entryNode(RoutineIndex, EntryIndex),
+                   R.EntryBlocks.subspan(EntryIndex, 1));
+    for (uint32_t CallIndex = 0; CallIndex < R.CallBlocks.size();
          ++CallIndex) {
       addCallReturnEdge(CallIndex);
-      addFlowEdges(Info.ReturnNodes[CallIndex],
+      addFlowEdges(Psg.returnNode(Prog, RoutineIndex, CallIndex),
                    R.succs(R.CallBlocks[CallIndex]));
     }
-    for (uint32_t NodeId : Info.BranchNodes)
-      addFlowEdges(NodeId, R.succs(Psg.Nodes[NodeId].BlockIndex));
+    if (Opts.UseBranchNodes)
+      for (uint32_t Block = 0; Block < R.Blocks.size(); ++Block)
+        if (R.Blocks[Block].Term == TerminatorKind::TableJump)
+          addFlowEdges(S.SinkNodeOfBlock[Block], R.succs(Block));
   }
 
   const Program &Prog;
@@ -387,7 +361,6 @@ private:
   const Routine &R;
   const PsgBuildOptions &Opts;
   ProgramSummaryGraph &Psg;
-  RoutinePsg &Info;
   BuildScratch &S;
   uint32_t NextNode;
 };
@@ -404,30 +377,26 @@ struct CallLink {
 
 /// Fills \p Links with one record per call site of routine
 /// \p RoutineIndex, in call-site order.  Reads only the routine's own
-/// nodes and its callees' directories, so routines can link in parallel.
+/// nodes and its callees' node ranges, so routines can link in parallel.
 void linkCalls(const Program &Prog, const ProgramSummaryGraph &Psg,
                uint32_t RoutineIndex, CallLink *Links) {
   const Routine &R = Prog.Routines[RoutineIndex];
-  const RoutinePsg &Info = Psg.RoutineInfo[RoutineIndex];
-  for (size_t CallIndex = 0; CallIndex < R.CallBlocks.size(); ++CallIndex) {
+  for (uint32_t CallIndex = 0; CallIndex < R.CallBlocks.size(); ++CallIndex) {
     CallLink &Link = Links[CallIndex];
-    Link.Return = Info.ReturnNodes[CallIndex];
+    uint32_t CallNode = Psg.callNode(Prog, RoutineIndex, CallIndex);
+    Link.Return = CallNode + 1;
     const BasicBlock &Block = R.Blocks[R.CallBlocks[CallIndex]];
     if (Block.Term != TerminatorKind::Call)
       continue;
     // The call-return edge is the call node's only out-edge.
-    const PsgNode &CallRef = Psg.Nodes[Info.CallNodes[CallIndex]];
-    assert(CallRef.NumOut == 1 && Psg.Edges[CallRef.FirstOut].IsCallReturn &&
+    assert(Psg.outEdges(CallNode).size() == 1 &&
+           Psg.Edges[Psg.Nodes[CallNode].FirstOut].Dst == Link.Return &&
            "call node must have exactly its call-return edge");
-    const RoutinePsg &Callee = Psg.RoutineInfo[Block.CalleeRoutine];
-    Link.Entry = Callee.EntryNodes[uint32_t(Block.CalleeEntry)];
-    Link.CrEdge = CallRef.FirstOut;
-    Link.NumExits = uint32_t(Callee.ExitNodes.size());
-    if (Link.NumExits != 0)
-      Link.FirstExit = Callee.ExitNodes.front();
-    assert((Link.NumExits == 0 ||
-            Callee.ExitNodes.back() == Link.FirstExit + Link.NumExits - 1) &&
-           "exit nodes are created consecutively");
+    uint32_t Callee = uint32_t(Block.CalleeRoutine);
+    Link.Entry = Psg.entryNode(Callee, uint32_t(Block.CalleeEntry));
+    Link.CrEdge = Psg.Nodes[CallNode].FirstOut;
+    Link.FirstExit = Psg.exitNodes(Prog, Callee)[0];
+    Link.NumExits = uint32_t(Prog.Routines[Callee].ExitBlocks.size());
   }
 }
 
@@ -439,7 +408,6 @@ ProgramSummaryGraph spike::buildPsg(const Program &Prog,
   telemetry::Span BuildSpan("psg.build");
   ProgramSummaryGraph Psg;
   size_t Count = Prog.Routines.size();
-  Psg.RoutineInfo.resize(Count);
 
   // Each routine's node count follows from its CFG, so the node id
   // ranges are fixed up front and every routine writes its nodes in
@@ -476,7 +444,8 @@ ProgramSummaryGraph spike::buildPsg(const Program &Prog,
   // yields the edge array sorted by source node: the CSR order.  No edge
   // crosses routines, so a routine's edges are exactly the in-edges of
   // its nodes too, and each routine fills both CSR indexes of its own
-  // id ranges.  Each routine also records, per call site, what the
+  // id ranges: every node's FirstOut and FirstIn, which also end the
+  // previous node's ranges.  Each routine also records, per call site, what the
   // linkage CSRs need, so the serial counting sort below reads one array
   // in order instead of chasing callee directories.
   std::vector<uint32_t> RoutineEdgeBegin(Count + 1, 0);
@@ -492,45 +461,46 @@ ProgramSummaryGraph spike::buildPsg(const Program &Prog,
   Psg.Edges.resize(RoutineEdgeBegin[Count]);
   Psg.InEdgeIds.resize(Psg.Edges.size());
   std::vector<CallLink> Links(RoutineCallBegin[Count]);
-  std::vector<uint64_t> FlowSummaryEdges(Scratch.size(), 0);
   {
     telemetry::Span IndexSpan("psg.index");
-    forEachTask(Pool, Count, [&](size_t RoutineIndex, unsigned Lane) {
+    forEachTask(Pool, Count, [&](size_t RoutineIndex, unsigned) {
       const EdgeSegment &Seg = Segments[RoutineIndex];
       const uint32_t First = RoutineEdgeBegin[RoutineIndex];
       const uint32_t Last = RoutineEdgeBegin[RoutineIndex + 1];
+      const uint32_t FirstNode = Psg.RoutineNodeBegin[RoutineIndex];
+      const uint32_t LastNode = Psg.RoutineNodeBegin[RoutineIndex + 1];
       const std::vector<PsgEdge> &LaneEdges = Scratch[Seg.Lane].Edges;
       std::copy(LaneEdges.begin() + Seg.Begin,
                 LaneEdges.begin() + Seg.Begin + Seg.Count,
                 Psg.Edges.begin() + First);
-      for (uint32_t EdgeId = First; EdgeId < Last; ++EdgeId) {
-        const PsgEdge &Edge = Psg.Edges[EdgeId];
-        PsgNode &Src = Psg.Nodes[Edge.Src];
-        if (Src.NumOut == 0)
-          Src.FirstOut = EdgeId;
-        ++Src.NumOut;
-        ++Psg.Nodes[Edge.Dst].NumIn;
-        FlowSummaryEdges[Lane] += !Edge.IsCallReturn;
+      // Out-edges: each node's range starts at the first edge whose
+      // source is not an earlier node.
+      uint32_t EdgeId = First;
+      for (uint32_t NodeId = FirstNode; NodeId < LastNode; ++NodeId) {
+        Psg.Nodes[NodeId].FirstOut = EdgeId;
+        while (EdgeId < Last && Psg.Edges[EdgeId].Src == NodeId)
+          ++EdgeId;
       }
-      uint32_t Next = First;
-      for (uint32_t NodeId = Psg.RoutineNodeBegin[RoutineIndex];
-           NodeId < Psg.RoutineNodeBegin[RoutineIndex + 1]; ++NodeId) {
-        PsgNode &Node = Psg.Nodes[NodeId];
-        Node.FirstIn = Next;
-        Next += Node.NumIn;
-        Node.NumIn = 0;
+      // In-edges: FirstIn counts each node's in-edges, then holds where
+      // its range ends, then (filled back to front) where it begins.
+      for (EdgeId = First; EdgeId < Last; ++EdgeId)
+        ++Psg.Nodes[Psg.Edges[EdgeId].Dst].FirstIn;
+      uint32_t End = First;
+      for (uint32_t NodeId = FirstNode; NodeId < LastNode; ++NodeId) {
+        End += Psg.Nodes[NodeId].FirstIn;
+        Psg.Nodes[NodeId].FirstIn = End;
       }
-      for (uint32_t EdgeId = First; EdgeId < Last; ++EdgeId) {
-        PsgNode &Dst = Psg.Nodes[Psg.Edges[EdgeId].Dst];
-        Psg.InEdgeIds[Dst.FirstIn + Dst.NumIn++] = EdgeId;
-      }
+      for (EdgeId = Last; EdgeId-- > First;)
+        Psg.InEdgeIds[--Psg.Nodes[Psg.Edges[EdgeId].Dst].FirstIn] = EdgeId;
       linkCalls(Prog, Psg, uint32_t(RoutineIndex),
                 Links.data() + RoutineCallBegin[RoutineIndex]);
     });
   }
+  for (const BuildScratch &S : Scratch)
+    Psg.NumBranchNodes += S.NumBranchNodes;
   Scratch.clear(); // Frees the lane buffers before the linkage grows.
-  for (uint64_t Edges : FlowSummaryEdges)
-    Psg.NumFlowSummaryEdges += Edges;
+  // Every call site has exactly one call-return edge.
+  Psg.NumFlowSummaryEdges = Psg.Edges.size() - RoutineCallBegin[Count];
 
   // Phase 1 broadcast lists: entry node -> call-return edges of its
   // direct call sites.  Phase 2 linkage: exit node <-> return nodes.  A
@@ -578,30 +548,29 @@ ProgramSummaryGraph spike::buildPsg(const Program &Prog,
     }
   }
 
-  for (uint32_t RoutineIndex = 0; RoutineIndex < Count; ++RoutineIndex) {
-    const RoutinePsg &Info = Psg.RoutineInfo[RoutineIndex];
-    Psg.NumBranchNodes += Info.BranchNodes.size();
+  for (uint32_t RoutineIndex = 0; RoutineIndex < Count; ++RoutineIndex)
     if (Prog.Routines[RoutineIndex].AddressTaken)
-      Psg.AddressTakenExitNodes.insert(Psg.AddressTakenExitNodes.end(),
-                                       Info.ExitNodes.begin(),
-                                       Info.ExitNodes.end());
-  }
+      for (uint32_t ExitNode : Psg.exitNodes(Prog, RoutineIndex))
+        Psg.AddressTakenExitNodes.push_back(ExitNode);
 
+  // Charges stay serial and in routine order (see buildProgram): each
+  // routine charges its nodes, edges and in-edge ids, then the indexes
+  // follow, one charge per container.
   if (Mem) {
-    Mem->charge(Psg.Nodes.size() * sizeof(PsgNode));
-    Mem->charge(Psg.Edges.size() * sizeof(PsgEdge));
-    Mem->charge(Psg.InEdgeIds.size() * sizeof(uint32_t));
-    Mem->charge((Psg.CrEdgeOfEntryBegin.size() +
-                 Psg.CrEdgeOfEntryIds.size() +
-                 Psg.ReturnsOfExitBegin.size() +
-                 Psg.ReturnsOfExitIds.size()) *
-                sizeof(uint32_t));
-    for (const RoutinePsg &Info : Psg.RoutineInfo)
-      Mem->charge(sizeof(RoutinePsg) +
-                  (Info.EntryNodes.size() + Info.ExitNodes.size() +
-                   Info.CallNodes.size() + Info.ReturnNodes.size() +
-                   Info.BranchNodes.size()) *
-                      sizeof(uint32_t));
+    for (size_t RoutineIndex = 0; RoutineIndex < Count; ++RoutineIndex)
+      Mem->charge((Psg.RoutineNodeBegin[RoutineIndex + 1] -
+                   Psg.RoutineNodeBegin[RoutineIndex]) *
+                      sizeof(PsgNode) +
+                  (RoutineEdgeBegin[RoutineIndex + 1] -
+                   RoutineEdgeBegin[RoutineIndex]) *
+                      (sizeof(PsgEdge) + sizeof(uint32_t)));
+    for (const std::vector<uint32_t> *Index :
+         {&Psg.RoutineNodeBegin, &Psg.CrEdgeOfEntryBegin,
+          &Psg.CrEdgeOfEntryIds, &Psg.ReturnsOfExitBegin,
+          &Psg.ReturnsOfExitIds, &Psg.ExitsOfReturnBegin,
+          &Psg.ExitsOfReturnIds, &Psg.IndirectReturnNodes,
+          &Psg.AddressTakenExitNodes})
+      Mem->charge(elementBytes(*Index));
   }
 
   if (telemetry::active()) {

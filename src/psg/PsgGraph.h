@@ -26,10 +26,18 @@
 /// summary (filled during phase 1, or fixed calling-standard sets for
 /// indirect calls).
 ///
-/// Storage is CSR-style: nodes own [FirstOut, FirstOut+NumOut) ranges of
-/// the edge array, which is sorted by source node.  A parallel
-/// reverse-CSR (InEdgeIds sorted by destination) supports the backward
-/// worklist propagation of both dataflow phases.
+/// Storage is CSR-style: node N owns the edges [FirstOut of N, FirstOut
+/// of N + 1) of the edge array, which is sorted by source node.  A
+/// parallel reverse-CSR (InEdgeIds sorted by destination) supports the
+/// backward worklist propagation of both dataflow phases.
+///
+/// Node order is a contract: each routine owns a contiguous id range,
+/// routines in order, and within it the builder creates its entry nodes
+/// (one per entrance, in entrance order), its exit nodes (in ExitBlocks
+/// order), a call node and its return node per call site (in CallBlocks
+/// order), then its branch, unknown and halt nodes in block order.  The
+/// directory accessors of ProgramSummaryGraph compute node ids from that
+/// order instead of storing them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,6 +49,8 @@
 #include "support/RegSet.h"
 
 #include <cstdint>
+#include <ranges>
+#include <span>
 #include <vector>
 
 namespace spike {
@@ -61,6 +71,14 @@ const char *psgNodeKindName(PsgNodeKind Kind);
 
 /// One PSG node.
 struct PsgNode {
+  /// Where the node's outgoing edges start in ProgramSummaryGraph::Edges
+  /// and its incoming edge ids in ProgramSummaryGraph::InEdgeIds; each
+  /// range ends where the next node's begins.  They lead the record so
+  /// that a node and the next node's range starts usually share the
+  /// cache lines the node already occupies.
+  uint32_t FirstOut = 0;
+  uint32_t FirstIn = 0;
+
   PsgNodeKind Kind = PsgNodeKind::Entry;
 
   /// Owning routine index in the Program.
@@ -71,11 +89,6 @@ struct PsgNode {
   /// branch block (Branch), or the terminating block (Unknown, Halt).
   uint32_t BlockIndex = 0;
 
-  /// For Entry nodes: the entrance index into Routine::EntryAddresses.
-  /// For Exit nodes: the index into Routine::ExitBlocks.  Unused
-  /// otherwise.
-  uint32_t AuxIndex = 0;
-
   /// Phase 1 dataflow value (Figure 8).  After convergence, an entry
   /// node's sets are the routine's unfiltered call-used / call-killed /
   /// call-defined summary.
@@ -84,14 +97,6 @@ struct PsgNode {
   /// Phase 2 dataflow value (Figure 10).  After convergence, MAY-USE at
   /// entry nodes is live-at-entry and at exit nodes is live-at-exit.
   RegSet Live;
-
-  /// CSR range of outgoing edges in ProgramSummaryGraph::Edges.
-  uint32_t FirstOut = 0;
-  uint32_t NumOut = 0;
-
-  /// CSR range of incoming edge ids in ProgramSummaryGraph::InEdgeIds.
-  uint32_t FirstIn = 0;
-  uint32_t NumIn = 0;
 };
 
 /// One PSG edge.
@@ -101,38 +106,23 @@ struct PsgEdge {
 
   /// MUST-DEF / MAY-DEF / MAY-USE of the control-flow paths the edge
   /// represents.  Flow-summary labels are fixed at build time; call-return
-  /// labels start empty and are updated during phase 1.
+  /// labels start empty and are updated during phase 1.  An edge is a
+  /// call-return edge exactly when its source is a Call node, whose only
+  /// out-edge it is.
   FlowSets Label;
-
-  /// True for call-return edges.
-  bool IsCallReturn = false;
 };
 
-/// Per-routine node directory.
-struct RoutinePsg {
-  /// Node id per entrance (parallel to Routine::EntryAddresses).
-  std::vector<uint32_t> EntryNodes;
+static_assert(sizeof(PsgNode) == 56, "PsgNode layout changed");
+static_assert(sizeof(PsgEdge) == 32, "PsgEdge layout changed");
 
-  /// Node id per exit (parallel to Routine::ExitBlocks).
-  std::vector<uint32_t> ExitNodes;
-
-  /// Call / return node ids per call site (parallel to
-  /// Routine::CallBlocks).
-  std::vector<uint32_t> CallNodes;
-  std::vector<uint32_t> ReturnNodes;
-
-  /// Branch node ids (one per multiway branch, when enabled).
-  std::vector<uint32_t> BranchNodes;
-};
+/// A range of consecutive node ids.
+using NodeIdRange = std::ranges::iota_view<uint32_t, uint32_t>;
 
 /// The whole-program summary graph.
 struct ProgramSummaryGraph {
   std::vector<PsgNode> Nodes;
   std::vector<PsgEdge> Edges;     ///< Sorted by Src (CSR with PsgNode).
   std::vector<uint32_t> InEdgeIds; ///< Edge ids sorted by Dst (reverse CSR).
-
-  /// Per-routine node directory (parallel to Program::Routines).
-  std::vector<RoutinePsg> RoutineInfo;
 
   /// First node id per routine, CSR-style (size Routines.size()+1):
   /// nodes are created routine by routine, so routine r owns exactly the
@@ -169,18 +159,65 @@ struct ProgramSummaryGraph {
   /// Number of branch nodes inserted (Table 4's node increase).
   uint64_t NumBranchNodes = 0;
 
-  /// Returns the out-edge id range of \p NodeId.
-  struct EdgeRange {
-    const PsgEdge *BeginPtr;
-    const PsgEdge *EndPtr;
-    const PsgEdge *begin() const { return BeginPtr; }
-    const PsgEdge *end() const { return EndPtr; }
-  };
+  /// Returns the out-edges of \p NodeId.
+  std::span<const PsgEdge> outEdges(uint32_t NodeId) const {
+    return std::span(Edges).subspan(Nodes[NodeId].FirstOut,
+                                    outEnd(NodeId) - Nodes[NodeId].FirstOut);
+  }
 
-  EdgeRange outEdges(uint32_t NodeId) const {
+  /// Returns the ids of the in-edges of \p NodeId.
+  std::span<const uint32_t> inEdgeIds(uint32_t NodeId) const {
+    return std::span(InEdgeIds).subspan(Nodes[NodeId].FirstIn,
+                                        inEnd(NodeId) - Nodes[NodeId].FirstIn);
+  }
+
+  /// Returns true for a call-return edge.
+  bool isCallReturn(const PsgEdge &Edge) const {
+    return Nodes[Edge.Src].Kind == PsgNodeKind::Call;
+  }
+
+  /// The node directory of routine \p R of \p Prog, computed from
+  /// RoutineNodeBegin and the node-order contract above.
+  NodeIdRange entryNodes(const Program &Prog, uint32_t R) const {
+    uint32_t First = RoutineNodeBegin[R];
+    return {First, First + Prog.Routines[R].numEntries()};
+  }
+  NodeIdRange exitNodes(const Program &Prog, uint32_t R) const {
+    uint32_t First = RoutineNodeBegin[R] + Prog.Routines[R].numEntries();
+    return {First, First + uint32_t(Prog.Routines[R].ExitBlocks.size())};
+  }
+  uint32_t entryNode(uint32_t R, uint32_t Entry) const {
+    return RoutineNodeBegin[R] + Entry;
+  }
+  /// Call site \p Call's call node; its return node is the next id.
+  uint32_t callNode(const Program &Prog, uint32_t R, uint32_t Call) const {
+    const Routine &Rt = Prog.Routines[R];
+    return RoutineNodeBegin[R] + Rt.numEntries() +
+           uint32_t(Rt.ExitBlocks.size()) + 2 * Call;
+  }
+  uint32_t returnNode(const Program &Prog, uint32_t R, uint32_t Call) const {
+    return callNode(Prog, R, Call) + 1;
+  }
+
+  /// The entrance index of Entry node \p NodeId, or the index into
+  /// Routine::ExitBlocks of Exit node \p NodeId: its offset in the
+  /// node-order contract.
+  uint32_t anchorIndex(const Program &Prog, uint32_t NodeId) const {
     const PsgNode &Node = Nodes[NodeId];
-    const PsgEdge *Base = Edges.data() + Node.FirstOut;
-    return {Base, Base + Node.NumOut};
+    uint32_t Offset = NodeId - RoutineNodeBegin[Node.RoutineIndex];
+    return Node.Kind == PsgNodeKind::Exit
+               ? Offset - Prog.Routines[Node.RoutineIndex].numEntries()
+               : Offset;
+  }
+
+private:
+  uint32_t outEnd(uint32_t NodeId) const {
+    return NodeId + 1 < Nodes.size() ? Nodes[NodeId + 1].FirstOut
+                                     : uint32_t(Edges.size());
+  }
+  uint32_t inEnd(uint32_t NodeId) const {
+    return NodeId + 1 < Nodes.size() ? Nodes[NodeId + 1].FirstIn
+                                     : uint32_t(InEdgeIds.size());
   }
 };
 

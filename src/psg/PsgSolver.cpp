@@ -25,82 +25,102 @@ bool isFixedPhase1(PsgNodeKind Kind) {
          Kind == PsgNodeKind::Halt;
 }
 
-/// Per-lane scratch for mapping one component's nodes to dense local
-/// worklist indices without clearing O(|Nodes|) state per component: the
-/// Stamp epoch marks which entries of LocalOf are current.
+/// One lane's scratch, reused across every group the lane solves.
 struct LaneScratch {
-  std::vector<uint32_t> LocalOf; ///< Global node id -> local index.
-  std::vector<uint32_t> Stamp;   ///< Epoch of the LocalOf entry.
   std::vector<uint32_t> NodeIds; ///< Local index -> global node id.
-  uint32_t Epoch = 0;
-
-  /// Per-node pop counts of the current group — allocated only when a
-  /// telemetry session is profiling the run (empty = profiling off).
-  std::vector<uint32_t> PopCounts;
-
-  void sizeFor(size_t NumNodes, bool Profile) {
-    if (Stamp.size() != NumNodes) {
-      Stamp.assign(NumNodes, 0);
-      LocalOf.assign(NumNodes, 0);
-      Epoch = 0;
-    }
-    if (Profile && PopCounts.size() != NumNodes)
-      PopCounts.assign(NumNodes, 0);
-  }
-
-  bool inGroup(uint32_t NodeId) const { return Stamp[NodeId] == Epoch; }
+  Worklist List{0};
+  std::vector<uint32_t> ChangedCalls;
+  std::vector<uint32_t> GroupATExits;
 };
 
-/// One scratch per pool lane, sized for \p Psg.
-std::vector<LaneScratch> laneScratch(ThreadPool *Pool,
-                                     const ProgramSummaryGraph &Psg) {
-  std::vector<LaneScratch> Scratch(Pool ? Pool->jobs() : 1);
-  for (LaneScratch &S : Scratch)
-    S.sizeFor(Psg.Nodes.size(), telemetry::profiling());
-  return Scratch;
-}
+/// The scratch of one phase.  LocalOf maps node ids to dense local
+/// worklist indices for the whole phase and is shared by every lane:
+/// groups solved at the same time own disjoint routines and hence
+/// disjoint nodes, and each group writes the entries of its own nodes
+/// before it solves.  A group reads entries of its own nodes and of
+/// nodes its equations reach across routines (callers' call nodes in
+/// phase 1, callees' exits in phase 2), which belong to the group itself
+/// or to groups of later levels, so no entry is read while another lane
+/// writes it.
+struct PhaseScratch {
+  PhaseScratch(ThreadPool *Pool, const ProgramSummaryGraph &Psg)
+      : LocalOf(Psg.Nodes.size()), Lanes(Pool ? Pool->jobs() : 1) {
+    if (telemetry::profiling())
+      PopCounts.assign(Psg.Nodes.size(), 0);
+  }
 
-/// Gives the nodes of the component's member routines dense local ids,
-/// in ascending global order (members are ascending and each routine's
-/// nodes are a contiguous ascending range).
-void mapGroup(const std::vector<uint32_t> &Members,
-              const std::vector<uint32_t> &NodeBegin, LaneScratch &S) {
+  /// True if \p NodeId belongs to the group lane \p S is solving: its
+  /// map entry names a local index whose node is \p NodeId (a sparse-set
+  /// test, exact whatever a stale entry holds).
+  bool inGroup(uint32_t NodeId, const LaneScratch &S) const {
+    uint32_t Local = LocalOf[NodeId];
+    return Local < S.NodeIds.size() && S.NodeIds[Local] == NodeId;
+  }
+
+  std::vector<uint32_t> LocalOf;
+  /// Per-node pop counts of the groups being solved, indexed like
+  /// LocalOf — allocated only when a telemetry session is profiling the
+  /// run (empty = profiling off).
+  std::vector<uint32_t> PopCounts;
+  std::vector<LaneScratch> Lanes;
+};
+
+/// Gives the nodes of the group's member routines dense local ids, in
+/// ascending global order (members are ascending and each routine's
+/// nodes are a contiguous ascending range), and empties the lane's
+/// worklist for them.
+LaneScratch &mapGroup(const GroupTask &T, const ProgramSummaryGraph &Psg,
+                      PhaseScratch &P) {
+  LaneScratch &S = P.Lanes[T.Lane];
   S.NodeIds.clear();
-  ++S.Epoch;
-  bool Profile = !S.PopCounts.empty();
-  for (uint32_t R : Members)
-    for (uint32_t N = NodeBegin[R], E = NodeBegin[R + 1]; N != E; ++N) {
-      S.LocalOf[N] = uint32_t(S.NodeIds.size());
-      S.Stamp[N] = S.Epoch;
+  bool Profile = !P.PopCounts.empty();
+  for (uint32_t R : T.Members)
+    for (uint32_t N = Psg.RoutineNodeBegin[R], E = Psg.RoutineNodeBegin[R + 1];
+         N != E; ++N) {
+      P.LocalOf[N] = uint32_t(S.NodeIds.size());
       if (Profile)
-        S.PopCounts[N] = 0;
+        P.PopCounts[N] = 0;
       S.NodeIds.push_back(N);
     }
+  S.List.reset(S.NodeIds.size());
+  return S;
+}
+
+/// Requeues the source of in-edge \p EdgeId after its destination
+/// changed.  Only entry, call, return and branch nodes have out-edges,
+/// and none of them holds a fixed value in either phase, so every source
+/// requeues; no PSG edge leaves its routine, so the source is in-group.
+void requeuePred(const ProgramSummaryGraph &Psg, const PhaseScratch &P,
+                 LaneScratch &S, uint32_t EdgeId) {
+  uint32_t Pred = Psg.Edges[EdgeId].Src;
+  assert(!isFixedPhase1(Psg.Nodes[Pred].Kind) && P.inGroup(Pred, S) &&
+         "PSG edge from a sink or across routines");
+  S.List.push(P.LocalOf[Pred]);
 }
 
 /// Per-pop accounting shared by the three kernels: the solver counter,
 /// the profile, and the governor poll.
-void countPop(GroupTask &T, LaneScratch &S, SolverStats &Stats,
+void countPop(GroupTask &T, PhaseScratch &P, SolverStats &Stats,
               uint32_t NodeId, uint32_t Routine) {
   ++Stats.NodeEvaluations;
   T.pop(Routine);
   if (T.Cost)
-    ++S.PopCounts[NodeId];
+    ++P.PopCounts[NodeId];
   T.step();
 }
 
 /// Folds one pass into the group's profile: the pass's \p SetOps (edge
 /// visits), and as Iters the deepest group-local per-node pop count (how
 /// many sweeps the slowest equation took).
-void finishPassProfile(const LaneScratch &S, telemetry::GroupCost *Prof,
-                       uint64_t SetOps) {
+void finishPassProfile(const LaneScratch &S, const PhaseScratch &P,
+                       telemetry::GroupCost *Prof, uint64_t SetOps) {
   if (!Prof)
     return;
   Prof->SetOps += SetOps;
   uint32_t MaxPops = 0;
   for (uint32_t NodeId : S.NodeIds)
-    if (S.PopCounts[NodeId] > MaxPops)
-      MaxPops = S.PopCounts[NodeId];
+    if (P.PopCounts[NodeId] > MaxPops)
+      MaxPops = P.PopCounts[NodeId];
   Prof->Iters += MaxPops;
 }
 
@@ -113,17 +133,16 @@ uint64_t changedBits(RegSet OldA, RegSet NewA) {
 
 /// Returns the per-routine first-edge ids, CSR-style (edges are sorted by
 /// source node and nodes are contiguous per routine, so routine r owns
-/// exactly [EdgeBegin[r], EdgeBegin[r+1])).  Empty routines inherit the
-/// next non-empty routine's begin.
+/// exactly [EdgeBegin[r], EdgeBegin[r+1])).  Every node's FirstOut is
+/// its CSR position, so a routine's begin is its first node's FirstOut
+/// — for a routine without nodes, the next routine's.
 std::vector<uint32_t> routineEdgeBegins(const ProgramSummaryGraph &Psg,
                                         const std::vector<uint32_t> &NodeBegin) {
-  size_t NumRoutines = NodeBegin.size() - 1;
-  std::vector<uint32_t> Begin(NumRoutines + 1);
-  Begin[NumRoutines] = uint32_t(Psg.Edges.size());
-  for (size_t R = NumRoutines; R-- > 0;)
-    Begin[R] = NodeBegin[R] == NodeBegin[R + 1]
-                   ? Begin[R + 1]
-                   : Psg.Nodes[NodeBegin[R]].FirstOut;
+  std::vector<uint32_t> Begin(NodeBegin.size());
+  for (size_t R = 0; R < NodeBegin.size(); ++R)
+    Begin[R] = NodeBegin[R] < Psg.Nodes.size()
+                   ? Psg.Nodes[NodeBegin[R]].FirstOut
+                   : uint32_t(Psg.Edges.size());
   return Begin;
 }
 
@@ -172,7 +191,7 @@ ReuseMaps buildReuseMaps(const PhaseReuse *Reuse,
 /// when re-broadcasting — a fresh solve never refreshes a label whose
 /// entry node never changed, so the label must keep its initial value
 /// to stay bit-identical.
-void restoreGroupPhase1(ProgramSummaryGraph &Psg,
+void restoreGroupPhase1(const Program &Prog, ProgramSummaryGraph &Psg,
                         const std::vector<RegSet> &SavedPerRoutine,
                         RegSet AllRegs, RegSet RaOnly, bool MayUsePass,
                         const std::vector<uint32_t> &Members,
@@ -195,7 +214,7 @@ void restoreGroupPhase1(ProgramSummaryGraph &Psg,
     }
 
     RegSet Saved = SavedPerRoutine[R];
-    for (uint32_t EntryNode : Psg.RoutineInfo[R].EntryNodes) {
+    for (uint32_t EntryNode : Psg.entryNodes(Prog, R)) {
       const FlowSets &Sets = Psg.Nodes[EntryNode].Sets;
       if (MayUsePass ? Sets.MayUse.empty()
                      : (Sets.MustDef == AllRegs && Sets.MayDef.empty()))
@@ -223,12 +242,13 @@ void restoreGroupPhase1(ProgramSummaryGraph &Psg,
 /// those callers' cached state is stale and their groups (all at strictly
 /// later schedule levels) must iterate.  Restructured callers were seeded
 /// dirty up front.
-void flagCallersOnLabelDiff(const ProgramSummaryGraph &Psg, bool MayUsePass,
+void flagCallersOnLabelDiff(const Program &Prog,
+                            const ProgramSummaryGraph &Psg, bool MayUsePass,
                             const std::vector<uint32_t> &Members,
                             const ReuseMaps &Maps) {
   const ProgramSummaryGraph &Old = *Maps.R->OldPsg;
   for (uint32_t R : Members)
-    for (uint32_t EntryNode : Psg.RoutineInfo[R].EntryNodes)
+    for (uint32_t EntryNode : Psg.entryNodes(Prog, R))
       for (uint32_t I = Psg.CrEdgeOfEntryBegin[EntryNode],
                     E = Psg.CrEdgeOfEntryBegin[EntryNode + 1];
            I != E; ++I) {
@@ -267,18 +287,19 @@ void restoreGroupPhase2(ProgramSummaryGraph &Psg,
 /// restructured members (their callees were seeded dirty anyway; this is
 /// the cheap belt to that suspenders), on a value difference for
 /// struct-clean ones.
-void flagCalleesOnLiveDiff(const ProgramSummaryGraph &Psg,
+void flagCalleesOnLiveDiff(const Program &Prog,
+                           const ProgramSummaryGraph &Psg,
                            const std::vector<uint32_t> &Members,
                            const ReuseMaps &Maps) {
   const ProgramSummaryGraph &Old = *Maps.R->OldPsg;
   for (uint32_t R : Members) {
     bool Clean = Maps.structClean(R);
-    const std::vector<uint32_t> &Returns = Psg.RoutineInfo[R].ReturnNodes;
-    for (size_t C = 0; C < Returns.size(); ++C) {
-      uint32_t Ret = Returns[C];
+    for (uint32_t C = 0; C < Prog.Routines[R].CallBlocks.size(); ++C) {
+      uint32_t Ret = Psg.returnNode(Prog, R, C);
       bool Changed = true;
       if (Clean) {
-        uint32_t OldRet = Old.RoutineInfo[R].ReturnNodes[C];
+        // A struct-clean routine's nodes sit at the same offsets.
+        uint32_t OldRet = Maps.OldNodeBegin[R] + (Ret - Maps.NewNodeBegin[R]);
         Changed = !(Psg.Nodes[Ret].Live == Old.Nodes[OldRet].Live);
       }
       if (!Changed)
@@ -318,22 +339,22 @@ SolverStats finishPhase(const std::string &Prefix,
 void solveGroupPassA(ProgramSummaryGraph &Psg,
                      const std::vector<RegSet> &SavedPerRoutine,
                      RegSet AllRegs, RegSet RaOnly, GroupTask &T,
-                     LaneScratch &S, SolverStats &Stats) {
-  mapGroup(T.Members, Psg.RoutineNodeBegin, S);
+                     PhaseScratch &P, SolverStats &Stats) {
+  LaneScratch &S = mapGroup(T, Psg, P);
   uint32_t NumLocal = uint32_t(S.NodeIds.size());
   uint64_t EdgeVisitsBefore = Stats.EdgeVisits;
-  Worklist List(NumLocal);
+  Worklist &List = S.List;
   // Reverse id order so that within a routine the first sweep tends to
   // run sink-to-source.
   for (uint32_t Local = NumLocal; Local-- > 0;)
     if (!isFixedPhase1(Psg.Nodes[S.NodeIds[Local]].Kind))
       List.push(Local);
 
-  std::vector<uint32_t> ChangedCalls;
+  std::vector<uint32_t> &ChangedCalls = S.ChangedCalls;
   while (!List.empty()) {
     uint32_t NodeId = S.NodeIds[List.pop()];
     PsgNode &Node = Psg.Nodes[NodeId];
-    countPop(T, S, Stats, NodeId, Node.RoutineIndex);
+    countPop(T, P, Stats, NodeId, Node.RoutineIndex);
 
     RegSet NewMustDef, NewMayDef;
     bool First = true;
@@ -355,14 +376,8 @@ void solveGroupPassA(ProgramSummaryGraph &Psg,
                                  changedBits(Node.Sets.MayDef, NewMayDef));
     Node.Sets.MustDef = NewMustDef;
     Node.Sets.MayDef = NewMayDef;
-    for (uint32_t I = Node.FirstIn, E = Node.FirstIn + Node.NumIn; I != E;
-         ++I) {
-      uint32_t Pred = Psg.Edges[Psg.InEdgeIds[I]].Src;
-      if (!isFixedPhase1(Psg.Nodes[Pred].Kind)) {
-        assert(S.inGroup(Pred) && "PSG edge crosses routines");
-        List.push(S.LocalOf[Pred]);
-      }
-    }
+    for (uint32_t EdgeId : Psg.inEdgeIds(NodeId))
+      requeuePred(Psg, P, S, EdgeId);
 
     if (Node.Kind != PsgNodeKind::Entry)
       continue;
@@ -379,7 +394,7 @@ void solveGroupPassA(ProgramSummaryGraph &Psg,
                   E = Psg.CrEdgeOfEntryBegin[NodeId + 1];
          I != E; ++I) {
       PsgEdge &Edge = Psg.Edges[Psg.CrEdgeOfEntryIds[I]];
-      assert(Edge.IsCallReturn && "registered edge is not call-return");
+      assert(Psg.isCallReturn(Edge) && "registered edge is not call-return");
       if (Edge.Label.MustDef == LabelMust && Edge.Label.MayDef == LabelMay)
         continue;
       Edge.Label.MustDef = LabelMust;
@@ -387,31 +402,31 @@ void solveGroupPassA(ProgramSummaryGraph &Psg,
       ChangedCalls.push_back(Edge.Src);
     }
     for (uint32_t CallNode : ChangedCalls)
-      if (S.inGroup(CallNode))
-        List.push(S.LocalOf[CallNode]);
+      if (P.inGroup(CallNode, S))
+        List.push(P.LocalOf[CallNode]);
   }
 
-  finishPassProfile(S, T.Cost, Stats.EdgeVisits - EdgeVisitsBefore);
+  finishPassProfile(S, P, T.Cost, Stats.EdgeVisits - EdgeVisitsBefore);
 }
 
 /// Solves one component's MAY-USE subsystem (pass B) with all MUST-DEF
 /// labels frozen.
 void solveGroupPassB(ProgramSummaryGraph &Psg,
                      const std::vector<RegSet> &SavedPerRoutine, RegSet RaOnly,
-                     GroupTask &T, LaneScratch &S, SolverStats &Stats) {
-  mapGroup(T.Members, Psg.RoutineNodeBegin, S);
+                     GroupTask &T, PhaseScratch &P, SolverStats &Stats) {
+  LaneScratch &S = mapGroup(T, Psg, P);
   uint32_t NumLocal = uint32_t(S.NodeIds.size());
   uint64_t EdgeVisitsBefore = Stats.EdgeVisits;
-  Worklist List(NumLocal);
+  Worklist &List = S.List;
   for (uint32_t Local = NumLocal; Local-- > 0;)
     if (!isFixedPhase1(Psg.Nodes[S.NodeIds[Local]].Kind))
       List.push(Local);
 
-  std::vector<uint32_t> ChangedCalls;
+  std::vector<uint32_t> &ChangedCalls = S.ChangedCalls;
   while (!List.empty()) {
     uint32_t NodeId = S.NodeIds[List.pop()];
     PsgNode &Node = Psg.Nodes[NodeId];
-    countPop(T, S, Stats, NodeId, Node.RoutineIndex);
+    countPop(T, P, Stats, NodeId, Node.RoutineIndex);
 
     // Figure 8: MAY-USE[N_X] = MAY-USE[E] ∪ (MAY-USE[N_Y] −
     // MUST-DEF[E]), unioned across out-edges.
@@ -427,14 +442,8 @@ void solveGroupPassB(ProgramSummaryGraph &Psg,
     if (T.Cost)
       T.Cost->ChangedBits.record(changedBits(Node.Sets.MayUse, NewMayUse));
     Node.Sets.MayUse = NewMayUse;
-    for (uint32_t I = Node.FirstIn, E = Node.FirstIn + Node.NumIn; I != E;
-         ++I) {
-      uint32_t Pred = Psg.Edges[Psg.InEdgeIds[I]].Src;
-      if (!isFixedPhase1(Psg.Nodes[Pred].Kind)) {
-        assert(S.inGroup(Pred) && "PSG edge crosses routines");
-        List.push(S.LocalOf[Pred]);
-      }
-    }
+    for (uint32_t EdgeId : Psg.inEdgeIds(NodeId))
+      requeuePred(Psg, P, S, EdgeId);
 
     if (Node.Kind != PsgNodeKind::Entry)
       continue;
@@ -450,11 +459,11 @@ void solveGroupPassB(ProgramSummaryGraph &Psg,
       ChangedCalls.push_back(Edge.Src);
     }
     for (uint32_t CallNode : ChangedCalls)
-      if (S.inGroup(CallNode))
-        List.push(S.LocalOf[CallNode]);
+      if (P.inGroup(CallNode, S))
+        List.push(P.LocalOf[CallNode]);
   }
 
-  finishPassProfile(S, T.Cost, Stats.EdgeVisits - EdgeVisitsBefore);
+  finishPassProfile(S, P, T.Cost, Stats.EdgeVisits - EdgeVisitsBefore);
 }
 
 /// Solves one component's phase 2 liveness to its fixpoint.  \p AccumIn
@@ -468,22 +477,23 @@ RegSet solveGroupPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
                         const std::vector<RegSet> &ExitSeed,
                         const std::vector<bool> &IsAddressTakenExit,
                         const std::vector<bool> &IsIndirectReturn,
-                        RegSet AccumIn, GroupTask &T, LaneScratch &S,
+                        RegSet AccumIn, GroupTask &T, PhaseScratch &P,
                         SolverStats &Stats) {
-  mapGroup(T.Members, Psg.RoutineNodeBegin, S);
+  LaneScratch &S = mapGroup(T, Psg, P);
   uint32_t NumLocal = uint32_t(S.NodeIds.size());
   uint64_t EdgeVisitsBefore = Stats.EdgeVisits;
 
   // Exits of in-group address-taken routines: requeued whenever an
   // in-group indirect return grows the accumulator.
-  std::vector<uint32_t> GroupATExits;
+  std::vector<uint32_t> &GroupATExits = S.GroupATExits;
+  GroupATExits.clear();
   for (uint32_t R : T.Members)
     if (Prog.Routines[R].AddressTaken)
-      for (uint32_t ExitNode : Psg.RoutineInfo[R].ExitNodes)
+      for (uint32_t ExitNode : Psg.exitNodes(Prog, R))
         GroupATExits.push_back(ExitNode);
 
   RegSet LocalAccum = AccumIn;
-  Worklist List(NumLocal);
+  Worklist &List = S.List;
   for (uint32_t Local = NumLocal; Local-- > 0;) {
     PsgNodeKind Kind = Psg.Nodes[S.NodeIds[Local]].Kind;
     if (Kind != PsgNodeKind::Unknown && Kind != PsgNodeKind::Halt)
@@ -493,7 +503,7 @@ RegSet solveGroupPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
   while (!List.empty()) {
     uint32_t NodeId = S.NodeIds[List.pop()];
     PsgNode &Node = Psg.Nodes[NodeId];
-    countPop(T, S, Stats, NodeId, Node.RoutineIndex);
+    countPop(T, P, Stats, NodeId, Node.RoutineIndex);
 
     RegSet NewLive;
     if (Node.Kind == PsgNodeKind::Exit) {
@@ -522,15 +532,8 @@ RegSet solveGroupPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
       T.Cost->ChangedBits.record(changedBits(Node.Live, NewLive));
     Node.Live = NewLive;
 
-    for (uint32_t I = Node.FirstIn, E = Node.FirstIn + Node.NumIn; I != E;
-         ++I) {
-      uint32_t Pred = Psg.Edges[Psg.InEdgeIds[I]].Src;
-      PsgNodeKind PredKind = Psg.Nodes[Pred].Kind;
-      if (PredKind != PsgNodeKind::Unknown && PredKind != PsgNodeKind::Halt) {
-        assert(S.inGroup(Pred) && "PSG edge crosses routines");
-        List.push(S.LocalOf[Pred]);
-      }
-    }
+    for (uint32_t EdgeId : Psg.inEdgeIds(NodeId))
+      requeuePred(Psg, P, S, EdgeId);
 
     if (Node.Kind == PsgNodeKind::Return) {
       // Callee exits outside the component are in later levels and pull
@@ -539,18 +542,18 @@ RegSet solveGroupPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
                     E = Psg.ExitsOfReturnBegin[NodeId + 1];
            I != E; ++I) {
         uint32_t ExitNode = Psg.ExitsOfReturnIds[I];
-        if (S.inGroup(ExitNode))
-          List.push(S.LocalOf[ExitNode]);
+        if (P.inGroup(ExitNode, S))
+          List.push(P.LocalOf[ExitNode]);
       }
       if (IsIndirectReturn[NodeId] && !LocalAccum.containsAll(Node.Live)) {
         LocalAccum |= Node.Live;
         for (uint32_t ExitNode : GroupATExits)
-          List.push(S.LocalOf[ExitNode]);
+          List.push(P.LocalOf[ExitNode]);
       }
     }
   }
 
-  finishPassProfile(S, T.Cost, Stats.EdgeVisits - EdgeVisitsBefore);
+  finishPassProfile(S, P, T.Cost, Stats.EdgeVisits - EdgeVisitsBefore);
   return LocalAccum;
 }
 
@@ -627,7 +630,7 @@ SolverStats spike::runPhase1(const Program &Prog, ProgramSummaryGraph &Psg,
 
   const SccSchedule &Sched = Prog.CalleeFirst;
   ReuseMaps Maps = buildReuseMaps(Reuse, Psg);
-  std::vector<LaneScratch> Scratch = laneScratch(Pool, Psg);
+  PhaseScratch Scratch(Pool, Psg);
   std::vector<SolverStats> GroupStats(Sched.NumGroups);
   SccDriver Driver(Prog, Sched, Pool, Gov, Maps ? Reuse->Dirty : nullptr);
 
@@ -636,18 +639,18 @@ SolverStats spike::runPhase1(const Program &Prog, ProgramSummaryGraph &Psg,
         MayUsePass ? "psg.phase1.may-use" : "psg.phase1.must-def",
         [&](GroupTask &T) {
           if (MayUsePass)
-            solveGroupPassB(Psg, SavedPerRoutine, RaOnly, T, Scratch[T.Lane],
+            solveGroupPassB(Psg, SavedPerRoutine, RaOnly, T, Scratch,
                             GroupStats[T.Group]);
           else
             solveGroupPassA(Psg, SavedPerRoutine, AllRegs, RaOnly, T,
-                            Scratch[T.Lane], GroupStats[T.Group]);
+                            Scratch, GroupStats[T.Group]);
           if (Maps)
-            flagCallersOnLabelDiff(Psg, MayUsePass, T.Members, Maps);
+            flagCallersOnLabelDiff(Prog, Psg, MayUsePass, T.Members, Maps);
         },
         [&](const std::vector<uint32_t> &Members) {
           // Every input this group would read matches the cached solve:
           // restore its converged state instead of iterating.
-          restoreGroupPhase1(Psg, SavedPerRoutine, AllRegs, RaOnly,
+          restoreGroupPhase1(Prog, Psg, SavedPerRoutine, AllRegs, RaOnly,
                              MayUsePass, Members, Maps);
         });
   };
@@ -687,7 +690,7 @@ SolverStats spike::runPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
     IsAddressTakenExit[ExitNode] = true;
   }
   if (Prog.EntryRoutine >= 0)
-    for (uint32_t ExitNode : Psg.RoutineInfo[Prog.EntryRoutine].ExitNodes)
+    for (uint32_t ExitNode : Psg.exitNodes(Prog, uint32_t(Prog.EntryRoutine)))
       ExitSeed[ExitNode] = UnknownCallerLive;
 
   // Routines reachable from quarantined (or unowned) code must assume
@@ -697,7 +700,7 @@ SolverStats spike::runPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
   RegSet AllRegs = RegSet::allBelow(NumIntRegs);
   for (uint32_t R = 0; R < Prog.Routines.size(); ++R)
     if (Prog.Routines[R].CalledFromQuarantine)
-      for (uint32_t ExitNode : Psg.RoutineInfo[R].ExitNodes)
+      for (uint32_t ExitNode : Psg.exitNodes(Prog, R))
         ExitSeed[ExitNode] |= AllRegs;
 
   std::vector<bool> IsIndirectReturn(Psg.Nodes.size(), false);
@@ -765,14 +768,16 @@ SolverStats spike::runPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
     // a restructured routine re-solves.
     for (uint32_t R = 0; R < Prog.Routines.size(); ++R)
       if (!Maps.structClean(R))
-        for (uint32_t Ret : Psg.RoutineInfo[R].ReturnNodes)
+        for (uint32_t C = 0; C < Prog.Routines[R].CallBlocks.size(); ++C) {
+          uint32_t Ret = Psg.returnNode(Prog, R, C);
           for (uint32_t I = Psg.ExitsOfReturnBegin[Ret],
                         E = Psg.ExitsOfReturnBegin[Ret + 1];
                I != E; ++I)
             Maps.flag(Psg.Nodes[Psg.ExitsOfReturnIds[I]].RoutineIndex);
+        }
   }
 
-  std::vector<LaneScratch> Scratch = laneScratch(Pool, Psg);
+  PhaseScratch Scratch(Pool, Psg);
   std::vector<SolverStats> GroupStats(Sched.NumGroups);
 
   // Union of the live sets of all indirect-call return nodes; flows into
@@ -789,9 +794,9 @@ SolverStats spike::runPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
       [&](GroupTask &T) {
         GroupAccum[T.Group] = solveGroupPhase2(
             Prog, Psg, ExitSeed, IsAddressTakenExit, IsIndirectReturn,
-            IndirectAccum, T, Scratch[T.Lane], GroupStats[T.Group]);
+            IndirectAccum, T, Scratch, GroupStats[T.Group]);
         if (Maps)
-          flagCalleesOnLiveDiff(Psg, T.Members, Maps);
+          flagCalleesOnLiveDiff(Prog, Psg, T.Members, Maps);
       },
       [&](const std::vector<uint32_t> &Members) {
         // The guard above proved no clean group touches the accumulator

@@ -17,9 +17,8 @@ spike::extractSummaries(const Program &Prog, const ProgramSummaryGraph &Psg,
   Result.Routines.resize(Prog.Routines.size());
   for (uint32_t RoutineIndex = 0; RoutineIndex < Prog.Routines.size();
        ++RoutineIndex) {
-    const RoutinePsg &Info = Psg.RoutineInfo[RoutineIndex];
     RoutineResults &Out = Result.Routines[RoutineIndex];
-    for (uint32_t EntryNode : Info.EntryNodes) {
+    for (uint32_t EntryNode : Psg.entryNodes(Prog, RoutineIndex)) {
       const PsgNode &Node = Psg.Nodes[EntryNode];
       FlowSets Filtered =
           filterCalleeSaved(Node.Sets, SavedPerRoutine[RoutineIndex]);
@@ -33,7 +32,7 @@ spike::extractSummaries(const Program &Prog, const ProgramSummaryGraph &Psg,
       Out.EntrySummaries.push_back(Summary);
       Out.LiveAtEntry.push_back(Node.Live);
     }
-    for (uint32_t ExitNode : Info.ExitNodes)
+    for (uint32_t ExitNode : Psg.exitNodes(Prog, RoutineIndex))
       Out.LiveAtExit.push_back(Psg.Nodes[ExitNode].Live);
   }
   return Result;

@@ -123,27 +123,28 @@ bool resolveNodeId(const AnalysisResult &A, const std::string &Where,
   for (uint32_t R = 0; R < A.Prog.Routines.size(); ++R) {
     if (A.Prog.Routines[R].Name != Name)
       continue;
-    const RoutinePsg &Info = A.Psg.RoutineInfo[R];
-    const std::vector<uint32_t> *Nodes = nullptr;
+    const Routine &Rt = A.Prog.Routines[R];
+    size_t Count = 0;
     if (Kind == "entry")
-      Nodes = &Info.EntryNodes;
+      Count = Rt.numEntries();
     else if (Kind == "exit")
-      Nodes = &Info.ExitNodes;
-    else if (Kind == "call")
-      Nodes = &Info.CallNodes;
-    else if (Kind == "return")
-      Nodes = &Info.ReturnNodes;
+      Count = Rt.ExitBlocks.size();
+    else if (Kind == "call" || Kind == "return")
+      Count = Rt.CallBlocks.size();
     else {
       Err = "unknown location kind '" + Kind +
             "' (want entry|exit|call|return|node)";
       return false;
     }
-    if (Index >= Nodes->size()) {
-      Err = "routine '" + Name + "' has " + u64(Nodes->size()) + " " + Kind +
+    if (Index >= Count) {
+      Err = "routine '" + Name + "' has " + u64(Count) + " " + Kind +
             " node(s), index " + u64(Index) + " out of range";
       return false;
     }
-    NodeId = (*Nodes)[Index];
+    NodeId = Kind == "entry"  ? A.Psg.entryNode(R, Index)
+             : Kind == "exit" ? A.Psg.exitNodes(A.Prog, R)[Index]
+             : Kind == "call" ? A.Psg.callNode(A.Prog, R, Index)
+                              : A.Psg.returnNode(A.Prog, R, Index);
     return true;
   }
   Err = "no routine named '" + Name + "'";

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 
 using namespace spike;
 
@@ -29,37 +30,41 @@ struct RoutinePrep {
   /// unresolved control flow, or a return at a nonzero delta.
   bool BadFrame = false;
 
-  /// Slot accesses per block, in address order (reachable blocks only).
-  std::vector<std::vector<SlotOp>> Ops;
+  /// Slot accesses of the reachable blocks, block after block, each
+  /// block's in address order: block B's are Ops[OpBegin[B],
+  /// OpBegin[B + 1]).
+  std::vector<SlotOp> Ops;
+  std::vector<uint32_t> OpBegin;
 
   /// Number of slot loads / stores seen (telemetry).
   uint64_t Loads = 0;
   uint64_t Stores = 0;
+
+  std::span<const SlotOp> ops(uint32_t Block) const {
+    return std::span(Ops).subspan(OpBegin[Block],
+                                  OpBegin[Block + 1] - OpBegin[Block]);
+  }
 };
 
-/// Recovers the sp delta of every reachable block of \p R, decodes its
-/// slot accesses, and classifies frame discipline.  Seeding every
-/// entrance with delta 0 and propagating forward visits exactly the
-/// reachable blocks; a join conflict (two paths reach a block at
-/// different deltas) or any undecodable sp effect poisons the routine.
-void prepRoutine(const Program &Prog, uint32_t RoutineIndex,
-                 RoutinePrep &Prep, RoutineSlotFacts &Facts) {
-  const Routine &R = Prog.Routines[RoutineIndex];
-  unsigned Sp = Prog.Conv.SpReg;
-  size_t NumBlocks = R.Blocks.size();
-  Facts.DeltaIn.assign(NumBlocks, UnknownDelta);
-  Facts.DeltaOut.assign(NumBlocks, UnknownDelta);
-  // Sized up front: phase 2 reads a same-SCC caller's BlockLiveOut
-  // before that caller's own liveness solve has run.
-  Facts.BlockLiveIn.assign(NumBlocks, SlotSet());
-  Facts.BlockLiveOut.assign(NumBlocks, SlotSet());
-  Prep.Ops.assign(NumBlocks, {});
-  if (R.Quarantined) {
-    Prep.BadFrame = true;
-    return;
-  }
-
+/// One lane's prep scratch, reused across every routine the lane preps.
+struct PrepScratch {
   std::vector<uint32_t> Work;
+  /// The routine's slot ops in visit order, and where each visited
+  /// block's run starts in it.
+  std::vector<SlotOp> Ops;
+  std::vector<uint32_t> FirstOp;
+};
+
+/// Walks the reachable blocks of \p R forward from its entrances,
+/// recording each block's sp deltas in \p Facts and its slot accesses
+/// as one run of \p S.Ops per block (run start in S.FirstOp, length in
+/// Prep.OpBegin[Block + 1]).  Stops at the first frame-discipline
+/// breakdown.
+void walkReachable(const Program &Prog, const Routine &R, RoutinePrep &Prep,
+                   RoutineSlotFacts &Facts, PrepScratch &S) {
+  unsigned Sp = Prog.Conv.SpReg;
+  std::vector<uint32_t> &Work = S.Work;
+  Work.clear();
   auto Join = [&](uint32_t Block, int64_t Delta) {
     if (Facts.DeltaIn[Block] == UnknownDelta) {
       Facts.DeltaIn[Block] = Delta;
@@ -72,13 +77,14 @@ void prepRoutine(const Program &Prog, uint32_t RoutineIndex,
   for (uint32_t Entry : R.EntryBlocks)
     Join(Entry, 0);
 
+  // A block is queued once, when its delta is first set, so each block
+  // contributes at most one run.
   while (!Work.empty() && !Prep.BadFrame) {
     uint32_t BlockIndex = Work.back();
     Work.pop_back();
     const BasicBlock &Block = R.Blocks[BlockIndex];
     int64_t Delta = Facts.DeltaIn[BlockIndex];
-    std::vector<SlotOp> &Ops = Prep.Ops[BlockIndex];
-    Ops.clear(); // A re-join never happens, but stay idempotent.
+    S.FirstOp[BlockIndex] = uint32_t(S.Ops.size());
     for (uint64_t Address = Block.Begin; Address < Block.End; ++Address) {
       const Instruction &Inst = Prog.Insts[Address];
       if (escapesSp(Inst, Sp))
@@ -96,7 +102,8 @@ void prepRoutine(const Program &Prog, uint32_t RoutineIndex,
       }
       StackRef Ref = stackRefOf(Inst, Sp);
       if (Ref.Kind == StackRefKind::Slot) {
-        Ops.push_back({Address, Delta + int64_t(Ref.Offset), Ref.IsStore});
+        S.Ops.push_back({Address, Delta + int64_t(Ref.Offset), Ref.IsStore});
+        ++Prep.OpBegin[BlockIndex + 1];
         ++(Ref.IsStore ? Prep.Stores : Prep.Loads);
       }
       // Indexed accesses cannot alias any frame under the no-escape
@@ -113,6 +120,43 @@ void prepRoutine(const Program &Prog, uint32_t RoutineIndex,
     }
     for (uint32_t Succ : R.succs(BlockIndex))
       Join(Succ, Delta);
+  }
+}
+
+/// Recovers the sp delta of every reachable block of \p R, decodes its
+/// slot accesses, and classifies frame discipline.  Seeding every
+/// entrance with delta 0 and propagating forward visits exactly the
+/// reachable blocks; a join conflict (two paths reach a block at
+/// different deltas) or any undecodable sp effect poisons the routine.
+void prepRoutine(const Program &Prog, uint32_t RoutineIndex,
+                 RoutinePrep &Prep, RoutineSlotFacts &Facts,
+                 PrepScratch &S) {
+  const Routine &R = Prog.Routines[RoutineIndex];
+  size_t NumBlocks = R.Blocks.size();
+  Facts.DeltaIn.assign(NumBlocks, UnknownDelta);
+  Facts.DeltaOut.assign(NumBlocks, UnknownDelta);
+  // Sized up front: phase 2 reads a same-SCC caller's BlockLiveOut
+  // before that caller's own liveness solve has run.
+  Facts.BlockLiveIn.assign(NumBlocks, SlotSet());
+  Facts.BlockLiveOut.assign(NumBlocks, SlotSet());
+  Prep.OpBegin.assign(NumBlocks + 1, 0);
+  if (R.Quarantined) {
+    Prep.BadFrame = true;
+    return;
+  }
+  S.Ops.clear();
+  S.FirstOp.assign(NumBlocks, 0);
+  walkReachable(Prog, R, Prep, Facts, S);
+
+  // Place the runs in block order: OpBegin holds each block's run length
+  // one slot up, so a prefix sum turns it into the begin offsets.
+  for (size_t Block = 0; Block < NumBlocks; ++Block)
+    Prep.OpBegin[Block + 1] += Prep.OpBegin[Block];
+  Prep.Ops.resize(Prep.OpBegin[NumBlocks]);
+  for (uint32_t Block = 0; Block < NumBlocks; ++Block) {
+    uint32_t Count = Prep.OpBegin[Block + 1] - Prep.OpBegin[Block];
+    std::copy_n(S.Ops.begin() + S.FirstOp[Block], Count,
+                Prep.Ops.begin() + Prep.OpBegin[Block]);
   }
 }
 
@@ -145,7 +189,7 @@ bool computeMayUseDef(const Program &Prog, uint32_t RoutineIndex,
          ++BlockIndex) {
       if (F.DeltaIn[BlockIndex] == UnknownDelta)
         continue; // Unreachable: never executes.
-      for (const SlotOp &Op : Prep[RoutineIndex].Ops[BlockIndex])
+      for (const SlotOp &Op : Prep[RoutineIndex].ops(BlockIndex))
         (Op.IsStore ? Def : Use).insert(Op.Offset);
       const BasicBlock &Block = R.Blocks[BlockIndex];
       if (Block.Term == TerminatorKind::IndirectCall) {
@@ -245,7 +289,7 @@ void solveBlockLiveness(const Program &Prog, uint32_t RoutineIndex,
         Before |= Callee.MayUse.nonNegative().shifted(
             F.DeltaOut[BlockIndex]);
       }
-      const std::vector<SlotOp> &Ops = Prep[RoutineIndex].Ops[BlockIndex];
+      std::span<const SlotOp> Ops = Prep[RoutineIndex].ops(BlockIndex);
       for (size_t I = Ops.size(); I-- > 0;) {
         if (Ops[I].IsStore)
           Before.erase(Ops[I].Offset); // Exact-slot must-kill.
@@ -310,8 +354,10 @@ SlotFlowResult solveSlotFlowImpl(const Program &Prog, ThreadPool *Pool,
   const CallGraph &Graph = Prog.Calls;
 
   // Per-routine prep (deltas, escapes, slot ops) is independent work.
-  forEachTask(Pool, NumRoutines, [&](size_t R, unsigned) {
-    prepRoutine(Prog, uint32_t(R), Prep[R], Result.Routines[R]);
+  std::vector<PrepScratch> Scratch(Pool ? Pool->jobs() : 1);
+  forEachTask(Pool, NumRoutines, [&](size_t R, unsigned Lane) {
+    prepRoutine(Prog, uint32_t(R), Prep[R], Result.Routines[R],
+                Scratch[Lane]);
   });
 
   uint64_t SlotLoads = 0, SlotStores = 0;

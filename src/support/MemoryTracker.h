@@ -22,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace spike {
 
@@ -73,6 +74,26 @@ private:
 inline size_t chargeIf(MemoryTracker *Tracker, size_t Bytes) {
   if (Tracker)
     Tracker->charge(Bytes);
+  return Bytes;
+}
+
+/// Returns the bytes \p V's elements occupy, size() times the element
+/// size: what the analyses charge for a container.
+template <class T> size_t elementBytes(const std::vector<T> &V) {
+  return V.size() * sizeof(T);
+}
+
+/// std::vector<bool> packs its elements, a bit each.
+inline size_t elementBytes(const std::vector<bool> &V) {
+  return (V.size() + 7) / 8;
+}
+
+/// Returns the element bytes of every inner vector of \p Lists.
+template <class T>
+size_t nestedElementBytes(const std::vector<std::vector<T>> &Lists) {
+  size_t Bytes = 0;
+  for (const std::vector<T> &List : Lists)
+    Bytes += elementBytes(List);
   return Bytes;
 }
 

@@ -1,10 +1,11 @@
 //===- tests/alloc_budget_test.cpp - Heap allocations per routine ----------===//
 //
-// Pins the allocation behaviour of the two per-routine builders: the CFG
-// build keeps each routine's blocks and arcs in exactly-sized arrays, and
-// the PSG build reuses per-lane scratch, so both make a small, roughly
-// constant number of heap allocations per routine.  A regression back to
-// per-block vectors or per-edge scratch multiplies these counts.
+// Pins the allocation behaviour of the per-routine builders, the two
+// solver phases and slot flow: the CFG build keeps every routine's lists
+// in program-wide arrays, the PSG build reuses per-lane scratch and
+// stores no per-routine directory, and the solvers size their scratch
+// once per phase.  A regression back to per-routine lists, per-block
+// vectors or per-group scratch multiplies these counts.
 //
 // This lives in its own binary (not spike_tests) because it replaces the
 // global operator new/delete with counting versions — a program-wide
@@ -14,6 +15,8 @@
 
 #include "cfg/CfgBuilder.h"
 #include "psg/PsgBuilder.h"
+#include "psg/PsgSolver.h"
+#include "slice/SlotFlow.h"
 #include "support/ThreadPool.h"
 #include "synth/CfgGenerator.h"
 #include "synth/Profiles.h"
@@ -62,11 +65,20 @@ namespace {
 
 using namespace spike;
 
-// Budgets in allocations per routine.  Per-block arc vectors,
-// per-routine result buffers and per-edge scratch cost more than three
-// times these bounds on this input.
-constexpr double CfgBuildBudget = 10;
-constexpr double PsgBuildBudget = 8;
+// Budgets in allocations per routine, the measured counts plus 50%:
+// the CFG build fills program-wide arrays in place (0.83 per routine),
+// the PSG build computes its node directory (0.047), and slot flow keeps
+// one op array per routine besides its per-routine results (5.9).
+// Per-routine lists or per-block vectors cost more than ten times these
+// bounds on this input.
+constexpr double CfgBuildBudget = 1.25;
+constexpr double PsgBuildBudget = 0.07;
+constexpr double SlotFlowBudget = 9;
+
+// Allocations of both solver phases together (78 measured): scratch is
+// sized once per phase and per lane, so the bound does not grow with the
+// number of SCC groups.
+constexpr uint64_t PhaseBudget = 120;
 
 TEST(AllocBudget, BuildersStayWithinPerRoutineBudget) {
   const BenchmarkProfile *Base = findProfile("acad");
@@ -84,15 +96,31 @@ TEST(AllocBudget, BuildersStayWithinPerRoutineBudget) {
   ProgramSummaryGraph Psg = buildPsg(Prog, {}, &Mem, &Pool);
   uint64_t PsgAllocs = Allocations.load() - Before;
 
+  std::vector<RegSet> Saved(Prog.Routines.size());
+  Before = Allocations.load();
+  runPhase1(Prog, Psg, Saved, &Pool);
+  runPhase2(Prog, Psg, &Pool);
+  uint64_t PhaseAllocs = Allocations.load() - Before;
+
+  Before = Allocations.load();
+  SlotFlowResult Slots = solveSlotFlow(Prog, &Pool);
+  uint64_t SlotAllocs = Allocations.load() - Before;
+
   double Routines = double(Prog.Routines.size());
   ASSERT_GT(Routines, 1000.0);
   ASSERT_GT(Psg.Edges.size(), Prog.Routines.size());
+  ASSERT_GT(Prog.CalleeFirst.NumGroups, 500u);
   double CfgPerRoutine = double(CfgAllocs) / Routines;
   double PsgPerRoutine = double(PsgAllocs) / Routines;
+  double SlotPerRoutine = double(SlotAllocs) / Routines;
   RecordProperty("cfg_allocs_per_routine", std::to_string(CfgPerRoutine));
   RecordProperty("psg_allocs_per_routine", std::to_string(PsgPerRoutine));
+  RecordProperty("phase_allocs", std::to_string(PhaseAllocs));
+  RecordProperty("slot_allocs_per_routine", std::to_string(SlotPerRoutine));
   EXPECT_LT(CfgPerRoutine, CfgBuildBudget);
   EXPECT_LT(PsgPerRoutine, PsgBuildBudget);
+  EXPECT_LT(PhaseAllocs, PhaseBudget);
+  EXPECT_LT(SlotPerRoutine, SlotFlowBudget);
 }
 
 } // namespace

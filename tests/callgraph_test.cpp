@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 using namespace spike;
@@ -66,8 +67,8 @@ TEST(CallGraphTest, AdjacencyAndInverse) {
   EXPECT_TRUE(Graph.calls(BR, C));
   EXPECT_TRUE(Graph.calls(C, BR));
   EXPECT_FALSE(Graph.calls(Main, BR));
-  EXPECT_EQ(Graph.Callers[BR],
-            (std::vector<uint32_t>{A, C}));
+  EXPECT_TRUE(std::ranges::equal(Graph.Callers[BR],
+                                 std::vector<uint32_t>{A, C}));
   EXPECT_TRUE(Graph.Callers[Main].empty());
 }
 

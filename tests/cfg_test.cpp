@@ -96,9 +96,9 @@ TEST(CfgBuilderTest, Figure4BlockStructure) {
   EXPECT_EQ(R.preds(3).size(), 2u);
   EXPECT_EQ(arcs(R.preds(3)), (std::vector<uint32_t>{1, 2})); // Ascending.
 
-  EXPECT_EQ(R.EntryBlocks, (std::vector<uint32_t>{0}));
-  EXPECT_EQ(R.ExitBlocks, (std::vector<uint32_t>{3}));
-  EXPECT_EQ(R.CallBlocks, (std::vector<uint32_t>{2}));
+  EXPECT_EQ(arcs(R.EntryBlocks), (std::vector<uint32_t>{0}));
+  EXPECT_EQ(arcs(R.ExitBlocks), (std::vector<uint32_t>{3}));
+  EXPECT_EQ(arcs(R.CallBlocks), (std::vector<uint32_t>{2}));
   EXPECT_EQ(R.NumBranches, 2u); // beq and br.
 }
 

@@ -56,6 +56,7 @@
 #include <fstream>
 #include <numeric>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 using namespace spike;
@@ -304,9 +305,9 @@ struct DriverFixture {
 
 namespace {
 
-template <class T> std::string listOf(const std::vector<T> &Values) {
+template <class RangeT> std::string listOf(const RangeT &Values) {
   std::string Out;
-  for (const T &V : Values)
+  for (auto V : Values)
     Out += std::to_string(V) + ",";
   return Out;
 }
@@ -389,27 +390,33 @@ std::vector<std::string> describeProgram(const Program &Prog) {
 }
 
 /// Every field of \p Psg: nodes with both CSR ranges, edges, the
-/// reverse index, the node directories and the linkage CSRs.
-std::vector<std::string> describePsg(const ProgramSummaryGraph &Psg) {
+/// reverse index, the node directory accessors and the linkage CSRs.
+std::vector<std::string> describePsg(const Program &Prog,
+                                     const ProgramSummaryGraph &Psg) {
   std::vector<std::string> Out;
-  for (const PsgNode &N : Psg.Nodes)
+  for (uint32_t NodeId = 0; NodeId < Psg.Nodes.size(); ++NodeId) {
+    const PsgNode &N = Psg.Nodes[NodeId];
     Out.push_back("node " + std::string(psgNodeKindName(N.Kind)) + " " +
                   std::to_string(N.RoutineIndex) + "." +
-                  std::to_string(N.BlockIndex) + "." +
-                  std::to_string(N.AuxIndex) + " out " +
-                  std::to_string(N.FirstOut) + "+" + std::to_string(N.NumOut) +
-                  " in " + std::to_string(N.FirstIn) + "+" +
-                  std::to_string(N.NumIn) + " sets " + flowText(N.Sets) +
-                  " live " + N.Live.str());
+                  std::to_string(N.BlockIndex) + " out " +
+                  std::to_string(N.FirstOut) + "+" +
+                  std::to_string(Psg.outEdges(NodeId).size()) + " in " +
+                  std::to_string(N.FirstIn) + "+" +
+                  std::to_string(Psg.inEdgeIds(NodeId).size()) + " sets " +
+                  flowText(N.Sets) + " live " + N.Live.str());
+  }
   for (const PsgEdge &E : Psg.Edges)
     Out.push_back("edge " + std::to_string(E.Src) + "->" +
                   std::to_string(E.Dst) + " " + flowText(E.Label) +
-                  (E.IsCallReturn ? " cr" : ""));
-  for (const RoutinePsg &Info : Psg.RoutineInfo)
-    Out.push_back("info " + listOf(Info.EntryNodes) + " " +
-                  listOf(Info.ExitNodes) + " " + listOf(Info.CallNodes) +
-                  " " + listOf(Info.ReturnNodes) + " " +
-                  listOf(Info.BranchNodes));
+                  (Psg.isCallReturn(E) ? " cr" : ""));
+  for (uint32_t R = 0; R < Prog.Routines.size(); ++R) {
+    std::string Calls;
+    for (uint32_t C = 0; C < Prog.Routines[R].CallBlocks.size(); ++C)
+      Calls += std::to_string(Psg.callNode(Prog, R, C)) + "/" +
+               std::to_string(Psg.returnNode(Prog, R, C)) + ",";
+    Out.push_back("info " + listOf(Psg.entryNodes(Prog, R)) + " " +
+                  listOf(Psg.exitNodes(Prog, R)) + " " + Calls);
+  }
   Out.push_back("in " + listOf(Psg.InEdgeIds));
   Out.push_back("routine-nodes " + listOf(Psg.RoutineNodeBegin));
   Out.push_back("cr-of-entry " + listOf(Psg.CrEdgeOfEntryBegin) + " " +
@@ -448,7 +455,7 @@ FrontEnd buildFrontEnd(const Image &Img, unsigned Jobs,
     F.Psg = buildPsg(F.Prog, {}, &Mem, &Pool);
   }
   F.Lines = describeProgram(F.Prog);
-  std::vector<std::string> PsgLines = describePsg(F.Psg);
+  std::vector<std::string> PsgLines = describePsg(F.Prog, F.Psg);
   F.Lines.insert(F.Lines.end(), PsgLines.begin(), PsgLines.end());
   F.Lines.push_back("charges " + std::to_string(Charges.events()) +
                     " bytes " + std::to_string(Mem.peakBytes()));
@@ -487,20 +494,18 @@ void expectIndexesMatchSortedReference(const FrontEnd &F,
   const ProgramSummaryGraph &Psg = F.Psg;
   size_t NumNodes = Psg.Nodes.size();
   std::vector<uint32_t> Out(NumNodes, 0), In(NumNodes, 0);
-  std::vector<uint32_t> FirstOut(NumNodes, 0);
-  for (uint32_t EdgeId = 0; EdgeId < Psg.Edges.size(); ++EdgeId) {
-    const PsgEdge &E = Psg.Edges[EdgeId];
-    if (Out[E.Src]++ == 0)
-      FirstOut[E.Src] = EdgeId;
+  for (const PsgEdge &E : Psg.Edges) {
+    ++Out[E.Src];
     ++In[E.Dst];
   }
-  uint32_t FirstIn = 0;
+  uint32_t FirstOut = 0, FirstIn = 0;
   for (uint32_t NodeId = 0; NodeId < NumNodes; ++NodeId) {
     const PsgNode &N = Psg.Nodes[NodeId];
-    ASSERT_EQ(N.FirstOut, FirstOut[NodeId]) << Where << " node " << NodeId;
-    ASSERT_EQ(N.NumOut, Out[NodeId]) << Where << " node " << NodeId;
+    ASSERT_EQ(N.FirstOut, FirstOut) << Where << " node " << NodeId;
+    ASSERT_EQ(Psg.outEdges(NodeId).size(), Out[NodeId]) << Where << " node " << NodeId;
     ASSERT_EQ(N.FirstIn, FirstIn) << Where << " node " << NodeId;
-    ASSERT_EQ(N.NumIn, In[NodeId]) << Where << " node " << NodeId;
+    ASSERT_EQ(Psg.inEdgeIds(NodeId).size(), In[NodeId]) << Where << " node " << NodeId;
+    FirstOut += Out[NodeId];
     FirstIn += In[NodeId];
   }
   std::vector<uint32_t> ByDst(Psg.Edges.size());
@@ -515,26 +520,26 @@ void expectIndexesMatchSortedReference(const FrontEnd &F,
   std::vector<uint32_t> IndirectReturns, TakenExits;
   for (uint32_t R = 0; R < Prog.Routines.size(); ++R) {
     const Routine &Rt = Prog.Routines[R];
-    const RoutinePsg &Info = Psg.RoutineInfo[R];
-    for (size_t CallIndex = 0; CallIndex < Rt.CallBlocks.size();
+    for (uint32_t CallIndex = 0; CallIndex < Rt.CallBlocks.size();
          ++CallIndex) {
       const BasicBlock &Block = Rt.Blocks[Rt.CallBlocks[CallIndex]];
-      uint32_t Return = Info.ReturnNodes[CallIndex];
+      uint32_t Return = Psg.returnNode(Prog, R, CallIndex);
       if (Block.Term != TerminatorKind::Call) {
         IndirectReturns.push_back(Return);
         continue;
       }
-      const RoutinePsg &Callee = Psg.RoutineInfo[Block.CalleeRoutine];
-      EntryToCr.push_back({Callee.EntryNodes[Block.CalleeEntry],
-                           Psg.Nodes[Info.CallNodes[CallIndex]].FirstOut});
-      for (uint32_t Exit : Callee.ExitNodes) {
+      uint32_t Callee = uint32_t(Block.CalleeRoutine);
+      EntryToCr.push_back(
+          {Psg.entryNode(Callee, uint32_t(Block.CalleeEntry)),
+           Psg.Nodes[Psg.callNode(Prog, R, CallIndex)].FirstOut});
+      for (uint32_t Exit : Psg.exitNodes(Prog, Callee)) {
         ExitToReturn.push_back({Exit, Return});
         ReturnToExit.push_back({Return, Exit});
       }
     }
     if (Rt.AddressTaken)
-      TakenExits.insert(TakenExits.end(), Info.ExitNodes.begin(),
-                        Info.ExitNodes.end());
+      for (uint32_t Exit : Psg.exitNodes(Prog, R))
+        TakenExits.push_back(Exit);
   }
   EXPECT_EQ(sortedCsr(EntryToCr, NumNodes),
             std::make_pair(Psg.CrEdgeOfEntryBegin, Psg.CrEdgeOfEntryIds))
@@ -712,6 +717,330 @@ TEST(ParallelFrontEnd, EdgeCasesAreBitIdenticalAtEveryJobCount) {
   EXPECT_EQ(routineNamed(Degraded.Prog, "main").Degrade,
             DegradeReason::Budget);
   EXPECT_EQ(routineNamed(Degraded.Prog, "leaf").Degrade, DegradeReason::None);
+}
+
+//===----------------------------------------------------------------------===//
+// The flat layout: spans, computed node directory, derived CSR ends
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A program with every shape the node-order contract has to cover: a
+/// named and an unnamed secondary entrance, a routine with two exits, a
+/// routine with no exit, direct and indirect calls, a multiway branch,
+/// a halt, an address-taken routine, and (with \p Garble) a routine the
+/// validator quarantines.
+Image layoutEdgeCase(bool Garble) {
+  ProgramBuilder B;
+  B.beginRoutine("main");
+  ProgramBuilder::LabelId Unnamed = B.makeLabel();
+  ProgramBuilder::LabelId Case0 = B.makeLabel(), Case1 = B.makeLabel();
+  B.emitCall("multi");
+  B.emitCallTo(Unnamed);
+  B.emitLoadRoutineAddress(reg::T0, "leaf");
+  B.emit(inst::jsrR(reg::T0));
+  B.emitTableJump(reg::A0, {Case0, Case1});
+  B.bind(Case0);
+  B.emitCall("spin");
+  B.bind(Case1);
+  B.emit(inst::halt(reg::V0));
+  B.beginRoutine("multi");
+  ProgramBuilder::LabelId Second = B.makeLabel();
+  B.emitCondBr(Opcode::Beq, reg::A0, Second);
+  B.emit(inst::rri(Opcode::AddI, reg::V0, reg::A0, 1));
+  B.addSecondaryEntry("multi.alt");
+  B.emit(inst::ret());
+  B.bind(Second);
+  B.emit(inst::nop());
+  B.bind(Unnamed);
+  B.emit(inst::rri(Opcode::AddI, reg::V0, reg::V0, 2));
+  B.emit(inst::ret());
+  B.beginRoutine("spin"); // No exit: loops until the program is killed.
+  ProgramBuilder::LabelId Loop = B.makeLabel();
+  B.bind(Loop);
+  B.emitCall("leaf");
+  B.emitBr(Loop);
+  B.beginRoutine("leaf", /*AddressTaken=*/true);
+  B.emit(inst::ret());
+  B.beginRoutine("garbled");
+  B.emitCall("leaf");
+  uint64_t GarbleAt = B.currentAddress();
+  B.emit(inst::ret());
+  B.setEntry("main");
+  Image Img = B.build();
+  if (Garble)
+    Img.Code[GarbleAt] = encodeInstruction(inst::jmpTab(reg::T8, 99));
+  return Img;
+}
+
+/// Checks every directory accessor and derived count of \p Psg, and the
+/// Program's spans and call-graph lists, against a scan of node kinds,
+/// blocks and edges.
+void expectLayoutMatchesScan(const Program &Prog,
+                             const ProgramSummaryGraph &Psg,
+                             const std::string &Where) {
+  // The six span families tile their arrays in routine order.
+  size_t Blocks = 0, Arcs = 0, Entries = 0, Exits = 0, Calls = 0;
+  for (const Routine &R : Prog.Routines) {
+    ASSERT_EQ(R.Blocks.data(), Prog.AllBlocks.data() + Blocks) << Where;
+    ASSERT_EQ(R.Arcs.data(), Prog.AllArcs.data() + Arcs) << Where;
+    ASSERT_EQ(R.EntryAddresses.data(),
+              Prog.AllEntryAddresses.data() + Entries)
+        << Where;
+    ASSERT_EQ(R.EntryBlocks.data(), Prog.AllEntryBlocks.data() + Entries)
+        << Where;
+    ASSERT_EQ(R.ExitBlocks.data(), Prog.AllExitBlocks.data() + Exits) << Where;
+    ASSERT_EQ(R.CallBlocks.data(), Prog.AllCallBlocks.data() + Calls) << Where;
+    ASSERT_EQ(R.EntryBlocks.size(), R.EntryAddresses.size()) << Where;
+    Blocks += R.Blocks.size();
+    Arcs += R.Arcs.size();
+    Entries += R.EntryAddresses.size();
+    Exits += R.ExitBlocks.size();
+    Calls += R.CallBlocks.size();
+  }
+  EXPECT_EQ(Blocks, Prog.AllBlocks.size()) << Where;
+  EXPECT_EQ(Arcs, Prog.AllArcs.size()) << Where;
+  EXPECT_EQ(Entries, Prog.AllEntryAddresses.size()) << Where;
+  EXPECT_EQ(Exits, Prog.AllExitBlocks.size()) << Where;
+  EXPECT_EQ(Calls, Prog.AllCallBlocks.size()) << Where;
+  EXPECT_EQ(Prog.numBlocks(), Blocks) << Where;
+  EXPECT_EQ(Prog.numArcs(), Arcs / 2) << Where;
+
+  // Call-graph lists from the blocks: sorted, deduplicated callees and
+  // their inverse.
+  size_t Count = Prog.Routines.size();
+  ASSERT_EQ(Prog.Calls.Callees.size(), Count) << Where;
+  ASSERT_EQ(Prog.Calls.Callers.size(), Count) << Where;
+  std::vector<std::vector<uint32_t>> Callers(Count);
+  for (uint32_t R = 0; R < Count; ++R) {
+    std::vector<uint32_t> Callees;
+    for (const BasicBlock &Block : Prog.Routines[R].Blocks)
+      if (Block.Term == TerminatorKind::Call)
+        Callees.push_back(uint32_t(Block.CalleeRoutine));
+    std::sort(Callees.begin(), Callees.end());
+    Callees.erase(std::unique(Callees.begin(), Callees.end()), Callees.end());
+    for (uint32_t Callee : Callees)
+      Callers[Callee].push_back(R);
+    EXPECT_TRUE(std::ranges::equal(Prog.Calls.Callees[R], Callees))
+        << Where << " routine " << R;
+  }
+  for (uint32_t R = 0; R < Count; ++R)
+    EXPECT_TRUE(std::ranges::equal(Prog.Calls.Callers[R], Callers[R]))
+        << Where << " routine " << R;
+
+  // The node directory: scan each routine's id range by kind.  Entries,
+  // exits and call/return pairs come first, in that order; branch and
+  // sink nodes follow in block order.
+  ASSERT_EQ(Psg.RoutineNodeBegin.size(), Count + 1) << Where;
+  uint64_t BranchNodes = 0;
+  std::vector<uint32_t> TakenExits, IndirectReturns;
+  for (uint32_t R = 0; R < Count; ++R) {
+    const Routine &Rt = Prog.Routines[R];
+    // The section of each kind: entries, exits, call/return pairs, the
+    // rest.
+    static constexpr unsigned Section[7] = {0, 1, 2, 2, 3, 3, 3};
+    std::vector<uint32_t> ByKind[7];
+    unsigned LastSection = 0;
+    bool SawSink = false;
+    uint32_t LastSinkBlock = 0;
+    for (uint32_t N = Psg.RoutineNodeBegin[R]; N < Psg.RoutineNodeBegin[R + 1];
+         ++N) {
+      const PsgNode &Node = Psg.Nodes[N];
+      ASSERT_EQ(Node.RoutineIndex, R) << Where << " node " << N;
+      unsigned K = unsigned(Node.Kind);
+      ASSERT_GE(Section[K], LastSection) << Where << " node " << N;
+      LastSection = Section[K];
+      if (K >= unsigned(PsgNodeKind::Branch)) {
+        ASSERT_TRUE(!SawSink || Node.BlockIndex > LastSinkBlock)
+            << Where << " node " << N;
+        SawSink = true;
+        LastSinkBlock = Node.BlockIndex;
+        BranchNodes += Node.Kind == PsgNodeKind::Branch;
+      }
+      ByKind[K].push_back(N);
+    }
+    const auto &EntryIds = ByKind[unsigned(PsgNodeKind::Entry)];
+    const auto &ExitIds = ByKind[unsigned(PsgNodeKind::Exit)];
+    const auto &CallIds = ByKind[unsigned(PsgNodeKind::Call)];
+    const auto &ReturnIds = ByKind[unsigned(PsgNodeKind::Return)];
+    EXPECT_TRUE(std::ranges::equal(Psg.entryNodes(Prog, R), EntryIds))
+        << Where << " routine " << R;
+    EXPECT_TRUE(std::ranges::equal(Psg.exitNodes(Prog, R), ExitIds))
+        << Where << " routine " << R;
+    ASSERT_EQ(EntryIds.size(), Rt.numEntries()) << Where;
+    ASSERT_EQ(ExitIds.size(), Rt.ExitBlocks.size()) << Where;
+    ASSERT_EQ(CallIds.size(), Rt.CallBlocks.size()) << Where;
+    ASSERT_EQ(ReturnIds.size(), Rt.CallBlocks.size()) << Where;
+    for (uint32_t I = 0; I < EntryIds.size(); ++I) {
+      EXPECT_EQ(Psg.entryNode(R, I), EntryIds[I]) << Where;
+      EXPECT_EQ(Psg.anchorIndex(Prog, EntryIds[I]), I) << Where;
+      EXPECT_EQ(Psg.Nodes[EntryIds[I]].BlockIndex, Rt.EntryBlocks[I]) << Where;
+    }
+    for (uint32_t I = 0; I < ExitIds.size(); ++I) {
+      EXPECT_EQ(Psg.exitNodes(Prog, R)[I], ExitIds[I]) << Where;
+      EXPECT_EQ(Psg.anchorIndex(Prog, ExitIds[I]), I) << Where;
+      EXPECT_EQ(Psg.Nodes[ExitIds[I]].BlockIndex, Rt.ExitBlocks[I]) << Where;
+    }
+    for (uint32_t I = 0; I < CallIds.size(); ++I) {
+      EXPECT_EQ(Psg.callNode(Prog, R, I), CallIds[I]) << Where;
+      EXPECT_EQ(Psg.returnNode(Prog, R, I), ReturnIds[I]) << Where;
+      EXPECT_EQ(ReturnIds[I], CallIds[I] + 1) << Where;
+      EXPECT_EQ(Psg.Nodes[CallIds[I]].BlockIndex, Rt.CallBlocks[I]) << Where;
+      EXPECT_EQ(Psg.Nodes[ReturnIds[I]].BlockIndex, Rt.CallBlocks[I])
+          << Where;
+      if (Rt.Blocks[Rt.CallBlocks[I]].Term == TerminatorKind::IndirectCall)
+        IndirectReturns.push_back(ReturnIds[I]);
+    }
+    if (Rt.AddressTaken)
+      TakenExits.insert(TakenExits.end(), ExitIds.begin(), ExitIds.end());
+  }
+  EXPECT_EQ(Psg.RoutineNodeBegin[Count], Psg.Nodes.size()) << Where;
+  EXPECT_EQ(Psg.NumBranchNodes, BranchNodes) << Where;
+  EXPECT_EQ(Psg.AddressTakenExitNodes, TakenExits) << Where;
+  EXPECT_EQ(Psg.IndirectReturnNodes, IndirectReturns) << Where;
+
+  // Edge ranges: every node's FirstOut and FirstIn is its CSR position,
+  // and the next node's ends its ranges.
+  size_t NumNodes = Psg.Nodes.size();
+  std::vector<uint32_t> Out(NumNodes, 0), In(NumNodes, 0);
+  uint64_t CallReturnEdges = 0;
+  for (const PsgEdge &E : Psg.Edges) {
+    ++Out[E.Src];
+    ++In[E.Dst];
+    bool FromCall = Psg.Nodes[E.Src].Kind == PsgNodeKind::Call;
+    EXPECT_EQ(Psg.isCallReturn(E), FromCall) << Where;
+    if (FromCall) {
+      ++CallReturnEdges;
+      EXPECT_EQ(E.Dst, E.Src + 1) << Where;
+      EXPECT_EQ(Psg.Nodes[E.Dst].Kind, PsgNodeKind::Return) << Where;
+    }
+  }
+  EXPECT_EQ(Psg.NumFlowSummaryEdges, Psg.Edges.size() - CallReturnEdges)
+      << Where;
+  uint32_t FirstOut = 0, FirstIn = 0;
+  for (uint32_t N = 0; N < NumNodes; ++N) {
+    const PsgNode &Node = Psg.Nodes[N];
+    ASSERT_EQ(Node.FirstOut, FirstOut) << Where << " node " << N;
+    ASSERT_EQ(Node.FirstIn, FirstIn) << Where << " node " << N;
+    ASSERT_EQ(Psg.outEdges(N).size(), Out[N]) << Where << " node " << N;
+    ASSERT_EQ(Psg.inEdgeIds(N).size(), In[N]) << Where << " node " << N;
+    if (Node.Kind == PsgNodeKind::Call) {
+      EXPECT_EQ(Out[N], 1u) << Where << " node " << N;
+    }
+    for (const PsgEdge &E : Psg.outEdges(N))
+      EXPECT_EQ(E.Src, N) << Where;
+    for (uint32_t EdgeId : Psg.inEdgeIds(N))
+      EXPECT_EQ(Psg.Edges[EdgeId].Dst, N) << Where;
+    FirstOut += Out[N];
+    FirstIn += In[N];
+  }
+  EXPECT_EQ(FirstOut, Psg.Edges.size()) << Where;
+  EXPECT_EQ(FirstIn, Psg.InEdgeIds.size()) << Where;
+}
+
+/// The bytes of a container as the analysis tracker charges them: size
+/// times element size, a bit per std::vector<bool> element, and for a
+/// list of lists the outer vector plus every inner one.
+template <class T> uint64_t bytesOf(const std::vector<T> &V) {
+  if constexpr (std::is_same_v<T, bool>)
+    return (V.size() + 7) / 8;
+  else
+    return V.size() * sizeof(T);
+}
+
+template <class T>
+uint64_t bytesOf(const std::vector<std::vector<T>> &Lists) {
+  uint64_t Bytes = Lists.size() * sizeof(std::vector<T>);
+  for (const std::vector<T> &List : Lists)
+    Bytes += bytesOf(List);
+  return Bytes;
+}
+
+uint64_t cfgBytes(const Program &Prog) {
+  uint64_t Bytes = bytesOf(Prog.Insts) + bytesOf(Prog.Routines) +
+                   bytesOf(Prog.AllBlocks) + bytesOf(Prog.AllArcs) +
+                   bytesOf(Prog.AllEntryAddresses) +
+                   bytesOf(Prog.AllEntryBlocks) + bytesOf(Prog.AllExitBlocks) +
+                   bytesOf(Prog.AllCallBlocks);
+  for (const JumpTableTargets &Table : Prog.JumpTables)
+    Bytes += bytesOf(Table.Targets);
+  const CallGraph &G = Prog.Calls;
+  Bytes += bytesOf(G.Callees.Begin) + bytesOf(G.Callees.Ids) +
+           bytesOf(G.Callers.Begin) + bytesOf(G.Callers.Ids) +
+           bytesOf(G.SccId) + bytesOf(G.HasIndirectCalls) +
+           bytesOf(G.InCycle) + bytesOf(G.Reachable);
+  for (const SccSchedule *S : {&Prog.CalleeFirst, &Prog.CallerFirst})
+    Bytes += bytesOf(S->GroupOfRoutine) + bytesOf(S->Members) +
+             bytesOf(S->Levels) + bytesOf(S->GroupSucc);
+  return Bytes;
+}
+
+uint64_t psgBytes(const ProgramSummaryGraph &Psg) {
+  return bytesOf(Psg.Nodes) + bytesOf(Psg.Edges) + bytesOf(Psg.InEdgeIds) +
+         bytesOf(Psg.RoutineNodeBegin) + bytesOf(Psg.CrEdgeOfEntryBegin) +
+         bytesOf(Psg.CrEdgeOfEntryIds) + bytesOf(Psg.ReturnsOfExitBegin) +
+         bytesOf(Psg.ReturnsOfExitIds) + bytesOf(Psg.ExitsOfReturnBegin) +
+         bytesOf(Psg.ExitsOfReturnIds) + bytesOf(Psg.IndirectReturnNodes) +
+         bytesOf(Psg.AddressTakenExitNodes);
+}
+
+} // namespace
+
+TEST(ParallelLayout, AccessorsAndDerivedCountsMatchAScanOfTheGraph) {
+  std::vector<std::pair<std::string, Image>> Inputs = differentialCorpus();
+  Inputs.emplace_back("layout", layoutEdgeCase(false));
+  Inputs.emplace_back("layout-garbled", layoutEdgeCase(true));
+  Inputs.emplace_back("front-end-edge", frontEndEdgeCase(true, true));
+  CfgBuildOptions Forced;
+  Forced.ForceQuarantine = {"multi", "helper"};
+  for (const auto &[Name, Img] : Inputs)
+    for (bool BranchNodes : {true, false})
+      for (unsigned Jobs : {1u, 4u})
+        for (const CfgBuildOptions &Opts : {CfgBuildOptions(), Forced}) {
+          std::string Where = Name + (BranchNodes ? " branch" : " nobranch") +
+                              " jobs=" + std::to_string(Jobs) +
+                              (Opts.ForceQuarantine.empty() ? "" : " forced");
+          ThreadPool Pool(Jobs);
+          Program Prog = buildProgram(Img, CallingConv(), nullptr, Opts, &Pool);
+          computeDefUbd(Prog, &Pool);
+          PsgBuildOptions PsgOpts;
+          PsgOpts.UseBranchNodes = BranchNodes;
+          ProgramSummaryGraph Psg = buildPsg(Prog, PsgOpts, nullptr, &Pool);
+          expectLayoutMatchesScan(Prog, Psg, Where);
+        }
+
+  // The hand-built image has each shape the contract names.
+  Program Prog = buildProgram(layoutEdgeCase(true), CallingConv());
+  const Routine &Multi = routineNamed(Prog, "multi");
+  EXPECT_EQ(Multi.numEntries(), 3u);
+  EXPECT_EQ(Multi.ExitBlocks.size(), 2u);
+  EXPECT_TRUE(routineNamed(Prog, "spin").ExitBlocks.empty());
+  EXPECT_TRUE(routineNamed(Prog, "garbled").Quarantined);
+  EXPECT_TRUE(routineNamed(Prog, "leaf").AddressTaken);
+  const Routine &Main = routineNamed(Prog, "main");
+  EXPECT_TRUE(std::ranges::any_of(Main.Blocks, [](const BasicBlock &B) {
+    return B.Term == TerminatorKind::TableJump;
+  }));
+  EXPECT_TRUE(std::ranges::any_of(Main.Blocks, [](const BasicBlock &B) {
+    return B.Term == TerminatorKind::IndirectCall;
+  }));
+}
+
+TEST(MemoryAccounting, PeakBytesAreExactlyTheChargedContainers) {
+  for (const auto &[Name, Img] : differentialCorpus())
+    for (unsigned Jobs : {1u, 4u}) {
+      AnalysisOptions Opts;
+      Opts.Jobs = Jobs;
+      AnalysisResult A = analyzeImage(Img, CallingConv(), Opts);
+      uint64_t Cfg = cfgBytes(A.Prog);
+      uint64_t Init = bytesOf(A.SavedPerRoutine);
+      uint64_t Psg = psgBytes(A.Psg);
+      std::string Where = Name + " jobs=" + std::to_string(Jobs);
+      EXPECT_EQ(A.CfgBytes, Cfg) << Where;
+      EXPECT_EQ(A.InitBytes, Init) << Where;
+      EXPECT_EQ(A.PsgBytes, Psg) << Where;
+      EXPECT_EQ(A.Memory.peakBytes(), Cfg + Init + Psg) << Where;
+    }
 }
 
 //===----------------------------------------------------------------------===//

@@ -101,7 +101,7 @@ Figure2Results analyzeFigure2() {
 }
 
 uint32_t entryNode(const Figure2Results &R, uint32_t RoutineIndex) {
-  return R.Analysis.Psg.RoutineInfo[RoutineIndex].EntryNodes[0];
+  return R.Analysis.Psg.entryNode(RoutineIndex, 0);
 }
 
 /// The address of the first instruction in \p RoutineIndex defining
@@ -200,7 +200,7 @@ TEST(WitnessTest, ShortestDerivationWinsOverFirstFound) {
   uint32_t P = 0;
   while (A.Prog.Routines[P].Name != "P")
     ++P;
-  uint32_t Entry = A.Psg.RoutineInfo[P].EntryNodes[0];
+  uint32_t Entry = A.Psg.entryNode(P, 0);
   for (ProvFact Fact : {ProvFact::MayUse, ProvFact::Live}) {
     Witness W = buildWitness(A, Fact, Entry, 4);
     ASSERT_TRUE(W.Holds) << provFactName(Fact);

@@ -181,16 +181,18 @@ TEST(Figure4Test, PsgNodesAndEdges) {
   AnalysisResult Result = analyzeImage(figure4Program());
   uint32_t Fig4 = 1;
   ASSERT_EQ(Result.Prog.Routines[Fig4].Name, "fig4");
-  const RoutinePsg &Info = Result.Psg.RoutineInfo[Fig4];
+  const Program &Prog = Result.Prog;
+  const ProgramSummaryGraph &Psg = Result.Psg;
 
   // One entry, one exit, one call/return pair (Figure 4(b)).
-  ASSERT_EQ(Info.EntryNodes.size(), 1u);
-  ASSERT_EQ(Info.ExitNodes.size(), 1u);
-  ASSERT_EQ(Info.CallNodes.size(), 1u);
-  ASSERT_EQ(Info.ReturnNodes.size(), 1u);
+  ASSERT_EQ(Psg.entryNodes(Prog, Fig4).size(), 1u);
+  ASSERT_EQ(Psg.exitNodes(Prog, Fig4).size(), 1u);
+  ASSERT_EQ(Prog.Routines[Fig4].CallBlocks.size(), 1u);
+  ASSERT_EQ(Psg.RoutineNodeBegin[Fig4 + 1] - Psg.RoutineNodeBegin[Fig4], 4u);
 
-  uint32_t Entry = Info.EntryNodes[0], Exit = Info.ExitNodes[0];
-  uint32_t Call = Info.CallNodes[0], Return = Info.ReturnNodes[0];
+  uint32_t Entry = Psg.entryNode(Fig4, 0), Exit = Psg.exitNodes(Prog, Fig4)[0];
+  uint32_t Call = Psg.callNode(Prog, Fig4, 0),
+           Return = Psg.returnNode(Prog, Fig4, 0);
 
   // Edges E_A = (entry, exit), E_B = (entry, call), E_C = (return, exit),
   // E_CR = (call, return); and nothing else.
@@ -202,9 +204,9 @@ TEST(Figure4Test, PsgNodesAndEdges) {
   ASSERT_NE(EB, nullptr);
   ASSERT_NE(EC, nullptr);
   ASSERT_NE(ECR, nullptr);
-  EXPECT_TRUE(ECR->IsCallReturn);
-  EXPECT_EQ(Result.Psg.Nodes[Entry].NumOut, 2u);
-  EXPECT_EQ(Result.Psg.Nodes[Return].NumOut, 1u);
+  EXPECT_TRUE(Psg.isCallReturn(*ECR));
+  EXPECT_EQ(Psg.outEdges(Entry).size(), 2u);
+  EXPECT_EQ(Psg.outEdges(Return).size(), 1u);
 
   // E_A represents blocks {1,2,4}: paths 1->2->4.
   //   MUST-DEF {R2,R4,R3,R0}, MAY-USE {R1} (+ra used by ret).
@@ -227,9 +229,9 @@ TEST(Figure4Test, PsgNodesAndEdges) {
 
 TEST(Figure4Test, CallReturnEdgeCarriesCalleeSummary) {
   AnalysisResult Result = analyzeImage(figure4Program());
-  const RoutinePsg &Info = Result.Psg.RoutineInfo[1];
   const PsgEdge *ECR =
-      findEdge(Result.Psg, Info.CallNodes[0], Info.ReturnNodes[0]);
+      findEdge(Result.Psg, Result.Psg.callNode(Result.Prog, 1, 0),
+               Result.Psg.returnNode(Result.Prog, 1, 0));
   ASSERT_NE(ECR, nullptr);
   // callee defines v0 (R0) and ra is folded in.
   EXPECT_TRUE(ECR->Label.MustDef.contains(reg::V0));
@@ -276,7 +278,7 @@ Image figure12Program() {
 uint64_t routineFlowEdges(const AnalysisResult &Result, uint32_t Routine) {
   uint64_t Count = 0;
   for (const PsgEdge &Edge : Result.Psg.Edges) {
-    if (Edge.IsCallReturn)
+    if (Result.Psg.isCallReturn(Edge))
       continue;
     if (Result.Psg.Nodes[Edge.Src].RoutineIndex == Routine)
       ++Count;

@@ -36,7 +36,8 @@ TEST(PsgBuilderTest, CsrAdjacencyIsConsistent) {
   std::vector<unsigned> OutSeen(Psg.Edges.size(), 0);
   for (uint32_t NodeId = 0; NodeId < Psg.Nodes.size(); ++NodeId) {
     const PsgNode &Node = Psg.Nodes[NodeId];
-    for (uint32_t E = Node.FirstOut; E < Node.FirstOut + Node.NumOut; ++E) {
+    for (uint32_t E = Node.FirstOut; E < Node.FirstOut + Psg.outEdges(NodeId).size();
+         ++E) {
       EXPECT_EQ(Psg.Edges[E].Src, NodeId);
       ++OutSeen[E];
     }
@@ -47,7 +48,7 @@ TEST(PsgBuilderTest, CsrAdjacencyIsConsistent) {
   std::vector<unsigned> InSeen(Psg.Edges.size(), 0);
   for (uint32_t NodeId = 0; NodeId < Psg.Nodes.size(); ++NodeId) {
     const PsgNode &Node = Psg.Nodes[NodeId];
-    for (uint32_t I = Node.FirstIn; I < Node.FirstIn + Node.NumIn; ++I) {
+    for (uint32_t I = Node.FirstIn; I < Node.FirstIn + Psg.inEdgeIds(NodeId).size(); ++I) {
       uint32_t EdgeId = Psg.InEdgeIds[I];
       EXPECT_EQ(Psg.Edges[EdgeId].Dst, NodeId);
       ++InSeen[EdgeId];
@@ -74,12 +75,17 @@ TEST(PsgBuilderTest, NodeCountsFollowAnchors) {
   AnalysisResult Result = analyzeImage(B.build());
 
   uint32_t F = routineByName(Result.Prog, "f");
-  const RoutinePsg &Info = Result.Psg.RoutineInfo[F];
-  EXPECT_EQ(Info.EntryNodes.size(), 1u);
-  EXPECT_EQ(Info.ExitNodes.size(), 2u);
-  EXPECT_EQ(Info.CallNodes.size(), 1u);
-  EXPECT_EQ(Info.ReturnNodes.size(), 1u);
-  EXPECT_TRUE(Info.BranchNodes.empty());
+  const ProgramSummaryGraph &Psg = Result.Psg;
+  EXPECT_EQ(Psg.entryNodes(Result.Prog, F).size(), 1u);
+  EXPECT_EQ(Psg.exitNodes(Result.Prog, F).size(), 2u);
+  ASSERT_EQ(Result.Prog.Routines[F].CallBlocks.size(), 1u);
+  EXPECT_EQ(Psg.Nodes[Psg.callNode(Result.Prog, F, 0)].Kind,
+            PsgNodeKind::Call);
+  EXPECT_EQ(Psg.Nodes[Psg.returnNode(Result.Prog, F, 0)].Kind,
+            PsgNodeKind::Return);
+  for (uint32_t N = Psg.RoutineNodeBegin[F]; N < Psg.RoutineNodeBegin[F + 1];
+       ++N)
+    EXPECT_NE(Psg.Nodes[N].Kind, PsgNodeKind::Branch);
 }
 
 TEST(PsgBuilderTest, HaltBlockGetsHaltSink) {
@@ -134,11 +140,10 @@ TEST(PsgSolverTest, IndirectCallUsesCallingStandard) {
   CallingConv Conv;
   AnalysisResult Result = analyzeImage(B.build(), Conv);
 
-  const RoutinePsg &MainInfo = Result.Psg.RoutineInfo[0];
-  ASSERT_EQ(MainInfo.CallNodes.size(), 1u);
+  ASSERT_EQ(Result.Prog.Routines[0].CallBlocks.size(), 1u);
   const PsgEdge &Cr = Result.Psg.Edges[
-      Result.Psg.Nodes[MainInfo.CallNodes[0]].FirstOut];
-  ASSERT_TRUE(Cr.IsCallReturn);
+      Result.Psg.Nodes[Result.Psg.callNode(Result.Prog, 0, 0)].FirstOut];
+  ASSERT_TRUE(Result.Psg.isCallReturn(Cr));
   EXPECT_EQ(Cr.Label.MayUse, Conv.indirectCallUsed() - RegSet({reg::RA}));
   EXPECT_EQ(Cr.Label.MustDef,
             Conv.indirectCallDefined() | RegSet({reg::RA}));

@@ -155,7 +155,7 @@ void checkPsgInvariants(const Program &Prog,
   // CSR well-formedness.
   for (uint32_t NodeId = 0; NodeId < Psg.Nodes.size(); ++NodeId) {
     const PsgNode &Node = Psg.Nodes[NodeId];
-    ASSERT_LE(Node.FirstOut + Node.NumOut, Psg.Edges.size());
+    ASSERT_LE(Node.FirstOut + Psg.outEdges(NodeId).size(), Psg.Edges.size());
     for (const PsgEdge &Edge : Psg.outEdges(NodeId)) {
       EXPECT_EQ(Edge.Src, NodeId);
       EXPECT_LT(Edge.Dst, Psg.Nodes.size());
@@ -166,7 +166,7 @@ void checkPsgInvariants(const Program &Prog,
   for (const PsgEdge &Edge : Psg.Edges) {
     const PsgNode &Src = Psg.Nodes[Edge.Src];
     const PsgNode &Dst = Psg.Nodes[Edge.Dst];
-    if (Edge.IsCallReturn) {
+    if (Psg.isCallReturn(Edge)) {
       ++CallReturnEdges;
       EXPECT_EQ(Src.Kind, PsgNodeKind::Call);
       EXPECT_EQ(Dst.Kind, PsgNodeKind::Return);
@@ -198,13 +198,13 @@ void checkPsgInvariants(const Program &Prog,
     const PsgNode &Node = Psg.Nodes[NodeId];
     switch (Node.Kind) {
     case PsgNodeKind::Call:
-      EXPECT_EQ(Node.NumOut, 1u);
-      EXPECT_TRUE(Psg.Edges[Node.FirstOut].IsCallReturn);
+      EXPECT_EQ(Psg.outEdges(NodeId).size(), 1u);
+      EXPECT_EQ(Psg.Edges[Node.FirstOut].Dst, NodeId + 1);
       break;
     case PsgNodeKind::Exit:
     case PsgNodeKind::Unknown:
     case PsgNodeKind::Halt:
-      EXPECT_EQ(Node.NumOut, 0u);
+      EXPECT_EQ(Psg.outEdges(NodeId).size(), 0u);
       break;
     default:
       break;
@@ -214,13 +214,18 @@ void checkPsgInvariants(const Program &Prog,
   // Node counts match the paper's construction: one entry per entrance,
   // one exit per exit, one call+return pair per call site.
   for (uint32_t R = 0; R < Prog.Routines.size(); ++R) {
-    const RoutinePsg &Info = Psg.RoutineInfo[R];
-    EXPECT_EQ(Info.EntryNodes.size(), Prog.Routines[R].numEntries());
-    EXPECT_EQ(Info.ExitNodes.size(),
-              Prog.Routines[R].ExitBlocks.size());
-    EXPECT_EQ(Info.CallNodes.size(),
-              Prog.Routines[R].CallBlocks.size());
-    EXPECT_EQ(Info.ReturnNodes.size(), Info.CallNodes.size());
+    const Routine &Rt = Prog.Routines[R];
+    EXPECT_EQ(Psg.entryNodes(Prog, R).size(), Rt.numEntries());
+    for (uint32_t NodeId : Psg.entryNodes(Prog, R))
+      EXPECT_EQ(Psg.Nodes[NodeId].Kind, PsgNodeKind::Entry);
+    EXPECT_EQ(Psg.exitNodes(Prog, R).size(), Rt.ExitBlocks.size());
+    for (uint32_t NodeId : Psg.exitNodes(Prog, R))
+      EXPECT_EQ(Psg.Nodes[NodeId].Kind, PsgNodeKind::Exit);
+    for (uint32_t C = 0; C < Rt.CallBlocks.size(); ++C) {
+      EXPECT_EQ(Psg.Nodes[Psg.callNode(Prog, R, C)].Kind, PsgNodeKind::Call);
+      EXPECT_EQ(Psg.Nodes[Psg.returnNode(Prog, R, C)].Kind,
+                PsgNodeKind::Return);
+    }
   }
 }
 

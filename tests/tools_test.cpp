@@ -987,7 +987,8 @@ TEST(ToolsTest, AnalyzeStatsStageTimesAreTheSpans) {
   const BuildStage Builds[] = {
       {"CFG Build",
        "analyze/cfg.build",
-       {"binary.validate/binary.validate.code", "cfg.scan", "cfg.routines"}},
+       {"binary.validate/binary.validate.code", "cfg.scan", "cfg.leaders",
+        "cfg.routines", "cfg.arcs"}},
       {"PSG Build",
        "analyze/psg.build",
        {"psg.count", "psg.routines", "psg.index"}}};

@@ -129,16 +129,14 @@ bool resolveNode(const AnalysisResult &A, const std::string &Where,
   for (uint32_t R = 0; R < A.Prog.Routines.size(); ++R) {
     if (A.Prog.Routines[R].Name != Name)
       continue;
-    const RoutinePsg &Info = A.Psg.RoutineInfo[R];
-    const std::vector<uint32_t> *Nodes = nullptr;
+    const Routine &Rt = A.Prog.Routines[R];
+    size_t Count = 0;
     if (Kind == "entry")
-      Nodes = &Info.EntryNodes;
+      Count = Rt.numEntries();
     else if (Kind == "exit")
-      Nodes = &Info.ExitNodes;
-    else if (Kind == "call")
-      Nodes = &Info.CallNodes;
-    else if (Kind == "return")
-      Nodes = &Info.ReturnNodes;
+      Count = Rt.ExitBlocks.size();
+    else if (Kind == "call" || Kind == "return")
+      Count = Rt.CallBlocks.size();
     else {
       std::fprintf(stderr,
                    "error: unknown location kind '%s' (want "
@@ -146,14 +144,17 @@ bool resolveNode(const AnalysisResult &A, const std::string &Where,
                    Kind.c_str());
       return false;
     }
-    if (Index >= Nodes->size()) {
+    if (Index >= Count) {
       std::fprintf(stderr,
                    "error: routine '%s' has %zu %s node(s), index %u out "
                    "of range\n",
-                   Name.c_str(), Nodes->size(), Kind.c_str(), Index);
+                   Name.c_str(), Count, Kind.c_str(), Index);
       return false;
     }
-    NodeId = (*Nodes)[Index];
+    NodeId = Kind == "entry"  ? A.Psg.entryNode(R, Index)
+             : Kind == "exit" ? A.Psg.exitNodes(A.Prog, R)[Index]
+             : Kind == "call" ? A.Psg.callNode(A.Prog, R, Index)
+                              : A.Psg.returnNode(A.Prog, R, Index);
     return true;
   }
   std::fprintf(stderr, "error: no routine named '%s'\n", Name.c_str());
