@@ -13,7 +13,6 @@
 #include "BenchUtil.h"
 #include "interproc/Incremental.h"
 #include "psg/Analyzer.h"
-#include "slice/SlotFlow.h"
 #include "support/Rng.h"
 #include "support/TablePrinter.h"
 #include "synth/CfgGenerator.h"
@@ -82,7 +81,6 @@ int main(int Argc, char **Argv) {
     AnalysisOptions AO;
     AO.Jobs = Opts.Jobs;
     AnalysisResult Resident = analyzeImage(Img, CallingConv(), AO);
-    SlotFlowResult Slots = solveSlotFlow(Resident.Prog, Opts.Jobs);
 
     Rng Rand(0x5e71e + Profile->Routines);
     double FullSeconds = 0, NoopSeconds = 0, EditSeconds = 0;
@@ -91,7 +89,7 @@ int main(int Argc, char **Argv) {
       // The no-change save: same image back, struct diff finds nothing.
       NoopSeconds += Bench.timed("serve.incremental_noop", [&] {
         IncrementalOutcome Out =
-            reanalyzeIncremental(Img, CallingConv(), AO, Resident, &Slots);
+            reanalyzeIncremental(Img, CallingConv(), AO, Resident);
         (void)Out;
       });
 
@@ -101,12 +99,11 @@ int main(int Argc, char **Argv) {
         break;
       FullSeconds += Bench.timed("serve.full_resolve", [&] {
         AnalysisResult Fresh = analyzeImage(Img, CallingConv(), AO);
-        SlotFlowResult FreshSlots = solveSlotFlow(Fresh.Prog, Opts.Jobs);
-        (void)FreshSlots;
+        (void)Fresh;
       });
       IncrementalOutcome Out;
       EditSeconds += Bench.timed("serve.incremental_edit", [&] {
-        Out = reanalyzeIncremental(Img, CallingConv(), AO, Resident, &Slots);
+        Out = reanalyzeIncremental(Img, CallingConv(), AO, Resident);
       });
       Phase1Dirty += Out.Phase1Dirty;
       Phase2Dirty += Out.Phase2Dirty;

@@ -4,7 +4,9 @@
 # loop one client would drive, pipelined over stdin.  The patched
 # routine's live-at-entry witness is asked for before and after the
 # patch, so the witness search also runs on an incrementally re-solved
-# graph.  CI runs this under
+# graph.  A slice before and after the patch derives slot facts and the
+# dependence graph twice: the patch drops both, and the second slice
+# builds them again on the re-solved server.  CI runs this under
 # ASan/UBSan and uploads the RunReport (the serve.* counters) as an
 # artifact.
 #
@@ -57,6 +59,7 @@ test "$PATCHED" != "$CODE" || { echo "serve-smoke: patch is a no-op" >&2; exit 1
   printf 'explain {"fact":"live","loc":"ra@entry:%s"}\n' "$ROUTINE"
   echo 'analyze'
   printf 'analyze {"routine":"%s"}\n' "$ROUTINE"
+  echo 'slice {"addr":5}'
   echo 'stats'
   echo 'this is not a command'
   echo 'metrics {}'
@@ -97,6 +100,15 @@ if [ "$LIVE" -ne 2 ]; then
 fi
 if ! grep -q '"cmd":"stats".*"patches":1' "$SCRATCH/replies.txt"; then
   echo "serve-smoke: stats does not report the patch" >&2; FAIL=1
+fi
+# The slice after the patch answers, and it rebuilt the dependence graph.
+POST_SLICE=$(grep -n '^slice' "$SCRATCH/session.txt" | tail -1 | cut -d: -f1)
+if ! sed -n "${POST_SLICE}p" "$SCRATCH/replies.txt" \
+    | grep -q '"cmd":"slice".*"ok":true'; then
+  echo "serve-smoke: slice after the patch failed" >&2; FAIL=1
+fi
+if ! grep -q '"cmd":"stats".*"depgraph_builds":2' "$SCRATCH/replies.txt"; then
+  echo "serve-smoke: the slice after the patch did not rebuild" >&2; FAIL=1
 fi
 test -s "$REPORT" || { echo "serve-smoke: no run report at $REPORT" >&2; FAIL=1; }
 

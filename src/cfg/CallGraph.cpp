@@ -7,14 +7,71 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 
 using namespace spike;
+
+uint32_t spike::sccComponents(const CsrLists &Succs,
+                              std::vector<uint32_t> &Component) {
+  size_t NumNodes = Succs.size();
+  Component.assign(NumNodes, 0);
+  std::vector<int32_t> Index(NumNodes, -1), Low(NumNodes, 0);
+  std::vector<bool> OnStack(NumNodes, false);
+  std::vector<uint32_t> Stack;
+  int32_t NextIndex = 0;
+  uint32_t NumComponents = 0;
+  struct Frame {
+    uint32_t Node;
+    size_t Child;
+  };
+  std::vector<Frame> Dfs;
+
+  for (uint32_t Root = 0; Root < NumNodes; ++Root) {
+    if (Index[Root] >= 0)
+      continue;
+    Dfs.push_back({Root, 0});
+    Index[Root] = Low[Root] = NextIndex++;
+    Stack.push_back(Root);
+    OnStack[Root] = true;
+    while (!Dfs.empty()) {
+      Frame &Top = Dfs.back();
+      std::span<const uint32_t> Next = Succs[Top.Node];
+      if (Top.Child < Next.size()) {
+        uint32_t Node = Next[Top.Child++];
+        if (Index[Node] < 0) {
+          Index[Node] = Low[Node] = NextIndex++;
+          Stack.push_back(Node);
+          OnStack[Node] = true;
+          Dfs.push_back({Node, 0});
+        } else if (OnStack[Node]) {
+          Low[Top.Node] = std::min(Low[Top.Node], Index[Node]);
+        }
+        continue;
+      }
+      uint32_t Node = Top.Node;
+      Dfs.pop_back();
+      if (!Dfs.empty())
+        Low[Dfs.back().Node] = std::min(Low[Dfs.back().Node], Low[Node]);
+      if (Low[Node] != Index[Node])
+        continue;
+      for (;;) {
+        uint32_t Member = Stack.back();
+        Stack.pop_back();
+        OnStack[Member] = false;
+        Component[Member] = NumComponents;
+        if (Member == Node)
+          break;
+      }
+      ++NumComponents;
+    }
+  }
+  return NumComponents;
+}
 
 CallGraph spike::buildCallGraph(const Program &Prog, ThreadPool *Pool) {
   CallGraph Graph;
   size_t Count = Prog.Routines.size();
   Graph.HasIndirectCalls.assign(Count, false);
-  Graph.SccId.assign(Count, 0);
   Graph.InCycle.assign(Count, false);
   Graph.Reachable.assign(Count, false);
   if (Count == 0)
@@ -75,58 +132,15 @@ CallGraph spike::buildCallGraph(const Program &Prog, ThreadPool *Pool) {
     for (uint32_t Callee : Graph.Callees[R])
       Graph.Callers.Ids[Cursor[Callee]++] = R;
 
-  // Iterative Tarjan SCC.
-  std::vector<int32_t> Index(Count, -1), Low(Count, 0);
-  std::vector<bool> OnStack(Count, false);
-  std::vector<uint32_t> Stack;
-  int32_t NextIndex = 0;
-  struct Frame {
-    uint32_t Node;
-    size_t Child;
-  };
-  std::vector<Frame> Dfs;
-
-  for (uint32_t Root = 0; Root < Count; ++Root) {
-    if (Index[Root] >= 0)
-      continue;
-    Dfs.push_back({Root, 0});
-    Index[Root] = Low[Root] = NextIndex++;
-    Stack.push_back(Root);
-    OnStack[Root] = true;
-    while (!Dfs.empty()) {
-      Frame &Top = Dfs.back();
-      if (Top.Child < Graph.Callees[Top.Node].size()) {
-        uint32_t Next = Graph.Callees[Top.Node][Top.Child++];
-        if (Index[Next] < 0) {
-          Index[Next] = Low[Next] = NextIndex++;
-          Stack.push_back(Next);
-          OnStack[Next] = true;
-          Dfs.push_back({Next, 0});
-        } else if (OnStack[Next]) {
-          Low[Top.Node] = std::min(Low[Top.Node], Index[Next]);
-        }
-        continue;
-      }
-      uint32_t Node = Top.Node;
-      Dfs.pop_back();
-      if (!Dfs.empty())
-        Low[Dfs.back().Node] = std::min(Low[Dfs.back().Node], Low[Node]);
-      if (Low[Node] != Index[Node])
-        continue;
-      bool Nontrivial = Stack.back() != Node;
-      for (;;) {
-        uint32_t Member = Stack.back();
-        Stack.pop_back();
-        OnStack[Member] = false;
-        Graph.SccId[Member] = Graph.NumSccs;
-        if (Nontrivial)
-          Graph.InCycle[Member] = true;
-        if (Member == Node)
-          break;
-      }
-      ++Graph.NumSccs;
-    }
-  }
+  // Routines on a call cycle: self-callers (above) and every member of a
+  // component with more than one routine.
+  Graph.NumSccs = sccComponents(Graph.Callees, Graph.SccId);
+  std::vector<uint32_t> SccSize(Graph.NumSccs, 0);
+  for (uint32_t Scc : Graph.SccId)
+    ++SccSize[Scc];
+  for (uint32_t R = 0; R < Count; ++R)
+    if (SccSize[Graph.SccId[R]] > 1)
+      Graph.InCycle[R] = true;
 
   // Reachability from the roots.
   std::vector<uint32_t> Queue;

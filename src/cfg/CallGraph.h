@@ -53,6 +53,14 @@ struct CsrLists {
   void endList() { Begin.push_back(uint32_t(Ids.size())); }
 };
 
+/// Strongly connected components of the graph whose node U has the
+/// successors \p Succs[U], by one iterative Tarjan: roots in ascending
+/// node order, successors in list order.  Component ids are assigned as
+/// components complete, which is reverse topological order (an edge
+/// U -> V across components gives V the smaller id).  Fills
+/// \p Component per node and returns the number of components.
+uint32_t sccComponents(const CsrLists &Succs, std::vector<uint32_t> &Component);
+
 /// The call graph and its derived facts.
 struct CallGraph {
   /// Deduplicated direct callees per routine, ascending.

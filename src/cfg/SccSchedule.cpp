@@ -5,7 +5,6 @@
 #include "cfg/Program.h"
 
 #include <algorithm>
-#include <span>
 
 using namespace spike;
 
@@ -19,63 +18,14 @@ using DepGraph = CsrLists;
 SccSchedule scheduleOf(const DepGraph &Deps) {
   size_t NumNodes = Deps.size();
   SccSchedule Sched;
-  Sched.GroupOfRoutine.assign(NumNodes, 0);
   if (NumNodes == 0)
     return Sched;
 
-  // Iterative Tarjan over the dependency graph.  Components complete in
-  // reverse topological order: an edge U -> V (U before V) means V's
-  // component finishes first and gets the smaller id, so iterating group
-  // ids in *descending* order walks dependencies before dependents.
-  std::vector<int32_t> Index(NumNodes, -1), Low(NumNodes, 0);
-  std::vector<bool> OnStack(NumNodes, false);
-  std::vector<uint32_t> Stack;
-  int32_t NextIndex = 0;
-  struct Frame {
-    uint32_t Node;
-    size_t Child;
-  };
-  std::vector<Frame> Dfs;
-
-  for (uint32_t Root = 0; Root < NumNodes; ++Root) {
-    if (Index[Root] >= 0)
-      continue;
-    Dfs.push_back({Root, 0});
-    Index[Root] = Low[Root] = NextIndex++;
-    Stack.push_back(Root);
-    OnStack[Root] = true;
-    while (!Dfs.empty()) {
-      Frame &Top = Dfs.back();
-      std::span<const uint32_t> Succs = Deps[Top.Node];
-      if (Top.Child < Succs.size()) {
-        uint32_t Next = Succs[Top.Child++];
-        if (Index[Next] < 0) {
-          Index[Next] = Low[Next] = NextIndex++;
-          Stack.push_back(Next);
-          OnStack[Next] = true;
-          Dfs.push_back({Next, 0});
-        } else if (OnStack[Next]) {
-          Low[Top.Node] = std::min(Low[Top.Node], Index[Next]);
-        }
-        continue;
-      }
-      uint32_t Node = Top.Node;
-      Dfs.pop_back();
-      if (!Dfs.empty())
-        Low[Dfs.back().Node] = std::min(Low[Dfs.back().Node], Low[Node]);
-      if (Low[Node] != Index[Node])
-        continue;
-      for (;;) {
-        uint32_t Member = Stack.back();
-        Stack.pop_back();
-        OnStack[Member] = false;
-        Sched.GroupOfRoutine[Member] = Sched.NumGroups;
-        if (Member == Node)
-          break;
-      }
-      ++Sched.NumGroups;
-    }
-  }
+  // Components complete in reverse topological order: an edge U -> V
+  // (U before V) means V's component finishes first and gets the smaller
+  // id, so iterating group ids in *descending* order walks dependencies
+  // before dependents.
+  Sched.NumGroups = sccComponents(Deps, Sched.GroupOfRoutine);
 
   // Every per-group and per-level list is allocated once, at its final
   // size.

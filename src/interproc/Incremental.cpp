@@ -91,26 +91,17 @@ bool structurallyClean(const Program &Old, const Program &New, uint32_t R) {
 /// The full-solve escape hatch: correctness never depends on reuse.
 IncrementalOutcome fullFallback(const Image &NewImg, const CallingConv &Conv,
                                 const AnalysisOptions &Opts,
-                                AnalysisResult &A, SlotFlowResult *Slots) {
+                                AnalysisResult &A) {
   telemetry::count("incremental.full_fallbacks");
   A = analyzeImage(NewImg, Conv, Opts);
-  if (Slots) {
-    // The governor's memory pointer was attached to the moved-from
-    // temporary inside analyzeImage; repoint it before metering more.
-    if (Opts.Governor && Opts.Governor->enabled())
-      Opts.Governor->attachMemory(&A.Memory);
-    ThreadPool Pool(Opts.Jobs);
-    *Slots = solveSlotFlow(A.Prog, &Pool,
-                           Opts.Governor && Opts.Governor->enabled()
-                               ? Opts.Governor
-                               : nullptr);
-  }
+  // analyzeImage attached the governor to its own temporary; repoint it
+  // at the resident result, as the incremental path does.
+  if (Opts.Governor && Opts.Governor->enabled())
+    Opts.Governor->attachMemory(&A.Memory);
   IncrementalOutcome Out;
   Out.Full = true;
   Out.StructDirty = A.Prog.Routines.size();
   Out.Phase1Dirty = Out.Phase2Dirty = Out.StructDirty;
-  if (Slots)
-    Out.SlotPhase1Dirty = Out.SlotPhase2Dirty = Out.StructDirty;
   return Out;
 }
 
@@ -119,8 +110,7 @@ IncrementalOutcome fullFallback(const Image &NewImg, const CallingConv &Conv,
 IncrementalOutcome spike::reanalyzeIncremental(const Image &NewImg,
                                                const CallingConv &Conv,
                                                const AnalysisOptions &Opts,
-                                               AnalysisResult &A,
-                                               SlotFlowResult *Slots) {
+                                               AnalysisResult &A) {
   telemetry::Span Span("reanalyze");
   telemetry::count("incremental.runs");
 
@@ -130,7 +120,7 @@ IncrementalOutcome spike::reanalyzeIncremental(const Image &NewImg,
       buildAndInitialize(NewImg, Conv, Opts, Pool, New);
 
   if (!samePartition(A.Prog, New.Prog))
-    return fullFallback(NewImg, Conv, Opts, A, Slots);
+    return fullFallback(NewImg, Conv, Opts, A);
 
   // The structural diff.  Def/Ubd are compared too, so it must run after
   // computeDefUbd; each routine's diff is independent work.
@@ -143,7 +133,7 @@ IncrementalOutcome spike::reanalyzeIncremental(const Image &NewImg,
   // Every routine clean: the resident result is already the converged
   // answer for this image (the no-change save a client sends when
   // re-publishing an unmodified routine).  Skip the PSG build, both
-  // phases, summary extraction, and the slot re-solve outright.
+  // phases and summary extraction outright.
   if (std::all_of(StructClean.begin(), StructClean.end(),
                   [](uint8_t C) { return C != 0; })) {
     telemetry::count("incremental.clean_noops");
@@ -161,10 +151,9 @@ IncrementalOutcome spike::reanalyzeIncremental(const Image &NewImg,
   DirtyFrontier Dirty(StructClean);
   Out.StructDirty = Dirty.count();
 
-  // One phase 2 seed set for the register and the slot engine: every
-  // routine a struct-dirty routine calls in *either* version re-solves —
-  // a dropped call site shrinks the old callee's exit liveness, which no
-  // new-graph walk would notice.
+  // Phase 2's extra seeds: every routine a struct-dirty routine calls in
+  // *either* version re-solves — a dropped call site shrinks the old
+  // callee's exit liveness, which no new-graph walk would notice.
   std::vector<uint8_t> CalleeSeeds(NumRoutines, 0);
   for (uint32_t R = 0; R < NumRoutines; ++R)
     if (!StructClean[R])
@@ -194,22 +183,6 @@ IncrementalOutcome spike::reanalyzeIncremental(const Image &NewImg,
   // it in full rather than diffing.
   New.Summaries = extractSummaries(New.Prog, New.Psg, New.SavedPerRoutine);
 
-  // The slot engine re-solves with its own frontier before the swap, so
-  // a budget blow leaves both resident stores untouched.
-  SlotFlowResult NewSlots;
-  if (Slots) {
-    SlotReuse SReuse;
-    SReuse.Old = Slots;
-    SReuse.StructClean = &StructClean;
-    SReuse.Phase2Seeds = &CalleeSeeds;
-    SlotReuseStats SStats;
-    NewSlots = solveSlotFlowIncremental(New.Prog, SReuse, &Pool, Gov,
-                                        &SStats);
-    Out.SlotFull = SStats.Full;
-    Out.SlotPhase1Dirty = SStats.Phase1Dirty;
-    Out.SlotPhase2Dirty = SStats.Phase2Dirty;
-  }
-
   telemetry::count("incremental.struct_dirty", Out.StructDirty);
   telemetry::count("incremental.phase1_dirty", Out.Phase1Dirty);
   telemetry::count("incremental.phase2_dirty", Out.Phase2Dirty);
@@ -219,8 +192,6 @@ IncrementalOutcome spike::reanalyzeIncremental(const Image &NewImg,
   telemetry::count("pool.steals", Pool.steals());
 
   A = std::move(New);
-  if (Slots)
-    *Slots = std::move(NewSlots);
   if (Gov)
     Opts.Governor->attachMemory(&A.Memory);
   return Out;

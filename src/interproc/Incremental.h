@@ -18,17 +18,18 @@
 /// dirty frontier restore their cached converged sets and labels; groups
 /// on the frontier iterate exactly as a fresh solve would and extend the
 /// frontier to dependents whose inputs actually changed (phase 1 toward
-/// callers, phase 2 toward callees).  The stack-slot dataflow re-solves
-/// the same way (slice/SlotFlow.h).
+/// callers, phase 2 toward callees).  This is the only incremental
+/// engine: derived state such as stack-slot facts (slice/SlotFlow.h) is
+/// the caller's to drop and re-derive from the new result.
 ///
 /// The contract — enforced by the differential oracle tests — is strict
-/// bit-identity: the resulting summaries, PSG sets, labels, and slot
-/// facts equal a from-scratch solve of the new image at every job
-/// count, and so does every witness searched from them.  When the
-/// identity cannot be guaranteed cheaply (routine partition changed,
-/// phase 2's dirty closure reaches the indirect-call accumulator), the
-/// engine falls back to a full solve and says so in the outcome instead
-/// of risking a stale fact.
+/// bit-identity: the resulting summaries, PSG sets and labels equal a
+/// from-scratch solve of the new image at every job count, and so does
+/// every witness searched from them.  When the identity cannot be
+/// guaranteed cheaply (routine partition changed, phase 2's dirty
+/// closure reaches the indirect-call accumulator), the engine falls back
+/// to a full solve and says so in the outcome instead of risking a stale
+/// fact.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +37,6 @@
 #define SPIKE_INTERPROC_INCREMENTAL_H
 
 #include "psg/Analyzer.h"
-#include "slice/SlotFlow.h"
 
 namespace spike {
 
@@ -53,10 +53,6 @@ struct IncrementalOutcome {
   /// (phase 1 reuse still applied).
   bool Phase2Escalated = false;
 
-  /// The slot engine fell back to a full solve (global sp-escape in
-  /// either version collapses every fact to top anyway).
-  bool SlotFull = false;
-
   /// Routines whose code / CFG record / annotation slices changed.
   uint64_t StructDirty = 0;
 
@@ -64,22 +60,21 @@ struct IncrementalOutcome {
   uint64_t Phase1Dirty = 0;
   uint64_t Phase2Dirty = 0;
 
-  /// Routines re-solved by each slot phase (0 when Slots is null).
+  /// Always 0: a patch does not touch slot facts.  The fields stay only
+  /// because perfbench still sums them; they go with its next change.
   uint64_t SlotPhase1Dirty = 0;
   uint64_t SlotPhase2Dirty = 0;
 };
 
 /// Re-analyzes \p NewImg against the resident converged result \p A of a
-/// previous image version, replacing \p A (and, when non-null, the
-/// resident slot facts \p Slots) with state bit-identical to a fresh
-/// analyzeImage / solveSlotFlow of \p NewImg under the same options.  On a
-/// BudgetBlownError (governed runs) \p A and \p Slots are untouched —
-/// the caller keeps serving the old version and may retry degraded.
+/// previous image version, replacing \p A with a result bit-identical to
+/// a fresh analyzeImage of \p NewImg under the same options.  On a
+/// BudgetBlownError (governed runs) \p A is untouched — the caller keeps
+/// serving the old version and may retry degraded.
 IncrementalOutcome reanalyzeIncremental(const Image &NewImg,
                                         const CallingConv &Conv,
                                         const AnalysisOptions &Opts,
-                                        AnalysisResult &A,
-                                        SlotFlowResult *Slots = nullptr);
+                                        AnalysisResult &A);
 
 } // namespace spike
 

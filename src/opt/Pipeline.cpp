@@ -428,18 +428,3 @@ PipelineStats spike::optimizeImage(Image &Img, const CallingConv &Conv,
   Opts.MaxRounds = MaxRounds;
   return optimizeImage(Img, Conv, Opts);
 }
-
-Expected<PipelineStats>
-spike::optimizeImageGoverned(Image &Img, const CallingConv &Conv,
-                             PipelineOptions Opts, const BudgetOptions &Budget,
-                             CancellationToken *Token) {
-  Opts.Budget = Budget;
-  Opts.Cancel = Token;
-  try {
-    return optimizeImage(Img, Conv, Opts);
-  } catch (const BudgetBlownError &E) {
-    // Only cancellation reaches here — every other budget condition
-    // degrades soundly inside the loop.
-    return E.toStatus();
-  }
-}

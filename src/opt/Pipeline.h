@@ -89,8 +89,7 @@ struct PipelineOptions {
   /// degraded to Section 3.5 unknowable summaries; when even a fully
   /// degraded analysis cannot fit, the loop stops and the last committed
   /// (valid) image is returned with StoppedOnBudget set.  Only
-  /// cancellation escapes as a BudgetBlownError exception — use
-  /// optimizeImageGoverned for a structured Status instead.
+  /// cancellation escapes, as a BudgetBlownError exception.
   BudgetOptions Budget;
 
   /// Cooperative cancellation observed by every governor poll.
@@ -190,17 +189,6 @@ PipelineStats optimizeImage(Image &Img, const CallingConv &Conv,
 /// Convenience overload with default options.
 PipelineStats optimizeImage(Image &Img, const CallingConv &Conv = {},
                             unsigned MaxRounds = 3);
-
-/// optimizeImage under \p Budget and \p Token, with cancellation (the
-/// only budget condition optimizeImage raises as an exception) converted
-/// to a structured Status.  Injected environment faults (std::bad_alloc,
-/// faultinject::TaskFault) still propagate to the caller's handler.
-Expected<PipelineStats> optimizeImageGoverned(Image &Img,
-                                              const CallingConv &Conv,
-                                              PipelineOptions Opts,
-                                              const BudgetOptions &Budget,
-                                              CancellationToken *Token =
-                                                  nullptr);
 
 } // namespace spike
 

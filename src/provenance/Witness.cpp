@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdlib>
 
 using namespace spike;
 
@@ -442,6 +443,99 @@ std::string spike::describeNode(const AnalysisResult &A, uint32_t NodeId) {
   }
   S += ")";
   return S;
+}
+
+bool spike::parseWitnessOperand(const std::string &Spec, unsigned &Reg,
+                                std::string &Where, std::string &Err) {
+  size_t At = Spec.find('@');
+  if (At == std::string::npos || At == 0) {
+    Err = "location '" + Spec + "' is not <reg>@<kind>:<routine>";
+    return false;
+  }
+  Reg = parseRegName(Spec.substr(0, At).c_str());
+  Where = Spec.substr(At + 1);
+  if (Reg >= NumIntRegs) {
+    Err = "unknown register '" + Spec.substr(0, At) + "'";
+    return false;
+  }
+  if (Where.empty()) {
+    Err = "location '" + Spec + "' has no <kind>:<routine> part";
+    return false;
+  }
+  return true;
+}
+
+namespace {
+
+/// Parses \p Text as a whole decimal number below \p Limit.
+bool decimalBelow(const std::string &Text, uint64_t Limit, uint64_t &Value) {
+  // Nineteen digits cannot overflow strtoull.
+  if (Text.empty() || Text.size() > 19 ||
+      Text.find_first_not_of("0123456789") != std::string::npos)
+    return false;
+  Value = std::strtoull(Text.c_str(), nullptr, 10);
+  return Value < Limit;
+}
+
+} // namespace
+
+bool spike::resolveWitnessNode(const AnalysisResult &A,
+                               const std::string &Where, uint32_t &NodeId,
+                               std::string &Err) {
+  size_t Colon = Where.find(':');
+  if (Colon == std::string::npos) {
+    Err = "location '" + Where +
+          "' has no kind (want entry|exit|call|return|node ':' name)";
+    return false;
+  }
+  std::string Kind = Where.substr(0, Colon);
+  std::string Name = Where.substr(Colon + 1);
+  uint64_t Value = 0;
+  if (Kind == "node") {
+    if (!decimalBelow(Name, A.Psg.Nodes.size(), Value)) {
+      Err = "PSG node '" + Name + "' is not a node id (want a decimal " +
+            "number below " + std::to_string(A.Psg.Nodes.size()) + ")";
+      return false;
+    }
+    NodeId = uint32_t(Value);
+    return true;
+  }
+
+  std::string Index = "0";
+  if (size_t Hash = Name.rfind('#'); Hash != std::string::npos) {
+    Index = Name.substr(Hash + 1);
+    Name.resize(Hash);
+  }
+  for (uint32_t R = 0; R < A.Prog.Routines.size(); ++R) {
+    if (A.Prog.Routines[R].Name != Name)
+      continue;
+    const Routine &Rt = A.Prog.Routines[R];
+    size_t Count = 0;
+    if (Kind == "entry")
+      Count = Rt.numEntries();
+    else if (Kind == "exit")
+      Count = Rt.ExitBlocks.size();
+    else if (Kind == "call" || Kind == "return")
+      Count = Rt.CallBlocks.size();
+    else {
+      Err = "unknown location kind '" + Kind +
+            "' (want entry|exit|call|return|node)";
+      return false;
+    }
+    if (!decimalBelow(Index, Count, Value)) {
+      Err = "routine '" + Name + "' has " + std::to_string(Count) + " " +
+            Kind + " node(s), index '" + Index + "' out of range";
+      return false;
+    }
+    uint32_t I = uint32_t(Value);
+    NodeId = Kind == "entry"  ? A.Psg.entryNode(R, I)
+             : Kind == "exit" ? A.Psg.exitNodes(A.Prog, R)[I]
+             : Kind == "call" ? A.Psg.callNode(A.Prog, R, I)
+                              : A.Psg.returnNode(A.Prog, R, I);
+    return true;
+  }
+  Err = "no routine named '" + Name + "'";
+  return false;
 }
 
 namespace {

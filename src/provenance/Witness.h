@@ -130,6 +130,20 @@ bool replayWitness(const AnalysisResult &A, const Witness &W,
 /// Renders "entry#0 node 3 of 'P1' (block 0 @16)"-style node context.
 std::string describeNode(const AnalysisResult &A, uint32_t NodeId);
 
+/// Splits a query operand "<reg>@<location>".  False, with the reason in
+/// \p Err, when there is no register, it is unknown, or the location is
+/// empty.
+bool parseWitnessOperand(const std::string &Spec, unsigned &Reg,
+                         std::string &Where, std::string &Err);
+
+/// Resolves a query location to a PSG node id: "<kind>:<routine>[#i]"
+/// names the i-th (default 0) entry, exit, call or return node of a
+/// routine, "node:<id>" a node by id.  An index or id must be a whole
+/// decimal number in range; otherwise returns false with the reason in
+/// \p Err.  spike-explain and spike-serve share this grammar.
+bool resolveWitnessNode(const AnalysisResult &A, const std::string &Where,
+                        uint32_t &NodeId, std::string &Err);
+
 /// Renders \p W as deterministic human-readable text (one line per step
 /// plus the ground summary), byte-identical across thread counts.
 std::string renderWitness(const AnalysisResult &A, const Witness &W);

@@ -109,12 +109,10 @@ void RequestObserver::observe(const RequestRecord &R, const std::string &RawCmd,
   Line += std::string(",\"slow\":") + (R.Slow ? "true" : "false");
   if (R.HasPatch) {
     Line += std::string(",\"patch\":{\"full\":") +
-            (R.PatchFull ? "true" : "false");
-    Line += ",\"struct_dirty\":" + std::to_string(R.StructDirty);
-    Line += ",\"phase1_dirty\":" + std::to_string(R.Phase1Dirty);
-    Line += ",\"phase2_dirty\":" + std::to_string(R.Phase2Dirty);
-    Line += ",\"slot_phase1_dirty\":" + std::to_string(R.SlotPhase1Dirty);
-    Line += ",\"slot_phase2_dirty\":" + std::to_string(R.SlotPhase2Dirty);
+            (R.Patch.Full ? "true" : "false");
+    Line += ",\"struct_dirty\":" + std::to_string(R.Patch.StructDirty);
+    Line += ",\"phase1_dirty\":" + std::to_string(R.Patch.Phase1Dirty);
+    Line += ",\"phase2_dirty\":" + std::to_string(R.Patch.Phase2Dirty);
     Line += "}";
   }
   if (R.Slow && !Spots.empty()) {

@@ -32,6 +32,7 @@
 #ifndef SPIKE_SERVE_OBSERVE_H
 #define SPIKE_SERVE_OBSERVE_H
 
+#include "interproc/Incremental.h"
 #include "telemetry/Histogram.h"
 #include "telemetry/Telemetry.h"
 
@@ -90,14 +91,10 @@ struct RequestRecord {
 
   bool Slow = false; ///< ExecNs crossed the --slow-ms threshold.
 
-  /// Dirty-frontier accounting, patch-routine only (HasPatch gates it).
+  /// The patch's dirty-frontier accounting, patch-routine only
+  /// (HasPatch gates it).
   bool HasPatch = false;
-  bool PatchFull = false;
-  uint64_t StructDirty = 0;
-  uint64_t Phase1Dirty = 0;
-  uint64_t Phase2Dirty = 0;
-  uint64_t SlotPhase1Dirty = 0;
-  uint64_t SlotPhase2Dirty = 0;
+  IncrementalOutcome Patch;
 };
 
 /// Owns the per-command histograms and the access-log sink.  Written to

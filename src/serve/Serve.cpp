@@ -71,86 +71,6 @@ std::string addrArray(const std::vector<uint64_t> &Addrs) {
   return Out + "]";
 }
 
-/// "r5@entry:foo" -> register + location tail, mirroring spike-explain's
-/// grammar but reporting errors as strings (the server never prints).
-bool parseLocation(const std::string &Spec, unsigned &Reg, std::string &Where,
-                   std::string &Err) {
-  size_t At = Spec.find('@');
-  if (At == std::string::npos || At == 0) {
-    Err = "location '" + Spec + "' is not <reg>@<kind>:<routine>";
-    return false;
-  }
-  Reg = parseRegName(Spec.substr(0, At).c_str());
-  Where = Spec.substr(At + 1);
-  if (Reg >= NumIntRegs) {
-    Err = "unknown register '" + Spec.substr(0, At) + "'";
-    return false;
-  }
-  if (Where.empty()) {
-    Err = "location '" + Spec + "' has no <kind>:<routine> part";
-    return false;
-  }
-  return true;
-}
-
-/// "<kind>:<routine>[#i]" / "node:<id>" -> PSG node id.
-bool resolveNodeId(const AnalysisResult &A, const std::string &Where,
-                   uint32_t &NodeId, std::string &Err) {
-  size_t Colon = Where.find(':');
-  if (Colon == std::string::npos) {
-    Err = "location '" + Where +
-          "' has no kind (want entry|exit|call|return|node ':' name)";
-    return false;
-  }
-  std::string Kind = Where.substr(0, Colon);
-  std::string Name = Where.substr(Colon + 1);
-  unsigned Index = 0;
-  if (size_t Hash = Name.rfind('#'); Hash != std::string::npos) {
-    Index = unsigned(std::strtoul(Name.c_str() + Hash + 1, nullptr, 10));
-    Name = Name.substr(0, Hash);
-  }
-
-  if (Kind == "node") {
-    NodeId = uint32_t(std::strtoul(Name.c_str(), nullptr, 10));
-    if (NodeId >= A.Psg.Nodes.size()) {
-      Err = "PSG node " + Name + " out of range (have " +
-            u64(A.Psg.Nodes.size()) + ")";
-      return false;
-    }
-    return true;
-  }
-
-  for (uint32_t R = 0; R < A.Prog.Routines.size(); ++R) {
-    if (A.Prog.Routines[R].Name != Name)
-      continue;
-    const Routine &Rt = A.Prog.Routines[R];
-    size_t Count = 0;
-    if (Kind == "entry")
-      Count = Rt.numEntries();
-    else if (Kind == "exit")
-      Count = Rt.ExitBlocks.size();
-    else if (Kind == "call" || Kind == "return")
-      Count = Rt.CallBlocks.size();
-    else {
-      Err = "unknown location kind '" + Kind +
-            "' (want entry|exit|call|return|node)";
-      return false;
-    }
-    if (Index >= Count) {
-      Err = "routine '" + Name + "' has " + u64(Count) + " " + Kind +
-            " node(s), index " + u64(Index) + " out of range";
-      return false;
-    }
-    NodeId = Kind == "entry"  ? A.Psg.entryNode(R, Index)
-             : Kind == "exit" ? A.Psg.exitNodes(A.Prog, R)[Index]
-             : Kind == "call" ? A.Psg.callNode(A.Prog, R, Index)
-                              : A.Psg.returnNode(A.Prog, R, Index);
-    return true;
-  }
-  Err = "no routine named '" + Name + "'";
-  return false;
-}
-
 int32_t findRoutine(const Program &Prog, const std::string &Name) {
   for (uint32_t R = 0; R < Prog.Routines.size(); ++R)
     if (Prog.Routines[R].Name == Name)
@@ -229,17 +149,30 @@ Server::Reply errorReply(const Server::Request &Req, const std::string &Msg) {
   return R;
 }
 
+/// The `"degraded":true,"note":...` tail of a reply whose budget blew.
+std::string blownNote(const BudgetBlownError &E) {
+  return ",\"degraded\":true,\"note\":" +
+         jsonQuote(std::string("!! DEGRADED: budget blown (") +
+                   verdictWord(E.verdict()) + ") in " + E.phase());
+}
+
 Server::Reply degradedError(const Server::Request &Req,
                             const BudgetBlownError &E) {
   Server::Reply R;
   R.IsError = true;
   R.Degraded = true;
   R.DegradeReason = verdictWord(E.verdict());
-  R.Text = replyHead(Req, false) + ",\"degraded\":true,\"note\":" +
-           jsonQuote(std::string("!! DEGRADED: budget blown (") +
-                     verdictWord(E.verdict()) + ") in " + E.phase()) +
-           "}";
+  R.Text = replyHead(Req, false) + blownNote(E) + "}";
   return R;
+}
+
+/// The note of a reply whose analysis degraded \p Names.
+std::string degradedNote(const std::vector<std::string> &Names) {
+  std::string Joined;
+  for (const std::string &N : Names)
+    Joined += (Joined.empty() ? "" : ", ") + N;
+  return "!! DEGRADED: budget degraded " +
+         (Joined.empty() ? std::string("(no routines)") : Joined);
 }
 
 } // namespace
@@ -259,35 +192,35 @@ Server::Server(ServerOptions Opts_)
 
 Server::~Server() = default;
 
-void Server::installFresh(Image NewImg, AnalysisResult NewA,
-                          SlotFlowResult NewSlots) {
+Expected<GovernedAnalysis> Server::analyzeFresh(const Image &NewImg) const {
+  AnalysisOptions AOpts;
+  AOpts.Jobs = Opts.Jobs;
+  if (Opts.Budget.any())
+    return analyzeImageGoverned(NewImg, Opts.Conv, AOpts, Opts.Budget,
+                                nullptr);
+  GovernedAnalysis G;
+  G.Result = analyzeImage(NewImg, Opts.Conv, AOpts);
+  return G;
+}
+
+void Server::installFresh(Image NewImg, AnalysisResult NewA) {
   Img = std::move(NewImg);
   A = std::move(NewA);
-  Slots = std::move(NewSlots);
+  Slots.reset();
   Deps.reset();
   Loaded = true;
+  ++St.Loads;
 }
 
 bool Server::loadImage(Image NewImg, std::string *Error) {
-  AnalysisOptions AOpts;
-  AOpts.Jobs = Opts.Jobs;
   try {
-    AnalysisResult NewA;
-    if (Opts.Budget.any()) {
-      Expected<GovernedAnalysis> G =
-          analyzeImageGoverned(NewImg, Opts.Conv, AOpts, Opts.Budget, nullptr);
-      if (!G) {
-        if (Error)
-          *Error = G.error().str();
-        return false;
-      }
-      NewA = std::move(G->Result);
-    } else {
-      NewA = analyzeImage(NewImg, Opts.Conv, AOpts);
+    Expected<GovernedAnalysis> G = analyzeFresh(NewImg);
+    if (!G) {
+      if (Error)
+        *Error = G.error().str();
+      return false;
     }
-    SlotFlowResult NewSlots = solveSlotFlow(NewA.Prog, &Pool);
-    installFresh(std::move(NewImg), std::move(NewA), std::move(NewSlots));
-    ++St.Loads;
+    installFresh(std::move(NewImg), std::move(G->Result));
     return true;
   } catch (const std::exception &E) {
     if (Error)
@@ -383,43 +316,23 @@ Server::Reply Server::handleLoad(const Request &Req) {
   if (!NewImg)
     return errorReply(Req, Error);
 
-  AnalysisOptions AOpts;
-  AOpts.Jobs = Opts.Jobs;
-  std::vector<std::string> DegradedRoutines;
-  AnalysisResult NewA;
-  if (Opts.Budget.any()) {
-    Expected<GovernedAnalysis> G =
-        analyzeImageGoverned(*NewImg, Opts.Conv, AOpts, Opts.Budget, nullptr);
-    if (!G)
-      return errorReply(Req, G.error().str());
-    NewA = std::move(G->Result);
-    DegradedRoutines = std::move(G->DegradedRoutines);
-  } else {
-    NewA = analyzeImage(*NewImg, Opts.Conv, AOpts);
-  }
-  SlotFlowResult NewSlots = solveSlotFlow(NewA.Prog, &Pool);
+  Expected<GovernedAnalysis> G = analyzeFresh(*NewImg);
+  if (!G)
+    return errorReply(Req, G.error().str());
+  installFresh(std::move(*NewImg), std::move(G->Result));
 
   uint64_t Quarantined = 0;
-  for (const Routine &R : NewA.Prog.Routines)
+  for (const Routine &R : A.Prog.Routines)
     Quarantined += R.Quarantined;
-  uint64_t NumRoutines = NewA.Prog.Routines.size();
-  installFresh(std::move(*NewImg), std::move(NewA), std::move(NewSlots));
-  ++St.Loads;
-
   Reply R;
-  R.Text = replyHead(Req, true) + ",\"routines\":" + u64(NumRoutines) +
-           ",\"quarantined\":" + u64(Quarantined);
-  if (!DegradedRoutines.empty()) {
+  R.Text = replyHead(Req, true) + ",\"routines\":" +
+           u64(A.Prog.Routines.size()) + ",\"quarantined\":" +
+           u64(Quarantined);
+  if (!G->DegradedRoutines.empty()) {
     R.Degraded = true;
     R.DegradeReason = "budget";
-    std::string Names;
-    for (const std::string &N : DegradedRoutines) {
-      if (!Names.empty())
-        Names += ", ";
-      Names += N;
-    }
     R.Text += ",\"degraded\":true,\"note\":" +
-              jsonQuote("!! DEGRADED: budget degraded " + Names);
+              jsonQuote(degradedNote(G->DegradedRoutines));
   }
   R.Text += "}";
   return R;
@@ -554,14 +467,13 @@ Server::Reply Server::handleExplain(const Request &Req) const {
     return errorReply(Req, "fact must be live|may-use|may-def|dead");
 
   std::string Loc = Req.Args.stringOr("loc", "");
+  if (Loc.empty())
+    return errorReply(Req, "explain needs {\"loc\": \"<reg>@<where>\"}");
   unsigned Reg = NumIntRegs;
-  std::string Where, Err;
-  if (Loc.empty() || !parseLocation(Loc, Reg, Where, Err))
-    return errorReply(Req, Err.empty()
-                               ? "explain needs {\"loc\": \"<reg>@<where>\"}"
-                               : Err);
   uint32_t NodeId = 0;
-  if (!resolveNodeId(A, Where, NodeId, Err))
+  std::string Where, Err;
+  if (!parseWitnessOperand(Loc, Reg, Where, Err) ||
+      !resolveWitnessNode(A, Where, NodeId, Err))
     return errorReply(Req, Err);
 
   Witness W = buildWitness(A, PF, NodeId, Reg);
@@ -575,22 +487,32 @@ Server::Reply Server::handleExplain(const Request &Req) const {
   return R;
 }
 
+const SlotFlowResult &Server::slotsLocked(const ResourceGovernor *Gov) const {
+  // Inline solve (no pool): slice queries already run inside pool tasks,
+  // and the facts are identical at every pool size.
+  if (!Slots)
+    Slots = solveSlotFlow(A.Prog, nullptr, Gov);
+  return *Slots;
+}
+
+const SlotFlowResult &Server::slotFlow() const {
+  std::lock_guard<std::mutex> Lock(DepsMu);
+  return slotsLocked(nullptr);
+}
+
 const DependenceGraph &Server::depGraph(bool &WasHit) {
   std::lock_guard<std::mutex> Lock(DepsMu);
-  if (Deps) {
-    WasHit = true;
+  WasHit = Deps.has_value();
+  if (Deps)
     return *Deps;
-  }
-  WasHit = false;
-  // Inline build (no pool): slice queries already run inside pool tasks,
-  // and the build is deterministic either way.
+  // One governor covers both inline builds of the request.
+  std::optional<ResourceGovernor> Gov;
   if (Opts.Budget.any()) {
-    ResourceGovernor Gov(Opts.Budget, &A.Memory, nullptr);
-    Gov.arm();
-    Deps = buildDepGraph(A.Prog, A.Summaries, Slots, nullptr, &Gov);
-  } else {
-    Deps = buildDepGraph(A.Prog, A.Summaries, Slots, nullptr, nullptr);
+    Gov.emplace(Opts.Budget, &A.Memory, nullptr);
+    Gov->arm();
   }
+  const ResourceGovernor *G = Gov ? &*Gov : nullptr;
+  Deps = buildDepGraph(A.Prog, A.Summaries, slotsLocked(G), nullptr, G);
   return *Deps;
 }
 
@@ -683,14 +605,12 @@ Server::Reply Server::handlePatch(const Request &Req) {
   const char *DegradeReason = nullptr;
   std::string DegradedNote;
   try {
-    Out = reanalyzeIncremental(NewImg, Opts.Conv, AOpts, A, &Slots);
+    Out = reanalyzeIncremental(NewImg, Opts.Conv, AOpts, A);
   } catch (const BudgetBlownError &E) {
     // The budget blew mid-patch; the resident result is untouched.  Fall
     // back to the governed degrade ladder so the patch still lands with
     // sound (degraded) summaries, per the `!! DEGRADED` reply contract.
-    AOpts.Governor = nullptr;
-    Expected<GovernedAnalysis> G =
-        analyzeImageGoverned(NewImg, Opts.Conv, AOpts, Opts.Budget, nullptr);
+    Expected<GovernedAnalysis> G = analyzeFresh(NewImg);
     if (!G) {
       Reply R = errorReply(
           Req, "patch rejected, still serving the previous version: " +
@@ -698,36 +618,26 @@ Server::Reply Server::handlePatch(const Request &Req) {
       R.Degraded = true;
       R.DegradeReason = verdictWord(E.verdict());
       R.Text.pop_back(); // Replace the closing brace with the banner note.
-      R.Text += ",\"degraded\":true,\"note\":" +
-                jsonQuote(std::string("!! DEGRADED: budget blown (") +
-                          verdictWord(E.verdict()) + ") in " + E.phase()) +
-                "}";
+      R.Text += blownNote(E) + "}";
       return R;
     }
     A = std::move(G->Result);
-    Slots = solveSlotFlow(A.Prog, &Pool);
     Out = IncrementalOutcome();
     Out.Full = true;
     Out.StructDirty = Out.Phase1Dirty = Out.Phase2Dirty =
         A.Prog.Routines.size();
     Degraded = true;
     DegradeReason = verdictWord(E.verdict());
-    std::string Names;
-    for (const std::string &N : G->DegradedRoutines) {
-      if (!Names.empty())
-        Names += ", ";
-      Names += N;
-    }
-    DegradedNote = "!! DEGRADED: budget degraded " +
-                   (Names.empty() ? std::string("(no routines)") : Names);
+    DegradedNote = degradedNote(G->DegradedRoutines);
   }
 
   Img = std::move(NewImg);
-  // The dependence graph is a function of the resident analysis and slot
-  // facts alone.  An all-clean patch (the no-op save) returns before
-  // touching either, so its cached graph stays valid.
+  // Slot facts and the dependence graph are functions of the resident
+  // analysis alone.  An all-clean patch (the no-op save) returns before
+  // touching it, so both stay valid.
   if (Out.Full || Out.StructDirty != 0 || Degraded) {
     std::lock_guard<std::mutex> Lock(DepsMu);
+    Slots.reset();
     Deps.reset();
   }
   ++St.Patches;
@@ -745,9 +655,7 @@ Server::Reply Server::handlePatch(const Request &Req) {
            (Out.Phase2Escalated ? "true" : "false") +
            ",\"struct_dirty\":" + u64(Out.StructDirty) +
            ",\"phase1_dirty\":" + u64(Out.Phase1Dirty) +
-           ",\"phase2_dirty\":" + u64(Out.Phase2Dirty) +
-           ",\"slot_phase1_dirty\":" + u64(Out.SlotPhase1Dirty) +
-           ",\"slot_phase2_dirty\":" + u64(Out.SlotPhase2Dirty);
+           ",\"phase2_dirty\":" + u64(Out.Phase2Dirty);
   if (Degraded)
     R.Text += ",\"degraded\":true,\"note\":" + jsonQuote(DegradedNote);
   R.Text += "}";
@@ -772,10 +680,7 @@ Server::Reply Server::handleStats(const Request &Req) const {
            "\"full\":" + (St.LastPatch.Full ? "true" : "false") +
            ",\"struct_dirty\":" + u64(St.LastPatch.StructDirty) +
            ",\"phase1_dirty\":" + u64(St.LastPatch.Phase1Dirty) +
-           ",\"phase2_dirty\":" + u64(St.LastPatch.Phase2Dirty) +
-           ",\"slot_phase1_dirty\":" + u64(St.LastPatch.SlotPhase1Dirty) +
-           ",\"slot_phase2_dirty\":" + u64(St.LastPatch.SlotPhase2Dirty) +
-           "}";
+           ",\"phase2_dirty\":" + u64(St.LastPatch.Phase2Dirty) + "}";
   // The enriched-stats section: per-command latency / queue-wait
   // percentiles.  Present only when observing, so unobserved replies are
   // byte-for-byte what they were before observability existed.
@@ -885,15 +790,8 @@ Server::handleBatch(const std::vector<std::string> &Lines) {
     Rec.QueueNs = R.QueueNs;
     Rec.ExecNs = R.ExecNs;
     Rec.Slow = Obs.slow(R.ExecNs);
-    if (R.HasPatch) {
-      Rec.HasPatch = true;
-      Rec.PatchFull = R.Frontier.Full;
-      Rec.StructDirty = R.Frontier.StructDirty;
-      Rec.Phase1Dirty = R.Frontier.Phase1Dirty;
-      Rec.Phase2Dirty = R.Frontier.Phase2Dirty;
-      Rec.SlotPhase1Dirty = R.Frontier.SlotPhase1Dirty;
-      Rec.SlotPhase2Dirty = R.Frontier.SlotPhase2Dirty;
-    }
+    Rec.HasPatch = R.HasPatch;
+    Rec.Patch = R.Frontier;
     static const std::vector<telemetry::HotSpotRecord> NoSpots;
     if (Rec.Slow && Sess && SpotsBefore < Sess->hotspots().size()) {
       std::vector<telemetry::HotSpotRecord> Spots(

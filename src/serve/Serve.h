@@ -6,9 +6,9 @@
 ///
 /// \file
 /// A long-lived, demand-driven front end over the interprocedural
-/// analysis: load an image once, keep the converged PSG summaries and
-/// stack-slot facts resident, and answer queries over a
-/// newline-delimited line protocol.  Each request is one line
+/// analysis: load an image once, keep the program and its converged PSG
+/// summaries resident, and answer queries over a newline-delimited line
+/// protocol.  Each request is one line
 ///
 ///   <command> [<json-object>]
 ///
@@ -41,14 +41,18 @@
 ///
 /// `patch-routine` drives interproc/Incremental.h: only the patched
 /// routine's SCC group and its transitive dependents re-solve; the reply
-/// and the `stats` command report the dirty-frontier sizes.  Read-only
-/// queries (`analyze`, `lint`, `explain`, `slice`) between mutations are
-/// independent, and handleBatch() evaluates a run of them in parallel on
-/// the server's pool — replies are byte-identical at every job count and
-/// for every interleaving, because each reply is a pure function of the
-/// resident state.  Budget options apply per request: a blown query or
-/// patch degrades that one reply (marked with the `!! DEGRADED` banner
-/// in its "note" field) and the server keeps serving.
+/// and the `stats` command report the dirty-frontier sizes.  Stack-slot
+/// facts and the dependence graph are derived state: the first `slice`
+/// builds them, and `load` and every patch that changes the program drop
+/// them, so a server that is never sliced never solves slot facts.
+/// Read-only queries (`analyze`, `lint`, `explain`, `slice`) between
+/// mutations are independent, and handleBatch() evaluates a run of them
+/// in parallel on the server's pool — replies are byte-identical at every
+/// job count and for every interleaving, because each reply is a pure
+/// function of the resident state.  Budget options apply per request: a
+/// blown query or patch degrades that one reply (marked with the
+/// `!! DEGRADED` banner in its "note" field) and the server keeps
+/// serving.
 ///
 /// A malformed line — unknown command, bad JSON, missing field — yields
 /// an "ok": false reply, never a crash; the spike-fuzz serve arm feeds
@@ -176,8 +180,12 @@ public:
   /// Resident-state accessors, for embedders and the differential oracle
   /// tests (valid only while loaded()).
   const AnalysisResult &analysis() const { return A; }
-  const SlotFlowResult &slotFlow() const { return Slots; }
   const Image &image() const { return Img; }
+
+  /// The slot facts of the resident program, solved inline and ungoverned
+  /// on first use and shared with `slice`.  The reference is valid until
+  /// the next `load` or program-changing patch.
+  const SlotFlowResult &slotFlow() const;
 
   /// Implementation types, public so file-local helpers in Serve.cpp can
   /// build replies; not part of the client API.
@@ -196,11 +204,21 @@ private:
   Reply handleStats(const Request &Req) const;
   Reply handleMetrics(const Request &Req) const;
 
-  /// Returns the cached dependence graph, building it on first use
-  /// (thread-safe; concurrent `slice` queries build once).
+  /// Returns the cached dependence graph, building it (and the slot facts
+  /// it reads) on first use under the request budget (thread-safe;
+  /// concurrent `slice` queries build once).
   const DependenceGraph &depGraph(bool &WasHit);
 
-  void installFresh(Image NewImg, AnalysisResult NewA, SlotFlowResult NewSlots);
+  /// The slot facts, solved inline under \p Gov if not yet derived.
+  /// Callers hold DepsMu.
+  const SlotFlowResult &slotsLocked(const ResourceGovernor *Gov) const;
+
+  /// A from-scratch analysis of \p NewImg: through the degrade ladder
+  /// when a budget is set (load, and a patch whose incremental re-solve
+  /// blew it), plain otherwise.
+  Expected<GovernedAnalysis> analyzeFresh(const Image &NewImg) const;
+
+  void installFresh(Image NewImg, AnalysisResult NewA);
 
   ServerOptions Opts;
   ThreadPool Pool;
@@ -209,12 +227,12 @@ private:
   bool Loaded = false;
   Image Img;
   AnalysisResult A;
-  SlotFlowResult Slots;
 
-  // Lazily built dependence graph; reset by load and by every
+  // Derived state, built on first use; reset by load and by every
   // patch-routine except an all-clean one.
+  mutable std::optional<SlotFlowResult> Slots;
   std::optional<DependenceGraph> Deps;
-  std::mutex DepsMu;
+  mutable std::mutex DepsMu;
 
   ServeStats St;
   uint64_t NextSeq = 0;

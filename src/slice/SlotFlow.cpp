@@ -7,7 +7,6 @@
 #include "telemetry/Telemetry.h"
 
 #include <algorithm>
-#include <optional>
 #include <span>
 
 using namespace spike;
@@ -340,12 +339,8 @@ SlotSet SlotFlowResult::callMayDef(const Program &Prog, uint32_t Routine,
       .shifted(Delta);
 }
 
-namespace {
-
-SlotFlowResult solveSlotFlowImpl(const Program &Prog, ThreadPool *Pool,
-                                 const ResourceGovernor *Gov,
-                                 const SlotReuse *Reuse,
-                                 SlotReuseStats *Stats) {
+SlotFlowResult spike::solveSlotFlow(const Program &Prog, ThreadPool *Pool,
+                                    const ResourceGovernor *Gov) {
   telemetry::Span SolveSpan("slice.slotflow");
   SlotFlowResult Result;
   size_t NumRoutines = Prog.Routines.size();
@@ -374,23 +369,6 @@ SlotFlowResult solveSlotFlowImpl(const Program &Prog, ThreadPool *Pool,
       Result.GlobalEscape = true;
   }
 
-  // Reuse preconditions.  Under a global escape every fact is top and the
-  // "solve" below is a constant fill, so reuse would save nothing; an
-  // old-version escape means the cache is all-top and restoring it would
-  // be wrong.  StructClean[r] implies identical prep for r, so a
-  // struct-clean routine's Opaque bit matches the old version's.
-  if (Reuse &&
-      (Result.GlobalEscape || !Reuse->Old || Reuse->Old->GlobalEscape ||
-       Reuse->Old->Routines.size() != NumRoutines || !Reuse->StructClean ||
-       Reuse->StructClean->size() != NumRoutines))
-    Reuse = nullptr;
-  if (Stats)
-    Stats->Full = Reuse == nullptr;
-  std::optional<DirtyFrontier> Dirty;
-  if (Reuse)
-    Dirty.emplace(*Reuse->StructClean);
-  DirtyFrontier *Frontier = Dirty ? &*Dirty : nullptr;
-
   uint64_t Phase1Iters = 0, Phase2Iters = 0;
   if (Result.GlobalEscape) {
     for (RoutineSlotFacts &F : Result.Routines) {
@@ -401,114 +379,62 @@ SlotFlowResult solveSlotFlowImpl(const Program &Prog, ThreadPool *Pool,
   } else {
     {
       telemetry::Span Phase1Span("slice.phase1");
-      SccDriver Driver(Prog, Prog.CalleeFirst, Pool, Gov, Frontier);
-      Driver.run(
-          "slice.phase1",
-          [&](GroupTask &T) {
-            bool Changed = true;
-            while (Changed) {
-              Changed = false;
-              T.step();
-              for (uint32_t R : T.Members) {
-                uint64_t Delta = 0;
-                T.pop(R);
-                if (T.Cost)
-                  T.Cost->SetOps += Prog.Routines[R].Blocks.size();
-                bool RChanged = computeMayUseDef(Prog, R, Prep, Result.Routines,
-                                                 T.Cost ? &Delta : nullptr);
-                Changed |= RChanged;
-                if (T.Cost && RChanged)
-                  T.Cost->ChangedBits.record(Delta);
-              }
-            }
+      SccDriver Driver(Prog, Prog.CalleeFirst, Pool, Gov, nullptr);
+      Driver.run("slice.phase1", [&](GroupTask &T) {
+        bool Changed = true;
+        while (Changed) {
+          Changed = false;
+          T.step();
+          for (uint32_t R : T.Members) {
+            uint64_t Delta = 0;
+            T.pop(R);
             if (T.Cost)
-              T.Cost->Iters = T.steps();
-            if (Frontier)
-              // Callers whose inputs actually changed join the frontier;
-              // they sit at strictly later schedule levels.
-              for (uint32_t R : T.Members) {
-                const RoutineSlotFacts &OldF = Reuse->Old->Routines[R];
-                if (!(Result.Routines[R].MayUse == OldF.MayUse) ||
-                    !(Result.Routines[R].MayDef == OldF.MayDef))
-                  for (uint32_t Caller : Graph.Callers[R])
-                    Frontier->flag(Caller);
-              }
-          },
-          [&](const std::vector<uint32_t> &Members) {
-            // Every input this group reads equals the old version's, so
-            // its unique fixpoint is the cached one.
-            for (uint32_t R : Members) {
-              Result.Routines[R].MayUse = Reuse->Old->Routines[R].MayUse;
-              Result.Routines[R].MayDef = Reuse->Old->Routines[R].MayDef;
-            }
-          });
+              T.Cost->SetOps += Prog.Routines[R].Blocks.size();
+            bool RChanged = computeMayUseDef(Prog, R, Prep, Result.Routines,
+                                             T.Cost ? &Delta : nullptr);
+            Changed |= RChanged;
+            if (T.Cost && RChanged)
+              T.Cost->ChangedBits.record(Delta);
+          }
+        }
+        if (T.Cost)
+          T.Cost->Iters = T.steps();
+      });
       Phase1Iters = Driver.steps();
-      if (Stats && Frontier)
-        Stats->Phase1Dirty = Frontier->count();
       Driver.emit("slice.phase1");
     }
     {
       telemetry::Span Phase2Span("slice.phase2");
-      if (Frontier && Reuse->Phase2Seeds &&
-          Reuse->Phase2Seeds->size() == NumRoutines)
-        Frontier->flagEach(*Reuse->Phase2Seeds);
-      SccDriver Driver(Prog, Prog.CallerFirst, Pool, Gov, Frontier);
-      Driver.run(
-          "slice.phase2",
-          [&](GroupTask &T) {
-            bool Changed = true;
-            for (bool FirstSweep = true; Changed; FirstSweep = false) {
-              Changed = false;
-              T.step();
-              for (uint32_t R : T.Members) {
-                T.pop(R);
-                SlotSet Exit =
-                    computeLiveAtExit(Prog, R, Graph, Result.Routines);
-                bool ExitChanged = !(Exit == Result.Routines[R].LiveAtExit);
-                if (ExitChanged) {
-                  if (T.Cost)
-                    T.Cost->ChangedBits.record(
-                        changedSlotBits(Result.Routines[R].LiveAtExit, Exit));
-                  Result.Routines[R].LiveAtExit = Exit;
-                  Changed = true;
-                }
-                // Block liveness is a pure function of LiveAtExit and the
-                // callees' final phase-1 facts, so it only moves when
-                // LiveAtExit does; solve once per group, then on change,
-                // so in-group callers read current values.
-                if (FirstSweep || ExitChanged)
-                  solveBlockLiveness(Prog, R, Prep, Result.Routines,
-                                     T.Cost ? &T.Cost->SetOps : nullptr);
-              }
+      SccDriver Driver(Prog, Prog.CallerFirst, Pool, Gov, nullptr);
+      Driver.run("slice.phase2", [&](GroupTask &T) {
+        bool Changed = true;
+        for (bool FirstSweep = true; Changed; FirstSweep = false) {
+          Changed = false;
+          T.step();
+          for (uint32_t R : T.Members) {
+            T.pop(R);
+            SlotSet Exit = computeLiveAtExit(Prog, R, Graph, Result.Routines);
+            bool ExitChanged = !(Exit == Result.Routines[R].LiveAtExit);
+            if (ExitChanged) {
+              if (T.Cost)
+                T.Cost->ChangedBits.record(
+                    changedSlotBits(Result.Routines[R].LiveAtExit, Exit));
+              Result.Routines[R].LiveAtExit = Exit;
+              Changed = true;
             }
-            if (T.Cost)
-              T.Cost->Iters = T.steps();
-            if (Frontier)
-              // Callees read this group's members' liveness after their
-              // call sites; flag them when it moved.  Struct-dirty members
-              // are skipped (block counts may differ) — their callees in
-              // both versions are pre-seeded by Phase2Seeds.
-              for (uint32_t R : T.Members) {
-                if (!(*Reuse->StructClean)[R])
-                  continue;
-                const RoutineSlotFacts &OldF = Reuse->Old->Routines[R];
-                if (!(Result.Routines[R].LiveAtExit == OldF.LiveAtExit) ||
-                    Result.Routines[R].BlockLiveOut != OldF.BlockLiveOut)
-                  for (uint32_t Callee : Graph.Callees[R])
-                    Frontier->flag(Callee);
-              }
-          },
-          [&](const std::vector<uint32_t> &Members) {
-            for (uint32_t R : Members) {
-              const RoutineSlotFacts &OldF = Reuse->Old->Routines[R];
-              Result.Routines[R].LiveAtExit = OldF.LiveAtExit;
-              Result.Routines[R].BlockLiveIn = OldF.BlockLiveIn;
-              Result.Routines[R].BlockLiveOut = OldF.BlockLiveOut;
-            }
-          });
+            // Block liveness is a pure function of LiveAtExit and the
+            // callees' final phase-1 facts, so it only moves when
+            // LiveAtExit does; solve once per group, then on change, so
+            // in-group callers read current values.
+            if (FirstSweep || ExitChanged)
+              solveBlockLiveness(Prog, R, Prep, Result.Routines,
+                                 T.Cost ? &T.Cost->SetOps : nullptr);
+          }
+        }
+        if (T.Cost)
+          T.Cost->Iters = T.steps();
+      });
       Phase2Iters = Driver.steps();
-      if (Stats && Frontier)
-        Stats->Phase2Dirty = Frontier->count();
       Driver.emit("slice.phase2");
     }
   }
@@ -525,24 +451,9 @@ SlotFlowResult solveSlotFlowImpl(const Program &Prog, ThreadPool *Pool,
   return Result;
 }
 
-} // namespace
-
-SlotFlowResult spike::solveSlotFlow(const Program &Prog, ThreadPool *Pool,
-                                    const ResourceGovernor *Gov) {
-  return solveSlotFlowImpl(Prog, Pool, Gov, nullptr, nullptr);
-}
-
 SlotFlowResult spike::solveSlotFlow(const Program &Prog, unsigned Jobs) {
   if (Jobs <= 1)
     return solveSlotFlow(Prog, nullptr);
   ThreadPool Pool(Jobs);
   return solveSlotFlow(Prog, &Pool);
-}
-
-SlotFlowResult spike::solveSlotFlowIncremental(const Program &Prog,
-                                               const SlotReuse &Reuse,
-                                               ThreadPool *Pool,
-                                               const ResourceGovernor *Gov,
-                                               SlotReuseStats *Stats) {
-  return solveSlotFlowImpl(Prog, Pool, Gov, &Reuse, Stats);
 }

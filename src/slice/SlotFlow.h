@@ -34,6 +34,11 @@
 /// routine is quarantined, escaped frame pointers may roam anywhere, so
 /// every routine's facts collapse to top (GlobalEscape).
 ///
+/// Every solve is from scratch: lint, spike-slice and the optimizer's
+/// dead-store pass each solve their own copy, and spike-serve derives
+/// its copy on the first query that reads it, dropping it when a patch
+/// changes the program.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPIKE_SLICE_SLOTFLOW_H
@@ -93,7 +98,7 @@ struct SlotFlowResult {
   /// Number of routines with Opaque facts.
   uint64_t OpaqueRoutines = 0;
 
-  /// Bit-exact equality, as the incremental and jobs oracles compare.
+  /// Bit-exact equality, as the serve and jobs oracles compare.
   bool operator==(const SlotFlowResult &) const = default;
 
   /// The slot analogue of the register call-used set: slots (in the
@@ -120,46 +125,6 @@ SlotFlowResult solveSlotFlow(const Program &Prog, ThreadPool *Pool,
 
 /// Convenience overload owning a pool with \p Jobs lanes.
 SlotFlowResult solveSlotFlow(const Program &Prog, unsigned Jobs = 1);
-
-/// Converged slot facts of a previous version of the same program, for
-/// incremental re-solving after a routine patch (interproc/Incremental.h
-/// computes the seeds).  Both phase transfer functions *replace* their
-/// facts each sweep, so every fixpoint is unique and any converging
-/// strategy — including restoring clean SCC groups from the cache — is
-/// bit-identical to a fresh solve.
-struct SlotReuse {
-  const SlotFlowResult *Old = nullptr;
-
-  /// Per routine: 1 when the routine's code and CFG record are identical
-  /// in both versions (same partition assumed).
-  const std::vector<uint8_t> *StructClean = nullptr;
-
-  /// Per routine: extra phase 2 dirty seeds — every routine called by a
-  /// struct-dirty routine in either version (a dropped call site shrinks
-  /// the old callee's exit liveness).
-  const std::vector<uint8_t> *Phase2Seeds = nullptr;
-};
-
-/// Dirty-frontier accounting of one incremental slot solve.
-struct SlotReuseStats {
-  /// Reuse was abandoned: global sp-escape in either version, or a
-  /// routine-count mismatch.  The solve ran fresh (still correct).
-  bool Full = false;
-
-  /// Routines re-solved (not restored) per phase.
-  uint64_t Phase1Dirty = 0;
-  uint64_t Phase2Dirty = 0;
-};
-
-/// Solves \p Prog like solveSlotFlow but restores SCC groups outside the
-/// dirty frontier from \p Reuse.Old instead of iterating them.  The
-/// result is bit-identical to solveSlotFlow(Prog, ...) at every job
-/// count.
-SlotFlowResult solveSlotFlowIncremental(const Program &Prog,
-                                        const SlotReuse &Reuse,
-                                        ThreadPool *Pool,
-                                        const ResourceGovernor *Gov = nullptr,
-                                        SlotReuseStats *Stats = nullptr);
 
 } // namespace spike
 

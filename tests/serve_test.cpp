@@ -398,6 +398,77 @@ TEST(ServeIncrementalTest, NoOpSaveKeepsDependenceGraph) {
   EXPECT_EQ(S.stats().DepGraphHits, 1u);
 }
 
+TEST(ServeIncrementalTest, SlotFactsAreDerivedOnFirstUse) {
+  ExecProfile P;
+  P.Routines = 24;
+  P.IndirectCallProb = 0.05;
+  P.Seed = 11;
+  telemetry::Session Sess("serve_test");
+  telemetry::SessionScope Scope(Sess);
+  auto SlotSolves = [&] {
+    return std::count_if(Sess.spans().begin(), Sess.spans().end(),
+                         [](const telemetry::SpanEvent &E) {
+                           return E.Name == "slice.slotflow";
+                         });
+  };
+
+  ServerOptions SOpts;
+  SOpts.Jobs = 2;
+  Server S(SOpts);
+  ASSERT_TRUE(S.loadImage(generateExecProgram(P)));
+  EXPECT_EQ(SlotSolves(), 0) << "load solved slot facts";
+
+  // Each slotFlow() answer equals a fresh solve of the resident image,
+  // computed with the session paused so it opens no span of its own.
+  auto ExpectFresh = [&](const SlotFlowResult &Got, const char *When) {
+    telemetry::SessionPause Paused;
+    AnalysisResult Fresh =
+        analyzeImage(S.image(), CallingConv(), AnalysisOptions());
+    EXPECT_TRUE(Got == solveSlotFlow(Fresh.Prog)) << When;
+  };
+
+  // A one-word edit of a healthy routine, and its revert; the lines are
+  // built up front because a patch replaces the resident routines.
+  std::string EditLine, RevertLine;
+  for (const Routine &Rt : S.analysis().Prog.Routines) {
+    if (Rt.Name.empty() || Rt.Quarantined || Rt.End - Rt.Begin < 4)
+      continue;
+    std::vector<uint64_t> Code(S.image().Code.begin() + Rt.Begin,
+                               S.image().Code.begin() + Rt.End);
+    RevertLine = patchLine(Rt, Code);
+    size_t Dst = 1;
+    while (Dst < Code.size() && Code[Dst] == Code[0])
+      ++Dst;
+    ASSERT_LT(Dst, Code.size());
+    Code[Dst] = Code[0];
+    EditLine = patchLine(Rt, Code);
+    break;
+  }
+  ASSERT_FALSE(EditLine.empty());
+
+  std::string Edit = S.handleLine(EditLine);
+  ASSERT_EQ(Edit.find("\"struct_dirty\":0"), std::string::npos) << Edit;
+  EXPECT_EQ(SlotSolves(), 0) << "a dirty patch solved slot facts";
+
+  ExpectFresh(S.slotFlow(), "first use");
+  EXPECT_EQ(SlotSolves(), 1);
+  ExpectFresh(S.slotFlow(), "second use");
+  EXPECT_EQ(SlotSolves(), 1) << "a second call re-solved";
+
+  // An all-clean save keeps the facts.
+  std::string Save = S.handleLine(EditLine);
+  ASSERT_NE(Save.find("\"struct_dirty\":0"), std::string::npos) << Save;
+  ExpectFresh(S.slotFlow(), "after a no-op save");
+  EXPECT_EQ(SlotSolves(), 1) << "a no-op save dropped slot facts";
+
+  // A dirty patch drops them; the next call solves once more.
+  std::string Revert = S.handleLine(RevertLine);
+  ASSERT_EQ(Revert.find("\"struct_dirty\":0"), std::string::npos) << Revert;
+  EXPECT_EQ(SlotSolves(), 1);
+  ExpectFresh(S.slotFlow(), "after a dirty patch");
+  EXPECT_EQ(SlotSolves(), 2);
+}
+
 // ---------------------------------------------------------------------------
 // Robustness floor.
 // ---------------------------------------------------------------------------
@@ -428,6 +499,10 @@ TEST(ServeProtocolTest, MalformedLinesAreErrorRepliesNotCrashes) {
       "explain {\"fact\":\"dead\",\"addr\":-3}",
       "explain {\"fact\":\"frobnicate\"}",
       "explain {\"fact\":\"live\",\"loc\":\"zz9@entry:main\"}",
+      // Node ids and #i indices are whole decimal numbers in range.
+      "explain {\"fact\":\"live\",\"loc\":\"ra@node:abc\"}",
+      "explain {\"fact\":\"live\",\"loc\":\"ra@node:4294967296\"}",
+      "explain {\"fact\":\"live\",\"loc\":\"ra@entry:main#zz\"}",
       "no-such-command {}",
       "load {\"path\":\"/nonexistent/x.spkx\"}",
       "lint {\"min-severity\":\"fatal\"}",
@@ -654,9 +729,10 @@ TEST(ServeObserveTest, SlowPatchRecordCarriesFrontierAndHotspots) {
   EXPECT_NE(Rec.find("\"command\":\"patch-routine\""), std::string::npos);
   for (const char *Key :
        {"\"patch\":{\"full\":", "\"struct_dirty\":", "\"phase1_dirty\":",
-        "\"phase2_dirty\":", "\"slot_phase1_dirty\":",
-        "\"slot_phase2_dirty\":"})
+        "\"phase2_dirty\":"})
     EXPECT_NE(Rec.find(Key), std::string::npos) << Key << " missing: " << Rec;
+  // A patch does not touch slot facts, so it reports no slot frontier.
+  EXPECT_EQ(Rec.find("slot_phase"), std::string::npos) << Rec;
   // --slow-ms=0 marks the patch slow, so the per-SCC attribution of its
   // reanalysis rides along.
   EXPECT_NE(Rec.find("\"slow\":true"), std::string::npos) << Rec;

@@ -187,6 +187,21 @@ TEST(ToolsTest, ExplainRejectsMalformedAddresses) {
     EXPECT_EQ(WEXITSTATUS(Status), 2) << Query << "\n" << Out;
     EXPECT_EQ(Out.find("def-site"), std::string::npos) << Query << Out;
   }
+  // A location's node id or #i index is a whole decimal number in range;
+  // anything else resolves to no node (exit 1), never to node 0.
+  for (const char *Query :
+       {"--why-live ra@node:abc", "--why-live ra@node:4294967296",
+        "--why-live ra@entry:r0#zz", "--why-live ra@entry:fact#zz"}) {
+    Out = runCommand(Explain + " " + Query, &Status);
+    EXPECT_EQ(WEXITSTATUS(Status), 1) << Query << "\n" << Out;
+    EXPECT_EQ(Out.find("witness:"), std::string::npos) << Query << Out;
+  }
+  for (const char *Query : {"--why-live ra@entry:fact",
+                            "--why-live ra@entry:fact#0",
+                            "--why-live ra@node:0"}) {
+    Out = runCommand(Explain + " " + Query, &Status);
+    EXPECT_EQ(WEXITSTATUS(Status), 0) << Query << "\n" << Out;
+  }
   // Well-formed addresses still answer.
   Out = runCommand(Explain + " --why-dead 1", &Status);
   EXPECT_EQ(WEXITSTATUS(Status), 0) << Out;

@@ -28,12 +28,12 @@
 #ifndef SPIKE_TOOLS_TOOLBUDGET_H
 #define SPIKE_TOOLS_TOOLBUDGET_H
 
+#include "ToolOptions.h"
 #include "support/Budget.h"
 #include "support/FaultInjection.h"
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
 
@@ -52,20 +52,6 @@ struct Options {
 
 namespace detail {
 
-/// Consumes `--<name>=<v>` / `--<name> <v>`; null when Argv[I] is a
-/// different flag.
-inline const char *flagValue(int Argc, char **Argv, int &I,
-                             const char *Name) {
-  size_t Len = std::strlen(Name);
-  if (std::strncmp(Argv[I], Name, Len) != 0)
-    return nullptr;
-  if (Argv[I][Len] == '=')
-    return Argv[I] + Len + 1;
-  if (Argv[I][Len] == '\0' && I + 1 < Argc)
-    return Argv[++I];
-  return nullptr;
-}
-
 inline uint64_t parseCount(const char *Value, const char *Flag) {
   char *End = nullptr;
   unsigned long long Parsed = std::strtoull(Value, &End, 10);
@@ -82,19 +68,20 @@ inline uint64_t parseCount(const char *Value, const char *Flag) {
 /// returns true if Argv[I] was one of them.  Malformed values exit with
 /// a usage error, matching the tools' flag handling.
 inline bool parseFlag(int Argc, char **Argv, int &I, Options &Opts) {
-  if (const char *V = detail::flagValue(Argc, Argv, I, "--deadline-ms")) {
+  using toolopts::flagValue;
+  if (const char *V = flagValue(Argc, Argv, I, "--deadline-ms")) {
     Opts.Budget.DeadlineMs = detail::parseCount(V, "--deadline-ms");
     return true;
   }
-  if (const char *V = detail::flagValue(Argc, Argv, I, "--mem-budget-mb")) {
+  if (const char *V = flagValue(Argc, Argv, I, "--mem-budget-mb")) {
     Opts.Budget.MemBudgetMB = detail::parseCount(V, "--mem-budget-mb");
     return true;
   }
-  if (const char *V = detail::flagValue(Argc, Argv, I, "--max-iters")) {
+  if (const char *V = flagValue(Argc, Argv, I, "--max-iters")) {
     Opts.Budget.MaxIterations = detail::parseCount(V, "--max-iters");
     return true;
   }
-  if (const char *V = detail::flagValue(Argc, Argv, I, "--inject-fault")) {
+  if (const char *V = flagValue(Argc, Argv, I, "--inject-fault")) {
     std::string Err;
     if (!faultinject::parsePlan(V, Opts.Fault, Err)) {
       std::fprintf(stderr, "error: --inject-fault: %s\n", Err.c_str());

@@ -16,6 +16,10 @@
 /// and telemetry counters do not depend on the lane count (only the
 /// pool.steals counter and the analysis.jobs gauge reflect it).
 ///
+/// flagValue() is the one reader of `--name=<v>` / `--name <v>` flags;
+/// the jobs, budget and telemetry flags and the tools' own valued flags
+/// all go through it.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPIKE_TOOLS_TOOLOPTIONS_H
@@ -45,18 +49,36 @@ inline void handleVersion(int Argc, char **Argv, const char *Tool) {
   }
 }
 
+/// The one reader of valued flags: consumes `<name>=<v>` / `<name> <v>`
+/// at position \p I of the argument list.  Returns null when Argv[I] is
+/// a different flag; otherwise returns the value, with \p I advanced past
+/// a separate value token.  A missing or empty value exits with a usage
+/// error.
+inline const char *flagValue(int Argc, char **Argv, int &I,
+                             const char *Name) {
+  size_t Len = std::strlen(Name);
+  if (std::strncmp(Argv[I], Name, Len) != 0)
+    return nullptr;
+  const char *Value = nullptr;
+  if (Argv[I][Len] == '=')
+    Value = Argv[I] + Len + 1;
+  else if (Argv[I][Len] == '\0')
+    Value = I + 1 < Argc ? Argv[++I] : "";
+  else
+    return nullptr;
+  if (*Value == '\0') {
+    std::fprintf(stderr, "error: %s expects a value\n", Name);
+    std::exit(2);
+  }
+  return Value;
+}
+
 /// Consumes `--jobs=<n>` / `--jobs <n>` at position \p I of the argument
 /// list.  Returns true if Argv[I] was the jobs flag; \p I is advanced
 /// past any consumed value token.  A non-numeric or zero count exits
 /// with a usage error, matching the tools' flag handling.
 inline bool parseJobs(int Argc, char **Argv, int &I, unsigned &Jobs) {
-  const char *Value = nullptr;
-  if (std::strncmp(Argv[I], "--jobs", 6) == 0) {
-    if (Argv[I][6] == '=')
-      Value = Argv[I] + 7;
-    else if (Argv[I][6] == '\0' && I + 1 < Argc)
-      Value = Argv[++I];
-  }
+  const char *Value = flagValue(Argc, Argv, I, "--jobs");
   if (!Value)
     return false;
   char *End = nullptr;

@@ -29,10 +29,10 @@
 #ifndef SPIKE_TOOLS_TOOLTELEMETRY_H
 #define SPIKE_TOOLS_TOOLTELEMETRY_H
 
+#include "ToolOptions.h"
 #include "telemetry/Telemetry.h"
 
 #include <cstdio>
-#include <cstring>
 #include <optional>
 #include <string>
 
@@ -56,25 +56,13 @@ struct Options {
 /// two-token forms) at position \p I of the argument list.  Returns true
 /// if Argv[I] was a telemetry flag; \p I is advanced past any consumed
 /// value token.  A recognized flag with a missing or empty path exits
-/// with a structured usage error, matching toolopts::parseJobs.
+/// with a usage error (toolopts::flagValue).
 inline bool parseFlag(int Argc, char **Argv, int &I, Options &Opts) {
   auto Match = [&](const char *Name, std::string &Into) {
-    size_t Len = std::strlen(Name);
-    if (std::strncmp(Argv[I], Name, Len) != 0)
-      return false;
-    const char *Value = nullptr;
-    if (Argv[I][Len] == '=')
-      Value = Argv[I] + Len + 1;
-    else if (Argv[I][Len] == '\0')
-      Value = I + 1 < Argc ? Argv[++I] : "";
-    else
-      return false;
-    if (*Value == '\0') {
-      std::fprintf(stderr, "error: %s expects a file path\n", Name);
-      std::exit(2);
-    }
-    Into = Value;
-    return true;
+    const char *Value = toolopts::flagValue(Argc, Argv, I, Name);
+    if (Value)
+      Into = Value;
+    return Value != nullptr;
   };
   return Match("--trace", Opts.TracePath) ||
          Match("--metrics", Opts.MetricsPath) ||

@@ -61,12 +61,6 @@ int usage(const char *Tool) {
   return 2;
 }
 
-/// A parsed <reg>@<where> query operand.
-struct Location {
-  unsigned Reg = NumIntRegs;
-  std::string Where; // Everything after the '@'.
-};
-
 /// Parses \p Text as a whole-string decimal integer in [0, 2^53], the
 /// address rule of the serve protocol.
 bool parseAddress(const std::string &Text, uint64_t &Address) {
@@ -85,80 +79,6 @@ int badAddress(const std::string &Operand) {
                "[0, 2^53])\n",
                Operand.c_str());
   return 2;
-}
-
-bool parseLocation(const std::string &Spec, Location &Loc) {
-  size_t At = Spec.find('@');
-  if (At == std::string::npos || At == 0)
-    return false;
-  Loc.Reg = parseRegName(Spec.substr(0, At).c_str());
-  Loc.Where = Spec.substr(At + 1);
-  return Loc.Reg < NumIntRegs && !Loc.Where.empty();
-}
-
-/// Resolves "<kind>:<routine>[#i]" / "node:<id>" to a PSG node id;
-/// prints its own error and returns false on failure.
-bool resolveNode(const AnalysisResult &A, const std::string &Where,
-                 uint32_t &NodeId) {
-  size_t Colon = Where.find(':');
-  if (Colon == std::string::npos) {
-    std::fprintf(stderr,
-                 "error: location '%s' has no kind (want "
-                 "entry|exit|call|return|node ':' name)\n",
-                 Where.c_str());
-    return false;
-  }
-  std::string Kind = Where.substr(0, Colon);
-  std::string Name = Where.substr(Colon + 1);
-  unsigned Index = 0;
-  if (size_t Hash = Name.rfind('#'); Hash != std::string::npos) {
-    Index = unsigned(std::strtoul(Name.c_str() + Hash + 1, nullptr, 10));
-    Name = Name.substr(0, Hash);
-  }
-
-  if (Kind == "node") {
-    NodeId = uint32_t(std::strtoul(Name.c_str(), nullptr, 10));
-    if (NodeId >= A.Psg.Nodes.size()) {
-      std::fprintf(stderr, "error: PSG node %s out of range (have %zu)\n",
-                   Name.c_str(), A.Psg.Nodes.size());
-      return false;
-    }
-    return true;
-  }
-
-  for (uint32_t R = 0; R < A.Prog.Routines.size(); ++R) {
-    if (A.Prog.Routines[R].Name != Name)
-      continue;
-    const Routine &Rt = A.Prog.Routines[R];
-    size_t Count = 0;
-    if (Kind == "entry")
-      Count = Rt.numEntries();
-    else if (Kind == "exit")
-      Count = Rt.ExitBlocks.size();
-    else if (Kind == "call" || Kind == "return")
-      Count = Rt.CallBlocks.size();
-    else {
-      std::fprintf(stderr,
-                   "error: unknown location kind '%s' (want "
-                   "entry|exit|call|return|node)\n",
-                   Kind.c_str());
-      return false;
-    }
-    if (Index >= Count) {
-      std::fprintf(stderr,
-                   "error: routine '%s' has %zu %s node(s), index %u out "
-                   "of range\n",
-                   Name.c_str(), Count, Kind.c_str(), Index);
-      return false;
-    }
-    NodeId = Kind == "entry"  ? A.Psg.entryNode(R, Index)
-             : Kind == "exit" ? A.Psg.exitNodes(A.Prog, R)[Index]
-             : Kind == "call" ? A.Psg.callNode(A.Prog, R, Index)
-                              : A.Psg.returnNode(A.Prog, R, Index);
-    return true;
-  }
-  std::fprintf(stderr, "error: no routine named '%s'\n", Name.c_str());
-  return false;
 }
 
 int runTool(int Argc, char **Argv) {
@@ -208,11 +128,12 @@ int runTool(int Argc, char **Argv) {
   int RegArg = -1;
   if (Query == "--why-dead") {
     // Accept both "<reg>@<addr>" and a bare address.
-    Location Loc;
-    bool HasReg = parseLocation(Operand, Loc);
-    if (!parseAddress(HasReg ? Loc.Where : Operand, Address))
+    unsigned Reg = NumIntRegs;
+    std::string Where, Err;
+    bool HasReg = parseWitnessOperand(Operand, Reg, Where, Err);
+    if (!parseAddress(HasReg ? Where : Operand, Address))
       return badAddress(Operand);
-    RegArg = HasReg ? int(Loc.Reg) : -1;
+    RegArg = HasReg ? int(Reg) : -1;
   } else if (Query == "--why-transformed" && !Operand.empty() &&
              !parseAddress(Operand, Address)) {
     return badAddress(Operand);
@@ -292,21 +213,24 @@ int runTool(int Argc, char **Argv) {
     return Ex.Found ? 0 : 1;
   }
 
-  Location Loc;
-  if (!parseLocation(Operand, Loc)) {
+  unsigned Reg = NumIntRegs;
+  std::string Where;
+  if (!parseWitnessOperand(Operand, Reg, Where, Error)) {
     std::fprintf(stderr,
                  "error: '%s' is not a <reg>@<location> operand\n",
                  Operand.c_str());
     return 2;
   }
-  uint32_t NodeId;
-  if (!resolveNode(Result, Loc.Where, NodeId))
+  uint32_t NodeId = 0;
+  if (!resolveWitnessNode(Result, Where, NodeId, Error)) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
     return 1;
+  }
 
   ProvFact Fact = Query == "--why-live"      ? ProvFact::Live
                   : Query == "--why-may-use" ? ProvFact::MayUse
                                              : ProvFact::MayDef;
-  Witness W = buildWitness(Result, Fact, NodeId, Loc.Reg);
+  Witness W = buildWitness(Result, Fact, NodeId, Reg);
   if (W.Holds && !replayWitness(Result, W, &Error)) {
     std::fprintf(stderr,
                  "error: witness replay failed (%s) — search and graph "

@@ -55,40 +55,15 @@ int usage(const char *Tool) {
   return 2;
 }
 
-/// Consumes `--<name>=<value>` / `--<name> <value>`.
-bool parseStringFlag(int Argc, char **Argv, int &I, const char *Name,
-                     std::string &Value_) {
-  size_t Len = std::strlen(Name);
-  if (std::strncmp(Argv[I], Name, Len) != 0)
-    return false;
-  const char *Value = nullptr;
-  if (Argv[I][Len] == '=')
-    Value = Argv[I] + Len + 1;
-  else if (Argv[I][Len] == '\0')
-    Value = I + 1 < Argc ? Argv[++I] : "";
-  else
-    return false;
-  if (*Value == '\0') {
-    std::fprintf(stderr, "error: %s expects a value\n", Name);
-    std::exit(2);
-  }
-  Value_ = Value;
-  return true;
-}
-
-/// Consumes `--slow-ms=<n>` / `--slow-ms <n>` (milliseconds, >= 0).
-bool parseSlowMs(int Argc, char **Argv, int &I, int64_t &SlowMs) {
-  std::string Value;
-  if (!parseStringFlag(Argc, Argv, I, "--slow-ms", Value))
-    return false;
+/// Parses the `--slow-ms` value (milliseconds, >= 0).
+int64_t parseSlowMs(const char *Value) {
   char *End = nullptr;
-  long long Parsed = std::strtoll(Value.c_str(), &End, 10);
-  if (End == Value.c_str() || *End != '\0' || Parsed < 0) {
+  long long Parsed = std::strtoll(Value, &End, 10);
+  if (End == Value || *End != '\0' || Parsed < 0) {
     std::fprintf(stderr, "error: --slow-ms expects milliseconds >= 0\n");
     std::exit(2);
   }
-  SlowMs = Parsed;
-  return true;
+  return Parsed;
 }
 
 int runTool(int Argc, char **Argv) {
@@ -99,12 +74,13 @@ int runTool(int Argc, char **Argv) {
   tooltel::Options TelemetryOpts;
   toolbudget::Options BudgetOpts;
   for (int I = 1; I < Argc; ++I) {
-    if (parseStringFlag(Argc, Argv, I, "--socket", SocketPath))
-      ;
-    else if (parseStringFlag(Argc, Argv, I, "--access-log", AccessLogPath))
-      ;
-    else if (parseSlowMs(Argc, Argv, I, SlowMs))
-      ;
+    if (const char *Socket = toolopts::flagValue(Argc, Argv, I, "--socket"))
+      SocketPath = Socket;
+    else if (const char *Log =
+                 toolopts::flagValue(Argc, Argv, I, "--access-log"))
+      AccessLogPath = Log;
+    else if (const char *Ms = toolopts::flagValue(Argc, Argv, I, "--slow-ms"))
+      SlowMs = parseSlowMs(Ms);
     else if (std::strcmp(Argv[I], "--no-observe") == 0)
       NoObserve = true;
     else if (toolopts::parseJobs(Argc, Argv, I, Jobs))

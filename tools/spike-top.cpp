@@ -68,40 +68,15 @@ int usage(const char *Tool) {
   return 2;
 }
 
-/// `--<name>=<v>` / `--<name> <v>`.
-bool parseStringFlag(int Argc, char **Argv, int &I, const char *Name,
-                     std::string &Out) {
-  size_t Len = std::strlen(Name);
-  if (std::strncmp(Argv[I], Name, Len) != 0)
-    return false;
-  const char *Value = nullptr;
-  if (Argv[I][Len] == '=')
-    Value = Argv[I] + Len + 1;
-  else if (Argv[I][Len] == '\0')
-    Value = I + 1 < Argc ? Argv[++I] : "";
-  else
-    return false;
-  if (*Value == '\0') {
-    std::fprintf(stderr, "error: %s expects a value\n", Name);
-    std::exit(2);
-  }
-  Out = Value;
-  return true;
-}
-
-bool parseUnsignedFlag(int Argc, char **Argv, int &I, const char *Name,
-                       uint64_t &Out) {
-  std::string Value;
-  if (!parseStringFlag(Argc, Argv, I, Name, Value))
-    return false;
+/// Parses the value of \p Flag as a decimal number.
+uint64_t parseNumber(const char *Value, const char *Flag) {
   char *End = nullptr;
-  unsigned long long Parsed = std::strtoull(Value.c_str(), &End, 10);
-  if (End == Value.c_str() || *End != '\0') {
-    std::fprintf(stderr, "error: %s expects a number\n", Name);
+  unsigned long long Parsed = std::strtoull(Value, &End, 10);
+  if (End == Value || *End != '\0') {
+    std::fprintf(stderr, "error: %s expects a number\n", Flag);
     std::exit(2);
   }
-  Out = Parsed;
-  return true;
+  return Parsed;
 }
 
 std::string readAll(std::FILE *F) {
@@ -566,14 +541,14 @@ int runTool(int Argc, char **Argv) {
   bool Once = false, Validate = false;
   uint64_t Top = 10, IntervalMs = 2000;
   for (int I = 1; I < Argc; ++I) {
-    if (parseStringFlag(Argc, Argv, I, "--socket", SocketPath))
-      ;
-    else if (parseStringFlag(Argc, Argv, I, "--prom-out", PromOut))
-      ;
-    else if (parseUnsignedFlag(Argc, Argv, I, "--top", Top))
-      ;
-    else if (parseUnsignedFlag(Argc, Argv, I, "--interval", IntervalMs))
-      ;
+    if (const char *Socket = toolopts::flagValue(Argc, Argv, I, "--socket"))
+      SocketPath = Socket;
+    else if (const char *Out = toolopts::flagValue(Argc, Argv, I, "--prom-out"))
+      PromOut = Out;
+    else if (const char *N = toolopts::flagValue(Argc, Argv, I, "--top"))
+      Top = parseNumber(N, "--top");
+    else if (const char *Ms = toolopts::flagValue(Argc, Argv, I, "--interval"))
+      IntervalMs = parseNumber(Ms, "--interval");
     else if (std::strcmp(Argv[I], "--once") == 0)
       Once = true;
     else if (std::strcmp(Argv[I], "--validate") == 0)
