@@ -42,7 +42,7 @@ double total(const StageSeconds &Seconds) {
 double ratio(double Num, double Den) { return Den > 0 ? Num / Den : 0; }
 
 /// Runs analyzeImage under the harness session; \p Seconds receives the
-/// run's five stage spans.
+/// run's five stage spans.  The result borrows \p Img's words.
 AnalysisResult analyze(const Image &Img, StageSeconds &Seconds,
                        bool BranchNodes = true) {
   const telemetry::Session &S = *telemetry::active();
@@ -53,6 +53,8 @@ AnalysisResult analyze(const Image &Img, StageSeconds &Seconds,
   Seconds = stageSeconds(S, First);
   return Result;
 }
+AnalysisResult analyze(const Image &&Img, StageSeconds &Seconds,
+                       bool BranchNodes = true) = delete;
 
 /// The size cells Figures 14 and 15 share, then \p Last.
 std::vector<std::string> sizePoint(const std::string &Name,
@@ -60,7 +62,7 @@ std::vector<std::string> sizePoint(const std::string &Name,
                                    std::string Last) {
   return {Name, TablePrinter::num(uint64_t(R.Prog.Routines.size())),
           TablePrinter::num(R.Prog.numBlocks()),
-          TablePrinter::num(uint64_t(R.Prog.Insts.size())), std::move(Last)};
+          TablePrinter::num(uint64_t(R.Prog.numInsts())), std::move(Last)};
 }
 
 /// Times \p Run(lanes) best of three at jobs 1 and \p Jobs under the spans
@@ -232,7 +234,7 @@ int main(int Argc, char **Argv) {
       Table2.row({Profile.Suite, Name,
                   TablePrinter::num(uint64_t(Prog.Routines.size())),
                   TablePrinter::num(Prog.numBlocks()),
-                  TablePrinter::num(double(Prog.Insts.size()) / 1000.0, 1),
+                  TablePrinter::num(double(Prog.numInsts()) / 1000.0, 1),
                   TablePrinter::num(total(WithSec), 3),
                   TablePrinter::num(With.Memory.peakMBytes(), 2)});
 
@@ -305,7 +307,8 @@ int main(int Argc, char **Argv) {
       BenchmarkProfile P = scaledProfile(*findProfile("gcc"),
                                          Scale * Opts.Scale);
       StageSeconds Seconds;
-      AnalysisResult R = analyze(generateCfgProgram(P), Seconds);
+      Image Img = generateCfgProgram(P);
+      AnalysisResult R = analyze(Img, Seconds);
       double Psg = total(Seconds);
       Fig14Sweep.row(sizePoint(P.Name, R, TablePrinter::num(Psg, 4)));
       Fig15Sweep.row(

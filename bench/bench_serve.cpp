@@ -94,17 +94,23 @@ int main(int Argc, char **Argv) {
       });
 
       // A one-word edit, then incremental vs from-scratch on the same
-      // patched image.
-      if (!mutateOneRoutine(Resident.Prog, Img, /*Edits=*/1, Rand))
+      // patched image.  The edit goes to a copy: Resident borrows Img's
+      // words, and the diff compares them with the patched ones.
+      Image Patched = Img;
+      if (!mutateOneRoutine(Resident.Prog, Patched, /*Edits=*/1, Rand))
         break;
       FullSeconds += Bench.timed("serve.full_resolve", [&] {
-        AnalysisResult Fresh = analyzeImage(Img, CallingConv(), AO);
+        AnalysisResult Fresh = analyzeImage(Patched, CallingConv(), AO);
         (void)Fresh;
       });
       IncrementalOutcome Out;
       EditSeconds += Bench.timed("serve.incremental_edit", [&] {
-        Out = reanalyzeIncremental(Img, CallingConv(), AO, Resident);
+        Out = reanalyzeIncremental(Patched, CallingConv(), AO, Resident);
       });
+      // Retire the old words the way a server does: Resident (kept as
+      // is by an all-clean patch) re-points at the patched image.
+      Img = std::move(Patched);
+      Resident.Prog.Code = Img.Code;
       Phase1Dirty += Out.Phase1Dirty;
       Phase2Dirty += Out.Phase2Dirty;
       FullFallbacks += Out.Full;

@@ -59,7 +59,7 @@ int main(int Argc, char **Argv) {
   std::printf("routines:       %zu\n", Result.Prog.Routines.size());
   std::printf("basic blocks:   %llu\n",
               (unsigned long long)Result.Prog.numBlocks());
-  std::printf("instructions:   %zu\n", Result.Prog.Insts.size());
+  std::printf("instructions:   %zu\n", Result.Prog.numInsts());
   std::printf("CFG arcs (incl. call/return): %llu\n\n",
               (unsigned long long)Graph.numArcs());
 

@@ -97,6 +97,15 @@ constexpr uint64_t ImageMagic = 0x3158454b49505357ull; // "WSPIKEX1"
 
 } // namespace
 
+Status spike::checkCodeSize(uint64_t Words) {
+  if (Words <= MaxCodeWords)
+    return Status::success();
+  return Status::error(ErrCode::CodeTooLarge,
+                       "code section of " + std::to_string(Words) +
+                           " words exceeds the limit of " +
+                           std::to_string(MaxCodeWords));
+}
+
 std::vector<uint8_t> spike::writeImage(const Image &Img) {
   std::vector<uint8_t> Bytes;
   ByteWriter Writer(Bytes);
@@ -154,8 +163,13 @@ Expected<Image> spike::loadImage(const std::vector<uint8_t> &Bytes) {
   auto CountOk = [&](uint64_t N, uint64_t MinElementBytes) {
     return N <= Reader.remaining() / MinElementBytes;
   };
-  if (!Reader.u64(Img.EntryAddress) || !Reader.u64(Count) ||
-      !CountOk(Count, 8))
+  if (!Reader.u64(Img.EntryAddress) || !Reader.u64(Count))
+    return Fail(ErrCode::TruncatedHeader, "truncated header");
+  if (Status TooLarge = checkCodeSize(Count); !TooLarge.ok()) {
+    telemetry::count("binary.load.errors");
+    return TooLarge.atOffset(int64_t(Reader.offset()));
+  }
+  if (!CountOk(Count, 8))
     return Fail(ErrCode::TruncatedHeader, "truncated header");
   Img.Code.resize(Count);
   for (uint64_t &Word : Img.Code)

@@ -42,6 +42,16 @@ namespace spike {
 /// programs and the simulator both use it.
 inline constexpr uint64_t DataSectionBase = 0x200000;
 
+/// The largest code section, in words, that the analyses accept: basic
+/// blocks store instruction addresses in 32 bits.  loadImage rejects a
+/// larger section and buildProgram throws on one (checkCodeSize), so an
+/// address is never truncated.
+inline constexpr uint64_t MaxCodeWords = UINT32_MAX;
+
+/// Returns success when a code section of \p Words words is within
+/// MaxCodeWords, else an ErrCode::CodeTooLarge error.
+Status checkCodeSize(uint64_t Words);
+
 /// A named code address in the image's symbol table.
 struct Symbol {
   std::string Name;

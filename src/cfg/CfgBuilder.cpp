@@ -10,6 +10,7 @@
 #include <cassert>
 #include <numeric>
 #include <span>
+#include <stdexcept>
 
 using namespace spike;
 
@@ -32,7 +33,7 @@ namespace {
 
 /// Returns the branch target of the relative branch at \p Address.
 uint64_t branchTarget(const Program &Prog, uint64_t Address) {
-  return uint64_t(int64_t(Address) + 1 + Prog.Insts[Address].Imm);
+  return uint64_t(int64_t(Address) + 1 + Prog.inst(Address).Imm);
 }
 
 /// Marks the leaders of healthy routine \p R in \p Leader (indexed by
@@ -49,7 +50,7 @@ uint32_t markLeaders(const Program &Prog, const Routine &R,
   for (uint64_t Entry : R.EntryAddresses)
     Mark(Entry);
   for (uint64_t Address = R.Begin; Address < R.End; ++Address) {
-    const Instruction &Inst = Prog.Insts[Address];
+    const Instruction Inst = Prog.inst(Address);
     const OpcodeInfo &Info = opcodeInfo(Inst.Op);
     if (!Inst.endsBlock())
       continue;
@@ -130,11 +131,11 @@ private:
     uint64_t Address = R.Begin;
     while (Address < R.End) {
       BasicBlock &Block = Blocks[Next];
-      Block.Begin = Address;
+      Block.Begin = uint32_t(Address);
       uint64_t Cursor = Address;
       for (;;) {
         BlockOfAddress[Cursor - R.Begin] = Next;
-        if (Prog.Insts[Cursor].endsBlock()) {
+        if (Prog.inst(Cursor).endsBlock()) {
           ++Cursor;
           break;
         }
@@ -142,7 +143,7 @@ private:
         if (Cursor == R.End || Leader[Cursor])
           break;
       }
-      Block.End = Cursor;
+      Block.End = uint32_t(Cursor);
       ++Next;
       Address = Cursor;
     }
@@ -169,7 +170,7 @@ private:
       BasicBlock &Block = Blocks[BlockIndex];
       Block.FirstSucc = uint32_t(Succs.size() - SuccBase);
       uint64_t Last = Block.End - 1;
-      const Instruction &Term = Prog.Insts[Last];
+      const Instruction Term = Prog.inst(Last);
       const OpcodeInfo &Info = opcodeInfo(Term.Op);
       bool HasFallThrough = Block.End < R.End;
 
@@ -258,22 +259,12 @@ private:
       assert(Info.IsHalt && "unhandled terminator kind");
       Block.Term = TerminatorKind::Halt;
     }
-
-    // Each successor list ends where the next block's begins.
-    uint32_t NumSuccs = uint32_t(Succs.size() - SuccBase);
-    for (uint32_t BlockIndex = 0; BlockIndex < Blocks.size(); ++BlockIndex) {
-      BasicBlock &Block = Blocks[BlockIndex];
-      uint32_t End = BlockIndex + 1 < Blocks.size()
-                         ? Blocks[BlockIndex + 1].FirstSucc
-                         : NumSuccs;
-      Block.NumSuccs = End - Block.FirstSucc;
-    }
   }
 
   void indexEntries() {
     for (size_t I = 0; I < R.EntryAddresses.size(); ++I) {
       uint64_t Entry = R.EntryAddresses[I];
-      assert(Prog.Insts.size() > Entry && inRoutine(Entry));
+      assert(Prog.numInsts() > Entry && inRoutine(Entry));
       // Entrances always start a block (they were marked as leaders).
       assert(Blocks[blockAt(Entry)].Begin == Entry &&
              "entrance does not start a block");
@@ -289,7 +280,7 @@ private:
     for (BasicBlock &Block : Blocks) {
       if (Block.Term != TerminatorKind::Call)
         continue;
-      uint64_t Target = uint64_t(uint32_t(Prog.Insts[Block.End - 1].Imm));
+      uint64_t Target = uint64_t(uint32_t(Prog.inst(Block.End - 1).Imm));
       int32_t CalleeIndex = findRoutineByAddress(Prog, Target);
       assert(CalleeIndex >= 0 && "unresolved direct call");
       std::span<const uint64_t> Entries =
@@ -314,27 +305,34 @@ private:
 
 /// Packs a routine's arcs into \p Arcs, its slice of Program::AllArcs:
 /// the successor lists \p Succs that RoutineBuilder left in its lane's
-/// buffer, then the predecessor lists, filled in ascending source-block
-/// order.  Also lists the routine's exit and call blocks.
+/// buffer, then the predecessor lists, each in ascending source-block
+/// order.  Also lists the routine's exit and call blocks.  The blocks
+/// are fresh (every FirstPred 0).
 void placeArcs(std::span<BasicBlock> Blocks, std::span<const uint32_t> Succs,
                std::span<uint32_t> Arcs, std::span<uint32_t> ExitBlocks,
                std::span<uint32_t> CallBlocks) {
   std::copy(Succs.begin(), Succs.end(), Arcs.begin());
+  // Count each block's predecessors in its FirstPred, turn the counts
+  // into list ends, then fill every list backwards from its end in
+  // descending source-block order: each list comes out ascending, with
+  // FirstPred back at its start.
   for (uint32_t Succ : Succs)
-    ++Blocks[Succ].NumPreds;
-  uint32_t Next = uint32_t(Succs.size());
+    ++Blocks[Succ].FirstPred;
+  uint32_t End = uint32_t(Succs.size());
   for (BasicBlock &Block : Blocks) {
-    Block.FirstPred = Next;
-    Next += Block.NumPreds;
-    Block.NumPreds = 0;
+    End += Block.FirstPred;
+    Block.FirstPred = End;
+  }
+  for (uint32_t BlockIndex = uint32_t(Blocks.size()); BlockIndex-- > 0;) {
+    uint32_t SuccEnd = BlockIndex + 1 < Blocks.size()
+                           ? Blocks[BlockIndex + 1].FirstSucc
+                           : uint32_t(Succs.size());
+    for (uint32_t Arc = Blocks[BlockIndex].FirstSucc; Arc < SuccEnd; ++Arc)
+      Arcs[--Blocks[Succs[Arc]].FirstPred] = BlockIndex;
   }
   size_t NumExits = 0, NumCalls = 0;
   for (uint32_t BlockIndex = 0; BlockIndex < Blocks.size(); ++BlockIndex) {
     const BasicBlock &Block = Blocks[BlockIndex];
-    for (uint32_t Succ : Succs.subspan(Block.FirstSucc, Block.NumSuccs)) {
-      BasicBlock &SuccBlock = Blocks[Succ];
-      Arcs[SuccBlock.FirstPred + SuccBlock.NumPreds++] = BlockIndex;
-    }
     if (Block.Term == TerminatorKind::Return)
       ExitBlocks[NumExits++] = BlockIndex;
     if (Block.endsWithCall())
@@ -393,13 +391,12 @@ Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
                             const CfgBuildOptions &Options,
                             ThreadPool *Pool) {
   telemetry::Span BuildSpan("cfg.build");
+  if (Status TooLarge = checkCodeSize(Img.Code.size()); !TooLarge.ok())
+    throw std::length_error(TooLarge.str());
   Program Prog;
+  Prog.Code = Img.Code;
   Prog.Conv = Conv;
   Prog.Validation = validateImage(Img, Pool);
-
-  // The decoded code section; the scan below fills it.
-  Prog.Insts.resize(Img.Code.size());
-  chargeIf(Mem, Prog.Insts.size() * sizeof(Instruction));
 
   for (const JumpTable &Table : Img.JumpTables) {
     Prog.JumpTables.push_back({Table.Targets});
@@ -489,20 +486,20 @@ Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
 
   // Decode the code section and discover call-targeted entrances, one
   // task per routine plus one for the unowned words before the first
-  // routine.  Undecodable words get a halt placeholder: the validator
-  // quarantines their owning routine (or, for unowned garbage, the
-  // opaque flag below makes every routine CalledFromQuarantine), so the
-  // placeholder is never analyzed as if it were real code.  A direct jsr
-  // from quarantined or unowned code names its target, which must then
-  // assume a caller that ignores the calling standard; indirect calls or
-  // undecodable words there can reach *anything*.
-  std::vector<uint8_t> Undecodable(Img.Code.size(), 0);
+  // routine.  Undecodable words read as a halt placeholder
+  // (Program::inst): the validator quarantines their owning routine (or,
+  // for unowned garbage, the opaque flag below makes every routine
+  // CalledFromQuarantine), so the placeholder is never analyzed as if it
+  // were real code.  A direct jsr from quarantined or unowned code names
+  // its target, which must then assume a caller that ignores the calling
+  // standard; indirect calls or undecodable words there can reach
+  // *anything*.
   std::vector<ScanLane> Lanes(Pool ? Pool->jobs() : 1);
   std::vector<LaneSegment> Segments(Prog.Routines.size() + 1);
   {
     telemetry::Span ScanSpan("cfg.scan");
     forEachTask(Pool, Segments.size(), [&](size_t Chunk, unsigned Lane) {
-      uint64_t Begin = 0, End = Prog.Insts.size();
+      uint64_t Begin = 0, End = Prog.numInsts();
       bool InBadRegion = true;
       if (Chunk == 0) {
         if (!Prog.Routines.empty())
@@ -519,19 +516,16 @@ Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
         std::optional<Instruction> Inst =
             decodeInstruction(Img.Code[Address]);
         if (!Inst) {
-          Undecodable[Address] = 1;
-          Prog.Insts[Address].Op = Opcode::Halt;
           L.Opaque = true;
           continue;
         }
-        Prog.Insts[Address] = *Inst;
         if (Inst->Op == Opcode::JsrR && InBadRegion)
           L.Opaque = true;
         if (Inst->Op != Opcode::Jsr)
           continue;
         // A wild call has no entrance to register: the validator
         // quarantined its owner (or it sits in unowned code).
-        if (Inst->Imm < 0 || uint64_t(Inst->Imm) >= Prog.Insts.size())
+        if (Inst->Imm < 0 || uint64_t(Inst->Imm) >= Prog.numInsts())
           continue;
         // A healthy call to a primary entrance adds nothing: every
         // routine already has its primary entrance.
@@ -614,7 +608,7 @@ Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
   // sites.  Every entrance maps to that block.
   std::vector<uint32_t> BlockBegin(Count + 1, 0);
   {
-    std::vector<uint8_t> Leader(Prog.Insts.size(), 0);
+    std::vector<uint8_t> Leader(Prog.numInsts(), 0);
     {
       telemetry::Span LeadersSpan("cfg.leaders");
       forEachTask(Pool, Count, [&](size_t RoutineIndex, unsigned) {
@@ -644,8 +638,8 @@ Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
         size_t SuccBase = S.Succs.size();
         if (R.Quarantined) {
           BasicBlock &Block = Blocks[0];
-          Block.Begin = R.Begin;
-          Block.End = R.End;
+          Block.Begin = uint32_t(R.Begin);
+          Block.End = uint32_t(R.End);
           Block.Term = TerminatorKind::UnresolvedJump;
           Block.Ubd = RegSet::allBelow(NumIntRegs);
         } else {
@@ -696,9 +690,10 @@ Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
   // quarantined code is modelled worst-case, and trusting an annotation
   // planted in garbage would un-do that conservatism.
   auto AnnotationUsable = [&](uint64_t Address, Opcode Expected) {
-    if (Address >= Prog.Insts.size() || Undecodable[Address])
+    if (Address >= Prog.numInsts())
       return false;
-    if (Prog.Insts[Address].Op != Expected)
+    std::optional<Instruction> Inst = decodeInstruction(Img.Code[Address]);
+    if (!Inst || Inst->Op != Expected)
       return false;
     int32_t Owner = findRoutineByAddress(Prog, Address);
     return Owner >= 0 && !Prog.Routines[uint32_t(Owner)].Quarantined;
@@ -740,9 +735,10 @@ Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
                   (R.EntryBlocks.size() + R.ExitBlocks.size() +
                    R.CallBlocks.size()) *
                       sizeof(uint32_t));
-      for (const BasicBlock &Block : R.Blocks)
+      for (uint32_t Block = 0; Block < R.Blocks.size(); ++Block)
         Mem->charge(sizeof(BasicBlock) +
-                    (Block.NumSuccs + Block.NumPreds) * sizeof(uint32_t));
+                    (R.succs(Block).size() + R.preds(Block).size()) *
+                        sizeof(uint32_t));
     }
     const CallGraph &Graph = Prog.Calls;
     for (const std::vector<uint32_t> *Ids :
@@ -763,7 +759,7 @@ Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
   if (telemetry::active()) {
     telemetry::count("cfg.routines", Prog.Routines.size());
     telemetry::count("cfg.blocks", Prog.numBlocks());
-    telemetry::count("cfg.insts", Prog.Insts.size());
+    telemetry::count("cfg.insts", Prog.numInsts());
     telemetry::count("cfg.quarantined_routines", Prog.numQuarantined());
     telemetry::count("degrade.budget_routines", Prog.numBudgetDegraded());
   }
@@ -785,7 +781,7 @@ void spike::computeDefUbd(Program &Prog, ThreadPool *Pool) {
     for (BasicBlock &Block : Blocks) {
       RegSet Def, Ubd;
       for (uint64_t Address = Block.Begin; Address < Block.End; ++Address) {
-        const Instruction &Inst = Prog.Insts[Address];
+        const Instruction Inst = Prog.inst(Address);
         bool IsCallTerminator =
             Address == Block.End - 1 && opcodeInfo(Inst.Op).IsCall;
         Ubd |= Inst.uses() - Def;

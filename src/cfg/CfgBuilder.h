@@ -51,7 +51,12 @@ struct CfgBuildOptions {
   std::vector<std::string> BudgetDegrade;
 };
 
-/// Decodes \p Img and builds the routine/basic-block structure.
+/// Builds the routine/basic-block structure of \p Img.
+///
+/// The Program borrows Img.Code (Program::Code) and decodes words on
+/// demand, so \p Img must outlive it, unchanged; passing a temporary
+/// image does not compile.  A code section over MaxCodeWords throws
+/// std::length_error carrying the [CodeTooLarge] Status text.
 ///
 /// The image need *not* verify(): semantic defects are absorbed by
 /// quarantining the offending routines (their findings are recorded in
@@ -68,6 +73,10 @@ Program buildProgram(const Image &Img, const CallingConv &Conv,
                      MemoryTracker *Mem = nullptr,
                      const CfgBuildOptions &Options = {},
                      ThreadPool *Pool = nullptr);
+Program buildProgram(const Image &&Img, const CallingConv &Conv,
+                     MemoryTracker *Mem = nullptr,
+                     const CfgBuildOptions &Options = {},
+                     ThreadPool *Pool = nullptr) = delete;
 
 /// Computes the DEF and UBD register sets of every basic block
 /// ("Initialization ... consists mainly of the time spent generating the

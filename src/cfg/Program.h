@@ -8,8 +8,10 @@
 /// The decoded whole-program model the analyses run over.
 ///
 /// A Program is built from an Image by the CFG builder: the code section is
-/// decoded, partitioned into routines at primary symbol addresses, and each
-/// routine is split into basic blocks.  Following the paper, a basic block
+/// partitioned into routines at primary symbol addresses, and each routine
+/// is split into basic blocks.  The Program borrows the image's code words
+/// and decodes them on demand (Program::inst), so the image must outlive
+/// every Program built from it.  Following the paper, a basic block
 /// is ended by a branch *or by a call instruction* ("the following
 /// discussion assumes a basic block is ended by a call instruction"), so a
 /// block contains at most one call, as its terminator.
@@ -24,6 +26,7 @@
 #include "cfg/CallGraph.h"
 #include "cfg/SccSchedule.h"
 #include "isa/CallingConv.h"
+#include "isa/Encoding.h"
 #include "isa/Instruction.h"
 #include "support/RegSet.h"
 
@@ -48,17 +51,18 @@ enum class TerminatorKind : uint8_t {
   Halt,           ///< Program termination.
 };
 
-/// A basic block: the half-open instruction range [Begin, End).
+/// A basic block: the half-open instruction range [Begin, End).  Addresses
+/// fit 32 bits because buildProgram refuses images over MaxCodeWords.
 struct BasicBlock {
-  uint64_t Begin = 0;
-  uint64_t End = 0;
+  uint32_t Begin = 0;
+  uint32_t End = 0;
 
-  /// This block's successor and predecessor lists as ranges of the
-  /// owning Routine::Arcs; read them through Routine::succs()/preds().
+  /// Where this block's successor and predecessor lists start in the
+  /// owning Routine::Arcs.  Each list ends where the next block's starts
+  /// (the last block's at the end of its half of Arcs), so no count is
+  /// stored; read the lists through Routine::succs()/preds().
   uint32_t FirstSucc = 0;
-  uint32_t NumSuccs = 0;
   uint32_t FirstPred = 0;
-  uint32_t NumPreds = 0;
 
   TerminatorKind Term = TerminatorKind::FallThrough;
 
@@ -90,6 +94,8 @@ struct BasicBlock {
            Term == TerminatorKind::IndirectCall;
   }
 };
+
+static_assert(sizeof(BasicBlock) == 48, "BasicBlock layout changed");
 
 /// Why a routine was collapsed to the paper's Section 3.5 unknowable
 /// model.  Validation and Forced are the PR 2 quarantine family; Budget
@@ -186,16 +192,24 @@ struct Routine {
   /// Returns the number of entrances.
   unsigned numEntries() const { return unsigned(EntryAddresses.size()); }
 
-  /// Returns the successor block indices of block \p BlockIndex.
+  /// Returns the successor block indices of block \p BlockIndex.  The
+  /// successor lists fill the first half of Arcs.
   std::span<const uint32_t> succs(uint32_t BlockIndex) const {
-    const BasicBlock &Block = Blocks[BlockIndex];
-    return Arcs.subspan(Block.FirstSucc, Block.NumSuccs);
+    uint32_t First = Blocks[BlockIndex].FirstSucc;
+    uint32_t End = BlockIndex + 1 < Blocks.size()
+                       ? Blocks[BlockIndex + 1].FirstSucc
+                       : uint32_t(Arcs.size() / 2);
+    return Arcs.subspan(First, End - First);
   }
 
-  /// Returns the predecessor block indices of block \p BlockIndex.
+  /// Returns the predecessor block indices of block \p BlockIndex.  The
+  /// predecessor lists fill the second half of Arcs.
   std::span<const uint32_t> preds(uint32_t BlockIndex) const {
-    const BasicBlock &Block = Blocks[BlockIndex];
-    return Arcs.subspan(Block.FirstPred, Block.NumPreds);
+    uint32_t First = Blocks[BlockIndex].FirstPred;
+    uint32_t End = BlockIndex + 1 < Blocks.size()
+                       ? Blocks[BlockIndex + 1].FirstPred
+                       : uint32_t(Arcs.size());
+    return Arcs.subspan(First, End - First);
   }
 };
 
@@ -204,13 +218,19 @@ struct JumpTableTargets {
   std::vector<uint64_t> Targets;
 };
 
-/// The decoded whole program.
+/// The whole program as the analyses see it.
 ///
 /// Every routine's CFG lists live in the six All* arrays below, routine
 /// after routine in routine order; Routine holds spans into them.  A
 /// Program is therefore move-only: moving keeps the arrays' storage (and
 /// every span) in place, where a copy would leave the copy's routines
 /// pointing into the original.
+///
+/// The instructions are not copied: Code views the words of the image the
+/// Program was built from, and inst() decodes one on each read.  Whoever
+/// holds a Program keeps that image alive and unchanged, or re-points
+/// Code at an image with the same words (a server that replaces its
+/// image does so).
 struct Program {
   Program() = default;
   Program(Program &&) = default;
@@ -218,8 +238,8 @@ struct Program {
   Program(const Program &) = delete;
   Program &operator=(const Program &) = delete;
 
-  /// Decoded instructions, indexed by address.
-  std::vector<Instruction> Insts;
+  /// The borrowed code words, indexed by address (Image::Code).
+  std::span<const uint64_t> Code;
 
   /// Jump tables copied from the image.
   std::vector<JumpTableTargets> JumpTables;
@@ -260,6 +280,18 @@ struct Program {
   CallGraph Calls;
   SccSchedule CalleeFirst; ///< Phase 1 order (buildCalleeFirstSchedule).
   SccSchedule CallerFirst; ///< Phase 2 order (buildCallerFirstSchedule).
+
+  /// Returns the instruction at \p Address, decoded from Code.  An
+  /// undecodable word reads as a halt placeholder: the validator
+  /// quarantined its routine, or it lies before the first routine, so no
+  /// analysis takes the placeholder for real code.
+  Instruction inst(uint64_t Address) const {
+    return decodeInstruction(Code[Address])
+        .value_or(Instruction{Opcode::Halt});
+  }
+
+  /// Returns the number of instructions (Table 2 statistic).
+  uint64_t numInsts() const { return Code.size(); }
 
   /// Returns the number of quarantined routines (all degrade reasons).
   uint64_t numQuarantined() const {

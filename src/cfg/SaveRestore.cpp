@@ -12,7 +12,7 @@ int64_t findSave(const Program &Prog, const BasicBlock &Block, unsigned Reg,
                  int32_t *SlotOut) {
   unsigned Sp = Prog.Conv.SpReg;
   for (uint64_t Address = Block.Begin; Address < Block.End; ++Address) {
-    const Instruction &Inst = Prog.Insts[Address];
+    const Instruction Inst = Prog.inst(Address);
     if (Inst.Op == Opcode::Stq && Inst.Ra == Reg && Inst.Rb == Sp) {
       *SlotOut = Inst.Imm;
       return int64_t(Address);
@@ -30,7 +30,7 @@ int64_t findRestore(const Program &Prog, const BasicBlock &Block,
   unsigned Sp = Prog.Conv.SpReg;
   int64_t Found = -1;
   for (uint64_t Address = Block.Begin; Address < Block.End; ++Address) {
-    const Instruction &Inst = Prog.Insts[Address];
+    const Instruction Inst = Prog.inst(Address);
     if (Inst.Op == Opcode::Ldq && Inst.Rc == Reg && Inst.Rb == Sp &&
         Inst.Imm == Slot) {
       Found = int64_t(Address);

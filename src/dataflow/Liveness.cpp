@@ -16,7 +16,7 @@ std::vector<RegSet> spike::liveBeforeEachInst(
   RegSet Current = LiveOut;
   for (uint64_t Offset = Block.size(); Offset-- > 0;) {
     uint64_t Address = Block.Begin + Offset;
-    const Instruction &Inst = Prog.Insts[Address];
+    const Instruction Inst = Prog.inst(Address);
     bool IsCallTerminator =
         Offset == Block.size() - 1 && opcodeInfo(Inst.Op).IsCall;
     if (IsCallTerminator) {

@@ -17,8 +17,7 @@ namespace {
 /// themselves are compared once per routine.
 bool sameBlockRecord(const BasicBlock &A, const BasicBlock &B) {
   return A.Begin == B.Begin && A.End == B.End &&
-         A.FirstSucc == B.FirstSucc && A.NumSuccs == B.NumSuccs &&
-         A.FirstPred == B.FirstPred && A.NumPreds == B.NumPreds &&
+         A.FirstSucc == B.FirstSucc && A.FirstPred == B.FirstPred &&
          A.Term == B.Term &&
          A.CalleeRoutine == B.CalleeRoutine &&
          A.CalleeEntry == B.CalleeEntry &&
@@ -80,7 +79,7 @@ bool structurallyClean(const Program &Old, const Program &New, uint32_t R) {
   if (!sameRoutineRecord(A, B))
     return false;
   for (uint64_t Addr = B.Begin; Addr < B.End; ++Addr)
-    if (!(Old.Insts[Addr] == New.Insts[Addr]))
+    if (!(Old.inst(Addr) == New.inst(Addr)))
       return false;
   return sameAnnotationSlice(Old.CallAnnotations, New.CallAnnotations,
                              B.Begin, B.End) &&

@@ -68,13 +68,21 @@ struct IncrementalOutcome {
 
 /// Re-analyzes \p NewImg against the resident converged result \p A of a
 /// previous image version, replacing \p A with a result bit-identical to
-/// a fresh analyzeImage of \p NewImg under the same options.  On a
+/// a fresh analyzeImage of \p NewImg under the same options.  The old
+/// image \p A borrows must still be alive: the diff reads both versions'
+/// words.  A replaced \p A borrows \p NewImg; an all-clean patch leaves
+/// \p A (and its borrow of the old image) as it was, so a caller that
+/// then retires the old image re-points A.Prog.Code at \p NewImg.  On a
 /// BudgetBlownError (governed runs) \p A is untouched — the caller keeps
 /// serving the old version and may retry degraded.
 IncrementalOutcome reanalyzeIncremental(const Image &NewImg,
                                         const CallingConv &Conv,
                                         const AnalysisOptions &Opts,
                                         AnalysisResult &A);
+IncrementalOutcome reanalyzeIncremental(const Image &&NewImg,
+                                        const CallingConv &Conv,
+                                        const AnalysisOptions &Opts,
+                                        AnalysisResult &A) = delete;
 
 } // namespace spike
 

@@ -13,18 +13,3 @@ uint64_t spike::encodeInstruction(const Instruction &Inst) {
   Word |= uint64_t(uint32_t(Inst.Imm));
   return Word;
 }
-
-std::optional<Instruction> spike::decodeInstruction(uint64_t Word) {
-  Instruction Inst;
-  unsigned Op = unsigned((Word >> 56) & 0xff);
-  if (Op >= NumOpcodes)
-    return std::nullopt;
-  Inst.Op = Opcode(Op);
-  Inst.Ra = uint8_t((Word >> 48) & 0xff);
-  Inst.Rb = uint8_t((Word >> 40) & 0xff);
-  Inst.Rc = uint8_t((Word >> 32) & 0xff);
-  Inst.Imm = int32_t(uint32_t(Word & 0xffffffff));
-  if (Inst.Ra >= NumIntRegs || Inst.Rb >= NumIntRegs || Inst.Rc >= NumIntRegs)
-    return std::nullopt;
-  return Inst;
-}

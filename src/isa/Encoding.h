@@ -37,8 +37,22 @@ namespace spike {
 uint64_t encodeInstruction(const Instruction &Inst);
 
 /// Decodes \p Word.  Returns std::nullopt if the opcode is unknown or a
-/// register field is out of range.
-std::optional<Instruction> decodeInstruction(uint64_t Word);
+/// register field is out of range.  Inline: the analyses decode the
+/// image's words on every read (Program::inst).
+inline std::optional<Instruction> decodeInstruction(uint64_t Word) {
+  Instruction Inst;
+  unsigned Op = unsigned((Word >> 56) & 0xff);
+  if (Op >= NumOpcodes)
+    return std::nullopt;
+  Inst.Op = Opcode(Op);
+  Inst.Ra = uint8_t((Word >> 48) & 0xff);
+  Inst.Rb = uint8_t((Word >> 40) & 0xff);
+  Inst.Rc = uint8_t((Word >> 32) & 0xff);
+  Inst.Imm = int32_t(uint32_t(Word & 0xffffffff));
+  if (Inst.Ra >= NumIntRegs || Inst.Rb >= NumIntRegs || Inst.Rc >= NumIntRegs)
+    return std::nullopt;
+  return Inst;
+}
 
 } // namespace spike
 

@@ -209,7 +209,7 @@ spike::findDeadDefCandidates(const Program &Prog,
 
       for (uint64_t Offset = 0; Offset < Block.size(); ++Offset) {
         uint64_t Address = Block.Begin + Offset;
-        const Instruction &Inst = Prog.Insts[Address];
+        const Instruction Inst = Prog.inst(Address);
         // Only pure register computations qualify: loads may fault,
         // stores and control flow have side effects.
         switch (opcodeInfo(Inst.Op).Format) {
@@ -262,7 +262,7 @@ void spike::checkDeadDefs(LintContext &Ctx) {
     if (!C.Dead)
       continue;
     const Routine &R = Prog.Routines[C.RoutineIndex];
-    const Instruction &Inst = Prog.Insts[C.Address];
+    const Instruction Inst = Prog.inst(C.Address);
     Diagnostic D = makeDiagnostic(
         RuleId::DeadDef, int32_t(C.RoutineIndex), R.Name, -1,
         int64_t(C.Address),
@@ -335,7 +335,7 @@ void spike::checkControlFlow(LintContext &Ctx) {
          ++BlockIndex) {
       const BasicBlock &Block = R.Blocks[BlockIndex];
       uint64_t Last = Block.End - 1;
-      const Instruction &Term = Prog.Insts[Last];
+      const Instruction Term = Prog.inst(Last);
 
       // SL006: jump-table targets must stay inside the routine.  The
       // CFG builder demotes escaping tables to unresolved jumps, which
@@ -382,7 +382,7 @@ void spike::checkControlFlow(LintContext &Ctx) {
       // SL008: a reachable block with no terminator and no successor
       // runs off the end of its routine into whatever comes next.
       if (Block.Term == TerminatorKind::FallThrough &&
-          Block.NumSuccs == 0 && ReachKnown && Reach[BlockIndex] &&
+          R.succs(BlockIndex).empty() && ReachKnown && Reach[BlockIndex] &&
           Ctx.Opts.ruleEnabled(RuleId::FallThroughExit))
         Ctx.Out.push_back(makeDiagnostic(
             RuleId::FallThroughExit, int32_t(RoutineIndex), R.Name,
@@ -451,7 +451,7 @@ void spike::checkDeadStackStores(LintContext &Ctx) {
     if (!C.Dead)
       continue;
     const Routine &R = Prog.Routines[C.RoutineIndex];
-    const Instruction &Inst = Prog.Insts[C.Address];
+    const Instruction Inst = Prog.inst(C.Address);
     std::string Slot =
         C.SpOffset < 0 ? "[sp-" + std::to_string(-int64_t(C.SpOffset)) + "]"
                        : "[sp+" + std::to_string(C.SpOffset) + "]";

@@ -47,8 +47,10 @@ struct DeadDefStats {
 };
 
 /// Runs dead-def elimination over every routine of \p Prog, rewriting
-/// \p Img in place.  \p Prog must describe \p Img (same code layout) and
-/// \p Summaries must come from an analysis of it.
+/// \p Img in place.  \p Summaries must come from an analysis of \p Prog.
+/// \p Prog must be built from a copy of \p Img taken before the pass: a
+/// Program borrows its image's words, and they must not change under it
+/// while the pass rewrites \p Img.
 ///
 /// When \p Records is non-null, the pass attributes its decisions: one
 /// "applied" record per deleted definition and one "rejected" record per

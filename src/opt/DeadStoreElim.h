@@ -41,8 +41,10 @@ struct DeadStoreStats {
 };
 
 /// Runs dead-store elimination over every routine of \p Prog, rewriting
-/// \p Img in place.  \p Prog must describe \p Img and \p Flow must be
-/// the solved slot dataflow of it.
+/// \p Img in place.  \p Flow must be the solved slot dataflow of \p Prog.
+/// \p Prog must be built from a copy of \p Img taken before the pass: a
+/// Program borrows its image's words, and they must not change under it
+/// while the pass rewrites \p Img.
 ///
 /// When \p Records is non-null, the pass attributes its decisions: one
 /// "applied" record per deleted store and one "rejected" record per

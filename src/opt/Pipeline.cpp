@@ -110,8 +110,9 @@ PipelineStats spike::optimizeImage(Image &Img, const CallingConv &Conv,
 
     // One analyze-transform round against the current Img/Stats.
     // Returns true when the loop should run another round.  Every pass
-    // mutates the image, so each one runs against a fresh analysis (the
-    // decoded Program must describe the current bytes).
+    // mutates the image, so each one runs against a fresh analysis of a
+    // copy of Img taken before the pass: an analysis borrows its image's
+    // words, and the passes read them while rewriting Img.
     auto RunRound = [&]() -> bool {
     uint64_t ChangesThisRound = 0;
     telemetry::Span RoundSpan("opt.round");
@@ -123,7 +124,9 @@ PipelineStats spike::optimizeImage(Image &Img, const CallingConv &Conv,
 
     {
       // Dead routines first: everything after has less code to chew on.
-      AnalysisResult Analysis = analyzeImage(Img, Conv, AOpts);
+      // Both passes read one analysis of the round's entry image, which
+      // Snapshot keeps unchanged while they rewrite Img.
+      AnalysisResult Analysis = analyzeImage(Snapshot, Conv, AOpts);
       RoundPeakBytes = std::max(RoundPeakBytes, Analysis.Memory.peakBytes());
       RoundQuarantined = Analysis.Prog.numQuarantined();
       RoundBudgetDegraded = Analysis.Prog.numBudgetDegraded();
@@ -171,7 +174,8 @@ PipelineStats spike::optimizeImage(Image &Img, const CallingConv &Conv,
     if (GovPtr)
       GovPtr->pollOrThrow("opt.pass.spill_removal");
     {
-      AnalysisResult Analysis = analyzeImage(Img, Conv, AOpts);
+      Image PrePass = Img;
+      AnalysisResult Analysis = analyzeImage(PrePass, Conv, AOpts);
       RoundPeakBytes = std::max(RoundPeakBytes, Analysis.Memory.peakBytes());
       telemetry::Span PassSpan("pass.spill_removal");
       SpillRemovalStats Spills =
@@ -205,7 +209,8 @@ PipelineStats spike::optimizeImage(Image &Img, const CallingConv &Conv,
     if (GovPtr)
       GovPtr->pollOrThrow("opt.pass.dead_store");
     {
-      AnalysisResult Analysis = analyzeImage(Img, Conv, AOpts);
+      Image PrePass = Img;
+      AnalysisResult Analysis = analyzeImage(PrePass, Conv, AOpts);
       RoundPeakBytes = std::max(RoundPeakBytes, Analysis.Memory.peakBytes());
       telemetry::Span PassSpan("pass.dead_store");
       try {
@@ -234,7 +239,8 @@ PipelineStats spike::optimizeImage(Image &Img, const CallingConv &Conv,
     if (GovPtr)
       GovPtr->pollOrThrow("opt.pass.dead_def");
     {
-      AnalysisResult Analysis = analyzeImage(Img, Conv, AOpts);
+      Image PrePass = Img;
+      AnalysisResult Analysis = analyzeImage(PrePass, Conv, AOpts);
       RoundPeakBytes = std::max(RoundPeakBytes, Analysis.Memory.peakBytes());
       telemetry::Span PassSpan("pass.dead_def");
       DeadDefStats DeadDefs = eliminateDeadDefs(

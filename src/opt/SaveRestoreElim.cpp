@@ -40,7 +40,7 @@ bool usesIncomingValue(const Program &Prog, uint32_t RoutineIndex,
       if (containsAddr(Detail.SaveAddrs, Address) ||
           containsAddr(Detail.RestoreAddrs, Address))
         continue;
-      const Instruction &Inst = Prog.Insts[Address];
+      const Instruction Inst = Prog.inst(Address);
       bool IsCallTerminator =
           Address == Block.End - 1 && opcodeInfo(Inst.Op).IsCall;
       U |= Inst.uses() - D;
@@ -139,8 +139,10 @@ spike::eliminateSaveRestores(Image &Img, const Program &Prog,
     for (const RegSet &Live :
          Summaries.Routines[RoutineIndex].LiveAtEntry)
       Blocked |= Live;
-    for (uint64_t Address = R.Begin; Address < R.End; ++Address)
-      Blocked |= Prog.Insts[Address].uses() | Prog.Insts[Address].defs();
+    for (uint64_t Address = R.Begin; Address < R.End; ++Address) {
+      Instruction Inst = Prog.inst(Address);
+      Blocked |= Inst.uses() | Inst.defs();
+    }
     RegSet KilledByCalls;
     for (uint32_t CallBlock : R.CallBlocks) {
       KilledByCalls |= Summaries.callKilled(Prog, RoutineIndex, CallBlock);
@@ -163,7 +165,7 @@ spike::eliminateSaveRestores(Image &Img, const Program &Prog,
         if (containsAddr(Detail.SaveAddrs, Address) ||
             containsAddr(Detail.RestoreAddrs, Address))
           continue;
-        StackRef Ref = stackRefOf(Prog.Insts[Address], Sp);
+        StackRef Ref = stackRefOf(Prog.inst(Address), Sp);
         SlotShared =
             Ref.Kind == StackRefKind::Slot && Ref.Offset == Detail.Slot;
       }

@@ -48,6 +48,9 @@ struct SaveRestoreElimStats {
 };
 
 /// Runs the reallocation over every routine of \p Prog, rewriting \p Img.
+/// \p Prog must be built from a copy of \p Img taken before the pass: a
+/// Program borrows its image's words, and they must not change under it
+/// while the pass rewrites \p Img.
 SaveRestoreElimStats
 eliminateSaveRestores(Image &Img, const Program &Prog,
                       const InterprocSummaries &Summaries);

@@ -37,10 +37,10 @@ spike::removeCallSpills(Image &Img, const Program &Prog,
       continue;
     for (uint32_t CallBlock : R.CallBlocks) {
       const BasicBlock &Block = R.Blocks[CallBlock];
-      if (Block.NumSuccs != 1)
+      if (R.succs(CallBlock).size() != 1)
         continue;
       uint32_t ReturnBlock = R.succs(CallBlock)[0];
-      if (R.Blocks[ReturnBlock].NumPreds != 1)
+      if (R.preds(ReturnBlock).size() != 1)
         continue;
 
       RegSet Killed = Summaries.callKilled(Prog, RoutineIndex, CallBlock);
@@ -52,7 +52,7 @@ spike::removeCallSpills(Image &Img, const Program &Prog,
       int32_t Slot = 0;
       for (uint64_t Address = Block.Begin; Address + 1 < Block.End;
            ++Address) {
-        StackRef Ref = stackRefOf(Prog.Insts[Address], Sp);
+        StackRef Ref = stackRefOf(Prog.inst(Address), Sp);
         if (Ref.Kind == StackRefKind::Slot && Ref.IsStore &&
             Ref.ValueReg != Sp && !Killed.contains(Ref.ValueReg)) {
           StoreAddr = int64_t(Address);
@@ -67,7 +67,7 @@ spike::removeCallSpills(Image &Img, const Program &Prog,
       bool Clobbered = false;
       for (uint64_t Address = uint64_t(StoreAddr) + 1;
            Address + 1 < Block.End && !Clobbered; ++Address) {
-        const Instruction &Inst = Prog.Insts[Address];
+        const Instruction Inst = Prog.inst(Address);
         Clobbered = Inst.defs().contains(SpillReg) ||
                     touchesSlot(Inst, Sp, Slot);
       }
@@ -79,7 +79,7 @@ spike::removeCallSpills(Image &Img, const Program &Prog,
       int64_t LoadAddr = -1;
       for (uint64_t Address = Return.Begin; Address < Return.End;
            ++Address) {
-        const Instruction &Inst = Prog.Insts[Address];
+        const Instruction Inst = Prog.inst(Address);
         StackRef Ref = stackRefOf(Inst, Sp);
         if (Ref.Kind == StackRefKind::Slot && !Ref.IsStore &&
             Ref.Offset == Slot && Ref.ValueReg == SpillReg) {
@@ -99,7 +99,7 @@ spike::removeCallSpills(Image &Img, const Program &Prog,
            Address < R.End && !SlotSharedElsewhere; ++Address) {
         if (int64_t(Address) == StoreAddr || int64_t(Address) == LoadAddr)
           continue;
-        StackRef Ref = stackRefOf(Prog.Insts[Address], Sp);
+        StackRef Ref = stackRefOf(Prog.inst(Address), Sp);
         SlotSharedElsewhere =
             Ref.Kind == StackRefKind::Slot && Ref.Offset == Slot;
       }

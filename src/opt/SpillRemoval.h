@@ -44,6 +44,9 @@ struct SpillRemovalStats {
 
 /// Removes redundant spills around calls in \p Img (described by \p Prog,
 /// analyzed into \p Summaries).
+/// \p Prog must be built from a copy of \p Img taken before the pass: a
+/// Program borrows its image's words, and they must not change under it
+/// while the pass rewrites \p Img.
 SpillRemovalStats removeCallSpills(Image &Img, const Program &Prog,
                                    const InterprocSummaries &Summaries);
 

@@ -39,6 +39,9 @@ struct UnreachableElimStats {
 };
 
 /// Rewrites every unreachable routine of \p Prog in \p Img.
+/// \p Prog must be built from a copy of \p Img taken before the pass: a
+/// Program borrows its image's words, and they must not change under it
+/// while the pass rewrites \p Img.
 UnreachableElimStats eliminateUnreachableRoutines(Image &Img,
                                                   const Program &Prog);
 

@@ -734,7 +734,7 @@ ScanOutcome scanBlockForObserver(const AnalysisResult &A, uint32_t RIdx,
 
   for (uint64_t O = FromOffset; O < Block.size(); ++O) {
     uint64_t Address = Block.Begin + O;
-    const Instruction &Inst = Prog.Insts[Address];
+    const Instruction Inst = Prog.inst(Address);
     if (Inst.uses().contains(Reg)) {
       Out.K = ScanOutcome::UseFound;
       Out.Text = "read by '" + Inst.str(int64_t(Address)) + "' @" +
@@ -815,7 +815,7 @@ DeadDefExplanation spike::explainDeadDef(const AnalysisResult &A,
   const Program &Prog = A.Prog;
 
   int32_t RIdxS = findRoutineByAddress(Prog, Address);
-  if (RIdxS < 0 || Address >= Prog.Insts.size()) {
+  if (RIdxS < 0 || Address >= Prog.numInsts()) {
     Ex.Text = "@" + std::to_string(Address) + ": no routine owns this address";
     return Ex;
   }
@@ -840,7 +840,7 @@ DeadDefExplanation spike::explainDeadDef(const AnalysisResult &A,
   uint32_t BlockIndex = uint32_t(BlockIndexS);
   const BasicBlock &Block = R.Blocks[BlockIndex];
 
-  const Instruction &Inst = Prog.Insts[Address];
+  const Instruction Inst = Prog.inst(Address);
   RegSet Defs = Inst.defs();
   unsigned Reg =
       RegArg >= 0 ? unsigned(RegArg) : (Defs.empty() ? NumIntRegs : *Defs.begin());

@@ -60,7 +60,9 @@ struct AnalysisOptions {
   ResourceGovernor *Governor = nullptr;
 };
 
-/// Everything a full analysis run produces.
+/// Everything a full analysis run produces.  Prog borrows the analyzed
+/// image's code words (Program::Code): keep the image alive, unchanged,
+/// as long as the result.
 struct AnalysisResult {
   Program Prog;
   ProgramSummaryGraph Psg;
@@ -92,9 +94,12 @@ struct AnalysisResult {
   }
 };
 
-/// Runs the complete analysis on \p Img.
+/// Runs the complete analysis on \p Img, which the result borrows: a
+/// temporary image does not compile.
 AnalysisResult analyzeImage(const Image &Img, const CallingConv &Conv = {},
                             const AnalysisOptions &Opts = {});
+AnalysisResult analyzeImage(const Image &&Img, const CallingConv &Conv = {},
+                            const AnalysisOptions &Opts = {}) = delete;
 
 /// Stages 1 and 2, shared by analyzeImage and reanalyzeIncremental: arms
 /// Opts.Governor against Result.Memory, builds Result.Prog, polls the
@@ -181,6 +186,10 @@ Expected<GovernedAnalysis>
 analyzeImageGoverned(const Image &Img, const CallingConv &Conv,
                      AnalysisOptions Opts, const BudgetOptions &Budget,
                      CancellationToken *Token = nullptr);
+Expected<GovernedAnalysis>
+analyzeImageGoverned(const Image &&Img, const CallingConv &Conv,
+                     AnalysisOptions Opts, const BudgetOptions &Budget,
+                     CancellationToken *Token = nullptr) = delete;
 
 } // namespace spike
 

@@ -204,12 +204,21 @@ Expected<GovernedAnalysis> Server::analyzeFresh(const Image &NewImg) const {
 }
 
 void Server::installFresh(Image NewImg, AnalysisResult NewA) {
-  Img = std::move(NewImg);
   A = std::move(NewA);
+  replaceImage(std::move(NewImg));
   Slots.reset();
   Deps.reset();
   Loaded = true;
   ++St.Loads;
+}
+
+void Server::replaceImage(Image NewImg) {
+  Img = std::move(NewImg);
+  // The resident program borrows the words of the image it was analyzed
+  // from.  An all-clean patch keeps the old analysis, whose view would
+  // dangle once the old words are freed; NewImg has the same
+  // instructions, so view its words instead.
+  A.Prog.Code = Img.Code;
 }
 
 bool Server::loadImage(Image NewImg, std::string *Error) {
@@ -527,9 +536,9 @@ Server::Reply Server::handleSlice(const Request &Req) {
   std::string Dir = Req.Args.stringOr("dir", "backward");
   if (Dir != "backward" && Dir != "forward")
     return errorReply(Req, "dir must be backward|forward");
-  if (Addr >= A.Prog.Insts.size())
+  if (Addr >= A.Prog.numInsts())
     return errorReply(Req, "address " + u64(Addr) + " out of range (have " +
-                               u64(A.Prog.Insts.size()) + " words)");
+                               u64(A.Prog.numInsts()) + " words)");
 
   bool WasHit = false;
   const DependenceGraph &Graph = depGraph(WasHit);
@@ -631,7 +640,7 @@ Server::Reply Server::handlePatch(const Request &Req) {
     DegradedNote = degradedNote(G->DegradedRoutines);
   }
 
-  Img = std::move(NewImg);
+  replaceImage(std::move(NewImg));
   // Slot facts and the dependence graph are functions of the resident
   // analysis alone.  An all-clean patch (the no-op save) returns before
   // touching it, so both stay valid.

@@ -178,7 +178,8 @@ public:
   const std::string &startupError() const { return StartupError; }
 
   /// Resident-state accessors, for embedders and the differential oracle
-  /// tests (valid only while loaded()).
+  /// tests (valid only while loaded()).  analysis().Prog borrows the
+  /// words of image().
   const AnalysisResult &analysis() const { return A; }
   const Image &image() const { return Img; }
 
@@ -219,6 +220,11 @@ private:
   Expected<GovernedAnalysis> analyzeFresh(const Image &NewImg) const;
 
   void installFresh(Image NewImg, AnalysisResult NewA);
+
+  /// Makes \p NewImg the resident image and re-points the resident
+  /// program's borrowed code words at it.  \p NewImg must have the same
+  /// instructions as the image A was analyzed from.
+  void replaceImage(Image NewImg);
 
   ServerOptions Opts;
   ThreadPool Pool;

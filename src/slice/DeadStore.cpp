@@ -40,7 +40,7 @@ spike::findDeadStackStores(const Program &Prog,
       int64_t Delta = F.DeltaIn[BlockIndex];
       for (uint64_t Address = Block.Begin; Address < Block.End;
            ++Address) {
-        const Instruction &Inst = Prog.Insts[Address];
+        const Instruction Inst = Prog.inst(Address);
         int64_t Adjust = 0;
         if (spEffectOf(Inst, Sp, Adjust) == SpEffect::Adjust) {
           Delta += Adjust;

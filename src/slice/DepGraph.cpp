@@ -110,7 +110,7 @@ void addRegEdges(const Program &Prog, const InterprocSummaries &Summaries,
       }
       return;
     }
-    for (unsigned Reg : Prog.Insts[Address].defs()) {
+    for (unsigned Reg : Prog.inst(Address).defs()) {
       State[Reg].clearAll();
       State[Reg].set(LocalBit);
     }
@@ -119,7 +119,7 @@ void addRegEdges(const Program &Prog, const InterprocSummaries &Summaries,
   // Registers the instruction reads, with boundary effects folded in.
   auto UsesAt = [&](uint32_t BlockIndex, uint64_t Address) {
     const BasicBlock &Block = R.Blocks[BlockIndex];
-    RegSet Uses = Prog.Insts[Address].uses();
+    RegSet Uses = Prog.inst(Address).uses();
     if (Address == Block.End - 1) {
       if (Block.endsWithCall())
         Uses |=
@@ -215,7 +215,7 @@ void addSlotEdges(const Program &Prog, const SlotFlowResult &Flow,
     const BasicBlock &Block = R.Blocks[BlockIndex];
     int64_t Delta = F.DeltaIn[BlockIndex];
     for (uint64_t Address = Block.Begin; Address < Block.End; ++Address) {
-      const Instruction &Inst = Prog.Insts[Address];
+      const Instruction Inst = Prog.inst(Address);
       int64_t Adjust = 0;
       if (spEffectOf(Inst, Sp, Adjust) == SpEffect::Adjust) {
         Delta += Adjust;
@@ -388,7 +388,7 @@ void addOpaqueSlotEdges(const Program &Prog, uint32_t RoutineIndex,
   for (const BasicBlock &Block : R.Blocks) {
     for (uint64_t Address = Block.Begin; Address < Block.End;
          ++Address) {
-      const OpcodeInfo &Info = opcodeInfo(Prog.Insts[Address].Op);
+      const OpcodeInfo &Info = opcodeInfo(Prog.inst(Address).Op);
       if (Info.IsLoad)
         Loads.push_back(Address);
       else if (Info.IsStore)
@@ -439,7 +439,7 @@ void addControlEdges(const Program &Prog, uint32_t RoutineIndex,
       Bits New(NumBlocks + 1);
       New.setAll(NumBlocks + 1);
       // A block without successors leaves through the virtual exit.
-      if (R.Blocks[BlockIndex].NumSuccs == 0)
+      if (R.succs(BlockIndex).empty())
         New &= PDom[VirtualExit];
       for (uint32_t Succ : R.succs(BlockIndex))
         New &= PDom[Succ];
@@ -454,7 +454,7 @@ void addControlEdges(const Program &Prog, uint32_t RoutineIndex,
   std::vector<bool> HasCdep(NumBlocks, false);
   std::vector<DepEdge> Local;
   for (uint32_t Branch = 0; Branch < NumBlocks; ++Branch) {
-    if (!Reach[Branch] || R.Blocks[Branch].NumSuccs < 2)
+    if (!Reach[Branch] || R.succs(Branch).size() < 2)
       continue;
     uint64_t BranchAddr = R.Blocks[Branch].End - 1;
     for (uint32_t Succ : R.succs(Branch))
@@ -514,7 +514,7 @@ DependenceGraph spike::buildDepGraph(const Program &Prog,
                                      const ResourceGovernor *Gov) {
   telemetry::Span BuildSpan("slice.depgraph");
   DependenceGraph Graph;
-  Graph.NumAddrs = Prog.Insts.size();
+  Graph.NumAddrs = Prog.numInsts();
   size_t NumRoutines = Prog.Routines.size();
 
   // Call sites per callee (direct sites, plus every indirect site for

@@ -64,7 +64,7 @@ struct DepEdge {
 
 /// The whole-program dependence graph with bidirectional CSR indexes.
 struct DependenceGraph {
-  /// One past the highest instruction address (== Program::Insts size).
+  /// One past the highest instruction address (== Program::numInsts()).
   uint64_t NumAddrs = 0;
 
   /// All edges, sorted by (Dependent, Dependency, Kind), no duplicates.

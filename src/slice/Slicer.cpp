@@ -82,7 +82,7 @@ std::string spike::sliceToDot(const Program &Prog,
         continue;
       Dot += "    n" + std::to_string(Address) + " [label=\"" +
              std::to_string(Address) + ": " +
-             Prog.Insts[Address].str() + "\"];\n";
+             Prog.inst(Address).str() + "\"];\n";
     }
     Dot += "  }\n";
   }

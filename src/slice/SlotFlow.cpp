@@ -85,7 +85,7 @@ void walkReachable(const Program &Prog, const Routine &R, RoutinePrep &Prep,
     int64_t Delta = Facts.DeltaIn[BlockIndex];
     S.FirstOp[BlockIndex] = uint32_t(S.Ops.size());
     for (uint64_t Address = Block.Begin; Address < Block.End; ++Address) {
-      const Instruction &Inst = Prog.Insts[Address];
+      const Instruction Inst = Prog.inst(Address);
       if (escapesSp(Inst, Sp))
         Prep.Escapes = true;
       int64_t Adjust = 0;
@@ -273,7 +273,7 @@ void solveBlockLiveness(const Program &Prog, uint32_t RoutineIndex,
         Out = F.LiveAtExit;
       else if (Block.Term == TerminatorKind::Halt)
         Out = SlotSet();
-      else if (Block.NumSuccs == 0)
+      else if (R.succs(BlockIndex).empty())
         Out = SlotSet::top(); // Falls off the routine: unknowable.
       else
         for (uint32_t Succ : R.succs(BlockIndex))

@@ -66,6 +66,8 @@ const char *spike::errorCodeName(ErrCode Code) {
     return "BudgetUnsatisfiable";
   case ErrCode::InjectedFault:
     return "InjectedFault";
+  case ErrCode::CodeTooLarge:
+    return "CodeTooLarge";
   }
   return "Unknown";
 }

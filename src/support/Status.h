@@ -70,6 +70,9 @@ enum class ErrCode : uint8_t {
   BudgetUnsatisfiable,  ///< Budget blown even with every routine degraded.
   InjectedFault,        ///< A --inject-fault seam fired (bad_alloc or
                         ///< task fault) and could not be degraded around.
+
+  // Analysis limits.
+  CodeTooLarge, ///< Code section over MaxCodeWords (binary/Image.h).
 };
 
 /// Short stable name for an error code ("BadMagic", "EmptyJumpTable", ...).

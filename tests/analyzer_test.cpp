@@ -13,21 +13,24 @@ using namespace spike;
 
 namespace {
 
-AnalysisResult analyzeScaled(const char *Name, double Scale) {
+/// Generates profile \p Name at \p Scale into \p Img and analyzes it;
+/// the result borrows \p Img's words.
+AnalysisResult analyzeScaled(const char *Name, double Scale, Image &Img) {
   const BenchmarkProfile *Base = findProfile(Name);
   EXPECT_NE(Base, nullptr);
-  BenchmarkProfile P = scaledProfile(*Base, Scale);
-  return analyzeImage(generateCfgProgram(P));
+  Img = generateCfgProgram(scaledProfile(*Base, Scale));
+  return analyzeImage(Img);
 }
 
 } // namespace
 
 TEST(AnalyzerTest, EndToEndOnScaledCompress) {
   telemetry::Session S("analyzer_test");
+  Image Img;
   AnalysisResult Result;
   {
     telemetry::SessionScope Scope(S);
-    Result = analyzeScaled("compress", 1.0);
+    Result = analyzeScaled("compress", 1.0, Img);
   }
   EXPECT_EQ(Result.Prog.Routines.size(), 123u); // 122 + __start.
   EXPECT_GT(Result.Psg.Nodes.size(), 200u);
@@ -90,7 +93,8 @@ TEST(AnalyzerTest, LayerBytesSumToPeak) {
 }
 
 TEST(AnalyzerTest, SummariesCoverEveryRoutineAndEntrance) {
-  AnalysisResult Result = analyzeScaled("li", 0.3);
+  Image Img;
+  AnalysisResult Result = analyzeScaled("li", 0.3, Img);
   ASSERT_EQ(Result.Summaries.Routines.size(),
             Result.Prog.Routines.size());
   for (uint32_t R = 0; R < Result.Prog.Routines.size(); ++R) {
@@ -105,12 +109,14 @@ TEST(AnalyzerTest, SummariesCoverEveryRoutineAndEntrance) {
 TEST(AnalyzerTest, PsgSmallerThanCfgOnTypicalProgram) {
   // Table 5's headline: the PSG has fewer nodes than the CFG has blocks
   // and fewer edges than the CFG has arcs (on branch-heavy profiles).
-  AnalysisResult Result = analyzeScaled("go", 0.5);
+  Image Img;
+  AnalysisResult Result = analyzeScaled("go", 0.5, Img);
   EXPECT_LT(Result.Psg.Nodes.size(), Result.Prog.numBlocks());
 }
 
 TEST(AnalyzerTest, BranchNodeCountsReported) {
-  AnalysisResult Result = analyzeScaled("perl", 0.3);
+  Image Img;
+  AnalysisResult Result = analyzeScaled("perl", 0.3, Img);
   EXPECT_GT(Result.Psg.NumBranchNodes, 0u);
   EXPECT_GT(Result.Psg.NumFlowSummaryEdges, 0u);
   EXPECT_LT(Result.Psg.NumFlowSummaryEdges, Result.Psg.Edges.size());
@@ -134,8 +140,9 @@ TEST(AnalyzerTest, SummariesCompareBitExact) {
 }
 
 TEST(AnalyzerTest, DeterministicAcrossRuns) {
-  AnalysisResult A = analyzeScaled("ijpeg", 0.3);
-  AnalysisResult B = analyzeScaled("ijpeg", 0.3);
+  Image ImgA, ImgB;
+  AnalysisResult A = analyzeScaled("ijpeg", 0.3, ImgA);
+  AnalysisResult B = analyzeScaled("ijpeg", 0.3, ImgB);
   ASSERT_EQ(A.Psg.Nodes.size(), B.Psg.Nodes.size());
   ASSERT_EQ(A.Psg.Edges.size(), B.Psg.Edges.size());
   for (size_t I = 0; I < A.Psg.Nodes.size(); ++I) {

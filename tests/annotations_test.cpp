@@ -123,14 +123,16 @@ TEST(AnnotationsTest, EnableSpillRemovalAcrossIndirectCalls) {
   Annotated.CallAnnotations.push_back(quietAnnotation(4));
 
   {
-    AnalysisResult Analysis = analyzeImage(Plain);
+    Image PrePass = Plain;
+    AnalysisResult Analysis = analyzeImage(PrePass);
     SpillRemovalStats Stats =
         removeCallSpills(Plain, Analysis.Prog, Analysis.Summaries);
     EXPECT_EQ(Stats.RemovedPairs, 0u); // Standard assumption blocks it.
   }
   {
     SimResult Before = simulate(Annotated);
-    AnalysisResult Analysis = analyzeImage(Annotated);
+    Image PrePass = Annotated;
+    AnalysisResult Analysis = analyzeImage(PrePass);
     SpillRemovalStats Stats = removeCallSpills(Annotated, Analysis.Prog,
                                                Analysis.Summaries);
     EXPECT_EQ(Stats.RemovedPairs, 1u);
@@ -242,7 +244,8 @@ TEST(AnnotationDeriverTest, ClosedWorldDerivationIsSharpAndSound) {
   // The derived annotations unlock the indirect-call spill removal and
   // preserve behaviour.
   SimResult Before = simulate(Img);
-  AnalysisResult Analysis = analyzeImage(Img);
+  Image PrePass = Img;
+  AnalysisResult Analysis = analyzeImage(PrePass);
   SpillRemovalStats Stats =
       removeCallSpills(Img, Analysis.Prog, Analysis.Summaries);
   EXPECT_EQ(Stats.RemovedPairs, 1u);

@@ -15,11 +15,14 @@ using namespace spike;
 
 namespace {
 
+/// The Program borrows \p Img's words: a temporary image does not
+/// compile.
 Program build(const Image &Img) {
   Program Prog = buildProgram(Img, CallingConv());
   computeDefUbd(Prog);
   return Prog;
 }
+Program build(const Image &&Img) = delete;
 
 uint32_t byName(const Program &Prog, const std::string &Name) {
   for (uint32_t I = 0; I < Prog.Routines.size(); ++I)
@@ -58,7 +61,8 @@ Image testProgram() {
 } // namespace
 
 TEST(CallGraphTest, AdjacencyAndInverse) {
-  Program Prog = build(testProgram());
+  Image Img = testProgram();
+  Program Prog = build(Img);
   CallGraph Graph = buildCallGraph(Prog);
   uint32_t Main = byName(Prog, "main"), A = byName(Prog, "a"),
            BR = byName(Prog, "b"), C = byName(Prog, "c");
@@ -73,7 +77,8 @@ TEST(CallGraphTest, AdjacencyAndInverse) {
 }
 
 TEST(CallGraphTest, CyclesDetected) {
-  Program Prog = build(testProgram());
+  Image Img = testProgram();
+  Program Prog = build(Img);
   CallGraph Graph = buildCallGraph(Prog);
   EXPECT_FALSE(Graph.InCycle[byName(Prog, "main")]);
   EXPECT_FALSE(Graph.InCycle[byName(Prog, "a")]);
@@ -84,7 +89,8 @@ TEST(CallGraphTest, CyclesDetected) {
 }
 
 TEST(CallGraphTest, SccsPartitionRoutines) {
-  Program Prog = build(testProgram());
+  Image Img = testProgram();
+  Program Prog = build(Img);
   CallGraph Graph = buildCallGraph(Prog);
   EXPECT_EQ(Graph.SccId[byName(Prog, "b")],
             Graph.SccId[byName(Prog, "c")]);
@@ -96,7 +102,8 @@ TEST(CallGraphTest, SccsPartitionRoutines) {
 }
 
 TEST(CallGraphTest, ReachabilityFromEntryAndAddressTaken) {
-  Program Prog = build(testProgram());
+  Image Img = testProgram();
+  Program Prog = build(Img);
   CallGraph Graph = buildCallGraph(Prog);
   for (const char *Name : {"main", "a", "b", "c", "t"})
     EXPECT_TRUE(Graph.Reachable[byName(Prog, Name)]) << Name;
@@ -112,7 +119,8 @@ TEST(CallGraphTest, IndirectCallsFlagged) {
   B.emit(inst::halt(reg::V0));
   B.beginRoutine("t", true);
   B.emit(inst::ret());
-  Program Prog = build(B.build());
+  Image Img = B.build();
+  Program Prog = build(Img);
   CallGraph Graph = buildCallGraph(Prog);
   EXPECT_TRUE(Graph.HasIndirectCalls[0]);
   EXPECT_FALSE(Graph.HasIndirectCalls[1]);
@@ -127,7 +135,8 @@ TEST(CallGraphTest, SccIdsReverseTopological) {
     ExecProfile P;
     P.Routines = 15;
     P.Seed = Seed;
-    Program Prog = build(generateExecProgram(P));
+    Image Img = generateExecProgram(P);
+    Program Prog = build(Img);
     CallGraph Graph = buildCallGraph(Prog);
     for (uint32_t R = 0; R < Prog.Routines.size(); ++R)
       for (uint32_t Callee : Graph.Callees[R])

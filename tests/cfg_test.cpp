@@ -14,11 +14,14 @@ using namespace spike;
 
 namespace {
 
+/// The Program borrows \p Img's words: a temporary image does not
+/// compile.
 Program build(const Image &Img) {
   Program Prog = buildProgram(Img, CallingConv());
   computeDefUbd(Prog);
   return Prog;
 }
+Program build(const Image &&Img) = delete;
 
 std::vector<uint32_t> arcs(std::span<const uint32_t> Blocks) {
   return {Blocks.begin(), Blocks.end()};
@@ -64,7 +67,8 @@ Image figure4Routine() {
 } // namespace
 
 TEST(CfgBuilderTest, RoutinePartitionByPrimarySymbols) {
-  Program Prog = build(figure4Routine());
+  Image Img = figure4Routine();
+  Program Prog = build(Img);
   ASSERT_EQ(Prog.Routines.size(), 3u);
   EXPECT_EQ(Prog.Routines[0].Name, "main");
   EXPECT_EQ(Prog.Routines[1].Name, "fig4");
@@ -74,7 +78,8 @@ TEST(CfgBuilderTest, RoutinePartitionByPrimarySymbols) {
 }
 
 TEST(CfgBuilderTest, Figure4BlockStructure) {
-  Program Prog = build(figure4Routine());
+  Image Img = figure4Routine();
+  Program Prog = build(Img);
   const Routine &R = Prog.Routines[1];
   ASSERT_EQ(R.Blocks.size(), 4u);
 
@@ -103,7 +108,8 @@ TEST(CfgBuilderTest, Figure4BlockStructure) {
 }
 
 TEST(CfgBuilderTest, CallTargetsResolved) {
-  Program Prog = build(figure4Routine());
+  Image Img = figure4Routine();
+  Program Prog = build(Img);
   const Routine &R = Prog.Routines[1];
   const BasicBlock &CallBlock = R.Blocks[2];
   EXPECT_EQ(CallBlock.CalleeRoutine, 2);
@@ -111,7 +117,8 @@ TEST(CfgBuilderTest, CallTargetsResolved) {
 }
 
 TEST(CfgBuilderTest, DefUbdSets) {
-  Program Prog = build(figure4Routine());
+  Image Img = figure4Routine();
+  Program Prog = build(Img);
   const Routine &R = Prog.Routines[1];
   // b1: lda R2; xor R4, R1, R2; beq R4.
   EXPECT_EQ(R.Blocks[0].Def, RegSet({2, 4}));
@@ -132,7 +139,8 @@ TEST(CfgBuilderTest, IndirectCallUsesItsRegisterInUbd) {
   B.emit(inst::halt(reg::V0));
   B.beginRoutine("t", true);
   B.emit(inst::ret());
-  Program Prog = build(B.build());
+  Image Img = B.build();
+  Program Prog = build(Img);
   const BasicBlock &CallBlock = Prog.Routines[0].Blocks[0];
   EXPECT_EQ(CallBlock.Term, TerminatorKind::IndirectCall);
   // pv is defined by the lda before the call, so not used-before-defined.
@@ -153,7 +161,8 @@ TEST(CfgBuilderTest, JumpTableSuccessors) {
   B.emit(inst::nop());
   B.bind(End);
   B.emit(inst::halt(reg::V0));
-  Program Prog = build(B.build());
+  Image Img = B.build();
+  Program Prog = build(Img);
   const Routine &R = Prog.Routines[0];
   const BasicBlock &Jump = R.Blocks[0];
   EXPECT_EQ(Jump.Term, TerminatorKind::TableJump);
@@ -166,7 +175,8 @@ TEST(CfgBuilderTest, UnresolvedJumpIsConservativeTerminator) {
   ProgramBuilder B;
   B.beginRoutine("main");
   B.emit(inst::jmpR(5));
-  Program Prog = build(B.build());
+  Image Img = B.build();
+  Program Prog = build(Img);
   const BasicBlock &Block = Prog.Routines[0].Blocks[0];
   EXPECT_EQ(Block.Term, TerminatorKind::UnresolvedJump);
   EXPECT_TRUE(Prog.Routines[0].succs(0).empty());
@@ -182,7 +192,8 @@ TEST(CfgBuilderTest, CrossRoutineBranchTreatedAsUnresolved) {
   B.beginRoutine("b");
   B.bind(Target);
   B.emit(inst::ret());
-  Program Prog = build(B.build());
+  Image Img = B.build();
+  Program Prog = build(Img);
   EXPECT_EQ(Prog.Routines[0].Blocks[0].Term,
             TerminatorKind::UnresolvedJump);
 }
@@ -199,7 +210,8 @@ TEST(CfgBuilderTest, CallTargetBecomesExtraEntrance) {
   B.emit(inst::nop());
   B.bind(Mid);
   B.emit(inst::ret());
-  Program Prog = build(B.build());
+  Image Img = B.build();
+  Program Prog = build(Img);
   const Routine &R = Prog.Routines[1];
   ASSERT_EQ(R.numEntries(), 2u);
   EXPECT_EQ(R.EntryAddresses[1], 3u);
@@ -216,7 +228,8 @@ TEST(CfgBuilderTest, SecondaryEntranceStartsBlock) {
   B.addSecondaryEntry("main.alt");
   B.emit(inst::nop());
   B.emit(inst::halt(reg::V0));
-  Program Prog = build(B.build());
+  Image Img = B.build();
+  Program Prog = build(Img);
   const Routine &R = Prog.Routines[0];
   ASSERT_EQ(R.numEntries(), 2u);
   ASSERT_EQ(R.Blocks.size(), 2u);
@@ -225,7 +238,8 @@ TEST(CfgBuilderTest, SecondaryEntranceStartsBlock) {
 }
 
 TEST(CfgBuilderTest, FindRoutineByAddress) {
-  Program Prog = build(figure4Routine());
+  Image Img = figure4Routine();
+  Program Prog = build(Img);
   // main = [0,2), fig4 = [2,11), callee = [11,12).
   EXPECT_EQ(findRoutineByAddress(Prog, 0), 0);
   EXPECT_EQ(findRoutineByAddress(Prog, 2), 1);
@@ -235,7 +249,8 @@ TEST(CfgBuilderTest, FindRoutineByAddress) {
 }
 
 TEST(CfgBuilderTest, CountsMatchAcrossProgram) {
-  Program Prog = build(figure4Routine());
+  Image Img = figure4Routine();
+  Program Prog = build(Img);
   // main = {call block, halt block}, fig4 = 4 blocks, callee = 1 block.
   EXPECT_EQ(Prog.numBlocks(), 2u + 4u + 1u);
   // Arcs: main call->halt (1); fig4 b1->{b2,b3}, b2->b4, b3->b4 (4).
@@ -277,7 +292,8 @@ Image savedRegRoutine(bool RestoreOnBothExits, bool ClobberSlot = false) {
 } // namespace
 
 TEST(SaveRestoreTest, DetectsSavedAndRestoredRegister) {
-  Program Prog = build(savedRegRoutine(/*RestoreOnBothExits=*/true));
+  Image Img = savedRegRoutine(/*RestoreOnBothExits=*/true);
+  Program Prog = build(Img);
   SaveRestoreInfo Info = analyzeSaveRestore(Prog, Prog.Routines[1]);
   EXPECT_TRUE(Info.Saved.contains(reg::S0));
   ASSERT_EQ(Info.Details.size(), 1u);
@@ -288,7 +304,8 @@ TEST(SaveRestoreTest, DetectsSavedAndRestoredRegister) {
 }
 
 TEST(SaveRestoreTest, MissingRestoreOnOneExitRejects) {
-  Program Prog = build(savedRegRoutine(/*RestoreOnBothExits=*/false));
+  Image Img = savedRegRoutine(/*RestoreOnBothExits=*/false);
+  Program Prog = build(Img);
   SaveRestoreInfo Info = analyzeSaveRestore(Prog, Prog.Routines[1]);
   EXPECT_FALSE(Info.Saved.contains(reg::S0));
 }
@@ -302,7 +319,8 @@ TEST(SaveRestoreTest, UseBeforeSaveRejects) {
   B.emit(inst::ldq(reg::S0, 0, reg::SP));
   B.emit(inst::rri(Opcode::AddI, reg::SP, reg::SP, 8));
   B.emit(inst::ret());
-  Program Prog = build(B.build());
+  Image Img = B.build();
+  Program Prog = build(Img);
   SaveRestoreInfo Info = analyzeSaveRestore(Prog, Prog.Routines[0]);
   EXPECT_FALSE(Info.Saved.contains(reg::S0));
 }
@@ -316,7 +334,8 @@ TEST(SaveRestoreTest, RedefinitionAfterRestoreRejects) {
   B.emit(inst::lda(reg::S0, 5)); // Clobbers s0 after the restore.
   B.emit(inst::rri(Opcode::AddI, reg::SP, reg::SP, 8));
   B.emit(inst::ret());
-  Program Prog = build(B.build());
+  Image Img = B.build();
+  Program Prog = build(Img);
   SaveRestoreInfo Info = analyzeSaveRestore(Prog, Prog.Routines[0]);
   EXPECT_FALSE(Info.Saved.contains(reg::S0));
 }
@@ -329,7 +348,8 @@ TEST(SaveRestoreTest, NonCalleeSavedRegistersIgnored) {
   B.emit(inst::ldq(reg::T0, 0, reg::SP));
   B.emit(inst::rri(Opcode::AddI, reg::SP, reg::SP, 8));
   B.emit(inst::ret());
-  Program Prog = build(B.build());
+  Image Img = B.build();
+  Program Prog = build(Img);
   SaveRestoreInfo Info = analyzeSaveRestore(Prog, Prog.Routines[0]);
   EXPECT_TRUE(Info.Saved.empty());
 }

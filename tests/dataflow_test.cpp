@@ -121,11 +121,14 @@ TEST(FlowSetsTest, BoundaryValues) {
 
 namespace {
 
+/// The Program borrows \p Img's words: a temporary image does not
+/// compile.
 Program buildProg(const Image &Img) {
   Program Prog = buildProgram(Img, CallingConv());
   computeDefUbd(Prog);
   return Prog;
 }
+Program buildProg(const Image &&Img) = delete;
 
 } // namespace
 
@@ -135,7 +138,8 @@ TEST(LivenessTest, StraightLineRoutine) {
   B.emit(inst::rrr(Opcode::Add, 2, 1, 1)); // R2 = R1 + R1.
   B.emit(inst::mov(reg::V0, 2));
   B.emit(inst::ret());
-  Program Prog = buildProg(B.build());
+  Image Img = B.build();
+  Program Prog = buildProg(Img);
   const Routine &R = Prog.Routines[0];
   auto Live = solveLiveness(
       R, [](uint32_t) { return CallEffect(); },
@@ -157,7 +161,8 @@ TEST(LivenessTest, DiamondJoinsPaths) {
   B.emit(inst::mov(reg::V0, 3)); // b2: uses R3.
   B.bind(End);
   B.emit(inst::ret()); // b3.
-  Program Prog = buildProg(B.build());
+  Image Img = B.build();
+  Program Prog = buildProg(Img);
   const Routine &R = Prog.Routines[0];
   auto Live = solveLiveness(
       R, [](uint32_t) { return CallEffect(); },
@@ -174,7 +179,8 @@ TEST(LivenessTest, LoopKeepsLoopCarriedValueLive) {
   B.emit(inst::rri(Opcode::SubI, 1, 1, 1)); // R1 -= 1.
   B.emitCondBr(Opcode::Bne, 1, Head);
   B.emit(inst::ret());
-  Program Prog = buildProg(B.build());
+  Image Img = B.build();
+  Program Prog = buildProg(Img);
   const Routine &R = Prog.Routines[0];
   auto Live = solveLiveness(
       R, [](uint32_t) { return CallEffect(); },
@@ -191,7 +197,8 @@ TEST(LivenessTest, CallEffectAppliedAtCallBlocks) {
   B.emit(inst::ret());
   B.beginRoutine("g");
   B.emit(inst::ret());
-  Program Prog = buildProg(B.build());
+  Image Img = B.build();
+  Program Prog = buildProg(Img);
   const Routine &R = Prog.Routines[0];
   CallEffect Effect;
   Effect.Used = RegSet({reg::A0});
@@ -210,7 +217,8 @@ TEST(LivenessTest, UnresolvedJumpMakesEverythingLive) {
   ProgramBuilder B;
   B.beginRoutine("f");
   B.emit(inst::jmpR(4));
-  Program Prog = buildProg(B.build());
+  Image Img = B.build();
+  Program Prog = buildProg(Img);
   const Routine &R = Prog.Routines[0];
   auto Live = solveLiveness(
       R, [](uint32_t) { return CallEffect(); },
@@ -225,7 +233,8 @@ TEST(LivenessTest, LiveBeforeEachInstReplaysBackward) {
   B.emit(inst::rrr(Opcode::Add, 2, 1, 1)); // 1: R2 = R1+R1.
   B.emit(inst::mov(reg::V0, 2));         // 2: use R2.
   B.emit(inst::ret());                   // 3.
-  Program Prog = buildProg(B.build());
+  Image Img = B.build();
+  Program Prog = buildProg(Img);
   const Routine &R = Prog.Routines[0];
   std::vector<RegSet> Live = liveBeforeEachInst(
       Prog, R, 0, /*LiveOut=*/RegSet({reg::V0}), nullptr);
@@ -245,7 +254,8 @@ TEST(LivenessTest, LiveBeforeEachInstHandlesCallSummary) {
   B.emit(inst::ret());
   B.beginRoutine("g");
   B.emit(inst::ret());
-  Program Prog = buildProg(B.build());
+  Image Img = B.build();
+  Program Prog = buildProg(Img);
   const Routine &R = Prog.Routines[0];
   CallEffect Effect;
   Effect.Used = RegSet({reg::A0});

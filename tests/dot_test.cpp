@@ -13,19 +13,25 @@ using namespace spike;
 
 namespace {
 
-AnalysisResult exampleAnalysis() {
-  ProgramBuilder B;
-  B.beginRoutine("main");
-  B.emitCall("leaf");
-  B.emit(inst::halt(reg::V0));
-  B.beginRoutine("leaf");
-  ProgramBuilder::LabelId Out = B.makeLabel();
-  B.emitCondBr(Opcode::Beq, reg::A0, Out);
-  B.emit(inst::lda(reg::V0, 1));
-  B.bind(Out);
-  B.emit(inst::ret());
-  return analyzeImage(B.build());
+/// The example program; static, so each analysis can borrow its words.
+const Image &exampleImage() {
+  static const Image Img = [] {
+    ProgramBuilder B;
+    B.beginRoutine("main");
+    B.emitCall("leaf");
+    B.emit(inst::halt(reg::V0));
+    B.beginRoutine("leaf");
+    ProgramBuilder::LabelId Out = B.makeLabel();
+    B.emitCondBr(Opcode::Beq, reg::A0, Out);
+    B.emit(inst::lda(reg::V0, 1));
+    B.bind(Out);
+    B.emit(inst::ret());
+    return B.build();
+  }();
+  return Img;
 }
+
+AnalysisResult exampleAnalysis() { return analyzeImage(exampleImage()); }
 
 } // namespace
 
@@ -92,7 +98,8 @@ TEST(DotExportTest, CallGraphHighlightsCyclesAndDeadCode) {
   B.emit(inst::ret());
   B.beginRoutine("dead");
   B.emit(inst::ret());
-  Program Prog = buildProgram(B.build(), CallingConv());
+  Image Img = B.build();
+  Program Prog = buildProgram(Img, CallingConv());
   CallGraph Graph = buildCallGraph(Prog);
   std::string Dot = callGraphToDot(Prog, Graph);
   EXPECT_NE(Dot.find("color=red"), std::string::npos);     // rec cycle.

@@ -40,7 +40,8 @@ TEST(DeadDefElimTest, Figure1aDeadReturnValue) {
   B.emit(inst::ret());
   Image Img = B.build();
 
-  AnalysisResult Analysis = analyzeImage(Img);
+  Image PrePass = Img;
+  AnalysisResult Analysis = analyzeImage(PrePass);
   DeadDefStats Stats =
       eliminateDeadDefs(Img, Analysis.Prog, Analysis.Summaries);
   EXPECT_GE(Stats.DeletedInsts, 1u);
@@ -60,7 +61,8 @@ TEST(DeadDefElimTest, Figure1bDeadArgument) {
   B.emit(inst::ret());
   Image Img = B.build();
 
-  AnalysisResult Analysis = analyzeImage(Img);
+  Image PrePass = Img;
+  AnalysisResult Analysis = analyzeImage(PrePass);
   DeadDefStats Stats =
       eliminateDeadDefs(Img, Analysis.Prog, Analysis.Summaries);
   EXPECT_GE(Stats.DeletedInsts, 1u);
@@ -81,7 +83,8 @@ TEST(DeadDefElimTest, LiveValueAcrossCallSurvives) {
   B.emit(inst::lda(reg::V0, 1));
   B.emit(inst::ret());
   Image Img = B.build();
-  AnalysisResult Analysis = analyzeImage(Img);
+  Image PrePass = Img;
+  AnalysisResult Analysis = analyzeImage(PrePass);
   eliminateDeadDefs(Img, Analysis.Prog, Analysis.Summaries);
   EXPECT_FALSE(isNopAt(Img, 0));
 }
@@ -104,7 +107,8 @@ TEST(SpillRemovalTest, Figure1cRemovableSpill) {
   Image Img = B.build();
 
   SimResult Before = simulate(Img);
-  AnalysisResult Analysis = analyzeImage(Img);
+  Image PrePass = Img;
+  AnalysisResult Analysis = analyzeImage(PrePass);
   SpillRemovalStats Stats =
       removeCallSpills(Img, Analysis.Prog, Analysis.Summaries);
   EXPECT_EQ(Stats.RemovedPairs, 1u);
@@ -131,7 +135,8 @@ TEST(SpillRemovalTest, SpillNeededWhenCalleeKillsRegister) {
   B.emit(inst::lda(reg::V0, 1));
   B.emit(inst::ret());
   Image Img = B.build();
-  AnalysisResult Analysis = analyzeImage(Img);
+  Image PrePass = Img;
+  AnalysisResult Analysis = analyzeImage(PrePass);
   SpillRemovalStats Stats =
       removeCallSpills(Img, Analysis.Prog, Analysis.Summaries);
   EXPECT_EQ(Stats.RemovedPairs, 0u);
@@ -163,7 +168,8 @@ TEST(SaveRestoreElimTest, Figure1dReallocatesCalleeSaved) {
   Image Img = B.build();
 
   SimResult Before = simulate(Img);
-  AnalysisResult Analysis = analyzeImage(Img);
+  Image PrePass = Img;
+  AnalysisResult Analysis = analyzeImage(PrePass);
   SaveRestoreElimStats Stats =
       eliminateSaveRestores(Img, Analysis.Prog, Analysis.Summaries);
   EXPECT_EQ(Stats.EliminatedRegs, 1u);
@@ -198,7 +204,8 @@ TEST(SaveRestoreElimTest, IncomingValueUseBlocksRenaming) {
   B.emit(inst::ret());
   Image Img = B.build();
   SimResult Before = simulate(Img);
-  AnalysisResult Analysis = analyzeImage(Img);
+  Image PrePass = Img;
+  AnalysisResult Analysis = analyzeImage(PrePass);
   SaveRestoreElimStats Stats =
       eliminateSaveRestores(Img, Analysis.Prog, Analysis.Summaries);
   EXPECT_EQ(Stats.EliminatedRegs, 0u);
@@ -222,7 +229,8 @@ TEST(SaveRestoreElimTest, UnusedExtraSaveIsDeleted) {
   B.emit(inst::ret());
   Image Img = B.build();
   SimResult Before = simulate(Img);
-  AnalysisResult Analysis = analyzeImage(Img);
+  Image PrePass = Img;
+  AnalysisResult Analysis = analyzeImage(PrePass);
   SaveRestoreElimStats Stats =
       eliminateSaveRestores(Img, Analysis.Prog, Analysis.Summaries);
   EXPECT_EQ(Stats.EliminatedRegs, 1u);
@@ -372,7 +380,8 @@ TEST(UnreachableElimTest, RemovesDeadKeepsLive) {
   Image Img = B.build();
 
   SimResult Before = simulate(Img);
-  AnalysisResult Analysis = analyzeImage(Img);
+  Image PrePass = Img;
+  AnalysisResult Analysis = analyzeImage(PrePass);
   UnreachableElimStats Stats =
       eliminateUnreachableRoutines(Img, Analysis.Prog);
   EXPECT_EQ(Stats.RoutinesRemoved, 2u);
@@ -388,7 +397,8 @@ TEST(UnreachableElimTest, EverythingReachableIsKept) {
   P.Routines = 8;
   P.Seed = 4;
   Image Img = generateExecProgram(P);
-  AnalysisResult Analysis = analyzeImage(Img);
+  Image PrePass = Img;
+  AnalysisResult Analysis = analyzeImage(PrePass);
   UnreachableElimStats Stats =
       eliminateUnreachableRoutines(Img, Analysis.Prog);
   // The exec generator's call graph may leave some routines uncalled;

@@ -31,6 +31,7 @@
 #include "binary/ProgramBuilder.h"
 #include "cfg/SccDriver.h"
 #include "interproc/CfgTwoPhase.h"
+#include "interproc/Incremental.h"
 #include "isa/Encoding.h"
 #include "isa/Registers.h"
 #include "opt/Pipeline.h"
@@ -341,10 +342,10 @@ std::string flowText(const FlowSets &F) {
 /// Every field of \p Prog, one line per routine, block and table.
 std::vector<std::string> describeProgram(const Program &Prog) {
   std::vector<std::string> Out;
-  Out.push_back("insts " + std::to_string(Prog.Insts.size()) + " entry " +
+  Out.push_back("insts " + std::to_string(Prog.numInsts()) + " entry " +
                 std::to_string(Prog.EntryRoutine));
-  for (uint64_t Address = 0; Address < Prog.Insts.size(); ++Address)
-    Out.push_back("inst " + Prog.Insts[Address].str(int64_t(Address)));
+  for (uint64_t Address = 0; Address < Prog.numInsts(); ++Address)
+    Out.push_back("inst " + Prog.inst(Address).str(int64_t(Address)));
   for (const JumpTableTargets &Table : Prog.JumpTables)
     Out.push_back("table " + listOf(Table.Targets));
   for (const Routine &R : Prog.Routines) {
@@ -358,18 +359,20 @@ std::vector<std::string> describeProgram(const Program &Prog) {
                   ") " + degradeReasonName(R.Degrade) + " fromq " +
                   std::to_string(R.CalledFromQuarantine) + " branches " +
                   std::to_string(R.NumBranches));
-    for (const BasicBlock &B : R.Blocks)
+    for (uint32_t Index = 0; Index < R.Blocks.size(); ++Index) {
+      const BasicBlock &B = R.Blocks[Index];
       Out.push_back("block [" + std::to_string(B.Begin) + "," +
                     std::to_string(B.End) + ") succ " +
                     std::to_string(B.FirstSucc) + "+" +
-                    std::to_string(B.NumSuccs) + " pred " +
+                    std::to_string(R.succs(Index).size()) + " pred " +
                     std::to_string(B.FirstPred) + "+" +
-                    std::to_string(B.NumPreds) + " term " +
+                    std::to_string(R.preds(Index).size()) + " term " +
                     std::to_string(int(B.Term)) + " callee " +
                     std::to_string(B.CalleeRoutine) + "." +
                     std::to_string(B.CalleeEntry) + " table " +
                     std::to_string(B.JumpTableIndex) + " def " + B.Def.str() +
                     " ubd " + B.Ubd.str());
+    }
   }
   for (const auto &[Address, Annot] : Prog.CallAnnotations)
     Out.push_back("call-annotation " + std::to_string(Address) + " " +
@@ -957,7 +960,7 @@ uint64_t bytesOf(const std::vector<std::vector<T>> &Lists) {
 }
 
 uint64_t cfgBytes(const Program &Prog) {
-  uint64_t Bytes = bytesOf(Prog.Insts) + bytesOf(Prog.Routines) +
+  uint64_t Bytes = bytesOf(Prog.Routines) +
                    bytesOf(Prog.AllBlocks) + bytesOf(Prog.AllArcs) +
                    bytesOf(Prog.AllEntryAddresses) +
                    bytesOf(Prog.AllEntryBlocks) + bytesOf(Prog.AllExitBlocks) +
@@ -1010,7 +1013,8 @@ TEST(ParallelLayout, AccessorsAndDerivedCountsMatchAScanOfTheGraph) {
         }
 
   // The hand-built image has each shape the contract names.
-  Program Prog = buildProgram(layoutEdgeCase(true), CallingConv());
+  Image Layout = layoutEdgeCase(true);
+  Program Prog = buildProgram(Layout, CallingConv());
   const Routine &Multi = routineNamed(Prog, "multi");
   EXPECT_EQ(Multi.numEntries(), 3u);
   EXPECT_EQ(Multi.ExitBlocks.size(), 2u);
@@ -1024,6 +1028,163 @@ TEST(ParallelLayout, AccessorsAndDerivedCountsMatchAScanOfTheGraph) {
   EXPECT_TRUE(std::ranges::any_of(Main.Blocks, [](const BasicBlock &B) {
     return B.Term == TerminatorKind::IndirectCall;
   }));
+}
+
+namespace {
+
+/// A Program borrows its image's words, so the analysis entry points
+/// refuse a temporary image at compile time.  (A requires-expression
+/// only evaluates to false when it depends on a template parameter.)
+template <class ImageT>
+constexpr bool BuildsFromTemporary =
+    requires { buildProgram(ImageT{}, CallingConv()); };
+template <class ImageT>
+constexpr bool AnalyzesTemporary = requires { analyzeImage(ImageT{}); };
+template <class ImageT>
+constexpr bool GovernsTemporary = requires {
+  analyzeImageGoverned(ImageT{}, CallingConv(), AnalysisOptions(),
+                       BudgetOptions());
+};
+template <class ImageT>
+constexpr bool ReanalyzesTemporary = requires(AnalysisResult &A) {
+  reanalyzeIncremental(ImageT{}, CallingConv(), AnalysisOptions(), A);
+};
+template <class ImageT>
+constexpr bool AcceptsLvalue = requires(const ImageT &Img, AnalysisResult &A) {
+  buildProgram(Img, CallingConv());
+  analyzeImage(Img);
+  analyzeImageGoverned(Img, CallingConv(), AnalysisOptions(), BudgetOptions());
+  reanalyzeIncremental(Img, CallingConv(), AnalysisOptions(), A);
+};
+static_assert(!BuildsFromTemporary<Image>);
+static_assert(!AnalyzesTemporary<Image>);
+static_assert(!GovernsTemporary<Image>);
+static_assert(!ReanalyzesTemporary<Image>);
+static_assert(AcceptsLvalue<Image>);
+
+/// The images the layout checks cover: the corpus plus hand-built images
+/// with undecodable words, an unowned prefix and quarantined routines.
+std::vector<std::pair<std::string, Image>> layoutInputs() {
+  std::vector<std::pair<std::string, Image>> Inputs = differentialCorpus();
+  Inputs.emplace_back("layout-garbled", layoutEdgeCase(true));
+  Inputs.emplace_back("front-end-edge", frontEndEdgeCase(true, true));
+  return Inputs;
+}
+
+/// How often the arc check saw each shape it must cover.
+struct ArcShapes {
+  uint64_t LastBlockArcs = 0, EmptySuccs = 0, EmptyPreds = 0, TableJumps = 0;
+};
+
+/// Checks every block's derived successor and predecessor lists against
+/// lists recomputed from its terminator and a scan of all successors.
+void expectArcsMatchScan(const Program &Prog, const std::string &Where,
+                         ArcShapes &Seen) {
+  for (const Routine &R : Prog.Routines) {
+    uint32_t NumBlocks = uint32_t(R.Blocks.size());
+    auto BlockAt = [&](uint64_t Address) {
+      for (uint32_t B = 0; B < NumBlocks; ++B)
+        if (Address >= R.Blocks[B].Begin && Address < R.Blocks[B].End)
+          return B;
+      ADD_FAILURE() << Where << ": no block of " << R.Name << " holds @"
+                    << Address;
+      return uint32_t(0);
+    };
+    std::vector<uint32_t> AllSuccs, AllPreds;
+    std::vector<std::vector<uint32_t>> Preds(NumBlocks);
+    for (uint32_t B = 0; B < NumBlocks; ++B) {
+      const BasicBlock &Block = R.Blocks[B];
+      std::vector<uint32_t> Want;
+      auto Add = [&](uint32_t Succ) {
+        if (std::find(Want.begin(), Want.end(), Succ) == Want.end())
+          Want.push_back(Succ);
+      };
+      Instruction Term = Prog.inst(Block.End - 1);
+      uint64_t Target = uint64_t(int64_t(Block.End) + Term.Imm);
+      switch (Block.Term) {
+      case TerminatorKind::Branch:
+        Add(BlockAt(Target));
+        break;
+      case TerminatorKind::CondBranch:
+        Add(BlockAt(Target));
+        if (B + 1 < NumBlocks)
+          Add(B + 1);
+        break;
+      case TerminatorKind::TableJump:
+        ++Seen.TableJumps;
+        for (uint64_t To :
+             Prog.JumpTables[uint32_t(Block.JumpTableIndex)].Targets)
+          Add(BlockAt(To));
+        break;
+      case TerminatorKind::FallThrough:
+      case TerminatorKind::Call:
+      case TerminatorKind::IndirectCall:
+        if (B + 1 < NumBlocks)
+          Add(B + 1);
+        break;
+      default: // Return, Halt, UnresolvedJump: no intra-routine successor.
+        break;
+      }
+      std::span<const uint32_t> Got = R.succs(B);
+      EXPECT_EQ(std::vector<uint32_t>(Got.begin(), Got.end()), Want)
+          << Where << " " << R.Name << " block " << B;
+      AllSuccs.insert(AllSuccs.end(), Got.begin(), Got.end());
+      for (uint32_t Succ : Want)
+        Preds[Succ].push_back(B);
+      Seen.EmptySuccs += Got.empty();
+    }
+    for (uint32_t B = 0; B < NumBlocks; ++B) {
+      std::span<const uint32_t> Got = R.preds(B);
+      EXPECT_EQ(std::vector<uint32_t>(Got.begin(), Got.end()), Preds[B])
+          << Where << " " << R.Name << " block " << B;
+      AllPreds.insert(AllPreds.end(), Got.begin(), Got.end());
+      Seen.EmptyPreds += Got.empty();
+    }
+    Seen.LastBlockArcs += NumBlocks > 1 &&
+                          !(R.succs(NumBlocks - 1).empty() &&
+                            R.preds(NumBlocks - 1).empty());
+    // The lists tile Arcs: every successor list, then every predecessor
+    // list, in block order.
+    AllSuccs.insert(AllSuccs.end(), AllPreds.begin(), AllPreds.end());
+    EXPECT_TRUE(std::ranges::equal(AllSuccs, R.Arcs)) << Where << " " << R.Name;
+  }
+}
+
+} // namespace
+
+TEST(ProgramLayout, BlocksAre48BytesAndInstDecodesTheBorrowedWords) {
+  static_assert(sizeof(BasicBlock) == 48);
+  Instruction Placeholder;
+  Placeholder.Op = Opcode::Halt;
+  uint64_t Undecodable = 0;
+  for (const auto &[Name, Img] : layoutInputs()) {
+    Program Prog = buildProgram(Img, CallingConv());
+    ASSERT_EQ(Prog.Code.data(), Img.Code.data()) << Name;
+    ASSERT_EQ(Prog.numInsts(), Img.Code.size()) << Name;
+    for (uint64_t Address = 0; Address < Img.Code.size(); ++Address) {
+      std::optional<Instruction> Decoded =
+          decodeInstruction(Img.Code[Address]);
+      Undecodable += !Decoded;
+      EXPECT_TRUE(Prog.inst(Address) == Decoded.value_or(Placeholder))
+          << Name << " @" << Address;
+    }
+  }
+  EXPECT_GT(Undecodable, 0u) << "no input has an undecodable word";
+}
+
+TEST(ProgramLayout, DerivedArcRangesMatchAScan) {
+  ArcShapes Seen;
+  for (const auto &[Name, Img] : layoutInputs())
+    for (unsigned Jobs : {1u, 4u}) {
+      ThreadPool Pool(Jobs);
+      Program Prog = buildProgram(Img, CallingConv(), nullptr, {}, &Pool);
+      expectArcsMatchScan(Prog, Name + " jobs=" + std::to_string(Jobs),
+                          Seen);
+    }
+  EXPECT_GT(Seen.LastBlockArcs, 0u);
+  EXPECT_GT(Seen.EmptySuccs, 0u);
+  EXPECT_GT(Seen.EmptyPreds, 0u);
+  EXPECT_GT(Seen.TableJumps, 0u);
 }
 
 TEST(MemoryAccounting, PeakBytesAreExactlyTheChargedContainers) {

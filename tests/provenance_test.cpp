@@ -81,13 +81,15 @@ Image figure2Program() {
 }
 
 struct Figure2Results {
+  Image Img; ///< The words Analysis borrows.
   AnalysisResult Analysis;
   uint32_t P1 = 0, P2 = 0, P3 = 0;
 };
 
 Figure2Results analyzeFigure2() {
   Figure2Results R;
-  R.Analysis = analyzeImage(figure2Program());
+  R.Img = figure2Program();
+  R.Analysis = analyzeImage(R.Img);
   for (uint32_t I = 0; I < R.Analysis.Prog.Routines.size(); ++I) {
     const std::string &Name = R.Analysis.Prog.Routines[I].Name;
     if (Name == "P1")
@@ -110,7 +112,7 @@ uint64_t firstDefAddress(const Program &Prog, uint32_t RoutineIndex,
                          unsigned Reg) {
   const Routine &R = Prog.Routines[RoutineIndex];
   for (uint64_t Address = R.Begin; Address < R.End; ++Address)
-    if (Prog.Insts[Address].defs().contains(Reg))
+    if (Prog.inst(Address).defs().contains(Reg))
       return Address;
   return UINT64_MAX;
 }
@@ -196,7 +198,8 @@ TEST(WitnessTest, ShortestDerivationWinsOverFirstFound) {
   B.emit(inst::mov(7, 4)); // use t3
   B.emit(inst::ret());
 
-  AnalysisResult A = analyzeImage(B.build());
+  Image Img = B.build();
+  AnalysisResult A = analyzeImage(Img);
   uint32_t P = 0;
   while (A.Prog.Routines[P].Name != "P")
     ++P;

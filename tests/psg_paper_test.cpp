@@ -59,13 +59,15 @@ Image figure2Program() {
 }
 
 struct Figure2Results {
+  Image Img; ///< The words Analysis borrows.
   AnalysisResult Analysis;
   uint32_t P1 = 0, P2 = 0, P3 = 0;
 };
 
 Figure2Results analyzeFigure2() {
   Figure2Results R;
-  R.Analysis = analyzeImage(figure2Program());
+  R.Img = figure2Program();
+  R.Analysis = analyzeImage(R.Img);
   for (uint32_t I = 0; I < R.Analysis.Prog.Routines.size(); ++I) {
     const std::string &Name = R.Analysis.Prog.Routines[I].Name;
     if (Name == "P1")
@@ -178,7 +180,8 @@ const PsgEdge *findEdge(const ProgramSummaryGraph &Psg, uint32_t Src,
 } // namespace
 
 TEST(Figure4Test, PsgNodesAndEdges) {
-  AnalysisResult Result = analyzeImage(figure4Program());
+  Image Img = figure4Program();
+  AnalysisResult Result = analyzeImage(Img);
   uint32_t Fig4 = 1;
   ASSERT_EQ(Result.Prog.Routines[Fig4].Name, "fig4");
   const Program &Prog = Result.Prog;
@@ -228,7 +231,8 @@ TEST(Figure4Test, PsgNodesAndEdges) {
 }
 
 TEST(Figure4Test, CallReturnEdgeCarriesCalleeSummary) {
-  AnalysisResult Result = analyzeImage(figure4Program());
+  Image Img = figure4Program();
+  AnalysisResult Result = analyzeImage(Img);
   const PsgEdge *ECR =
       findEdge(Result.Psg, Result.Psg.callNode(Result.Prog, 1, 0),
                Result.Psg.returnNode(Result.Prog, 1, 0));
@@ -293,14 +297,14 @@ TEST(Figure12Test, BranchNodesReduceQuadraticEdges) {
   // 3 calls and the exit: 4 sources x 4 sinks = 16 flow-summary edges.
   AnalysisOptions NoBranch;
   NoBranch.Psg.UseBranchNodes = false;
-  AnalysisResult Without = analyzeImage(figure12Program(), CallingConv(),
-                                        NoBranch);
+  Image Img = figure12Program();
+  AnalysisResult Without = analyzeImage(Img, CallingConv(), NoBranch);
   EXPECT_EQ(routineFlowEdges(Without, 1), 16u);
   EXPECT_EQ(Without.Psg.NumBranchNodes, 0u);
 
   // With a branch node: every source reaches only the branch node, which
   // fans out once: 4 + 4 = 8 edges.
-  AnalysisResult With = analyzeImage(figure12Program());
+  AnalysisResult With = analyzeImage(Img);
   EXPECT_EQ(routineFlowEdges(With, 1), 8u);
   EXPECT_EQ(With.Psg.NumBranchNodes, 1u);
 

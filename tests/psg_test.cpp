@@ -28,7 +28,8 @@ TEST(PsgBuilderTest, CsrAdjacencyIsConsistent) {
   B.emit(inst::halt(reg::V0));
   B.beginRoutine("f");
   B.emit(inst::ret());
-  AnalysisResult Result = analyzeImage(B.build());
+  Image Img = B.build();
+  AnalysisResult Result = analyzeImage(Img);
   const ProgramSummaryGraph &Psg = Result.Psg;
 
   // Every edge appears exactly once in its source's out range and once in
@@ -72,7 +73,8 @@ TEST(PsgBuilderTest, NodeCountsFollowAnchors) {
   B.emit(inst::ret());
   B.beginRoutine("g");
   B.emit(inst::ret());
-  AnalysisResult Result = analyzeImage(B.build());
+  Image Img = B.build();
+  AnalysisResult Result = analyzeImage(Img);
 
   uint32_t F = routineByName(Result.Prog, "f");
   const ProgramSummaryGraph &Psg = Result.Psg;
@@ -93,7 +95,8 @@ TEST(PsgBuilderTest, HaltBlockGetsHaltSink) {
   B.beginRoutine("main");
   B.emit(inst::mov(reg::T0, reg::A0)); // Uses a0: must be seen.
   B.emit(inst::halt(reg::T0));
-  AnalysisResult Result = analyzeImage(B.build());
+  Image Img = B.build();
+  AnalysisResult Result = analyzeImage(Img);
   bool SawHalt = false;
   for (const PsgNode &Node : Result.Psg.Nodes)
     SawHalt |= Node.Kind == PsgNodeKind::Halt;
@@ -114,7 +117,8 @@ TEST(PsgBuilderTest, UnresolvedJumpMakesAllRegistersLiveAndKilled) {
   B.emit(inst::halt(reg::V0));
   B.beginRoutine("f");
   B.emit(inst::jmpR(reg::T0 + 1));
-  AnalysisResult Result = analyzeImage(B.build());
+  Image Img = B.build();
+  AnalysisResult Result = analyzeImage(Img);
   uint32_t F = routineByName(Result.Prog, "f");
   const CallSummary &S = Result.Summaries.Routines[F].EntrySummaries[0];
   // Unknown code may use and kill anything; nothing is guaranteed
@@ -138,7 +142,8 @@ TEST(PsgSolverTest, IndirectCallUsesCallingStandard) {
   B.emit(inst::mov(reg::V0, reg::T0));
   B.emit(inst::ret());
   CallingConv Conv;
-  AnalysisResult Result = analyzeImage(B.build(), Conv);
+  Image Img = B.build();
+  AnalysisResult Result = analyzeImage(Img, Conv);
 
   ASSERT_EQ(Result.Prog.Routines[0].CallBlocks.size(), 1u);
   const PsgEdge &Cr = Result.Psg.Edges[
@@ -166,7 +171,8 @@ TEST(PsgSolverTest, CalleeSavedFilteredFromSummaries) {
   B.emit(inst::ldq(reg::S0, 0, reg::SP));
   B.emit(inst::rri(Opcode::AddI, reg::SP, reg::SP, 8));
   B.emit(inst::ret());
-  AnalysisResult Result = analyzeImage(B.build());
+  Image Img = B.build();
+  AnalysisResult Result = analyzeImage(Img);
 
   uint32_t F = routineByName(Result.Prog, "f");
   EXPECT_TRUE(Result.SavedPerRoutine[F].contains(reg::S0));
@@ -187,7 +193,8 @@ TEST(PsgSolverTest, UnsavedCalleeSavedClobberIsVisible) {
   B.beginRoutine("f");
   B.emit(inst::lda(reg::S0, 1));
   B.emit(inst::ret());
-  AnalysisResult Result = analyzeImage(B.build());
+  Image Img = B.build();
+  AnalysisResult Result = analyzeImage(Img);
   uint32_t F = routineByName(Result.Prog, "f");
   const CallSummary &S = Result.Summaries.Routines[F].EntrySummaries[0];
   EXPECT_TRUE(S.Killed.contains(reg::S0));
@@ -210,7 +217,8 @@ TEST(PsgSolverTest, TransitiveSummariesThroughCallChains) {
   B.beginRoutine("c");
   B.emit(inst::mov(reg::V0, reg::A0 + 2));
   B.emit(inst::ret());
-  AnalysisResult Result = analyzeImage(B.build());
+  Image Img = B.build();
+  AnalysisResult Result = analyzeImage(Img);
   uint32_t A = routineByName(Result.Prog, "a");
   const CallSummary &S = Result.Summaries.Routines[A].EntrySummaries[0];
   EXPECT_TRUE(S.Used.contains(reg::A0 + 2));
@@ -240,7 +248,8 @@ TEST(PsgSolverTest, MustDefIntersectsAcrossCallees) {
   B.beginRoutine("h");
   B.emit(inst::lda(reg::V0, 3));
   B.emit(inst::ret());
-  AnalysisResult Result = analyzeImage(B.build());
+  Image Img = B.build();
+  AnalysisResult Result = analyzeImage(Img);
   uint32_t F = routineByName(Result.Prog, "f");
   const CallSummary &S = Result.Summaries.Routines[F].EntrySummaries[0];
   EXPECT_TRUE(S.Defined.contains(reg::V0));
@@ -263,7 +272,8 @@ TEST(PsgSolverTest, RecursionConverges) {
   B.bind(Base);
   B.emit(inst::lda(reg::V0, 0));
   B.emit(inst::ret());
-  AnalysisResult Result = analyzeImage(B.build());
+  Image Img = B.build();
+  AnalysisResult Result = analyzeImage(Img);
   uint32_t F = routineByName(Result.Prog, "f");
   const CallSummary &S = Result.Summaries.Routines[F].EntrySummaries[0];
   EXPECT_TRUE(S.Used.contains(reg::A0));
@@ -285,7 +295,8 @@ TEST(PsgSolverTest, PerEntranceSummariesDiffer) {
   B.addSecondaryEntry("f.alt");
   B.emit(inst::mov(reg::V0, reg::T0)); // Uses t0.
   B.emit(inst::ret());
-  AnalysisResult Result = analyzeImage(B.build());
+  Image Img = B.build();
+  AnalysisResult Result = analyzeImage(Img);
   uint32_t F = routineByName(Result.Prog, "f");
   const RoutineResults &RR = Result.Summaries.Routines[F];
   ASSERT_EQ(RR.EntrySummaries.size(), 2u);
@@ -320,7 +331,8 @@ TEST(PsgSolverTest, LivenessFlowsOnlyAlongValidReturnPaths) {
   B.beginRoutine("f");
   B.emit(inst::lda(reg::V0, 9));
   B.emit(inst::ret());
-  AnalysisResult Result = analyzeImage(B.build());
+  Image Img = B.build();
+  AnalysisResult Result = analyzeImage(Img);
 
   uint32_t F = routineByName(Result.Prog, "f");
   uint32_t M1 = routineByName(Result.Prog, "main1");
@@ -346,7 +358,8 @@ TEST(PsgSolverTest, AddressTakenRoutineExitsAreConservative) {
   B.emit(inst::lda(reg::V0, 1));
   B.emit(inst::ret());
   CallingConv Conv;
-  AnalysisResult Result = analyzeImage(B.build(), Conv);
+  Image Img = B.build();
+  AnalysisResult Result = analyzeImage(Img, Conv);
   uint32_t F = routineByName(Result.Prog, "f");
   EXPECT_TRUE(Result.Summaries.Routines[F].LiveAtExit[0].containsAll(
       Conv.unknownCallerLiveAtExit()));
@@ -359,7 +372,8 @@ TEST(PsgSolverTest, BenchStatsPopulated) {
   B.emit(inst::halt(reg::V0));
   B.beginRoutine("f");
   B.emit(inst::ret());
-  AnalysisResult Result = analyzeImage(B.build());
+  Image Img = B.build();
+  AnalysisResult Result = analyzeImage(Img);
   EXPECT_GT(Result.Psg.Nodes.size(), 0u);
   EXPECT_GT(Result.Psg.Edges.size(), 0u);
   EXPECT_GT(Result.Phase1Stats.NodeEvaluations, 0u);

@@ -245,7 +245,8 @@ TEST_P(PsgInvariants, HoldOnRandomPrograms) {
   P.IndirectCallFraction = 0.06;
   P.AddressTakenFraction = 0.06;
   P.Seed = GetParam() * 131 + 7;
-  AnalysisResult Result = analyzeImage(generateCfgProgram(P));
+  Image Img = generateCfgProgram(P);
+  AnalysisResult Result = analyzeImage(Img);
   checkPsgInvariants(Result.Prog, Result.Psg);
 }
 

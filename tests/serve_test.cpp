@@ -469,6 +469,70 @@ TEST(ServeIncrementalTest, SlotFactsAreDerivedOnFirstUse) {
   EXPECT_EQ(SlotSolves(), 2);
 }
 
+TEST(ServeLifetimeTest, ResidentProgramViewsTheResidentImage) {
+  // The resident program borrows the resident image's words.  A no-op
+  // save keeps the old analysis but frees the old image, so the server
+  // must re-point the program; every other step installs an analysis of
+  // the new image.  After each step the view is checked, and analyze,
+  // explain (which decodes a word) and slice answer like a server freshly
+  // loaded with the same image.
+  ExecProfile P;
+  P.Routines = 24;
+  P.IndirectCallProb = 0.05;
+  P.Seed = 11;
+  ServerOptions SOpts;
+  SOpts.Jobs = 2;
+  Server S(SOpts);
+  ASSERT_TRUE(S.loadImage(generateExecProgram(P)));
+
+  // The edit, save and revert lines, built up front because a patch
+  // replaces the resident routines.
+  std::string SaveLine, EditLine, RevertLine, Queries[3];
+  for (const Routine &Rt : S.analysis().Prog.Routines) {
+    if (Rt.Name.empty() || Rt.Quarantined || Rt.End - Rt.Begin < 4)
+      continue;
+    std::vector<uint64_t> Code(S.image().Code.begin() + Rt.Begin,
+                               S.image().Code.begin() + Rt.End);
+    SaveLine = RevertLine = patchLine(Rt, Code);
+    size_t Dst = 1;
+    while (Dst < Code.size() && Code[Dst] == Code[0])
+      ++Dst;
+    ASSERT_LT(Dst, Code.size());
+    Code[Dst] = Code[0];
+    EditLine = patchLine(Rt, Code);
+    std::string Addr = std::to_string(Rt.Begin + Dst);
+    Queries[0] = "analyze {\"routine\":\"" + Rt.Name + "\"}";
+    Queries[1] = "explain {\"fact\":\"dead\",\"addr\":" + Addr + "}";
+    Queries[2] = "slice {\"addr\":" + Addr + ",\"dir\":\"backward\"}";
+    break;
+  }
+  ASSERT_FALSE(EditLine.empty());
+
+  auto Check = [&](const char *Step) {
+    EXPECT_EQ(S.analysis().Prog.Code.data(), S.image().Code.data()) << Step;
+    EXPECT_EQ(S.analysis().Prog.numInsts(), S.image().Code.size()) << Step;
+    Server Fresh(SOpts);
+    ASSERT_TRUE(Fresh.loadImage(S.image())) << Step;
+    for (const std::string &Query : Queries) {
+      std::string Reply = S.handleLine(Query);
+      EXPECT_NE(Reply.find("\"ok\":true"), std::string::npos)
+          << Step << ": " << Reply;
+      EXPECT_EQ(stripSeq(Reply), stripSeq(Fresh.handleLine(Query)))
+          << Step << ": " << Query;
+    }
+  };
+  Check("load");
+  std::string Save = S.handleLine(SaveLine);
+  ASSERT_NE(Save.find("\"struct_dirty\":0"), std::string::npos) << Save;
+  Check("no-op save");
+  std::string Edit = S.handleLine(EditLine);
+  ASSERT_EQ(Edit.find("\"struct_dirty\":0"), std::string::npos) << Edit;
+  Check("edit");
+  std::string Revert = S.handleLine(RevertLine);
+  ASSERT_EQ(Revert.find("\"struct_dirty\":0"), std::string::npos) << Revert;
+  Check("revert");
+}
+
 // ---------------------------------------------------------------------------
 // Robustness floor.
 // ---------------------------------------------------------------------------

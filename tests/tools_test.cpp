@@ -226,6 +226,27 @@ TEST(ToolsTest, FuzzCreatesMissingArtifactDir) {
   EXPECT_NE(Out.find("replayed clean"), std::string::npos) << Out;
 }
 
+TEST(ToolsTest, FuzzCountFlagsAreCheckedInBothForms) {
+  // `--flag=<n>` reads like `--flag <n>`; zero iterations run nothing.
+  int Status = 0;
+  std::string Out = runCommand(toolsDir() + "/spike-fuzz --seed=5 "
+                                            "--iterations=0 "
+                                            "--serve-iterations=0 "
+                                            "--skip-oracle",
+                               &Status);
+  EXPECT_EQ(WEXITSTATUS(Status), 0) << Out;
+  EXPECT_NE(Out.find("0 mutants"), std::string::npos) << Out;
+  for (const char *Bad :
+       {"--seed abc", "--seed=-1", "--seed 5x", "--iterations=-2",
+        "--serve-iterations 99999999999999999999", "--iterations="}) {
+    Out = runCommand(toolsDir() + "/spike-fuzz " + Bad +
+                         " --iterations 0 --skip-oracle",
+                     &Status);
+    EXPECT_EQ(WEXITSTATUS(Status), 2) << Bad << ": " << Out;
+    EXPECT_NE(Out.find("error: --"), std::string::npos) << Bad << ": " << Out;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Telemetry flags and run-report diffs (spike-profile --diff)
 //===----------------------------------------------------------------------===//
@@ -837,6 +858,20 @@ TEST(ToolsTest, TopRendersGoldenTables) {
   ASSERT_EQ(Status, 0) << Out;
   EXPECT_NE(Out.find("analyze"), std::string::npos);
   EXPECT_EQ(Out.find("\n  lint"), std::string::npos) << Out;
+}
+
+TEST(ToolsTest, TopRejectsNegativeAndMalformedCounts) {
+  // strtoull alone reads "-1" as 2^64 - 1; these are usage errors.
+  for (const char *Bad :
+       {"--top=-1", "--interval=-1", "--top=abc", "--interval 5ms"}) {
+    int Status = 0;
+    std::string Out = runCommand(toolsDir() + "/spike-top --once " + Bad +
+                                     " < /dev/null",
+                                 &Status);
+    EXPECT_EQ(WEXITSTATUS(Status), 2) << Bad << ": " << Out;
+    EXPECT_NE(Out.find("expects an unsigned number"), std::string::npos)
+        << Bad << ": " << Out;
+  }
 }
 
 TEST(ToolsTest, TopValidatesStrictly) {

@@ -99,6 +99,18 @@ TEST(LoaderTest, GoldenContainerErrorCodes) {
     ASSERT_FALSE(Result);
     EXPECT_EQ(Result.error().Code, ErrCode::TruncatedHeader);
   }
+  // A code count over MaxCodeWords (the 32-bit block bounds' limit) is
+  // refused before any allocation, however many bytes follow.
+  {
+    std::vector<uint8_t> Huge = Bytes;
+    for (int I = 0; I < 8; ++I) // The little-endian count at byte 16.
+      Huge[16 + I] = uint8_t((MaxCodeWords + 1) >> (8 * I));
+    Expected<Image> Result = loadImage(Huge);
+    ASSERT_FALSE(Result);
+    EXPECT_EQ(Result.error().Code, ErrCode::CodeTooLarge);
+    EXPECT_EQ(Result.error().Offset, 24);
+    EXPECT_TRUE(checkCodeSize(MaxCodeWords).ok());
+  }
   // Cut inside the symbol table (code ends at byte 64).
   {
     std::vector<uint8_t> Prefix(Bytes.begin(), Bytes.begin() + 100);

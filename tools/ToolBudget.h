@@ -53,13 +53,12 @@ struct Options {
 namespace detail {
 
 inline uint64_t parseCount(const char *Value, const char *Flag) {
-  char *End = nullptr;
-  unsigned long long Parsed = std::strtoull(Value, &End, 10);
-  if (End == Value || *End != '\0' || Parsed == 0) {
+  uint64_t Parsed = toolopts::parseUnsigned(Value, Flag);
+  if (Parsed == 0) {
     std::fprintf(stderr, "error: %s expects a positive count\n", Flag);
     std::exit(2);
   }
-  return uint64_t(Parsed);
+  return Parsed;
 }
 
 } // namespace detail

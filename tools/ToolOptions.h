@@ -18,7 +18,8 @@
 ///
 /// flagValue() is the one reader of `--name=<v>` / `--name <v>` flags;
 /// the jobs, budget and telemetry flags and the tools' own valued flags
-/// all go through it.
+/// all go through it.  parseUnsigned() checks the unsigned numbers among
+/// their values.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +29,9 @@
 #include "support/BuildInfo.h"
 #include "support/ThreadPool.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -71,6 +75,23 @@ inline const char *flagValue(int Argc, char **Argv, int &I,
     std::exit(2);
   }
   return Value;
+}
+
+/// Parses \p Value, the value of \p Flag, as an unsigned number in base
+/// \p Base (0 also takes 0x-prefixed hex).  A sign, a trailing character
+/// or a value past 2^64 - 1 exits with a usage error: strtoull alone
+/// would read "-1" as 2^64 - 1.
+inline uint64_t parseUnsigned(const char *Value, const char *Flag,
+                              int Base = 10) {
+  char *End = nullptr;
+  errno = 0;
+  unsigned long long Parsed = std::strtoull(Value, &End, Base);
+  if (!std::isdigit((unsigned char)Value[0]) || *End != '\0' ||
+      errno == ERANGE) {
+    std::fprintf(stderr, "error: %s expects an unsigned number\n", Flag);
+    std::exit(2);
+  }
+  return uint64_t(Parsed);
 }
 
 /// Consumes `--jobs=<n>` / `--jobs <n>` at position \p I of the argument

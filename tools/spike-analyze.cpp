@@ -177,7 +177,7 @@ int runTool(int Argc, char **Argv) {
     std::printf("routines:      %zu\n", Result.Prog.Routines.size());
     std::printf("basic blocks:  %llu\n",
                 (unsigned long long)Result.Prog.numBlocks());
-    std::printf("instructions:  %zu\n", Result.Prog.Insts.size());
+    std::printf("instructions:  %zu\n", Result.Prog.numInsts());
     std::printf("PSG nodes:     %zu (%llu branch nodes)\n",
                 Result.Psg.Nodes.size(),
                 (unsigned long long)Result.Psg.NumBranchNodes);

@@ -447,9 +447,9 @@ MutantOutcome runMutant(const std::vector<uint8_t> &Bytes, Verdicts &V,
       FUZZ_CHECK(Flow.Routines[R].Opaque, V,
                  Context + " quarantined routine '" + Prog.Routines[R].Name +
                      "' not opaque in slot facts");
-  if (!Prog.Insts.empty()) {
+  if (Prog.numInsts() != 0) {
     DependenceGraph Graph = buildDepGraph(Prog, Analysis.Summaries, Flow);
-    uint64_t SeedAddress = Prog.Insts.size() / 2;
+    uint64_t SeedAddress = Prog.numInsts() / 2;
     for (bool BackwardDir : {true, false}) {
       std::vector<uint64_t> Slice = BackwardDir
                                         ? backwardSlice(Graph, SeedAddress)
@@ -457,7 +457,7 @@ MutantOutcome runMutant(const std::vector<uint8_t> &Bytes, Verdicts &V,
       bool SeedPresent = false, InRange = true, Sorted = true;
       for (size_t S = 0; S < Slice.size(); ++S) {
         SeedPresent |= Slice[S] == SeedAddress;
-        InRange &= Slice[S] < Prog.Insts.size();
+        InRange &= Slice[S] < Prog.numInsts();
         if (S != 0)
           Sorted &= Slice[S - 1] < Slice[S];
       }
@@ -759,12 +759,15 @@ int runTool(int Argc, char **Argv) {
   Config.Jobs = toolopts::defaultJobs();
   tooltel::Options TelemetryOpts;
   for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--seed") == 0 && I + 1 < Argc)
-      Config.Seed = std::strtoull(Argv[++I], nullptr, 0);
-    else if (std::strcmp(Argv[I], "--iterations") == 0 && I + 1 < Argc)
-      Config.Iterations = std::strtoull(Argv[++I], nullptr, 0);
-    else if (std::strcmp(Argv[I], "--serve-iterations") == 0 && I + 1 < Argc)
-      Config.ServeIterations = std::strtoull(Argv[++I], nullptr, 0);
+    if (const char *V = toolopts::flagValue(Argc, Argv, I, "--seed"))
+      Config.Seed = toolopts::parseUnsigned(V, "--seed", 0);
+    else if (const char *V =
+                 toolopts::flagValue(Argc, Argv, I, "--iterations"))
+      Config.Iterations = toolopts::parseUnsigned(V, "--iterations", 0);
+    else if (const char *V =
+                 toolopts::flagValue(Argc, Argv, I, "--serve-iterations"))
+      Config.ServeIterations =
+          toolopts::parseUnsigned(V, "--serve-iterations", 0);
     else if (std::strcmp(Argv[I], "--artifact-dir") == 0 && I + 1 < Argc)
       Config.ArtifactDir = Argv[++I];
     else if (std::strcmp(Argv[I], "--skip-oracle") == 0)

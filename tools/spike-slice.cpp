@@ -61,7 +61,7 @@ void printSlice(const Program &Prog, const std::vector<uint64_t> &Slice,
   for (uint64_t Address : Slice) {
     int32_t RoutineIndex = findRoutineByAddress(Prog, Address);
     std::printf("  %llu:\t%s\t; %s\n", (unsigned long long)Address,
-                Prog.Insts[Address].str(int64_t(Address)).c_str(),
+                Prog.inst(Address).str(int64_t(Address)).c_str(),
                 RoutineIndex >= 0
                     ? Prog.Routines[uint32_t(RoutineIndex)].Name.c_str()
                     : "?");
@@ -164,14 +164,14 @@ int runTool(int Argc, char **Argv) {
         if (C.RoutineIndex == RoutineIndex && C.Dead)
           std::printf("  dead store:   %llu: %s\n",
                       (unsigned long long)C.Address,
-                      Prog.Insts[C.Address].str().c_str());
+                      Prog.inst(C.Address).str().c_str());
     }
     return 0;
   }
 
-  if (Seed >= Prog.Insts.size()) {
+  if (Seed >= Prog.numInsts()) {
     std::fprintf(stderr, "error: address %llu out of range (have %zu)\n",
-                 (unsigned long long)Seed, Prog.Insts.size());
+                 (unsigned long long)Seed, Prog.numInsts());
     return 1;
   }
 

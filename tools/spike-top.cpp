@@ -68,17 +68,6 @@ int usage(const char *Tool) {
   return 2;
 }
 
-/// Parses the value of \p Flag as a decimal number.
-uint64_t parseNumber(const char *Value, const char *Flag) {
-  char *End = nullptr;
-  unsigned long long Parsed = std::strtoull(Value, &End, 10);
-  if (End == Value || *End != '\0') {
-    std::fprintf(stderr, "error: %s expects a number\n", Flag);
-    std::exit(2);
-  }
-  return Parsed;
-}
-
 std::string readAll(std::FILE *F) {
   std::string Out;
   char Buf[4096];
@@ -546,9 +535,9 @@ int runTool(int Argc, char **Argv) {
     else if (const char *Out = toolopts::flagValue(Argc, Argv, I, "--prom-out"))
       PromOut = Out;
     else if (const char *N = toolopts::flagValue(Argc, Argv, I, "--top"))
-      Top = parseNumber(N, "--top");
+      Top = toolopts::parseUnsigned(N, "--top");
     else if (const char *Ms = toolopts::flagValue(Argc, Argv, I, "--interval"))
-      IntervalMs = parseNumber(Ms, "--interval");
+      IntervalMs = toolopts::parseUnsigned(Ms, "--interval");
     else if (std::strcmp(Argv[I], "--once") == 0)
       Once = true;
     else if (std::strcmp(Argv[I], "--validate") == 0)
