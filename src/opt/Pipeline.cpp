@@ -21,9 +21,12 @@ namespace {
 /// Lint configuration for the self-check: reachability rules are skipped
 /// because the optimizer legitimately rewrites unreachable routines to
 /// ret + nops (their trailing blocks change shape), and the baseline-vs-
-/// after diff at Warning severity handles the rest.
+/// after diff at Warning severity handles the rest.  That diff reads
+/// nothing below Warning, so the note-level rules (dead defs, dead stack
+/// stores and their slot-flow solve) do not run at all.
 LintOptions selfCheckOptions() {
   LintOptions Opts;
+  Opts.MinSeverity = Severity::Warning;
   Opts.disableRule(RuleId::UnreachableRoutine);
   Opts.disableRule(RuleId::UnreachableBlock);
   return Opts;

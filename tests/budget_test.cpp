@@ -33,6 +33,7 @@
 #include "synth/Profiles.h"
 #include "telemetry/RunReport.h"
 #include "telemetry/Telemetry.h"
+#include "DifferentialCorpus.h"
 
 #include <gtest/gtest.h>
 
@@ -45,25 +46,6 @@
 using namespace spike;
 
 namespace {
-
-/// The same 20 differential subjects parallel_test uses: every paper
-/// profile capped at ~120 routines plus 4 executable programs.
-std::vector<std::pair<std::string, Image>> budgetCorpus() {
-  std::vector<std::pair<std::string, Image>> Corpus;
-  for (const BenchmarkProfile &P : paperProfiles()) {
-    double Scale = P.Routines > 120 ? 120.0 / P.Routines : 1.0;
-    Corpus.emplace_back(P.Name, generateCfgProgram(scaledProfile(P, Scale)));
-  }
-  for (uint64_t Seed : {3u, 11u, 29u, 5u}) {
-    ExecProfile P;
-    P.Routines = 24;
-    P.IndirectCallProb = Seed == 5 ? 0.25 : 0.05;
-    P.Seed = Seed;
-    Corpus.emplace_back("exec-" + std::to_string(Seed),
-                        generateExecProgram(P));
-  }
-  return Corpus;
-}
 
 /// Degradation may only widen the may/live sets of routines that are not
 /// themselves degraded (their own summaries are worst-case by
@@ -103,7 +85,8 @@ void expectMonotone(const AnalysisResult &Exact,
 //===----------------------------------------------------------------------===//
 
 TEST(BudgetDifferential, IterationCapDegradesSoundlyOnAllProfiles) {
-  std::vector<std::pair<std::string, Image>> Corpus = budgetCorpus();
+  std::vector<std::pair<std::string, Image>> Corpus =
+      testcorpus::differentialCorpus();
   ASSERT_EQ(Corpus.size(), 20u);
 
   BudgetOptions Budget;
@@ -178,7 +161,8 @@ TEST(BudgetDifferential, IterationCapBitIdenticalAcrossJobCounts) {
   // The iteration cap counts worklist pops per SCC group, which the
   // scheduler makes identical at every lane count — so WHICH routines
   // degrade, and every resulting summary bit, must match jobs=1 exactly.
-  std::vector<std::pair<std::string, Image>> Corpus = budgetCorpus();
+  std::vector<std::pair<std::string, Image>> Corpus =
+      testcorpus::differentialCorpus();
   BudgetOptions Budget;
   Budget.MaxIterations = 2;
 
@@ -226,7 +210,8 @@ TEST(BudgetDifferential, AbsurdBudgetsAreStructuredErrorOrSoundResult) {
   // Budgets far too small for even a fully degraded run must exit with a
   // structured budget error; budgets that fit after degradation must
   // produce a sound result.  Either way: no exception escapes.
-  std::vector<std::pair<std::string, Image>> Corpus = budgetCorpus();
+  std::vector<std::pair<std::string, Image>> Corpus =
+      testcorpus::differentialCorpus();
   std::vector<BudgetOptions> Configs;
   {
     BudgetOptions B;

@@ -20,6 +20,8 @@
 #include "opt/Pipeline.h"
 #include "synth/CfgGenerator.h"
 #include "synth/Profiles.h"
+#include "telemetry/Telemetry.h"
+#include "DifferentialCorpus.h"
 #include "TestPaths.h"
 
 #include <gtest/gtest.h>
@@ -321,14 +323,19 @@ TEST(LintRules, MalformedImageQuarantinesAndReports) {
 // Result plumbing
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// Number of spans named \p Name that \p Sess opened.
+long spansNamed(const telemetry::Session &Sess, const std::string &Name) {
+  return std::count_if(
+      Sess.spans().begin(), Sess.spans().end(),
+      [&](const telemetry::SpanEvent &E) { return E.Name == Name; });
+}
+
+} // namespace
+
 TEST(LintResultTest, MinSeverityFiltersAndSortIsDeterministic) {
   Image Img = figure2Image();
-  LintOptions Warn;
-  Warn.MinSeverity = Severity::Warning;
-  LintResult Result = lintImage(Img, CallingConv(), Warn);
-  for (const Diagnostic &D : Result.Diags)
-    EXPECT_GE(D.Sev, Severity::Warning);
-
   LintResult A = lintImage(Img), B = lintImage(Img);
   ASSERT_EQ(A.Diags.size(), B.Diags.size());
   for (size_t I = 0; I < A.Diags.size(); ++I)
@@ -339,6 +346,45 @@ TEST(LintResultTest, MinSeverityFiltersAndSortIsDeterministic) {
         return X.RoutineIndex < Y.RoutineIndex ||
                (X.RoutineIndex == Y.RoutineIndex && X.Address < Y.Address);
       }));
+
+  // The floor chooses which rules run.  Severity is fixed per rule, so
+  // a floored run returns exactly the note-level list at or above the
+  // floor, in the same order, without running the note rules.
+  for (const auto &[Name, Subject] : testcorpus::differentialCorpus()) {
+    AnalysisResult Analysis = analyzeImage(Subject);
+    telemetry::Session NoteSess("lint_test");
+    LintResult Notes;
+    {
+      telemetry::SessionScope Scope(NoteSess);
+      Notes = lintAnalysis(Subject, Analysis);
+    }
+    EXPECT_EQ(spansNamed(NoteSess, "lint.dead-def"), 1) << Name;
+    EXPECT_EQ(spansNamed(NoteSess, "lint.dead-stack-store"), 1) << Name;
+    EXPECT_EQ(spansNamed(NoteSess, "slice.slotflow"), 1) << Name;
+
+    for (Severity Floor : {Severity::Warning, Severity::Error}) {
+      std::string Where = Name + " at " + severityName(Floor);
+      LintOptions Opts;
+      Opts.MinSeverity = Floor;
+      telemetry::Session Sess("lint_test");
+      LintResult Floored;
+      {
+        telemetry::SessionScope Scope(Sess);
+        Floored = lintAnalysis(Subject, Analysis, Opts);
+      }
+      std::vector<std::string> Want, Got;
+      for (const Diagnostic &D : Notes.Diags)
+        if (D.Sev >= Floor)
+          Want.push_back(D.str());
+      for (const Diagnostic &D : Floored.Diags)
+        Got.push_back(D.str());
+      EXPECT_EQ(Got, Want) << Where;
+      for (const char *Skipped :
+           {"slice.slotflow", "lint.dead-def", "lint.dead-stack-store"})
+        EXPECT_EQ(spansNamed(Sess, Skipped), 0) << Where << ": " << Skipped;
+      EXPECT_EQ(spansNamed(Sess, "lint.control-flow"), 1) << Where;
+    }
+  }
 }
 
 TEST(LintResultTest, NewDiagnosticsDiffsByRuleAndRoutine) {
@@ -481,6 +527,46 @@ TEST_P(LintVerifier, PsgMatchesReferenceAndOptimizerIntroducesNothing) {
 // vortex (large SPECint, many routines), sqlservr (switch-heavy PC app).
 INSTANTIATE_TEST_SUITE_P(ThreeProfiles, LintVerifier,
                          ::testing::Values(0, 7, 8));
+
+TEST(LintSelfCheck, WarningFloorReportsWhatANoteBaselineWould) {
+  // The self-check lints at a warning floor.  A clobbered callee-saved
+  // register after round 1 must surface exactly as a note-level baseline
+  // and note-level round lints, diffed at warning, would report it.
+  BenchmarkProfile P = scaledProfile(paperProfiles()[0], 0.4);
+  P.SavedRegsPerRoutine = 2.5;
+  P.EntrancesPerRoutine = 1.0;
+  Image Img = generateCfgProgram(P);
+
+  std::vector<Image> RoundImages;
+  PipelineOptions Opts;
+  Opts.LintSelfCheck = true;
+  Opts.PostRoundMutator = [&](Image &Out, unsigned Round) {
+    if (Round == 0) {
+      EXPECT_TRUE(corruptSaveStore(Out));
+    }
+    RoundImages.push_back(Out);
+  };
+  Image Optimized = Img;
+  PipelineStats Stats = optimizeImage(Optimized, CallingConv(), Opts);
+  ASSERT_EQ(Stats.RoundsRolledBack, 0u);
+  ASSERT_FALSE(RoundImages.empty());
+
+  LintOptions NoteOpts;
+  NoteOpts.disableRule(RuleId::UnreachableRoutine);
+  NoteOpts.disableRule(RuleId::UnreachableBlock);
+  LintResult Baseline = lintImage(Img, CallingConv(), NoteOpts);
+  std::vector<std::string> Want;
+  for (size_t Round = 0; Round < RoundImages.size(); ++Round) {
+    LintResult After = lintImage(RoundImages[Round], CallingConv(), NoteOpts);
+    for (const Diagnostic &D :
+         newDiagnostics(Baseline, After, Severity::Warning))
+      Want.push_back("round " + std::to_string(Round + 1) + ": " + D.str());
+  }
+  ASSERT_FALSE(Want.empty());
+  EXPECT_NE(Want.front().find("SL002"), std::string::npos) << Want.front();
+  EXPECT_EQ(Stats.LintRegressions, Want.size());
+  EXPECT_EQ(Stats.LintReports, Want);
+}
 
 //===----------------------------------------------------------------------===//
 // CLI

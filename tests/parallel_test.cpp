@@ -46,6 +46,7 @@
 #include "synth/Profiles.h"
 #include "telemetry/RunReport.h"
 #include "telemetry/Telemetry.h"
+#include "DifferentialCorpus.h"
 #include "TestPaths.h"
 
 #include <gtest/gtest.h>
@@ -63,27 +64,6 @@
 using namespace spike;
 
 namespace {
-
-/// The 20 differential subjects: every paper profile capped at ~120
-/// routines (the shapes matter, not the full sizes) plus 4 executable
-/// programs with varying indirection.
-std::vector<std::pair<std::string, Image>> differentialCorpus() {
-  std::vector<std::pair<std::string, Image>> Corpus;
-  for (const BenchmarkProfile &P : paperProfiles()) {
-    double Scale = P.Routines > 120 ? 120.0 / P.Routines : 1.0;
-    BenchmarkProfile Scaled = scaledProfile(P, Scale);
-    Corpus.emplace_back(P.Name, generateCfgProgram(Scaled));
-  }
-  for (uint64_t Seed : {3u, 11u, 29u, 5u}) {
-    ExecProfile P;
-    P.Routines = 24;
-    P.IndirectCallProb = Seed == 5 ? 0.25 : 0.05;
-    P.Seed = Seed;
-    Corpus.emplace_back("exec-" + std::to_string(Seed),
-                        generateExecProgram(P));
-  }
-  return Corpus;
-}
 
 /// One analysis run captured with its full telemetry registry, minus the
 /// entries documented as lane-count-dependent.
@@ -646,7 +626,7 @@ const Routine &routineNamed(const Program &Prog, const std::string &Name) {
 } // namespace
 
 TEST(ParallelFrontEnd, CorpusIsBitIdenticalAtEveryJobCount) {
-  for (const auto &[Name, Img] : differentialCorpus()) {
+  for (const auto &[Name, Img] : testcorpus::differentialCorpus()) {
     FrontEnd Serial = buildFrontEnd(Img, 1);
     expectIndexesMatchSortedReference(Serial, Name);
     for (unsigned Jobs : {2u, 4u, 7u})
@@ -990,7 +970,8 @@ uint64_t psgBytes(const ProgramSummaryGraph &Psg) {
 } // namespace
 
 TEST(ParallelLayout, AccessorsAndDerivedCountsMatchAScanOfTheGraph) {
-  std::vector<std::pair<std::string, Image>> Inputs = differentialCorpus();
+  std::vector<std::pair<std::string, Image>> Inputs =
+      testcorpus::differentialCorpus();
   Inputs.emplace_back("layout", layoutEdgeCase(false));
   Inputs.emplace_back("layout-garbled", layoutEdgeCase(true));
   Inputs.emplace_back("front-end-edge", frontEndEdgeCase(true, true));
@@ -1065,7 +1046,8 @@ static_assert(AcceptsLvalue<Image>);
 /// The images the layout checks cover: the corpus plus hand-built images
 /// with undecodable words, an unowned prefix and quarantined routines.
 std::vector<std::pair<std::string, Image>> layoutInputs() {
-  std::vector<std::pair<std::string, Image>> Inputs = differentialCorpus();
+  std::vector<std::pair<std::string, Image>> Inputs =
+      testcorpus::differentialCorpus();
   Inputs.emplace_back("layout-garbled", layoutEdgeCase(true));
   Inputs.emplace_back("front-end-edge", frontEndEdgeCase(true, true));
   return Inputs;
@@ -1188,7 +1170,7 @@ TEST(ProgramLayout, DerivedArcRangesMatchAScan) {
 }
 
 TEST(MemoryAccounting, PeakBytesAreExactlyTheChargedContainers) {
-  for (const auto &[Name, Img] : differentialCorpus())
+  for (const auto &[Name, Img] : testcorpus::differentialCorpus())
     for (unsigned Jobs : {1u, 4u}) {
       AnalysisOptions Opts;
       Opts.Jobs = Jobs;
@@ -1344,7 +1326,8 @@ TEST(ParallelSchedule, BlownBudgetNamesTheLowestIndexBlownGroup) {
 //===----------------------------------------------------------------------===//
 
 TEST(ParallelDifferential, AllProfilesMatchSerialAtEveryJobCount) {
-  std::vector<std::pair<std::string, Image>> Corpus = differentialCorpus();
+  std::vector<std::pair<std::string, Image>> Corpus =
+      testcorpus::differentialCorpus();
   ASSERT_EQ(Corpus.size(), 20u);
 
   for (const auto &[Name, Img] : Corpus) {
@@ -1452,7 +1435,8 @@ TEST(ParallelDifferential, SlotSweepCountersMatchTheirHistograms) {
   // each phase's group_iterations counter equals the sum of its
   // per-group histogram — on every subject, including those whose phase
   // 2 schedule holds a memberless coupling-hub group.
-  std::vector<std::pair<std::string, Image>> Corpus = differentialCorpus();
+  std::vector<std::pair<std::string, Image>> Corpus =
+      testcorpus::differentialCorpus();
   ASSERT_EQ(Corpus.size(), 20u);
   for (const auto &[Name, Img] : Corpus) {
     AnalysisResult A = analyzeImage(Img, CallingConv(), AnalysisOptions());
@@ -1475,7 +1459,8 @@ TEST(ParallelDifferential, ProvenanceWitnessesByteIdenticalAcrossJobs) {
   // Witnesses are searched from the converged graph alone, so the
   // determinism contract covers them too: at any lane count the full
   // entry-liveness witness text is byte-identical to the serial one.
-  std::vector<std::pair<std::string, Image>> Corpus = differentialCorpus();
+  std::vector<std::pair<std::string, Image>> Corpus =
+      testcorpus::differentialCorpus();
   ASSERT_EQ(Corpus.size(), 20u);
 
   for (const auto &[Name, Img] : Corpus) {
@@ -1498,7 +1483,8 @@ TEST(ParallelDifferential, ProvenanceWitnessesByteIdenticalAcrossJobs) {
 TEST(ParallelDifferential, CfgTwoPhaseReferenceMatchesSerial) {
   // The CFG-level reference engine gets the same SCC scheduling; its
   // parallel path must reproduce its serial fixpoint exactly too.
-  std::vector<std::pair<std::string, Image>> Corpus = differentialCorpus();
+  std::vector<std::pair<std::string, Image>> Corpus =
+      testcorpus::differentialCorpus();
   ThreadPool Pool(4);
   unsigned Checked = 0;
   for (size_t I = 0; I < Corpus.size(); I += 4) {

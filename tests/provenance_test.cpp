@@ -29,6 +29,7 @@
 #include "synth/ExecGenerator.h"
 #include "synth/Profiles.h"
 #include "telemetry/Telemetry.h"
+#include "DifferentialCorpus.h"
 
 #include <gtest/gtest.h>
 
@@ -307,31 +308,9 @@ TEST(DeadDefTest, BogusAddressIsReported) {
 // Differential audit: every profile, every bit
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// The 20 differential subjects of parallel_test.cpp: every paper profile
-/// capped at ~120 routines plus 4 executable programs.
-std::vector<std::pair<std::string, Image>> auditCorpus() {
-  std::vector<std::pair<std::string, Image>> Corpus;
-  for (const BenchmarkProfile &P : paperProfiles()) {
-    double Scale = P.Routines > 120 ? 120.0 / P.Routines : 1.0;
-    Corpus.emplace_back(P.Name, generateCfgProgram(scaledProfile(P, Scale)));
-  }
-  for (uint64_t Seed : {3u, 11u, 29u, 5u}) {
-    ExecProfile P;
-    P.Routines = 24;
-    P.IndirectCallProb = Seed == 5 ? 0.25 : 0.05;
-    P.Seed = Seed;
-    Corpus.emplace_back("exec-" + std::to_string(Seed),
-                        generateExecProgram(P));
-  }
-  return Corpus;
-}
-
-} // namespace
-
 TEST(ProvenanceAudit, EveryLiveAtEntryBitReplaysAcrossAllProfiles) {
-  std::vector<std::pair<std::string, Image>> Corpus = auditCorpus();
+  std::vector<std::pair<std::string, Image>> Corpus =
+      testcorpus::differentialCorpus();
   ASSERT_EQ(Corpus.size(), 20u);
 
   uint64_t TotalBits = 0;
@@ -354,7 +333,7 @@ TEST(ProvenanceAudit, EveryRecordedBitReplays) {
   // queried state, finds the chain the full search finds.
   std::array<uint64_t, 16> KindSteps{};
   uint64_t TotalBits = 0, Sampled = 0;
-  for (const auto &[Name, Img] : auditCorpus())
+  for (const auto &[Name, Img] : testcorpus::differentialCorpus())
     for (unsigned Jobs : {1u, 4u}) {
       AnalysisOptions Opts;
       Opts.Jobs = Jobs;

@@ -247,6 +247,64 @@ TEST(ToolsTest, FuzzCountFlagsAreCheckedInBothForms) {
   }
 }
 
+TEST(ToolsTest, UnsignedFlagsRejectGarbageSignsAndOverflow) {
+  // strtoull alone reads "abc" as 0 and "-5" as 2^64 - 5; every unsigned
+  // flag makes those, and values its variable cannot hold, usage errors.
+  std::string Asm = scratchPath("flags_demo.s");
+  std::string Img = scratchPath("flags_demo.spkx");
+  std::string Gen = scratchPath("flags_gen.spkx");
+  writeFile(Asm, DemoSource);
+  int Status = 0;
+  std::string Out =
+      runCommand(toolsDir() + "/spike-as " + Asm + " -o " + Img, &Status);
+  ASSERT_EQ(Status, 0) << Out;
+
+  const std::string Flags[] = {
+      "/spike-slice " + Img + " --backward",
+      "/spike-slice " + Img + " --forward",
+      "/spike-gen --exec -o " + Gen + " --seed",
+      "/spike-gen --exec -o " + Gen + " --routines",
+      "/spike-sim " + Img + " --max-steps",
+      "/spike-lint " + Img + " --rounds",
+      "/spike-opt " + Img + " -o " + Gen + " --rounds",
+  };
+  for (const std::string &Flag : Flags)
+    for (const char *Bad : {" abc", " -5", "=7x", " 18446744073709551616"}) {
+      Out = runCommand(toolsDir() + Flag + Bad, &Status);
+      EXPECT_EQ(WEXITSTATUS(Status), 2) << Flag << Bad << ": " << Out;
+      EXPECT_NE(Out.find("expects an unsigned number"), std::string::npos)
+          << Flag << Bad << ": " << Out;
+    }
+  // 2^32 fits the 64-bit flags but not an `unsigned` round or routine count.
+  for (const std::string &Flag :
+       {"/spike-lint " + Img + " --rounds",
+        "/spike-opt " + Img + " -o " + Gen + " --rounds",
+        "/spike-gen --exec -o " + Gen + " --routines"}) {
+    Out = runCommand(toolsDir() + Flag + "=4294967296", &Status);
+    EXPECT_EQ(WEXITSTATUS(Status), 2) << Flag << ": " << Out;
+    EXPECT_NE(Out.find("expects a number up to 4294967295"),
+              std::string::npos)
+        << Flag << ": " << Out;
+  }
+
+  // Numbers still read in both forms; the slice seeds also take hex.
+  for (const std::string &Good :
+       {"/spike-slice " + Img + " --backward=0x5",
+        "/spike-slice " + Img + " --forward 5",
+        "/spike-gen --exec -o " + Gen + " --seed=5 --routines 3",
+        "/spike-sim " + Img + " --max-steps=1000",
+        "/spike-lint " + Img + " --rounds=2 --verify",
+        "/spike-opt " + Img + " -o " + Gen + " --rounds 2"}) {
+    Out = runCommand(toolsDir() + Good, &Status);
+    EXPECT_EQ(WEXITSTATUS(Status), 0) << Good << ": " << Out;
+  }
+  Out = runCommand(toolsDir() + "/spike-slice " + Img + " --backward=0x5",
+                   &Status);
+  EXPECT_EQ(Out, runCommand(toolsDir() + "/spike-slice " + Img +
+                                " --backward 5",
+                            &Status));
+}
+
 //===----------------------------------------------------------------------===//
 // Telemetry flags and run-report diffs (spike-profile --diff)
 //===----------------------------------------------------------------------===//
@@ -576,11 +634,12 @@ TEST(ToolsTest, ProfileFlagsDegradedRunsAndRejectsBadUsage) {
   EXPECT_NE(Status, 0);
   runCommand(toolsDir() + "/spike-profile --diff " + Degraded, &Status);
   EXPECT_NE(Status, 0);
-  Out = runCommand(toolsDir() + "/spike-profile " + Degraded +
-                       " --topk nonsense",
-                   &Status);
-  EXPECT_NE(Status, 0);
-  EXPECT_NE(Out.find("--topk"), std::string::npos) << Out;
+  for (const char *Bad : {" --topk nonsense", " --topk -1", " --topk=0"}) {
+    Out = runCommand(toolsDir() + "/spike-profile " + Degraded + Bad,
+                     &Status);
+    EXPECT_EQ(WEXITSTATUS(Status), 2) << Bad << ": " << Out;
+    EXPECT_NE(Out.find("--topk"), std::string::npos) << Bad << ": " << Out;
+  }
   runCommand(toolsDir() + "/spike-profile /nonexistent.json", &Status);
   EXPECT_NE(Status, 0);
 

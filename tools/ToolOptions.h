@@ -18,8 +18,8 @@
 ///
 /// flagValue() is the one reader of `--name=<v>` / `--name <v>` flags;
 /// the jobs, budget and telemetry flags and the tools' own valued flags
-/// all go through it.  parseUnsigned() checks the unsigned numbers among
-/// their values.
+/// all go through it.  parseUnsigned() and parseUnsigned32() check the
+/// unsigned numbers among their values.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,6 +31,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -92,6 +93,18 @@ inline uint64_t parseUnsigned(const char *Value, const char *Flag,
     std::exit(2);
   }
   return uint64_t(Parsed);
+}
+
+/// parseUnsigned() for a flag whose variable is an `unsigned`: a decimal
+/// value past 2^32 - 1 is a usage error too, never a truncated count.
+inline unsigned parseUnsigned32(const char *Value, const char *Flag) {
+  uint64_t Parsed = parseUnsigned(Value, Flag);
+  if (Parsed > UINT_MAX) {
+    std::fprintf(stderr, "error: %s expects a number up to %u\n", Flag,
+                 UINT_MAX);
+    std::exit(2);
+  }
+  return unsigned(Parsed);
 }
 
 /// Consumes `--jobs=<n>` / `--jobs <n>` at position \p I of the argument

@@ -50,10 +50,10 @@ int main(int Argc, char **Argv) {
       Exec = true;
     else if (std::strcmp(Argv[I], "--list") == 0)
       List = true;
-    else if (std::strcmp(Argv[I], "--routines") == 0 && I + 1 < Argc)
-      Routines = unsigned(std::atoi(Argv[++I]));
-    else if (std::strcmp(Argv[I], "--seed") == 0 && I + 1 < Argc)
-      Seed = std::strtoull(Argv[++I], nullptr, 10);
+    else if (const char *V = toolopts::flagValue(Argc, Argv, I, "--routines"))
+      Routines = toolopts::parseUnsigned32(V, "--routines");
+    else if (const char *V = toolopts::flagValue(Argc, Argv, I, "--seed"))
+      Seed = toolopts::parseUnsigned(V, "--seed");
     else if (std::strcmp(Argv[I], "-o") == 0 && I + 1 < Argc)
       OutputPath = Argv[++I];
     else if (toolopts::parseJobs(Argc, Argv, I, Jobs))

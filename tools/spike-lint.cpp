@@ -82,8 +82,8 @@ int runTool(int Argc, char **Argv) {
         std::fprintf(stderr, "error: unknown rule '%s'\n", Code.c_str());
         return 2;
       }
-    } else if (std::strcmp(Argv[I], "--rounds") == 0 && I + 1 < Argc)
-      Rounds = unsigned(std::atoi(Argv[++I]));
+    } else if (const char *V = toolopts::flagValue(Argc, Argv, I, "--rounds"))
+      Rounds = toolopts::parseUnsigned32(V, "--rounds");
     else if (toolopts::parseJobs(Argc, Argv, I, Opts.Jobs))
       ;
     else if (tooltel::parseFlag(Argc, Argv, I, TelemetryOpts))

@@ -41,8 +41,8 @@ int runTool(int Argc, char **Argv) {
   for (int I = 1; I < Argc; ++I) {
     if (std::strcmp(Argv[I], "-o") == 0 && I + 1 < Argc)
       OutputPath = Argv[++I];
-    else if (std::strcmp(Argv[I], "--rounds") == 0 && I + 1 < Argc)
-      Rounds = unsigned(std::atoi(Argv[++I]));
+    else if (const char *V = toolopts::flagValue(Argc, Argv, I, "--rounds"))
+      Rounds = toolopts::parseUnsigned32(V, "--rounds");
     else if (std::strcmp(Argv[I], "--verify") == 0)
       Verify = true;
     else if (std::strcmp(Argv[I], "--self-check") == 0)

@@ -311,14 +311,12 @@ int main(int Argc, char **Argv) {
       WarnOnly = true;
     else if (std::strcmp(Argv[I], "--exact-counts") == 0)
       Opts.ExactCounts = true;
-    else if (std::strcmp(Argv[I], "--topk") == 0 && I + 1 < Argc) {
-      char *End = nullptr;
-      unsigned long Parsed = std::strtoul(Argv[++I], &End, 10);
-      if (End == Argv[I] || *End != '\0' || Parsed == 0) {
+    else if (const char *V = toolopts::flagValue(Argc, Argv, I, "--topk")) {
+      TopK = toolopts::parseUnsigned32(V, "--topk");
+      if (TopK == 0) {
         std::fprintf(stderr, "error: --topk expects a positive count\n");
         return 2;
       }
-      TopK = unsigned(Parsed);
     } else if (std::strcmp(Argv[I], "--folded") == 0 && I + 1 < Argc)
       FoldedPath = Argv[++I];
     else if (std::strncmp(Argv[I], "--folded=", 9) == 0)

@@ -37,8 +37,9 @@ int main(int Argc, char **Argv) {
     if (std::strcmp(Argv[I], "--args") == 0) {
       while (I + 1 < Argc && Argv[I + 1][0] != '-')
         Args.push_back(std::strtoll(Argv[++I], nullptr, 10));
-    } else if (std::strcmp(Argv[I], "--max-steps") == 0 && I + 1 < Argc) {
-      Opts.MaxSteps = std::strtoull(Argv[++I], nullptr, 10);
+    } else if (const char *V =
+                   toolopts::flagValue(Argc, Argv, I, "--max-steps")) {
+      Opts.MaxSteps = toolopts::parseUnsigned(V, "--max-steps");
     } else if (std::strcmp(Argv[I], "--dump-data") == 0) {
       DumpData = true;
     } else if (std::strcmp(Argv[I], "--profile") == 0) {

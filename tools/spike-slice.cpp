@@ -76,12 +76,13 @@ int runTool(int Argc, char **Argv) {
   tooltel::Options TelemetryOpts;
   toolbudget::Options BudgetOpts;
   for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--backward") == 0 && I + 1 < Argc) {
+    if (const char *V = toolopts::flagValue(Argc, Argv, I, "--backward")) {
       Backward = true;
-      Seed = std::strtoull(Argv[++I], nullptr, 0);
-    } else if (std::strcmp(Argv[I], "--forward") == 0 && I + 1 < Argc) {
+      Seed = toolopts::parseUnsigned(V, "--backward", 0);
+    } else if (const char *V =
+                   toolopts::flagValue(Argc, Argv, I, "--forward")) {
       Forward = true;
-      Seed = std::strtoull(Argv[++I], nullptr, 0);
+      Seed = toolopts::parseUnsigned(V, "--forward", 0);
     } else if (std::strcmp(Argv[I], "--slots") == 0)
       Slots = true;
     else if (std::strcmp(Argv[I], "--dot") == 0)
