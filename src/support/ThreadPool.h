@@ -25,8 +25,9 @@
 /// (it counts indices executed); steals() is inherently
 /// schedule-dependent and is exposed for telemetry only.
 ///
-/// Tasks must not touch the telemetry layer (sessions are
-/// single-threaded); callers account pool counters after the join.
+/// Tasks must not touch the caller's telemetry session (sessions are
+/// single-threaded, and lane 0 runs on the caller's thread, where that
+/// session is active); callers account pool counters after the join.
 ///
 //===----------------------------------------------------------------------===//
 
