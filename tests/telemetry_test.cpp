@@ -97,6 +97,33 @@ TEST(TelemetrySession, ScopeInstallsAndNests) {
   EXPECT_EQ(A.counter("x"), 1u);
 }
 
+TEST(TelemetrySession, AdoptSpansNestsThemOnTheirOwnTrack) {
+  Session Host("host");
+  uint32_t Outer = Host.beginSpan("outer");
+  Session Query("query");
+  uint32_t A = Query.beginSpan("a");
+  Query.endSpan(Query.beginSpan("b"));
+  Query.endSpan(A);
+  Host.adoptSpans(Query, 3);
+  Host.endSpan(Outer);
+
+  ASSERT_EQ(Host.spans().size(), 3u);
+  EXPECT_EQ(Host.spanPath(2), "outer/a/b");
+  EXPECT_EQ(Host.spans()[0].Track, 0u);
+  EXPECT_EQ(Host.spans()[1].Track, 3u);
+  EXPECT_GE(Host.spans()[1].StartNs, Host.spans()[0].StartNs);
+  EXPECT_EQ(Host.spans()[1].DurNs, Query.spans()[0].DurNs);
+
+  std::optional<JsonValue> Doc = parseJson(traceJson(Host));
+  ASSERT_TRUE(Doc.has_value());
+  const JsonValue *Events = Doc->findArray("traceEvents");
+  ASSERT_NE(Events, nullptr);
+  ASSERT_EQ(Events->Items.size(), 3u);
+  for (const JsonValue &Event : Events->Items)
+    EXPECT_EQ(Event.numberOr("tid", -1),
+              Event.stringOr("name", "") == "outer" ? 1 : 4);
+}
+
 TEST(TelemetryHelpers, NoOpWhenDisabled) {
   ASSERT_EQ(active(), nullptr);
   // None of these may crash or observably do anything.
