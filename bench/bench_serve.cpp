@@ -1,12 +1,13 @@
 //===- bench/bench_serve.cpp - Incremental re-analysis vs full re-solve ----===//
 //
 // The serving layer's economics: after a same-length routine patch, how
-// much cheaper is reanalyzeIncremental (restore clean SCC groups, re-run
-// the dirty frontier) than the full solve spike-serve would otherwise
-// repeat per `patch-routine`?  One row per benchmark, dominated by the
-// largest synthetic profile; each row averages a burst of randomized
-// within-routine patches, the same mutation model the serve fuzz arm and
-// the differential oracle tests use.
+// much cheaper is reanalyzeIncremental (rebuild the patched routine in
+// place, keep clean SCC groups, re-run the dirty frontier) than the full
+// solve spike-serve would otherwise repeat per `patch-routine`?  One row
+// per benchmark, dominated by the largest synthetic profile; each row
+// averages a burst of randomized within-routine patches, the same
+// mutation model the serve fuzz arm and the differential oracle tests
+// use, each after a no-change save of the routine it patches.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,33 +15,36 @@
 #include "interproc/Incremental.h"
 #include "psg/Analyzer.h"
 #include "support/Rng.h"
+#include "support/ThreadPool.h"
 #include "support/TablePrinter.h"
 #include "synth/CfgGenerator.h"
+
+#include <optional>
 
 using namespace spike;
 
 namespace {
 
-/// Picks a named routine wide enough to shuffle and copies \p Edits
-/// words within it — decodable, control-flow-changing,
-/// partition-preserving.  Edits == 0 models the no-change save a client
-/// sends when re-publishing an unmodified routine.
-const Routine *mutateOneRoutine(const Program &Prog, Image &Img,
-                                unsigned Edits, Rng &Rand) {
-  std::vector<const Routine *> Candidates;
-  for (const Routine &Rt : Prog.Routines)
-    if (!Rt.Name.empty() && Rt.End - Rt.Begin >= 4)
-      Candidates.push_back(&Rt);
+/// Picks a named routine wide enough to shuffle and returns its index
+/// and its words with one word copied over another — decodable,
+/// control-flow-changing, partition-preserving.
+std::optional<std::pair<uint32_t, std::vector<uint64_t>>>
+oneWordEdit(const Program &Prog, const Image &Img, Rng &Rand) {
+  std::vector<uint32_t> Candidates;
+  for (uint32_t R = 0; R < Prog.Routines.size(); ++R)
+    if (!Prog.Routines[R].Name.empty() &&
+        Prog.Routines[R].End - Prog.Routines[R].Begin >= 4)
+      Candidates.push_back(R);
   if (Candidates.empty())
-    return nullptr;
-  const Routine *Rt = Candidates[Rand.below(Candidates.size())];
-  uint64_t Span = Rt->End - Rt->Begin;
-  for (unsigned E = 0; E < Edits; ++E) {
-    uint64_t Dst = Rt->Begin + Rand.below(Span);
-    uint64_t Src = Rt->Begin + Rand.below(Span);
-    Img.Code[Dst] = Img.Code[Src];
-  }
-  return Rt;
+    return std::nullopt;
+  uint32_t R = Candidates[Rand.below(Candidates.size())];
+  const Routine &Rt = Prog.Routines[R];
+  std::vector<uint64_t> Words(Img.Code.begin() + Rt.Begin,
+                              Img.Code.begin() + Rt.End);
+  uint64_t Dst = Rand.below(Words.size());
+  uint64_t Src = Rand.below(Words.size());
+  Words[Dst] = Words[Src];
+  return std::pair(R, std::move(Words));
 }
 
 } // namespace
@@ -81,36 +85,38 @@ int main(int Argc, char **Argv) {
     AnalysisOptions AO;
     AO.Jobs = Opts.Jobs;
     AnalysisResult Resident = analyzeImage(Img, CallingConv(), AO);
+    ThreadPool Pool(Opts.Jobs);
 
     Rng Rand(0x5e71e + Profile->Routines);
     double FullSeconds = 0, NoopSeconds = 0, EditSeconds = 0;
     uint64_t Phase1Dirty = 0, Phase2Dirty = 0, FullFallbacks = 0;
     for (unsigned I = 0; I < PatchesPerRow; ++I) {
-      // The no-change save: same image back, struct diff finds nothing.
+      auto Edit = oneWordEdit(Resident.Prog, Img, Rand);
+      if (!Edit)
+        break;
+      const Routine &Rt = Resident.Prog.Routines[Edit->first];
+      // The no-change save: the routine's own words back.
+      std::vector<uint64_t> Same(Img.Code.begin() + Rt.Begin,
+                                 Img.Code.begin() + Rt.End);
       NoopSeconds += Bench.timed("serve.incremental_noop", [&] {
         IncrementalOutcome Out =
-            reanalyzeIncremental(Img, CallingConv(), AO, Resident);
+            reanalyzeIncremental(Img, Edit->first, Same, AO, Resident, Pool);
         (void)Out;
       });
 
-      // A one-word edit, then incremental vs from-scratch on the same
-      // patched image.  The edit goes to a copy: Resident borrows Img's
-      // words, and the diff compares them with the patched ones.
+      // The edit: from scratch on a patched copy, then in place.
       Image Patched = Img;
-      if (!mutateOneRoutine(Resident.Prog, Patched, /*Edits=*/1, Rand))
-        break;
+      std::copy(Edit->second.begin(), Edit->second.end(),
+                Patched.Code.begin() + Rt.Begin);
       FullSeconds += Bench.timed("serve.full_resolve", [&] {
         AnalysisResult Fresh = analyzeImage(Patched, CallingConv(), AO);
         (void)Fresh;
       });
       IncrementalOutcome Out;
       EditSeconds += Bench.timed("serve.incremental_edit", [&] {
-        Out = reanalyzeIncremental(Patched, CallingConv(), AO, Resident);
+        Out = reanalyzeIncremental(Img, Edit->first, Edit->second, AO,
+                                   Resident, Pool);
       });
-      // Retire the old words the way a server does: Resident (kept as
-      // is by an all-clean patch) re-points at the patched image.
-      Img = std::move(Patched);
-      Resident.Prog.Code = Img.Code;
       Phase1Dirty += Out.Phase1Dirty;
       Phase2Dirty += Out.Phase2Dirty;
       FullFallbacks += Out.Full;

@@ -17,7 +17,10 @@
 # The patch is the routine's own code with the second and third
 # instructions swapped: a real change that keeps the routine partition,
 # so the server must take the incremental path ("full":false) and only
-# the routine's SCC group plus dependents may re-solve.
+# the routine's SCC group plus dependents may re-solve.  The patch
+# rebuilds its routine in place: the RunReport must show the patch's
+# per-routine spans (reanalyze/patch.validate, patch.cfg, patch.psg) and
+# no whole-program CFG or PSG build under reanalyze.
 #
 # Observability rides along: the session runs with --access-log and
 # --slow-ms=0, asserts one well-formed JSONL record per request, scrapes
@@ -142,6 +145,20 @@ if [ "$(phase_count lint)" != 2 ] || [ "$(phase_count lint/lint.control-flow)" !
   echo "serve-smoke: RunReport phases lint=$(phase_count lint) lint/lint.dead-def=$(phase_count lint/lint.dead-def), want 2 and 1" >&2
   FAIL=1
 fi
+
+# The patch rebuilt one routine in place, never the whole program.
+for P in reanalyze/patch.validate reanalyze/patch.cfg reanalyze/patch.psg; do
+  if [ "$(phase_count "$P")" != 1 ]; then
+    echo "serve-smoke: RunReport phase $P count '$(phase_count "$P")', want 1" >&2
+    FAIL=1
+  fi
+done
+for P in reanalyze/cfg.build reanalyze/psg.build; do
+  if [ -n "$(phase_count "$P")" ]; then
+    echo "serve-smoke: the patch rebuilt the whole program ($P in the RunReport)" >&2
+    FAIL=1
+  fi
+done
 
 # Observability assertions: header + one JSONL record per request, the
 # garbage line classified as a protocol error, and both surfaces pass

@@ -89,6 +89,16 @@ struct ValidationReport {
 /// at every job count.
 ValidationReport validateImage(const Image &Img, ThreadPool *Pool = nullptr);
 
+/// Brings \p Report, a report of \p Img before the words [Begin, End) of
+/// routine \p Owner changed in place, up to what validateImage(Img) now
+/// returns: re-checks those words, and every annotation when one lies
+/// among them.  Only those findings can change, because every other check
+/// reads the symbols, the jump tables or other words.  The routines tile
+/// the code from \p FirstRoutineBegin to its end.
+void revalidateRoutine(const Image &Img, uint64_t Begin, uint64_t End,
+                       const std::string &Owner, uint64_t FirstRoutineBegin,
+                       ValidationReport &Report);
+
 } // namespace spike
 
 #endif // SPIKE_BINARY_VALIDATOR_H

@@ -3,6 +3,7 @@
 #include "cfg/CfgBuilder.h"
 
 #include "isa/Encoding.h"
+#include "support/Splice.h"
 #include "support/ThreadPool.h"
 #include "telemetry/Telemetry.h"
 
@@ -11,6 +12,7 @@
 #include <numeric>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
 
 using namespace spike;
 
@@ -36,17 +38,17 @@ uint64_t branchTarget(const Program &Prog, uint64_t Address) {
   return uint64_t(int64_t(Address) + 1 + Prog.inst(Address).Imm);
 }
 
-/// Marks the leaders of healthy routine \p R in \p Leader (indexed by
-/// address; each routine writes only its own range) and returns the
-/// routine's block count: every block starts at a leader and every
-/// leader starts a block.
+/// Marks the leaders of healthy routine \p R in \p Leader (one flag per
+/// word of the routine, indexed from R.Begin) and returns the routine's
+/// block count: every block starts at a leader and every leader starts a
+/// block.
 uint32_t markLeaders(const Program &Prog, const Routine &R,
-                     std::vector<uint8_t> &Leader) {
+                     std::span<uint8_t> Leader) {
   auto Mark = [&](uint64_t Address) {
     if (Address >= R.Begin && Address < R.End)
-      Leader[Address] = 1;
+      Leader[Address - R.Begin] = 1;
   };
-  Leader[R.Begin] = 1;
+  Leader[0] = 1;
   for (uint64_t Entry : R.EntryAddresses)
     Mark(Entry);
   for (uint64_t Address = R.Begin; Address < R.End; ++Address) {
@@ -55,7 +57,7 @@ uint32_t markLeaders(const Program &Prog, const Routine &R,
     if (!Inst.endsBlock())
       continue;
     if (Address + 1 < R.End)
-      Leader[Address + 1] = 1;
+      Leader[Address + 1 - R.Begin] = 1;
     if (Info.IsCondBranch || Info.IsUncondBranch)
       Mark(branchTarget(Prog, Address));
     if (Info.IsTableJump) {
@@ -69,8 +71,7 @@ uint32_t markLeaders(const Program &Prog, const Routine &R,
         Mark(Target);
     }
   }
-  return uint32_t(std::count(Leader.begin() + R.Begin,
-                             Leader.begin() + R.End, uint8_t(1)));
+  return uint32_t(std::count(Leader.begin(), Leader.end(), uint8_t(1)));
 }
 
 /// Scratch buffers of the routine builder.  One instance per pool lane
@@ -98,18 +99,21 @@ std::span<T> sliceOf(std::vector<T> &All, const std::vector<uint32_t> &Begin,
   return std::span(All).subspan(Begin[R], Begin[R + 1] - Begin[R]);
 }
 
-/// Builds the basic blocks of one healthy routine in place, in its slice
-/// of Program::AllBlocks, and its entrance blocks.  Successor lists go
-/// to the lane's Succs buffer: the routine's arc count is known only
-/// once they are deduplicated, so placeArcs packs them later.
+/// Builds the basic blocks of one healthy routine in place, in \p Blocks
+/// (its slice of Program::AllBlocks, or a list of its own), and its
+/// entrance blocks.  Successor lists go to the lane's Succs buffer: the
+/// routine's arc count is known only once they are deduplicated, so
+/// placeArcs packs them later.  Direct calls resolve against \p Scan's
+/// entrances when given, the program's otherwise.
 class RoutineBuilder {
 public:
   RoutineBuilder(const Program &Prog, Routine &R, std::span<BasicBlock> Blocks,
                  std::span<uint32_t> EntryBlocks,
-                 const std::vector<uint8_t> &Leader, RoutineScratch &Scratch)
+                 std::span<const uint8_t> Leader, RoutineScratch &Scratch,
+                 const EntranceScan *Scan = nullptr)
       : Prog(Prog), R(R), Blocks(Blocks), EntryBlocks(EntryBlocks),
         Leader(Leader), BlockOfAddress(Scratch.BlockOfAddress),
-        Succs(Scratch.Succs), SuccBase(Scratch.Succs.size()) {}
+        Succs(Scratch.Succs), SuccBase(Scratch.Succs.size()), Scan(Scan) {}
 
   void run() {
     makeBlocks();
@@ -140,7 +144,7 @@ private:
           break;
         }
         ++Cursor;
-        if (Cursor == R.End || Leader[Cursor])
+        if (Cursor == R.End || Leader[Cursor - R.Begin])
           break;
       }
       Block.End = uint32_t(Cursor);
@@ -284,7 +288,8 @@ private:
       int32_t CalleeIndex = findRoutineByAddress(Prog, Target);
       assert(CalleeIndex >= 0 && "unresolved direct call");
       std::span<const uint64_t> Entries =
-          Prog.Routines[CalleeIndex].EntryAddresses;
+          Scan ? Scan->entries(uint32_t(CalleeIndex))
+               : Prog.Routines[CalleeIndex].EntryAddresses;
       auto It = std::lower_bound(Entries.begin(), Entries.end(), Target);
       assert(It != Entries.end() && *It == Target &&
              "call target was not registered as an entrance");
@@ -297,10 +302,11 @@ private:
   Routine &R;
   std::span<BasicBlock> Blocks;
   std::span<uint32_t> EntryBlocks;
-  const std::vector<uint8_t> &Leader;
+  std::span<const uint8_t> Leader;
   std::vector<uint32_t> &BlockOfAddress;
   std::vector<uint32_t> &Succs;
   size_t SuccBase;
+  const EntranceScan *Scan;
 };
 
 /// Packs a routine's arcs into \p Arcs, its slice of Program::AllArcs:
@@ -347,6 +353,8 @@ struct CallFact {
   uint32_t Callee = 0;
   uint64_t Target = 0;
   bool FromBadRegion = false;
+
+  auto operator<=>(const CallFact &) const = default;
 };
 
 /// One pool lane's scan output, reused across the chunks it scans.
@@ -356,6 +364,47 @@ struct ScanLane {
   /// code: either may reach any routine.
   bool Opaque = false;
 };
+
+/// Scans \p Words for what they imply about other routines: the entrances
+/// their direct calls register (appended to \p L's facts) and whether
+/// they are opaque.  \p InBadRegion says the words are quarantined or
+/// unowned code.  Undecodable words read as a halt placeholder
+/// (Program::inst): the validator quarantines their owning routine (or,
+/// for unowned garbage, the opaque flag makes every routine
+/// CalledFromQuarantine), so the placeholder is never analyzed as if it
+/// were real code.  A direct jsr from quarantined or unowned code names
+/// its target, which must then assume a caller that ignores the calling
+/// standard; indirect calls or undecodable words there can reach
+/// *anything*.
+void scanWords(const Program &Prog, std::span<const uint64_t> Words,
+               bool InBadRegion, ScanLane &L) {
+  for (uint64_t Word : Words) {
+    std::optional<Instruction> Inst = decodeInstruction(Word);
+    if (!Inst) {
+      L.Opaque = true;
+      continue;
+    }
+    if (Inst->Op == Opcode::JsrR && InBadRegion)
+      L.Opaque = true;
+    if (Inst->Op != Opcode::Jsr)
+      continue;
+    // A wild call has no entrance to register: the validator
+    // quarantined its owner (or it sits in unowned code).
+    if (Inst->Imm < 0 || uint64_t(Inst->Imm) >= Prog.numInsts())
+      continue;
+    // A healthy call to a primary entrance adds nothing: every
+    // routine already has its primary entrance.
+    int32_t Callee = findRoutineByAddress(Prog, uint64_t(Inst->Imm));
+    if (Callee >= 0 &&
+        (InBadRegion ||
+         uint64_t(Inst->Imm) != Prog.Routines[uint32_t(Callee)].Begin))
+      L.Facts.push_back({uint32_t(Callee), uint64_t(Inst->Imm), InBadRegion});
+  }
+}
+
+/// Why buildProgram quarantines a routine it is told to.
+const char *const ForcedReason = "quarantine forced by build options";
+const char *const BudgetReason = "analysis budget exceeded";
 
 /// Quarantines \p R for \p Reason unless an earlier cause already did.
 void quarantine(Routine &R, const std::string &Reason, DegradeReason Cause) {
@@ -384,7 +433,191 @@ void quarantineNamed(Program &Prog, const std::vector<uint32_t> &ByName,
   }
 }
 
+/// Models quarantined routine \p R like the paper's unknowable code
+/// (Section 3.5): one block spanning the whole routine, terminated by an
+/// unresolved jump, using and defining nothing we can rely on —
+/// worst-case UBD, empty DEF — with no exits and no call sites.  Every
+/// entrance maps to that block.
+void makeQuarantinedBlock(const Routine &R, BasicBlock &Block) {
+  Block.Begin = uint32_t(R.Begin);
+  Block.End = uint32_t(R.End);
+  Block.Term = TerminatorKind::UnresolvedJump;
+  Block.Ubd = RegSet::allBelow(NumIntRegs);
+}
+
+/// Counts the exit and call blocks among \p Blocks.
+std::pair<uint32_t, uint32_t> countExitsAndCalls(
+    std::span<const BasicBlock> Blocks) {
+  uint32_t NumExits = 0, NumCalls = 0;
+  for (const BasicBlock &Block : Blocks) {
+    NumExits += Block.Term == TerminatorKind::Return;
+    NumCalls += Block.endsWithCall();
+  }
+  return {NumExits, NumCalls};
+}
+
+/// Calls \p Visit with the bytes of each container of Prog.Calls and the
+/// two schedules, in the order buildProgram charges them.
+template <class VisitFn>
+void forEachScheduleContainer(const Program &Prog, VisitFn Visit) {
+  const CallGraph &Graph = Prog.Calls;
+  for (const std::vector<uint32_t> *Ids :
+       {&Graph.Callees.Begin, &Graph.Callees.Ids, &Graph.Callers.Begin,
+        &Graph.Callers.Ids, &Graph.SccId})
+    Visit(elementBytes(*Ids));
+  for (const std::vector<bool> *Flags :
+       {&Graph.HasIndirectCalls, &Graph.InCycle, &Graph.Reachable})
+    Visit(elementBytes(*Flags));
+  for (const SccSchedule *Sched : {&Prog.CalleeFirst, &Prog.CallerFirst}) {
+    Visit(elementBytes(Sched->GroupOfRoutine));
+    for (const std::vector<std::vector<uint32_t>> *Lists :
+         {&Sched->Members, &Sched->Levels, &Sched->GroupSucc})
+      Visit(elementBytes(*Lists) + nestedElementBytes(*Lists));
+  }
+}
+
+/// Fills the DEF and UBD sets of a healthy routine's \p Blocks.
+void computeBlockSets(const Program &Prog, std::span<BasicBlock> Blocks) {
+  for (BasicBlock &Block : Blocks) {
+    RegSet Def, Ubd;
+    for (uint64_t Address = Block.Begin; Address < Block.End; ++Address) {
+      const Instruction Inst = Prog.inst(Address);
+      bool IsCallTerminator =
+          Address == Block.End - 1 && opcodeInfo(Inst.Op).IsCall;
+      Ubd |= Inst.uses() - Def;
+      if (!IsCallTerminator)
+        Def |= Inst.defs();
+    }
+    Block.Def = Def;
+    Block.Ubd = Ubd;
+  }
+}
+
 } // namespace
+
+std::span<const uint64_t> EntranceScan::entries(uint32_t R) const {
+  return std::span(Entries).subspan(Begin[R], Begin[R + 1] - Begin[R]);
+}
+
+EntranceScan spike::scanEntrances(const Image &Img, const Program &Prog,
+                                  ThreadPool *Pool) {
+  // Entrances besides the primaries, as (routine, address) pairs: the
+  // secondary symbols here, the scan's call targets below.  Orphaned
+  // secondaries (out of range or in a symbol gap) are dropped — the
+  // validator reported them.
+  std::vector<std::pair<uint32_t, uint64_t>> Entrances;
+  for (const Symbol &Sym : Img.Symbols) {
+    if (!Sym.Secondary)
+      continue;
+    int32_t RoutineIndex = findRoutineByAddress(Prog, Sym.Address);
+    if (RoutineIndex >= 0)
+      Entrances.push_back({uint32_t(RoutineIndex), Sym.Address});
+  }
+
+  // Scan the code for call-targeted entrances, one task per routine plus
+  // one for the unowned words before the first routine.
+  std::vector<ScanLane> Lanes(Pool ? Pool->jobs() : 1);
+  std::vector<LaneSegment> Segments(Prog.Routines.size() + 1);
+  {
+    telemetry::Span ScanSpan("cfg.scan");
+    forEachTask(Pool, Segments.size(), [&](size_t Chunk, unsigned Lane) {
+      uint64_t Begin = 0, End = Prog.numInsts();
+      bool InBadRegion = true;
+      if (Chunk == 0) {
+        if (!Prog.Routines.empty())
+          End = Prog.Routines.front().Begin;
+      } else {
+        const Routine &Owner = Prog.Routines[Chunk - 1];
+        Begin = Owner.Begin;
+        End = Owner.End;
+        InBadRegion = Owner.Quarantined;
+      }
+      ScanLane &L = Lanes[Lane];
+      Segments[Chunk] = {Lane, L.Facts.size(), 0};
+      scanWords(Prog, Prog.Code.subspan(Begin, End - Begin), InBadRegion, L);
+      Segments[Chunk].Count = L.Facts.size() - Segments[Chunk].Begin;
+    });
+  }
+
+  // Register the entrances in routine order: a counting sort puts each
+  // routine's primary, secondary symbols and call targets in its slice
+  // of Entries, where they are sorted, deduplicated and packed down.
+  size_t Count = Prog.Routines.size();
+  EntranceScan Scan;
+  Scan.CalledFromQuarantine.assign(Count, 0);
+  bool Opaque = false;
+  for (const ScanLane &L : Lanes)
+    Opaque |= L.Opaque;
+  for (const LaneSegment &Seg : Segments)
+    for (size_t I = Seg.Begin; I < Seg.Begin + Seg.Count; ++I) {
+      const CallFact &Fact = Lanes[Seg.Lane].Facts[I];
+      Entrances.push_back({Fact.Callee, Fact.Target});
+      if (Fact.FromBadRegion)
+        Scan.CalledFromQuarantine[Fact.Callee] = 1;
+    }
+  Lanes.clear();
+  if (Opaque)
+    std::fill(Scan.CalledFromQuarantine.begin(),
+              Scan.CalledFromQuarantine.end(), 1);
+  std::vector<uint32_t> &EntryBegin = Scan.Begin;
+  EntryBegin.assign(Count + 1, 0);
+  for (const auto &[Owner, Address] : Entrances)
+    ++EntryBegin[Owner + 1];
+  for (size_t RoutineIndex = 0; RoutineIndex < Count; ++RoutineIndex)
+    EntryBegin[RoutineIndex + 1] += EntryBegin[RoutineIndex] + 1;
+  std::vector<uint64_t> &Entries = Scan.Entries;
+  Entries.resize(EntryBegin[Count]);
+  {
+    std::vector<uint32_t> Cursor(EntryBegin.begin(), EntryBegin.end() - 1);
+    for (size_t RoutineIndex = 0; RoutineIndex < Count; ++RoutineIndex)
+      Entries[Cursor[RoutineIndex]++] = Prog.Routines[RoutineIndex].Begin;
+    for (const auto &[Owner, Address] : Entrances)
+      Entries[Cursor[Owner]++] = Address;
+  }
+  uint32_t Packed = 0;
+  for (size_t RoutineIndex = 0; RoutineIndex < Count; ++RoutineIndex) {
+    auto First = Entries.begin() + EntryBegin[RoutineIndex];
+    auto Last = Entries.begin() + EntryBegin[RoutineIndex + 1];
+    std::sort(First, Last);
+    Last = std::unique(First, Last);
+    if (Entries.begin() + Packed != First)
+      std::copy(First, Last, Entries.begin() + Packed);
+    EntryBegin[RoutineIndex] = Packed;
+    Packed += uint32_t(Last - First);
+  }
+  EntryBegin[Count] = Packed;
+  Entries.resize(Packed);
+  Entries.shrink_to_fit();
+  return Scan;
+}
+
+bool spike::sameEntranceFacts(const Program &Prog,
+                              std::span<const uint64_t> Old, bool OldBad,
+                              std::span<const uint64_t> New, bool NewBad) {
+  ScanLane Before, After;
+  scanWords(Prog, Old, OldBad, Before);
+  scanWords(Prog, New, NewBad, After);
+  for (std::vector<CallFact> *Facts : {&Before.Facts, &After.Facts}) {
+    std::sort(Facts->begin(), Facts->end());
+    Facts->erase(std::unique(Facts->begin(), Facts->end()), Facts->end());
+  }
+  return Before.Opaque == After.Opaque && Before.Facts == After.Facts;
+}
+
+QuarantineState spike::quarantineState(const std::string &Name,
+                                        const std::string *ValidationReason,
+                                        const CfgBuildOptions &Sorted) {
+  auto Named = [&](const std::vector<std::string> &Names) {
+    return std::binary_search(Names.begin(), Names.end(), Name);
+  };
+  if (ValidationReason)
+    return {true, DegradeReason::Validation, *ValidationReason};
+  if (Named(Sorted.ForceQuarantine))
+    return {true, DegradeReason::Forced, ForcedReason};
+  if (Named(Sorted.BudgetDegrade))
+    return {true, DegradeReason::Budget, BudgetReason};
+  return {};
+}
 
 Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
                             MemoryTracker *Mem,
@@ -461,134 +694,30 @@ Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
     std::sort(ByName.begin(), ByName.end(), [&](uint32_t A, uint32_t B) {
       return Prog.Routines[A].Name < Prog.Routines[B].Name;
     });
-    quarantineNamed(Prog, ByName, Options.ForceQuarantine,
-                    "quarantine forced by build options",
+    quarantineNamed(Prog, ByName, Options.ForceQuarantine, ForcedReason,
                     DegradeReason::Forced);
-    quarantineNamed(Prog, ByName, Options.BudgetDegrade,
-                    "analysis budget exceeded", DegradeReason::Budget);
+    quarantineNamed(Prog, ByName, Options.BudgetDegrade, BudgetReason,
+                    DegradeReason::Budget);
   }
 
-  // Entrances besides the primaries, as (routine, address) pairs: the
-  // secondary symbols here, the scan's call targets below.  Orphaned
-  // secondaries (out of range or in a symbol gap) are dropped — the
-  // validator reported them.
-  std::vector<std::pair<uint32_t, uint64_t>> Entrances;
+  // An address-taken secondary symbol makes its routine address-taken.
   for (const Symbol &Sym : Img.Symbols) {
-    if (!Sym.Secondary)
+    if (!Sym.Secondary || !Sym.AddressTaken)
       continue;
     int32_t RoutineIndex = findRoutineByAddress(Prog, Sym.Address);
-    if (RoutineIndex < 0)
-      continue;
-    Entrances.push_back({uint32_t(RoutineIndex), Sym.Address});
-    if (Sym.AddressTaken)
+    if (RoutineIndex >= 0)
       Prog.Routines[RoutineIndex].AddressTaken = true;
   }
 
-  // Decode the code section and discover call-targeted entrances, one
-  // task per routine plus one for the unowned words before the first
-  // routine.  Undecodable words read as a halt placeholder
-  // (Program::inst): the validator quarantines their owning routine (or,
-  // for unowned garbage, the opaque flag below makes every routine
-  // CalledFromQuarantine), so the placeholder is never analyzed as if it
-  // were real code.  A direct jsr from quarantined or unowned code names
-  // its target, which must then assume a caller that ignores the calling
-  // standard; indirect calls or undecodable words there can reach
-  // *anything*.
-  std::vector<ScanLane> Lanes(Pool ? Pool->jobs() : 1);
-  std::vector<LaneSegment> Segments(Prog.Routines.size() + 1);
-  {
-    telemetry::Span ScanSpan("cfg.scan");
-    forEachTask(Pool, Segments.size(), [&](size_t Chunk, unsigned Lane) {
-      uint64_t Begin = 0, End = Prog.numInsts();
-      bool InBadRegion = true;
-      if (Chunk == 0) {
-        if (!Prog.Routines.empty())
-          End = Prog.Routines.front().Begin;
-      } else {
-        const Routine &Owner = Prog.Routines[Chunk - 1];
-        Begin = Owner.Begin;
-        End = Owner.End;
-        InBadRegion = Owner.Quarantined;
-      }
-      ScanLane &L = Lanes[Lane];
-      Segments[Chunk] = {Lane, L.Facts.size(), 0};
-      for (uint64_t Address = Begin; Address < End; ++Address) {
-        std::optional<Instruction> Inst =
-            decodeInstruction(Img.Code[Address]);
-        if (!Inst) {
-          L.Opaque = true;
-          continue;
-        }
-        if (Inst->Op == Opcode::JsrR && InBadRegion)
-          L.Opaque = true;
-        if (Inst->Op != Opcode::Jsr)
-          continue;
-        // A wild call has no entrance to register: the validator
-        // quarantined its owner (or it sits in unowned code).
-        if (Inst->Imm < 0 || uint64_t(Inst->Imm) >= Prog.numInsts())
-          continue;
-        // A healthy call to a primary entrance adds nothing: every
-        // routine already has its primary entrance.
-        int32_t Callee = findRoutineByAddress(Prog, uint64_t(Inst->Imm));
-        if (Callee >= 0 &&
-            (InBadRegion ||
-             uint64_t(Inst->Imm) != Prog.Routines[uint32_t(Callee)].Begin))
-          L.Facts.push_back(
-              {uint32_t(Callee), uint64_t(Inst->Imm), InBadRegion});
-      }
-      Segments[Chunk].Count = L.Facts.size() - Segments[Chunk].Begin;
-    });
-  }
-
-  // Register the entrances in routine order: a counting sort puts each
-  // routine's primary, secondary symbols and call targets in its slice
-  // of AllEntryAddresses, where they are sorted, deduplicated and packed
-  // down.
   size_t Count = Prog.Routines.size();
-  bool OpaqueQuarantine = false;
-  for (const ScanLane &L : Lanes)
-    OpaqueQuarantine |= L.Opaque;
-  for (const LaneSegment &Seg : Segments)
-    for (size_t I = Seg.Begin; I < Seg.Begin + Seg.Count; ++I) {
-      const CallFact &Fact = Lanes[Seg.Lane].Facts[I];
-      Entrances.push_back({Fact.Callee, Fact.Target});
-      if (Fact.FromBadRegion)
-        Prog.Routines[Fact.Callee].CalledFromQuarantine = true;
-    }
-  Lanes.clear();
-  std::vector<uint32_t> EntryBegin(Count + 1, 0);
-  for (const auto &[Owner, Address] : Entrances)
-    ++EntryBegin[Owner + 1];
-  for (size_t RoutineIndex = 0; RoutineIndex < Count; ++RoutineIndex)
-    EntryBegin[RoutineIndex + 1] += EntryBegin[RoutineIndex] + 1;
-  std::vector<uint64_t> &Entries = Prog.AllEntryAddresses;
-  Entries.resize(EntryBegin[Count]);
-  {
-    std::vector<uint32_t> Cursor(EntryBegin.begin(), EntryBegin.end() - 1);
-    for (size_t RoutineIndex = 0; RoutineIndex < Count; ++RoutineIndex)
-      Entries[Cursor[RoutineIndex]++] = Prog.Routines[RoutineIndex].Begin;
-    for (const auto &[Owner, Address] : Entrances)
-      Entries[Cursor[Owner]++] = Address;
-  }
-  uint32_t Packed = 0;
-  for (size_t RoutineIndex = 0; RoutineIndex < Count; ++RoutineIndex) {
-    auto First = Entries.begin() + EntryBegin[RoutineIndex];
-    auto Last = Entries.begin() + EntryBegin[RoutineIndex + 1];
-    std::sort(First, Last);
-    Last = std::unique(First, Last);
-    if (Entries.begin() + Packed != First)
-      std::copy(First, Last, Entries.begin() + Packed);
-    EntryBegin[RoutineIndex] = Packed;
-    Packed += uint32_t(Last - First);
-  }
-  EntryBegin[Count] = Packed;
-  Entries.resize(Packed);
-  Entries.shrink_to_fit();
+  EntranceScan Scan = scanEntrances(Img, Prog, Pool);
+  const std::vector<uint32_t> &EntryBegin = Scan.Begin;
+  Prog.AllEntryAddresses = std::move(Scan.Entries);
   for (size_t RoutineIndex = 0; RoutineIndex < Count; ++RoutineIndex) {
     Routine &R = Prog.Routines[RoutineIndex];
-    R.EntryAddresses = sliceOf(Entries, EntryBegin, RoutineIndex);
-    if (OpaqueQuarantine)
-      R.CalledFromQuarantine = true;
+    R.EntryAddresses =
+        sliceOf(Prog.AllEntryAddresses, EntryBegin, RoutineIndex);
+    R.CalledFromQuarantine = Scan.CalledFromQuarantine[RoutineIndex];
   }
 
   // Build the per-routine CFGs in three passes, each one task per
@@ -601,26 +730,25 @@ Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
   //   2. split and connect the blocks, index the entrances and resolve
   //      the direct calls;
   //   3. pack the arcs and list the exit and call blocks.
-  // A quarantined routine is modelled exactly like the paper's
-  // unknowable code (Section 3.5): one block spanning the whole routine,
-  // terminated by an unresolved jump, using and defining nothing we can
-  // rely on — worst-case UBD, empty DEF — with no exits and no call
-  // sites.  Every entrance maps to that block.
+  // A quarantined routine is one block (makeQuarantinedBlock).
   std::vector<uint32_t> BlockBegin(Count + 1, 0);
   {
     std::vector<uint8_t> Leader(Prog.numInsts(), 0);
+    auto LeadersOf = [&](const Routine &R) {
+      return std::span(Leader).subspan(R.Begin, R.End - R.Begin);
+    };
     {
       telemetry::Span LeadersSpan("cfg.leaders");
       forEachTask(Pool, Count, [&](size_t RoutineIndex, unsigned) {
         const Routine &R = Prog.Routines[RoutineIndex];
         BlockBegin[RoutineIndex + 1] =
-            R.Quarantined ? 1 : markLeaders(Prog, R, Leader);
+            R.Quarantined ? 1 : markLeaders(Prog, R, LeadersOf(R));
       });
     }
     std::partial_sum(BlockBegin.begin(), BlockBegin.end(),
                      BlockBegin.begin());
     Prog.AllBlocks.resize(BlockBegin[Count]);
-    Prog.AllEntryBlocks.resize(Entries.size());
+    Prog.AllEntryBlocks.resize(Prog.AllEntryAddresses.size());
 
     std::vector<RoutineScratch> Scratch(Pool ? Pool->jobs() : 1);
     std::vector<LaneSegment> SuccSegments(Count);
@@ -636,20 +764,11 @@ Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
             sliceOf(Prog.AllEntryBlocks, EntryBegin, RoutineIndex);
         RoutineScratch &S = Scratch[Lane];
         size_t SuccBase = S.Succs.size();
-        if (R.Quarantined) {
-          BasicBlock &Block = Blocks[0];
-          Block.Begin = uint32_t(R.Begin);
-          Block.End = uint32_t(R.End);
-          Block.Term = TerminatorKind::UnresolvedJump;
-          Block.Ubd = RegSet::allBelow(NumIntRegs);
-        } else {
-          RoutineBuilder(Prog, R, Blocks, EntryBlocks, Leader, S).run();
-        }
-        uint32_t NumExits = 0, NumCalls = 0;
-        for (const BasicBlock &Block : Blocks) {
-          NumExits += Block.Term == TerminatorKind::Return;
-          NumCalls += Block.endsWithCall();
-        }
+        if (R.Quarantined)
+          makeQuarantinedBlock(R, Blocks[0]);
+        else
+          RoutineBuilder(Prog, R, Blocks, EntryBlocks, LeadersOf(R), S).run();
+        auto [NumExits, NumCalls] = countExitsAndCalls(Blocks);
         SuccSegments[RoutineIndex] = {Lane, SuccBase,
                                       S.Succs.size() - SuccBase};
         ArcBegin[RoutineIndex + 1] = 2 * uint32_t(S.Succs.size() - SuccBase);
@@ -685,25 +804,7 @@ Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
     }
   }
 
-  // Copy the Section 3.5 side tables, dropping annotations that do not
-  // resolve to the matching instruction inside a healthy routine:
-  // quarantined code is modelled worst-case, and trusting an annotation
-  // planted in garbage would un-do that conservatism.
-  auto AnnotationUsable = [&](uint64_t Address, Opcode Expected) {
-    if (Address >= Prog.numInsts())
-      return false;
-    std::optional<Instruction> Inst = decodeInstruction(Img.Code[Address]);
-    if (!Inst || Inst->Op != Expected)
-      return false;
-    int32_t Owner = findRoutineByAddress(Prog, Address);
-    return Owner >= 0 && !Prog.Routines[uint32_t(Owner)].Quarantined;
-  };
-  for (const IndirectCallAnnotation &Annot : Img.CallAnnotations)
-    if (AnnotationUsable(Annot.Address, Opcode::JsrR))
-      Prog.CallAnnotations[Annot.Address] = Annot;
-  for (const IndirectJumpAnnotation &Annot : Img.JumpAnnotations)
-    if (AnnotationUsable(Annot.Address, Opcode::JmpR))
-      Prog.JumpLiveAnnotations[Annot.Address] = Annot.LiveAtTarget;
+  copyAnnotations(Prog, Img, 0, Prog.numInsts());
 
   // Locate the entry routine (-1 when the entry address is out of range
   // or falls outside every routine; both are validator findings).
@@ -711,23 +812,14 @@ Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
                           ? findRoutineByAddress(Prog, Img.EntryAddress)
                           : -1;
 
-  {
-    telemetry::Span GraphSpan("cfg.callgraph");
-    Prog.Calls = buildCallGraph(Prog, Pool);
-    // The two schedules only read the graph: one task each.
-    forEachTask(Pool, 2, [&](size_t Which, unsigned) {
-      if (Which == 0)
-        Prog.CalleeFirst = buildCalleeFirstSchedule(Prog, Prog.Calls);
-      else
-        Prog.CallerFirst = buildCallerFirstSchedule(Prog, Prog.Calls);
-    });
-  }
+  buildSchedules(Prog, Pool);
 
   // Charges stay serial and in routine order, so the Nth tracked
   // allocation (--inject-fault alloc@N) is the same at every job count.
   // Each routine charges its own record and slices of the six CFG
   // arrays, one charge per block; the call graph and the schedules
-  // follow, one charge per container.
+  // follow, one charge per container.  routineCfgBytes and
+  // scheduleBytes sum the same charges.
   if (Mem) {
     for (const Routine &R : Prog.Routines) {
       Mem->charge(sizeof(Routine) +
@@ -740,20 +832,7 @@ Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
                     (R.succs(Block).size() + R.preds(Block).size()) *
                         sizeof(uint32_t));
     }
-    const CallGraph &Graph = Prog.Calls;
-    for (const std::vector<uint32_t> *Ids :
-         {&Graph.Callees.Begin, &Graph.Callees.Ids, &Graph.Callers.Begin,
-          &Graph.Callers.Ids, &Graph.SccId})
-      Mem->charge(elementBytes(*Ids));
-    for (const std::vector<bool> *Flags :
-         {&Graph.HasIndirectCalls, &Graph.InCycle, &Graph.Reachable})
-      Mem->charge(elementBytes(*Flags));
-    for (const SccSchedule *Sched : {&Prog.CalleeFirst, &Prog.CallerFirst}) {
-      Mem->charge(elementBytes(Sched->GroupOfRoutine));
-      for (const std::vector<std::vector<uint32_t>> *Lists :
-           {&Sched->Members, &Sched->Levels, &Sched->GroupSucc})
-        Mem->charge(elementBytes(*Lists) + nestedElementBytes(*Lists));
-    }
+    forEachScheduleContainer(Prog, [&](size_t Bytes) { Mem->charge(Bytes); });
   }
 
   if (telemetry::active()) {
@@ -767,6 +846,157 @@ Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
   return Prog;
 }
 
+void spike::copyAnnotations(Program &Prog, const Image &Img, uint64_t Begin,
+                            uint64_t End) {
+  // Drop annotations that do not resolve to the matching instruction
+  // inside a healthy routine: quarantined code is modelled worst-case,
+  // and trusting an annotation planted in garbage would un-do that
+  // conservatism.
+  auto Usable = [&](uint64_t Address, Opcode Expected) {
+    if (Address < Begin || Address >= End || Address >= Prog.numInsts())
+      return false;
+    std::optional<Instruction> Inst = decodeInstruction(Img.Code[Address]);
+    if (!Inst || Inst->Op != Expected)
+      return false;
+    int32_t Owner = findRoutineByAddress(Prog, Address);
+    return Owner >= 0 && !Prog.Routines[uint32_t(Owner)].Quarantined;
+  };
+  Prog.CallAnnotations.erase(Prog.CallAnnotations.lower_bound(Begin),
+                             Prog.CallAnnotations.lower_bound(End));
+  Prog.JumpLiveAnnotations.erase(Prog.JumpLiveAnnotations.lower_bound(Begin),
+                                 Prog.JumpLiveAnnotations.lower_bound(End));
+  for (const IndirectCallAnnotation &Annot : Img.CallAnnotations)
+    if (Usable(Annot.Address, Opcode::JsrR))
+      Prog.CallAnnotations[Annot.Address] = Annot;
+  for (const IndirectJumpAnnotation &Annot : Img.JumpAnnotations)
+    if (Usable(Annot.Address, Opcode::JmpR))
+      Prog.JumpLiveAnnotations[Annot.Address] = Annot.LiveAtTarget;
+}
+
+void spike::buildSchedules(Program &Prog, ThreadPool *Pool) {
+  telemetry::Span GraphSpan("cfg.callgraph");
+  Prog.Calls = buildCallGraph(Prog, Pool);
+  // The two schedules only read the graph: one task each.
+  forEachTask(Pool, 2, [&](size_t Which, unsigned) {
+    if (Which == 0)
+      Prog.CalleeFirst = buildCalleeFirstSchedule(Prog, Prog.Calls);
+    else
+      Prog.CallerFirst = buildCallerFirstSchedule(Prog, Prog.Calls);
+  });
+}
+
+RoutineCfg spike::buildRoutineCfg(const Program &Prog, const Routine &Record,
+                                  const EntranceScan *Scan) {
+  RoutineCfg Cfg;
+  Cfg.EntryAddresses.assign(Record.EntryAddresses.begin(),
+                            Record.EntryAddresses.end());
+  Routine R = Record;
+  R.EntryAddresses = Cfg.EntryAddresses;
+  R.NumBranches = 0;
+  Cfg.EntryBlocks.assign(Cfg.EntryAddresses.size(), 0);
+  RoutineScratch S;
+  if (R.Quarantined) {
+    Cfg.Blocks.resize(1);
+    makeQuarantinedBlock(R, Cfg.Blocks[0]);
+  } else {
+    std::vector<uint8_t> Leader(R.End - R.Begin, 0);
+    Cfg.Blocks.resize(markLeaders(Prog, R, Leader));
+    RoutineBuilder(Prog, R, Cfg.Blocks, Cfg.EntryBlocks, Leader, S, Scan)
+        .run();
+  }
+  auto [NumExits, NumCalls] = countExitsAndCalls(Cfg.Blocks);
+  Cfg.Arcs.resize(2 * S.Succs.size());
+  Cfg.ExitBlocks.resize(NumExits);
+  Cfg.CallBlocks.resize(NumCalls);
+  placeArcs(Cfg.Blocks, S.Succs, Cfg.Arcs, Cfg.ExitBlocks, Cfg.CallBlocks);
+  if (!R.Quarantined)
+    computeBlockSets(Prog, Cfg.Blocks);
+  Cfg.NumBranches = R.NumBranches;
+  return Cfg;
+}
+
+void spike::spliceRoutineCfgs(
+    Program &Prog, std::vector<std::pair<uint32_t, RoutineCfg>> &Cfgs) {
+  // Where each list sits, taken before any array moves, and how long the
+  // lists swapped in are.
+  struct Lists {
+    size_t Blocks, Arcs, Entries, EntryBlocks, Exits, Calls;
+  };
+  std::vector<Lists> Sizes;
+  std::vector<SliceSwap<BasicBlock>> Blocks;
+  std::vector<SliceSwap<uint32_t>> Arcs, EntryBlocks, Exits, Calls;
+  std::vector<SliceSwap<uint64_t>> Entries;
+  auto Slice = [](auto Span, auto &All, auto &List) {
+    return SliceSwap<typename std::decay_t<decltype(All)>::value_type>{
+        size_t(Span.data() - All.data()), Span.size(), &List};
+  };
+  for (auto &[Index, Cfg] : Cfgs) {
+    const Routine &R = Prog.Routines[Index];
+    Sizes.push_back({Cfg.Blocks.size(), Cfg.Arcs.size(),
+                     Cfg.EntryAddresses.size(), Cfg.EntryBlocks.size(),
+                     Cfg.ExitBlocks.size(), Cfg.CallBlocks.size()});
+    Blocks.push_back(Slice(R.Blocks, Prog.AllBlocks, Cfg.Blocks));
+    Arcs.push_back(Slice(R.Arcs, Prog.AllArcs, Cfg.Arcs));
+    Entries.push_back(
+        Slice(R.EntryAddresses, Prog.AllEntryAddresses, Cfg.EntryAddresses));
+    EntryBlocks.push_back(
+        Slice(R.EntryBlocks, Prog.AllEntryBlocks, Cfg.EntryBlocks));
+    Exits.push_back(Slice(R.ExitBlocks, Prog.AllExitBlocks, Cfg.ExitBlocks));
+    Calls.push_back(Slice(R.CallBlocks, Prog.AllCallBlocks, Cfg.CallBlocks));
+  }
+  swapSlices(Prog.AllBlocks, Blocks);
+  swapSlices(Prog.AllArcs, Arcs);
+  swapSlices(Prog.AllEntryAddresses, Entries);
+  swapSlices(Prog.AllEntryBlocks, EntryBlocks);
+  swapSlices(Prog.AllExitBlocks, Exits);
+  swapSlices(Prog.AllCallBlocks, Calls);
+  for (auto &[Index, Cfg] : Cfgs)
+    std::swap(Prog.Routines[Index].NumBranches, Cfg.NumBranches);
+  // Every routine's lists start where the previous routine's end.
+  Lists Next{};
+  size_t Swapped = 0;
+  for (uint32_t Index = 0; Index < Prog.Routines.size(); ++Index) {
+    Routine &R = Prog.Routines[Index];
+    Lists Size{R.Blocks.size(),      R.Arcs.size(),
+               R.EntryAddresses.size(), R.EntryBlocks.size(),
+               R.ExitBlocks.size(),  R.CallBlocks.size()};
+    if (Swapped < Cfgs.size() && Cfgs[Swapped].first == Index)
+      Size = Sizes[Swapped++];
+    R.Blocks = std::span(Prog.AllBlocks).subspan(Next.Blocks, Size.Blocks);
+    R.Arcs = std::span(Prog.AllArcs).subspan(Next.Arcs, Size.Arcs);
+    R.EntryAddresses = std::span(Prog.AllEntryAddresses)
+                           .subspan(Next.Entries, Size.Entries);
+    R.EntryBlocks = std::span(Prog.AllEntryBlocks)
+                        .subspan(Next.EntryBlocks, Size.EntryBlocks);
+    R.ExitBlocks =
+        std::span(Prog.AllExitBlocks).subspan(Next.Exits, Size.Exits);
+    R.CallBlocks =
+        std::span(Prog.AllCallBlocks).subspan(Next.Calls, Size.Calls);
+    Next.Blocks += Size.Blocks;
+    Next.Arcs += Size.Arcs;
+    Next.Entries += Size.Entries;
+    Next.EntryBlocks += Size.EntryBlocks;
+    Next.Exits += Size.Exits;
+    Next.Calls += Size.Calls;
+  }
+}
+
+uint64_t spike::routineCfgBytes(const Routine &R) {
+  return sizeof(Routine) + R.EntryAddresses.size() * sizeof(uint64_t) +
+         (R.EntryBlocks.size() + R.ExitBlocks.size() + R.CallBlocks.size() +
+          R.Arcs.size()) *
+             sizeof(uint32_t) +
+         R.Blocks.size() * sizeof(BasicBlock);
+}
+
+uint64_t spike::scheduleBytes(const Program &Prog) {
+  uint64_t Bytes = 0;
+  forEachScheduleContainer(Prog, [&](size_t ContainerBytes) {
+    Bytes += ContainerBytes;
+  });
+  return Bytes;
+}
+
 void spike::computeDefUbd(Program &Prog, ThreadPool *Pool) {
   forEachTask(Pool, Prog.Routines.size(), [&](size_t RoutineIndex, unsigned) {
     const Routine &R = Prog.Routines[RoutineIndex];
@@ -776,20 +1006,8 @@ void spike::computeDefUbd(Program &Prog, ThreadPool *Pool) {
     if (R.Quarantined)
       return;
     // Routine::Blocks is a read-only view; write through the owning array.
-    std::span<BasicBlock> Blocks = std::span(Prog.AllBlocks).subspan(
-        size_t(R.Blocks.data() - Prog.AllBlocks.data()), R.Blocks.size());
-    for (BasicBlock &Block : Blocks) {
-      RegSet Def, Ubd;
-      for (uint64_t Address = Block.Begin; Address < Block.End; ++Address) {
-        const Instruction Inst = Prog.inst(Address);
-        bool IsCallTerminator =
-            Address == Block.End - 1 && opcodeInfo(Inst.Op).IsCall;
-        Ubd |= Inst.uses() - Def;
-        if (!IsCallTerminator)
-          Def |= Inst.defs();
-      }
-      Block.Def = Def;
-      Block.Ubd = Ubd;
-    }
+    computeBlockSets(Prog, std::span(Prog.AllBlocks).subspan(
+                               size_t(R.Blocks.data() - Prog.AllBlocks.data()),
+                               R.Blocks.size()));
   });
 }

@@ -91,6 +91,93 @@ void computeDefUbd(Program &Prog, ThreadPool *Pool = nullptr);
 /// Returns the index of the routine containing \p Address, or -1.
 int32_t findRoutineByAddress(const Program &Prog, uint64_t Address);
 
+// The pieces an in-place re-analysis (interproc/Incremental.h) rebuilds
+// one routine with, shared with buildProgram.
+
+/// Every routine's entrances, as the code and the routines' quarantine
+/// imply them: the primary, secondary symbols, and every direct call's
+/// target.  Also which routines quarantined or unowned code may call.
+struct EntranceScan {
+  /// Routine r's entrances, ascending and distinct, are Entries[Begin[r],
+  /// Begin[r + 1]).
+  std::vector<uint64_t> Entries;
+  std::vector<uint32_t> Begin;
+  /// Per routine: Routine::CalledFromQuarantine.
+  std::vector<uint8_t> CalledFromQuarantine;
+
+  std::span<const uint64_t> entries(uint32_t R) const;
+};
+
+/// Scans \p Img's code for the entrances of \p Prog's routines, whose
+/// bounds and quarantine must be final; one task per routine on \p Pool.
+EntranceScan scanEntrances(const Image &Img, const Program &Prog,
+                           ThreadPool *Pool = nullptr);
+
+/// True when the words \p Old and \p New of one routine, scanned as
+/// quarantined code when \p OldBad / \p NewBad, register the same
+/// entrances and CalledFromQuarantine marks and are equally opaque, so
+/// replacing one by the other leaves every routine's entrances alone.
+bool sameEntranceFacts(const Program &Prog, std::span<const uint64_t> Old,
+                       bool OldBad, std::span<const uint64_t> New,
+                       bool NewBad);
+
+/// The quarantine fields of a routine.
+struct QuarantineState {
+  bool Quarantined = false;
+  DegradeReason Degrade = DegradeReason::None;
+  std::string Reason;
+
+  bool operator==(const QuarantineState &) const = default;
+};
+
+/// The quarantine buildProgram gives the routine named \p Name under
+/// \p Sorted (its name lists sorted), when \p ValidationReason is the
+/// message of the first validation finding that quarantines it (null if
+/// none): the first cause wins, validation before forced before budget.
+QuarantineState quarantineState(const std::string &Name,
+                                const std::string *ValidationReason,
+                                const CfgBuildOptions &Sorted);
+
+/// One routine's six CFG lists and branch count, outside any Program.
+struct RoutineCfg {
+  std::vector<BasicBlock> Blocks;
+  std::vector<uint32_t> Arcs;
+  std::vector<uint64_t> EntryAddresses;
+  std::vector<uint32_t> EntryBlocks;
+  std::vector<uint32_t> ExitBlocks;
+  std::vector<uint32_t> CallBlocks;
+  unsigned NumBranches = 0;
+};
+
+/// Builds the CFG lists, DEF/UBD included, that buildProgram would give
+/// a routine with \p Record's bounds, entrances and quarantine, from
+/// \p Prog's code.  Direct calls resolve against \p Scan's entrances
+/// when given, \p Prog's otherwise.  Prog is left as it was.
+RoutineCfg buildRoutineCfg(const Program &Prog, const Routine &Record,
+                           const EntranceScan *Scan = nullptr);
+
+/// Swaps each (routine, lists) pair's lists with the routine's slices of
+/// \p Prog's six arrays, and its NumBranches, shifting the slices of
+/// later routines, then re-points every routine's spans.  \p Cfgs is in
+/// ascending routine order; afterwards it holds the replaced lists, so a
+/// second call with it puts them back.
+void spliceRoutineCfgs(Program &Prog,
+                       std::vector<std::pair<uint32_t, RoutineCfg>> &Cfgs);
+
+/// Replaces \p Prog's Section 3.5 annotations at addresses [Begin, End)
+/// with \p Img's usable ones there: those on the matching instruction
+/// inside a routine that is not quarantined.
+void copyAnnotations(Program &Prog, const Image &Img, uint64_t Begin,
+                     uint64_t End);
+
+/// Builds Prog.Calls and both solver schedules from the final routines.
+void buildSchedules(Program &Prog, ThreadPool *Pool = nullptr);
+
+/// The bytes buildProgram charges for routine \p R, and for the call
+/// graph and schedules of \p Prog.
+uint64_t routineCfgBytes(const Routine &R);
+uint64_t scheduleBytes(const Program &Prog);
+
 } // namespace spike
 
 #endif // SPIKE_CFG_CFGBUILDER_H

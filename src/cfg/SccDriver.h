@@ -8,9 +8,9 @@
 /// The one level loop behind every SCC-scheduled solver.
 ///
 /// A solver supplies its per-group kernel (and, when it re-solves
-/// incrementally, a restore function); the driver owns the rest of the
+/// incrementally, a keep function); the driver owns the rest of the
 /// schedule: one pool batch per condensation level, with memberless
-/// groups skipped inside their task; restore-if-clean or
+/// groups skipped inside their task; keep-if-clean or
 /// flag-every-member-dirty-and-solve against a DirtyFrontier; the per-pop
 /// governor poll; GroupCost timing; an optional serial level join; and
 /// the phase's profiling and reuse emission.  DESIGN.md §10 states the
@@ -115,18 +115,18 @@ public:
   SccDriver(const Program &Prog, const SccSchedule &Sched, ThreadPool *Pool,
             const ResourceGovernor *Gov, DirtyFrontier *Frontier);
 
-  /// The default restore and level-join hook: nothing to do.
+  /// The default keep and level-join hook: nothing to do.
   struct NoHook {
     void operator()(const std::vector<uint32_t> &) const {}
   };
 
   /// Runs one pass level by level.  Per non-empty group, in its own task:
-  /// with a frontier and no dirty member, Restore(Members); otherwise
+  /// with a frontier and no dirty member, Keep(Members); otherwise
   /// every member is flagged dirty and Solve(GroupTask &) runs, timed
   /// into the group's cost.  After each level's join, Join(Level) runs
   /// serially.  \p Phase names the pass in budget errors.
-  template <class SolveFn, class RestoreFn = NoHook, class JoinFn = NoHook>
-  void run(const char *Phase, SolveFn Solve, RestoreFn Restore = {},
+  template <class SolveFn, class KeepFn = NoHook, class JoinFn = NoHook>
+  void run(const char *Phase, SolveFn Solve, KeepFn Keep = {},
            JoinFn Join = {}) {
     // One task body for every level, so running a level allocates
     // nothing however many levels the schedule has.
@@ -138,7 +138,7 @@ public:
         return;
       if (Frontier) {
         if (!Frontier->anyDirty(Members)) {
-          Restore(Members);
+          Keep(Members);
           ++Reused;
           return;
         }

@@ -2,196 +2,479 @@
 
 #include "interproc/Incremental.h"
 
+#include "cfg/CfgBuilder.h"
+#include "cfg/SaveRestore.h"
 #include "cfg/SccDriver.h"
 #include "support/ThreadPool.h"
 #include "telemetry/Telemetry.h"
 
 #include <algorithm>
+#include <cassert>
+#include <functional>
+#include <optional>
 
 using namespace spike;
 
 namespace {
 
-/// Field-wise basic-block equality (the record has no operator== because
-/// nothing else needs one).  The arc ranges compare as offsets; the arcs
-/// themselves are compared once per routine.
-bool sameBlockRecord(const BasicBlock &A, const BasicBlock &B) {
-  return A.Begin == B.Begin && A.End == B.End &&
-         A.FirstSucc == B.FirstSucc && A.FirstPred == B.FirstPred &&
-         A.Term == B.Term &&
-         A.CalleeRoutine == B.CalleeRoutine &&
-         A.CalleeEntry == B.CalleeEntry &&
-         A.JumpTableIndex == B.JumpTableIndex && A.Def == B.Def &&
-         A.Ubd == B.Ubd;
+/// The undo log of one re-analysis in place: each step that changes the
+/// image or the resident result pushes the step that puts it back, and an
+/// abandoned re-analysis runs them newest first.
+class UndoLog {
+public:
+  void push(std::function<void()> Undo) { Steps.push_back(std::move(Undo)); }
+
+  void rollback() {
+    for (auto It = Steps.rbegin(); It != Steps.rend(); ++It)
+      (*It)();
+    Steps.clear();
+  }
+
+private:
+  std::vector<std::function<void()>> Steps;
+};
+
+/// The record fields of a routine a patch may change besides its lists.
+struct RecordFlags {
+  QuarantineState Quarantine;
+  bool CalledFromQuarantine = false;
+};
+
+RecordFlags flagsOf(const Routine &R) {
+  return {{R.Quarantined, R.Degrade, R.QuarantineReason},
+          R.CalledFromQuarantine};
 }
 
-/// Deep equality of the whole routine record: everything the PSG builder
-/// and both solvers read.  Equal records (plus equal instruction and
-/// annotation slices) imply an identical per-routine PSG node/edge
-/// layout and identical transfer functions — the PhaseReuse premise.
-bool sameRoutineRecord(const Routine &A, const Routine &B) {
-  if (A.Name != B.Name || A.Begin != B.Begin || A.End != B.End ||
-      A.Blocks.size() != B.Blocks.size() || !std::ranges::equal(A.Arcs, B.Arcs))
+void setFlags(Routine &R, const RecordFlags &Flags) {
+  R.Quarantined = Flags.Quarantine.Quarantined;
+  R.Degrade = Flags.Quarantine.Degrade;
+  R.QuarantineReason = Flags.Quarantine.Reason;
+  R.CalledFromQuarantine = Flags.CalledFromQuarantine;
+}
+
+/// The message of the first validation finding that quarantines the
+/// routine spanning [Begin, End), or null.
+const std::string *validationReason(const ValidationReport &Report,
+                                    uint64_t Begin, uint64_t End) {
+  for (const ValidationFinding &F : Report.Findings)
+    if (F.Quarantines && F.Address >= 0 && uint64_t(F.Address) >= Begin &&
+        uint64_t(F.Address) < End)
+      return &F.Message;
+  return nullptr;
+}
+
+/// A routine's distinct direct callees, ascending, and whether it makes
+/// an indirect call: what the call graph reads of it.
+std::pair<std::vector<uint32_t>, bool>
+callsOf(std::span<const BasicBlock> Blocks,
+        std::span<const uint32_t> CallBlocks) {
+  std::vector<uint32_t> Callees;
+  bool Indirect = false;
+  for (uint32_t Block : CallBlocks) {
+    if (Blocks[Block].Term == TerminatorKind::IndirectCall)
+      Indirect = true;
+    else
+      Callees.push_back(uint32_t(Blocks[Block].CalleeRoutine));
+  }
+  std::sort(Callees.begin(), Callees.end());
+  Callees.erase(std::unique(Callees.begin(), Callees.end()), Callees.end());
+  return {std::move(Callees), Indirect};
+}
+
+/// The edges of routine \p R in \p Psg.
+uint32_t edgeCount(const ProgramSummaryGraph &Psg, uint32_t R) {
+  uint32_t End = R + 2 < Psg.RoutineNodeBegin.size()
+                     ? Psg.Nodes[Psg.RoutineNodeBegin[R + 1]].FirstOut
+                     : uint32_t(Psg.Edges.size());
+  return End - Psg.Nodes[Psg.RoutineNodeBegin[R]].FirstOut;
+}
+
+/// The bytes buildPsg charges for routine \p R's nodes and edges.
+uint64_t segmentBytes(uint64_t Nodes, uint64_t Edges) {
+  return Nodes * sizeof(PsgNode) + Edges * (sizeof(PsgEdge) + sizeof(uint32_t));
+}
+
+/// True when rebuilt routine \p R, whose old lists and segment are
+/// \p Old and \p OldSeg, left every id the linkage CSRs hold where it
+/// was: the same node and edge counts, entrances and exits, the same
+/// call sites calling the same entrances, and each call-return edge at
+/// the same offset.
+bool sameLinkage(const Program &Prog, const ProgramSummaryGraph &Psg,
+                 uint32_t R, const RoutineCfg &Old, const PsgSegment &OldSeg) {
+  const Routine &New = Prog.Routines[R];
+  uint32_t NodeBase = Psg.RoutineNodeBegin[R];
+  if (Psg.RoutineNodeBegin[R + 1] - NodeBase != OldSeg.Nodes.size() ||
+      edgeCount(Psg, R) != OldSeg.Edges.size() ||
+      New.EntryAddresses.size() != Old.EntryAddresses.size() ||
+      New.ExitBlocks.size() != Old.ExitBlocks.size() ||
+      New.CallBlocks.size() != Old.CallBlocks.size())
     return false;
-  for (size_t I = 0; I < A.Blocks.size(); ++I)
-    if (!sameBlockRecord(A.Blocks[I], B.Blocks[I]))
-      return false;
-  return std::ranges::equal(A.EntryAddresses, B.EntryAddresses) &&
-         std::ranges::equal(A.EntryBlocks, B.EntryBlocks) &&
-         std::ranges::equal(A.ExitBlocks, B.ExitBlocks) &&
-         std::ranges::equal(A.CallBlocks, B.CallBlocks) &&
-         A.AddressTaken == B.AddressTaken &&
-         A.Quarantined == B.Quarantined &&
-         A.QuarantineReason == B.QuarantineReason &&
-         A.Degrade == B.Degrade &&
-         A.CalledFromQuarantine == B.CalledFromQuarantine &&
-         A.NumBranches == B.NumBranches;
-}
-
-/// Equality of a Section 3.5 annotation map restricted to [Begin, End).
-template <class MapT>
-bool sameAnnotationSlice(const MapT &A, const MapT &B, uint64_t Begin,
-                         uint64_t End) {
-  return std::equal(A.lower_bound(Begin), A.lower_bound(End),
-                    B.lower_bound(Begin), B.lower_bound(End));
-}
-
-/// True when both versions partition the code into the same routines —
-/// the precondition for routine-indexed reuse.  (Patches replace a
-/// routine's words in place, so this holds for every patch-routine
-/// request; a `load` of an unrelated image fails it and falls back.)
-bool samePartition(const Program &Old, const Program &New) {
-  if (Old.Routines.size() != New.Routines.size() ||
-      Old.EntryRoutine != New.EntryRoutine)
-    return false;
-  for (size_t R = 0; R < Old.Routines.size(); ++R) {
-    const Routine &A = Old.Routines[R], &B = New.Routines[R];
-    if (A.Name != B.Name || A.Begin != B.Begin || A.End != B.End)
+  uint32_t EdgeBase = Psg.Nodes[NodeBase].FirstOut;
+  for (uint32_t C = 0; C < New.CallBlocks.size(); ++C) {
+    const BasicBlock &A = Old.Blocks[Old.CallBlocks[C]];
+    const BasicBlock &B = New.Blocks[New.CallBlocks[C]];
+    uint32_t Local = Psg.callNode(Prog, R, C) - NodeBase;
+    if (A.Term != B.Term || A.CalleeRoutine != B.CalleeRoutine ||
+        A.CalleeEntry != B.CalleeEntry ||
+        OldSeg.Nodes[Local].FirstOut !=
+            Psg.Nodes[NodeBase + Local].FirstOut - EdgeBase)
       return false;
   }
   return true;
 }
 
-/// True when routine \p R is structurally identical in both versions:
-/// same decoded instructions, same CFG record, same annotation slices.
-bool structurallyClean(const Program &Old, const Program &New, uint32_t R) {
-  const Routine &A = Old.Routines[R], &B = New.Routines[R];
-  if (!sameRoutineRecord(A, B))
-    return false;
-  for (uint64_t Addr = B.Begin; Addr < B.End; ++Addr)
-    if (!(Old.inst(Addr) == New.inst(Addr)))
-      return false;
-  return sameAnnotationSlice(Old.CallAnnotations, New.CallAnnotations,
-                             B.Begin, B.End) &&
-         sameAnnotationSlice(Old.JumpLiveAnnotations,
-                             New.JumpLiveAnnotations, B.Begin, B.End);
-}
-
-/// The full-solve escape hatch: correctness never depends on reuse.
-IncrementalOutcome fullFallback(const Image &NewImg, const CallingConv &Conv,
-                                const AnalysisOptions &Opts,
-                                AnalysisResult &A) {
-  telemetry::count("incremental.full_fallbacks");
-  A = analyzeImage(NewImg, Conv, Opts);
-  // analyzeImage attached the governor to its own temporary; repoint it
-  // at the resident result, as the incremental path does.
-  if (Opts.Governor && Opts.Governor->enabled())
-    Opts.Governor->attachMemory(&A.Memory);
-  IncrementalOutcome Out;
-  Out.Full = true;
-  Out.StructDirty = A.Prog.Routines.size();
-  Out.Phase1Dirty = Out.Phase2Dirty = Out.StructDirty;
-  return Out;
-}
+/// A routine's Section 3.5 annotations, kept to put them back.
+struct AnnotationSlice {
+  uint64_t Begin = 0, End = 0;
+  std::map<uint64_t, IndirectCallAnnotation> Calls;
+  std::map<uint64_t, RegSet> Jumps;
+};
 
 } // namespace
 
-IncrementalOutcome spike::reanalyzeIncremental(const Image &NewImg,
-                                               const CallingConv &Conv,
+IncrementalOutcome spike::reanalyzeIncremental(Image &Img, uint32_t Patched,
+                                               std::span<const uint64_t> Words,
                                                const AnalysisOptions &Opts,
-                                               AnalysisResult &A) {
+                                               AnalysisResult &A,
+                                               ThreadPool &Pool) {
   telemetry::Span Span("reanalyze");
   telemetry::count("incremental.runs");
+  Program &Prog = A.Prog;
+  ProgramSummaryGraph &Psg = A.Psg;
+  const uint32_t NumRoutines = uint32_t(Prog.Routines.size());
+  const uint64_t Begin = Prog.Routines[Patched].Begin;
+  const uint64_t End = Prog.Routines[Patched].End;
+  assert(Prog.Code.data() == Img.Code.data() && "A must view Img's words");
+  assert(Words.size() == End - Begin && "a patch keeps the routine's size");
 
-  AnalysisResult New;
-  ThreadPool Pool(Opts.Jobs);
-  const ResourceGovernor *Gov =
-      buildAndInitialize(NewImg, Conv, Opts, Pool, New);
+  const ResourceGovernor *Gov = nullptr;
+  if (Opts.Governor && Opts.Governor->enabled()) {
+    Opts.Governor->attachMemory(&A.Memory);
+    Opts.Governor->arm();
+    Gov = Opts.Governor;
+  }
 
-  if (!samePartition(A.Prog, New.Prog))
-    return fullFallback(NewImg, Conv, Opts, A);
-
-  // The structural diff.  Def/Ubd are compared too, so it must run after
-  // computeDefUbd; each routine's diff is independent work.
-  size_t NumRoutines = New.Prog.Routines.size();
-  std::vector<uint8_t> StructClean(NumRoutines, 0);
-  forEachTask(&Pool, NumRoutines, [&](size_t R, unsigned) {
-    StructClean[R] = structurallyClean(A.Prog, New.Prog, uint32_t(R));
-  });
-
-  // Every routine clean: the resident result is already the converged
-  // answer for this image (the no-change save a client sends when
-  // re-publishing an unmodified routine).  Skip the PSG build, both
-  // phases and summary extraction outright.
-  if (std::all_of(StructClean.begin(), StructClean.end(),
-                  [](uint8_t C) { return C != 0; })) {
+  // The quarantine a fresh build gives each routine.  Only the patched
+  // routine's validation findings can change (revalidateRoutine), so the
+  // other routines keep their validation cause and the options decide
+  // the rest.
+  CfgBuildOptions Sorted = Opts.Cfg;
+  std::sort(Sorted.ForceQuarantine.begin(), Sorted.ForceQuarantine.end());
+  std::sort(Sorted.BudgetDegrade.begin(), Sorted.BudgetDegrade.end());
+  const bool WordsChanged =
+      !std::equal(Words.begin(), Words.end(), Img.Code.begin() + Begin);
+  std::vector<std::pair<uint32_t, QuarantineState>> Moves;
+  for (uint32_t R = 0; R < NumRoutines; ++R) {
+    const Routine &Rt = Prog.Routines[R];
+    if (R == Patched && WordsChanged)
+      continue;
+    QuarantineState Want = quarantineState(
+        Rt.Name,
+        Rt.Degrade == DegradeReason::Validation ? &Rt.QuarantineReason
+                                                : nullptr,
+        Sorted);
+    if (!(Want == flagsOf(Rt).Quarantine))
+      Moves.push_back({R, std::move(Want)});
+  }
+  if (!WordsChanged && Moves.empty()) {
     telemetry::count("incremental.clean_noops");
-    if (Gov)
-      Opts.Governor->attachMemory(&A.Memory);
     return IncrementalOutcome();
   }
 
-  New.Psg = buildPsg(New.Prog, Opts.Psg, &New.Memory, &Pool);
-  New.PsgBytes = New.Memory.liveBytes() - New.CfgBytes - New.InitBytes;
-  if (Gov)
-    Gov->pollOrThrow("analyze.psg-build");
-
-  IncrementalOutcome Out;
-  DirtyFrontier Dirty(StructClean);
-  Out.StructDirty = Dirty.count();
-
-  // Phase 2's extra seeds: every routine a struct-dirty routine calls in
-  // *either* version re-solves — a dropped call site shrinks the old
-  // callee's exit liveness, which no new-graph walk would notice.
+  // Everything below is journaled in these, so a throw anywhere puts the
+  // image and the result back as they were.
+  UndoLog Undo;
+  std::optional<SolveJournal> Journal;
+  std::vector<uint64_t> OldWords(Img.Code.begin() + Begin,
+                                 Img.Code.begin() + End);
+  ValidationReport OldValidation;
+  std::vector<uint8_t> Rebuilt(NumRoutines, 0);
+  std::vector<std::pair<uint32_t, RecordFlags>> OldFlags;
+  std::vector<uint32_t> Routines;
+  std::vector<std::pair<uint32_t, RoutineCfg>> Cfgs;
+  std::vector<AnnotationSlice> OldAnnotations;
+  std::vector<std::pair<uint32_t, RegSet>> OldSaved;
+  std::vector<std::pair<uint32_t, PsgSegment>> Segments;
+  // The call graph, the schedules and the linkage CSRs are functions of
+  // the program and the graph's layout: a rollback rebuilds them rather
+  // than keeping the old ones.
+  bool GraphChanged = false, Relinked = false;
+  MemoryTracker OldMemory = A.Memory;
+  const uint64_t OldCfgBytes = A.CfgBytes, OldPsgBytes = A.PsgBytes;
   std::vector<uint8_t> CalleeSeeds(NumRoutines, 0);
-  for (uint32_t R = 0; R < NumRoutines; ++R)
-    if (!StructClean[R])
-      for (const Program *P : {&A.Prog, &New.Prog})
-        for (uint32_t CallBlock : P->Routines[R].CallBlocks)
-          if (int32_t Callee = P->Routines[R].Blocks[CallBlock].CalleeRoutine;
-              Callee >= 0)
-            CalleeSeeds[Callee] = 1;
+  std::optional<DirtyFrontier> Dirty;
+  SolverStats Phase1, Phase2;
+  IncrementalOutcome Out;
+  const uint64_t TasksBefore = Pool.tasksRun(), StealsBefore = Pool.steals();
 
-  PhaseReuse Reuse;
-  Reuse.OldProg = &A.Prog;
-  Reuse.OldPsg = &A.Psg;
-  Reuse.StructClean = &StructClean;
-  Reuse.Dirty = &Dirty;
-  Reuse.EscalatedOut = &Out.Phase2Escalated;
+  // Marks routine R for a rebuild, recording its flags first.
+  auto MarkRebuilt = [&](uint32_t R) {
+    if (Rebuilt[R])
+      return;
+    Rebuilt[R] = 1;
+    OldFlags.push_back({R, flagsOf(Prog.Routines[R])});
+  };
 
-  New.Phase1Stats =
-      runPhase1(New.Prog, New.Psg, New.SavedPerRoutine, &Pool, Gov, &Reuse);
-  Out.Phase1Dirty = Dirty.count();
+  try {
+    Undo.push([&] {
+      for (const auto &[R, Flags] : OldFlags)
+        setFlags(Prog.Routines[R], Flags);
+    });
 
-  // Phase 2 starts from phase 1's final flags plus the callee seeds.
-  Dirty.flagEach(CalleeSeeds);
-  New.Phase2Stats = runPhase2(New.Prog, New.Psg, &Pool, Gov, &Reuse);
-  Out.Phase2Dirty = Dirty.count();
+    std::optional<EntranceScan> Scan;
+    {
+      telemetry::Span ValidateSpan("patch.validate");
+      bool Rescan = false;
+      if (WordsChanged) {
+        std::copy(Words.begin(), Words.end(), Img.Code.begin() + Begin);
+        Undo.push([&] {
+          std::copy(OldWords.begin(), OldWords.end(), Img.Code.begin() + Begin);
+        });
+        OldValidation = Prog.Validation;
+        revalidateRoutine(Img, Begin, End, Prog.Routines[Patched].Name,
+                          Prog.Routines.front().Begin, Prog.Validation);
+        Undo.push([&] { Prog.Validation = std::move(OldValidation); });
+        QuarantineState Want = quarantineState(
+            Prog.Routines[Patched].Name,
+            validationReason(Prog.Validation, Begin, End), Sorted);
+        // The words' calls register entrances in other routines, and
+        // quarantined or opaque words mark their callees.
+        Rescan = !sameEntranceFacts(Prog, OldWords,
+                                    Prog.Routines[Patched].Quarantined,
+                                    Words, Want.Quarantined);
+        MarkRebuilt(Patched);
+        Moves.push_back({Patched, std::move(Want)});
+      }
+      for (auto &[R, Want] : Moves) {
+        MarkRebuilt(R);
+        Routine &Rt = Prog.Routines[R];
+        // Quarantined code's calls register entrances and mark callees as
+        // healthy code's do not.
+        Rescan |= Rt.Quarantined != Want.Quarantined;
+        setFlags(Rt, {std::move(Want), Rt.CalledFromQuarantine});
+      }
 
-  // Summary extraction is a cheap pure read of the converged graph; run
-  // it in full rather than diffing.
-  New.Summaries = extractSummaries(New.Prog, New.Psg, New.SavedPerRoutine);
+      if (Rescan) {
+        Scan = scanEntrances(Img, Prog, &Pool);
+        std::vector<uint32_t> Moved;
+        for (uint32_t R = 0; R < NumRoutines; ++R) {
+          Routine &Rt = Prog.Routines[R];
+          bool NewEntries =
+              !std::ranges::equal(Scan->entries(R), Rt.EntryAddresses);
+          bool Marked = Scan->CalledFromQuarantine[R] != 0;
+          if (!NewEntries && Marked == Rt.CalledFromQuarantine)
+            continue;
+          MarkRebuilt(R);
+          Rt.CalledFromQuarantine = Marked;
+          if (NewEntries)
+            Moved.push_back(R);
+        }
+        // A caller of a routine whose entrances moved names its entrance
+        // by index: rebuild the callers whose index shifts.
+        for (uint32_t R : Moved)
+          for (uint32_t Caller : Prog.Calls.Callers[R]) {
+            const Routine &C = Prog.Routines[Caller];
+            if (Rebuilt[Caller])
+              continue;
+            for (uint32_t Block : C.CallBlocks) {
+              const BasicBlock &B = C.Blocks[Block];
+              if (B.Term != TerminatorKind::Call ||
+                  uint32_t(B.CalleeRoutine) != R)
+                continue;
+              std::span<const uint64_t> Entries = Scan->entries(R);
+              uint64_t Target =
+                  Prog.Routines[R].EntryAddresses[uint32_t(B.CalleeEntry)];
+              if (std::lower_bound(Entries.begin(), Entries.end(), Target) -
+                      Entries.begin() !=
+                  B.CalleeEntry) {
+                MarkRebuilt(Caller);
+                break;
+              }
+            }
+          }
+      }
+    }
+    for (uint32_t R = 0; R < NumRoutines; ++R)
+      if (Rebuilt[R])
+        Routines.push_back(R);
+    std::sort(OldFlags.begin(), OldFlags.end(),
+              [](const auto &X, const auto &Y) { return X.first < Y.first; });
+
+    uint64_t CfgBytes = A.CfgBytes;
+    {
+      telemetry::Span CfgSpan("patch.cfg");
+      Cfgs.resize(Routines.size());
+      forEachTask(&Pool, Routines.size(), [&](size_t I, unsigned) {
+        uint32_t R = Routines[I];
+        Routine Record = Prog.Routines[R];
+        if (Scan)
+          Record.EntryAddresses = Scan->entries(R);
+        Cfgs[I] = {R, buildRoutineCfg(Prog, Record, Scan ? &*Scan : nullptr)};
+      });
+      for (uint32_t R : Routines)
+        CfgBytes -= routineCfgBytes(Prog.Routines[R]);
+      spliceRoutineCfgs(Prog, Cfgs);
+      Undo.push([&] { spliceRoutineCfgs(Prog, Cfgs); });
+      for (uint32_t R : Routines)
+        CfgBytes += routineCfgBytes(Prog.Routines[R]);
+
+      for (uint32_t R : Routines) {
+        const Routine &Rt = Prog.Routines[R];
+        AnnotationSlice &Old = OldAnnotations.emplace_back();
+        Old.Begin = Rt.Begin;
+        Old.End = Rt.End;
+        Old.Calls.insert(Prog.CallAnnotations.lower_bound(Rt.Begin),
+                         Prog.CallAnnotations.lower_bound(Rt.End));
+        Old.Jumps.insert(Prog.JumpLiveAnnotations.lower_bound(Rt.Begin),
+                         Prog.JumpLiveAnnotations.lower_bound(Rt.End));
+      }
+      Undo.push([&] {
+        for (const AnnotationSlice &Old : OldAnnotations) {
+          Prog.CallAnnotations.erase(
+              Prog.CallAnnotations.lower_bound(Old.Begin),
+              Prog.CallAnnotations.lower_bound(Old.End));
+          Prog.JumpLiveAnnotations.erase(
+              Prog.JumpLiveAnnotations.lower_bound(Old.Begin),
+              Prog.JumpLiveAnnotations.lower_bound(Old.End));
+          Prog.CallAnnotations.insert(Old.Calls.begin(), Old.Calls.end());
+          Prog.JumpLiveAnnotations.insert(Old.Jumps.begin(), Old.Jumps.end());
+        }
+      });
+      for (uint32_t R : Routines)
+        copyAnnotations(Prog, Img, Prog.Routines[R].Begin,
+                        Prog.Routines[R].End);
+
+      Undo.push([&] {
+        for (const auto &[R, Saved] : OldSaved)
+          A.SavedPerRoutine[R] = Saved;
+      });
+      for (uint32_t R : Routines) {
+        OldSaved.push_back({R, A.SavedPerRoutine[R]});
+        A.SavedPerRoutine[R] =
+            analyzeSaveRestore(Prog, Prog.Routines[R]).Saved;
+      }
+
+      // The call graph reads each routine's callees, indirect calls and
+      // quarantine flags; the schedules read the graph.
+      bool Changed = false;
+      for (size_t I = 0; I < Routines.size() && !Changed; ++I) {
+        const Routine &New = Prog.Routines[Routines[I]];
+        const RoutineCfg &Old = Cfgs[I].second;
+        const RecordFlags &Flags = OldFlags[I].second;
+        Changed = callsOf(Old.Blocks, Old.CallBlocks) !=
+                      callsOf(New.Blocks, New.CallBlocks) ||
+                  Flags.Quarantine.Quarantined != New.Quarantined ||
+                  Flags.CalledFromQuarantine != New.CalledFromQuarantine;
+      }
+      if (Changed) {
+        CfgBytes -= scheduleBytes(Prog);
+        GraphChanged = true;
+        buildSchedules(Prog, &Pool);
+        CfgBytes += scheduleBytes(Prog);
+      }
+    }
+    if (Gov)
+      Gov->pollOrThrow("analyze.cfg-build");
+
+    uint64_t PsgBytes = A.PsgBytes;
+    {
+      telemetry::Span PsgSpan("patch.psg");
+      std::vector<PsgSegment> Built =
+          buildPsgSegments(Prog, Routines, Opts.Psg, &Pool);
+      for (size_t I = 0; I < Routines.size(); ++I) {
+        uint32_t R = Routines[I];
+        PsgBytes += segmentBytes(Built[I].Nodes.size(), Built[I].Edges.size());
+        PsgBytes -= segmentBytes(
+            Psg.RoutineNodeBegin[R + 1] - Psg.RoutineNodeBegin[R],
+            edgeCount(Psg, R));
+        Segments.push_back({R, std::move(Built[I])});
+      }
+      splicePsgSegments(Psg, Segments);
+      Undo.push([&] { splicePsgSegments(Psg, Segments); });
+
+      bool Relink = false;
+      for (size_t I = 0; I < Routines.size() && !Relink; ++I)
+        Relink = !sameLinkage(Prog, Psg, Routines[I], Cfgs[I].second,
+                              Segments[I].second);
+      if (Relink) {
+        PsgBytes -= psgIndexBytes(Psg);
+        Relinked = true;
+        rebuildLinkage(Prog, Psg, &Pool);
+        PsgBytes += psgIndexBytes(Psg);
+      }
+    }
+    if (Gov)
+      Gov->pollOrThrow("analyze.psg-build");
+
+    Undo.push([&] {
+      A.Memory = OldMemory;
+      A.CfgBytes = OldCfgBytes;
+      A.PsgBytes = OldPsgBytes;
+    });
+    A.CfgBytes = CfgBytes;
+    A.PsgBytes = PsgBytes;
+    A.Memory.settle(A.CfgBytes + A.InitBytes + A.PsgBytes);
+
+    // Phase 2's extra seeds: every routine a rebuilt routine calls in
+    // *either* version re-solves — a dropped call site shrinks the old
+    // callee's exit liveness, which no new-graph walk would notice.
+    for (size_t I = 0; I < Routines.size(); ++I) {
+      const Routine &New = Prog.Routines[Routines[I]];
+      const RoutineCfg &Old = Cfgs[I].second;
+      for (uint32_t Block : Old.CallBlocks)
+        if (int32_t Callee = Old.Blocks[Block].CalleeRoutine; Callee >= 0)
+          CalleeSeeds[uint32_t(Callee)] = 1;
+      for (uint32_t Block : New.CallBlocks)
+        if (int32_t Callee = New.Blocks[Block].CalleeRoutine; Callee >= 0)
+          CalleeSeeds[uint32_t(Callee)] = 1;
+    }
+
+    std::vector<uint8_t> Clean(NumRoutines);
+    for (uint32_t R = 0; R < NumRoutines; ++R)
+      Clean[R] = !Rebuilt[R];
+    Dirty.emplace(Clean);
+    Out.StructDirty = Routines.size();
+    PhaseReuse Reuse;
+    Reuse.Rebuilt = &Rebuilt;
+    Reuse.Dirty = &*Dirty;
+    Journal.emplace(Prog, Psg);
+    Reuse.Journal = &*Journal;
+    Reuse.EscalatedOut = &Out.Phase2Escalated;
+    Phase1 = runPhase1(Prog, Psg, A.SavedPerRoutine, &Pool, Gov, &Reuse);
+    Out.Phase1Dirty = Dirty->count();
+    // Phase 2 starts from phase 1's final flags plus the callee seeds.
+    Dirty->flagEach(CalleeSeeds);
+    Phase2 = runPhase2(Prog, Psg, &Pool, Gov, &Reuse);
+    Out.Phase2Dirty = Dirty->count();
+  } catch (...) {
+    if (Journal)
+      Journal->rollback(Prog, Psg);
+    Undo.rollback();
+    if (GraphChanged)
+      buildSchedules(Prog, &Pool);
+    if (Relinked)
+      rebuildLinkage(Prog, Psg, &Pool);
+    throw;
+  }
+
+  // Committed.  Summary extraction is a pure read of the converged graph:
+  // redo it for the routines that re-solved.
+  A.Phase1Stats = Phase1;
+  A.Phase2Stats = Phase2;
+  {
+    telemetry::Span SummarySpan("patch.summaries");
+    for (uint32_t R = 0; R < NumRoutines; ++R)
+      if (Dirty->dirty(R))
+        A.Summaries.Routines[R] =
+            extractRoutineSummaries(Prog, Psg, A.SavedPerRoutine[R], R);
+  }
 
   telemetry::count("incremental.struct_dirty", Out.StructDirty);
   telemetry::count("incremental.phase1_dirty", Out.Phase1Dirty);
   telemetry::count("incremental.phase2_dirty", Out.Phase2Dirty);
-  telemetry::gaugeHigh("analyze.memory.peak_bytes", New.Memory.peakBytes());
+  telemetry::gaugeHigh("analyze.memory.peak_bytes", A.Memory.peakBytes());
   telemetry::gaugeSet("analysis.jobs", Pool.jobs());
-  telemetry::count("pool.tasks", Pool.tasksRun());
-  telemetry::count("pool.steals", Pool.steals());
-
-  A = std::move(New);
-  if (Gov)
-    Opts.Governor->attachMemory(&A.Memory);
+  telemetry::count("pool.tasks", Pool.tasksRun() - TasksBefore);
+  telemetry::count("pool.steals", Pool.steals() - StealsBefore);
   return Out;
 }

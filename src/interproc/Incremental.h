@@ -5,31 +5,45 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Incremental interprocedural re-analysis after a routine patch.
+/// Incremental interprocedural re-analysis after a routine patch, in
+/// place.
 ///
-/// A resident service (spike-serve) holds a converged AnalysisResult and
-/// receives a new image version that differs from the analyzed one in a
-/// few routines' code.  Re-solving from scratch repeats work for every
-/// routine the patch cannot have affected; reanalyzeIncremental instead
-/// rebuilds the cheap structures (CFG, PSG — both already parallel and a
-/// small fraction of total time), diffs the routine records to find the
-/// *structurally dirty* set, and re-runs the two PSG phases with the
-/// solver's PhaseReuse protocol (psg/PsgSolver.h): SCC groups outside the
-/// dirty frontier restore their cached converged sets and labels; groups
-/// on the frontier iterate exactly as a fresh solve would and extend the
-/// frontier to dependents whose inputs actually changed (phase 1 toward
-/// callers, phase 2 toward callees).  This is the only incremental
-/// engine: derived state such as stack-slot facts (slice/SlotFlow.h) is
-/// the caller's to drop and re-derive from the new result.
+/// A resident service (spike-serve) holds an image and its converged
+/// AnalysisResult and receives new words for one routine.  Every
+/// flow-summary edge comes from anchor-free paths inside one routine
+/// (Section 3.1), so a patch changes that routine's CFG and PSG segment
+/// and, through entrances and quarantine, rarely a few more.
+/// reanalyzeIncremental writes the words into the image and rebuilds
+/// only what they reach: validation and quarantine of the patched
+/// routine, then the CFG lists, DEF/UBD, save set and PSG segment of
+/// every routine whose CFG inputs moved — the patched routine, routines
+/// whose entrances, call targets or quarantine it changes, and every
+/// routine when the opaque-quarantine flag flips — spliced into the
+/// program's and the graph's arrays with later ids shifted.  The call
+/// graph and schedules are rebuilt only when calls or quarantine
+/// changed, the linkage CSRs only when an id they hold moved.  Both
+/// phases then re-solve in place (PhaseReuse, psg/PsgSolver.h): SCC
+/// groups outside the dirty frontier keep their values, groups on it
+/// iterate exactly as a fresh solve would and extend the frontier to
+/// dependents whose inputs actually changed (phase 1 toward callers,
+/// phase 2 toward callees).  This is the only incremental engine:
+/// derived state such as stack-slot facts (slice/SlotFlow.h) is the
+/// caller's to drop and re-derive from the new result.
 ///
 /// The contract — enforced by the differential oracle tests — is strict
-/// bit-identity: the resulting summaries, PSG sets and labels equal a
-/// from-scratch solve of the new image at every job count, and so does
-/// every witness searched from them.  When the identity cannot be
-/// guaranteed cheaply (routine partition changed, phase 2's dirty
-/// closure reaches the indirect-call accumulator), the engine falls back
-/// to a full solve and says so in the outcome instead of risking a stale
-/// fact.
+/// identity: afterwards the program (every array, the call graph, both
+/// schedules, the validation report), the PSG (nodes, edges, in-edge ids,
+/// linkage CSRs, values and labels), the summaries and the tracked
+/// memory equal a fresh analyzeImage of the patched image at every job
+/// count, and so does every witness searched from them.  A patch keeps
+/// the routine partition by construction, so there is no full-solve
+/// fallback; a `load` of another image analyzes it fresh.
+///
+/// Every change is journaled — the routine's old words, the replaced CFG
+/// lists and PSG segments, the structures rebuilt, and the node values
+/// and labels each dirty group overwrites — so a re-analysis that throws
+/// (a blown budget, governed runs) leaves the image and the result
+/// exactly as they were before the call.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,14 +52,19 @@
 
 #include "psg/Analyzer.h"
 
+#include <span>
+
 namespace spike {
+
+class ThreadPool;
 
 /// What one incremental re-analysis did — the dirty-frontier accounting
 /// a serving layer reports per patch (`stats` command, serve.* run-report
 /// counters).
 struct IncrementalOutcome {
-  /// The engine fell back to a full from-scratch solve (the routine
-  /// partition changed).  The result is still correct.
+  /// The patch was installed by a fresh whole-program solve: set by a
+  /// server whose in-place re-solve blew its budget and whose degraded
+  /// retry then analyzed the patched image from scratch.
   bool Full = false;
 
   /// Phase 2's dirty closure reached an address-taken or
@@ -53,10 +72,10 @@ struct IncrementalOutcome {
   /// (phase 1 reuse still applied).
   bool Phase2Escalated = false;
 
-  /// Routines whose code / CFG record / annotation slices changed.
+  /// Routines whose CFG and PSG segment the patch rebuilt.
   uint64_t StructDirty = 0;
 
-  /// Routines re-solved (not restored) by each register phase.
+  /// Routines re-solved (not kept) by each register phase.
   uint64_t Phase1Dirty = 0;
   uint64_t Phase2Dirty = 0;
 
@@ -66,23 +85,20 @@ struct IncrementalOutcome {
   uint64_t SlotPhase2Dirty = 0;
 };
 
-/// Re-analyzes \p NewImg against the resident converged result \p A of a
-/// previous image version, replacing \p A with a result bit-identical to
-/// a fresh analyzeImage of \p NewImg under the same options.  The old
-/// image \p A borrows must still be alive: the diff reads both versions'
-/// words.  A replaced \p A borrows \p NewImg; an all-clean patch leaves
-/// \p A (and its borrow of the old image) as it was, so a caller that
-/// then retires the old image re-points A.Prog.Code at \p NewImg.  On a
-/// BudgetBlownError (governed runs) \p A is untouched — the caller keeps
+/// Patches routine \p Routine of \p Img with \p Words, as many as the
+/// routine has, and re-analyzes in place, on \p Pool, the resident result
+/// \p A of \p Img (A.Prog views Img's words): afterwards Img holds the
+/// new words and A equals a fresh analyzeImage of it under \p Opts.  When
+/// the words equal the routine's and the quarantine options move nothing,
+/// the call returns at once (the no-change save a client sends when
+/// re-publishing an unmodified routine).  On a BudgetBlownError (governed
+/// runs) or any other exception, \p Img and \p A are rolled back to their
+/// state before the call, and the error propagates: the caller keeps
 /// serving the old version and may retry degraded.
-IncrementalOutcome reanalyzeIncremental(const Image &NewImg,
-                                        const CallingConv &Conv,
+IncrementalOutcome reanalyzeIncremental(Image &Img, uint32_t Routine,
+                                        std::span<const uint64_t> Words,
                                         const AnalysisOptions &Opts,
-                                        AnalysisResult &A);
-IncrementalOutcome reanalyzeIncremental(const Image &&NewImg,
-                                        const CallingConv &Conv,
-                                        const AnalysisOptions &Opts,
-                                        AnalysisResult &A) = delete;
+                                        AnalysisResult &A, ThreadPool &Pool);
 
 } // namespace spike
 

@@ -23,8 +23,35 @@ AnalysisResult spike::analyzeImage(const Image &Img,
   // counts.  Tasks never touch the telemetry layer (sessions are
   // single-threaded); all accounting happens after the joins, here.
   ThreadPool Pool(Opts.Jobs);
-  const ResourceGovernor *Gov =
-      buildAndInitialize(Img, Conv, Opts, Pool, Result);
+
+  // The memory tracker the governor meters is this run's own; re-arming
+  // here makes --deadline-ms bound one attempt, not the sum of retries.
+  const ResourceGovernor *Gov = nullptr;
+  if (Opts.Governor && Opts.Governor->enabled()) {
+    Opts.Governor->attachMemory(&Result.Memory);
+    Opts.Governor->arm();
+    Gov = Opts.Governor;
+  }
+
+  Result.Prog = buildProgram(Img, Conv, &Result.Memory, Opts.Cfg, &Pool);
+  Result.CfgBytes = Result.Memory.liveBytes();
+  if (Gov)
+    Gov->pollOrThrow("analyze.cfg-build");
+
+  {
+    telemetry::Span InitSpan("init");
+    computeDefUbd(Result.Prog, &Pool);
+    Result.SavedPerRoutine.resize(Result.Prog.Routines.size());
+    forEachTask(&Pool, Result.Prog.Routines.size(),
+                [&](size_t RoutineIndex, unsigned) {
+                  Result.SavedPerRoutine[RoutineIndex] =
+                      analyzeSaveRestore(Result.Prog,
+                                         Result.Prog.Routines[RoutineIndex])
+                          .Saved;
+                });
+    Result.Memory.charge(Result.SavedPerRoutine.size() * sizeof(RegSet));
+    Result.InitBytes = Result.Memory.liveBytes() - Result.CfgBytes;
+  }
 
   Result.Psg = buildPsg(Result.Prog, Opts.Psg, &Result.Memory, &Pool);
   Result.PsgBytes =
@@ -61,39 +88,6 @@ AnalysisResult spike::analyzeImage(const Image &Img,
     }
   }
   return Result;
-}
-
-const ResourceGovernor *
-spike::buildAndInitialize(const Image &Img, const CallingConv &Conv,
-                          const AnalysisOptions &Opts, ThreadPool &Pool,
-                          AnalysisResult &Result) {
-  // The memory tracker the governor meters is this run's own; re-arming
-  // here makes --deadline-ms bound one attempt, not the sum of retries.
-  const ResourceGovernor *Gov = nullptr;
-  if (Opts.Governor && Opts.Governor->enabled()) {
-    Opts.Governor->attachMemory(&Result.Memory);
-    Opts.Governor->arm();
-    Gov = Opts.Governor;
-  }
-
-  Result.Prog = buildProgram(Img, Conv, &Result.Memory, Opts.Cfg, &Pool);
-  Result.CfgBytes = Result.Memory.liveBytes();
-  if (Gov)
-    Gov->pollOrThrow("analyze.cfg-build");
-
-  telemetry::Span InitSpan("init");
-  computeDefUbd(Result.Prog, &Pool);
-  Result.SavedPerRoutine.resize(Result.Prog.Routines.size());
-  forEachTask(&Pool, Result.Prog.Routines.size(),
-              [&](size_t RoutineIndex, unsigned) {
-                Result.SavedPerRoutine[RoutineIndex] =
-                    analyzeSaveRestore(Result.Prog,
-                                       Result.Prog.Routines[RoutineIndex])
-                        .Saved;
-              });
-  Result.Memory.charge(Result.SavedPerRoutine.size() * sizeof(RegSet));
-  Result.InitBytes = Result.Memory.liveBytes() - Result.CfgBytes;
-  return Gov;
 }
 
 StageSeconds spike::stageSeconds(const telemetry::Session &S,

@@ -101,17 +101,6 @@ AnalysisResult analyzeImage(const Image &Img, const CallingConv &Conv = {},
 AnalysisResult analyzeImage(const Image &&Img, const CallingConv &Conv = {},
                             const AnalysisOptions &Opts = {}) = delete;
 
-/// Stages 1 and 2, shared by analyzeImage and reanalyzeIncremental: arms
-/// Opts.Governor against Result.Memory, builds Result.Prog, polls the
-/// governor, then computes DEF/UBD and the Section 3.4 save sets under an
-/// "init" span, recording CfgBytes and InitBytes.  Returns the armed
-/// governor, or null when the run is ungoverned.
-const ResourceGovernor *buildAndInitialize(const Image &Img,
-                                           const CallingConv &Conv,
-                                           const AnalysisOptions &Opts,
-                                           ThreadPool &Pool,
-                                           AnalysisResult &Result);
-
 /// One Figure 13 stage: its column label and the name of the span
 /// analyzeImage opens for it under "analyze".
 struct StageSpan {

@@ -4,13 +4,16 @@
 
 #include "dataflow/CallPolicy.h"
 #include "dataflow/Worklist.h"
+#include "support/Splice.h"
 #include "support/ThreadPool.h"
 #include "telemetry/Telemetry.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <numeric>
 #include <span>
+#include <tuple>
 #include <utility>
 
 using namespace spike;
@@ -76,6 +79,8 @@ struct BuildScratch {
 
   std::vector<PsgEdge> Edges;
   uint64_t NumBranchNodes = 0;
+  /// Worklist pops of the Figure 6 label solves.
+  uint64_t LabelPops = 0;
 };
 
 /// Where one routine's edges sit in its lane's buffer.
@@ -86,9 +91,9 @@ struct EdgeSegment {
 };
 
 /// Builds the PSG nodes and edges of a single routine: nodes are written
-/// in place at their final ids, in the order PsgGraph.h fixes, and edges
-/// are appended to the lane's buffer in source-node order — the order of
-/// the CSR edge array.
+/// to \p Nodes, the routine's node slots, whose first node has id
+/// \p Base, in the order PsgGraph.h fixes; edges are appended to the
+/// lane's buffer in source-node order — the order of the CSR edge array.
 ///
 /// Terminology: a block whose terminator is a sink anchor (call, return
 /// instruction, multiway branch with branch nodes enabled, unresolved
@@ -98,27 +103,32 @@ struct EdgeSegment {
 class RoutinePsgBuilder {
 public:
   RoutinePsgBuilder(const Program &Prog, uint32_t RoutineIndex,
-                    const PsgBuildOptions &Opts, ProgramSummaryGraph &Psg,
-                    BuildScratch &S)
+                    const PsgBuildOptions &Opts, std::span<PsgNode> Nodes,
+                    uint32_t Base, BuildScratch &S)
       : Prog(Prog), RoutineIndex(RoutineIndex),
-        R(Prog.Routines[RoutineIndex]), Opts(Opts), Psg(Psg), S(S),
-        NextNode(Psg.RoutineNodeBegin[RoutineIndex]) {}
+        R(Prog.Routines[RoutineIndex]), Opts(Opts), Nodes(Nodes), Base(Base),
+        S(S) {}
 
   void run() {
     createNodes();
-    assert(NextNode == Psg.RoutineNodeBegin[RoutineIndex + 1] &&
-           "node count disagrees with countNodes");
+    assert(NextNode == Nodes.size() && "node count disagrees with countNodes");
     computeBackwardSets();
     addEdges();
   }
 
 private:
   uint32_t newNode(PsgNodeKind Kind, uint32_t BlockIndex) {
-    PsgNode &Node = Psg.Nodes[NextNode];
+    PsgNode &Node = Nodes[NextNode];
     Node.Kind = Kind;
     Node.RoutineIndex = RoutineIndex;
     Node.BlockIndex = BlockIndex;
-    return NextNode++;
+    return Base + NextNode++;
+  }
+
+  /// The node-order contract's ids (PsgGraph.h).
+  uint32_t entryNode(uint32_t Entry) const { return Base + Entry; }
+  uint32_t callNode(uint32_t Call) const {
+    return Base + R.numEntries() + uint32_t(R.ExitBlocks.size()) + 2 * Call;
   }
 
   bool blockIsCut(const BasicBlock &Block) const {
@@ -229,11 +239,17 @@ private:
     std::vector<FlowSets> &In = S.In;
     In.assign(SubBlocks.size(),
               FlowSets{RegSet(), RegSet(), RegSet::allBelow(NumIntRegs)});
+    // SubBlocks are in forward-reachability order from the source and the
+    // problem flows backward, so seeding them last to first visits most
+    // blocks after their successors.  Any seed order reaches the same
+    // unique fixpoint.
     Worklist &List = S.List;
     List.reset(SubBlocks.size());
-    List.pushAll();
+    for (uint32_t Local = uint32_t(SubBlocks.size()); Local-- > 0;)
+      List.push(Local);
     while (!List.empty()) {
       uint32_t Local = List.pop();
+      ++S.LabelPops;
       uint32_t Block = SubBlocks[Local];
       FlowSets Out;
       if (Block != SinkBlock) {
@@ -322,7 +338,7 @@ private:
   void addCallReturnEdge(uint32_t CallIndex) {
     const BasicBlock &Block = R.Blocks[R.CallBlocks[CallIndex]];
     PsgEdge Edge;
-    Edge.Src = Psg.callNode(Prog, RoutineIndex, CallIndex);
+    Edge.Src = callNode(CallIndex);
     Edge.Dst = Edge.Src + 1;
     // Section 3.5: indirect calls carry a fixed label (annotation or
     // calling-standard assumption).  Direct calls start with empty
@@ -342,13 +358,11 @@ private:
     S.Seen.resize(R.Blocks.size(), false);
     for (uint32_t EntryIndex = 0; EntryIndex < R.EntryBlocks.size();
          ++EntryIndex)
-      addFlowEdges(Psg.entryNode(RoutineIndex, EntryIndex),
-                   R.EntryBlocks.subspan(EntryIndex, 1));
+      addFlowEdges(entryNode(EntryIndex), R.EntryBlocks.subspan(EntryIndex, 1));
     for (uint32_t CallIndex = 0; CallIndex < R.CallBlocks.size();
          ++CallIndex) {
       addCallReturnEdge(CallIndex);
-      addFlowEdges(Psg.returnNode(Prog, RoutineIndex, CallIndex),
-                   R.succs(R.CallBlocks[CallIndex]));
+      addFlowEdges(callNode(CallIndex) + 1, R.succs(R.CallBlocks[CallIndex]));
     }
     if (Opts.UseBranchNodes)
       for (uint32_t Block = 0; Block < R.Blocks.size(); ++Block)
@@ -360,10 +374,40 @@ private:
   uint32_t RoutineIndex;
   const Routine &R;
   const PsgBuildOptions &Opts;
-  ProgramSummaryGraph &Psg;
+  std::span<PsgNode> Nodes;
+  uint32_t Base;
   BuildScratch &S;
-  uint32_t NextNode;
+  uint32_t NextNode = 0;
 };
+
+/// Indexes one routine's edges, which \p Edges holds in source-node
+/// order with node ids counted from \p NodeBase: sets each of \p Nodes'
+/// FirstOut and FirstIn and fills \p InEdgeIds, with edge ids counted
+/// from \p EdgeBase.  The nodes' FirstIn must be 0.
+void indexEdges(std::span<PsgNode> Nodes, std::span<const PsgEdge> Edges,
+                std::span<uint32_t> InEdgeIds, uint32_t NodeBase,
+                uint32_t EdgeBase) {
+  // Out-edges: each node's range starts at the first edge whose source
+  // is not an earlier node.
+  uint32_t Edge = 0, NumEdges = uint32_t(Edges.size());
+  for (uint32_t Node = 0; Node < Nodes.size(); ++Node) {
+    Nodes[Node].FirstOut = EdgeBase + Edge;
+    while (Edge < NumEdges && Edges[Edge].Src == NodeBase + Node)
+      ++Edge;
+  }
+  // In-edges: FirstIn counts each node's in-edges, then holds where its
+  // range ends, then (filled back to front) where it begins.
+  for (const PsgEdge &E : Edges)
+    ++Nodes[E.Dst - NodeBase].FirstIn;
+  uint32_t End = EdgeBase;
+  for (PsgNode &Node : Nodes) {
+    End += Node.FirstIn;
+    Node.FirstIn = End;
+  }
+  for (Edge = NumEdges; Edge-- > 0;)
+    InEdgeIds[--Nodes[Edges[Edge].Dst - NodeBase].FirstIn - EdgeBase] =
+        EdgeBase + Edge;
+}
 
 /// One call site as the linkage CSRs see it.
 struct CallLink {
@@ -400,108 +444,10 @@ void linkCalls(const Program &Prog, const ProgramSummaryGraph &Psg,
   }
 }
 
-} // namespace
-
-ProgramSummaryGraph spike::buildPsg(const Program &Prog,
-                                    const PsgBuildOptions &Opts,
-                                    MemoryTracker *Mem, ThreadPool *Pool) {
-  telemetry::Span BuildSpan("psg.build");
-  ProgramSummaryGraph Psg;
-  size_t Count = Prog.Routines.size();
-
-  // Each routine's node count follows from its CFG, so the node id
-  // ranges are fixed up front and every routine writes its nodes in
-  // place.
-  Psg.RoutineNodeBegin.assign(Count + 1, 0);
-  {
-    telemetry::Span CountSpan("psg.count");
-    forEachTask(Pool, Count, [&](size_t RoutineIndex, unsigned) {
-      Psg.RoutineNodeBegin[RoutineIndex + 1] =
-          countNodes(Prog.Routines[RoutineIndex], Opts);
-    });
-  }
-  for (size_t RoutineIndex = 0; RoutineIndex < Count; ++RoutineIndex)
-    Psg.RoutineNodeBegin[RoutineIndex + 1] +=
-        Psg.RoutineNodeBegin[RoutineIndex];
-  Psg.Nodes.resize(Psg.RoutineNodeBegin[Count]);
-
-  // The expensive part — edge discovery and the Figure 6 subgraph
-  // dataflow — runs one task per routine.  Edges land in per-lane
-  // buffers, each routine's already in source-node order.
-  std::vector<BuildScratch> Scratch(Pool ? Pool->jobs() : 1);
-  std::vector<EdgeSegment> Segments(Count);
-  {
-    telemetry::Span RoutinesSpan("psg.routines");
-    forEachTask(Pool, Count, [&](size_t RoutineIndex, unsigned Lane) {
-      BuildScratch &S = Scratch[Lane];
-      size_t Begin = S.Edges.size();
-      RoutinePsgBuilder(Prog, uint32_t(RoutineIndex), Opts, Psg, S).run();
-      Segments[RoutineIndex] = {Lane, Begin, S.Edges.size() - Begin};
-    });
-  }
-
-  // Routine node ranges ascend, so placing the segments in routine order
-  // yields the edge array sorted by source node: the CSR order.  No edge
-  // crosses routines, so a routine's edges are exactly the in-edges of
-  // its nodes too, and each routine fills both CSR indexes of its own
-  // id ranges: every node's FirstOut and FirstIn, which also end the
-  // previous node's ranges.  Each routine also records, per call site, what the
-  // linkage CSRs need, so the serial counting sort below reads one array
-  // in order instead of chasing callee directories.
-  std::vector<uint32_t> RoutineEdgeBegin(Count + 1, 0);
-  std::vector<uint32_t> RoutineCallBegin(Count + 1, 0);
-  for (size_t RoutineIndex = 0; RoutineIndex < Count; ++RoutineIndex) {
-    RoutineEdgeBegin[RoutineIndex + 1] =
-        RoutineEdgeBegin[RoutineIndex] +
-        uint32_t(Segments[RoutineIndex].Count);
-    RoutineCallBegin[RoutineIndex + 1] =
-        RoutineCallBegin[RoutineIndex] +
-        uint32_t(Prog.Routines[RoutineIndex].CallBlocks.size());
-  }
-  Psg.Edges.resize(RoutineEdgeBegin[Count]);
-  Psg.InEdgeIds.resize(Psg.Edges.size());
-  std::vector<CallLink> Links(RoutineCallBegin[Count]);
-  {
-    telemetry::Span IndexSpan("psg.index");
-    forEachTask(Pool, Count, [&](size_t RoutineIndex, unsigned) {
-      const EdgeSegment &Seg = Segments[RoutineIndex];
-      const uint32_t First = RoutineEdgeBegin[RoutineIndex];
-      const uint32_t Last = RoutineEdgeBegin[RoutineIndex + 1];
-      const uint32_t FirstNode = Psg.RoutineNodeBegin[RoutineIndex];
-      const uint32_t LastNode = Psg.RoutineNodeBegin[RoutineIndex + 1];
-      const std::vector<PsgEdge> &LaneEdges = Scratch[Seg.Lane].Edges;
-      std::copy(LaneEdges.begin() + Seg.Begin,
-                LaneEdges.begin() + Seg.Begin + Seg.Count,
-                Psg.Edges.begin() + First);
-      // Out-edges: each node's range starts at the first edge whose
-      // source is not an earlier node.
-      uint32_t EdgeId = First;
-      for (uint32_t NodeId = FirstNode; NodeId < LastNode; ++NodeId) {
-        Psg.Nodes[NodeId].FirstOut = EdgeId;
-        while (EdgeId < Last && Psg.Edges[EdgeId].Src == NodeId)
-          ++EdgeId;
-      }
-      // In-edges: FirstIn counts each node's in-edges, then holds where
-      // its range ends, then (filled back to front) where it begins.
-      for (EdgeId = First; EdgeId < Last; ++EdgeId)
-        ++Psg.Nodes[Psg.Edges[EdgeId].Dst].FirstIn;
-      uint32_t End = First;
-      for (uint32_t NodeId = FirstNode; NodeId < LastNode; ++NodeId) {
-        End += Psg.Nodes[NodeId].FirstIn;
-        Psg.Nodes[NodeId].FirstIn = End;
-      }
-      for (EdgeId = Last; EdgeId-- > First;)
-        Psg.InEdgeIds[--Psg.Nodes[Psg.Edges[EdgeId].Dst].FirstIn] = EdgeId;
-      linkCalls(Prog, Psg, uint32_t(RoutineIndex),
-                Links.data() + RoutineCallBegin[RoutineIndex]);
-    });
-  }
-  for (const BuildScratch &S : Scratch)
-    Psg.NumBranchNodes += S.NumBranchNodes;
-  Scratch.clear(); // Frees the lane buffers before the linkage grows.
-  // Every call site has exactly one call-return edge.
-  Psg.NumFlowSummaryEdges = Psg.Edges.size() - RoutineCallBegin[Count];
-
+/// Fills the linkage CSRs and IndirectReturnNodes from \p Links, one
+/// record per call site in routine order, and AddressTakenExitNodes.
+void fillLinkage(const Program &Prog, ProgramSummaryGraph &Psg,
+                 const std::vector<CallLink> &Links) {
   // Phase 1 broadcast lists: entry node -> call-return edges of its
   // direct call sites.  Phase 2 linkage: exit node <-> return nodes.  A
   // counting sort keyed by node id: one pass over the call sites in
@@ -548,10 +494,154 @@ ProgramSummaryGraph spike::buildPsg(const Program &Prog,
     }
   }
 
-  for (uint32_t RoutineIndex = 0; RoutineIndex < Count; ++RoutineIndex)
+  for (uint32_t RoutineIndex = 0; RoutineIndex < Prog.Routines.size();
+       ++RoutineIndex)
     if (Prog.Routines[RoutineIndex].AddressTaken)
       for (uint32_t ExitNode : Psg.exitNodes(Prog, RoutineIndex))
         Psg.AddressTakenExitNodes.push_back(ExitNode);
+}
+
+/// Every container of \p Psg besides its nodes, edges and in-edge ids.
+std::array<const std::vector<uint32_t> *, 9>
+indexesOf(const ProgramSummaryGraph &Psg) {
+  return {&Psg.RoutineNodeBegin,   &Psg.CrEdgeOfEntryBegin,
+          &Psg.CrEdgeOfEntryIds,   &Psg.ReturnsOfExitBegin,
+          &Psg.ReturnsOfExitIds,   &Psg.ExitsOfReturnBegin,
+          &Psg.ExitsOfReturnIds,   &Psg.IndirectReturnNodes,
+          &Psg.AddressTakenExitNodes};
+}
+
+/// The call sites before each routine's, CSR-style.
+std::vector<uint32_t> routineCallBegins(const Program &Prog) {
+  std::vector<uint32_t> Begin(Prog.Routines.size() + 1, 0);
+  for (size_t R = 0; R < Prog.Routines.size(); ++R)
+    Begin[R + 1] = Begin[R] + uint32_t(Prog.Routines[R].CallBlocks.size());
+  return Begin;
+}
+
+/// Adds \p NodeDelta to every node id and \p EdgeDelta to every edge id
+/// of one routine's \p Nodes, \p Edges and \p InEdgeIds (modulo 2^32, so
+/// a "negative" delta moves ids down).
+void shiftIds(std::span<PsgNode> Nodes, std::span<PsgEdge> Edges,
+              std::span<uint32_t> InEdgeIds, uint32_t NodeDelta,
+              uint32_t EdgeDelta) {
+  for (PsgNode &Node : Nodes) {
+    Node.FirstOut += EdgeDelta;
+    Node.FirstIn += EdgeDelta;
+  }
+  for (PsgEdge &Edge : Edges) {
+    Edge.Src += NodeDelta;
+    Edge.Dst += NodeDelta;
+  }
+  for (uint32_t &Id : InEdgeIds)
+    Id += EdgeDelta;
+}
+
+/// Counts \p Nodes' branch nodes and \p Edges' flow-summary edges (those
+/// not leaving a call node; \p Nodes holds every source).
+std::pair<uint64_t, uint64_t> countBranchesAndFlows(
+    std::span<const PsgNode> Nodes, std::span<const PsgEdge> Edges,
+    uint32_t NodeBase) {
+  uint64_t Branches = 0, Flows = 0;
+  for (const PsgNode &Node : Nodes)
+    Branches += Node.Kind == PsgNodeKind::Branch;
+  for (const PsgEdge &Edge : Edges)
+    Flows += Nodes[Edge.Src - NodeBase].Kind != PsgNodeKind::Call;
+  return {Branches, Flows};
+}
+
+} // namespace
+
+ProgramSummaryGraph spike::buildPsg(const Program &Prog,
+                                    const PsgBuildOptions &Opts,
+                                    MemoryTracker *Mem, ThreadPool *Pool) {
+  telemetry::Span BuildSpan("psg.build");
+  ProgramSummaryGraph Psg;
+  size_t Count = Prog.Routines.size();
+
+  // Each routine's node count follows from its CFG, so the node id
+  // ranges are fixed up front and every routine writes its nodes in
+  // place.
+  Psg.RoutineNodeBegin.assign(Count + 1, 0);
+  {
+    telemetry::Span CountSpan("psg.count");
+    forEachTask(Pool, Count, [&](size_t RoutineIndex, unsigned) {
+      Psg.RoutineNodeBegin[RoutineIndex + 1] =
+          countNodes(Prog.Routines[RoutineIndex], Opts);
+    });
+  }
+  for (size_t RoutineIndex = 0; RoutineIndex < Count; ++RoutineIndex)
+    Psg.RoutineNodeBegin[RoutineIndex + 1] +=
+        Psg.RoutineNodeBegin[RoutineIndex];
+  Psg.Nodes.resize(Psg.RoutineNodeBegin[Count]);
+
+  // The expensive part — edge discovery and the Figure 6 subgraph
+  // dataflow — runs one task per routine.  Edges land in per-lane
+  // buffers, each routine's already in source-node order.
+  std::vector<BuildScratch> Scratch(Pool ? Pool->jobs() : 1);
+  std::vector<EdgeSegment> Segments(Count);
+  {
+    telemetry::Span RoutinesSpan("psg.routines");
+    forEachTask(Pool, Count, [&](size_t RoutineIndex, unsigned Lane) {
+      BuildScratch &S = Scratch[Lane];
+      size_t Begin = S.Edges.size();
+      uint32_t FirstNode = Psg.RoutineNodeBegin[RoutineIndex];
+      RoutinePsgBuilder(Prog, uint32_t(RoutineIndex), Opts,
+                        std::span(Psg.Nodes).subspan(
+                            FirstNode,
+                            Psg.RoutineNodeBegin[RoutineIndex + 1] - FirstNode),
+                        FirstNode, S)
+          .run();
+      Segments[RoutineIndex] = {Lane, Begin, S.Edges.size() - Begin};
+    });
+  }
+
+  // Routine node ranges ascend, so placing the segments in routine order
+  // yields the edge array sorted by source node: the CSR order.  No edge
+  // crosses routines, so a routine's edges are exactly the in-edges of
+  // its nodes too, and each routine fills both CSR indexes of its own
+  // id ranges: every node's FirstOut and FirstIn, which also end the
+  // previous node's ranges.  Each routine also records, per call site, what the
+  // linkage CSRs need, so the serial counting sort below reads one array
+  // in order instead of chasing callee directories.
+  std::vector<uint32_t> RoutineEdgeBegin(Count + 1, 0);
+  for (size_t RoutineIndex = 0; RoutineIndex < Count; ++RoutineIndex)
+    RoutineEdgeBegin[RoutineIndex + 1] =
+        RoutineEdgeBegin[RoutineIndex] +
+        uint32_t(Segments[RoutineIndex].Count);
+  std::vector<uint32_t> RoutineCallBegin = routineCallBegins(Prog);
+  Psg.Edges.resize(RoutineEdgeBegin[Count]);
+  Psg.InEdgeIds.resize(Psg.Edges.size());
+  std::vector<CallLink> Links(RoutineCallBegin[Count]);
+  {
+    telemetry::Span IndexSpan("psg.index");
+    forEachTask(Pool, Count, [&](size_t RoutineIndex, unsigned) {
+      const EdgeSegment &Seg = Segments[RoutineIndex];
+      const uint32_t First = RoutineEdgeBegin[RoutineIndex];
+      const uint32_t Last = RoutineEdgeBegin[RoutineIndex + 1];
+      const uint32_t FirstNode = Psg.RoutineNodeBegin[RoutineIndex];
+      const uint32_t LastNode = Psg.RoutineNodeBegin[RoutineIndex + 1];
+      const std::vector<PsgEdge> &LaneEdges = Scratch[Seg.Lane].Edges;
+      std::copy(LaneEdges.begin() + Seg.Begin,
+                LaneEdges.begin() + Seg.Begin + Seg.Count,
+                Psg.Edges.begin() + First);
+      indexEdges(std::span(Psg.Nodes).subspan(FirstNode, LastNode - FirstNode),
+                 std::span(Psg.Edges).subspan(First, Last - First),
+                 std::span(Psg.InEdgeIds).subspan(First, Last - First),
+                 FirstNode, First);
+      linkCalls(Prog, Psg, uint32_t(RoutineIndex),
+                Links.data() + RoutineCallBegin[RoutineIndex]);
+    });
+  }
+  uint64_t LabelPops = 0;
+  for (const BuildScratch &S : Scratch) {
+    Psg.NumBranchNodes += S.NumBranchNodes;
+    LabelPops += S.LabelPops;
+  }
+  Scratch.clear(); // Frees the lane buffers before the linkage grows.
+  // Every call site has exactly one call-return edge.
+  Psg.NumFlowSummaryEdges = Psg.Edges.size() - RoutineCallBegin[Count];
+  fillLinkage(Prog, Psg, Links);
 
   // Charges stay serial and in routine order (see buildProgram): each
   // routine charges its nodes, edges and in-edge ids, then the indexes
@@ -564,12 +654,7 @@ ProgramSummaryGraph spike::buildPsg(const Program &Prog,
                   (RoutineEdgeBegin[RoutineIndex + 1] -
                    RoutineEdgeBegin[RoutineIndex]) *
                       (sizeof(PsgEdge) + sizeof(uint32_t)));
-    for (const std::vector<uint32_t> *Index :
-         {&Psg.RoutineNodeBegin, &Psg.CrEdgeOfEntryBegin,
-          &Psg.CrEdgeOfEntryIds, &Psg.ReturnsOfExitBegin,
-          &Psg.ReturnsOfExitIds, &Psg.ExitsOfReturnBegin,
-          &Psg.ExitsOfReturnIds, &Psg.IndirectReturnNodes,
-          &Psg.AddressTakenExitNodes})
+    for (const std::vector<uint32_t> *Index : indexesOf(Psg))
       Mem->charge(elementBytes(*Index));
   }
 
@@ -580,6 +665,7 @@ ProgramSummaryGraph spike::buildPsg(const Program &Prog,
     telemetry::count("psg.call_return_edges",
                      Psg.Edges.size() - Psg.NumFlowSummaryEdges);
     telemetry::count("psg.branch_nodes", Psg.NumBranchNodes);
+    telemetry::count("psg.label_pops", LabelPops);
     uint64_t ByKind[7] = {};
     for (const PsgNode &Node : Psg.Nodes)
       ++ByKind[unsigned(Node.Kind)];
@@ -590,4 +676,119 @@ ProgramSummaryGraph spike::buildPsg(const Program &Prog,
   }
 
   return Psg;
+}
+
+std::vector<PsgSegment>
+spike::buildPsgSegments(const Program &Prog, std::span<const uint32_t> Routines,
+                        const PsgBuildOptions &Opts, ThreadPool *Pool) {
+  std::vector<PsgSegment> Segments(Routines.size());
+  std::vector<BuildScratch> Scratch(Pool ? Pool->jobs() : 1);
+  forEachTask(Pool, Routines.size(), [&](size_t I, unsigned Lane) {
+    BuildScratch &S = Scratch[Lane];
+    PsgSegment &Seg = Segments[I];
+    Seg.Nodes.resize(countNodes(Prog.Routines[Routines[I]], Opts));
+    S.Edges.clear();
+    RoutinePsgBuilder(Prog, Routines[I], Opts, Seg.Nodes, /*Base=*/0, S)
+        .run();
+    Seg.Edges = S.Edges;
+    Seg.InEdgeIds.resize(Seg.Edges.size());
+    indexEdges(Seg.Nodes, Seg.Edges, Seg.InEdgeIds, 0, 0);
+  });
+  return Segments;
+}
+
+void spike::splicePsgSegments(
+    ProgramSummaryGraph &Psg,
+    std::vector<std::pair<uint32_t, PsgSegment>> &Segments) {
+  if (Segments.empty())
+    return;
+  std::vector<uint32_t> &NodeBegin = Psg.RoutineNodeBegin;
+  uint32_t NumRoutines = uint32_t(NodeBegin.size() - 1);
+  // Every routine has at least its primary entry node, so a routine's
+  // edges start at its first node's FirstOut.  Take the edge bounds of
+  // every routine from the first spliced one on before anything moves.
+  uint32_t First = Segments.front().first;
+  std::vector<uint32_t> EdgeBegin(NumRoutines + 1 - First);
+  for (uint32_t R = First; R < NumRoutines; ++R)
+    EdgeBegin[R - First] = Psg.Nodes[NodeBegin[R]].FirstOut;
+  EdgeBegin.back() = uint32_t(Psg.Edges.size());
+  auto OldEdges = [&](uint32_t R) {
+    return std::pair(EdgeBegin[R - First],
+                     EdgeBegin[R + 1 - First] - EdgeBegin[R - First]);
+  };
+
+  // Swap the slices.  The swapped-out slices are made routine-relative on
+  // the way out; the swapped-in ones stay relative until the walk below
+  // places them.
+  std::vector<std::pair<uint32_t, uint32_t>> NewCounts;
+  std::vector<SliceSwap<PsgNode>> Nodes;
+  std::vector<SliceSwap<PsgEdge>> Edges;
+  std::vector<SliceSwap<uint32_t>> InEdges;
+  for (auto &[R, Seg] : Segments) {
+    NewCounts.push_back({uint32_t(Seg.Nodes.size()), uint32_t(Seg.Edges.size())});
+    auto [EdgeBase, EdgeCount] = OldEdges(R);
+    Nodes.push_back({NodeBegin[R], NodeBegin[R + 1] - NodeBegin[R], &Seg.Nodes});
+    Edges.push_back({EdgeBase, EdgeCount, &Seg.Edges});
+    InEdges.push_back({EdgeBase, EdgeCount, &Seg.InEdgeIds});
+    auto [Branches, Flows] = countBranchesAndFlows(Seg.Nodes, Seg.Edges, 0);
+    Psg.NumBranchNodes += Branches;
+    Psg.NumFlowSummaryEdges += Flows;
+  }
+  swapSlices(Psg.Nodes, Nodes);
+  swapSlices(Psg.Edges, Edges);
+  swapSlices(Psg.InEdgeIds, InEdges);
+  for (auto &[R, Seg] : Segments) {
+    shiftIds(Seg.Nodes, Seg.Edges, Seg.InEdgeIds, 0u - NodeBegin[R],
+             0u - OldEdges(R).first);
+    auto [Branches, Flows] = countBranchesAndFlows(Seg.Nodes, Seg.Edges, 0);
+    Psg.NumBranchNodes -= Branches;
+    Psg.NumFlowSummaryEdges -= Flows;
+  }
+
+  // Walk the routines from the first spliced one: each starts where the
+  // previous one ends.  A spliced routine's relative ids become absolute;
+  // a kept routine's ids shift by how far its slices moved.
+  uint32_t NodeBase = NodeBegin[First], EdgeBase = EdgeBegin[0];
+  size_t Next = 0;
+  for (uint32_t R = First; R < NumRoutines; ++R) {
+    uint32_t NodeCount, EdgeCount, NodeDelta, EdgeDelta;
+    if (Next < Segments.size() && Segments[Next].first == R) {
+      std::tie(NodeCount, EdgeCount) = NewCounts[Next++];
+      NodeDelta = NodeBase;
+      EdgeDelta = EdgeBase;
+    } else {
+      NodeCount = NodeBegin[R + 1] - NodeBegin[R];
+      EdgeCount = OldEdges(R).second;
+      NodeDelta = NodeBase - NodeBegin[R];
+      EdgeDelta = EdgeBase - OldEdges(R).first;
+    }
+    NodeBegin[R] = NodeBase;
+    if (NodeDelta || EdgeDelta)
+      shiftIds(std::span(Psg.Nodes).subspan(NodeBase, NodeCount),
+               std::span(Psg.Edges).subspan(EdgeBase, EdgeCount),
+               std::span(Psg.InEdgeIds).subspan(EdgeBase, EdgeCount),
+               NodeDelta, EdgeDelta);
+    NodeBase += NodeCount;
+    EdgeBase += EdgeCount;
+  }
+  NodeBegin[NumRoutines] = NodeBase;
+}
+
+void spike::rebuildLinkage(const Program &Prog, ProgramSummaryGraph &Psg,
+                           ThreadPool *Pool) {
+  std::vector<uint32_t> CallBegin = routineCallBegins(Prog);
+  std::vector<CallLink> Links(CallBegin.back());
+  forEachTask(Pool, Prog.Routines.size(), [&](size_t R, unsigned) {
+    linkCalls(Prog, Psg, uint32_t(R), Links.data() + CallBegin[R]);
+  });
+  Psg.IndirectReturnNodes.clear();
+  Psg.AddressTakenExitNodes.clear();
+  fillLinkage(Prog, Psg, Links);
+}
+
+uint64_t spike::psgIndexBytes(const ProgramSummaryGraph &Psg) {
+  uint64_t Bytes = 0;
+  for (const std::vector<uint32_t> *Index : indexesOf(Psg))
+    Bytes += elementBytes(*Index);
+  return Bytes;
 }

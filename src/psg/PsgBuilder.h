@@ -21,6 +21,10 @@
 #include "psg/PsgGraph.h"
 #include "support/MemoryTracker.h"
 
+#include <span>
+#include <utility>
+#include <vector>
+
 namespace spike {
 
 class ThreadPool;
@@ -43,6 +47,42 @@ ProgramSummaryGraph buildPsg(const Program &Prog,
                              const PsgBuildOptions &Opts = {},
                              MemoryTracker *Mem = nullptr,
                              ThreadPool *Pool = nullptr);
+
+/// One routine's nodes, edges and in-edge ids with routine-relative ids:
+/// node ids count from the routine's first node, edge ids (FirstOut,
+/// FirstIn, InEdgeIds) from its first edge.  Node values and labels are
+/// what the builder leaves (the solver phases initialize them).
+struct PsgSegment {
+  std::vector<PsgNode> Nodes;
+  std::vector<PsgEdge> Edges;
+  std::vector<uint32_t> InEdgeIds;
+};
+
+/// Builds the segments buildPsg would give \p Routines of \p Prog, one
+/// task per routine on \p Pool.
+std::vector<PsgSegment> buildPsgSegments(const Program &Prog,
+                                         std::span<const uint32_t> Routines,
+                                         const PsgBuildOptions &Opts = {},
+                                         ThreadPool *Pool = nullptr);
+
+/// Swaps each (routine, segment) pair into \p Psg in place of the
+/// routine's nodes and edges, shifting every later routine's ids, and
+/// keeps RoutineNodeBegin, NumBranchNodes and NumFlowSummaryEdges in
+/// step; splicing keeps the node-order contract.  \p Segments is in
+/// ascending routine order; afterwards it holds the replaced segments, so
+/// a second call with it puts them back.  The linkage CSRs are left
+/// alone: rebuildLinkage them when a node or edge id they hold moved.
+void splicePsgSegments(ProgramSummaryGraph &Psg,
+                       std::vector<std::pair<uint32_t, PsgSegment>> &Segments);
+
+/// Rebuilds \p Psg's linkage CSRs, IndirectReturnNodes and
+/// AddressTakenExitNodes from its nodes and edges and \p Prog's calls.
+void rebuildLinkage(const Program &Prog, ProgramSummaryGraph &Psg,
+                    ThreadPool *Pool = nullptr);
+
+/// The bytes buildPsg charges for \p Psg's indexes: every container
+/// besides the nodes, edges and in-edge ids.
+uint64_t psgIndexBytes(const ProgramSummaryGraph &Psg);
 
 } // namespace spike
 

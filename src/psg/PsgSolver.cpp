@@ -8,6 +8,7 @@
 #include "telemetry/Telemetry.h"
 
 #include <cassert>
+#include <span>
 
 using namespace spike;
 
@@ -131,183 +132,191 @@ uint64_t changedBits(RegSet OldA, RegSet NewA) {
   return (NewA - OldA).count() + (OldA - NewA).count();
 }
 
-/// Returns the per-routine first-edge ids, CSR-style (edges are sorted by
-/// source node and nodes are contiguous per routine, so routine r owns
-/// exactly [EdgeBegin[r], EdgeBegin[r+1])).  Every node's FirstOut is
-/// its CSR position, so a routine's begin is its first node's FirstOut
-/// — for a routine without nodes, the next routine's.
-std::vector<uint32_t> routineEdgeBegins(const ProgramSummaryGraph &Psg,
-                                        const std::vector<uint32_t> &NodeBegin) {
-  std::vector<uint32_t> Begin(NodeBegin.size());
-  for (size_t R = 0; R < NodeBegin.size(); ++R)
-    Begin[R] = NodeBegin[R] < Psg.Nodes.size()
-                   ? Psg.Nodes[NodeBegin[R]].FirstOut
-                   : uint32_t(Psg.Edges.size());
-  return Begin;
+/// Phase 1's starting value of \p Node.  Exit: nothing runs after a
+/// returning exit.  Unknown: arbitrary code may run (Section 3.5), with
+/// the annotated live set when present, all registers otherwise.  Halt:
+/// no code runs and the path never returns, so MUST-DEF is top.
+/// Interior nodes: MUST-DEF starts at top (must problem), the MAY sets
+/// at bottom.
+FlowSets phase1Start(const Program &Prog, const PsgNode &Node,
+                     RegSet AllRegs) {
+  switch (Node.Kind) {
+  case PsgNodeKind::Exit:
+    return FlowSets::atExit();
+  case PsgNodeKind::Unknown:
+    return unknownJumpBoundary(
+        Prog, Prog.Routines[Node.RoutineIndex].Blocks[Node.BlockIndex]);
+  case PsgNodeKind::Halt:
+    return FlowSets::afterHalt(AllRegs);
+  default:
+    return FlowSets{RegSet(), RegSet(), AllRegs};
+  }
 }
 
-/// Id-remapping tables between the cached converged graph and the freshly
-/// rebuilt one, plus the shared dirty-flag plumbing.  Struct-clean
-/// routines have identical per-routine node/edge layout in both versions,
-/// so their ids remap by a per-routine offset.
-struct ReuseMaps {
-  const PhaseReuse *R = nullptr;
-  std::vector<uint32_t> OldNodeBegin, NewNodeBegin;
-  std::vector<uint32_t> OldEdgeBegin, NewEdgeBegin;
+/// Phase 2's starting value of \p Node: the jump's live set at an
+/// unknown node, nothing elsewhere.
+RegSet phase2Start(const Program &Prog, const PsgNode &Node) {
+  if (Node.Kind != PsgNodeKind::Unknown)
+    return RegSet();
+  return Prog.jumpTargetLive(
+      Prog.Routines[Node.RoutineIndex].Blocks[Node.BlockIndex].End - 1);
+}
 
-  explicit operator bool() const { return R != nullptr; }
+/// Routine \p R's nodes.
+std::span<PsgNode> nodesOf(ProgramSummaryGraph &Psg, uint32_t R) {
+  return std::span(Psg.Nodes).subspan(
+      Psg.RoutineNodeBegin[R],
+      Psg.RoutineNodeBegin[R + 1] - Psg.RoutineNodeBegin[R]);
+}
 
-  bool structClean(uint32_t Routine) const {
-    return (*R->StructClean)[Routine] != 0;
+/// Where the ids of the call-return edges routine \p R's entries feed sit
+/// in CrEdgeOfEntryIds: its entry nodes are consecutive, so their lists
+/// are too.
+std::pair<uint32_t, uint32_t> fedRange(const Program &Prog,
+                                       const ProgramSummaryGraph &Psg,
+                                       uint32_t R) {
+  NodeIdRange Entries = Psg.entryNodes(Prog, R);
+  return {Psg.CrEdgeOfEntryBegin[Entries.front()],
+          Psg.CrEdgeOfEntryBegin[Entries.back() + 1]};
+}
+
+/// The two halves of the Section 3.4 label a phase 1 pass writes into a
+/// call-return edge.
+struct PassLabel {
+  bool MayUsePass;
+  RegSet Saved, RaOnly, AllRegs;
+
+  /// True while entry sets \p Sets still hold the pass's initial value:
+  /// a fresh solve never broadcasts such an entry, so its edges keep
+  /// their initial label.
+  bool initial(const FlowSets &Sets) const {
+    return MayUsePass ? Sets.MayUse.empty()
+                      : Sets.MustDef == AllRegs && Sets.MayDef.empty();
   }
-
-  void flag(uint32_t Routine) const { R->Dirty->flag(Routine); }
-
-  /// The cached id of new edge \p NewEdgeId hosted by struct-clean
-  /// routine \p Routine.
-  uint32_t oldEdge(uint32_t NewEdgeId, uint32_t Routine) const {
-    return OldEdgeBegin[Routine] + (NewEdgeId - NewEdgeBegin[Routine]);
+  void write(const FlowSets &Sets, FlowSets &Label) const {
+    if (MayUsePass) {
+      Label.MayUse = (Sets.MayUse - Saved) - RaOnly;
+    } else {
+      Label.MustDef = (Sets.MustDef - Saved) | RaOnly;
+      Label.MayDef = (Sets.MayDef - Saved) | RaOnly;
+    }
+  }
+  void reset(FlowSets &Label) const {
+    if (MayUsePass) {
+      Label.MayUse = RegSet();
+    } else {
+      Label.MustDef = AllRegs;
+      Label.MayDef = RegSet();
+    }
+  }
+  bool same(const FlowSets &A, const FlowSets &B) const {
+    return MayUsePass ? A.MayUse == B.MayUse
+                      : A.MustDef == B.MustDef && A.MayDef == B.MayDef;
   }
 };
 
-ReuseMaps buildReuseMaps(const PhaseReuse *Reuse,
-                         const ProgramSummaryGraph &Psg) {
-  ReuseMaps Maps;
-  if (!Reuse)
-    return Maps;
-  Maps.R = Reuse;
-  Maps.NewNodeBegin = Psg.RoutineNodeBegin;
-  Maps.OldNodeBegin = Reuse->OldPsg->RoutineNodeBegin;
-  assert(Maps.OldNodeBegin.size() == Maps.NewNodeBegin.size() &&
-         "reuse across different routine partitions");
-  Maps.OldEdgeBegin = routineEdgeBegins(*Reuse->OldPsg, Maps.OldNodeBegin);
-  Maps.NewEdgeBegin = routineEdgeBegins(Psg, Maps.NewNodeBegin);
-  return Maps;
-}
-
-/// Restores one clean group's pass-specific phase 1 state: the member
-/// nodes' converged sets and the call-return labels their entries
-/// broadcast.  Entries still at the pass's initial value are skipped
-/// when re-broadcasting — a fresh solve never refreshes a label whose
-/// entry node never changed, so the label must keep its initial value
-/// to stay bit-identical.
-void restoreGroupPhase1(const Program &Prog, ProgramSummaryGraph &Psg,
-                        const std::vector<RegSet> &SavedPerRoutine,
-                        RegSet AllRegs, RegSet RaOnly, bool MayUsePass,
-                        const std::vector<uint32_t> &Members,
-                        const ReuseMaps &Maps) {
-  const ProgramSummaryGraph &Old = *Maps.R->OldPsg;
+/// Before a dirty group iterates one phase 1 pass: snapshots its members,
+/// then resets their non-fixed nodes and the labels their entries feed to
+/// the pass's initial values, as a fresh solve starts them.
+void resetGroupPhase1(const Program &Prog, ProgramSummaryGraph &Psg,
+                      const PassLabel &Pass, const PhaseReuse &Reuse,
+                      const std::vector<uint32_t> &Members) {
   for (uint32_t R : Members) {
-    assert(Maps.structClean(R) && "restoring a restructured routine");
-    uint32_t OldBase = Maps.OldNodeBegin[R];
-    uint32_t NewBase = Maps.NewNodeBegin[R];
-    uint32_t Count = Maps.NewNodeBegin[R + 1] - NewBase;
-    for (uint32_t K = 0; K < Count; ++K) {
-      const PsgNode &From = Old.Nodes[OldBase + K];
-      PsgNode &To = Psg.Nodes[NewBase + K];
-      if (MayUsePass) {
-        To.Sets.MayUse = From.Sets.MayUse;
-      } else {
-        To.Sets.MustDef = From.Sets.MustDef;
-        To.Sets.MayDef = From.Sets.MayDef;
+    Reuse.Journal->snapshot(Prog, Psg, R);
+    for (PsgNode &Node : nodesOf(Psg, R)) {
+      if (Pass.MayUsePass) {
+        if (Node.Kind != PsgNodeKind::Unknown)
+          Node.Sets.MayUse = RegSet();
+      } else if (!isFixedPhase1(Node.Kind)) {
+        Node.Sets.MustDef = Pass.AllRegs;
+        Node.Sets.MayDef = RegSet();
       }
     }
+    auto [First, Last] = fedRange(Prog, Psg, R);
+    for (uint32_t I = First; I < Last; ++I)
+      Pass.reset(Psg.Edges[Psg.CrEdgeOfEntryIds[I]].Label);
+  }
+}
 
-    RegSet Saved = SavedPerRoutine[R];
+/// After a dirty group converged one phase 1 pass, flags every caller
+/// whose call-return label differs from the snapshot — its group (at a
+/// strictly later schedule level) must iterate.  Rebuilt callers were
+/// seeded dirty up front.
+void flagCallersOnLabelDiff(const Program &Prog,
+                            const ProgramSummaryGraph &Psg,
+                            const PassLabel &Pass, const PhaseReuse &Reuse,
+                            const std::vector<uint32_t> &Members) {
+  for (uint32_t R : Members) {
+    auto [First, Last] = fedRange(Prog, Psg, R);
+    for (uint32_t I = First; I < Last; ++I) {
+      const PsgEdge &Edge = Psg.Edges[Psg.CrEdgeOfEntryIds[I]];
+      uint32_t Host = Psg.Nodes[Edge.Src].RoutineIndex;
+      if (!(*Reuse.Rebuilt)[Host] &&
+          !Pass.same(Reuse.Journal->fedLabel(I), Edge.Label))
+        Reuse.Dirty->flag(Host);
+    }
+  }
+}
+
+/// At a clean group's phase 1 slot: its values stand, but the
+/// call-return edges of rebuilt callers hold build-time labels, so
+/// broadcast its entries into them as the previous solve did.
+/// \p FeedsRebuilt marks the routines a rebuilt routine calls.
+void rebroadcastToRebuilt(const Program &Prog, ProgramSummaryGraph &Psg,
+                          const std::vector<RegSet> &SavedPerRoutine,
+                          PassLabel Pass, const PhaseReuse &Reuse,
+                          const std::vector<uint8_t> &FeedsRebuilt,
+                          const std::vector<uint32_t> &Members) {
+  for (uint32_t R : Members) {
+    if (!FeedsRebuilt[R])
+      continue;
+    Pass.Saved = SavedPerRoutine[R];
     for (uint32_t EntryNode : Psg.entryNodes(Prog, R)) {
       const FlowSets &Sets = Psg.Nodes[EntryNode].Sets;
-      if (MayUsePass ? Sets.MayUse.empty()
-                     : (Sets.MustDef == AllRegs && Sets.MayDef.empty()))
+      if (Pass.initial(Sets))
         continue;
-      RegSet LabelMust = (Sets.MustDef - Saved) | RaOnly;
-      RegSet LabelMay = (Sets.MayDef - Saved) | RaOnly;
-      RegSet LabelUse = (Sets.MayUse - Saved) - RaOnly;
       for (uint32_t I = Psg.CrEdgeOfEntryBegin[EntryNode],
                     E = Psg.CrEdgeOfEntryBegin[EntryNode + 1];
            I != E; ++I) {
         PsgEdge &Edge = Psg.Edges[Psg.CrEdgeOfEntryIds[I]];
-        if (MayUsePass) {
-          Edge.Label.MayUse = LabelUse;
-        } else {
-          Edge.Label.MustDef = LabelMust;
-          Edge.Label.MayDef = LabelMay;
-        }
+        if ((*Reuse.Rebuilt)[Psg.Nodes[Edge.Src].RoutineIndex])
+          Pass.write(Sets, Edge.Label);
       }
     }
   }
 }
 
-/// After a dirty group converged one phase 1 pass, flags every
-/// struct-clean caller whose call-return label differs from the cache —
-/// those callers' cached state is stale and their groups (all at strictly
-/// later schedule levels) must iterate.  Restructured callers were seeded
-/// dirty up front.
-void flagCallersOnLabelDiff(const Program &Prog,
-                            const ProgramSummaryGraph &Psg, bool MayUsePass,
-                            const std::vector<uint32_t> &Members,
-                            const ReuseMaps &Maps) {
-  const ProgramSummaryGraph &Old = *Maps.R->OldPsg;
-  for (uint32_t R : Members)
-    for (uint32_t EntryNode : Psg.entryNodes(Prog, R))
-      for (uint32_t I = Psg.CrEdgeOfEntryBegin[EntryNode],
-                    E = Psg.CrEdgeOfEntryBegin[EntryNode + 1];
-           I != E; ++I) {
-        uint32_t EdgeId = Psg.CrEdgeOfEntryIds[I];
-        const PsgEdge &Edge = Psg.Edges[EdgeId];
-        uint32_t Host = Psg.Nodes[Edge.Src].RoutineIndex;
-        if (!Maps.structClean(Host))
-          continue;
-        const PsgEdge &OldE = Old.Edges[Maps.oldEdge(EdgeId, Host)];
-        bool Differs =
-            MayUsePass ? !(OldE.Label.MayUse == Edge.Label.MayUse)
-                       : !(OldE.Label.MustDef == Edge.Label.MustDef &&
-                           OldE.Label.MayDef == Edge.Label.MayDef);
-        if (Differs)
-          Maps.flag(Host);
-      }
-}
-
-/// Restores one clean group's phase 2 state: the member Live sets.
-void restoreGroupPhase2(ProgramSummaryGraph &Psg,
-                        const std::vector<uint32_t> &Members,
-                        const ReuseMaps &Maps) {
-  const ProgramSummaryGraph &Old = *Maps.R->OldPsg;
+/// Before a dirty group iterates phase 2: snapshots its members and
+/// resets their nodes' liveness to phase 2's starting values.
+void resetGroupPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
+                      const PhaseReuse &Reuse,
+                      const std::vector<uint32_t> &Members) {
   for (uint32_t R : Members) {
-    assert(Maps.structClean(R) && "restoring a restructured routine");
-    uint32_t OldBase = Maps.OldNodeBegin[R];
-    uint32_t NewBase = Maps.NewNodeBegin[R];
-    uint32_t Count = Maps.NewNodeBegin[R + 1] - NewBase;
-    for (uint32_t K = 0; K < Count; ++K)
-      Psg.Nodes[NewBase + K].Live = Old.Nodes[OldBase + K].Live;
+    Reuse.Journal->snapshot(Prog, Psg, R);
+    for (PsgNode &Node : nodesOf(Psg, R))
+      Node.Live = phase2Start(Prog, Node);
   }
 }
 
 /// After a dirty group converged phase 2, flags the routines whose exits
-/// read a member return site's liveness — unconditionally for
-/// restructured members (their callees were seeded dirty anyway; this is
-/// the cheap belt to that suspenders), on a value difference for
-/// struct-clean ones.
+/// read a member return site's liveness — unconditionally for rebuilt
+/// members (their callees were seeded dirty anyway; this is the cheap
+/// belt to that suspenders), on a difference from the snapshot for the
+/// others.
 void flagCalleesOnLiveDiff(const Program &Prog,
                            const ProgramSummaryGraph &Psg,
-                           const std::vector<uint32_t> &Members,
-                           const ReuseMaps &Maps) {
-  const ProgramSummaryGraph &Old = *Maps.R->OldPsg;
+                           const PhaseReuse &Reuse,
+                           const std::vector<uint32_t> &Members) {
   for (uint32_t R : Members) {
-    bool Clean = Maps.structClean(R);
+    bool Rebuilt = (*Reuse.Rebuilt)[R];
     for (uint32_t C = 0; C < Prog.Routines[R].CallBlocks.size(); ++C) {
       uint32_t Ret = Psg.returnNode(Prog, R, C);
-      bool Changed = true;
-      if (Clean) {
-        // A struct-clean routine's nodes sit at the same offsets.
-        uint32_t OldRet = Maps.OldNodeBegin[R] + (Ret - Maps.NewNodeBegin[R]);
-        Changed = !(Psg.Nodes[Ret].Live == Old.Nodes[OldRet].Live);
-      }
-      if (!Changed)
+      if (!Rebuilt && Psg.Nodes[Ret].Live == Reuse.Journal->live(Ret))
         continue;
       for (uint32_t I = Psg.ExitsOfReturnBegin[Ret],
                     E = Psg.ExitsOfReturnBegin[Ret + 1];
            I != E; ++I)
-        Maps.flag(Psg.Nodes[Psg.ExitsOfReturnIds[I]].RoutineIndex);
+        Reuse.Dirty->flag(Psg.Nodes[Psg.ExitsOfReturnIds[I]].RoutineIndex);
     }
   }
 }
@@ -593,65 +602,64 @@ SolverStats spike::runPhase1(const Program &Prog, ProgramSummaryGraph &Psg,
   RegSet RaOnly;
   RaOnly.insert(Prog.Conv.RaReg);
 
-  // Boundary values.  Exit: nothing runs after a returning exit.
-  // Unknown: arbitrary code may run (Section 3.5).  Halt: no code runs
-  // and the path never returns, so MUST-DEF is top.
-  for (PsgNode &Node : Psg.Nodes) {
-    switch (Node.Kind) {
-    case PsgNodeKind::Exit:
-      Node.Sets = FlowSets::atExit();
-      break;
-    case PsgNodeKind::Unknown:
-      // Section 3.5 boundary: annotated live set when present, all
-      // registers otherwise; unknown code may define anything.
-      Node.Sets = unknownJumpBoundary(
-          Prog, Prog.Routines[Node.RoutineIndex].Blocks[Node.BlockIndex]);
-      break;
-    case PsgNodeKind::Halt:
-      Node.Sets = FlowSets::afterHalt(AllRegs);
-      break;
-    default:
-      // Interior nodes: MUST-DEF starts at top (must problem), the MAY
-      // sets at bottom.
-      Node.Sets = FlowSets{RegSet(), RegSet(), AllRegs};
-      break;
+  // Starting values (phase1Start).  Direct call-return edges must also
+  // start with MUST-DEF at top so the downward iteration is monotone;
+  // they are refreshed from the callee's entry node as it converges.
+  // (Indirect ones carry fixed calling-standard sets.)  A re-solve in
+  // place starts only the rebuilt routines here; every other value is
+  // the previous solve's, which dirty groups reset as they go.
+  auto Start = [&](uint32_t R) {
+    for (PsgNode &Node : nodesOf(Psg, R))
+      Node.Sets = phase1Start(Prog, Node, AllRegs);
+    const Routine &Rt = Prog.Routines[R];
+    for (uint32_t C = 0; C < Rt.CallBlocks.size(); ++C)
+      if (Rt.Blocks[Rt.CallBlocks[C]].Term == TerminatorKind::Call)
+        Psg.Edges[Psg.Nodes[Psg.callNode(Prog, R, C)].FirstOut]
+            .Label.MustDef = AllRegs;
+  };
+  std::vector<uint8_t> FeedsRebuilt;
+  if (Reuse) {
+    FeedsRebuilt.assign(Prog.Routines.size(), 0);
+    for (uint32_t R = 0; R < Prog.Routines.size(); ++R) {
+      if (!(*Reuse->Rebuilt)[R])
+        continue;
+      Start(R);
+      const Routine &Rt = Prog.Routines[R];
+      for (uint32_t Block : Rt.CallBlocks)
+        if (Rt.Blocks[Block].Term == TerminatorKind::Call)
+          FeedsRebuilt[uint32_t(Rt.Blocks[Block].CalleeRoutine)] = 1;
     }
+  } else {
+    for (uint32_t R = 0; R < Prog.Routines.size(); ++R)
+      Start(R);
   }
 
-  // Direct call-return edges must also start with MUST-DEF at top so the
-  // downward iteration is monotone; they are refreshed from the callee's
-  // entry node as it converges.  (Indirect ones carry fixed
-  // calling-standard sets.)
-  for (uint32_t NodeId = 0; NodeId < Psg.Nodes.size(); ++NodeId)
-    for (uint32_t I = Psg.CrEdgeOfEntryBegin[NodeId],
-                  E = Psg.CrEdgeOfEntryBegin[NodeId + 1];
-         I != E; ++I)
-      Psg.Edges[Psg.CrEdgeOfEntryIds[I]].Label.MustDef = AllRegs;
-
   const SccSchedule &Sched = Prog.CalleeFirst;
-  ReuseMaps Maps = buildReuseMaps(Reuse, Psg);
   PhaseScratch Scratch(Pool, Psg);
   std::vector<SolverStats> GroupStats(Sched.NumGroups);
-  SccDriver Driver(Prog, Sched, Pool, Gov, Maps ? Reuse->Dirty : nullptr);
+  SccDriver Driver(Prog, Sched, Pool, Gov, Reuse ? Reuse->Dirty : nullptr);
 
   auto RunPass = [&](bool MayUsePass) {
+    PassLabel Pass{MayUsePass, RegSet(), RaOnly, AllRegs};
     Driver.run(
         MayUsePass ? "psg.phase1.may-use" : "psg.phase1.must-def",
         [&](GroupTask &T) {
+          if (Reuse)
+            resetGroupPhase1(Prog, Psg, Pass, *Reuse, T.Members);
           if (MayUsePass)
             solveGroupPassB(Psg, SavedPerRoutine, RaOnly, T, Scratch,
                             GroupStats[T.Group]);
           else
             solveGroupPassA(Psg, SavedPerRoutine, AllRegs, RaOnly, T,
                             Scratch, GroupStats[T.Group]);
-          if (Maps)
-            flagCallersOnLabelDiff(Prog, Psg, MayUsePass, T.Members, Maps);
+          if (Reuse)
+            flagCallersOnLabelDiff(Prog, Psg, Pass, *Reuse, T.Members);
         },
         [&](const std::vector<uint32_t> &Members) {
-          // Every input this group would read matches the cached solve:
-          // restore its converged state instead of iterating.
-          restoreGroupPhase1(Prog, Psg, SavedPerRoutine, AllRegs, RaOnly,
-                             MayUsePass, Members, Maps);
+          // Every input this group would read matches the previous
+          // solve: its values stand.
+          rebroadcastToRebuilt(Prog, Psg, SavedPerRoutine, Pass, *Reuse,
+                               FeedsRebuilt, Members);
         });
   };
 
@@ -659,16 +667,20 @@ SolverStats spike::runPhase1(const Program &Prog, ProgramSummaryGraph &Psg,
   RunPass(false);
 
   // --- Pass B: MAY-USE, with all MUST-DEF labels frozen. ------------------
-  // Reset the MAY-USE state to bottom; indirect call-return edges keep
-  // their fixed calling-standard MAY-USE, direct ones restart at empty.
-  for (PsgNode &Node : Psg.Nodes)
-    if (Node.Kind != PsgNodeKind::Unknown)
-      Node.Sets.MayUse = RegSet();
-  for (uint32_t NodeId = 0; NodeId < Psg.Nodes.size(); ++NodeId)
-    for (uint32_t I = Psg.CrEdgeOfEntryBegin[NodeId],
-                  E = Psg.CrEdgeOfEntryBegin[NodeId + 1];
-         I != E; ++I)
-      Psg.Edges[Psg.CrEdgeOfEntryIds[I]].Label.MayUse = RegSet();
+  // A fresh solve resets the MAY-USE state to bottom; indirect
+  // call-return edges keep their fixed calling-standard MAY-USE, direct
+  // ones restart at empty.  (Dirty groups of a re-solve in place reset
+  // their own; rebuilt edges are at bottom already.)
+  if (!Reuse) {
+    for (PsgNode &Node : Psg.Nodes)
+      if (Node.Kind != PsgNodeKind::Unknown)
+        Node.Sets.MayUse = RegSet();
+    for (uint32_t NodeId = 0; NodeId < Psg.Nodes.size(); ++NodeId)
+      for (uint32_t I = Psg.CrEdgeOfEntryBegin[NodeId],
+                    E = Psg.CrEdgeOfEntryBegin[NodeId + 1];
+           I != E; ++I)
+        Psg.Edges[Psg.CrEdgeOfEntryIds[I]].Label.MayUse = RegSet();
+  }
 
   RunPass(true);
   return finishPhase("psg.phase1", GroupStats, Driver, Reuse);
@@ -707,28 +719,25 @@ SolverStats spike::runPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
   for (uint32_t ReturnNode : Psg.IndirectReturnNodes)
     IsIndirectReturn[ReturnNode] = true;
 
-  for (PsgNode &Node : Psg.Nodes)
-    Node.Live = Node.Kind == PsgNodeKind::Unknown
-                    ? Prog.jumpTargetLive(Prog.Routines[Node.RoutineIndex]
-                                              .Blocks[Node.BlockIndex]
-                                              .End -
-                                          1)
-                    : RegSet();
+  // Starting values: every node's in a fresh solve, the rebuilt
+  // routines' in a re-solve in place (dirty groups reset the rest).
+  for (uint32_t R = 0; R < Prog.Routines.size(); ++R)
+    if (!Reuse || (*Reuse->Rebuilt)[R])
+      for (PsgNode &Node : nodesOf(Psg, R))
+        Node.Live = phase2Start(Prog, Node);
 
   // Caller-first schedule: an exit's feeding return sites converge before
   // the exit's component runs (or share its component), and the hub
   // ordering does the same for the indirect-call accumulator.
   const SccSchedule &Sched = Prog.CallerFirst;
-  ReuseMaps Maps = buildReuseMaps(Reuse, Psg);
 
-  if (Maps) {
+  if (Reuse) {
     // Escalation guard: close the seeded dirty frontier over the schedule
     // DAG.  Flags only ever propagate along caller -> callee group edges,
     // so the closure over-approximates every group that could become
     // dirty during the run.  If it reaches an address-taken or
     // indirect-calling routine, the order-dependent indirect-call
-    // accumulator would be involved — re-solve everything fresh instead
-    // (still cheaper than rebuilding: the structures are already built).
+    // accumulator would be involved — re-solve everything instead.
     std::vector<uint8_t> InClosure(Sched.NumGroups, 0);
     std::vector<uint32_t> Work;
     for (uint32_t R = 0; R < Prog.Routines.size(); ++R)
@@ -762,18 +771,19 @@ SolverStats spike::runPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
       if (Reuse->EscalatedOut)
         *Reuse->EscalatedOut = true;
       for (uint32_t R = 0; R < Prog.Routines.size(); ++R)
-        Maps.flag(R);
+        Reuse->Dirty->flag(R);
     }
     // Belt to the caller's seeding contract: every (new-graph) callee of
-    // a restructured routine re-solves.
+    // a rebuilt routine re-solves.
     for (uint32_t R = 0; R < Prog.Routines.size(); ++R)
-      if (!Maps.structClean(R))
+      if ((*Reuse->Rebuilt)[R])
         for (uint32_t C = 0; C < Prog.Routines[R].CallBlocks.size(); ++C) {
           uint32_t Ret = Psg.returnNode(Prog, R, C);
           for (uint32_t I = Psg.ExitsOfReturnBegin[Ret],
                         E = Psg.ExitsOfReturnBegin[Ret + 1];
                I != E; ++I)
-            Maps.flag(Psg.Nodes[Psg.ExitsOfReturnIds[I]].RoutineIndex);
+            Reuse->Dirty->flag(
+                Psg.Nodes[Psg.ExitsOfReturnIds[I]].RoutineIndex);
         }
   }
 
@@ -788,25 +798,64 @@ SolverStats spike::runPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
   RegSet IndirectAccum;
   std::vector<RegSet> GroupAccum(Sched.NumGroups);
 
-  SccDriver Driver(Prog, Sched, Pool, Gov, Maps ? Reuse->Dirty : nullptr);
+  SccDriver Driver(Prog, Sched, Pool, Gov, Reuse ? Reuse->Dirty : nullptr);
   Driver.run(
       "psg.phase2",
       [&](GroupTask &T) {
+        if (Reuse)
+          resetGroupPhase2(Prog, Psg, *Reuse, T.Members);
         GroupAccum[T.Group] = solveGroupPhase2(
             Prog, Psg, ExitSeed, IsAddressTakenExit, IsIndirectReturn,
             IndirectAccum, T, Scratch, GroupStats[T.Group]);
-        if (Maps)
-          flagCalleesOnLiveDiff(Prog, Psg, T.Members, Maps);
+        if (Reuse)
+          flagCalleesOnLiveDiff(Prog, Psg, *Reuse, T.Members);
       },
-      [&](const std::vector<uint32_t> &Members) {
-        // The guard above proved no clean group touches the accumulator
-        // as a producer-to-dirty-consumer, so restoring is safe; its
-        // GroupAccum contribution stays empty.
-        restoreGroupPhase2(Psg, Members, Maps);
-      },
+      // The guard above proved no clean group touches the accumulator as
+      // a producer-to-dirty-consumer, so a clean group's values stand and
+      // its GroupAccum contribution stays empty.
+      SccDriver::NoHook(),
       [&](const std::vector<uint32_t> &Level) {
         for (uint32_t Group : Level)
           IndirectAccum |= GroupAccum[Group];
       });
   return finishPhase("psg.phase2", GroupStats, Driver, Reuse);
+}
+
+SolveJournal::SolveJournal(const Program &Prog,
+                           const ProgramSummaryGraph &Psg)
+    : Sets(std::make_unique_for_overwrite<Masks[]>(Psg.Nodes.size())),
+      Live(std::make_unique_for_overwrite<uint64_t[]>(Psg.Nodes.size())),
+      Fed(std::make_unique_for_overwrite<Masks[]>(
+          Psg.CrEdgeOfEntryIds.size())),
+      Taken(Prog.Routines.size(), 0) {}
+
+void SolveJournal::snapshot(const Program &Prog,
+                            const ProgramSummaryGraph &Psg, uint32_t R) {
+  if (Taken[R])
+    return;
+  Taken[R] = 1;
+  for (uint32_t N = Psg.RoutineNodeBegin[R]; N < Psg.RoutineNodeBegin[R + 1];
+       ++N) {
+    Sets[N] = Masks::of(Psg.Nodes[N].Sets);
+    Live[N] = Psg.Nodes[N].Live.mask();
+  }
+  auto [First, Last] = fedRange(Prog, Psg, R);
+  for (uint32_t I = First; I < Last; ++I)
+    Fed[I] = Masks::of(Psg.Edges[Psg.CrEdgeOfEntryIds[I]].Label);
+}
+
+void SolveJournal::rollback(const Program &Prog,
+                            ProgramSummaryGraph &Psg) const {
+  for (uint32_t R = 0; R < Taken.size(); ++R) {
+    if (!Taken[R])
+      continue;
+    for (uint32_t N = Psg.RoutineNodeBegin[R]; N < Psg.RoutineNodeBegin[R + 1];
+         ++N) {
+      Psg.Nodes[N].Sets = Sets[N].sets();
+      Psg.Nodes[N].Live = RegSet::fromMask(Live[N]);
+    }
+    auto [First, Last] = fedRange(Prog, Psg, R);
+    for (uint32_t I = First; I < Last; ++I)
+      Psg.Edges[Psg.CrEdgeOfEntryIds[I]].Label = Fed[I].sets();
+  }
 }

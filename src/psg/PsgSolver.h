@@ -39,6 +39,7 @@
 #include "support/RegSet.h"
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace spike {
@@ -60,42 +61,81 @@ struct SolverStats {
   uint64_t EdgeVisits = 0;
 };
 
-/// Converged state of a previous solve of a *previous version* of the
-/// same program, enabling incremental re-analysis after a routine patch
-/// (interproc/Incremental.h drives this).
+/// The values an in-place re-solve overwrites, per routine, taken the
+/// first time one of the routine's groups resets: its nodes' phase 1 and
+/// phase 2 values and the call-return labels its entries feed.  Dirty
+/// groups flag dependents against it, and rollback() puts every value
+/// back when the re-solve is abandoned.  The task solving a routine's
+/// group is the only writer of the routine's slots, so groups of one
+/// level snapshot concurrently.  The graph's layout must not change
+/// while the journal lives.
+class SolveJournal {
+public:
+  SolveJournal(const Program &Prog, const ProgramSummaryGraph &Psg);
+
+  /// Snapshots routine \p R unless an earlier reset already did.
+  void snapshot(const Program &Prog, const ProgramSummaryGraph &Psg,
+                uint32_t R);
+
+  /// The snapshot liveness of node \p NodeId, and the snapshot label of
+  /// the call-return edge at position \p Position of CrEdgeOfEntryIds;
+  /// the owning routine must have been snapshotted.
+  RegSet live(uint32_t NodeId) const { return RegSet::fromMask(Live[NodeId]); }
+  FlowSets fedLabel(uint32_t Position) const { return Fed[Position].sets(); }
+
+  /// Writes every snapshot back into \p Psg.
+  void rollback(const Program &Prog, ProgramSummaryGraph &Psg) const;
+
+private:
+  /// Raw masks, so the buffers can start uninitialized: the pages of
+  /// routines nobody snapshots are never touched.
+  struct Masks {
+    uint64_t MayUse, MayDef, MustDef;
+    static Masks of(const FlowSets &S) {
+      return {S.MayUse.mask(), S.MayDef.mask(), S.MustDef.mask()};
+    }
+    FlowSets sets() const {
+      return {RegSet::fromMask(MayUse), RegSet::fromMask(MayDef),
+              RegSet::fromMask(MustDef)};
+    }
+  };
+  std::unique_ptr<Masks[]> Sets;    ///< Per node.
+  std::unique_ptr<uint64_t[]> Live; ///< Per node.
+  std::unique_ptr<Masks[]> Fed;     ///< Per CrEdgeOfEntryIds position.
+  std::vector<uint8_t> Taken;       ///< Per routine.
+};
+
+/// What the phases need to re-solve a graph in place after a routine
+/// patch (interproc/Incremental.h drives this).  The graph holds the
+/// converged values of the previous program version, except in the
+/// routines the patch rebuilt, whose nodes and call-return edges hold
+/// build-time values.  Dirty is the monotone per-routine frontier
+/// (cfg/SccDriver.h) the caller seeds and the solver grows:
 ///
-/// The contract: the old and new programs have the same routine
-/// partition (count, names, boundaries).  StructClean[r] is 1 when
-/// routine r's code, CFG record, and annotation slices are identical in
-/// both versions, so its per-routine PSG layout — node and edge id
-/// ranges — is identical up to a constant offset.  Dirty is the
-/// monotone per-routine frontier (cfg/SccDriver.h) the caller seeds and
-/// the solver grows:
+///   - Phase 1 expects Dirty seeded with the rebuilt routines.
+///   - Phase 2 expects Dirty seeded with phase 1's final flags plus every
+///     routine called by a rebuilt routine in *either* version (a
+///     dropped call still shrinks the old callee's exit liveness).
 ///
-///   - Phase 1 expects Dirty seeded with the struct-dirty routines.
-///   - Phase 2 expects Dirty seeded with phase 1's final flags plus the
-///     struct-dirty routines and every routine called by a struct-dirty
-///     routine in *either* version (a dropped call still shrinks the old
-///     callee's exit liveness).
-///
-/// At its scheduled slot (the SccDriver's restore-or-solve step), an SCC
-/// group with no dirty member restores the cached converged values
-/// instead of iterating; a dirty group iterates from the standard
-/// initial values — exactly what a fresh solve would do, because every
-/// input it reads has converged to the fresh solve's value — and then
+/// At its scheduled slot (the SccDriver's keep-or-solve step), an SCC
+/// group with no dirty member keeps its values; in phase 1 it also
+/// re-broadcasts its entries' labels into the call-return edges of
+/// rebuilt callers.  A dirty group snapshots what it overwrites into the
+/// journal, resets its members and the labels its entries feed to the
+/// phase's initial values, and iterates exactly as a fresh solve would —
+/// every input it reads has converged to the fresh solve's value — then
 /// compares its outward-facing results (phase 1: call-return labels,
-/// phase 2: return-site liveness) against the cache, flagging dependent
-/// routines on any difference.  Phase 2 additionally escalates to a full
-/// re-solve when the dirty closure over the schedule DAG reaches any
+/// phase 2: return-site liveness) against the snapshot, flagging
+/// dependents on any difference.  Phase 2 additionally escalates to a
+/// full re-solve when the dirty closure over the schedule DAG reaches any
 /// address-taken or indirect-calling routine, side-stepping the
 /// order-dependent indirect-call accumulator.  The result — values and
 /// labels — is bit-identical to a fresh solve of the new program; only
 /// SolverStats (work actually done) shrinks.
 struct PhaseReuse {
-  const Program *OldProg = nullptr;
-  const ProgramSummaryGraph *OldPsg = nullptr;
-  const std::vector<uint8_t> *StructClean = nullptr; ///< Per routine.
+  const std::vector<uint8_t> *Rebuilt = nullptr; ///< Per routine.
   DirtyFrontier *Dirty = nullptr;
+  SolveJournal *Journal = nullptr;
 
   /// Out-flag (optional): phase 2 sets it when the dirty closure forced a
   /// full re-solve.
@@ -110,8 +150,8 @@ struct PhaseReuse {
 /// worklist polls it per pop; a non-Ok verdict throws BudgetBlownError
 /// naming the group's routines (unwound deterministically through the
 /// pool: the lowest-index group of the level wins).
-/// When \p Reuse is non-null, clean SCC groups restore cached state
-/// instead of iterating (see PhaseReuse).
+/// When \p Reuse is non-null, the phase re-solves \p Psg in place: clean
+/// SCC groups keep their values instead of iterating (see PhaseReuse).
 SolverStats runPhase1(const Program &Prog, ProgramSummaryGraph &Psg,
                       const std::vector<RegSet> &SavedPerRoutine,
                       ThreadPool *Pool = nullptr,

@@ -10,31 +10,38 @@
 
 using namespace spike;
 
+RoutineResults
+spike::extractRoutineSummaries(const Program &Prog,
+                               const ProgramSummaryGraph &Psg, RegSet Saved,
+                               uint32_t RoutineIndex) {
+  RoutineResults Out;
+  for (uint32_t EntryNode : Psg.entryNodes(Prog, RoutineIndex)) {
+    const PsgNode &Node = Psg.Nodes[EntryNode];
+    FlowSets Filtered = filterCalleeSaved(Node.Sets, Saved);
+    CallSummary Summary;
+    Summary.Used = Filtered.MayUse;
+    // Along paths that never return (halt), MUST-DEF is top; cap the
+    // reported call-defined set by call-killed so the summary keeps the
+    // natural "must ⊆ may" shape consumers expect.
+    Summary.Defined = Filtered.MustDef & Filtered.MayDef;
+    Summary.Killed = Filtered.MayDef;
+    Out.EntrySummaries.push_back(Summary);
+    Out.LiveAtEntry.push_back(Node.Live);
+  }
+  for (uint32_t ExitNode : Psg.exitNodes(Prog, RoutineIndex))
+    Out.LiveAtExit.push_back(Psg.Nodes[ExitNode].Live);
+  return Out;
+}
+
 InterprocSummaries
 spike::extractSummaries(const Program &Prog, const ProgramSummaryGraph &Psg,
                         const std::vector<RegSet> &SavedPerRoutine) {
   InterprocSummaries Result;
-  Result.Routines.resize(Prog.Routines.size());
+  Result.Routines.reserve(Prog.Routines.size());
   for (uint32_t RoutineIndex = 0; RoutineIndex < Prog.Routines.size();
-       ++RoutineIndex) {
-    RoutineResults &Out = Result.Routines[RoutineIndex];
-    for (uint32_t EntryNode : Psg.entryNodes(Prog, RoutineIndex)) {
-      const PsgNode &Node = Psg.Nodes[EntryNode];
-      FlowSets Filtered =
-          filterCalleeSaved(Node.Sets, SavedPerRoutine[RoutineIndex]);
-      CallSummary Summary;
-      Summary.Used = Filtered.MayUse;
-      // Along paths that never return (halt), MUST-DEF is top; cap the
-      // reported call-defined set by call-killed so the summary keeps
-      // the natural "must ⊆ may" shape consumers expect.
-      Summary.Defined = Filtered.MustDef & Filtered.MayDef;
-      Summary.Killed = Filtered.MayDef;
-      Out.EntrySummaries.push_back(Summary);
-      Out.LiveAtEntry.push_back(Node.Live);
-    }
-    for (uint32_t ExitNode : Psg.exitNodes(Prog, RoutineIndex))
-      Out.LiveAtExit.push_back(Psg.Nodes[ExitNode].Live);
-  }
+       ++RoutineIndex)
+    Result.Routines.push_back(extractRoutineSummaries(
+        Prog, Psg, SavedPerRoutine[RoutineIndex], RoutineIndex));
   return Result;
 }
 

@@ -87,6 +87,12 @@ InterprocSummaries extractSummaries(const Program &Prog,
                                     const ProgramSummaryGraph &Psg,
                                     const std::vector<RegSet> &SavedPerRoutine);
 
+/// The summary table of routine \p RoutineIndex alone, whose Section 3.4
+/// filter set is \p Saved.
+RoutineResults extractRoutineSummaries(const Program &Prog,
+                                       const ProgramSummaryGraph &Psg,
+                                       RegSet Saved, uint32_t RoutineIndex);
+
 } // namespace spike
 
 #endif // SPIKE_PSG_SUMMARIES_H

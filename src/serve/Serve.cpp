@@ -216,9 +216,7 @@ void Server::installFresh(Image NewImg, AnalysisResult NewA) {
 void Server::replaceImage(Image NewImg) {
   Img = std::move(NewImg);
   // The resident program borrows the words of the image it was analyzed
-  // from.  An all-clean patch keeps the old analysis, whose view would
-  // dangle once the old words are freed; NewImg has the same
-  // instructions, so view its words instead.
+  // from: view the resident copy's.
   A.Prog.Code = Img.Code;
 }
 
@@ -601,11 +599,7 @@ Server::Reply Server::handlePatch(const Request &Req) {
     }
   }
 
-  Image NewImg = Img;
-  std::copy(Words.begin(), Words.end(), NewImg.Code.begin() + Rt.Begin);
-
   AnalysisOptions AOpts;
-  AOpts.Jobs = Opts.Jobs;
   ResourceGovernor Gov(Opts.Budget, nullptr, nullptr);
   if (Opts.Budget.any())
     AOpts.Governor = &Gov;
@@ -615,11 +609,14 @@ Server::Reply Server::handlePatch(const Request &Req) {
   const char *DegradeReason = nullptr;
   std::string DegradedNote;
   try {
-    Out = reanalyzeIncremental(NewImg, Opts.Conv, AOpts, A);
+    Out = reanalyzeIncremental(Img, uint32_t(RIdx), Words, AOpts, A, Pool);
   } catch (const BudgetBlownError &E) {
-    // The budget blew mid-patch; the resident result is untouched.  Fall
-    // back to the governed degrade ladder so the patch still lands with
-    // sound (degraded) summaries, per the `!! DEGRADED` reply contract.
+    // The budget blew mid-patch; the engine rolled the resident image and
+    // result back.  Fall back to the governed degrade ladder so the patch
+    // still lands with sound (degraded) summaries, per the `!! DEGRADED`
+    // reply contract.
+    Image NewImg = Img;
+    std::copy(Words.begin(), Words.end(), NewImg.Code.begin() + Rt.Begin);
     Expected<GovernedAnalysis> G = analyzeFresh(NewImg);
     if (!G) {
       Reply R = errorReply(
@@ -632,6 +629,7 @@ Server::Reply Server::handlePatch(const Request &Req) {
       return R;
     }
     A = std::move(G->Result);
+    replaceImage(std::move(NewImg));
     Out = IncrementalOutcome();
     Out.Full = true;
     Out.StructDirty = Out.Phase1Dirty = Out.Phase2Dirty =
@@ -641,7 +639,6 @@ Server::Reply Server::handlePatch(const Request &Req) {
     DegradedNote = degradedNote(G->DegradedRoutines);
   }
 
-  replaceImage(std::move(NewImg));
   // Slot facts and the dependence graph are functions of the resident
   // analysis alone.  An all-clean patch (the no-op save) returns before
   // touching it, so both stay valid.

@@ -39,9 +39,10 @@
 ///                                           format (JSON-escaped "body")
 ///   shutdown      {}                        end the session
 ///
-/// `patch-routine` drives interproc/Incremental.h: only the patched
-/// routine's SCC group and its transitive dependents re-solve; the reply
-/// and the `stats` command report the dirty-frontier sizes.  Stack-slot
+/// `patch-routine` drives interproc/Incremental.h: the words go into the
+/// resident image, the routines they reach are rebuilt in place, and
+/// only their SCC groups and the transitive dependents re-solve; the
+/// reply and the `stats` command report the dirty-frontier sizes.  Stack-slot
 /// facts and the dependence graph are derived state: the first `slice`
 /// builds them, and `load` and every patch that changes the program drop
 /// them, so a server that is never sliced never solves slot facts.
@@ -222,8 +223,8 @@ private:
   void installFresh(Image NewImg, AnalysisResult NewA);
 
   /// Makes \p NewImg the resident image and re-points the resident
-  /// program's borrowed code words at it.  \p NewImg must have the same
-  /// instructions as the image A was analyzed from.
+  /// program's borrowed code words at it.  A must be an analysis of
+  /// \p NewImg's words.
   void replaceImage(Image NewImg);
 
   ServerOptions Opts;

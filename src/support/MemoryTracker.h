@@ -59,6 +59,14 @@ public:
     return double(PeakBytes) / (1024.0 * 1024.0);
   }
 
+  /// Sets both counters to \p Bytes: the footprint of a result rebuilt in
+  /// place, as a fresh build of it, which releases nothing, would leave
+  /// them.  Not an allocation point.
+  void settle(uint64_t Bytes) {
+    LiveBytes = Bytes;
+    PeakBytes = Bytes;
+  }
+
   /// Resets both counters to zero.
   void reset() {
     LiveBytes = 0;

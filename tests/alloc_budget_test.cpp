@@ -5,7 +5,10 @@
 // in program-wide arrays, the PSG build reuses per-lane scratch and
 // stores no per-routine directory, and the solvers size their scratch
 // once per phase.  A regression back to per-routine lists, per-block
-// vectors or per-group scratch multiplies these counts.
+// vectors or per-group scratch multiplies these counts.  It also pins
+// the bytes a patch re-analysis in place allocates: a no-op save almost
+// none, a one-word edit far less than a fresh analysis, which a
+// rebuild-everything engine would not.
 //
 // This lives in its own binary (not spike_tests) because it replaces the
 // global operator new/delete with counting versions — a program-wide
@@ -14,6 +17,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "cfg/CfgBuilder.h"
+#include "interproc/Incremental.h"
 #include "psg/PsgBuilder.h"
 #include "psg/PsgSolver.h"
 #include "slice/SlotFlow.h"
@@ -30,11 +34,13 @@
 namespace {
 
 std::atomic<uint64_t> Allocations{0};
+std::atomic<uint64_t> AllocatedBytes{0};
 
 } // namespace
 
 void *operator new(std::size_t Size) {
   Allocations.fetch_add(1, std::memory_order_relaxed);
+  AllocatedBytes.fetch_add(Size, std::memory_order_relaxed);
   if (void *P = std::malloc(Size ? Size : 1))
     return P;
   throw std::bad_alloc();
@@ -44,12 +50,20 @@ void *operator new(std::size_t Size) {
 // them), and must pair with the replaced deletes under AddressSanitizer.
 void *operator new(std::size_t Size, const std::nothrow_t &) noexcept {
   Allocations.fetch_add(1, std::memory_order_relaxed);
+  AllocatedBytes.fetch_add(Size, std::memory_order_relaxed);
   return std::malloc(Size ? Size : 1);
 }
 
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t) noexcept { std::free(P); }
-void operator delete(void *P, const std::nothrow_t &) noexcept { std::free(P); }
+// Out of line, so the compiler never sees a replaced new's pointer reach
+// free() and mistake the pair for a mismatched allocation.
+[[gnu::noinline]] void operator delete(void *P) noexcept { std::free(P); }
+[[gnu::noinline]] void operator delete(void *P, std::size_t) noexcept {
+  std::free(P);
+}
+[[gnu::noinline]] void operator delete(void *P,
+                                       const std::nothrow_t &) noexcept {
+  std::free(P);
+}
 
 void *operator new[](std::size_t Size) { return operator new(Size); }
 void *operator new[](std::size_t Size, const std::nothrow_t &T) noexcept {
@@ -121,6 +135,67 @@ TEST(AllocBudget, BuildersStayWithinPerRoutineBudget) {
   EXPECT_LT(PsgPerRoutine, PsgBuildBudget);
   EXPECT_LT(PhaseAllocs, PhaseBudget);
   EXPECT_LT(SlotPerRoutine, SlotFlowBudget);
+}
+
+// Bytes a patch re-analysis may allocate: a no-op save compares the
+// words and the routines' quarantine and returns; a one-word edit
+// rebuilds one routine and re-solves its dirty frontier in place.
+constexpr uint64_t NoOpSaveBytes = 64 << 10;
+constexpr double EditShareOfFresh = 0.5;
+
+TEST(AllocBudget, PatchesAllocateInProportionToTheChange) {
+  const BenchmarkProfile *Base = findProfile("gcc");
+  ASSERT_NE(Base, nullptr);
+  Image Img = generateCfgProgram(scaledProfile(*Base, 0.2));
+  ThreadPool Pool(1);
+
+  uint64_t Before = AllocatedBytes.load();
+  AnalysisResult A = analyzeImage(Img);
+  uint64_t FreshBytes = AllocatedBytes.load() - Before;
+
+  // A routine in the largest phase 1 group, so the edit re-solves a real
+  // frontier, with a word to overwrite.
+  const SccSchedule &Sched = A.Prog.CalleeFirst;
+  uint32_t Largest = 0;
+  for (uint32_t G = 0; G < Sched.NumGroups; ++G)
+    if (Sched.Members[G].size() > Sched.Members[Largest].size())
+      Largest = G;
+  uint32_t Patched = ~uint32_t(0);
+  for (uint32_t R : Sched.Members[Largest])
+    if (!A.Prog.Routines[R].Quarantined &&
+        A.Prog.Routines[R].End - A.Prog.Routines[R].Begin >= 4) {
+      Patched = R;
+      break;
+    }
+  ASSERT_NE(Patched, ~uint32_t(0));
+  const Routine &Rt = A.Prog.Routines[Patched];
+  std::vector<uint64_t> Words(Img.Code.begin() + Rt.Begin,
+                              Img.Code.begin() + Rt.End);
+
+  Before = AllocatedBytes.load();
+  IncrementalOutcome Save =
+      reanalyzeIncremental(Img, Patched, Words, AnalysisOptions(), A, Pool);
+  uint64_t SaveBytes = AllocatedBytes.load() - Before;
+  EXPECT_EQ(Save.StructDirty, 0u);
+
+  size_t Dst = 1;
+  while (Dst < Words.size() && Words[Dst] == Words[0])
+    ++Dst;
+  ASSERT_LT(Dst, Words.size());
+  Words[Dst] = Words[0];
+  Before = AllocatedBytes.load();
+  IncrementalOutcome Edit =
+      reanalyzeIncremental(Img, Patched, Words, AnalysisOptions(), A, Pool);
+  uint64_t EditBytes = AllocatedBytes.load() - Before;
+  EXPECT_GT(Edit.StructDirty, 0u);
+  EXPECT_GT(Edit.Phase1Dirty, 1u);
+
+  RecordProperty("fresh_bytes", std::to_string(FreshBytes));
+  RecordProperty("save_bytes", std::to_string(SaveBytes));
+  RecordProperty("edit_bytes", std::to_string(EditBytes));
+  EXPECT_LT(SaveBytes, NoOpSaveBytes);
+  EXPECT_LT(double(EditBytes), EditShareOfFresh * double(FreshBytes))
+      << EditBytes << " of " << FreshBytes << " bytes";
 }
 
 } // namespace

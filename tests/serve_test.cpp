@@ -2,11 +2,13 @@
 //
 // The serving layer's contract has two halves, both enforced here:
 //
-//   - Incremental bit-identity: after any sequence of `patch-routine`
-//     commands, the resident summaries, rendered entry witnesses, slot
-//     facts, and lint findings equal a fresh full solve of the patched
-//     image — at every job count (the differential oracle, over the same
-//     20 synthetic profiles the parallel engine is tested on).
+//   - Incremental identity: after any sequence of `patch-routine`
+//     commands, the resident program, PSG, summaries, tracked memory,
+//     rendered entry witnesses, slot facts, and lint findings equal a
+//     fresh full solve of the patched image — at every job count (the
+//     differential oracle, over the same 20 synthetic profiles the
+//     parallel engine is tested on, plus directed patches that move
+//     node counts, entrances, quarantine and the opaque flag).
 //
 //   - Query determinism: a batch of in-flight analyze/explain/slice/lint
 //     queries fanned out over the pool returns byte-identical replies
@@ -27,6 +29,7 @@
 #include "synth/ExecGenerator.h"
 #include "synth/Profiles.h"
 #include "telemetry/Json.h"
+#include "AnalysisText.h"
 #include "DifferentialCorpus.h"
 
 #include <gtest/gtest.h>
@@ -40,6 +43,8 @@
 #include <vector>
 
 using namespace spike;
+using testtext::describeAnalysis;
+using testtext::expectSameLines;
 
 namespace {
 
@@ -171,6 +176,7 @@ TEST(ServeIncrementalTest, DifferentialOracleAcrossProfilesAndJobs) {
     std::vector<SlotFlowResult> FreshSlots;
     std::vector<std::vector<std::string>> FreshLint;
     std::vector<std::string> FreshWitnesses;
+    std::vector<std::vector<std::string>> FreshText;
     std::vector<Image> PatchedImages;
     for (int R = 0; R < Rounds; ++R) {
       const Routine *Rt = pickRoutine(Base.Prog, Rng);
@@ -181,6 +187,7 @@ TEST(ServeIncrementalTest, DifferentialOracleAcrossProfilesAndJobs) {
       FreshSlots.push_back(solveSlotFlow(Fresh.back().Prog, 1u));
       FreshLint.push_back(lintStrings(Cur, Fresh.back()));
       FreshWitnesses.push_back(renderEntryWitnesses(Fresh.back()));
+      FreshText.push_back(describeAnalysis(Fresh.back()));
     }
 
     for (unsigned Jobs : {1u, 2u, 4u, 7u}) {
@@ -204,12 +211,169 @@ TEST(ServeIncrementalTest, DifferentialOracleAcrossProfilesAndJobs) {
 
         expectSummariesEqual(S.analysis().Summaries, Fresh[R].Summaries,
                              Where);
+        // Structural identity: every program array, PSG node, edge,
+        // in-edge id and linkage CSR, the call graph, both schedules,
+        // the validation findings and the tracked memory.
+        EXPECT_EQ(S.image(), PatchedImages[R]) << Where;
+        expectSameLines(FreshText[R], describeAnalysis(S.analysis()), Where);
         EXPECT_EQ(renderEntryWitnesses(S.analysis()), FreshWitnesses[R])
             << Where << ": witnesses differ";
         expectSlotsEqual(S.slotFlow(), FreshSlots[R], Where);
         EXPECT_EQ(lintStrings(S.image(), S.analysis()), FreshLint[R])
             << Where;
       }
+    }
+  }
+}
+
+namespace {
+
+/// The patch-routine line publishing \p Code as the words of routine
+/// \p Name.
+std::string patchLine(const std::string &Name,
+                      const std::vector<uint64_t> &Code) {
+  std::string Line = "patch-routine {\"routine\":\"" + Name + "\",\"code\":[";
+  for (size_t I = 0; I < Code.size(); ++I)
+    Line += (I ? ",\"" : "\"") + std::to_string(Code[I]) + "\"";
+  return Line + "]}";
+}
+
+/// True if a word of \p Code decodes to \p Op.
+bool hasOpcode(const std::vector<uint64_t> &Code, Opcode Op) {
+  return std::any_of(Code.begin(), Code.end(), [&](uint64_t W) {
+    std::optional<Instruction> Inst = decodeInstruction(W);
+    return Inst && Inst->Op == Op;
+  });
+}
+
+} // namespace
+
+TEST(ServeIncrementalTest, DirectedPatchesRebuildInPlace) {
+  // Patches that move what a one-word edit rarely does, each checked
+  // against a fresh analysis of the patched image, element for element:
+  // a halt that adds a PSG node, a jsr that gives another routine a new
+  // secondary entrance (shifting its callers' entrance indices) and its
+  // removal, a wild jsr that quarantines the routine and its revert, and
+  // an undecodable word that quarantines it and flips the
+  // opaque-quarantine flag for every routine, and its revert.  Every one
+  // takes the in-place path.
+  ExecProfile P;
+  P.Routines = 24;
+  P.IndirectCallProb = 0.05;
+  P.Seed = 11;
+  Image Base = generateExecProgram(P);
+  AnalysisResult Loaded = analyzeImage(Base, CallingConv(), AnalysisOptions());
+  const Program &Prog = Loaded.Prog;
+  auto CodeOf = [&](const Routine &Rt) {
+    return std::vector<uint64_t>(Base.Code.begin() + Rt.Begin,
+                                 Base.Code.begin() + Rt.End);
+  };
+
+  // The patched routine: healthy, no indirect call (quarantining it must
+  // not make it opaque), and room for the edits.  The callee: another
+  // healthy routine with a word past its primary that is no entrance yet.
+  const Routine *Patched = nullptr, *Callee = nullptr;
+  for (const Routine &Rt : Prog.Routines)
+    if (!Patched && !Rt.Quarantined && Rt.End - Rt.Begin >= 6 &&
+        !hasOpcode(CodeOf(Rt), Opcode::JsrR))
+      Patched = &Rt;
+  ASSERT_NE(Patched, nullptr);
+  for (const Routine &Rt : Prog.Routines)
+    if (&Rt != Patched && !Rt.Quarantined && Rt.End - Rt.Begin >= 3 &&
+        Rt.EntryAddresses.size() == 1 && !Prog.Calls.Callers[uint32_t(
+                                              &Rt - Prog.Routines.data())]
+                                              .empty()) {
+      Callee = &Rt;
+      break;
+    }
+  ASSERT_NE(Callee, nullptr);
+  ASSERT_FALSE(std::all_of(Prog.Routines.begin(), Prog.Routines.end(),
+                           [](const Routine &Rt) {
+                             return Rt.CalledFromQuarantine;
+                           }))
+      << "the subject is opaque already";
+  const uint32_t PatchedIndex = uint32_t(Patched - Prog.Routines.data());
+  const uint32_t CalleeIndex = uint32_t(Callee - Prog.Routines.data());
+  const std::string Name = Patched->Name;
+  const std::vector<uint64_t> Original = CodeOf(*Patched);
+  const uint64_t Undecodable = ~uint64_t(0);
+  ASSERT_FALSE(decodeInstruction(Undecodable));
+
+  auto With = [&](Instruction Inst) {
+    std::vector<uint64_t> Code = Original;
+    Code[1] = encodeInstruction(Inst);
+    return Code;
+  };
+  Instruction Halt{Opcode::Halt};
+  Instruction CallSecondary{Opcode::Jsr};
+  CallSecondary.Imm = int32_t(Callee->Begin + 1);
+  Instruction WildCall{Opcode::Jsr};
+  WildCall.Imm = int32_t(Base.Code.size() + 7);
+  std::vector<uint64_t> Opaque = Original;
+  Opaque[1] = Undecodable;
+
+  struct Step {
+    const char *What;
+    std::vector<uint64_t> Code;
+  };
+  const std::vector<Step> Steps = {
+      {"halt", With(Halt)},
+      {"revert", Original},
+      {"call a secondary entrance", With(CallSecondary)},
+      {"drop the call", Original},
+      {"quarantine", With(WildCall)},
+      {"un-quarantine", Original},
+      {"opaque", Opaque},
+      {"not opaque", Original},
+  };
+
+  for (unsigned Jobs : {1u, 2u, 4u, 7u}) {
+    ServerOptions SOpts;
+    SOpts.Jobs = Jobs;
+    Server S(SOpts);
+    ASSERT_TRUE(S.loadImage(Base));
+    for (const Step &St : Steps) {
+      const std::string Where =
+          std::string(St.What) + " jobs=" + std::to_string(Jobs);
+      uint32_t NodesBefore = S.analysis().Psg.RoutineNodeBegin[PatchedIndex + 1] -
+                             S.analysis().Psg.RoutineNodeBegin[PatchedIndex];
+      std::string Reply = S.handleLine(patchLine(Name, St.Code));
+      ASSERT_NE(Reply.find("\"ok\":true"), std::string::npos)
+          << Where << ": " << Reply;
+      EXPECT_NE(Reply.find("\"full\":false"), std::string::npos)
+          << Where << ": " << Reply;
+      EXPECT_EQ(Reply.find("\"struct_dirty\":0"), std::string::npos)
+          << Where << ": " << Reply;
+
+      Image Want = Base;
+      std::copy(St.Code.begin(), St.Code.end(),
+                Want.Code.begin() + Patched->Begin);
+      ASSERT_EQ(S.image(), Want) << Where;
+      AnalysisResult Fresh = analyzeImage(Want, CallingConv(), AnalysisOptions());
+      expectSameLines(describeAnalysis(Fresh), describeAnalysis(S.analysis()),
+                      Where);
+
+      // Each step moved what it set out to move.
+      const Program &Now = S.analysis().Prog;
+      const Routine &Rt = Now.Routines[PatchedIndex];
+      uint32_t Nodes = S.analysis().Psg.RoutineNodeBegin[PatchedIndex + 1] -
+                       S.analysis().Psg.RoutineNodeBegin[PatchedIndex];
+      std::string Step = St.What;
+      if (Step == "halt") {
+        EXPECT_NE(Nodes, NodesBefore) << Where;
+      } else if (Step == "call a secondary entrance") {
+        EXPECT_EQ(Now.Routines[CalleeIndex].EntryAddresses.size(), 2u)
+            << Where;
+      } else if (Step == "drop the call") {
+        EXPECT_EQ(Now.Routines[CalleeIndex].EntryAddresses.size(), 1u)
+            << Where;
+      }
+      EXPECT_EQ(Rt.Quarantined, Step == "quarantine" || Step == "opaque")
+          << Where;
+      bool AllMarked = std::all_of(
+          Now.Routines.begin(), Now.Routines.end(),
+          [](const Routine &R) { return R.CalledFromQuarantine; });
+      EXPECT_EQ(AllMarked, Step == "opaque") << Where;
     }
   }
 }
@@ -317,19 +481,6 @@ TEST(ServeConcurrencyTest, BatchRepliesIndependentOfSubmissionOrder) {
     EXPECT_EQ(stripSeq(Again[I]), stripSeq(OutOfOrder[I]));
 }
 
-namespace {
-
-/// The patch-routine line publishing \p Code as the words of \p Rt.
-std::string patchLine(const Routine &Rt, const std::vector<uint64_t> &Code) {
-  std::string Line =
-      "patch-routine {\"routine\":\"" + Rt.Name + "\",\"code\":[";
-  for (size_t I = 0; I < Code.size(); ++I)
-    Line += (I ? ",\"" : "\"") + std::to_string(Code[I]) + "\"";
-  return Line + "]}";
-}
-
-} // namespace
-
 TEST(ServeIncrementalTest, NoOpSaveKeepsDependenceGraph) {
   ExecProfile P;
   P.Routines = 24;
@@ -360,7 +511,7 @@ TEST(ServeIncrementalTest, NoOpSaveKeepsDependenceGraph) {
   EXPECT_EQ(S.stats().DepGraphHits, 0u);
 
   // A no-op save: the routine's own words, republished.
-  std::string Save = S.handleLine(patchLine(Patched, CodeOf(Patched)));
+  std::string Save = S.handleLine(patchLine(Patched.Name, CodeOf(Patched)));
   ASSERT_NE(Save.find("\"struct_dirty\":0"), std::string::npos) << Save;
   std::string Second = S.handleLine(Slice);
   EXPECT_EQ(S.stats().DepGraphBuilds, 1u);
@@ -376,7 +527,7 @@ TEST(ServeIncrementalTest, NoOpSaveKeepsDependenceGraph) {
     ++Dst;
   ASSERT_LT(Dst, Code.size());
   Code[Dst] = Code[0];
-  std::string Edit = S.handleLine(patchLine(Patched, Code));
+  std::string Edit = S.handleLine(patchLine(Patched.Name, Code));
   ASSERT_EQ(Edit.find("\"struct_dirty\":0"), std::string::npos) << Edit;
   S.handleLine(Slice);
   EXPECT_EQ(S.stats().DepGraphBuilds, 2u);
@@ -420,13 +571,13 @@ TEST(ServeIncrementalTest, SlotFactsAreDerivedOnFirstUse) {
       continue;
     std::vector<uint64_t> Code(S.image().Code.begin() + Rt.Begin,
                                S.image().Code.begin() + Rt.End);
-    RevertLine = patchLine(Rt, Code);
+    RevertLine = patchLine(Rt.Name, Code);
     size_t Dst = 1;
     while (Dst < Code.size() && Code[Dst] == Code[0])
       ++Dst;
     ASSERT_LT(Dst, Code.size());
     Code[Dst] = Code[0];
-    EditLine = patchLine(Rt, Code);
+    EditLine = patchLine(Rt.Name, Code);
     break;
   }
   ASSERT_FALSE(EditLine.empty());
@@ -515,13 +666,13 @@ TEST(ServeLifetimeTest, ResidentProgramViewsTheResidentImage) {
       continue;
     std::vector<uint64_t> Code(S.image().Code.begin() + Rt.Begin,
                                S.image().Code.begin() + Rt.End);
-    SaveLine = RevertLine = patchLine(Rt, Code);
+    SaveLine = RevertLine = patchLine(Rt.Name, Code);
     size_t Dst = 1;
     while (Dst < Code.size() && Code[Dst] == Code[0])
       ++Dst;
     ASSERT_LT(Dst, Code.size());
     Code[Dst] = Code[0];
-    EditLine = patchLine(Rt, Code);
+    EditLine = patchLine(Rt.Name, Code);
     std::string Addr = std::to_string(Rt.Begin + Dst);
     Queries[0] = "analyze {\"routine\":\"" + Rt.Name + "\"}";
     Queries[1] = "explain {\"fact\":\"dead\",\"addr\":" + Addr + "}";
@@ -641,6 +792,136 @@ TEST(ServeBudgetTest, BlownPatchDegradesReplyAndServerSurvives) {
   }
   std::string Stats = S.handleLine("stats");
   EXPECT_NE(Stats.find("\"ok\":true"), std::string::npos) << Stats;
+}
+
+namespace {
+
+/// A one-word edit of a healthy routine of \p Prog at least four words
+/// long, preferring members of the largest phase 1 SCC group (so the
+/// re-solve iterates a while): the routine's index and its new words.
+std::pair<uint32_t, std::vector<uint64_t>> oneWordEdit(const Program &Prog,
+                                                       const Image &Img) {
+  const SccSchedule &Sched = Prog.CalleeFirst;
+  uint32_t Largest = 0;
+  for (uint32_t G = 0; G < Sched.NumGroups; ++G)
+    if (Sched.Members[G].size() > Sched.Members[Largest].size())
+      Largest = G;
+  for (bool InLargest : {true, false})
+    for (uint32_t R = 0; R < Prog.Routines.size(); ++R) {
+      const Routine &Rt = Prog.Routines[R];
+      if (Rt.Quarantined || Rt.End - Rt.Begin < 4 ||
+          (InLargest && Sched.GroupOfRoutine[R] != Largest))
+        continue;
+      std::vector<uint64_t> Code(Img.Code.begin() + Rt.Begin,
+                                 Img.Code.begin() + Rt.End);
+      size_t Dst = 1;
+      while (Dst < Code.size() && Code[Dst] == Code[0])
+        ++Dst;
+      if (Dst == Code.size())
+        continue;
+      Code[Dst] = Code[0];
+      return {R, Code};
+    }
+  return {~uint32_t(0), {}};
+}
+
+} // namespace
+
+TEST(ServeBudgetTest, RejectedPatchLeavesTheResidentStateAsItWas) {
+  // The deadline trips from the first clock read after the load, so the
+  // in-place re-solve blows its budget and so does every attempt of the
+  // degraded retry: the patch is rejected, and the engine's journal must
+  // have put the image and the analysis back bit for bit.  Once the clock
+  // is honest again the same patch lands in place.
+  ExecProfile P;
+  P.Routines = 24;
+  P.IndirectCallProb = 0.05;
+  P.Seed = 11;
+  Image Img = generateExecProgram(P);
+  for (unsigned Jobs : {1u, 4u}) {
+    const std::string Where = "jobs=" + std::to_string(Jobs);
+    ServerOptions SOpts;
+    SOpts.Jobs = Jobs;
+    SOpts.Budget.DeadlineMs = 600000;
+    Server S(SOpts);
+    ASSERT_TRUE(S.loadImage(Img));
+    auto [R, Code] = oneWordEdit(S.analysis().Prog, S.image());
+    ASSERT_FALSE(Code.empty());
+    const std::string Line =
+        patchLine(S.analysis().Prog.Routines[R].Name, Code);
+    std::vector<std::string> Before = describeAnalysis(S.analysis());
+    {
+      faultinject::Injector Skew({faultinject::FaultKind::DeadlineSkew, 1});
+      faultinject::Scope Installed(Skew);
+      std::string Reply = S.handleLine(Line);
+      EXPECT_NE(Reply.find("\"ok\":false"), std::string::npos)
+          << Where << ": " << Reply;
+      EXPECT_NE(Reply.find("still serving the previous version"),
+                std::string::npos)
+          << Where << ": " << Reply;
+    }
+    EXPECT_EQ(S.image(), Img) << Where;
+    EXPECT_EQ(S.analysis().Prog.Code.data(), S.image().Code.data()) << Where;
+    expectSameLines(Before, describeAnalysis(S.analysis()), Where);
+    EXPECT_EQ(S.stats().Patches, 0u) << Where;
+
+    std::string Reply = S.handleLine(Line);
+    EXPECT_NE(Reply.find("\"full\":false"), std::string::npos)
+        << Where << ": " << Reply;
+    AnalysisResult Fresh =
+        analyzeImage(S.image(), CallingConv(), AnalysisOptions());
+    expectSameLines(describeAnalysis(Fresh), describeAnalysis(S.analysis()),
+                    Where + " after the patch landed");
+  }
+}
+
+TEST(ServeIncrementalTest, EveryBlownPollRollsBackInPlace) {
+  // A cancellation observed at the Nth governor poll of a re-analysis in
+  // place — at the CFG or PSG stage boundary or at any worklist pop of
+  // either phase — throws out of reanalyzeIncremental with the image and
+  // the analysis exactly as they were.  N doubles until the patch
+  // completes, which must then equal a fresh analysis.
+  auto Corpus = testcorpus::differentialCorpus();
+  auto Subject = std::find_if(Corpus.begin(), Corpus.end(),
+                              [](const auto &C) { return C.first == "gcc"; });
+  ASSERT_NE(Subject, Corpus.end());
+  const Image Original = Subject->second;
+  BudgetOptions Budget;
+  Budget.DeadlineMs = 600000; // Enables polling; never trips.
+  for (unsigned Jobs : {1u, 4u}) {
+    Image Img = Original;
+    AnalysisResult A = analyzeImage(Img, CallingConv(), AnalysisOptions());
+    auto [R, Code] = oneWordEdit(A.Prog, Img);
+    ASSERT_FALSE(Code.empty());
+    std::vector<std::string> Before = describeAnalysis(A);
+    ThreadPool Pool(Jobs);
+    unsigned Blown = 0;
+    bool Landed = false;
+    for (uint64_t N = 1; !Landed; N *= 2) {
+      const std::string Where =
+          "jobs=" + std::to_string(Jobs) + " poll " + std::to_string(N);
+      ResourceGovernor Gov(Budget, nullptr, nullptr);
+      AnalysisOptions Opts;
+      Opts.Governor = &Gov;
+      faultinject::Injector Cancel({faultinject::FaultKind::Cancel, N});
+      faultinject::Scope Installed(Cancel);
+      try {
+        IncrementalOutcome Out =
+            reanalyzeIncremental(Img, R, Code, Opts, A, Pool);
+        EXPECT_FALSE(Out.Full) << Where;
+        Landed = true;
+      } catch (const BudgetBlownError &E) {
+        ++Blown;
+        EXPECT_EQ(E.verdict(), BudgetVerdict::Cancelled) << Where;
+        ASSERT_EQ(Img, Original) << Where;
+        expectSameLines(Before, describeAnalysis(A), Where);
+      }
+    }
+    EXPECT_GE(Blown, 4u) << "no poll inside the phases was reached";
+    AnalysisResult Fresh = analyzeImage(Img, CallingConv(), AnalysisOptions());
+    expectSameLines(describeAnalysis(Fresh), describeAnalysis(A),
+                    "jobs=" + std::to_string(Jobs) + " landed");
+  }
 }
 
 TEST(ServeBudgetTest, BlownSliceRepliesDoNotDependOnLint) {

@@ -305,6 +305,52 @@ TEST(ToolsTest, UnsignedFlagsRejectGarbageSignsAndOverflow) {
                             &Status));
 }
 
+TEST(ToolsTest, FractionalFlagsRejectGarbageAndOutOfRange) {
+  // atof alone reads "abc" as 0 and lets "-3" through, so spike-gen once
+  // wrote a 2-routine image at scale "abc" and died in bad_alloc at
+  // scale -3.  Every fractional flag now takes a finite number, the
+  // whole string, in both flag forms: a positive --scale, non-negative
+  // spike-profile thresholds.
+  std::string Gen = scratchPath("fraction_gen.spkx");
+  std::string Report = scratchPath("fraction_report.json");
+  writeFile(Report, R"({"schema":"spike-run-report","version":1,
+    "tool":"t","total_seconds":1.0,
+    "phases":[{"path":"solve","seconds":0.10,"count":1}],
+    "counters":{"worklist.pops":100},"gauges":{}})");
+  int Status = 0;
+  const std::string Scale = "/spike-gen --benchmark go -o " + Gen + " --scale";
+  for (const char *Bad : {" abc", "=abc", " -3", "=-3", " 0", "=0", " nan",
+                          "=inf", " 0.5x", "=1e999", "=' 0.5'"}) {
+    std::string Out = runCommand(toolsDir() + Scale + Bad, &Status);
+    EXPECT_EQ(WEXITSTATUS(Status), 2) << Scale << Bad << ": " << Out;
+    EXPECT_NE(Out.find("--scale expects a positive number"), std::string::npos)
+        << Scale << Bad << ": " << Out;
+  }
+  for (const char *Flag :
+       {"--max-counter-growth", "--max-time-growth", "--time-floor"}) {
+    const std::string Diff = "/spike-profile --diff " + Report + " " + Report +
+                             " " + Flag;
+    for (const char *Bad :
+         {" abc", "=abc", " -0.5", "=-1", " nan", "=inf", " 0.1x", "=1e999"}) {
+      std::string Out = runCommand(toolsDir() + Diff + Bad, &Status);
+      EXPECT_EQ(WEXITSTATUS(Status), 2) << Diff << Bad << ": " << Out;
+      EXPECT_NE(Out.find(std::string(Flag) + " expects a non-negative number"),
+                std::string::npos)
+          << Diff << Bad << ": " << Out;
+    }
+    for (const char *Good : {" 0", "=0.25", " 1e-3"}) {
+      std::string Out = runCommand(toolsDir() + Diff + Good, &Status);
+      EXPECT_EQ(WEXITSTATUS(Status), 0) << Diff << Good << ": " << Out;
+    }
+  }
+  for (const char *Good : {" 0.05", "=0.05"}) {
+    std::string Out = runCommand(toolsDir() + Scale + Good, &Status);
+    EXPECT_EQ(WEXITSTATUS(Status), 0) << Scale << Good << ": " << Out;
+  }
+  for (const std::string &Path : {Gen, Report})
+    std::remove(Path.c_str());
+}
+
 //===----------------------------------------------------------------------===//
 // Telemetry flags and run-report diffs (spike-profile --diff)
 //===----------------------------------------------------------------------===//

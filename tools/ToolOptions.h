@@ -19,7 +19,8 @@
 /// flagValue() is the one reader of `--name=<v>` / `--name <v>` flags;
 /// the jobs, budget and telemetry flags and the tools' own valued flags
 /// all go through it.  parseUnsigned() and parseUnsigned32() check the
-/// unsigned numbers among their values.
+/// unsigned numbers among their values, parseDouble() the fractional
+/// ones.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +36,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cmath>
 #include <cstring>
 
 namespace spike {
@@ -105,6 +107,25 @@ inline unsigned parseUnsigned32(const char *Value, const char *Flag) {
     std::exit(2);
   }
   return unsigned(Parsed);
+}
+
+/// Parses \p Value, the value of \p Flag, as a finite decimal number,
+/// the whole string: above zero when \p Positive, at least zero
+/// otherwise.  Anything else exits with a usage error: atof alone reads
+/// "abc" as 0 and lets a negative scale through.
+inline double parseDouble(const char *Value, const char *Flag,
+                          bool Positive) {
+  char *End = nullptr;
+  errno = 0;
+  double Parsed = std::strtod(Value, &End);
+  bool InRange = Positive ? Parsed > 0 : Parsed >= 0;
+  if (std::isspace((unsigned char)Value[0]) || End == Value || *End != '\0' ||
+      errno == ERANGE || !std::isfinite(Parsed) || !InRange) {
+    std::fprintf(stderr, "error: %s expects a %s number\n", Flag,
+                 Positive ? "positive" : "non-negative");
+    std::exit(2);
+  }
+  return Parsed;
 }
 
 /// Consumes `--jobs=<n>` / `--jobs <n>` at position \p I of the argument

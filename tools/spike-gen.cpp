@@ -44,8 +44,8 @@ int main(int Argc, char **Argv) {
   for (int I = 1; I < Argc; ++I) {
     if (std::strcmp(Argv[I], "--benchmark") == 0 && I + 1 < Argc)
       BenchmarkName = Argv[++I];
-    else if (std::strcmp(Argv[I], "--scale") == 0 && I + 1 < Argc)
-      Scale = std::atof(Argv[++I]);
+    else if (const char *V = toolopts::flagValue(Argc, Argv, I, "--scale"))
+      Scale = toolopts::parseDouble(V, "--scale", /*Positive=*/true);
     else if (std::strcmp(Argv[I], "--exec") == 0)
       Exec = true;
     else if (std::strcmp(Argv[I], "--list") == 0)

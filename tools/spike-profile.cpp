@@ -321,12 +321,15 @@ int main(int Argc, char **Argv) {
       FoldedPath = Argv[++I];
     else if (std::strncmp(Argv[I], "--folded=", 9) == 0)
       FoldedPath = Argv[I] + 9;
-    else if (std::strcmp(Argv[I], "--max-counter-growth") == 0 && I + 1 < Argc)
-      Opts.MaxCounterGrowth = std::atof(Argv[++I]);
-    else if (std::strcmp(Argv[I], "--max-time-growth") == 0 && I + 1 < Argc)
-      Opts.MaxTimeGrowth = std::atof(Argv[++I]);
-    else if (std::strcmp(Argv[I], "--time-floor") == 0 && I + 1 < Argc)
-      Opts.TimeFloorSeconds = std::atof(Argv[++I]);
+    else if (const char *V =
+                 toolopts::flagValue(Argc, Argv, I, "--max-counter-growth"))
+      Opts.MaxCounterGrowth =
+          toolopts::parseDouble(V, "--max-counter-growth", false);
+    else if (const char *V =
+                 toolopts::flagValue(Argc, Argv, I, "--max-time-growth"))
+      Opts.MaxTimeGrowth = toolopts::parseDouble(V, "--max-time-growth", false);
+    else if (const char *V = toolopts::flagValue(Argc, Argv, I, "--time-floor"))
+      Opts.TimeFloorSeconds = toolopts::parseDouble(V, "--time-floor", false);
     else if (Argv[I][0] == '-')
       return usage(Argv[0]);
     else
