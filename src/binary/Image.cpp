@@ -97,6 +97,36 @@ constexpr uint64_t ImageMagic = 0x3158454b49505357ull; // "WSPIKEX1"
 
 } // namespace
 
+std::vector<RoutineExtent> spike::partitionRoutines(const Image &Img) {
+  std::vector<const Symbol *> Primaries;
+  for (const Symbol &Sym : Img.Symbols)
+    if (!Sym.Secondary && Sym.Address < Img.Code.size())
+      Primaries.push_back(&Sym);
+  std::stable_sort(Primaries.begin(), Primaries.end(),
+                   [](const Symbol *A, const Symbol *B) {
+                     return A->Address < B->Address;
+                   });
+  Primaries.erase(std::unique(Primaries.begin(), Primaries.end(),
+                              [](const Symbol *A, const Symbol *B) {
+                                return A->Address == B->Address;
+                              }),
+                  Primaries.end());
+
+  std::vector<RoutineExtent> Routines;
+  if (Primaries.empty()) {
+    if (!Img.Code.empty())
+      Routines.push_back({0, Img.Code.size(), "<anon>", false});
+    return Routines;
+  }
+  Routines.reserve(Primaries.size());
+  for (size_t I = 0; I < Primaries.size(); ++I)
+    Routines.push_back({Primaries[I]->Address,
+                        I + 1 < Primaries.size() ? Primaries[I + 1]->Address
+                                                 : Img.Code.size(),
+                        Primaries[I]->Name, Primaries[I]->AddressTaken});
+  return Routines;
+}
+
 Status spike::checkCodeSize(uint64_t Words) {
   if (Words <= MaxCodeWords)
     return Status::success();

@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace spike {
@@ -145,6 +146,23 @@ struct Image {
   /// format unchanged).
   bool operator==(const Image &) const = default;
 };
+
+/// One routine of an image's partition into routines.
+struct RoutineExtent {
+  uint64_t Begin = 0;
+  uint64_t End = 0;
+  std::string_view Name; ///< Into the image's symbol table, or "<anon>".
+  bool AddressTaken = false;
+};
+
+/// Tiles \p Img's code into routines: one per in-range primary symbol,
+/// stable-sorted by address with the first symbol at an address winning,
+/// each ending where the next begins; one "<anon>" routine over the whole
+/// code when there is no such symbol (none when the code is empty).  The
+/// validator attributes its findings to these routines and buildProgram
+/// builds them; neither trusts finalize() to have run, since
+/// out-of-range, unsorted or duplicate primaries are validator findings.
+std::vector<RoutineExtent> partitionRoutines(const Image &Img);
 
 /// Serializes \p Img into a byte vector (the "SPKX" container format).
 std::vector<uint8_t> writeImage(const Image &Img);

@@ -46,23 +46,16 @@ bool ValidationReport::quarantines(const std::string &RoutineName) const {
 
 namespace {
 
-/// The routine partition the CFG builder will use, reproduced here so
-/// findings can be attributed: in-range primary symbols, sorted by
-/// address, first-at-address wins.  Falls back to one anonymous routine
-/// when no primary is usable (matching buildProgram).
+/// The routines findings are attributed to: the partition the CFG
+/// builder uses.
 struct Partition {
-  struct Entry {
-    uint64_t Begin = 0;
-    uint64_t End = 0;
-    std::string_view Name; ///< Points into the image's symbol table.
-  };
-  std::vector<Entry> Routines;
+  std::vector<RoutineExtent> Routines;
 
   /// Index of the routine containing \p Address, or -1 (gap / no code).
   int32_t ownerOf(uint64_t Address) const {
     auto It = std::upper_bound(
         Routines.begin(), Routines.end(), Address,
-        [](uint64_t A, const Entry &E) { return A < E.Begin; });
+        [](uint64_t A, const RoutineExtent &E) { return A < E.Begin; });
     if (It == Routines.begin())
       return -1;
     --It;
@@ -71,35 +64,6 @@ struct Partition {
     return int32_t(It - Routines.begin());
   }
 };
-
-Partition makePartition(const Image &Img) {
-  Partition Part;
-  std::vector<const Symbol *> Primaries;
-  for (const Symbol &Sym : Img.Symbols)
-    if (!Sym.Secondary && Sym.Address < Img.Code.size())
-      Primaries.push_back(&Sym);
-  std::stable_sort(Primaries.begin(), Primaries.end(),
-                   [](const Symbol *A, const Symbol *B) {
-                     return A->Address < B->Address;
-                   });
-  Primaries.erase(std::unique(Primaries.begin(), Primaries.end(),
-                              [](const Symbol *A, const Symbol *B) {
-                                return A->Address == B->Address;
-                              }),
-                  Primaries.end());
-  if (Primaries.empty()) {
-    if (!Img.Code.empty())
-      Part.Routines.push_back({0, Img.Code.size(), "<anon>"});
-    return Part;
-  }
-  for (size_t I = 0; I < Primaries.size(); ++I)
-    Part.Routines.push_back(
-        {Primaries[I]->Address,
-         I + 1 < Primaries.size() ? Primaries[I + 1]->Address
-                                  : Img.Code.size(),
-         Primaries[I]->Name});
-  return Part;
-}
 
 /// Returns a finding; one that quarantines is attributed to \p Owner, the
 /// routine containing its address (none when no routine does: then it
@@ -234,7 +198,7 @@ bool isWordFinding(const ValidationFinding &F) {
 class ImageValidator {
 public:
   explicit ImageValidator(const Image &Img)
-      : Img(Img), Part(makePartition(Img)) {}
+      : Img(Img), Part{partitionRoutines(Img)} {}
 
   ValidationReport run(ThreadPool *Pool) {
     checkSymbols();
@@ -331,7 +295,7 @@ private:
           checkWords(Img, 0, FirstBegin, std::nullopt, FirstBegin, Found[0]);
           return;
         }
-        const Partition::Entry &Owner = Part.Routines[Chunk - 1];
+        const RoutineExtent &Owner = Part.Routines[Chunk - 1];
         checkWords(Img, Owner.Begin, Owner.End, Owner.Name, FirstBegin,
                    Found[Chunk]);
       });

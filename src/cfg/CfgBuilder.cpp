@@ -31,6 +31,26 @@ int32_t spike::findRoutineByAddress(const Program &Prog, uint64_t Address) {
   return int32_t(It - Routines.begin());
 }
 
+std::vector<bool> spike::reachableBlocks(const Routine &R) {
+  std::vector<bool> Reach(R.Blocks.size(), false);
+  std::vector<uint32_t> Work;
+  for (uint32_t Entry : R.EntryBlocks)
+    if (!Reach[Entry]) {
+      Reach[Entry] = true;
+      Work.push_back(Entry);
+    }
+  while (!Work.empty()) {
+    uint32_t Block = Work.back();
+    Work.pop_back();
+    for (uint32_t Succ : R.succs(Block))
+      if (!Reach[Succ]) {
+        Reach[Succ] = true;
+        Work.push_back(Succ);
+      }
+  }
+  return Reach;
+}
+
 namespace {
 
 /// Returns the branch target of the relative branch at \p Address.
@@ -636,44 +656,16 @@ Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
     chargeIf(Mem, Table.Targets.size() * sizeof(uint64_t));
   }
 
-  // Partition the code into routines at primary symbol addresses.
-  // Defensively sort and dedup rather than trusting finalize() was run:
-  // out-of-range, unsorted, or duplicate primaries are validator
-  // findings, and the partition here must match the one the validator
-  // used for attribution (in-range primaries, sorted, first-at-address
-  // wins).
-  std::vector<const Symbol *> Primaries;
-  for (const Symbol &Sym : Img.Symbols)
-    if (!Sym.Secondary && Sym.Address < Img.Code.size())
-      Primaries.push_back(&Sym);
-  std::stable_sort(Primaries.begin(), Primaries.end(),
-                   [](const Symbol *A, const Symbol *B) {
-                     return A->Address < B->Address;
-                   });
-  Primaries.erase(std::unique(Primaries.begin(), Primaries.end(),
-                              [](const Symbol *A, const Symbol *B) {
-                                return A->Address == B->Address;
-                              }),
-                  Primaries.end());
-
-  if (Primaries.empty() && !Img.Code.empty()) {
-    // Defensive: an image with no symbols is one anonymous routine.
+  // The partition the validator attributed its findings to.
+  std::vector<RoutineExtent> Extents = partitionRoutines(Img);
+  Prog.Routines.reserve(Extents.size());
+  for (const RoutineExtent &E : Extents) {
     Routine R;
-    R.Name = "<anon>";
-    R.Begin = 0;
-    R.End = Img.Code.size();
+    R.Name = E.Name;
+    R.Begin = E.Begin;
+    R.End = E.End;
+    R.AddressTaken = E.AddressTaken;
     Prog.Routines.push_back(std::move(R));
-  } else {
-    Prog.Routines.reserve(Primaries.size());
-    for (size_t I = 0; I < Primaries.size(); ++I) {
-      Routine R;
-      R.Name = Primaries[I]->Name;
-      R.Begin = Primaries[I]->Address;
-      R.End = I + 1 < Primaries.size() ? Primaries[I + 1]->Address
-                                       : Img.Code.size();
-      R.AddressTaken = Primaries[I]->AddressTaken;
-      Prog.Routines.push_back(std::move(R));
-    }
   }
 
   // Quarantine routines the validator attributed defects to, then those

@@ -91,6 +91,10 @@ void computeDefUbd(Program &Prog, ThreadPool *Pool = nullptr);
 /// Returns the index of the routine containing \p Address, or -1.
 int32_t findRoutineByAddress(const Program &Prog, uint64_t Address);
 
+/// Per-block flags for blocks reachable from any entrance of \p R by
+/// intra-routine CFG arcs.
+std::vector<bool> reachableBlocks(const Routine &R);
+
 // The pieces an in-place re-analysis (interproc/Incremental.h) rebuilds
 // one routine with, shared with buildProgram.
 

@@ -415,9 +415,10 @@ IncrementalOutcome spike::reanalyzeIncremental(Image &Img, uint32_t Patched,
     A.PsgBytes = PsgBytes;
     A.Memory.settle(A.CfgBytes + A.InitBytes + A.PsgBytes);
 
-    // Phase 2's extra seeds: every routine a rebuilt routine calls in
-    // *either* version re-solves — a dropped call site shrinks the old
-    // callee's exit liveness, which no new-graph walk would notice.
+    // Phase 2's extra seeds, and the only place they are made: every
+    // routine a rebuilt routine calls in *either* version re-solves — a
+    // dropped call site shrinks the old callee's exit liveness, which no
+    // new-graph walk would notice.
     for (size_t I = 0; I < Routines.size(); ++I) {
       const Routine &New = Prog.Routines[Routines[I]];
       const RoutineCfg &Old = Cfgs[I].second;

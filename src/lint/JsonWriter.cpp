@@ -6,12 +6,6 @@
 
 using namespace spike;
 
-std::string spike::jsonEscape(const std::string &S) {
-  // One escaper for the whole project: telemetry::jsonEscape also
-  // handles \b and \f, which this writer's original copy dropped.
-  return telemetry::jsonEscape(S);
-}
-
 std::string spike::writeDiagnosticsJson(const LintResult &Result) {
   std::string Out = "{\n  \"diagnostics\": [";
   bool First = true;
@@ -27,7 +21,7 @@ std::string spike::writeDiagnosticsJson(const LintResult &Result) {
     Out += "\"";
     if (!D.RoutineName.empty()) {
       Out += ", \"routine\": \"";
-      Out += jsonEscape(D.RoutineName);
+      Out += telemetry::jsonEscape(D.RoutineName);
       Out += "\"";
     }
     if (D.BlockIndex >= 0) {
@@ -39,11 +33,11 @@ std::string spike::writeDiagnosticsJson(const LintResult &Result) {
       Out += std::to_string(D.Address);
     }
     Out += ", \"message\": \"";
-    Out += jsonEscape(D.Message);
+    Out += telemetry::jsonEscape(D.Message);
     Out += "\"";
     if (!D.Hint.empty()) {
       Out += ", \"hint\": \"";
-      Out += jsonEscape(D.Hint);
+      Out += telemetry::jsonEscape(D.Hint);
       Out += "\"";
     }
     Out += "}";

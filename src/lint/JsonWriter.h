@@ -20,10 +20,6 @@
 
 namespace spike {
 
-/// Escapes \p S for inclusion in a JSON string literal (quotes,
-/// backslashes, control characters).
-std::string jsonEscape(const std::string &S);
-
 /// Renders \p Result as a JSON document:
 ///
 /// \code

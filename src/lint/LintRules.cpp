@@ -38,26 +38,6 @@ std::string regRef(unsigned Reg) {
 
 } // namespace
 
-std::vector<bool> spike::reachableBlocks(const Routine &R) {
-  std::vector<bool> Seen(R.Blocks.size(), false);
-  std::vector<uint32_t> Stack;
-  for (uint32_t Entry : R.EntryBlocks)
-    if (!Seen[Entry]) {
-      Seen[Entry] = true;
-      Stack.push_back(Entry);
-    }
-  while (!Stack.empty()) {
-    uint32_t BlockIndex = Stack.back();
-    Stack.pop_back();
-    for (uint32_t Succ : R.succs(BlockIndex))
-      if (!Seen[Succ]) {
-        Seen[Succ] = true;
-        Stack.push_back(Succ);
-      }
-  }
-  return Seen;
-}
-
 void spike::checkUndefEntryReads(LintContext &Ctx) {
   telemetry::Span CheckSpan("lint.undef-read");
   const Program &Prog = Ctx.Analysis.Prog;

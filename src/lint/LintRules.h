@@ -141,10 +141,6 @@ findDeadDefCandidates(const Program &Prog,
 std::vector<uint64_t> findDeadDefs(const Program &Prog,
                                    const InterprocSummaries &Summaries);
 
-/// Per-block flags for blocks reachable from any entrance of \p R by
-/// intra-routine CFG arcs.  Used by SL005/SL008 and exposed for tests.
-std::vector<bool> reachableBlocks(const Routine &R);
-
 } // namespace spike
 
 #endif // SPIKE_LINT_LINTRULES_H

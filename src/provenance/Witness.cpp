@@ -137,10 +137,7 @@ void WitnessSearch::extend(ProvFact Fact, uint32_t NodeId) {
   // Callee summary: an entry's filtered sets label its call sites'
   // call-return edges; MAY-USE feeds both the caller's MAY-USE and Live.
   if (Node.Kind == PsgNodeKind::Entry && Fact != ProvFact::Live)
-    for (uint32_t I = Psg.CrEdgeOfEntryBegin[NodeId],
-                  E = Psg.CrEdgeOfEntryBegin[NodeId + 1];
-         I != E; ++I) {
-      uint32_t EdgeId = Psg.CrEdgeOfEntryIds[I];
+    for (uint32_t EdgeId : Psg.CrEdgeOfEntry[NodeId]) {
       const PsgEdge &Edge = Psg.Edges[EdgeId];
       ProvDerivation D{ProvKind::CallSummary, Fact, EdgeId, NodeId};
       if (Fact == ProvFact::MayDef) {
@@ -156,10 +153,8 @@ void WitnessSearch::extend(ProvFact Fact, uint32_t NodeId) {
   // indirect return feeds every address-taken exit via the accumulator
   // (the first one reached derives them all).
   if (Node.Kind == PsgNodeKind::Return && Fact == ProvFact::Live) {
-    for (uint32_t I = Psg.ExitsOfReturnBegin[NodeId],
-                  E = Psg.ExitsOfReturnBegin[NodeId + 1];
-         I != E; ++I)
-      derive(ProvFact::Live, Psg.ExitsOfReturnIds[I],
+    for (uint32_t ExitNode : Psg.ExitsOfReturn[NodeId])
+      derive(ProvFact::Live, ExitNode,
              {ProvKind::ReturnLive, ProvFact::Live, ProvDerivation::NoId,
               NodeId});
     const BasicBlock &Block =
@@ -346,12 +341,8 @@ bool replayStep(const AnalysisResult &A, const WitnessStep &Step,
       return fail(Error, StepIndex, "not a Live fact at an exit node");
     if (How.Ref != ProvFact::Live)
       return fail(Error, StepIndex, "referenced fact kind mismatch");
-    bool Feeds = false;
-    for (uint32_t I = Psg.ReturnsOfExitBegin[Step.Node],
-                  E = Psg.ReturnsOfExitBegin[Step.Node + 1];
-         I != E; ++I)
-      Feeds |= Psg.ReturnsOfExitIds[I] == How.Node;
-    if (!Feeds)
+    std::span<const uint32_t> Feeding = Psg.ReturnsOfExit[Step.Node];
+    if (std::find(Feeding.begin(), Feeding.end(), How.Node) == Feeding.end())
       return fail(Error, StepIndex,
                   "referenced return node does not feed this exit");
     return true;

@@ -456,40 +456,39 @@ void fillLinkage(const Program &Prog, ProgramSummaryGraph &Psg,
   // each callee's exits ascend, so every key's ids come out ascending
   // and (one pair per call site and exit) distinct.
   size_t NumNodes = Psg.Nodes.size();
-  Psg.CrEdgeOfEntryBegin.assign(NumNodes + 1, 0);
-  Psg.ReturnsOfExitBegin.assign(NumNodes + 1, 0);
-  Psg.ExitsOfReturnBegin.assign(NumNodes + 1, 0);
+  CsrLists &CrOf = Psg.CrEdgeOfEntry, &ReturnsOf = Psg.ReturnsOfExit,
+           &ExitsOf = Psg.ExitsOfReturn;
+  CrOf.Begin.assign(NumNodes + 1, 0);
+  ReturnsOf.Begin.assign(NumNodes + 1, 0);
+  ExitsOf.Begin.assign(NumNodes + 1, 0);
   for (const CallLink &Link : Links) {
     if (Link.Entry == NoNode) {
       Psg.IndirectReturnNodes.push_back(Link.Return);
       continue;
     }
-    ++Psg.CrEdgeOfEntryBegin[Link.Entry + 1];
+    ++CrOf.Begin[Link.Entry + 1];
     for (uint32_t I = 0; I < Link.NumExits; ++I)
-      ++Psg.ReturnsOfExitBegin[Link.FirstExit + I + 1];
-    Psg.ExitsOfReturnBegin[Link.Return + 1] = Link.NumExits;
+      ++ReturnsOf.Begin[Link.FirstExit + I + 1];
+    ExitsOf.Begin[Link.Return + 1] = Link.NumExits;
   }
-  for (std::vector<uint32_t> *Begin :
-       {&Psg.CrEdgeOfEntryBegin, &Psg.ReturnsOfExitBegin,
-        &Psg.ExitsOfReturnBegin})
-    std::partial_sum(Begin->begin(), Begin->end(), Begin->begin());
-  Psg.CrEdgeOfEntryIds.resize(Psg.CrEdgeOfEntryBegin[NumNodes]);
-  Psg.ReturnsOfExitIds.resize(Psg.ReturnsOfExitBegin[NumNodes]);
-  Psg.ExitsOfReturnIds.resize(Psg.ExitsOfReturnBegin[NumNodes]);
+  for (CsrLists *Lists : {&CrOf, &ReturnsOf, &ExitsOf}) {
+    std::partial_sum(Lists->Begin.begin(), Lists->Begin.end(),
+                     Lists->Begin.begin());
+    Lists->Ids.resize(Lists->Begin[NumNodes]);
+  }
   {
-    std::vector<uint32_t> CrCursor(Psg.CrEdgeOfEntryBegin.begin(),
-                                   Psg.CrEdgeOfEntryBegin.end() - 1);
-    std::vector<uint32_t> ReturnCursor(Psg.ReturnsOfExitBegin.begin(),
-                                       Psg.ReturnsOfExitBegin.end() - 1);
+    std::vector<uint32_t> CrCursor(CrOf.Begin.begin(), CrOf.Begin.end() - 1);
+    std::vector<uint32_t> ReturnCursor(ReturnsOf.Begin.begin(),
+                                       ReturnsOf.Begin.end() - 1);
     for (const CallLink &Link : Links) {
       if (Link.Entry == NoNode)
         continue;
-      Psg.CrEdgeOfEntryIds[CrCursor[Link.Entry]++] = Link.CrEdge;
-      uint32_t ExitCursor = Psg.ExitsOfReturnBegin[Link.Return];
+      CrOf.Ids[CrCursor[Link.Entry]++] = Link.CrEdge;
+      uint32_t ExitCursor = ExitsOf.Begin[Link.Return];
       for (uint32_t Exit = Link.FirstExit;
            Exit < Link.FirstExit + Link.NumExits; ++Exit) {
-        Psg.ReturnsOfExitIds[ReturnCursor[Exit]++] = Link.Return;
-        Psg.ExitsOfReturnIds[ExitCursor++] = Exit;
+        ReturnsOf.Ids[ReturnCursor[Exit]++] = Link.Return;
+        ExitsOf.Ids[ExitCursor++] = Exit;
       }
     }
   }
@@ -504,10 +503,10 @@ void fillLinkage(const Program &Prog, ProgramSummaryGraph &Psg,
 /// Every container of \p Psg besides its nodes, edges and in-edge ids.
 std::array<const std::vector<uint32_t> *, 9>
 indexesOf(const ProgramSummaryGraph &Psg) {
-  return {&Psg.RoutineNodeBegin,   &Psg.CrEdgeOfEntryBegin,
-          &Psg.CrEdgeOfEntryIds,   &Psg.ReturnsOfExitBegin,
-          &Psg.ReturnsOfExitIds,   &Psg.ExitsOfReturnBegin,
-          &Psg.ExitsOfReturnIds,   &Psg.IndirectReturnNodes,
+  return {&Psg.RoutineNodeBegin,    &Psg.CrEdgeOfEntry.Begin,
+          &Psg.CrEdgeOfEntry.Ids,   &Psg.ReturnsOfExit.Begin,
+          &Psg.ReturnsOfExit.Ids,   &Psg.ExitsOfReturn.Begin,
+          &Psg.ExitsOfReturn.Ids,   &Psg.IndirectReturnNodes,
           &Psg.AddressTakenExitNodes};
 }
 

@@ -130,21 +130,18 @@ struct ProgramSummaryGraph {
   /// The parallel solvers use this to carve per-component worklists.
   std::vector<uint32_t> RoutineNodeBegin;
 
-  /// For phase 1: (entry node id -> call-return edge ids to refresh when
-  /// the entry's sets change), CSR-packed.
-  std::vector<uint32_t> CrEdgeOfEntryBegin; ///< Size Nodes.size()+1.
-  std::vector<uint32_t> CrEdgeOfEntryIds;
+  /// For phase 1: entry node id -> the call-return edge ids to refresh
+  /// when the entry's sets change (one list per node).
+  CsrLists CrEdgeOfEntry;
 
-  /// For phase 2: (exit node id -> return node ids whose liveness flows
-  /// into that exit), CSR-packed.  Returns of indirect calls are handled
-  /// via IndirectReturnNodes below instead.
-  std::vector<uint32_t> ReturnsOfExitBegin; ///< Size Nodes.size()+1.
-  std::vector<uint32_t> ReturnsOfExitIds;
+  /// For phase 2: exit node id -> the return node ids whose liveness
+  /// flows into that exit (one list per node).  Returns of indirect calls
+  /// are handled via IndirectReturnNodes below instead.
+  CsrLists ReturnsOfExit;
 
-  /// The inverse of ReturnsOfExit: (return node id -> exit node ids it
-  /// feeds), CSR-packed; used to requeue exits when a return changes.
-  std::vector<uint32_t> ExitsOfReturnBegin; ///< Size Nodes.size()+1.
-  std::vector<uint32_t> ExitsOfReturnIds;
+  /// The inverse of ReturnsOfExit: return node id -> the exit node ids it
+  /// feeds; used to requeue exits when a return changes.
+  CsrLists ExitsOfReturn;
 
   /// Return nodes of indirect call sites; their phase 2 MAY-USE flows to
   /// the exits of every address-taken routine.

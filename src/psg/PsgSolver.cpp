@@ -30,7 +30,6 @@ bool isFixedPhase1(PsgNodeKind Kind) {
 struct LaneScratch {
   std::vector<uint32_t> NodeIds; ///< Local index -> global node id.
   Worklist List{0};
-  std::vector<uint32_t> ChangedCalls;
   std::vector<uint32_t> GroupATExits;
 };
 
@@ -99,7 +98,7 @@ void requeuePred(const ProgramSummaryGraph &Psg, const PhaseScratch &P,
   S.List.push(P.LocalOf[Pred]);
 }
 
-/// Per-pop accounting shared by the three kernels: the solver counter,
+/// Per-pop accounting shared by the two kernels: the solver counter,
 /// the profile, and the governor poll.
 void countPop(GroupTask &T, PhaseScratch &P, SolverStats &Stats,
               uint32_t NodeId, uint32_t Routine) {
@@ -127,9 +126,17 @@ void finishPassProfile(const LaneScratch &S, const PhaseScratch &P,
 
 /// Symmetric-difference bit count between an old and new set pair — the
 /// per-pop convergence-trace sample (how many facts this evaluation
-/// actually moved).
+/// actually moved).  One popcount, and none for an unchanged set: the
+/// baseline x86-64 target has no popcount instruction, so each count()
+/// is a library call.
 uint64_t changedBits(RegSet OldA, RegSet NewA) {
-  return (NewA - OldA).count() + (OldA - NewA).count();
+  RegSet Moved = (NewA - OldA) | (OldA - NewA);
+  return Moved.empty() ? 0 : Moved.count();
+}
+uint64_t changedBits(const FlowSets &Old, const FlowSets &New) {
+  return changedBits(Old.MayUse, New.MayUse) +
+         changedBits(Old.MayDef, New.MayDef) +
+         changedBits(Old.MustDef, New.MustDef);
 }
 
 /// Phase 1's starting value of \p Node.  Exit: nothing runs after a
@@ -170,71 +177,111 @@ std::span<PsgNode> nodesOf(ProgramSummaryGraph &Psg, uint32_t R) {
 }
 
 /// Where the ids of the call-return edges routine \p R's entries feed sit
-/// in CrEdgeOfEntryIds: its entry nodes are consecutive, so their lists
+/// in CrEdgeOfEntry.Ids: its entry nodes are consecutive, so their lists
 /// are too.
 std::pair<uint32_t, uint32_t> fedRange(const Program &Prog,
                                        const ProgramSummaryGraph &Psg,
                                        uint32_t R) {
   NodeIdRange Entries = Psg.entryNodes(Prog, R);
-  return {Psg.CrEdgeOfEntryBegin[Entries.front()],
-          Psg.CrEdgeOfEntryBegin[Entries.back() + 1]};
+  return {Psg.CrEdgeOfEntry.Begin[Entries.front()],
+          Psg.CrEdgeOfEntry.Begin[Entries.back() + 1]};
 }
 
-/// The two halves of the Section 3.4 label a phase 1 pass writes into a
-/// call-return edge.
+/// One phase 1 pass: the half of Figure 8's sets it solves, and the one
+/// place the Section 3.4 label an entry feeds its call sites'
+/// call-return edges is computed and compared.
 struct PassLabel {
-  bool MayUsePass;
-  RegSet Saved, RaOnly, AllRegs;
+  bool MayUsePass; ///< MAY-USE; otherwise MUST-DEF and MAY-DEF.
+  RegSet RaOnly, AllRegs;
 
-  /// True while entry sets \p Sets still hold the pass's initial value:
-  /// a fresh solve never broadcasts such an entry, so its edges keep
-  /// their initial label.
-  bool initial(const FlowSets &Sets) const {
-    return MayUsePass ? Sets.MayUse.empty()
-                      : Sets.MustDef == AllRegs && Sets.MayDef.empty();
-  }
-  void write(const FlowSets &Sets, FlowSets &Label) const {
+  /// Writes Figure 8's equation for the pass's half of non-fixed node
+  /// \p NodeId into \p Sets, counting the out-edges it visits.
+  void evaluate(const ProgramSummaryGraph &Psg, uint32_t NodeId,
+                FlowSets &Sets, uint64_t &EdgeVisits) const {
     if (MayUsePass) {
-      Label.MayUse = (Sets.MayUse - Saved) - RaOnly;
-    } else {
-      Label.MustDef = (Sets.MustDef - Saved) | RaOnly;
-      Label.MayDef = (Sets.MayDef - Saved) | RaOnly;
+      // MAY-USE[N_X] = MAY-USE[E] ∪ (MAY-USE[N_Y] − MUST-DEF[E]),
+      // unioned across out-edges.
+      RegSet MayUse;
+      for (const PsgEdge &Edge : Psg.outEdges(NodeId)) {
+        ++EdgeVisits;
+        MayUse |= Edge.Label.MayUse |
+                  (Psg.Nodes[Edge.Dst].Sets.MayUse - Edge.Label.MustDef);
+      }
+      Sets.MayUse = MayUse;
+      return;
     }
-  }
-  void reset(FlowSets &Label) const {
-    if (MayUsePass) {
-      Label.MayUse = RegSet();
-    } else {
-      Label.MustDef = AllRegs;
-      Label.MayDef = RegSet();
+    RegSet MustDef, MayDef;
+    bool First = true;
+    for (const PsgEdge &Edge : Psg.outEdges(NodeId)) {
+      ++EdgeVisits;
+      const PsgNode &Dst = Psg.Nodes[Edge.Dst];
+      RegSet ThroughMust = Dst.Sets.MustDef | Edge.Label.MustDef;
+      MustDef = First ? ThroughMust : (MustDef & ThroughMust);
+      MayDef |= Dst.Sets.MayDef | Edge.Label.MayDef;
+      First = false;
     }
+    Sets.MustDef = First ? AllRegs : MustDef; // No sink: meet over nothing.
+    Sets.MayDef = MayDef;
   }
+
+  /// The label an entry with sets \p Sets, in a routine that saves and
+  /// restores \p Saved, broadcasts: the callee-saved filter, and the jsr
+  /// itself defines ra.
+  FlowSets label(const FlowSets &Sets, RegSet Saved) const {
+    FlowSets Filtered = filterCalleeSaved(Sets, Saved);
+    return {Filtered.MayUse - RaOnly, Filtered.MayDef | RaOnly,
+            Filtered.MustDef | RaOnly};
+  }
+
+  /// The label a solve leaves on the edges fed by an entry that converged
+  /// at \p Sets: an entry still at the pass's initial value never
+  /// changed, so it never broadcast and its edges keep the initial label.
+  FlowSets convergedLabel(const FlowSets &Sets, RegSet Saved) const {
+    bool Initial = MayUsePass ? Sets.MayUse.empty()
+                              : Sets.MustDef == AllRegs && Sets.MayDef.empty();
+    return Initial ? initialLabel() : label(Sets, Saved);
+  }
+
+  /// A direct call-return edge's label before its callee broadcasts:
+  /// MUST-DEF at top, so the downward iteration is monotone.
+  FlowSets initialLabel() const { return {RegSet(), RegSet(), AllRegs}; }
+
   bool same(const FlowSets &A, const FlowSets &B) const {
     return MayUsePass ? A.MayUse == B.MayUse
                       : A.MustDef == B.MustDef && A.MayDef == B.MayDef;
   }
+
+  /// Copies the pass's half of \p From into \p To; returns true if that
+  /// changed \p To.
+  bool assign(const FlowSets &From, FlowSets &To) const {
+    if (same(From, To))
+      return false;
+    if (MayUsePass) {
+      To.MayUse = From.MayUse;
+    } else {
+      To.MustDef = From.MustDef;
+      To.MayDef = From.MayDef;
+    }
+    return true;
+  }
 };
 
-/// Before a dirty group iterates one phase 1 pass: snapshots its members,
-/// then resets their non-fixed nodes and the labels their entries feed to
-/// the pass's initial values, as a fresh solve starts them.
+/// Before a group iterates one phase 1 pass: snapshots its members into
+/// \p Journal when re-solving in place, then resets the pass's half of
+/// their nodes and of the labels their entries feed to the pass's
+/// starting values.
 void resetGroupPhase1(const Program &Prog, ProgramSummaryGraph &Psg,
-                      const PassLabel &Pass, const PhaseReuse &Reuse,
+                      const PassLabel &Pass, SolveJournal *Journal,
                       const std::vector<uint32_t> &Members) {
   for (uint32_t R : Members) {
-    Reuse.Journal->snapshot(Prog, Psg, R);
-    for (PsgNode &Node : nodesOf(Psg, R)) {
-      if (Pass.MayUsePass) {
-        if (Node.Kind != PsgNodeKind::Unknown)
-          Node.Sets.MayUse = RegSet();
-      } else if (!isFixedPhase1(Node.Kind)) {
-        Node.Sets.MustDef = Pass.AllRegs;
-        Node.Sets.MayDef = RegSet();
-      }
-    }
+    if (Journal)
+      Journal->snapshot(Prog, Psg, R);
+    for (PsgNode &Node : nodesOf(Psg, R))
+      Pass.assign(phase1Start(Prog, Node, Pass.AllRegs), Node.Sets);
     auto [First, Last] = fedRange(Prog, Psg, R);
     for (uint32_t I = First; I < Last; ++I)
-      Pass.reset(Psg.Edges[Psg.CrEdgeOfEntryIds[I]].Label);
+      Pass.assign(Pass.initialLabel(),
+                  Psg.Edges[Psg.CrEdgeOfEntry.Ids[I]].Label);
   }
 }
 
@@ -249,7 +296,7 @@ void flagCallersOnLabelDiff(const Program &Prog,
   for (uint32_t R : Members) {
     auto [First, Last] = fedRange(Prog, Psg, R);
     for (uint32_t I = First; I < Last; ++I) {
-      const PsgEdge &Edge = Psg.Edges[Psg.CrEdgeOfEntryIds[I]];
+      const PsgEdge &Edge = Psg.Edges[Psg.CrEdgeOfEntry.Ids[I]];
       uint32_t Host = Psg.Nodes[Edge.Src].RoutineIndex;
       if (!(*Reuse.Rebuilt)[Host] &&
           !Pass.same(Reuse.Journal->fedLabel(I), Edge.Label))
@@ -264,61 +311,52 @@ void flagCallersOnLabelDiff(const Program &Prog,
 /// \p FeedsRebuilt marks the routines a rebuilt routine calls.
 void rebroadcastToRebuilt(const Program &Prog, ProgramSummaryGraph &Psg,
                           const std::vector<RegSet> &SavedPerRoutine,
-                          PassLabel Pass, const PhaseReuse &Reuse,
+                          const PassLabel &Pass, const PhaseReuse &Reuse,
                           const std::vector<uint8_t> &FeedsRebuilt,
                           const std::vector<uint32_t> &Members) {
   for (uint32_t R : Members) {
     if (!FeedsRebuilt[R])
       continue;
-    Pass.Saved = SavedPerRoutine[R];
     for (uint32_t EntryNode : Psg.entryNodes(Prog, R)) {
-      const FlowSets &Sets = Psg.Nodes[EntryNode].Sets;
-      if (Pass.initial(Sets))
-        continue;
-      for (uint32_t I = Psg.CrEdgeOfEntryBegin[EntryNode],
-                    E = Psg.CrEdgeOfEntryBegin[EntryNode + 1];
-           I != E; ++I) {
-        PsgEdge &Edge = Psg.Edges[Psg.CrEdgeOfEntryIds[I]];
+      FlowSets Label = Pass.convergedLabel(Psg.Nodes[EntryNode].Sets,
+                                           SavedPerRoutine[R]);
+      for (uint32_t EdgeId : Psg.CrEdgeOfEntry[EntryNode]) {
+        PsgEdge &Edge = Psg.Edges[EdgeId];
         if ((*Reuse.Rebuilt)[Psg.Nodes[Edge.Src].RoutineIndex])
-          Pass.write(Sets, Edge.Label);
+          Pass.assign(Label, Edge.Label);
       }
     }
   }
 }
 
-/// Before a dirty group iterates phase 2: snapshots its members and
-/// resets their nodes' liveness to phase 2's starting values.
+/// Before a group iterates phase 2: snapshots its members into
+/// \p Journal when re-solving in place, then resets their nodes'
+/// liveness to phase 2's starting values.
 void resetGroupPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
-                      const PhaseReuse &Reuse,
+                      SolveJournal *Journal,
                       const std::vector<uint32_t> &Members) {
   for (uint32_t R : Members) {
-    Reuse.Journal->snapshot(Prog, Psg, R);
+    if (Journal)
+      Journal->snapshot(Prog, Psg, R);
     for (PsgNode &Node : nodesOf(Psg, R))
       Node.Live = phase2Start(Prog, Node);
   }
 }
 
 /// After a dirty group converged phase 2, flags the routines whose exits
-/// read a member return site's liveness — unconditionally for rebuilt
-/// members (their callees were seeded dirty anyway; this is the cheap
-/// belt to that suspenders), on a difference from the snapshot for the
-/// others.
+/// read a member return site whose liveness differs from the snapshot.
 void flagCalleesOnLiveDiff(const Program &Prog,
                            const ProgramSummaryGraph &Psg,
                            const PhaseReuse &Reuse,
                            const std::vector<uint32_t> &Members) {
-  for (uint32_t R : Members) {
-    bool Rebuilt = (*Reuse.Rebuilt)[R];
+  for (uint32_t R : Members)
     for (uint32_t C = 0; C < Prog.Routines[R].CallBlocks.size(); ++C) {
       uint32_t Ret = Psg.returnNode(Prog, R, C);
-      if (!Rebuilt && Psg.Nodes[Ret].Live == Reuse.Journal->live(Ret))
+      if (Psg.Nodes[Ret].Live == Reuse.Journal->live(Ret))
         continue;
-      for (uint32_t I = Psg.ExitsOfReturnBegin[Ret],
-                    E = Psg.ExitsOfReturnBegin[Ret + 1];
-           I != E; ++I)
-        Reuse.Dirty->flag(Psg.Nodes[Psg.ExitsOfReturnIds[I]].RoutineIndex);
+      for (uint32_t ExitNode : Psg.ExitsOfReturn[Ret])
+        Reuse.Dirty->flag(Psg.Nodes[ExitNode].RoutineIndex);
     }
-  }
 }
 
 /// Sums the per-group statistics and emits the phase's counters, its
@@ -341,14 +379,14 @@ SolverStats finishPhase(const std::string &Prefix,
   return Stats;
 }
 
-/// Solves one component's MUST-DEF / MAY-DEF subsystem (pass A) to its
-/// fixpoint.  All dependencies outside the component (callee entry
-/// summaries) have already converged, so the iteration — and the final
-/// call-return labels it broadcasts — is exactly the serial one.
-void solveGroupPassA(ProgramSummaryGraph &Psg,
-                     const std::vector<RegSet> &SavedPerRoutine,
-                     RegSet AllRegs, RegSet RaOnly, GroupTask &T,
-                     PhaseScratch &P, SolverStats &Stats) {
+/// Solves one component's half of Figure 8 (\p Pass) to its fixpoint.
+/// All dependencies outside the component (callee entry summaries) have
+/// already converged, so the iteration — and the final call-return
+/// labels it broadcasts — is exactly the serial one.
+void solveGroupPhase1(ProgramSummaryGraph &Psg,
+                      const std::vector<RegSet> &SavedPerRoutine,
+                      const PassLabel &Pass, GroupTask &T, PhaseScratch &P,
+                      SolverStats &Stats) {
   LaneScratch &S = mapGroup(T, Psg, P);
   uint32_t NumLocal = uint32_t(S.NodeIds.size());
   uint64_t EdgeVisitsBefore = Stats.EdgeVisits;
@@ -359,117 +397,33 @@ void solveGroupPassA(ProgramSummaryGraph &Psg,
     if (!isFixedPhase1(Psg.Nodes[S.NodeIds[Local]].Kind))
       List.push(Local);
 
-  std::vector<uint32_t> &ChangedCalls = S.ChangedCalls;
   while (!List.empty()) {
     uint32_t NodeId = S.NodeIds[List.pop()];
     PsgNode &Node = Psg.Nodes[NodeId];
     countPop(T, P, Stats, NodeId, Node.RoutineIndex);
 
-    RegSet NewMustDef, NewMayDef;
-    bool First = true;
-    for (const PsgEdge &Edge : Psg.outEdges(NodeId)) {
-      ++Stats.EdgeVisits;
-      const PsgNode &Dst = Psg.Nodes[Edge.Dst];
-      RegSet ThroughMust = Dst.Sets.MustDef | Edge.Label.MustDef;
-      NewMustDef = First ? ThroughMust : (NewMustDef & ThroughMust);
-      NewMayDef |= Dst.Sets.MayDef | Edge.Label.MayDef;
-      First = false;
-    }
-    if (First)
-      NewMustDef = AllRegs; // No path to any sink: meet over nothing.
-
-    if (NewMustDef == Node.Sets.MustDef && NewMayDef == Node.Sets.MayDef)
+    FlowSets New = Node.Sets;
+    Pass.evaluate(Psg, NodeId, New, Stats.EdgeVisits);
+    if (New == Node.Sets)
       continue;
     if (T.Cost)
-      T.Cost->ChangedBits.record(changedBits(Node.Sets.MustDef, NewMustDef) +
-                                 changedBits(Node.Sets.MayDef, NewMayDef));
-    Node.Sets.MustDef = NewMustDef;
-    Node.Sets.MayDef = NewMayDef;
+      T.Cost->ChangedBits.record(changedBits(Node.Sets, New));
+    Node.Sets = New;
     for (uint32_t EdgeId : Psg.inEdgeIds(NodeId))
       requeuePred(Psg, P, S, EdgeId);
 
     if (Node.Kind != PsgNodeKind::Entry)
       continue;
-    // Refresh the def parts of this entry's call-return edges
-    // (Section 3.4 filter + the jsr's own def of ra).  Call sites outside
-    // the component belong to strictly later condensation levels and read
-    // the converged label when their own component seeds; only in-group
-    // sites need requeueing.
-    RegSet Saved = SavedPerRoutine[Node.RoutineIndex];
-    RegSet LabelMust = (NewMustDef - Saved) | RaOnly;
-    RegSet LabelMay = (NewMayDef - Saved) | RaOnly;
-    ChangedCalls.clear();
-    for (uint32_t I = Psg.CrEdgeOfEntryBegin[NodeId],
-                  E = Psg.CrEdgeOfEntryBegin[NodeId + 1];
-         I != E; ++I) {
-      PsgEdge &Edge = Psg.Edges[Psg.CrEdgeOfEntryIds[I]];
+    // Call sites outside the component belong to strictly later
+    // condensation levels and read the converged label when their own
+    // component solves; only in-group sites need requeueing.
+    FlowSets Label = Pass.label(New, SavedPerRoutine[Node.RoutineIndex]);
+    for (uint32_t EdgeId : Psg.CrEdgeOfEntry[NodeId]) {
+      PsgEdge &Edge = Psg.Edges[EdgeId];
       assert(Psg.isCallReturn(Edge) && "registered edge is not call-return");
-      if (Edge.Label.MustDef == LabelMust && Edge.Label.MayDef == LabelMay)
-        continue;
-      Edge.Label.MustDef = LabelMust;
-      Edge.Label.MayDef = LabelMay;
-      ChangedCalls.push_back(Edge.Src);
+      if (Pass.assign(Label, Edge.Label) && P.inGroup(Edge.Src, S))
+        List.push(P.LocalOf[Edge.Src]);
     }
-    for (uint32_t CallNode : ChangedCalls)
-      if (P.inGroup(CallNode, S))
-        List.push(P.LocalOf[CallNode]);
-  }
-
-  finishPassProfile(S, P, T.Cost, Stats.EdgeVisits - EdgeVisitsBefore);
-}
-
-/// Solves one component's MAY-USE subsystem (pass B) with all MUST-DEF
-/// labels frozen.
-void solveGroupPassB(ProgramSummaryGraph &Psg,
-                     const std::vector<RegSet> &SavedPerRoutine, RegSet RaOnly,
-                     GroupTask &T, PhaseScratch &P, SolverStats &Stats) {
-  LaneScratch &S = mapGroup(T, Psg, P);
-  uint32_t NumLocal = uint32_t(S.NodeIds.size());
-  uint64_t EdgeVisitsBefore = Stats.EdgeVisits;
-  Worklist &List = S.List;
-  for (uint32_t Local = NumLocal; Local-- > 0;)
-    if (!isFixedPhase1(Psg.Nodes[S.NodeIds[Local]].Kind))
-      List.push(Local);
-
-  std::vector<uint32_t> &ChangedCalls = S.ChangedCalls;
-  while (!List.empty()) {
-    uint32_t NodeId = S.NodeIds[List.pop()];
-    PsgNode &Node = Psg.Nodes[NodeId];
-    countPop(T, P, Stats, NodeId, Node.RoutineIndex);
-
-    // Figure 8: MAY-USE[N_X] = MAY-USE[E] ∪ (MAY-USE[N_Y] −
-    // MUST-DEF[E]), unioned across out-edges.
-    RegSet NewMayUse;
-    for (const PsgEdge &Edge : Psg.outEdges(NodeId)) {
-      ++Stats.EdgeVisits;
-      NewMayUse |= Edge.Label.MayUse |
-                   (Psg.Nodes[Edge.Dst].Sets.MayUse - Edge.Label.MustDef);
-    }
-
-    if (NewMayUse == Node.Sets.MayUse)
-      continue;
-    if (T.Cost)
-      T.Cost->ChangedBits.record(changedBits(Node.Sets.MayUse, NewMayUse));
-    Node.Sets.MayUse = NewMayUse;
-    for (uint32_t EdgeId : Psg.inEdgeIds(NodeId))
-      requeuePred(Psg, P, S, EdgeId);
-
-    if (Node.Kind != PsgNodeKind::Entry)
-      continue;
-    RegSet LabelUse = (NewMayUse - SavedPerRoutine[Node.RoutineIndex]) - RaOnly;
-    ChangedCalls.clear();
-    for (uint32_t I = Psg.CrEdgeOfEntryBegin[NodeId],
-                  E = Psg.CrEdgeOfEntryBegin[NodeId + 1];
-         I != E; ++I) {
-      PsgEdge &Edge = Psg.Edges[Psg.CrEdgeOfEntryIds[I]];
-      if (Edge.Label.MayUse == LabelUse)
-        continue;
-      Edge.Label.MayUse = LabelUse;
-      ChangedCalls.push_back(Edge.Src);
-    }
-    for (uint32_t CallNode : ChangedCalls)
-      if (P.inGroup(CallNode, S))
-        List.push(P.LocalOf[CallNode]);
   }
 
   finishPassProfile(S, P, T.Cost, Stats.EdgeVisits - EdgeVisitsBefore);
@@ -519,10 +473,8 @@ RegSet solveGroupPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
       // The feeding return nodes live in caller routines: in-group, or
       // in already-converged earlier levels.
       NewLive = ExitSeed[NodeId];
-      for (uint32_t I = Psg.ReturnsOfExitBegin[NodeId],
-                    E = Psg.ReturnsOfExitBegin[NodeId + 1];
-           I != E; ++I)
-        NewLive |= Psg.Nodes[Psg.ReturnsOfExitIds[I]].Live;
+      for (uint32_t ReturnNode : Psg.ReturnsOfExit[NodeId])
+        NewLive |= Psg.Nodes[ReturnNode].Live;
       if (IsAddressTakenExit[NodeId])
         NewLive |= LocalAccum;
     } else {
@@ -547,13 +499,9 @@ RegSet solveGroupPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
     if (Node.Kind == PsgNodeKind::Return) {
       // Callee exits outside the component are in later levels and pull
       // this return's converged value when they seed.
-      for (uint32_t I = Psg.ExitsOfReturnBegin[NodeId],
-                    E = Psg.ExitsOfReturnBegin[NodeId + 1];
-           I != E; ++I) {
-        uint32_t ExitNode = Psg.ExitsOfReturnIds[I];
+      for (uint32_t ExitNode : Psg.ExitsOfReturn[NodeId])
         if (P.inGroup(ExitNode, S))
           List.push(P.LocalOf[ExitNode]);
-      }
       if (IsIndirectReturn[NodeId] && !LocalAccum.containsAll(Node.Live)) {
         LocalAccum |= Node.Live;
         for (uint32_t ExitNode : GroupATExits)
@@ -592,66 +540,45 @@ RegSet solveGroupPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
 // condensation: a component only reads entry summaries its predecessors
 // already converged, so solving components of one condensation level
 // concurrently computes exactly the serial fixpoint and the serial
-// per-component iteration counts.
+// per-component iteration counts.  Each group starts its pass by
+// resetting its own half of the sets; indirect call-return edges feed
+// from no entry and keep their fixed calling-standard labels.
 SolverStats spike::runPhase1(const Program &Prog, ProgramSummaryGraph &Psg,
                              const std::vector<RegSet> &SavedPerRoutine,
                              ThreadPool *Pool, const ResourceGovernor *Gov,
                              const PhaseReuse *Reuse) {
   telemetry::Span PhaseSpan("psg.phase1");
-  RegSet AllRegs = RegSet::allBelow(NumIntRegs);
   RegSet RaOnly;
   RaOnly.insert(Prog.Conv.RaReg);
 
-  // Starting values (phase1Start).  Direct call-return edges must also
-  // start with MUST-DEF at top so the downward iteration is monotone;
-  // they are refreshed from the callee's entry node as it converges.
-  // (Indirect ones carry fixed calling-standard sets.)  A re-solve in
-  // place starts only the rebuilt routines here; every other value is
-  // the previous solve's, which dirty groups reset as they go.
-  auto Start = [&](uint32_t R) {
-    for (PsgNode &Node : nodesOf(Psg, R))
-      Node.Sets = phase1Start(Prog, Node, AllRegs);
-    const Routine &Rt = Prog.Routines[R];
-    for (uint32_t C = 0; C < Rt.CallBlocks.size(); ++C)
-      if (Rt.Blocks[Rt.CallBlocks[C]].Term == TerminatorKind::Call)
-        Psg.Edges[Psg.Nodes[Psg.callNode(Prog, R, C)].FirstOut]
-            .Label.MustDef = AllRegs;
-  };
   std::vector<uint8_t> FeedsRebuilt;
   if (Reuse) {
     FeedsRebuilt.assign(Prog.Routines.size(), 0);
     for (uint32_t R = 0; R < Prog.Routines.size(); ++R) {
       if (!(*Reuse->Rebuilt)[R])
         continue;
-      Start(R);
       const Routine &Rt = Prog.Routines[R];
       for (uint32_t Block : Rt.CallBlocks)
         if (Rt.Blocks[Block].Term == TerminatorKind::Call)
           FeedsRebuilt[uint32_t(Rt.Blocks[Block].CalleeRoutine)] = 1;
     }
-  } else {
-    for (uint32_t R = 0; R < Prog.Routines.size(); ++R)
-      Start(R);
   }
 
   const SccSchedule &Sched = Prog.CalleeFirst;
   PhaseScratch Scratch(Pool, Psg);
   std::vector<SolverStats> GroupStats(Sched.NumGroups);
   SccDriver Driver(Prog, Sched, Pool, Gov, Reuse ? Reuse->Dirty : nullptr);
+  SolveJournal *Journal = Reuse ? Reuse->Journal : nullptr;
 
-  auto RunPass = [&](bool MayUsePass) {
-    PassLabel Pass{MayUsePass, RegSet(), RaOnly, AllRegs};
+  // Pass A (MUST-DEF and MAY-DEF), then pass B (MAY-USE).
+  for (bool MayUsePass : {false, true}) {
+    PassLabel Pass{MayUsePass, RaOnly, RegSet::allBelow(NumIntRegs)};
     Driver.run(
         MayUsePass ? "psg.phase1.may-use" : "psg.phase1.must-def",
         [&](GroupTask &T) {
-          if (Reuse)
-            resetGroupPhase1(Prog, Psg, Pass, *Reuse, T.Members);
-          if (MayUsePass)
-            solveGroupPassB(Psg, SavedPerRoutine, RaOnly, T, Scratch,
-                            GroupStats[T.Group]);
-          else
-            solveGroupPassA(Psg, SavedPerRoutine, AllRegs, RaOnly, T,
-                            Scratch, GroupStats[T.Group]);
+          resetGroupPhase1(Prog, Psg, Pass, Journal, T.Members);
+          solveGroupPhase1(Psg, SavedPerRoutine, Pass, T, Scratch,
+                           GroupStats[T.Group]);
           if (Reuse)
             flagCallersOnLabelDiff(Prog, Psg, Pass, *Reuse, T.Members);
         },
@@ -661,28 +588,7 @@ SolverStats spike::runPhase1(const Program &Prog, ProgramSummaryGraph &Psg,
           rebroadcastToRebuilt(Prog, Psg, SavedPerRoutine, Pass, *Reuse,
                                FeedsRebuilt, Members);
         });
-  };
-
-  // --- Pass A: MUST-DEF and MAY-DEF. -------------------------------------
-  RunPass(false);
-
-  // --- Pass B: MAY-USE, with all MUST-DEF labels frozen. ------------------
-  // A fresh solve resets the MAY-USE state to bottom; indirect
-  // call-return edges keep their fixed calling-standard MAY-USE, direct
-  // ones restart at empty.  (Dirty groups of a re-solve in place reset
-  // their own; rebuilt edges are at bottom already.)
-  if (!Reuse) {
-    for (PsgNode &Node : Psg.Nodes)
-      if (Node.Kind != PsgNodeKind::Unknown)
-        Node.Sets.MayUse = RegSet();
-    for (uint32_t NodeId = 0; NodeId < Psg.Nodes.size(); ++NodeId)
-      for (uint32_t I = Psg.CrEdgeOfEntryBegin[NodeId],
-                    E = Psg.CrEdgeOfEntryBegin[NodeId + 1];
-           I != E; ++I)
-        Psg.Edges[Psg.CrEdgeOfEntryIds[I]].Label.MayUse = RegSet();
   }
-
-  RunPass(true);
   return finishPhase("psg.phase1", GroupStats, Driver, Reuse);
 }
 
@@ -718,13 +624,6 @@ SolverStats spike::runPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
   std::vector<bool> IsIndirectReturn(Psg.Nodes.size(), false);
   for (uint32_t ReturnNode : Psg.IndirectReturnNodes)
     IsIndirectReturn[ReturnNode] = true;
-
-  // Starting values: every node's in a fresh solve, the rebuilt
-  // routines' in a re-solve in place (dirty groups reset the rest).
-  for (uint32_t R = 0; R < Prog.Routines.size(); ++R)
-    if (!Reuse || (*Reuse->Rebuilt)[R])
-      for (PsgNode &Node : nodesOf(Psg, R))
-        Node.Live = phase2Start(Prog, Node);
 
   // Caller-first schedule: an exit's feeding return sites converge before
   // the exit's component runs (or share its component), and the hub
@@ -773,22 +672,11 @@ SolverStats spike::runPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
       for (uint32_t R = 0; R < Prog.Routines.size(); ++R)
         Reuse->Dirty->flag(R);
     }
-    // Belt to the caller's seeding contract: every (new-graph) callee of
-    // a rebuilt routine re-solves.
-    for (uint32_t R = 0; R < Prog.Routines.size(); ++R)
-      if ((*Reuse->Rebuilt)[R])
-        for (uint32_t C = 0; C < Prog.Routines[R].CallBlocks.size(); ++C) {
-          uint32_t Ret = Psg.returnNode(Prog, R, C);
-          for (uint32_t I = Psg.ExitsOfReturnBegin[Ret],
-                        E = Psg.ExitsOfReturnBegin[Ret + 1];
-               I != E; ++I)
-            Reuse->Dirty->flag(
-                Psg.Nodes[Psg.ExitsOfReturnIds[I]].RoutineIndex);
-        }
   }
 
   PhaseScratch Scratch(Pool, Psg);
   std::vector<SolverStats> GroupStats(Sched.NumGroups);
+  SolveJournal *Journal = Reuse ? Reuse->Journal : nullptr;
 
   // Union of the live sets of all indirect-call return nodes; flows into
   // every address-taken routine's exits.  Components read a level-start
@@ -802,8 +690,7 @@ SolverStats spike::runPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
   Driver.run(
       "psg.phase2",
       [&](GroupTask &T) {
-        if (Reuse)
-          resetGroupPhase2(Prog, Psg, *Reuse, T.Members);
+        resetGroupPhase2(Prog, Psg, Journal, T.Members);
         GroupAccum[T.Group] = solveGroupPhase2(
             Prog, Psg, ExitSeed, IsAddressTakenExit, IsIndirectReturn,
             IndirectAccum, T, Scratch, GroupStats[T.Group]);
@@ -826,7 +713,7 @@ SolveJournal::SolveJournal(const Program &Prog,
     : Sets(std::make_unique_for_overwrite<Masks[]>(Psg.Nodes.size())),
       Live(std::make_unique_for_overwrite<uint64_t[]>(Psg.Nodes.size())),
       Fed(std::make_unique_for_overwrite<Masks[]>(
-          Psg.CrEdgeOfEntryIds.size())),
+          Psg.CrEdgeOfEntry.Ids.size())),
       Taken(Prog.Routines.size(), 0) {}
 
 void SolveJournal::snapshot(const Program &Prog,
@@ -841,7 +728,7 @@ void SolveJournal::snapshot(const Program &Prog,
   }
   auto [First, Last] = fedRange(Prog, Psg, R);
   for (uint32_t I = First; I < Last; ++I)
-    Fed[I] = Masks::of(Psg.Edges[Psg.CrEdgeOfEntryIds[I]].Label);
+    Fed[I] = Masks::of(Psg.Edges[Psg.CrEdgeOfEntry.Ids[I]].Label);
 }
 
 void SolveJournal::rollback(const Program &Prog,
@@ -856,6 +743,6 @@ void SolveJournal::rollback(const Program &Prog,
     }
     auto [First, Last] = fedRange(Prog, Psg, R);
     for (uint32_t I = First; I < Last; ++I)
-      Psg.Edges[Psg.CrEdgeOfEntryIds[I]].Label = Fed[I].sets();
+      Psg.Edges[Psg.CrEdgeOfEntry.Ids[I]].Label = Fed[I].sets();
   }
 }

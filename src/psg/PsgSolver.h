@@ -78,7 +78,7 @@ public:
                 uint32_t R);
 
   /// The snapshot liveness of node \p NodeId, and the snapshot label of
-  /// the call-return edge at position \p Position of CrEdgeOfEntryIds;
+  /// the call-return edge at position \p Position of CrEdgeOfEntry.Ids;
   /// the owning routine must have been snapshotted.
   RegSet live(uint32_t NodeId) const { return RegSet::fromMask(Live[NodeId]); }
   FlowSets fedLabel(uint32_t Position) const { return Fed[Position].sets(); }
@@ -101,7 +101,7 @@ private:
   };
   std::unique_ptr<Masks[]> Sets;    ///< Per node.
   std::unique_ptr<uint64_t[]> Live; ///< Per node.
-  std::unique_ptr<Masks[]> Fed;     ///< Per CrEdgeOfEntryIds position.
+  std::unique_ptr<Masks[]> Fed;     ///< Per CrEdgeOfEntry.Ids position.
   std::vector<uint8_t> Taken;       ///< Per routine.
 };
 
@@ -116,13 +116,16 @@ private:
 ///   - Phase 2 expects Dirty seeded with phase 1's final flags plus every
 ///     routine called by a rebuilt routine in *either* version (a
 ///     dropped call still shrinks the old callee's exit liveness).
+///     reanalyzeIncremental is the only place that seeds these callees.
 ///
-/// At its scheduled slot (the SccDriver's keep-or-solve step), an SCC
-/// group with no dirty member keeps its values; in phase 1 it also
+/// Every SCC group a phase solves, fresh or in place, first resets its
+/// members and the call-return labels its entries feed to the phase's
+/// starting values, so a fresh solve is this re-solve with every group
+/// dirty.  At its scheduled slot (the SccDriver's keep-or-solve step), an
+/// SCC group with no dirty member keeps its values; in phase 1 it also
 /// re-broadcasts its entries' labels into the call-return edges of
 /// rebuilt callers.  A dirty group snapshots what it overwrites into the
-/// journal, resets its members and the labels its entries feed to the
-/// phase's initial values, and iterates exactly as a fresh solve would —
+/// journal before its reset, iterates exactly as a fresh solve would —
 /// every input it reads has converged to the fresh solve's value — then
 /// compares its outward-facing results (phase 1: call-return labels,
 /// phase 2: return-site liveness) against the snapshot, flagging
@@ -152,6 +155,8 @@ struct PhaseReuse {
 /// pool: the lowest-index group of the level wins).
 /// When \p Reuse is non-null, the phase re-solves \p Psg in place: clean
 /// SCC groups keep their values instead of iterating (see PhaseReuse).
+/// Without it every group resets what it solves first, so running the
+/// phase again on a solved graph reproduces its values and SolverStats.
 SolverStats runPhase1(const Program &Prog, ProgramSummaryGraph &Psg,
                       const std::vector<RegSet> &SavedPerRoutine,
                       ThreadPool *Pool = nullptr,

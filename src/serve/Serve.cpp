@@ -87,22 +87,6 @@ uint64_t nowNs() {
                       .count());
 }
 
-const char *verdictWord(BudgetVerdict V) {
-  switch (V) {
-  case BudgetVerdict::Ok:
-    return "ok";
-  case BudgetVerdict::Cancelled:
-    return "cancelled";
-  case BudgetVerdict::IterationCapHit:
-    return "iteration-cap";
-  case BudgetVerdict::MemoryExceeded:
-    return "memory";
-  case BudgetVerdict::DeadlineExpired:
-    return "deadline";
-  }
-  return "?";
-}
-
 } // namespace
 
 /// One parsed protocol line.
@@ -154,7 +138,7 @@ Server::Reply errorReply(const Server::Request &Req, const std::string &Msg) {
 std::string blownNote(const BudgetBlownError &E) {
   return ",\"degraded\":true,\"note\":" +
          jsonQuote(std::string("!! DEGRADED: budget blown (") +
-                   verdictWord(E.verdict()) + ") in " + E.phase());
+                   budgetVerdictName(E.verdict()) + ") in " + E.phase());
 }
 
 Server::Reply degradedError(const Server::Request &Req,
@@ -162,7 +146,7 @@ Server::Reply degradedError(const Server::Request &Req,
   Server::Reply R;
   R.IsError = true;
   R.Degraded = true;
-  R.DegradeReason = verdictWord(E.verdict());
+  R.DegradeReason = budgetVerdictName(E.verdict());
   R.Text = replyHead(Req, false) + blownNote(E) + "}";
   return R;
 }
@@ -196,12 +180,7 @@ Server::~Server() = default;
 Expected<GovernedAnalysis> Server::analyzeFresh(const Image &NewImg) const {
   AnalysisOptions AOpts;
   AOpts.Jobs = Opts.Jobs;
-  if (Opts.Budget.any())
-    return analyzeImageGoverned(NewImg, Opts.Conv, AOpts, Opts.Budget,
-                                nullptr);
-  GovernedAnalysis G;
-  G.Result = analyzeImage(NewImg, Opts.Conv, AOpts);
-  return G;
+  return analyzeImageGoverned(NewImg, Opts.Conv, AOpts, Opts.Budget);
 }
 
 void Server::installFresh(Image NewImg, AnalysisResult NewA) {
@@ -623,7 +602,7 @@ Server::Reply Server::handlePatch(const Request &Req) {
           Req, "patch rejected, still serving the previous version: " +
                    G.error().str());
       R.Degraded = true;
-      R.DegradeReason = verdictWord(E.verdict());
+      R.DegradeReason = budgetVerdictName(E.verdict());
       R.Text.pop_back(); // Replace the closing brace with the banner note.
       R.Text += blownNote(E) + "}";
       return R;
@@ -635,7 +614,7 @@ Server::Reply Server::handlePatch(const Request &Req) {
     Out.StructDirty = Out.Phase1Dirty = Out.Phase2Dirty =
         A.Prog.Routines.size();
     Degraded = true;
-    DegradeReason = verdictWord(E.verdict());
+    DegradeReason = budgetVerdictName(E.verdict());
     DegradedNote = degradedNote(G->DegradedRoutines);
   }
 

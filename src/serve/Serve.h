@@ -215,9 +215,9 @@ private:
   /// Callers hold DepsMu.
   const SlotFlowResult &slotsLocked(const ResourceGovernor *Gov) const;
 
-  /// A from-scratch analysis of \p NewImg: through the degrade ladder
-  /// when a budget is set (load, and a patch whose incremental re-solve
-  /// blew it), plain otherwise.
+  /// A from-scratch analysis of \p NewImg (load, and a patch whose
+  /// incremental re-solve blew the budget) through the degrade ladder,
+  /// which runs one plain attempt when no budget is set.
   Expected<GovernedAnalysis> analyzeFresh(const Image &NewImg) const;
 
   void installFresh(Image NewImg, AnalysisResult NewA);

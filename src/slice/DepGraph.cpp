@@ -2,6 +2,7 @@
 
 #include "slice/DepGraph.h"
 
+#include "cfg/CfgBuilder.h"
 #include "isa/Registers.h"
 #include "isa/StackRef.h"
 #include "support/Budget.h"
@@ -60,24 +61,6 @@ public:
 private:
   std::vector<uint64_t> Words;
 };
-
-/// Blocks reachable from any entrance of \p R.
-std::vector<bool> reachableBlocks(const Routine &R) {
-  std::vector<bool> Reach(R.Blocks.size(), false);
-  std::vector<uint32_t> Work(R.EntryBlocks.begin(), R.EntryBlocks.end());
-  for (uint32_t Entry : R.EntryBlocks)
-    Reach[Entry] = true;
-  while (!Work.empty()) {
-    uint32_t Block = Work.back();
-    Work.pop_back();
-    for (uint32_t Succ : R.succs(Block))
-      if (!Reach[Succ]) {
-        Reach[Succ] = true;
-        Work.push_back(Succ);
-      }
-  }
-  return Reach;
-}
 
 /// Register reaching-definitions inside one routine, emitting RegData
 /// edges (and Call edges for values that flow in from call sites).

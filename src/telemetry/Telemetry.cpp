@@ -115,10 +115,6 @@ SessionPause::~SessionPause() { ActiveSession = Previous; }
 
 namespace {
 
-/// All JSON writers share the parser's escaper so routine names with
-/// quotes, backslashes, or control characters round-trip exactly.
-std::string escape(const std::string &S) { return jsonEscape(S); }
-
 std::string formatDouble(double Value) {
   char Buffer[64];
   std::snprintf(Buffer, sizeof(Buffer), "%.6f", Value);
@@ -130,7 +126,7 @@ std::string formatDouble(double Value) {
 std::string spike::telemetry::traceJson(const Session &S) {
   std::string Out;
   Out += "{\"displayTimeUnit\": \"ms\",\n";
-  Out += " \"otherData\": {\"tool\": \"" + escape(S.tool()) + "\"},\n";
+  Out += " \"otherData\": {\"tool\": \"" + jsonEscape(S.tool()) + "\"},\n";
   Out += " \"traceEvents\": [";
   bool First = true;
   for (uint32_t Id = 0; Id < S.spans().size(); ++Id) {
@@ -143,7 +139,7 @@ std::string spike::telemetry::traceJson(const Session &S) {
     // Complete ("X") events with microsecond timestamps, one synthetic
     // pid and one tid per track: chrome://tracing and Perfetto
     // reconstruct nesting from ts/dur overlap within a tid.
-    Out += "\n  {\"name\": \"" + escape(Event.Name) +
+    Out += "\n  {\"name\": \"" + jsonEscape(Event.Name) +
            "\", \"cat\": \"spike\", \"ph\": \"X\", \"pid\": 1, "
            "\"tid\": " +
            std::to_string(1 + Event.Track) + ", \"ts\": " +
@@ -159,7 +155,7 @@ std::string spike::telemetry::runReportJson(const Session &S) {
   Out += "{\n";
   Out += "  \"schema\": \"spike-run-report\",\n";
   Out += "  \"version\": 1,\n";
-  Out += "  \"tool\": \"" + escape(S.tool()) + "\",\n";
+  Out += "  \"tool\": \"" + jsonEscape(S.tool()) + "\",\n";
   // Build provenance is additive (still version 1): pre-provenance
   // readers ignore the member, and it ties the report to the binary
   // that wrote it (diffing an ASan run against a release baseline is
@@ -171,7 +167,7 @@ std::string spike::telemetry::runReportJson(const Session &S) {
   std::vector<PhaseRow> Rows = S.phaseRows();
   for (size_t I = 0; I < Rows.size(); ++I) {
     Out += I == 0 ? "\n" : ",\n";
-    Out += "    {\"path\": \"" + escape(Rows[I].Path) +
+    Out += "    {\"path\": \"" + jsonEscape(Rows[I].Path) +
            "\", \"seconds\": " + formatDouble(Rows[I].Seconds) +
            ", \"count\": " + std::to_string(Rows[I].Count) + "}";
   }
@@ -182,7 +178,7 @@ std::string spike::telemetry::runReportJson(const Session &S) {
     for (const auto &[Name, Value] : Registry) {
       Out += First ? "\n" : ",\n";
       First = false;
-      Out += "    \"" + escape(Name) + "\": " + std::to_string(Value);
+      Out += "    \"" + jsonEscape(Name) + "\": " + std::to_string(Value);
     }
     Out += First ? "}" : "\n  }";
   };
@@ -200,7 +196,7 @@ std::string spike::telemetry::runReportJson(const Session &S) {
     for (const auto &[Name, H] : S.histograms()) {
       Out += FirstH ? "\n" : ",\n";
       FirstH = false;
-      Out += "    \"" + escape(Name) + "\": {\"count\": " +
+      Out += "    \"" + jsonEscape(Name) + "\": {\"count\": " +
              std::to_string(H.count()) + ", \"sum\": " +
              std::to_string(H.sum()) + ", \"min\": " +
              std::to_string(H.min()) + ", \"max\": " +
@@ -226,9 +222,9 @@ std::string spike::telemetry::runReportJson(const Session &S) {
     for (size_t I = 0; I < Records.size(); ++I) {
       const HotSpotRecord &R = Records[I];
       Out += I == 0 ? "\n" : ",\n";
-      Out += "    {\"phase\": \"" + escape(R.Phase) + "\"";
+      Out += "    {\"phase\": \"" + jsonEscape(R.Phase) + "\"";
       if (!R.Routine.empty())
-        Out += ", \"routine\": \"" + escape(R.Routine) + "\"";
+        Out += ", \"routine\": \"" + jsonEscape(R.Routine) + "\"";
       if (R.Scc >= 0)
         Out += ", \"scc\": " + std::to_string(R.Scc);
       Out += ", \"pops\": " + std::to_string(R.Pops) +
@@ -248,13 +244,13 @@ std::string spike::telemetry::runReportJson(const Session &S) {
     for (size_t I = 0; I < Records.size(); ++I) {
       const TransformRecord &R = Records[I];
       Out += I == 0 ? "\n" : ",\n";
-      Out += "    {\"pass\": \"" + escape(R.Pass) + "\", \"outcome\": \"" +
-             escape(R.Outcome) + "\"";
+      Out += "    {\"pass\": \"" + jsonEscape(R.Pass) + "\", \"outcome\": \"" +
+             jsonEscape(R.Outcome) + "\"";
       if (R.Address >= 0)
         Out += ", \"address\": " + std::to_string(R.Address);
       if (!R.Routine.empty())
-        Out += ", \"routine\": \"" + escape(R.Routine) + "\"";
-      Out += ", \"detail\": \"" + escape(R.Detail) + "\"}";
+        Out += ", \"routine\": \"" + jsonEscape(R.Routine) + "\"";
+      Out += ", \"detail\": \"" + jsonEscape(R.Detail) + "\"}";
     }
     Out += "\n  ]";
   }
@@ -267,10 +263,10 @@ std::string spike::telemetry::runReportJson(const Session &S) {
     for (size_t I = 0; I < Records.size(); ++I) {
       const DegradeRecord &R = Records[I];
       Out += I == 0 ? "\n" : ",\n";
-      Out += "    {\"routine\": \"" + escape(R.Routine) +
-             "\", \"reason\": \"" + escape(R.Reason) + "\"";
+      Out += "    {\"routine\": \"" + jsonEscape(R.Routine) +
+             "\", \"reason\": \"" + jsonEscape(R.Reason) + "\"";
       if (!R.Phase.empty())
-        Out += ", \"phase\": \"" + escape(R.Phase) + "\"";
+        Out += ", \"phase\": \"" + jsonEscape(R.Phase) + "\"";
       Out += "}";
     }
     Out += "\n  ]";

@@ -159,12 +159,12 @@ inline std::vector<std::string> describePsg(const Program &Prog,
   }
   Out.push_back("in " + listOf(Psg.InEdgeIds));
   Out.push_back("routine-nodes " + listOf(Psg.RoutineNodeBegin));
-  Out.push_back("cr-of-entry " + listOf(Psg.CrEdgeOfEntryBegin) + " " +
-                listOf(Psg.CrEdgeOfEntryIds));
-  Out.push_back("returns-of-exit " + listOf(Psg.ReturnsOfExitBegin) + " " +
-                listOf(Psg.ReturnsOfExitIds));
-  Out.push_back("exits-of-return " + listOf(Psg.ExitsOfReturnBegin) + " " +
-                listOf(Psg.ExitsOfReturnIds));
+  Out.push_back("cr-of-entry " + listOf(Psg.CrEdgeOfEntry.Begin) + " " +
+                listOf(Psg.CrEdgeOfEntry.Ids));
+  Out.push_back("returns-of-exit " + listOf(Psg.ReturnsOfExit.Begin) + " " +
+                listOf(Psg.ReturnsOfExit.Ids));
+  Out.push_back("exits-of-return " + listOf(Psg.ExitsOfReturn.Begin) + " " +
+                listOf(Psg.ExitsOfReturn.Ids));
   Out.push_back("indirect-returns " + listOf(Psg.IndirectReturnNodes));
   Out.push_back("taken-exits " + listOf(Psg.AddressTakenExitNodes));
   Out.push_back("counts " + std::to_string(Psg.NumFlowSummaryEdges) + " " +

@@ -37,6 +37,7 @@
 #include "opt/Pipeline.h"
 #include "provenance/Witness.h"
 #include "psg/Analyzer.h"
+#include "psg/PsgBuilder.h"
 #include "sim/Simulator.h"
 #include "slice/SlotFlow.h"
 #include "support/FaultInjection.h"
@@ -395,13 +396,13 @@ void expectIndexesMatchSortedReference(const FrontEnd &F,
         TakenExits.push_back(Exit);
   }
   EXPECT_EQ(sortedCsr(EntryToCr, NumNodes),
-            std::make_pair(Psg.CrEdgeOfEntryBegin, Psg.CrEdgeOfEntryIds))
+            std::make_pair(Psg.CrEdgeOfEntry.Begin, Psg.CrEdgeOfEntry.Ids))
       << Where;
   EXPECT_EQ(sortedCsr(ExitToReturn, NumNodes),
-            std::make_pair(Psg.ReturnsOfExitBegin, Psg.ReturnsOfExitIds))
+            std::make_pair(Psg.ReturnsOfExit.Begin, Psg.ReturnsOfExit.Ids))
       << Where;
   EXPECT_EQ(sortedCsr(ReturnToExit, NumNodes),
-            std::make_pair(Psg.ExitsOfReturnBegin, Psg.ExitsOfReturnIds))
+            std::make_pair(Psg.ExitsOfReturn.Begin, Psg.ExitsOfReturn.Ids))
       << Where;
   EXPECT_EQ(Psg.IndirectReturnNodes, IndirectReturns) << Where;
   EXPECT_EQ(Psg.AddressTakenExitNodes, TakenExits) << Where;
@@ -830,10 +831,10 @@ uint64_t cfgBytes(const Program &Prog) {
 
 uint64_t psgBytes(const ProgramSummaryGraph &Psg) {
   return bytesOf(Psg.Nodes) + bytesOf(Psg.Edges) + bytesOf(Psg.InEdgeIds) +
-         bytesOf(Psg.RoutineNodeBegin) + bytesOf(Psg.CrEdgeOfEntryBegin) +
-         bytesOf(Psg.CrEdgeOfEntryIds) + bytesOf(Psg.ReturnsOfExitBegin) +
-         bytesOf(Psg.ReturnsOfExitIds) + bytesOf(Psg.ExitsOfReturnBegin) +
-         bytesOf(Psg.ExitsOfReturnIds) + bytesOf(Psg.IndirectReturnNodes) +
+         bytesOf(Psg.RoutineNodeBegin) + bytesOf(Psg.CrEdgeOfEntry.Begin) +
+         bytesOf(Psg.CrEdgeOfEntry.Ids) + bytesOf(Psg.ReturnsOfExit.Begin) +
+         bytesOf(Psg.ReturnsOfExit.Ids) + bytesOf(Psg.ExitsOfReturn.Begin) +
+         bytesOf(Psg.ExitsOfReturn.Ids) + bytesOf(Psg.IndirectReturnNodes) +
          bytesOf(Psg.AddressTakenExitNodes);
 }
 
@@ -1244,6 +1245,70 @@ TEST(ParallelDifferential, AllProfilesMatchSerialAtEveryJobCount) {
       expectHotSpotsEqual(Serial.HotSpots, Parallel.HotSpots, Where);
     }
   }
+}
+
+namespace {
+
+void expectSameStats(const SolverStats &Expected, const SolverStats &Actual,
+                     const std::string &Where) {
+  EXPECT_EQ(Expected.NodeEvaluations, Actual.NodeEvaluations) << Where;
+  EXPECT_EQ(Expected.EdgeVisits, Actual.EdgeVisits) << Where;
+}
+
+} // namespace
+
+TEST(ParallelDifferential, ReSolvingASolvedGraphIsIdempotent) {
+  // Every group resets what it solves, so running the phases again on a
+  // converged graph (as bench_micro's BM_Phases does) repeats the first
+  // solve: every node value, every label and the work it took.
+  for (const auto &[Name, Img] : testcorpus::differentialCorpus())
+    for (unsigned Jobs : {1u, 2u, 4u, 7u}) {
+      const std::string Where = Name + " jobs=" + std::to_string(Jobs);
+      AnalysisOptions Opts;
+      Opts.Jobs = Jobs;
+      AnalysisResult A = analyzeImage(Img, CallingConv(), Opts);
+      std::vector<std::string> Solved = testtext::describePsg(A.Prog, A.Psg);
+
+      ThreadPool Pool(Jobs);
+      SolverStats Phase1 =
+          runPhase1(A.Prog, A.Psg, A.SavedPerRoutine, &Pool);
+      SolverStats Phase2 = runPhase2(A.Prog, A.Psg, &Pool);
+      testtext::expectSameLines(Solved, testtext::describePsg(A.Prog, A.Psg),
+                                Where);
+      expectSameStats(A.Phase1Stats, Phase1, Where + " phase 1");
+      expectSameStats(A.Phase2Stats, Phase2, Where + " phase 2");
+    }
+}
+
+TEST(ParallelDifferential, AllDirtyReSolveEqualsFreshSolve) {
+  // A fresh solve is the in-place re-solve with every group dirty: a
+  // freshly built graph re-solved with every routine marked rebuilt and
+  // dirty reaches the fresh solve's values, labels and work.
+  for (const auto &[Name, Img] : testcorpus::differentialCorpus())
+    for (unsigned Jobs : {1u, 2u, 4u, 7u}) {
+      const std::string Where = Name + " jobs=" + std::to_string(Jobs);
+      AnalysisOptions Opts;
+      Opts.Jobs = Jobs;
+      AnalysisResult A = analyzeImage(Img, CallingConv(), Opts);
+
+      ThreadPool Pool(Jobs);
+      ProgramSummaryGraph Psg = buildPsg(A.Prog, {}, nullptr, &Pool);
+      const size_t NumRoutines = A.Prog.Routines.size();
+      std::vector<uint8_t> Rebuilt(NumRoutines, 1);
+      DirtyFrontier Dirty(std::vector<uint8_t>(NumRoutines, 0));
+      SolveJournal Journal(A.Prog, Psg);
+      PhaseReuse Reuse;
+      Reuse.Rebuilt = &Rebuilt;
+      Reuse.Dirty = &Dirty;
+      Reuse.Journal = &Journal;
+      SolverStats Phase1 = runPhase1(A.Prog, Psg, A.SavedPerRoutine, &Pool,
+                                     nullptr, &Reuse);
+      SolverStats Phase2 = runPhase2(A.Prog, Psg, &Pool, nullptr, &Reuse);
+      testtext::expectSameLines(testtext::describePsg(A.Prog, A.Psg),
+                                testtext::describePsg(A.Prog, Psg), Where);
+      expectSameStats(A.Phase1Stats, Phase1, Where + " phase 1");
+      expectSameStats(A.Phase2Stats, Phase2, Where + " phase 2");
+    }
 }
 
 TEST(ParallelDifferential, HotSpotPopsPartitionThePhaseCounters) {

@@ -109,7 +109,10 @@ public:
     }
   }
 
-  CancellationToken *token() { return &Token; }
+  /// The token a governor polls, or null when no fault is scheduled:
+  /// then nothing can cancel the run, and a null token leaves a governor
+  /// without a budget disabled.
+  CancellationToken *token() { return Inj ? &Token : nullptr; }
 
 private:
   std::optional<faultinject::Injector> Inj;

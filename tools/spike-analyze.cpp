@@ -106,22 +106,17 @@ int runTool(int Argc, char **Argv) {
 
   AnalysisOptions AOpts;
   AOpts.Jobs = Jobs;
-  AnalysisResult Result;
-  if (BudgetOpts.any()) {
-    Expected<GovernedAnalysis> Governed = analyzeImageGoverned(
-        *Img, {}, AOpts, BudgetOpts.Budget, Faults.token());
-    if (!Governed)
-      return toolbudget::exitError(Governed.error());
-    Result = std::move(Governed->Result);
-    for (const std::string &Name : Governed->DegradedRoutines)
-      std::fprintf(stderr,
-                   "note: %s degraded to an unknowable summary "
-                   "(budget: %s, attempt %u)\n",
-                   Name.c_str(), budgetVerdictName(Governed->FirstBlow),
-                   Governed->Attempts);
-  } else {
-    Result = analyzeImage(*Img, {}, AOpts);
-  }
+  Expected<GovernedAnalysis> Governed = analyzeImageGoverned(
+      *Img, {}, AOpts, BudgetOpts.Budget, Faults.token());
+  if (!Governed)
+    return toolbudget::exitError(Governed.error());
+  AnalysisResult Result = std::move(Governed->Result);
+  for (const std::string &Name : Governed->DegradedRoutines)
+    std::fprintf(stderr,
+                 "note: %s degraded to an unknowable summary "
+                 "(budget: %s, attempt %u)\n",
+                 Name.c_str(), budgetVerdictName(Governed->FirstBlow),
+                 Governed->Attempts);
 
   if (Verify) {
     // Cross-check the PSG summaries against the CFG-level two-phase

@@ -179,21 +179,16 @@ int runTool(int Argc, char **Argv) {
 
   AnalysisOptions AOpts;
   AOpts.Jobs = Jobs;
-  AnalysisResult Result;
-  if (BudgetOpts.any()) {
-    Expected<GovernedAnalysis> Governed = analyzeImageGoverned(
-        *Img, {}, AOpts, BudgetOpts.Budget, Faults.token());
-    if (!Governed)
-      return toolbudget::exitError(Governed.error());
-    Result = std::move(Governed->Result);
-    for (const std::string &Name : Governed->DegradedRoutines)
-      std::fprintf(stderr,
-                   "note: %s degraded to an unknowable summary; witness "
-                   "chains through it end at its summary\n",
-                   Name.c_str());
-  } else {
-    Result = analyzeImage(*Img, {}, AOpts);
-  }
+  Expected<GovernedAnalysis> Governed = analyzeImageGoverned(
+      *Img, {}, AOpts, BudgetOpts.Budget, Faults.token());
+  if (!Governed)
+    return toolbudget::exitError(Governed.error());
+  AnalysisResult Result = std::move(Governed->Result);
+  for (const std::string &Name : Governed->DegradedRoutines)
+    std::fprintf(stderr,
+                 "note: %s degraded to an unknowable summary; witness "
+                 "chains through it end at its summary\n",
+                 Name.c_str());
 
   if (Query == "--check-witnesses") {
     WitnessAudit Audit = auditEntryLiveness(Result);

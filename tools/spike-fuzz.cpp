@@ -369,23 +369,18 @@ MutantOutcome runMutant(const std::vector<uint8_t> &Bytes, Verdicts &V,
   ValidationReport Report = validateImage(Img);
   AnalysisOptions AOpts;
   AOpts.Jobs = Jobs;
-  AnalysisResult Analysis;
-  if (Config.Budget.any()) {
-    // Under a resource budget the trichotomy gains no fourth arm: a
-    // budget the degradation ladder cannot satisfy is a clean error,
-    // anything else lands in the usual three with possibly more
-    // quarantined routines.
-    Expected<GovernedAnalysis> Governed = analyzeImageGoverned(
-        Img, CallingConv(), AOpts, Config.Budget.Budget, Config.Cancel);
-    if (!Governed) {
-      FUZZ_CHECK(Governed.error().Code != ErrCode::None, V, Context);
-      FUZZ_CHECK(!Governed.error().Message.empty(), V, Context);
-      return MutantOutcome::CleanError;
-    }
-    Analysis = std::move(Governed->Result);
-  } else {
-    Analysis = analyzeImage(Img, CallingConv(), AOpts);
+  // Under a resource budget the trichotomy gains no fourth arm: a
+  // budget the degradation ladder cannot satisfy is a clean error,
+  // anything else lands in the usual three with possibly more
+  // quarantined routines.
+  Expected<GovernedAnalysis> Governed = analyzeImageGoverned(
+      Img, CallingConv(), AOpts, Config.Budget.Budget, Config.Cancel);
+  if (!Governed) {
+    FUZZ_CHECK(Governed.error().Code != ErrCode::None, V, Context);
+    FUZZ_CHECK(!Governed.error().Message.empty(), V, Context);
+    return MutantOutcome::CleanError;
   }
+  AnalysisResult Analysis = std::move(Governed->Result);
   const Program &Prog = Analysis.Prog;
   RegSet AllRegs = RegSet::allBelow(NumIntRegs);
 

@@ -116,21 +116,16 @@ int runTool(int Argc, char **Argv) {
   }
 
   Opts.Verify = Verify;
-  LintResult Result;
-  if (BudgetOpts.any()) {
-    // Budget-degraded routines fall out of the analysis and surface as
-    // SL013 warnings; a budget degradation cannot fix leads to a
-    // structured error instead of a diagnostic list.
-    AnalysisOptions AOpts;
-    AOpts.Jobs = Opts.Jobs;
-    Expected<GovernedAnalysis> Governed = analyzeImageGoverned(
-        *Img, CallingConv(), AOpts, BudgetOpts.Budget, Faults.token());
-    if (!Governed)
-      return toolbudget::exitError(Governed.error());
-    Result = lintAnalysis(*Img, Governed->Result, Opts);
-  } else {
-    Result = lintImage(*Img, CallingConv(), Opts);
-  }
+  // Budget-degraded routines fall out of the analysis and surface as
+  // SL013 warnings; a budget degradation cannot fix leads to a
+  // structured error instead of a diagnostic list.
+  AnalysisOptions AOpts;
+  AOpts.Jobs = Opts.Jobs;
+  Expected<GovernedAnalysis> Governed = analyzeImageGoverned(
+      *Img, CallingConv(), AOpts, BudgetOpts.Budget, Faults.token());
+  if (!Governed)
+    return toolbudget::exitError(Governed.error());
+  LintResult Result = lintAnalysis(*Img, Governed->Result, Opts);
 
   bool VerifyFailed = false;
   if (Verify && !Result.hasErrors()) {

@@ -116,21 +116,16 @@ int runTool(int Argc, char **Argv) {
 
   AnalysisOptions AOpts;
   AOpts.Jobs = Jobs;
-  AnalysisResult Analysis;
-  if (BudgetOpts.any()) {
-    Expected<GovernedAnalysis> Governed = analyzeImageGoverned(
-        *Img, CallingConv(), AOpts, BudgetOpts.Budget, Faults.token());
-    if (!Governed)
-      return toolbudget::exitError(Governed.error());
-    Analysis = std::move(Governed->Result);
-    for (const std::string &Name : Governed->DegradedRoutines)
-      std::fprintf(stderr,
-                   "note: %s degraded to an unknowable summary; slices "
-                   "through it are conservative\n",
-                   Name.c_str());
-  } else {
-    Analysis = analyzeImage(*Img, CallingConv(), AOpts);
-  }
+  Expected<GovernedAnalysis> Governed = analyzeImageGoverned(
+      *Img, CallingConv(), AOpts, BudgetOpts.Budget, Faults.token());
+  if (!Governed)
+    return toolbudget::exitError(Governed.error());
+  AnalysisResult Analysis = std::move(Governed->Result);
+  for (const std::string &Name : Governed->DegradedRoutines)
+    std::fprintf(stderr,
+                 "note: %s degraded to an unknowable summary; slices "
+                 "through it are conservative\n",
+                 Name.c_str());
   const Program &Prog = Analysis.Prog;
 
   // The slice phases get their own governed attempt: a blow here has no
