@@ -72,7 +72,7 @@ int main(int Argc, char **Argv) {
               Result.Psg.Edges.size(),
               double(Result.Psg.Edges.size()) / double(Graph.numArcs()));
   std::printf("branch nodes:   %llu\n\n",
-              (unsigned long long)Result.Psg.NumBranchNodes);
+              (unsigned long long)Result.Psg.numBranchNodes());
 
   std::printf("-- cost --\n");
   std::printf("total dataflow time: %.3f s (measured with telemetry on)\n",

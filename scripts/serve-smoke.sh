@@ -19,8 +19,10 @@
 # so the server must take the incremental path ("full":false) and only
 # the routine's SCC group plus dependents may re-solve.  The patch
 # rebuilds its routine in place: the RunReport must show the patch's
-# per-routine spans (reanalyze/patch.validate, patch.cfg, patch.psg) and
-# no whole-program CFG or PSG build under reanalyze.
+# per-routine spans (reanalyze/patch.validate, patch.cfg, patch.psg),
+# the fresh build's regions under them (patch.cfg/cfg.routines,
+# patch.psg/psg.routines), and no whole-program CFG or PSG build under
+# reanalyze.
 #
 # Observability rides along: the session runs with --access-log and
 # --slow-ms=0, asserts one well-formed JSONL record per request, scrapes
@@ -146,8 +148,10 @@ if [ "$(phase_count lint)" != 2 ] || [ "$(phase_count lint/lint.control-flow)" !
   FAIL=1
 fi
 
-# The patch rebuilt one routine in place, never the whole program.
-for P in reanalyze/patch.validate reanalyze/patch.cfg reanalyze/patch.psg; do
+# The patch rebuilt one routine in place, never the whole program, and
+# through the same build regions a fresh build runs.
+for P in reanalyze/patch.validate reanalyze/patch.cfg reanalyze/patch.psg \
+    reanalyze/patch.cfg/cfg.routines reanalyze/patch.psg/psg.routines; do
   if [ "$(phase_count "$P")" != 1 ]; then
     echo "serve-smoke: RunReport phase $P count '$(phase_count "$P")', want 1" >&2
     FAIL=1

@@ -12,7 +12,6 @@
 #include <numeric>
 #include <span>
 #include <stdexcept>
-#include <type_traits>
 
 using namespace spike;
 
@@ -58,18 +57,19 @@ uint64_t branchTarget(const Program &Prog, uint64_t Address) {
   return uint64_t(int64_t(Address) + 1 + Prog.inst(Address).Imm);
 }
 
-/// Marks the leaders of healthy routine \p R in \p Leader (one flag per
-/// word of the routine, indexed from R.Begin) and returns the routine's
-/// block count: every block starts at a leader and every leader starts a
-/// block.
+/// Marks the leaders of healthy routine \p R, whose entrances are
+/// \p Entries, in \p Leader (one flag per word of the routine, indexed
+/// from R.Begin) and returns the routine's block count: every block
+/// starts at a leader and every leader starts a block.
 uint32_t markLeaders(const Program &Prog, const Routine &R,
+                     std::span<const uint64_t> Entries,
                      std::span<uint8_t> Leader) {
   auto Mark = [&](uint64_t Address) {
     if (Address >= R.Begin && Address < R.End)
       Leader[Address - R.Begin] = 1;
   };
   Leader[0] = 1;
-  for (uint64_t Entry : R.EntryAddresses)
+  for (uint64_t Entry : Entries)
     Mark(Entry);
   for (uint64_t Address = R.Begin; Address < R.End; ++Address) {
     const Instruction Inst = Prog.inst(Address);
@@ -111,29 +111,24 @@ struct LaneSegment {
   size_t Count = 0;
 };
 
-/// Returns routine \p R's slice of \p All, given the routine-order
-/// offsets \p Begin of every routine's slice.
-template <class T>
-std::span<T> sliceOf(std::vector<T> &All, const std::vector<uint32_t> &Begin,
-                     size_t R) {
-  return std::span(All).subspan(Begin[R], Begin[R + 1] - Begin[R]);
-}
-
-/// Builds the basic blocks of one healthy routine in place, in \p Blocks
-/// (its slice of Program::AllBlocks, or a list of its own), and its
-/// entrance blocks.  Successor lists go to the lane's Succs buffer: the
-/// routine's arc count is known only once they are deduplicated, so
-/// placeArcs packs them later.  Direct calls resolve against \p Scan's
-/// entrances when given, the program's otherwise.
+/// Builds the basic blocks of one healthy routine, whose entrances are
+/// \p Entries, in place in \p Blocks, its entrance blocks in
+/// \p EntryBlocks, and counts its branches in \p NumBranches.  Successor
+/// lists go to the lane's Succs buffer: the routine's arc count is known
+/// only once they are deduplicated, so placeArcs packs them later.
+/// Direct calls resolve against \p Scan's entrances when given, the
+/// program's otherwise.
 class RoutineBuilder {
 public:
-  RoutineBuilder(const Program &Prog, Routine &R, std::span<BasicBlock> Blocks,
-                 std::span<uint32_t> EntryBlocks,
+  RoutineBuilder(const Program &Prog, const Routine &R,
+                 std::span<const uint64_t> Entries,
+                 std::span<BasicBlock> Blocks, std::span<uint32_t> EntryBlocks,
                  std::span<const uint8_t> Leader, RoutineScratch &Scratch,
-                 const EntranceScan *Scan = nullptr)
-      : Prog(Prog), R(R), Blocks(Blocks), EntryBlocks(EntryBlocks),
-        Leader(Leader), BlockOfAddress(Scratch.BlockOfAddress),
-        Succs(Scratch.Succs), SuccBase(Scratch.Succs.size()), Scan(Scan) {}
+                 unsigned &NumBranches, const EntranceScan *Scan)
+      : Prog(Prog), R(R), Entries(Entries), Blocks(Blocks),
+        EntryBlocks(EntryBlocks), Leader(Leader),
+        BlockOfAddress(Scratch.BlockOfAddress), Succs(Scratch.Succs),
+        SuccBase(Scratch.Succs.size()), NumBranches(NumBranches), Scan(Scan) {}
 
   void run() {
     makeBlocks();
@@ -211,12 +206,12 @@ private:
           // A branch leaving the routine (e.g. a tail call) has unknown
           // register behaviour at this level; treat conservatively.
           Block.Term = TerminatorKind::UnresolvedJump;
-          ++R.NumBranches;
+          ++NumBranches;
           continue;
         }
         Block.Term = TerminatorKind::Branch;
         addSucc(Block, blockAt(Target));
-        ++R.NumBranches;
+        ++NumBranches;
         continue;
       }
 
@@ -224,14 +219,14 @@ private:
         uint64_t Target = branchTarget(Prog, Last);
         if (!inRoutine(Target)) {
           Block.Term = TerminatorKind::UnresolvedJump;
-          ++R.NumBranches;
+          ++NumBranches;
           continue;
         }
         Block.Term = TerminatorKind::CondBranch;
         addSucc(Block, blockAt(Target));
         if (HasFallThrough)
           addSucc(Block, blockAt(Block.End));
-        ++R.NumBranches;
+        ++NumBranches;
         continue;
       }
 
@@ -255,7 +250,7 @@ private:
           // degrade to an unresolved jump instead of indexing out of
           // bounds.
           Block.Term = TerminatorKind::UnresolvedJump;
-          ++R.NumBranches;
+          ++NumBranches;
           continue;
         }
         const JumpTableTargets &Table = Prog.JumpTables[TableIndex];
@@ -264,14 +259,14 @@ private:
           AllInRoutine &= inRoutine(Target);
         if (!AllInRoutine) {
           Block.Term = TerminatorKind::UnresolvedJump;
-          ++R.NumBranches;
+          ++NumBranches;
           continue;
         }
         Block.Term = TerminatorKind::TableJump;
         Block.JumpTableIndex = Term.Imm;
         for (uint64_t Target : Table.Targets)
           addSucc(Block, blockAt(Target));
-        ++R.NumBranches;
+        ++NumBranches;
         continue;
       }
 
@@ -286,8 +281,8 @@ private:
   }
 
   void indexEntries() {
-    for (size_t I = 0; I < R.EntryAddresses.size(); ++I) {
-      uint64_t Entry = R.EntryAddresses[I];
+    for (size_t I = 0; I < Entries.size(); ++I) {
+      uint64_t Entry = Entries[I];
       assert(Prog.numInsts() > Entry && inRoutine(Entry));
       // Entrances always start a block (they were marked as leaders).
       assert(Blocks[blockAt(Entry)].Begin == Entry &&
@@ -319,13 +314,15 @@ private:
   }
 
   const Program &Prog;
-  Routine &R;
+  const Routine &R;
+  std::span<const uint64_t> Entries;
   std::span<BasicBlock> Blocks;
   std::span<uint32_t> EntryBlocks;
   std::span<const uint8_t> Leader;
   std::vector<uint32_t> &BlockOfAddress;
   std::vector<uint32_t> &Succs;
   size_t SuccBase;
+  unsigned &NumBranches;
   const EntranceScan *Scan;
 };
 
@@ -426,33 +423,6 @@ void scanWords(const Program &Prog, std::span<const uint64_t> Words,
 const char *const ForcedReason = "quarantine forced by build options";
 const char *const BudgetReason = "analysis budget exceeded";
 
-/// Quarantines \p R for \p Reason unless an earlier cause already did.
-void quarantine(Routine &R, const std::string &Reason, DegradeReason Cause) {
-  if (R.Quarantined)
-    return;
-  R.Quarantined = true;
-  R.QuarantineReason = Reason;
-  R.Degrade = Cause;
-}
-
-/// Quarantines every routine whose name is in \p Names.  \p ByName
-/// lists the routine indices sorted by name, so each name costs one
-/// binary search however many names and routines there are.  Unknown
-/// names match nothing; a repeated name finds its routines already
-/// quarantined.
-void quarantineNamed(Program &Prog, const std::vector<uint32_t> &ByName,
-                     const std::vector<std::string> &Names,
-                     const std::string &Reason, DegradeReason Cause) {
-  for (const std::string &Name : Names) {
-    auto It = std::lower_bound(ByName.begin(), ByName.end(), Name,
-                               [&](uint32_t R, const std::string &Key) {
-                                 return Prog.Routines[R].Name < Key;
-                               });
-    for (; It != ByName.end() && Prog.Routines[*It].Name == Name; ++It)
-      quarantine(Prog.Routines[*It], Reason, Cause);
-  }
-}
-
 /// Models quarantined routine \p R like the paper's unknowable code
 /// (Section 3.5): one block spanning the whole routine, terminated by an
 /// unresolved jump, using and defining nothing we can rely on —
@@ -494,6 +464,19 @@ void forEachScheduleContainer(const Program &Prog, VisitFn Visit) {
          {&Sched->Members, &Sched->Levels, &Sched->GroupSucc})
       Visit(elementBytes(*Lists) + nestedElementBytes(*Lists));
   }
+}
+
+/// Calls \p Visit with each charge buildProgram makes for routine \p R,
+/// in order: its record with its entrance, exit and call lists, then
+/// each block with its arcs.
+template <class VisitFn>
+void forEachRoutineCharge(const Routine &R, VisitFn Visit) {
+  Visit(sizeof(Routine) + R.EntryAddresses.size() * sizeof(uint64_t) +
+        (R.EntryBlocks.size() + R.ExitBlocks.size() + R.CallBlocks.size()) *
+            sizeof(uint32_t));
+  for (uint32_t Block = 0; Block < R.Blocks.size(); ++Block)
+    Visit(sizeof(BasicBlock) +
+          (R.succs(Block).size() + R.preds(Block).size()) * sizeof(uint32_t));
 }
 
 /// Fills the DEF and UBD sets of a healthy routine's \p Blocks.
@@ -639,6 +622,12 @@ QuarantineState spike::quarantineState(const std::string &Name,
   return {};
 }
 
+CfgBuildOptions spike::sortedNames(CfgBuildOptions Options) {
+  std::sort(Options.ForceQuarantine.begin(), Options.ForceQuarantine.end());
+  std::sort(Options.BudgetDegrade.begin(), Options.BudgetDegrade.end());
+  return Options;
+}
+
 Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
                             MemoryTracker *Mem,
                             const CfgBuildOptions &Options,
@@ -667,29 +656,26 @@ Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
     R.AddressTaken = E.AddressTaken;
     Prog.Routines.push_back(std::move(R));
   }
+  size_t Count = Prog.Routines.size();
 
-  // Quarantine routines the validator attributed defects to, then those
-  // the caller forces (the fuzzer's soundness oracle), then those a
-  // blown budget degrades; the first cause's reason sticks.
+  // Each routine's quarantine: the first validation finding attributed to
+  // it, then the options.
+  std::vector<const std::string *> FirstFinding(Count, nullptr);
   for (const ValidationFinding &F : Prog.Validation.Findings) {
     if (!F.Quarantines || F.Address < 0)
       continue;
     int32_t RoutineIndex = findRoutineByAddress(Prog, uint64_t(F.Address));
-    if (RoutineIndex < 0)
-      continue;
-    quarantine(Prog.Routines[RoutineIndex], F.Message,
-               DegradeReason::Validation);
+    if (RoutineIndex >= 0 && !FirstFinding[RoutineIndex])
+      FirstFinding[RoutineIndex] = &F.Message;
   }
-  if (!Options.ForceQuarantine.empty() || !Options.BudgetDegrade.empty()) {
-    std::vector<uint32_t> ByName(Prog.Routines.size());
-    std::iota(ByName.begin(), ByName.end(), 0);
-    std::sort(ByName.begin(), ByName.end(), [&](uint32_t A, uint32_t B) {
-      return Prog.Routines[A].Name < Prog.Routines[B].Name;
-    });
-    quarantineNamed(Prog, ByName, Options.ForceQuarantine, ForcedReason,
-                    DegradeReason::Forced);
-    quarantineNamed(Prog, ByName, Options.BudgetDegrade, BudgetReason,
-                    DegradeReason::Budget);
+  CfgBuildOptions Sorted = sortedNames(Options);
+  for (size_t RoutineIndex = 0; RoutineIndex < Count; ++RoutineIndex) {
+    Routine &R = Prog.Routines[RoutineIndex];
+    QuarantineState Q =
+        quarantineState(R.Name, FirstFinding[RoutineIndex], Sorted);
+    R.Quarantined = Q.Quarantined;
+    R.Degrade = Q.Degrade;
+    R.QuarantineReason = std::move(Q.Reason);
   }
 
   // An address-taken secondary symbol makes its routine address-taken.
@@ -701,100 +687,17 @@ Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
       Prog.Routines[RoutineIndex].AddressTaken = true;
   }
 
-  size_t Count = Prog.Routines.size();
   EntranceScan Scan = scanEntrances(Img, Prog, Pool);
-  const std::vector<uint32_t> &EntryBegin = Scan.Begin;
-  Prog.AllEntryAddresses = std::move(Scan.Entries);
-  for (size_t RoutineIndex = 0; RoutineIndex < Count; ++RoutineIndex) {
-    Routine &R = Prog.Routines[RoutineIndex];
-    R.EntryAddresses =
-        sliceOf(Prog.AllEntryAddresses, EntryBegin, RoutineIndex);
-    R.CalledFromQuarantine = Scan.CalledFromQuarantine[RoutineIndex];
-  }
+  for (size_t RoutineIndex = 0; RoutineIndex < Count; ++RoutineIndex)
+    Prog.Routines[RoutineIndex].CalledFromQuarantine =
+        Scan.CalledFromQuarantine[RoutineIndex];
 
-  // Build the per-routine CFGs in three passes, each one task per
-  // routine that reads the instruction stream and the (now final)
-  // routine bounds and entrances, and writes only its own routine and
-  // its own slices of the program-wide arrays.  The serial steps between
-  // the passes size those arrays from the counts the pass before found,
-  // so every routine writes in place:
-  //   1. mark leaders and count each routine's blocks;
-  //   2. split and connect the blocks, index the entrances and resolve
-  //      the direct calls;
-  //   3. pack the arcs and list the exit and call blocks.
-  // A quarantined routine is one block (makeQuarantinedBlock).
-  std::vector<uint32_t> BlockBegin(Count + 1, 0);
-  {
-    std::vector<uint8_t> Leader(Prog.numInsts(), 0);
-    auto LeadersOf = [&](const Routine &R) {
-      return std::span(Leader).subspan(R.Begin, R.End - R.Begin);
-    };
-    {
-      telemetry::Span LeadersSpan("cfg.leaders");
-      forEachTask(Pool, Count, [&](size_t RoutineIndex, unsigned) {
-        const Routine &R = Prog.Routines[RoutineIndex];
-        BlockBegin[RoutineIndex + 1] =
-            R.Quarantined ? 1 : markLeaders(Prog, R, LeadersOf(R));
-      });
-    }
-    std::partial_sum(BlockBegin.begin(), BlockBegin.end(),
-                     BlockBegin.begin());
-    Prog.AllBlocks.resize(BlockBegin[Count]);
-    Prog.AllEntryBlocks.resize(Prog.AllEntryAddresses.size());
-
-    std::vector<RoutineScratch> Scratch(Pool ? Pool->jobs() : 1);
-    std::vector<LaneSegment> SuccSegments(Count);
-    std::vector<uint32_t> ArcBegin(Count + 1, 0), ExitBegin(Count + 1, 0),
-        CallBegin(Count + 1, 0);
-    {
-      telemetry::Span RoutinesSpan("cfg.routines");
-      forEachTask(Pool, Count, [&](size_t RoutineIndex, unsigned Lane) {
-        Routine &R = Prog.Routines[RoutineIndex];
-        std::span<BasicBlock> Blocks =
-            sliceOf(Prog.AllBlocks, BlockBegin, RoutineIndex);
-        std::span<uint32_t> EntryBlocks =
-            sliceOf(Prog.AllEntryBlocks, EntryBegin, RoutineIndex);
-        RoutineScratch &S = Scratch[Lane];
-        size_t SuccBase = S.Succs.size();
-        if (R.Quarantined)
-          makeQuarantinedBlock(R, Blocks[0]);
-        else
-          RoutineBuilder(Prog, R, Blocks, EntryBlocks, LeadersOf(R), S).run();
-        auto [NumExits, NumCalls] = countExitsAndCalls(Blocks);
-        SuccSegments[RoutineIndex] = {Lane, SuccBase,
-                                      S.Succs.size() - SuccBase};
-        ArcBegin[RoutineIndex + 1] = 2 * uint32_t(S.Succs.size() - SuccBase);
-        ExitBegin[RoutineIndex + 1] = NumExits;
-        CallBegin[RoutineIndex + 1] = NumCalls;
-        R.Blocks = Blocks;
-        R.EntryBlocks = EntryBlocks;
-      });
-    }
-    for (std::vector<uint32_t> *Begin : {&ArcBegin, &ExitBegin, &CallBegin})
-      std::partial_sum(Begin->begin(), Begin->end(), Begin->begin());
-    Prog.AllArcs.resize(ArcBegin[Count]);
-    Prog.AllExitBlocks.resize(ExitBegin[Count]);
-    Prog.AllCallBlocks.resize(CallBegin[Count]);
-    {
-      telemetry::Span ArcsSpan("cfg.arcs");
-      forEachTask(Pool, Count, [&](size_t RoutineIndex, unsigned) {
-        Routine &R = Prog.Routines[RoutineIndex];
-        const LaneSegment &Seg = SuccSegments[RoutineIndex];
-        std::span<uint32_t> Arcs = sliceOf(Prog.AllArcs, ArcBegin, RoutineIndex);
-        std::span<uint32_t> ExitBlocks =
-            sliceOf(Prog.AllExitBlocks, ExitBegin, RoutineIndex);
-        std::span<uint32_t> CallBlocks =
-            sliceOf(Prog.AllCallBlocks, CallBegin, RoutineIndex);
-        placeArcs(sliceOf(Prog.AllBlocks, BlockBegin, RoutineIndex),
-                  std::span<const uint32_t>(Scratch[Seg.Lane].Succs)
-                      .subspan(Seg.Begin, Seg.Count),
-                  Arcs, ExitBlocks, CallBlocks);
-        R.Arcs = Arcs;
-        R.ExitBlocks = ExitBlocks;
-        R.CallBlocks = CallBlocks;
-      });
-    }
-  }
+  // A fresh build is the rebuild of every routine, spliced into the empty
+  // program.
+  std::vector<uint32_t> Every(Count);
+  std::iota(Every.begin(), Every.end(), 0);
+  CfgLists Lists = buildCfgLists(Prog, Every, &Scan, Pool);
+  spliceCfgLists(Prog, Every, Lists);
 
   copyAnnotations(Prog, Img, 0, Prog.numInsts());
 
@@ -807,23 +710,12 @@ Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
   buildSchedules(Prog, Pool);
 
   // Charges stay serial and in routine order, so the Nth tracked
-  // allocation (--inject-fault alloc@N) is the same at every job count.
-  // Each routine charges its own record and slices of the six CFG
-  // arrays, one charge per block; the call graph and the schedules
-  // follow, one charge per container.  routineCfgBytes and
-  // scheduleBytes sum the same charges.
+  // allocation (--inject-fault alloc@N) is the same at every job count:
+  // each routine's (forEachRoutineCharge), then one per container of the
+  // call graph and the schedules.
   if (Mem) {
-    for (const Routine &R : Prog.Routines) {
-      Mem->charge(sizeof(Routine) +
-                  R.EntryAddresses.size() * sizeof(uint64_t) +
-                  (R.EntryBlocks.size() + R.ExitBlocks.size() +
-                   R.CallBlocks.size()) *
-                      sizeof(uint32_t));
-      for (uint32_t Block = 0; Block < R.Blocks.size(); ++Block)
-        Mem->charge(sizeof(BasicBlock) +
-                    (R.succs(Block).size() + R.preds(Block).size()) *
-                        sizeof(uint32_t));
-    }
+    for (const Routine &R : Prog.Routines)
+      forEachRoutineCharge(R, [&](size_t Bytes) { Mem->charge(Bytes); });
     forEachScheduleContainer(Prog, [&](size_t Bytes) { Mem->charge(Bytes); });
   }
 
@@ -836,6 +728,156 @@ Program spike::buildProgram(const Image &Img, const CallingConv &Conv,
   }
 
   return Prog;
+}
+
+CfgLists spike::buildCfgLists(const Program &Prog,
+                              std::span<const uint32_t> Routines,
+                              const EntranceScan *Scan, ThreadPool *Pool) {
+  // Build the lists in three passes, each one task per routine that reads
+  // the instruction stream and the routine's bounds, flags and entrances,
+  // and writes only its own lists.  The serial steps between the passes
+  // size the lists from the counts the pass before found, so every
+  // routine writes in place:
+  //   1. mark leaders and count each routine's blocks;
+  //   2. split and connect the blocks, index the entrances and resolve
+  //      the direct calls;
+  //   3. pack the arcs and list the exit and call blocks.
+  // A quarantined routine is one block (makeQuarantinedBlock).
+  size_t Count = Routines.size();
+  CfgLists L;
+  // Open zeroes a list set's counts; Close sums them to offsets and
+  // sizes the items.
+  auto Open = [&](auto &Lists) { Lists.Begin.assign(Count + 1, 0); };
+  auto Close = [&](auto &Lists) {
+    std::partial_sum(Lists.Begin.begin(), Lists.Begin.end(),
+                     Lists.Begin.begin());
+    Lists.Items.resize(Lists.Begin[Count]);
+  };
+  auto EntriesOf = [&](size_t I) {
+    return Scan ? Scan->entries(Routines[I])
+                : Prog.Routines[Routines[I]].EntryAddresses;
+  };
+  // The entrances, and where each routine's words sit in Leader.
+  std::vector<uint32_t> WordBegin(Count + 1, 0);
+  Open(L.EntryAddresses);
+  for (size_t I = 0; I < Count; ++I) {
+    const Routine &R = Prog.Routines[Routines[I]];
+    WordBegin[I + 1] = WordBegin[I] + uint32_t(R.End - R.Begin);
+    L.EntryAddresses.Begin[I + 1] = uint32_t(EntriesOf(I).size());
+  }
+  Close(L.EntryAddresses);
+  for (size_t I = 0; I < Count; ++I)
+    std::ranges::copy(EntriesOf(I), L.EntryAddresses.list(I).begin());
+  L.EntryBlocks.Begin = L.EntryAddresses.Begin;
+  L.EntryBlocks.Items.resize(L.EntryAddresses.Items.size());
+  L.NumBranches.assign(Count, 0);
+
+  std::vector<uint8_t> Leader(WordBegin[Count], 0);
+  auto LeadersOf = [&](size_t I) {
+    return std::span(Leader).subspan(WordBegin[I],
+                                     WordBegin[I + 1] - WordBegin[I]);
+  };
+  Open(L.Blocks);
+  {
+    telemetry::Span LeadersSpan("cfg.leaders");
+    forEachTask(Pool, Count, [&](size_t I, unsigned) {
+      const Routine &R = Prog.Routines[Routines[I]];
+      L.Blocks.Begin[I + 1] =
+          R.Quarantined ? 1
+                        : markLeaders(Prog, R, L.EntryAddresses.list(I),
+                                      LeadersOf(I));
+    });
+  }
+  Close(L.Blocks);
+
+  std::vector<RoutineScratch> Scratch(Pool ? Pool->jobs() : 1);
+  std::vector<LaneSegment> SuccSegments(Count);
+  Open(L.Arcs);
+  Open(L.ExitBlocks);
+  Open(L.CallBlocks);
+  {
+    telemetry::Span RoutinesSpan("cfg.routines");
+    forEachTask(Pool, Count, [&](size_t I, unsigned Lane) {
+      const Routine &R = Prog.Routines[Routines[I]];
+      std::span<BasicBlock> Blocks = L.Blocks.list(I);
+      RoutineScratch &S = Scratch[Lane];
+      size_t SuccBase = S.Succs.size();
+      if (R.Quarantined)
+        makeQuarantinedBlock(R, Blocks[0]);
+      else
+        RoutineBuilder(Prog, R, L.EntryAddresses.list(I), Blocks,
+                       L.EntryBlocks.list(I), LeadersOf(I), S,
+                       L.NumBranches[I], Scan)
+            .run();
+      auto [NumExits, NumCalls] = countExitsAndCalls(Blocks);
+      SuccSegments[I] = {Lane, SuccBase, S.Succs.size() - SuccBase};
+      L.Arcs.Begin[I + 1] = 2 * uint32_t(S.Succs.size() - SuccBase);
+      L.ExitBlocks.Begin[I + 1] = NumExits;
+      L.CallBlocks.Begin[I + 1] = NumCalls;
+    });
+  }
+  Close(L.Arcs);
+  Close(L.ExitBlocks);
+  Close(L.CallBlocks);
+  {
+    telemetry::Span ArcsSpan("cfg.arcs");
+    forEachTask(Pool, Count, [&](size_t I, unsigned) {
+      const LaneSegment &Seg = SuccSegments[I];
+      placeArcs(L.Blocks.list(I),
+                std::span<const uint32_t>(Scratch[Seg.Lane].Succs)
+                    .subspan(Seg.Begin, Seg.Count),
+                L.Arcs.list(I), L.ExitBlocks.list(I), L.CallBlocks.list(I));
+    });
+  }
+  return L;
+}
+
+namespace {
+
+/// Swaps \p Lists, built for \p Routines, with those routines' lists
+/// \p Member in \p All, then re-points every routine's Member: each list
+/// starts where the previous routine's ends.
+template <class T>
+void spliceList(Program &Prog, std::span<const uint32_t> Routines,
+                std::span<const T> Routine::*Member, std::vector<T> &All,
+                FlatLists<T> &Lists) {
+  std::vector<Slice> Slices;
+  Slices.reserve(Routines.size());
+  for (uint32_t R : Routines) {
+    std::span<const T> Old = Prog.Routines[R].*Member;
+    Slices.push_back({size_t(Old.data() - All.data()), Old.size()});
+  }
+  std::vector<uint32_t> NewBegin = Lists.Begin;
+  swapSlices(All, Slices, Lists.Items, Lists.Begin);
+  size_t Pos = 0, Next = 0;
+  for (uint32_t R = 0; R < Prog.Routines.size(); ++R) {
+    std::span<const T> &List = Prog.Routines[R].*Member;
+    size_t Count = List.size();
+    if (Next < Routines.size() && Routines[Next] == R) {
+      Count = NewBegin[Next + 1] - NewBegin[Next];
+      ++Next;
+    }
+    List = std::span<const T>(All).subspan(Pos, Count);
+    Pos += Count;
+  }
+}
+
+} // namespace
+
+void spike::spliceCfgLists(Program &Prog, std::span<const uint32_t> Routines,
+                           CfgLists &Lists) {
+  spliceList(Prog, Routines, &Routine::Blocks, Prog.AllBlocks, Lists.Blocks);
+  spliceList(Prog, Routines, &Routine::Arcs, Prog.AllArcs, Lists.Arcs);
+  spliceList(Prog, Routines, &Routine::EntryAddresses, Prog.AllEntryAddresses,
+             Lists.EntryAddresses);
+  spliceList(Prog, Routines, &Routine::EntryBlocks, Prog.AllEntryBlocks,
+             Lists.EntryBlocks);
+  spliceList(Prog, Routines, &Routine::ExitBlocks, Prog.AllExitBlocks,
+             Lists.ExitBlocks);
+  spliceList(Prog, Routines, &Routine::CallBlocks, Prog.AllCallBlocks,
+             Lists.CallBlocks);
+  for (size_t I = 0; I < Routines.size(); ++I)
+    std::swap(Prog.Routines[Routines[I]].NumBranches, Lists.NumBranches[I]);
 }
 
 void spike::copyAnnotations(Program &Prog, const Image &Img, uint64_t Begin,
@@ -877,108 +919,10 @@ void spike::buildSchedules(Program &Prog, ThreadPool *Pool) {
   });
 }
 
-RoutineCfg spike::buildRoutineCfg(const Program &Prog, const Routine &Record,
-                                  const EntranceScan *Scan) {
-  RoutineCfg Cfg;
-  Cfg.EntryAddresses.assign(Record.EntryAddresses.begin(),
-                            Record.EntryAddresses.end());
-  Routine R = Record;
-  R.EntryAddresses = Cfg.EntryAddresses;
-  R.NumBranches = 0;
-  Cfg.EntryBlocks.assign(Cfg.EntryAddresses.size(), 0);
-  RoutineScratch S;
-  if (R.Quarantined) {
-    Cfg.Blocks.resize(1);
-    makeQuarantinedBlock(R, Cfg.Blocks[0]);
-  } else {
-    std::vector<uint8_t> Leader(R.End - R.Begin, 0);
-    Cfg.Blocks.resize(markLeaders(Prog, R, Leader));
-    RoutineBuilder(Prog, R, Cfg.Blocks, Cfg.EntryBlocks, Leader, S, Scan)
-        .run();
-  }
-  auto [NumExits, NumCalls] = countExitsAndCalls(Cfg.Blocks);
-  Cfg.Arcs.resize(2 * S.Succs.size());
-  Cfg.ExitBlocks.resize(NumExits);
-  Cfg.CallBlocks.resize(NumCalls);
-  placeArcs(Cfg.Blocks, S.Succs, Cfg.Arcs, Cfg.ExitBlocks, Cfg.CallBlocks);
-  if (!R.Quarantined)
-    computeBlockSets(Prog, Cfg.Blocks);
-  Cfg.NumBranches = R.NumBranches;
-  return Cfg;
-}
-
-void spike::spliceRoutineCfgs(
-    Program &Prog, std::vector<std::pair<uint32_t, RoutineCfg>> &Cfgs) {
-  // Where each list sits, taken before any array moves, and how long the
-  // lists swapped in are.
-  struct Lists {
-    size_t Blocks, Arcs, Entries, EntryBlocks, Exits, Calls;
-  };
-  std::vector<Lists> Sizes;
-  std::vector<SliceSwap<BasicBlock>> Blocks;
-  std::vector<SliceSwap<uint32_t>> Arcs, EntryBlocks, Exits, Calls;
-  std::vector<SliceSwap<uint64_t>> Entries;
-  auto Slice = [](auto Span, auto &All, auto &List) {
-    return SliceSwap<typename std::decay_t<decltype(All)>::value_type>{
-        size_t(Span.data() - All.data()), Span.size(), &List};
-  };
-  for (auto &[Index, Cfg] : Cfgs) {
-    const Routine &R = Prog.Routines[Index];
-    Sizes.push_back({Cfg.Blocks.size(), Cfg.Arcs.size(),
-                     Cfg.EntryAddresses.size(), Cfg.EntryBlocks.size(),
-                     Cfg.ExitBlocks.size(), Cfg.CallBlocks.size()});
-    Blocks.push_back(Slice(R.Blocks, Prog.AllBlocks, Cfg.Blocks));
-    Arcs.push_back(Slice(R.Arcs, Prog.AllArcs, Cfg.Arcs));
-    Entries.push_back(
-        Slice(R.EntryAddresses, Prog.AllEntryAddresses, Cfg.EntryAddresses));
-    EntryBlocks.push_back(
-        Slice(R.EntryBlocks, Prog.AllEntryBlocks, Cfg.EntryBlocks));
-    Exits.push_back(Slice(R.ExitBlocks, Prog.AllExitBlocks, Cfg.ExitBlocks));
-    Calls.push_back(Slice(R.CallBlocks, Prog.AllCallBlocks, Cfg.CallBlocks));
-  }
-  swapSlices(Prog.AllBlocks, Blocks);
-  swapSlices(Prog.AllArcs, Arcs);
-  swapSlices(Prog.AllEntryAddresses, Entries);
-  swapSlices(Prog.AllEntryBlocks, EntryBlocks);
-  swapSlices(Prog.AllExitBlocks, Exits);
-  swapSlices(Prog.AllCallBlocks, Calls);
-  for (auto &[Index, Cfg] : Cfgs)
-    std::swap(Prog.Routines[Index].NumBranches, Cfg.NumBranches);
-  // Every routine's lists start where the previous routine's end.
-  Lists Next{};
-  size_t Swapped = 0;
-  for (uint32_t Index = 0; Index < Prog.Routines.size(); ++Index) {
-    Routine &R = Prog.Routines[Index];
-    Lists Size{R.Blocks.size(),      R.Arcs.size(),
-               R.EntryAddresses.size(), R.EntryBlocks.size(),
-               R.ExitBlocks.size(),  R.CallBlocks.size()};
-    if (Swapped < Cfgs.size() && Cfgs[Swapped].first == Index)
-      Size = Sizes[Swapped++];
-    R.Blocks = std::span(Prog.AllBlocks).subspan(Next.Blocks, Size.Blocks);
-    R.Arcs = std::span(Prog.AllArcs).subspan(Next.Arcs, Size.Arcs);
-    R.EntryAddresses = std::span(Prog.AllEntryAddresses)
-                           .subspan(Next.Entries, Size.Entries);
-    R.EntryBlocks = std::span(Prog.AllEntryBlocks)
-                        .subspan(Next.EntryBlocks, Size.EntryBlocks);
-    R.ExitBlocks =
-        std::span(Prog.AllExitBlocks).subspan(Next.Exits, Size.Exits);
-    R.CallBlocks =
-        std::span(Prog.AllCallBlocks).subspan(Next.Calls, Size.Calls);
-    Next.Blocks += Size.Blocks;
-    Next.Arcs += Size.Arcs;
-    Next.Entries += Size.Entries;
-    Next.EntryBlocks += Size.EntryBlocks;
-    Next.Exits += Size.Exits;
-    Next.Calls += Size.Calls;
-  }
-}
-
 uint64_t spike::routineCfgBytes(const Routine &R) {
-  return sizeof(Routine) + R.EntryAddresses.size() * sizeof(uint64_t) +
-         (R.EntryBlocks.size() + R.ExitBlocks.size() + R.CallBlocks.size() +
-          R.Arcs.size()) *
-             sizeof(uint32_t) +
-         R.Blocks.size() * sizeof(BasicBlock);
+  uint64_t Bytes = 0;
+  forEachRoutineCharge(R, [&](size_t Charge) { Bytes += Charge; });
+  return Bytes;
 }
 
 uint64_t spike::scheduleBytes(const Program &Prog) {
@@ -989,9 +933,10 @@ uint64_t spike::scheduleBytes(const Program &Prog) {
   return Bytes;
 }
 
-void spike::computeDefUbd(Program &Prog, ThreadPool *Pool) {
-  forEachTask(Pool, Prog.Routines.size(), [&](size_t RoutineIndex, unsigned) {
-    const Routine &R = Prog.Routines[RoutineIndex];
+void spike::computeDefUbd(Program &Prog, std::span<const uint32_t> Routines,
+                          ThreadPool *Pool) {
+  forEachTask(Pool, Routines.size(), [&](size_t I, unsigned) {
+    const Routine &R = Prog.Routines[Routines[I]];
     // Quarantined routines keep their hand-set worst-case sets (empty
     // DEF, all-registers UBD); recomputing from the placeholder-decoded
     // garbage would be unsound.
@@ -1002,4 +947,10 @@ void spike::computeDefUbd(Program &Prog, ThreadPool *Pool) {
                                size_t(R.Blocks.data() - Prog.AllBlocks.data()),
                                R.Blocks.size()));
   });
+}
+
+void spike::computeDefUbd(Program &Prog, ThreadPool *Pool) {
+  std::vector<uint32_t> Every(Prog.Routines.size());
+  std::iota(Every.begin(), Every.end(), 0);
+  computeDefUbd(Prog, Every, Pool);
 }

@@ -23,6 +23,13 @@
 ///     (exactly how Section 3.5 treats unknowable code) instead of
 ///     rejecting the whole image.
 ///
+/// Routines build one way.  buildCfgLists builds the CFG lists of a
+/// routine subset back to back, one task per routine, and
+/// spliceCfgLists swaps them into the program's arrays; buildProgram
+/// builds every routine and splices into an empty program, and an
+/// in-place re-analysis (interproc/Incremental.h) builds the routines a
+/// patch reaches and splices them over their old lists.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPIKE_CFG_CFGBUILDER_H
@@ -31,6 +38,7 @@
 #include "binary/Image.h"
 #include "cfg/Program.h"
 #include "support/MemoryTracker.h"
+#include "support/Splice.h"
 
 namespace spike {
 
@@ -88,15 +96,16 @@ Program buildProgram(const Image &&Img, const CallingConv &Conv,
 /// independent, so \p Pool (when non-null) runs one task per routine.
 void computeDefUbd(Program &Prog, ThreadPool *Pool = nullptr);
 
+/// computeDefUbd for \p Routines alone.
+void computeDefUbd(Program &Prog, std::span<const uint32_t> Routines,
+                   ThreadPool *Pool);
+
 /// Returns the index of the routine containing \p Address, or -1.
 int32_t findRoutineByAddress(const Program &Prog, uint64_t Address);
 
 /// Per-block flags for blocks reachable from any entrance of \p R by
 /// intra-routine CFG arcs.
 std::vector<bool> reachableBlocks(const Routine &R);
-
-// The pieces an in-place re-analysis (interproc/Incremental.h) rebuilds
-// one routine with, shared with buildProgram.
 
 /// Every routine's entrances, as the code and the routines' quarantine
 /// imply them: the primary, secondary symbols, and every direct call's
@@ -134,39 +143,44 @@ struct QuarantineState {
   bool operator==(const QuarantineState &) const = default;
 };
 
-/// The quarantine buildProgram gives the routine named \p Name under
-/// \p Sorted (its name lists sorted), when \p ValidationReason is the
-/// message of the first validation finding that quarantines it (null if
-/// none): the first cause wins, validation before forced before budget.
+/// The quarantine of the routine named \p Name under \p Sorted (its
+/// name lists sorted), when \p ValidationReason is the message of the
+/// first validation finding that quarantines it (null if none): the
+/// first cause wins, validation before forced before budget.
 QuarantineState quarantineState(const std::string &Name,
                                 const std::string *ValidationReason,
                                 const CfgBuildOptions &Sorted);
 
-/// One routine's six CFG lists and branch count, outside any Program.
-struct RoutineCfg {
-  std::vector<BasicBlock> Blocks;
-  std::vector<uint32_t> Arcs;
-  std::vector<uint64_t> EntryAddresses;
-  std::vector<uint32_t> EntryBlocks;
-  std::vector<uint32_t> ExitBlocks;
-  std::vector<uint32_t> CallBlocks;
-  unsigned NumBranches = 0;
+/// \p Options with its name lists sorted, as quarantineState reads them.
+CfgBuildOptions sortedNames(CfgBuildOptions Options);
+
+/// The six CFG lists of a routine subset, each back to back in subset
+/// order (block indices in them are routine-local), and each routine's
+/// Routine::NumBranches.
+struct CfgLists {
+  FlatLists<BasicBlock> Blocks;
+  FlatLists<uint32_t> Arcs;
+  FlatLists<uint64_t> EntryAddresses;
+  FlatLists<uint32_t> EntryBlocks;
+  FlatLists<uint32_t> ExitBlocks;
+  FlatLists<uint32_t> CallBlocks;
+  std::vector<unsigned> NumBranches;
 };
 
-/// Builds the CFG lists, DEF/UBD included, that buildProgram would give
-/// a routine with \p Record's bounds, entrances and quarantine, from
-/// \p Prog's code.  Direct calls resolve against \p Scan's entrances
-/// when given, \p Prog's otherwise.  Prog is left as it was.
-RoutineCfg buildRoutineCfg(const Program &Prog, const Routine &Record,
-                           const EntranceScan *Scan = nullptr);
+/// Builds the CFG lists of \p Routines, ascending, from \p Prog's code,
+/// bounds and quarantine flags, one task per routine on \p Pool.  Each
+/// routine's entrances, and the entrances its direct calls resolve
+/// against, are \p Scan's when given and \p Prog's otherwise.  DEF/UBD
+/// are left for computeDefUbd.
+CfgLists buildCfgLists(const Program &Prog, std::span<const uint32_t> Routines,
+                       const EntranceScan *Scan, ThreadPool *Pool = nullptr);
 
-/// Swaps each (routine, lists) pair's lists with the routine's slices of
-/// \p Prog's six arrays, and its NumBranches, shifting the slices of
-/// later routines, then re-points every routine's spans.  \p Cfgs is in
-/// ascending routine order; afterwards it holds the replaced lists, so a
-/// second call with it puts them back.
-void spliceRoutineCfgs(Program &Prog,
-                       std::vector<std::pair<uint32_t, RoutineCfg>> &Cfgs);
+/// Swaps \p Lists, built for \p Routines, with those routines' lists in
+/// \p Prog's six arrays, and their NumBranches, shifting the lists of
+/// later routines, then re-points every routine's spans.  Afterwards
+/// \p Lists holds the replaced lists, so a second call puts them back.
+void spliceCfgLists(Program &Prog, std::span<const uint32_t> Routines,
+                    CfgLists &Lists);
 
 /// Replaces \p Prog's Section 3.5 annotations at addresses [Begin, End)
 /// with \p Img's usable ones there: those on the matching instruction

@@ -81,42 +81,33 @@ callsOf(std::span<const BasicBlock> Blocks,
   return {std::move(Callees), Indirect};
 }
 
-/// The edges of routine \p R in \p Psg.
-uint32_t edgeCount(const ProgramSummaryGraph &Psg, uint32_t R) {
-  uint32_t End = R + 2 < Psg.RoutineNodeBegin.size()
-                     ? Psg.Nodes[Psg.RoutineNodeBegin[R + 1]].FirstOut
-                     : uint32_t(Psg.Edges.size());
-  return End - Psg.Nodes[Psg.RoutineNodeBegin[R]].FirstOut;
-}
-
-/// The bytes buildPsg charges for routine \p R's nodes and edges.
-uint64_t segmentBytes(uint64_t Nodes, uint64_t Edges) {
-  return Nodes * sizeof(PsgNode) + Edges * (sizeof(PsgEdge) + sizeof(uint32_t));
-}
-
-/// True when rebuilt routine \p R, whose old lists and segment are
-/// \p Old and \p OldSeg, left every id the linkage CSRs hold where it
+/// True when rebuilt routine \p R, list \p I of the replaced lists
+/// \p Old and \p OldPsg, left every id the linkage CSRs hold where it
 /// was: the same node and edge counts, entrances and exits, the same
 /// call sites calling the same entrances, and each call-return edge at
 /// the same offset.
 bool sameLinkage(const Program &Prog, const ProgramSummaryGraph &Psg,
-                 uint32_t R, const RoutineCfg &Old, const PsgSegment &OldSeg) {
+                 uint32_t R, const CfgLists &Old, const PsgLists &OldPsg,
+                 size_t I) {
   const Routine &New = Prog.Routines[R];
   uint32_t NodeBase = Psg.RoutineNodeBegin[R];
-  if (Psg.RoutineNodeBegin[R + 1] - NodeBase != OldSeg.Nodes.size() ||
-      edgeCount(Psg, R) != OldSeg.Edges.size() ||
-      New.EntryAddresses.size() != Old.EntryAddresses.size() ||
-      New.ExitBlocks.size() != Old.ExitBlocks.size() ||
-      New.CallBlocks.size() != Old.CallBlocks.size())
+  std::span<const PsgNode> OldNodes = OldPsg.Nodes.list(I);
+  std::span<const BasicBlock> OldBlocks = Old.Blocks.list(I);
+  std::span<const uint32_t> OldCalls = Old.CallBlocks.list(I);
+  if (Psg.RoutineNodeBegin[R + 1] - NodeBase != OldNodes.size() ||
+      Psg.routineEdges(R).size() != OldPsg.Edges.list(I).size() ||
+      New.EntryAddresses.size() != Old.EntryAddresses.list(I).size() ||
+      New.ExitBlocks.size() != Old.ExitBlocks.list(I).size() ||
+      New.CallBlocks.size() != OldCalls.size())
     return false;
-  uint32_t EdgeBase = Psg.Nodes[NodeBase].FirstOut;
+  uint32_t EdgeBase = *Psg.routineEdges(R).begin();
   for (uint32_t C = 0; C < New.CallBlocks.size(); ++C) {
-    const BasicBlock &A = Old.Blocks[Old.CallBlocks[C]];
+    const BasicBlock &A = OldBlocks[OldCalls[C]];
     const BasicBlock &B = New.Blocks[New.CallBlocks[C]];
     uint32_t Local = Psg.callNode(Prog, R, C) - NodeBase;
     if (A.Term != B.Term || A.CalleeRoutine != B.CalleeRoutine ||
         A.CalleeEntry != B.CalleeEntry ||
-        OldSeg.Nodes[Local].FirstOut !=
+        OldNodes[Local].FirstOut - OldPsg.FirstEdge[I] !=
             Psg.Nodes[NodeBase + Local].FirstOut - EdgeBase)
       return false;
   }
@@ -158,9 +149,7 @@ IncrementalOutcome spike::reanalyzeIncremental(Image &Img, uint32_t Patched,
   // routine's validation findings can change (revalidateRoutine), so the
   // other routines keep their validation cause and the options decide
   // the rest.
-  CfgBuildOptions Sorted = Opts.Cfg;
-  std::sort(Sorted.ForceQuarantine.begin(), Sorted.ForceQuarantine.end());
-  std::sort(Sorted.BudgetDegrade.begin(), Sorted.BudgetDegrade.end());
+  CfgBuildOptions Sorted = sortedNames(Opts.Cfg);
   const bool WordsChanged =
       !std::equal(Words.begin(), Words.end(), Img.Code.begin() + Begin);
   std::vector<std::pair<uint32_t, QuarantineState>> Moves;
@@ -191,10 +180,10 @@ IncrementalOutcome spike::reanalyzeIncremental(Image &Img, uint32_t Patched,
   std::vector<uint8_t> Rebuilt(NumRoutines, 0);
   std::vector<std::pair<uint32_t, RecordFlags>> OldFlags;
   std::vector<uint32_t> Routines;
-  std::vector<std::pair<uint32_t, RoutineCfg>> Cfgs;
+  CfgLists Cfgs;
   std::vector<AnnotationSlice> OldAnnotations;
   std::vector<std::pair<uint32_t, RegSet>> OldSaved;
-  std::vector<std::pair<uint32_t, PsgSegment>> Segments;
+  PsgLists Psgs;
   // The call graph, the schedules and the linkage CSRs are functions of
   // the program and the graph's layout: a rollback rebuilds them rather
   // than keeping the old ones.
@@ -303,18 +292,12 @@ IncrementalOutcome spike::reanalyzeIncremental(Image &Img, uint32_t Patched,
     uint64_t CfgBytes = A.CfgBytes;
     {
       telemetry::Span CfgSpan("patch.cfg");
-      Cfgs.resize(Routines.size());
-      forEachTask(&Pool, Routines.size(), [&](size_t I, unsigned) {
-        uint32_t R = Routines[I];
-        Routine Record = Prog.Routines[R];
-        if (Scan)
-          Record.EntryAddresses = Scan->entries(R);
-        Cfgs[I] = {R, buildRoutineCfg(Prog, Record, Scan ? &*Scan : nullptr)};
-      });
+      Cfgs = buildCfgLists(Prog, Routines, Scan ? &*Scan : nullptr, &Pool);
       for (uint32_t R : Routines)
         CfgBytes -= routineCfgBytes(Prog.Routines[R]);
-      spliceRoutineCfgs(Prog, Cfgs);
-      Undo.push([&] { spliceRoutineCfgs(Prog, Cfgs); });
+      spliceCfgLists(Prog, Routines, Cfgs);
+      Undo.push([&] { spliceCfgLists(Prog, Routines, Cfgs); });
+      computeDefUbd(Prog, Routines, &Pool);
       for (uint32_t R : Routines)
         CfgBytes += routineCfgBytes(Prog.Routines[R]);
 
@@ -359,9 +342,8 @@ IncrementalOutcome spike::reanalyzeIncremental(Image &Img, uint32_t Patched,
       bool Changed = false;
       for (size_t I = 0; I < Routines.size() && !Changed; ++I) {
         const Routine &New = Prog.Routines[Routines[I]];
-        const RoutineCfg &Old = Cfgs[I].second;
         const RecordFlags &Flags = OldFlags[I].second;
-        Changed = callsOf(Old.Blocks, Old.CallBlocks) !=
+        Changed = callsOf(Cfgs.Blocks.list(I), Cfgs.CallBlocks.list(I)) !=
                       callsOf(New.Blocks, New.CallBlocks) ||
                   Flags.Quarantine.Quarantined != New.Quarantined ||
                   Flags.CalledFromQuarantine != New.CalledFromQuarantine;
@@ -379,27 +361,21 @@ IncrementalOutcome spike::reanalyzeIncremental(Image &Img, uint32_t Patched,
     uint64_t PsgBytes = A.PsgBytes;
     {
       telemetry::Span PsgSpan("patch.psg");
-      std::vector<PsgSegment> Built =
-          buildPsgSegments(Prog, Routines, Opts.Psg, &Pool);
-      for (size_t I = 0; I < Routines.size(); ++I) {
-        uint32_t R = Routines[I];
-        PsgBytes += segmentBytes(Built[I].Nodes.size(), Built[I].Edges.size());
-        PsgBytes -= segmentBytes(
-            Psg.RoutineNodeBegin[R + 1] - Psg.RoutineNodeBegin[R],
-            edgeCount(Psg, R));
-        Segments.push_back({R, std::move(Built[I])});
-      }
-      splicePsgSegments(Psg, Segments);
-      Undo.push([&] { splicePsgSegments(Psg, Segments); });
+      Psgs = buildPsgLists(Prog, Routines, Opts.Psg, &Pool);
+      for (uint32_t R : Routines)
+        PsgBytes -= routinePsgBytes(Psg, R);
+      splicePsgLists(Psg, Routines, Psgs);
+      Undo.push([&] { splicePsgLists(Psg, Routines, Psgs); });
+      for (uint32_t R : Routines)
+        PsgBytes += routinePsgBytes(Psg, R);
 
       bool Relink = false;
       for (size_t I = 0; I < Routines.size() && !Relink; ++I)
-        Relink = !sameLinkage(Prog, Psg, Routines[I], Cfgs[I].second,
-                              Segments[I].second);
+        Relink = !sameLinkage(Prog, Psg, Routines[I], Cfgs, Psgs, I);
       if (Relink) {
         PsgBytes -= psgIndexBytes(Psg);
         Relinked = true;
-        rebuildLinkage(Prog, Psg, &Pool);
+        rebuildLinkage(Prog, Psg);
         PsgBytes += psgIndexBytes(Psg);
       }
     }
@@ -421,9 +397,9 @@ IncrementalOutcome spike::reanalyzeIncremental(Image &Img, uint32_t Patched,
     // new-graph walk would notice.
     for (size_t I = 0; I < Routines.size(); ++I) {
       const Routine &New = Prog.Routines[Routines[I]];
-      const RoutineCfg &Old = Cfgs[I].second;
-      for (uint32_t Block : Old.CallBlocks)
-        if (int32_t Callee = Old.Blocks[Block].CalleeRoutine; Callee >= 0)
+      std::span<const BasicBlock> OldBlocks = Cfgs.Blocks.list(I);
+      for (uint32_t Block : Cfgs.CallBlocks.list(I))
+        if (int32_t Callee = OldBlocks[Block].CalleeRoutine; Callee >= 0)
           CalleeSeeds[uint32_t(Callee)] = 1;
       for (uint32_t Block : New.CallBlocks)
         if (int32_t Callee = New.Blocks[Block].CalleeRoutine; Callee >= 0)
@@ -454,7 +430,7 @@ IncrementalOutcome spike::reanalyzeIncremental(Image &Img, uint32_t Patched,
     if (GraphChanged)
       buildSchedules(Prog, &Pool);
     if (Relinked)
-      rebuildLinkage(Prog, Psg, &Pool);
+      rebuildLinkage(Prog, Psg);
     throw;
   }
 

@@ -15,13 +15,16 @@
 /// and, through entrances and quarantine, rarely a few more.
 /// reanalyzeIncremental writes the words into the image and rebuilds
 /// only what they reach: validation and quarantine of the patched
-/// routine, then the CFG lists, DEF/UBD, save set and PSG segment of
-/// every routine whose CFG inputs moved — the patched routine, routines
-/// whose entrances, call targets or quarantine it changes, and every
-/// routine when the opaque-quarantine flag flips — spliced into the
-/// program's and the graph's arrays with later ids shifted.  The call
-/// graph and schedules are rebuilt only when calls or quarantine
-/// changed, the linkage CSRs only when an id they hold moved.  Both
+/// routine, then the CFG lists, DEF/UBD, save set and PSG nodes and
+/// edges of every routine whose CFG inputs moved — the patched routine,
+/// routines whose entrances, call targets or quarantine it changes, and
+/// every routine when the opaque-quarantine flag flips.  It builds them
+/// with the fresh build's own builders (buildCfgLists, buildPsgLists)
+/// and splices them over their old lists with later ids shifted, as a
+/// fresh build splices every routine into an empty program and graph.
+/// The call graph and schedules are rebuilt only when calls or
+/// quarantine changed, the linkage CSRs only when an id they hold
+/// moved.  Both
 /// phases then re-solve in place (PhaseReuse, psg/PsgSolver.h): SCC
 /// groups outside the dirty frontier keep their values, groups on it
 /// iterate exactly as a fresh solve would and extend the frontier to
@@ -39,11 +42,11 @@
 /// the routine partition by construction, so there is no full-solve
 /// fallback; a `load` of another image analyzes it fresh.
 ///
-/// Every change is journaled — the routine's old words, the replaced CFG
-/// lists and PSG segments, the structures rebuilt, and the node values
-/// and labels each dirty group overwrites — so a re-analysis that throws
-/// (a blown budget, governed runs) leaves the image and the result
-/// exactly as they were before the call.
+/// Every change is journaled — the routine's old words, the CFG and PSG
+/// lists the splices swapped out, the structures rebuilt, and the node
+/// values and labels each dirty group overwrites — so a re-analysis that
+/// throws (a blown budget, governed runs) leaves the image and the
+/// result exactly as they were before the call.
 ///
 //===----------------------------------------------------------------------===//
 

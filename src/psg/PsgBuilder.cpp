@@ -13,8 +13,6 @@
 #include <cassert>
 #include <numeric>
 #include <span>
-#include <tuple>
-#include <utility>
 
 using namespace spike;
 
@@ -78,7 +76,6 @@ struct BuildScratch {
   uint32_t Epoch = 0;
 
   std::vector<PsgEdge> Edges;
-  uint64_t NumBranchNodes = 0;
   /// Worklist pops of the Figure 6 label solves.
   uint64_t LabelPops = 0;
 };
@@ -163,10 +160,8 @@ private:
     for (uint32_t Block = 0; Block < R.Blocks.size(); ++Block) {
       switch (R.Blocks[Block].Term) {
       case TerminatorKind::TableJump:
-        if (Opts.UseBranchNodes) {
+        if (Opts.UseBranchNodes)
           S.SinkNodeOfBlock[Block] = newNode(PsgNodeKind::Branch, Block);
-          ++S.NumBranchNodes;
-        }
         break;
       case TerminatorKind::UnresolvedJump:
         S.SinkNodeOfBlock[Block] = newNode(PsgNodeKind::Unknown, Block);
@@ -419,14 +414,13 @@ struct CallLink {
   uint32_t NumExits = 0;
 };
 
-/// Fills \p Links with one record per call site of routine
-/// \p RoutineIndex, in call-site order.  Reads only the routine's own
-/// nodes and its callees' node ranges, so routines can link in parallel.
+/// Appends to \p Links one record per call site of routine
+/// \p RoutineIndex, in call-site order.
 void linkCalls(const Program &Prog, const ProgramSummaryGraph &Psg,
-               uint32_t RoutineIndex, CallLink *Links) {
+               uint32_t RoutineIndex, std::vector<CallLink> &Links) {
   const Routine &R = Prog.Routines[RoutineIndex];
   for (uint32_t CallIndex = 0; CallIndex < R.CallBlocks.size(); ++CallIndex) {
-    CallLink &Link = Links[CallIndex];
+    CallLink &Link = Links.emplace_back();
     uint32_t CallNode = Psg.callNode(Prog, RoutineIndex, CallIndex);
     Link.Return = CallNode + 1;
     const BasicBlock &Block = R.Blocks[R.CallBlocks[CallIndex]];
@@ -510,14 +504,6 @@ indexesOf(const ProgramSummaryGraph &Psg) {
           &Psg.AddressTakenExitNodes};
 }
 
-/// The call sites before each routine's, CSR-style.
-std::vector<uint32_t> routineCallBegins(const Program &Prog) {
-  std::vector<uint32_t> Begin(Prog.Routines.size() + 1, 0);
-  for (size_t R = 0; R < Prog.Routines.size(); ++R)
-    Begin[R + 1] = Begin[R] + uint32_t(Prog.Routines[R].CallBlocks.size());
-  return Begin;
-}
-
 /// Adds \p NodeDelta to every node id and \p EdgeDelta to every edge id
 /// of one routine's \p Nodes, \p Edges and \p InEdgeIds (modulo 2^32, so
 /// a "negative" delta moves ids down).
@@ -536,138 +522,48 @@ void shiftIds(std::span<PsgNode> Nodes, std::span<PsgEdge> Edges,
     Id += EdgeDelta;
 }
 
-/// Counts \p Nodes' branch nodes and \p Edges' flow-summary edges (those
-/// not leaving a call node; \p Nodes holds every source).
-std::pair<uint64_t, uint64_t> countBranchesAndFlows(
-    std::span<const PsgNode> Nodes, std::span<const PsgEdge> Edges,
-    uint32_t NodeBase) {
-  uint64_t Branches = 0, Flows = 0;
-  for (const PsgNode &Node : Nodes)
-    Branches += Node.Kind == PsgNodeKind::Branch;
-  for (const PsgEdge &Edge : Edges)
-    Flows += Nodes[Edge.Src - NodeBase].Kind != PsgNodeKind::Call;
-  return {Branches, Flows};
-}
-
 } // namespace
 
 ProgramSummaryGraph spike::buildPsg(const Program &Prog,
                                     const PsgBuildOptions &Opts,
                                     MemoryTracker *Mem, ThreadPool *Pool) {
   telemetry::Span BuildSpan("psg.build");
-  ProgramSummaryGraph Psg;
   size_t Count = Prog.Routines.size();
 
-  // Each routine's node count follows from its CFG, so the node id
-  // ranges are fixed up front and every routine writes its nodes in
-  // place.
+  // A fresh build is the rebuild of every routine, spliced into the
+  // empty graph.
+  std::vector<uint32_t> Every(Count);
+  std::iota(Every.begin(), Every.end(), 0);
+  PsgLists Lists = buildPsgLists(Prog, Every, Opts, Pool);
+  ProgramSummaryGraph Psg;
   Psg.RoutineNodeBegin.assign(Count + 1, 0);
-  {
-    telemetry::Span CountSpan("psg.count");
-    forEachTask(Pool, Count, [&](size_t RoutineIndex, unsigned) {
-      Psg.RoutineNodeBegin[RoutineIndex + 1] =
-          countNodes(Prog.Routines[RoutineIndex], Opts);
-    });
-  }
-  for (size_t RoutineIndex = 0; RoutineIndex < Count; ++RoutineIndex)
-    Psg.RoutineNodeBegin[RoutineIndex + 1] +=
-        Psg.RoutineNodeBegin[RoutineIndex];
-  Psg.Nodes.resize(Psg.RoutineNodeBegin[Count]);
-
-  // The expensive part — edge discovery and the Figure 6 subgraph
-  // dataflow — runs one task per routine.  Edges land in per-lane
-  // buffers, each routine's already in source-node order.
-  std::vector<BuildScratch> Scratch(Pool ? Pool->jobs() : 1);
-  std::vector<EdgeSegment> Segments(Count);
-  {
-    telemetry::Span RoutinesSpan("psg.routines");
-    forEachTask(Pool, Count, [&](size_t RoutineIndex, unsigned Lane) {
-      BuildScratch &S = Scratch[Lane];
-      size_t Begin = S.Edges.size();
-      uint32_t FirstNode = Psg.RoutineNodeBegin[RoutineIndex];
-      RoutinePsgBuilder(Prog, uint32_t(RoutineIndex), Opts,
-                        std::span(Psg.Nodes).subspan(
-                            FirstNode,
-                            Psg.RoutineNodeBegin[RoutineIndex + 1] - FirstNode),
-                        FirstNode, S)
-          .run();
-      Segments[RoutineIndex] = {Lane, Begin, S.Edges.size() - Begin};
-    });
-  }
-
-  // Routine node ranges ascend, so placing the segments in routine order
-  // yields the edge array sorted by source node: the CSR order.  No edge
-  // crosses routines, so a routine's edges are exactly the in-edges of
-  // its nodes too, and each routine fills both CSR indexes of its own
-  // id ranges: every node's FirstOut and FirstIn, which also end the
-  // previous node's ranges.  Each routine also records, per call site, what the
-  // linkage CSRs need, so the serial counting sort below reads one array
-  // in order instead of chasing callee directories.
-  std::vector<uint32_t> RoutineEdgeBegin(Count + 1, 0);
-  for (size_t RoutineIndex = 0; RoutineIndex < Count; ++RoutineIndex)
-    RoutineEdgeBegin[RoutineIndex + 1] =
-        RoutineEdgeBegin[RoutineIndex] +
-        uint32_t(Segments[RoutineIndex].Count);
-  std::vector<uint32_t> RoutineCallBegin = routineCallBegins(Prog);
-  Psg.Edges.resize(RoutineEdgeBegin[Count]);
-  Psg.InEdgeIds.resize(Psg.Edges.size());
-  std::vector<CallLink> Links(RoutineCallBegin[Count]);
-  {
-    telemetry::Span IndexSpan("psg.index");
-    forEachTask(Pool, Count, [&](size_t RoutineIndex, unsigned) {
-      const EdgeSegment &Seg = Segments[RoutineIndex];
-      const uint32_t First = RoutineEdgeBegin[RoutineIndex];
-      const uint32_t Last = RoutineEdgeBegin[RoutineIndex + 1];
-      const uint32_t FirstNode = Psg.RoutineNodeBegin[RoutineIndex];
-      const uint32_t LastNode = Psg.RoutineNodeBegin[RoutineIndex + 1];
-      const std::vector<PsgEdge> &LaneEdges = Scratch[Seg.Lane].Edges;
-      std::copy(LaneEdges.begin() + Seg.Begin,
-                LaneEdges.begin() + Seg.Begin + Seg.Count,
-                Psg.Edges.begin() + First);
-      indexEdges(std::span(Psg.Nodes).subspan(FirstNode, LastNode - FirstNode),
-                 std::span(Psg.Edges).subspan(First, Last - First),
-                 std::span(Psg.InEdgeIds).subspan(First, Last - First),
-                 FirstNode, First);
-      linkCalls(Prog, Psg, uint32_t(RoutineIndex),
-                Links.data() + RoutineCallBegin[RoutineIndex]);
-    });
-  }
-  uint64_t LabelPops = 0;
-  for (const BuildScratch &S : Scratch) {
-    Psg.NumBranchNodes += S.NumBranchNodes;
-    LabelPops += S.LabelPops;
-  }
-  Scratch.clear(); // Frees the lane buffers before the linkage grows.
-  // Every call site has exactly one call-return edge.
-  Psg.NumFlowSummaryEdges = Psg.Edges.size() - RoutineCallBegin[Count];
-  fillLinkage(Prog, Psg, Links);
+  splicePsgLists(Psg, Every, Lists);
+  rebuildLinkage(Prog, Psg);
 
   // Charges stay serial and in routine order (see buildProgram): each
   // routine charges its nodes, edges and in-edge ids, then the indexes
   // follow, one charge per container.
   if (Mem) {
-    for (size_t RoutineIndex = 0; RoutineIndex < Count; ++RoutineIndex)
-      Mem->charge((Psg.RoutineNodeBegin[RoutineIndex + 1] -
-                   Psg.RoutineNodeBegin[RoutineIndex]) *
-                      sizeof(PsgNode) +
-                  (RoutineEdgeBegin[RoutineIndex + 1] -
-                   RoutineEdgeBegin[RoutineIndex]) *
-                      (sizeof(PsgEdge) + sizeof(uint32_t)));
+    for (uint32_t RoutineIndex = 0; RoutineIndex < Count; ++RoutineIndex)
+      Mem->charge(routinePsgBytes(Psg, RoutineIndex));
     for (const std::vector<uint32_t> *Index : indexesOf(Psg))
       Mem->charge(elementBytes(*Index));
   }
 
   if (telemetry::active()) {
-    telemetry::count("psg.nodes", Psg.Nodes.size());
-    telemetry::count("psg.edges", Psg.Edges.size());
-    telemetry::count("psg.flow_summary_edges", Psg.NumFlowSummaryEdges);
-    telemetry::count("psg.call_return_edges",
-                     Psg.Edges.size() - Psg.NumFlowSummaryEdges);
-    telemetry::count("psg.branch_nodes", Psg.NumBranchNodes);
-    telemetry::count("psg.label_pops", LabelPops);
     uint64_t ByKind[7] = {};
     for (const PsgNode &Node : Psg.Nodes)
       ++ByKind[unsigned(Node.Kind)];
+    // Every call node has exactly its call-return edge.
+    uint64_t CallReturnEdges = ByKind[unsigned(PsgNodeKind::Call)];
+    telemetry::count("psg.nodes", Psg.Nodes.size());
+    telemetry::count("psg.edges", Psg.Edges.size());
+    telemetry::count("psg.flow_summary_edges",
+                     Psg.Edges.size() - CallReturnEdges);
+    telemetry::count("psg.call_return_edges", CallReturnEdges);
+    telemetry::count("psg.branch_nodes",
+                     ByKind[unsigned(PsgNodeKind::Branch)]);
+    telemetry::count("psg.label_pops", Lists.LabelPops);
     for (unsigned K = 0; K < 7; ++K)
       telemetry::count(std::string("psg.nodes.") +
                            psgNodeKindName(PsgNodeKind(K)),
@@ -677,89 +573,136 @@ ProgramSummaryGraph spike::buildPsg(const Program &Prog,
   return Psg;
 }
 
-std::vector<PsgSegment>
-spike::buildPsgSegments(const Program &Prog, std::span<const uint32_t> Routines,
-                        const PsgBuildOptions &Opts, ThreadPool *Pool) {
-  std::vector<PsgSegment> Segments(Routines.size());
+PsgLists spike::buildPsgLists(const Program &Prog,
+                              std::span<const uint32_t> Routines,
+                              const PsgBuildOptions &Opts, ThreadPool *Pool) {
+  size_t Count = Routines.size();
+  PsgLists L;
+
+  // Each routine's node count follows from its CFG, so the node id
+  // ranges are fixed up front and every routine writes its nodes in
+  // place.
+  L.Nodes.Begin.assign(Count + 1, 0);
+  {
+    telemetry::Span CountSpan("psg.count");
+    forEachTask(Pool, Count, [&](size_t I, unsigned) {
+      L.Nodes.Begin[I + 1] = countNodes(Prog.Routines[Routines[I]], Opts);
+    });
+  }
+  std::partial_sum(L.Nodes.Begin.begin(), L.Nodes.Begin.end(),
+                   L.Nodes.Begin.begin());
+  L.Nodes.Items.resize(L.Nodes.Begin[Count]);
+
+  // The expensive part — edge discovery and the Figure 6 subgraph
+  // dataflow — runs one task per routine.  Edges land in per-lane
+  // buffers, each routine's already in source-node order.
   std::vector<BuildScratch> Scratch(Pool ? Pool->jobs() : 1);
-  forEachTask(Pool, Routines.size(), [&](size_t I, unsigned Lane) {
-    BuildScratch &S = Scratch[Lane];
-    PsgSegment &Seg = Segments[I];
-    Seg.Nodes.resize(countNodes(Prog.Routines[Routines[I]], Opts));
-    S.Edges.clear();
-    RoutinePsgBuilder(Prog, Routines[I], Opts, Seg.Nodes, /*Base=*/0, S)
-        .run();
-    Seg.Edges = S.Edges;
-    Seg.InEdgeIds.resize(Seg.Edges.size());
-    indexEdges(Seg.Nodes, Seg.Edges, Seg.InEdgeIds, 0, 0);
-  });
-  return Segments;
+  std::vector<EdgeSegment> Segments(Count);
+  {
+    telemetry::Span RoutinesSpan("psg.routines");
+    forEachTask(Pool, Count, [&](size_t I, unsigned Lane) {
+      BuildScratch &S = Scratch[Lane];
+      size_t Begin = S.Edges.size();
+      RoutinePsgBuilder(Prog, Routines[I], Opts, L.Nodes.list(I),
+                        L.Nodes.Begin[I], S)
+          .run();
+      Segments[I] = {Lane, Begin, S.Edges.size() - Begin};
+    });
+  }
+
+  // Node ranges ascend, so placing the segments in subset order yields
+  // the edges sorted by source node: the CSR order.  No edge crosses
+  // routines, so a routine's edges are exactly the in-edges of its nodes
+  // too, and each routine fills both CSR indexes of its own id ranges:
+  // every node's FirstOut and FirstIn, which also end the previous
+  // node's ranges.
+  L.Edges.Begin.assign(Count + 1, 0);
+  for (size_t I = 0; I < Count; ++I)
+    L.Edges.Begin[I + 1] = L.Edges.Begin[I] + uint32_t(Segments[I].Count);
+  L.Edges.Items.resize(L.Edges.Begin[Count]);
+  L.InEdgeIds.Begin = L.Edges.Begin;
+  L.InEdgeIds.Items.resize(L.Edges.Items.size());
+  {
+    telemetry::Span IndexSpan("psg.index");
+    forEachTask(Pool, Count, [&](size_t I, unsigned) {
+      const EdgeSegment &Seg = Segments[I];
+      const std::vector<PsgEdge> &LaneEdges = Scratch[Seg.Lane].Edges;
+      std::copy(LaneEdges.begin() + Seg.Begin,
+                LaneEdges.begin() + Seg.Begin + Seg.Count,
+                L.Edges.list(I).begin());
+      indexEdges(L.Nodes.list(I), L.Edges.list(I), L.InEdgeIds.list(I),
+                 L.Nodes.Begin[I], L.Edges.Begin[I]);
+    });
+  }
+  for (const BuildScratch &S : Scratch)
+    L.LabelPops += S.LabelPops;
+  L.FirstNode.assign(L.Nodes.Begin.begin(), L.Nodes.Begin.end() - 1);
+  L.FirstEdge.assign(L.Edges.Begin.begin(), L.Edges.Begin.end() - 1);
+  return L;
 }
 
-void spike::splicePsgSegments(
-    ProgramSummaryGraph &Psg,
-    std::vector<std::pair<uint32_t, PsgSegment>> &Segments) {
-  if (Segments.empty())
+void spike::splicePsgLists(ProgramSummaryGraph &Psg,
+                           std::span<const uint32_t> Routines,
+                           PsgLists &Lists) {
+  if (Routines.empty())
     return;
   std::vector<uint32_t> &NodeBegin = Psg.RoutineNodeBegin;
   uint32_t NumRoutines = uint32_t(NodeBegin.size() - 1);
-  // Every routine has at least its primary entry node, so a routine's
-  // edges start at its first node's FirstOut.  Take the edge bounds of
-  // every routine from the first spliced one on before anything moves.
-  uint32_t First = Segments.front().first;
+  // The edge bounds of every routine from the first spliced one on,
+  // taken before anything moves.
+  uint32_t First = Routines.front();
   std::vector<uint32_t> EdgeBegin(NumRoutines + 1 - First);
   for (uint32_t R = First; R < NumRoutines; ++R)
-    EdgeBegin[R - First] = Psg.Nodes[NodeBegin[R]].FirstOut;
+    EdgeBegin[R - First] = *Psg.routineEdges(R).begin();
   EdgeBegin.back() = uint32_t(Psg.Edges.size());
   auto OldEdges = [&](uint32_t R) {
-    return std::pair(EdgeBegin[R - First],
-                     EdgeBegin[R + 1 - First] - EdgeBegin[R - First]);
+    return Slice{EdgeBegin[R - First],
+                 EdgeBegin[R + 1 - First] - EdgeBegin[R - First]};
   };
 
-  // Swap the slices.  The swapped-out slices are made routine-relative on
-  // the way out; the swapped-in ones stay relative until the walk below
-  // places them.
-  std::vector<std::pair<uint32_t, uint32_t>> NewCounts;
-  std::vector<SliceSwap<PsgNode>> Nodes;
-  std::vector<SliceSwap<PsgEdge>> Edges;
-  std::vector<SliceSwap<uint32_t>> InEdges;
-  for (auto &[R, Seg] : Segments) {
-    NewCounts.push_back({uint32_t(Seg.Nodes.size()), uint32_t(Seg.Edges.size())});
-    auto [EdgeBase, EdgeCount] = OldEdges(R);
-    Nodes.push_back({NodeBegin[R], NodeBegin[R + 1] - NodeBegin[R], &Seg.Nodes});
-    Edges.push_back({EdgeBase, EdgeCount, &Seg.Edges});
-    InEdges.push_back({EdgeBase, EdgeCount, &Seg.InEdgeIds});
-    auto [Branches, Flows] = countBranchesAndFlows(Seg.Nodes, Seg.Edges, 0);
-    Psg.NumBranchNodes += Branches;
-    Psg.NumFlowSummaryEdges += Flows;
+  // Swap the slices.  Both sides keep their ids: the swapped-out lists
+  // record the ids their first node and edge carry, and only the walk
+  // below shifts the graph's.
+  struct Incoming {
+    uint32_t Nodes, Edges, FirstNode, FirstEdge;
+  };
+  std::vector<Incoming> In;
+  std::vector<Slice> NodeSlices, EdgeSlices;
+  In.reserve(Routines.size());
+  NodeSlices.reserve(Routines.size());
+  EdgeSlices.reserve(Routines.size());
+  for (size_t I = 0; I < Routines.size(); ++I) {
+    uint32_t R = Routines[I];
+    In.push_back({uint32_t(Lists.Nodes.list(I).size()),
+                  uint32_t(Lists.Edges.list(I).size()), Lists.FirstNode[I],
+                  Lists.FirstEdge[I]});
+    NodeSlices.push_back({NodeBegin[R], NodeBegin[R + 1] - NodeBegin[R]});
+    EdgeSlices.push_back(OldEdges(R));
+    Lists.FirstNode[I] = NodeBegin[R];
+    Lists.FirstEdge[I] = EdgeBegin[R - First];
   }
-  swapSlices(Psg.Nodes, Nodes);
-  swapSlices(Psg.Edges, Edges);
-  swapSlices(Psg.InEdgeIds, InEdges);
-  for (auto &[R, Seg] : Segments) {
-    shiftIds(Seg.Nodes, Seg.Edges, Seg.InEdgeIds, 0u - NodeBegin[R],
-             0u - OldEdges(R).first);
-    auto [Branches, Flows] = countBranchesAndFlows(Seg.Nodes, Seg.Edges, 0);
-    Psg.NumBranchNodes -= Branches;
-    Psg.NumFlowSummaryEdges -= Flows;
-  }
+  swapSlices(Psg.Nodes, NodeSlices, Lists.Nodes.Items, Lists.Nodes.Begin);
+  swapSlices(Psg.Edges, EdgeSlices, Lists.Edges.Items, Lists.Edges.Begin);
+  swapSlices(Psg.InEdgeIds, EdgeSlices, Lists.InEdgeIds.Items,
+             Lists.InEdgeIds.Begin);
 
   // Walk the routines from the first spliced one: each starts where the
-  // previous one ends.  A spliced routine's relative ids become absolute;
-  // a kept routine's ids shift by how far its slices moved.
+  // previous one ends, and its ids shift by how far they are from there.
   uint32_t NodeBase = NodeBegin[First], EdgeBase = EdgeBegin[0];
   size_t Next = 0;
   for (uint32_t R = First; R < NumRoutines; ++R) {
     uint32_t NodeCount, EdgeCount, NodeDelta, EdgeDelta;
-    if (Next < Segments.size() && Segments[Next].first == R) {
-      std::tie(NodeCount, EdgeCount) = NewCounts[Next++];
-      NodeDelta = NodeBase;
-      EdgeDelta = EdgeBase;
+    if (Next < Routines.size() && Routines[Next] == R) {
+      const Incoming &List = In[Next++];
+      NodeCount = List.Nodes;
+      EdgeCount = List.Edges;
+      NodeDelta = NodeBase - List.FirstNode;
+      EdgeDelta = EdgeBase - List.FirstEdge;
     } else {
       NodeCount = NodeBegin[R + 1] - NodeBegin[R];
-      EdgeCount = OldEdges(R).second;
+      EdgeCount = uint32_t(OldEdges(R).Count);
       NodeDelta = NodeBase - NodeBegin[R];
-      EdgeDelta = EdgeBase - OldEdges(R).first;
+      EdgeDelta = EdgeBase - uint32_t(OldEdges(R).Pos);
     }
     NodeBegin[R] = NodeBase;
     if (NodeDelta || EdgeDelta)
@@ -773,16 +716,20 @@ void spike::splicePsgSegments(
   NodeBegin[NumRoutines] = NodeBase;
 }
 
-void spike::rebuildLinkage(const Program &Prog, ProgramSummaryGraph &Psg,
-                           ThreadPool *Pool) {
-  std::vector<uint32_t> CallBegin = routineCallBegins(Prog);
-  std::vector<CallLink> Links(CallBegin.back());
-  forEachTask(Pool, Prog.Routines.size(), [&](size_t R, unsigned) {
-    linkCalls(Prog, Psg, uint32_t(R), Links.data() + CallBegin[R]);
-  });
+void spike::rebuildLinkage(const Program &Prog, ProgramSummaryGraph &Psg) {
+  std::vector<CallLink> Links;
+  Links.reserve(Prog.AllCallBlocks.size());
+  for (uint32_t R = 0; R < Prog.Routines.size(); ++R)
+    linkCalls(Prog, Psg, R, Links);
   Psg.IndirectReturnNodes.clear();
   Psg.AddressTakenExitNodes.clear();
   fillLinkage(Prog, Psg, Links);
+}
+
+uint64_t spike::routinePsgBytes(const ProgramSummaryGraph &Psg, uint32_t R) {
+  return (Psg.RoutineNodeBegin[R + 1] - Psg.RoutineNodeBegin[R]) *
+             sizeof(PsgNode) +
+         Psg.routineEdges(R).size() * (sizeof(PsgEdge) + sizeof(uint32_t));
 }
 
 uint64_t spike::psgIndexBytes(const ProgramSummaryGraph &Psg) {

@@ -13,6 +13,13 @@
 ///
 /// DEF/UBD sets must have been computed (computeDefUbd) before building.
 ///
+/// Routines build one way, as in the CFG builder: buildPsgLists builds
+/// the nodes and edges of a routine subset back to back, one task per
+/// routine, and splicePsgLists swaps them into the graph.  buildPsg
+/// builds every routine and splices into an empty graph; an in-place
+/// re-analysis (interproc/Incremental.h) builds the routines a patch
+/// reaches and splices them over their old nodes and edges.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPIKE_PSG_PSGBUILDER_H
@@ -20,9 +27,9 @@
 
 #include "psg/PsgGraph.h"
 #include "support/MemoryTracker.h"
+#include "support/Splice.h"
 
 #include <span>
-#include <utility>
 #include <vector>
 
 namespace spike {
@@ -48,37 +55,44 @@ ProgramSummaryGraph buildPsg(const Program &Prog,
                              MemoryTracker *Mem = nullptr,
                              ThreadPool *Pool = nullptr);
 
-/// One routine's nodes, edges and in-edge ids with routine-relative ids:
-/// node ids count from the routine's first node, edge ids (FirstOut,
-/// FirstIn, InEdgeIds) from its first edge.  Node values and labels are
-/// what the builder leaves (the solver phases initialize them).
-struct PsgSegment {
-  std::vector<PsgNode> Nodes;
-  std::vector<PsgEdge> Edges;
-  std::vector<uint32_t> InEdgeIds;
+/// The nodes, edges and in-edge ids of a routine subset, each back to
+/// back in subset order.  Routine I's first node carries the id
+/// FirstNode[I] and its first edge FirstEdge[I]; its other ids count up
+/// from those.  Node values and labels are what the builder leaves (the
+/// solver phases initialize them).
+struct PsgLists {
+  FlatLists<PsgNode> Nodes;
+  FlatLists<PsgEdge> Edges;
+  FlatLists<uint32_t> InEdgeIds;
+  std::vector<uint32_t> FirstNode;
+  std::vector<uint32_t> FirstEdge;
+  /// Worklist pops of the Figure 6 label solves.
+  uint64_t LabelPops = 0;
 };
 
-/// Builds the segments buildPsg would give \p Routines of \p Prog, one
-/// task per routine on \p Pool.
-std::vector<PsgSegment> buildPsgSegments(const Program &Prog,
-                                         std::span<const uint32_t> Routines,
-                                         const PsgBuildOptions &Opts = {},
-                                         ThreadPool *Pool = nullptr);
+/// Builds the lists of \p Routines, ascending, of \p Prog, one task per
+/// routine on \p Pool.  Ids count from each list's offset.
+PsgLists buildPsgLists(const Program &Prog, std::span<const uint32_t> Routines,
+                       const PsgBuildOptions &Opts = {},
+                       ThreadPool *Pool = nullptr);
 
-/// Swaps each (routine, segment) pair into \p Psg in place of the
-/// routine's nodes and edges, shifting every later routine's ids, and
-/// keeps RoutineNodeBegin, NumBranchNodes and NumFlowSummaryEdges in
-/// step; splicing keeps the node-order contract.  \p Segments is in
-/// ascending routine order; afterwards it holds the replaced segments, so
-/// a second call with it puts them back.  The linkage CSRs are left
-/// alone: rebuildLinkage them when a node or edge id they hold moved.
-void splicePsgSegments(ProgramSummaryGraph &Psg,
-                       std::vector<std::pair<uint32_t, PsgSegment>> &Segments);
+/// Swaps \p Lists, built for \p Routines, with those routines' nodes and
+/// edges in \p Psg, and shifts the ids of every routine from the first
+/// spliced one on to where its slices now sit, keeping RoutineNodeBegin
+/// and the node-order contract.  Afterwards \p Lists holds the replaced
+/// lists, with the ids they had, so a second call puts them back.  The
+/// linkage CSRs are left alone: rebuildLinkage them when a node or edge
+/// id they hold moved.
+void splicePsgLists(ProgramSummaryGraph &Psg,
+                    std::span<const uint32_t> Routines, PsgLists &Lists);
 
 /// Rebuilds \p Psg's linkage CSRs, IndirectReturnNodes and
-/// AddressTakenExitNodes from its nodes and edges and \p Prog's calls.
-void rebuildLinkage(const Program &Prog, ProgramSummaryGraph &Psg,
-                    ThreadPool *Pool = nullptr);
+/// AddressTakenExitNodes from its nodes and edges and \p Prog's calls,
+/// in one serial pass.
+void rebuildLinkage(const Program &Prog, ProgramSummaryGraph &Psg);
+
+/// The bytes buildPsg charges for routine \p R's nodes and edges.
+uint64_t routinePsgBytes(const ProgramSummaryGraph &Psg, uint32_t R);
 
 /// The bytes buildPsg charges for \p Psg's indexes: every container
 /// besides the nodes, edges and in-edge ids.

@@ -48,6 +48,7 @@
 #include "dataflow/FlowSets.h"
 #include "support/RegSet.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <ranges>
 #include <span>
@@ -115,8 +116,9 @@ struct PsgEdge {
 static_assert(sizeof(PsgNode) == 56, "PsgNode layout changed");
 static_assert(sizeof(PsgEdge) == 32, "PsgEdge layout changed");
 
-/// A range of consecutive node ids.
+/// A range of consecutive node or edge ids.
 using NodeIdRange = std::ranges::iota_view<uint32_t, uint32_t>;
+using EdgeIdRange = NodeIdRange;
 
 /// The whole-program summary graph.
 struct ProgramSummaryGraph {
@@ -150,11 +152,20 @@ struct ProgramSummaryGraph {
   /// Exit node ids of address-taken routines.
   std::vector<uint32_t> AddressTakenExitNodes;
 
-  /// Number of flow-summary edges (Edges.size() minus call-return edges).
-  uint64_t NumFlowSummaryEdges = 0;
+  /// Number of flow-summary edges: every edge but the call-return edge
+  /// of each call node.
+  uint64_t numFlowSummaryEdges() const {
+    return Edges.size() - countNodes(PsgNodeKind::Call);
+  }
 
   /// Number of branch nodes inserted (Table 4's node increase).
-  uint64_t NumBranchNodes = 0;
+  uint64_t numBranchNodes() const { return countNodes(PsgNodeKind::Branch); }
+
+  /// Returns the ids of routine \p R's edges.  No edge crosses routines,
+  /// so they are the out-edges of its nodes and the in-edges too.
+  EdgeIdRange routineEdges(uint32_t R) const {
+    return {edgeBegin(RoutineNodeBegin[R]), edgeBegin(RoutineNodeBegin[R + 1])};
+  }
 
   /// Returns the out-edges of \p NodeId.
   std::span<const PsgEdge> outEdges(uint32_t NodeId) const {
@@ -208,13 +219,19 @@ struct ProgramSummaryGraph {
   }
 
 private:
-  uint32_t outEnd(uint32_t NodeId) const {
-    return NodeId + 1 < Nodes.size() ? Nodes[NodeId + 1].FirstOut
-                                     : uint32_t(Edges.size());
+  /// Where node \p NodeId's out-edges begin; past the last node, the end
+  /// of the edges.
+  uint32_t edgeBegin(uint32_t NodeId) const {
+    return NodeId < Nodes.size() ? Nodes[NodeId].FirstOut
+                                 : uint32_t(Edges.size());
   }
+  uint32_t outEnd(uint32_t NodeId) const { return edgeBegin(NodeId + 1); }
   uint32_t inEnd(uint32_t NodeId) const {
     return NodeId + 1 < Nodes.size() ? Nodes[NodeId + 1].FirstIn
                                      : uint32_t(InEdgeIds.size());
+  }
+  uint64_t countNodes(PsgNodeKind Kind) const {
+    return uint64_t(std::ranges::count(Nodes, Kind, &PsgNode::Kind));
   }
 };
 

@@ -11,6 +11,7 @@
 #include "provenance/Witness.h"
 #include "slice/Slicer.h"
 #include "support/BuildInfo.h"
+#include "support/ParseUnsigned.h"
 #include "telemetry/Json.h"
 #include "telemetry/Prometheus.h"
 #include "telemetry/Telemetry.h"
@@ -566,12 +567,10 @@ Server::Reply Server::handlePatch(const Request &Req) {
                                "send words above 2^53 as strings");
       Words.push_back(*Word);
     } else if (W.isString() && !W.Str.empty()) {
-      char *End = nullptr;
-      errno = 0;
-      unsigned long long V = std::strtoull(W.Str.c_str(), &End, 0);
-      if (errno != 0 || End == W.Str.c_str() || *End != '\0')
+      std::optional<uint64_t> Word = parseUnsignedStrict(W.Str, true);
+      if (!Word)
         return errorReply(Req, "bad \"code\" word '" + W.Str + "'");
-      Words.push_back(uint64_t(V));
+      Words.push_back(*Word);
     } else {
       return errorReply(Req, "\"code\" entries must be numbers or "
                              "decimal/hex strings");

@@ -2,8 +2,9 @@
 
 #include "support/FaultInjection.h"
 
+#include "support/ParseUnsigned.h"
+
 #include <atomic>
-#include <cstdlib>
 
 using namespace spike;
 using namespace spike::faultinject;
@@ -54,13 +55,12 @@ bool spike::faultinject::parsePlan(const std::string &Spec, FaultPlan &Plan,
     return false;
   }
 
-  char *End = nullptr;
-  unsigned long long N = std::strtoull(Count.c_str(), &End, 10);
-  if (*End != '\0' || N == 0) {
+  std::optional<uint64_t> N = parseUnsignedStrict(Count);
+  if (!N || *N == 0) {
     Err = "fault trigger must be a positive integer, got '" + Count + "'";
     return false;
   }
-  Plan.Trigger = N;
+  Plan.Trigger = *N;
   return true;
 }
 

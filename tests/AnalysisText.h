@@ -167,8 +167,8 @@ inline std::vector<std::string> describePsg(const Program &Prog,
                 listOf(Psg.ExitsOfReturn.Ids));
   Out.push_back("indirect-returns " + listOf(Psg.IndirectReturnNodes));
   Out.push_back("taken-exits " + listOf(Psg.AddressTakenExitNodes));
-  Out.push_back("counts " + std::to_string(Psg.NumFlowSummaryEdges) + " " +
-                std::to_string(Psg.NumBranchNodes));
+  Out.push_back("counts " + std::to_string(Psg.numFlowSummaryEdges()) + " " +
+                std::to_string(Psg.numBranchNodes()));
   return Out;
 }
 

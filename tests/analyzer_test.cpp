@@ -117,9 +117,9 @@ TEST(AnalyzerTest, PsgSmallerThanCfgOnTypicalProgram) {
 TEST(AnalyzerTest, BranchNodeCountsReported) {
   Image Img;
   AnalysisResult Result = analyzeScaled("perl", 0.3, Img);
-  EXPECT_GT(Result.Psg.NumBranchNodes, 0u);
-  EXPECT_GT(Result.Psg.NumFlowSummaryEdges, 0u);
-  EXPECT_LT(Result.Psg.NumFlowSummaryEdges, Result.Psg.Edges.size());
+  EXPECT_GT(Result.Psg.numBranchNodes(), 0u);
+  EXPECT_GT(Result.Psg.numFlowSummaryEdges(), 0u);
+  EXPECT_LT(Result.Psg.numFlowSummaryEdges(), Result.Psg.Edges.size());
 }
 
 TEST(AnalyzerTest, SummariesCompareBitExact) {

@@ -451,8 +451,8 @@ TEST(FaultInjection, PlanParserAcceptsTheFlagGrammarOnly) {
   EXPECT_EQ(Plan.Kind, faultinject::FaultKind::TaskThrow);
   EXPECT_TRUE(faultinject::parsePlan("deadline-skew@1", Plan, Err));
   EXPECT_TRUE(faultinject::parsePlan("cancel@40", Plan, Err));
-  for (const char *Bad : {"alloc", "alloc@", "alloc@0", "alloc@x",
-                          "frobnicate@3", "@5", ""})
+  for (const char *Bad : {"alloc", "alloc@", "alloc@0", "alloc@x", "alloc@-1",
+                          "alloc@+5", "alloc@ 5", "frobnicate@3", "@5", ""})
     EXPECT_FALSE(faultinject::parsePlan(Bad, Plan, Err)) << Bad;
 }
 

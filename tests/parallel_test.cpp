@@ -749,7 +749,7 @@ void expectLayoutMatchesScan(const Program &Prog,
       TakenExits.insert(TakenExits.end(), ExitIds.begin(), ExitIds.end());
   }
   EXPECT_EQ(Psg.RoutineNodeBegin[Count], Psg.Nodes.size()) << Where;
-  EXPECT_EQ(Psg.NumBranchNodes, BranchNodes) << Where;
+  EXPECT_EQ(Psg.numBranchNodes(), BranchNodes) << Where;
   EXPECT_EQ(Psg.AddressTakenExitNodes, TakenExits) << Where;
   EXPECT_EQ(Psg.IndirectReturnNodes, IndirectReturns) << Where;
 
@@ -769,7 +769,7 @@ void expectLayoutMatchesScan(const Program &Prog,
       EXPECT_EQ(Psg.Nodes[E.Dst].Kind, PsgNodeKind::Return) << Where;
     }
   }
-  EXPECT_EQ(Psg.NumFlowSummaryEdges, Psg.Edges.size() - CallReturnEdges)
+  EXPECT_EQ(Psg.numFlowSummaryEdges(), Psg.Edges.size() - CallReturnEdges)
       << Where;
   uint32_t FirstOut = 0, FirstIn = 0;
   for (uint32_t N = 0; N < NumNodes; ++N) {

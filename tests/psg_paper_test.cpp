@@ -235,13 +235,13 @@ TEST(Figure12Test, BranchNodesReduceQuadraticEdges) {
   Image Img = figure12Program();
   AnalysisResult Without = analyzeImage(Img, CallingConv(), NoBranch);
   EXPECT_EQ(routineFlowEdges(Without, 1), 16u);
-  EXPECT_EQ(Without.Psg.NumBranchNodes, 0u);
+  EXPECT_EQ(Without.Psg.numBranchNodes(), 0u);
 
   // With a branch node: every source reaches only the branch node, which
   // fans out once: 4 + 4 = 8 edges.
   AnalysisResult With = analyzeImage(Img);
   EXPECT_EQ(routineFlowEdges(With, 1), 8u);
-  EXPECT_EQ(With.Psg.NumBranchNodes, 1u);
+  EXPECT_EQ(With.Psg.numBranchNodes(), 1u);
 
   // The reduction must not change any analysis result.
   for (uint32_t Routine = 0; Routine < With.Prog.Routines.size();

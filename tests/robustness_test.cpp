@@ -190,7 +190,7 @@ void checkPsgInvariants(const Program &Prog,
     EXPECT_TRUE(Edge.Label.MayDef.containsAll(Edge.Label.MustDef));
   }
   EXPECT_EQ(Psg.Edges.size(),
-            Psg.NumFlowSummaryEdges + CallReturnEdges);
+            Psg.numFlowSummaryEdges() + CallReturnEdges);
 
   // Every call node has exactly one out-edge: its call-return edge.
   // Exit/Unknown/Halt nodes are pure sinks.

@@ -748,10 +748,32 @@ TEST(ServeProtocolTest, MalformedLinesAreErrorRepliesNotCrashes) {
     std::string Reply = S.handleLine(Line);
     EXPECT_NE(Reply.find("\"ok\":false"), std::string::npos) << Line;
   }
+  // A code word string is decimal digits or 0x and hex digits, in range:
+  // nothing strtoull would skip, negate, wrap or read as octal.
+  const Routine &Main = S.analysis().Prog.Routines.front();
+  std::vector<uint64_t> Code(S.image().Code.begin() + Main.Begin,
+                             S.image().Code.begin() + Main.End);
+  ASSERT_GE(Code.size(), 2u);
+  auto WithFirstWord = [&](const std::string &Word) {
+    std::string Line = patchLine(Main.Name, Code);
+    size_t First = Line.find('[') + 1;
+    return Line.replace(First, Line.find(',', First) - First,
+                        "\"" + Word + "\"");
+  };
+  const char *BadWords[] = {"-1", " 7", "+7", "7 ", "0x", "0x-1", "0X7",
+                            "1e3", "18446744073709551616"};
+  for (const char *Word : BadWords) {
+    std::string Reply = S.handleLine(WithFirstWord(Word));
+    EXPECT_NE(Reply.find("\"ok\":false"), std::string::npos) << Word;
+  }
   // The server survived all of it and still answers real queries.
   std::string Reply = S.handleLine("analyze");
   EXPECT_NE(Reply.find("\"ok\":true"), std::string::npos) << Reply;
-  EXPECT_EQ(S.stats().Errors, std::size(Garbage));
+  EXPECT_EQ(S.stats().Errors, std::size(Garbage) + std::size(BadWords));
+  // A zero-padded decimal word is decimal, not octal.
+  Reply = S.handleLine(WithFirstWord("010"));
+  EXPECT_NE(Reply.find("\"ok\":true"), std::string::npos) << Reply;
+  EXPECT_EQ(S.image().Code[Main.Begin], 10u);
 }
 
 TEST(ServeBudgetTest, BlownPatchDegradesReplyAndServerSurvives) {

@@ -3,11 +3,13 @@
 #include "support/MemoryTracker.h"
 #include "support/RegSet.h"
 #include "support/Rng.h"
+#include "support/Splice.h"
 #include "support/TablePrinter.h"
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 using namespace spike;
 
@@ -152,4 +154,96 @@ TEST(TablePrinterTest, FormatHelpers) {
   EXPECT_EQ(TablePrinter::num(1.234, 2), "1.23");
   EXPECT_EQ(TablePrinter::num(uint64_t(42)), "42");
   EXPECT_EQ(TablePrinter::percent(0.123), "12.3%");
+}
+
+namespace {
+
+/// Swaps \p Lists into \p All at \p Slices and checks the outcome: All
+/// holds the lists in the slices' places, the staging lists hold the
+/// replaced slices, and a second call with the lists' new positions
+/// restores both element for element.  Returns All after the first call.
+std::vector<int> expectSwapAndUndo(std::vector<int> &All,
+                                   const std::vector<Slice> &Slices,
+                                   const std::vector<std::vector<int>> &Lists) {
+  const std::vector<int> Before = All;
+  FlatLists<int> Staging;
+  Staging.Begin = {0};
+  for (const std::vector<int> &List : Lists) {
+    Staging.Items.insert(Staging.Items.end(), List.begin(), List.end());
+    Staging.Begin.push_back(uint32_t(Staging.Items.size()));
+  }
+  const FlatLists<int> New = Staging;
+  std::vector<int> Want;
+  std::vector<Slice> Placed;
+  size_t Cursor = 0;
+  for (size_t I = 0; I < Slices.size(); ++I) {
+    Want.insert(Want.end(), Before.begin() + Cursor,
+                Before.begin() + Slices[I].Pos);
+    Placed.push_back({Want.size(), Lists[I].size()});
+    Want.insert(Want.end(), Lists[I].begin(), Lists[I].end());
+    Cursor = Slices[I].Pos + Slices[I].Count;
+  }
+  Want.insert(Want.end(), Before.begin() + Cursor, Before.end());
+
+  swapSlices(All, Slices, Staging.Items, Staging.Begin);
+  EXPECT_EQ(All, Want);
+  EXPECT_EQ(Staging.Begin.size(), Slices.size() + 1);
+  for (size_t I = 0; I < Slices.size(); ++I) {
+    std::span<const int> Old(Before.data() + Slices[I].Pos, Slices[I].Count);
+    EXPECT_TRUE(std::ranges::equal(Staging.list(I), Old)) << "slice " << I;
+  }
+  std::vector<int> Spliced = All;
+
+  swapSlices(All, Placed, Staging.Items, Staging.Begin);
+  EXPECT_EQ(All, Before);
+  EXPECT_EQ(Staging.Items, New.Items);
+  EXPECT_EQ(Staging.Begin, New.Begin);
+  return Spliced;
+}
+
+} // namespace
+
+TEST(SpliceTest, UnchangedCountsSwapElementByElement) {
+  std::vector<int> All = {1, 2, 3, 4, 5, 6, 7};
+  const int *Storage = All.data();
+  expectSwapAndUndo(All, {{1, 2}, {4, 0}, {5, 2}}, {{20, 30}, {}, {60, 70}});
+  EXPECT_EQ(All.data(), Storage);
+}
+
+TEST(SpliceTest, OneSliceGrowsPastCapacityOrShrinks) {
+  std::vector<int> All = {1, 2, 3, 4, 5};
+  All.shrink_to_fit();
+  std::vector<int> Spliced =
+      expectSwapAndUndo(All, {{1, 2}}, {{20, 21, 22, 23, 24}});
+  EXPECT_EQ(Spliced, (std::vector<int>{1, 20, 21, 22, 23, 24, 4, 5}));
+  // A shrinking slice shifts the tail down in place.
+  const int *Storage = All.data();
+  Spliced = expectSwapAndUndo(All, {{0, 3}}, {{9}});
+  EXPECT_EQ(Spliced, (std::vector<int>{9, 4, 5}));
+  EXPECT_EQ(All.data(), Storage);
+}
+
+TEST(SpliceTest, SeveralSlicesChangingSizeRebuildOnce) {
+  std::vector<int> All = {1, 2, 3, 4, 5, 6, 7, 8};
+  std::vector<int> Spliced = expectSwapAndUndo(
+      All, {{0, 1}, {2, 3}, {6, 0}, {7, 1}}, {{10, 11}, {30}, {}, {80, 81}});
+  EXPECT_EQ(Spliced, (std::vector<int>{10, 11, 2, 30, 6, 7, 80, 81}));
+}
+
+TEST(SpliceTest, CoveringSlicesSwapTheVectors) {
+  std::vector<int> All = {1, 2, 3, 4};
+  expectSwapAndUndo(All, {{0, 1}, {1, 3}}, {{5, 6}, {7}});
+  // A fresh build splices every list into the empty array: the staging
+  // vector becomes the array, and nothing is copied.
+  std::vector<int> Empty;
+  FlatLists<int> Staging;
+  Staging.Items = {1, 2, 3};
+  Staging.Begin = {0, 2, 2, 3};
+  const int *Storage = Staging.Items.data();
+  swapSlices(Empty, {{0, 0}, {0, 0}, {0, 0}}, Staging.Items, Staging.Begin);
+  EXPECT_EQ(Empty.data(), Storage);
+  EXPECT_TRUE(Staging.Items.empty());
+  EXPECT_EQ(Staging.Begin, (std::vector<uint32_t>{0, 0, 0, 0}));
+  std::vector<int> None;
+  expectSwapAndUndo(None, {{0, 0}, {0, 0}, {0, 0}}, {{1, 2}, {}, {3}});
 }

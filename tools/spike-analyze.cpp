@@ -175,10 +175,10 @@ int runTool(int Argc, char **Argv) {
     std::printf("instructions:  %zu\n", Result.Prog.numInsts());
     std::printf("PSG nodes:     %zu (%llu branch nodes)\n",
                 Result.Psg.Nodes.size(),
-                (unsigned long long)Result.Psg.NumBranchNodes);
+                (unsigned long long)Result.Psg.numBranchNodes());
     std::printf("PSG edges:     %zu (%llu flow-summary)\n",
                 Result.Psg.Edges.size(),
-                (unsigned long long)Result.Psg.NumFlowSummaryEdges);
+                (unsigned long long)Result.Psg.numFlowSummaryEdges());
     // The stage clock is the telemetry spans; --stats installs no session
     // of its own, since a session adds per-group cost attribution to the
     // phases it would be timing.
