@@ -18,7 +18,9 @@
 ///   --metrics <file> write a spike-run-report JSON document,
 ///   --trace <file>   write a Chrome trace-event JSON trace,
 /// and honors the SPIKE_BENCH_SCALE environment variable as a default
-/// for --scale.
+/// for --scale.  The values go through the tools' readers
+/// (tools/ToolOptions.h): a scale must be a positive number and a jobs
+/// count in [1, 1024], and any other value exits 2 before a table runs.
 ///
 /// Harness owns the run's telemetry::Session and keeps it installed for
 /// the harness's whole lifetime, so every timing goes through the
@@ -30,12 +32,12 @@
 #ifndef SPIKE_BENCH_BENCHUTIL_H
 #define SPIKE_BENCH_BENCHUTIL_H
 
+#include "ToolOptions.h"
 #include "synth/Profiles.h"
 #include "telemetry/Telemetry.h"
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -59,20 +61,18 @@ struct Options {
 inline Options parseOptions(int Argc, char **Argv) {
   Options Opts;
   if (const char *Env = std::getenv("SPIKE_BENCH_SCALE"))
-    Opts.Scale = std::atof(Env);
+    Opts.Scale = toolopts::parseDouble(Env, "SPIKE_BENCH_SCALE", true);
   for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--scale") == 0 && I + 1 < Argc)
-      Opts.Scale = std::atof(Argv[++I]);
-    else if (std::strcmp(Argv[I], "--only") == 0 && I + 1 < Argc)
-      Opts.Only = Argv[++I];
-    else if (std::strcmp(Argv[I], "--jobs") == 0 && I + 1 < Argc)
-      Opts.Jobs = unsigned(std::atoi(Argv[++I]));
-    else if (std::strncmp(Argv[I], "--jobs=", 7) == 0)
-      Opts.Jobs = unsigned(std::atoi(Argv[I] + 7));
-    else if (std::strcmp(Argv[I], "--metrics") == 0 && I + 1 < Argc)
-      Opts.MetricsPath = Argv[++I];
-    else if (std::strcmp(Argv[I], "--trace") == 0 && I + 1 < Argc)
-      Opts.TracePath = Argv[++I];
+    if (const char *V = toolopts::flagValue(Argc, Argv, I, "--scale"))
+      Opts.Scale = toolopts::parseDouble(V, "--scale", true);
+    else if (const char *V = toolopts::flagValue(Argc, Argv, I, "--only"))
+      Opts.Only = V;
+    else if (toolopts::parseJobs(Argc, Argv, I, Opts.Jobs))
+      ;
+    else if (const char *V = toolopts::flagValue(Argc, Argv, I, "--metrics"))
+      Opts.MetricsPath = V;
+    else if (const char *V = toolopts::flagValue(Argc, Argv, I, "--trace"))
+      Opts.TracePath = V;
     else {
       std::fprintf(stderr,
                    "usage: %s [--scale <f>] [--only <benchmark>] "
@@ -81,10 +81,6 @@ inline Options parseOptions(int Argc, char **Argv) {
       std::exit(2);
     }
   }
-  if (Opts.Scale <= 0)
-    Opts.Scale = 1.0;
-  if (Opts.Jobs == 0)
-    Opts.Jobs = 1;
   return Opts;
 }
 

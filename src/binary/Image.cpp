@@ -178,9 +178,12 @@ Expected<Image> spike::loadImage(const std::vector<uint8_t> &Bytes) {
   telemetry::Span LoadSpan("binary.load");
   telemetry::count("binary.load.bytes", Bytes.size());
   ByteReader Reader(Bytes);
-  auto Fail = [&](ErrCode Code, const char *Message) -> Expected<Image> {
+  auto Fail = [&](ErrCode Code, const char *Message,
+                  int64_t Address = -1) -> Expected<Image> {
     telemetry::count("binary.load.errors");
-    return Status::error(Code, Message).atOffset(int64_t(Reader.offset()));
+    return Status::error(Code, Message)
+        .atOffset(int64_t(Reader.offset()))
+        .atAddress(Address);
   };
   uint64_t Magic = 0;
   if (!Reader.u64(Magic) || Magic != ImageMagic)
@@ -238,7 +241,9 @@ Expected<Image> spike::loadImage(const std::vector<uint8_t> &Bytes) {
       return Fail(ErrCode::TruncatedData, "truncated data word");
     Word = int64_t(Raw);
   }
-  // Section 3.5 annotation tables (absent in older images).
+  // Section 3.5 annotation tables (absent in older images).  A mask keeps
+  // its 64-bit field, but one naming a register at or past MaxRegisters
+  // is refused, so no annotation set is ever truncated to a RegSet.
   if (!Reader.atEnd()) {
     if (!Reader.u64(Count) || !CountOk(Count, 32))
       return Fail(ErrCode::TruncatedAnnotations,
@@ -250,9 +255,13 @@ Expected<Image> spike::loadImage(const std::vector<uint8_t> &Bytes) {
           !Reader.u64(Defined) || !Reader.u64(Killed))
         return Fail(ErrCode::TruncatedAnnotations,
                     "truncated call annotation");
-      Annot.Used = RegSet::fromMask(Used);
-      Annot.Defined = RegSet::fromMask(Defined);
-      Annot.Killed = RegSet::fromMask(Killed);
+      if ((Used | Defined | Killed) >> MaxRegisters)
+        return Fail(ErrCode::AnnotationRegisterOutOfRange,
+                    "call annotation names a register past r31",
+                    int64_t(Annot.Address));
+      Annot.Used = RegSet::fromMask(RegSet::Word(Used));
+      Annot.Defined = RegSet::fromMask(RegSet::Word(Defined));
+      Annot.Killed = RegSet::fromMask(RegSet::Word(Killed));
     }
     if (!Reader.u64(Count) || !CountOk(Count, 16))
       return Fail(ErrCode::TruncatedAnnotations,
@@ -263,7 +272,11 @@ Expected<Image> spike::loadImage(const std::vector<uint8_t> &Bytes) {
       if (!Reader.u64(Annot.Address) || !Reader.u64(Live))
         return Fail(ErrCode::TruncatedAnnotations,
                     "truncated jump annotation");
-      Annot.LiveAtTarget = RegSet::fromMask(Live);
+      if (Live >> MaxRegisters)
+        return Fail(ErrCode::AnnotationRegisterOutOfRange,
+                    "jump annotation names a register past r31",
+                    int64_t(Annot.Address));
+      Annot.LiveAtTarget = RegSet::fromMask(RegSet::Word(Live));
     }
   }
   if (!Reader.atEnd())

@@ -86,6 +86,9 @@ struct JumpTable {
 /// Making this information available to Spike would ensure safe and
 /// accurate dataflow information."  When present, the analysis uses
 /// these sets instead of the calling standard's blanket assumption.
+/// The file stores each annotation set in a 64-bit field; loadImage
+/// refuses one naming a register past MaxRegisters
+/// ([AnnotationRegisterOutOfRange]), so a loaded set is never truncated.
 struct IndirectCallAnnotation {
   uint64_t Address = 0; ///< Address of the jsr_r instruction.
   RegSet Used;          ///< call-used by any possible target.

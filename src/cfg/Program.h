@@ -95,7 +95,7 @@ struct BasicBlock {
   }
 };
 
-static_assert(sizeof(BasicBlock) == 48, "BasicBlock layout changed");
+static_assert(sizeof(BasicBlock) == 40, "BasicBlock layout changed");
 
 /// Why a routine was collapsed to the paper's Section 3.5 unknowable
 /// model.  Validation and Forced are the PR 2 quarantine family; Budget

@@ -26,6 +26,7 @@ namespace spike {
 
 /// Number of integer registers in the synthetic ISA.
 inline constexpr unsigned NumIntRegs = 32;
+static_assert(NumIntRegs <= MaxRegisters, "a RegSet must hold every register");
 
 /// Well-known register numbers (Alpha integer register conventions).
 namespace reg {

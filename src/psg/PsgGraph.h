@@ -113,8 +113,8 @@ struct PsgEdge {
   FlowSets Label;
 };
 
-static_assert(sizeof(PsgNode) == 56, "PsgNode layout changed");
-static_assert(sizeof(PsgEdge) == 32, "PsgEdge layout changed");
+static_assert(sizeof(PsgNode) == 36, "PsgNode layout changed");
+static_assert(sizeof(PsgEdge) == 20, "PsgEdge layout changed");
 
 /// A range of consecutive node or edge ids.
 using NodeIdRange = std::ranges::iota_view<uint32_t, uint32_t>;

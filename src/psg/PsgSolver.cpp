@@ -711,7 +711,7 @@ SolverStats spike::runPhase2(const Program &Prog, ProgramSummaryGraph &Psg,
 SolveJournal::SolveJournal(const Program &Prog,
                            const ProgramSummaryGraph &Psg)
     : Sets(std::make_unique_for_overwrite<Masks[]>(Psg.Nodes.size())),
-      Live(std::make_unique_for_overwrite<uint64_t[]>(Psg.Nodes.size())),
+      Live(std::make_unique_for_overwrite<RegSet::Word[]>(Psg.Nodes.size())),
       Fed(std::make_unique_for_overwrite<Masks[]>(
           Psg.CrEdgeOfEntry.Ids.size())),
       Taken(Prog.Routines.size(), 0) {}

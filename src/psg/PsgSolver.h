@@ -90,7 +90,7 @@ private:
   /// Raw masks, so the buffers can start uninitialized: the pages of
   /// routines nobody snapshots are never touched.
   struct Masks {
-    uint64_t MayUse, MayDef, MustDef;
+    RegSet::Word MayUse, MayDef, MustDef;
     static Masks of(const FlowSets &S) {
       return {S.MayUse.mask(), S.MayDef.mask(), S.MustDef.mask()};
     }
@@ -99,10 +99,10 @@ private:
               RegSet::fromMask(MustDef)};
     }
   };
-  std::unique_ptr<Masks[]> Sets;    ///< Per node.
-  std::unique_ptr<uint64_t[]> Live; ///< Per node.
-  std::unique_ptr<Masks[]> Fed;     ///< Per CrEdgeOfEntry.Ids position.
-  std::vector<uint8_t> Taken;       ///< Per routine.
+  std::unique_ptr<Masks[]> Sets;        ///< Per node.
+  std::unique_ptr<RegSet::Word[]> Live; ///< Per node.
+  std::unique_ptr<Masks[]> Fed;         ///< Per CrEdgeOfEntry.Ids position.
+  std::vector<uint8_t> Taken;           ///< Per routine.
 };
 
 /// What the phases need to re-solve a graph in place after a routine

@@ -6,19 +6,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A compact set of machine registers, represented as a 64-bit mask.
+/// A compact set of machine registers, represented as a 32-bit mask.
 ///
 /// Every dataflow set in the paper (MAY-USE, MAY-DEF, MUST-DEF, DEF, UBD,
 /// live-at-entry, live-at-exit, call-used, call-defined, call-killed) is a
 /// set of registers.  The synthetic Alpha-like ISA has 32 integer registers,
-/// so a single machine word holds a full set and all the dataflow equations
-/// of Figures 6, 8, and 10 become one or two bitwise operations.
+/// so one 32-bit word holds a full set and all the dataflow equations of
+/// Figures 6, 8, and 10 become one or two bitwise operations.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPIKE_SUPPORT_REGSET_H
 #define SPIKE_SUPPORT_REGSET_H
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <initializer_list>
@@ -26,16 +27,20 @@
 
 namespace spike {
 
-/// Maximum number of registers a RegSet can hold.
-inline constexpr unsigned MaxRegisters = 64;
+/// Maximum number of registers a RegSet can hold: the bits of its word.
+inline constexpr unsigned MaxRegisters = 32;
 
-/// A set of machine registers backed by a single 64-bit mask.
+/// A set of machine registers backed by a single 32-bit mask.
 ///
 /// The value-semantics API mirrors the set algebra used throughout the
 /// paper: union (|), intersection (&), and difference (-).  Registers are
 /// identified by small unsigned indices (0 .. MaxRegisters-1).
 class RegSet {
 public:
+  /// The mask word; bit R is register R.
+  using Word = uint32_t;
+  static_assert(sizeof(Word) * 8 == MaxRegisters);
+
   /// Constructs the empty set.
   constexpr RegSet() = default;
 
@@ -49,26 +54,25 @@ public:
   static constexpr RegSet allBelow(unsigned NumRegs) {
     assert(NumRegs <= MaxRegisters && "register index out of range");
     RegSet S;
-    S.Mask = NumRegs == MaxRegisters ? ~uint64_t(0)
-                                     : ((uint64_t(1) << NumRegs) - 1);
+    S.Mask = NumRegs == MaxRegisters ? ~Word(0) : ((Word(1) << NumRegs) - 1);
     return S;
   }
 
-  /// Returns a set built directly from a raw 64-bit mask.
-  static constexpr RegSet fromMask(uint64_t Mask) {
+  /// Returns a set built directly from a raw mask.
+  static constexpr RegSet fromMask(Word Mask) {
     RegSet S;
     S.Mask = Mask;
     return S;
   }
 
-  /// Returns the raw 64-bit mask.
-  constexpr uint64_t mask() const { return Mask; }
+  /// Returns the raw mask.
+  constexpr Word mask() const { return Mask; }
 
   /// Returns true if the set contains no registers.
   constexpr bool empty() const { return Mask == 0; }
 
   /// Returns the number of registers in the set.
-  constexpr unsigned count() const { return __builtin_popcountll(Mask); }
+  constexpr unsigned count() const { return std::popcount(Mask); }
 
   /// Returns true if register \p R is a member.
   constexpr bool contains(unsigned R) const {
@@ -89,13 +93,13 @@ public:
   /// Adds register \p R to the set.
   constexpr void insert(unsigned R) {
     assert(R < MaxRegisters && "register index out of range");
-    Mask |= uint64_t(1) << R;
+    Mask |= Word(1) << R;
   }
 
   /// Removes register \p R from the set.
   constexpr void erase(unsigned R) {
     assert(R < MaxRegisters && "register index out of range");
-    Mask &= ~(uint64_t(1) << R);
+    Mask &= ~(Word(1) << R);
   }
 
   /// Removes all registers.
@@ -136,11 +140,11 @@ public:
   /// Iterator over the register indices in ascending order.
   class const_iterator {
   public:
-    constexpr const_iterator(uint64_t Remaining) : Remaining(Remaining) {}
+    constexpr const_iterator(Word Remaining) : Remaining(Remaining) {}
 
     constexpr unsigned operator*() const {
       assert(Remaining != 0 && "dereferencing end iterator");
-      return __builtin_ctzll(Remaining);
+      return std::countr_zero(Remaining);
     }
 
     constexpr const_iterator &operator++() {
@@ -151,7 +155,7 @@ public:
     constexpr bool operator==(const const_iterator &) const = default;
 
   private:
-    uint64_t Remaining;
+    Word Remaining;
   };
 
   constexpr const_iterator begin() const { return const_iterator(Mask); }
@@ -161,7 +165,7 @@ public:
   std::string str() const;
 
 private:
-  uint64_t Mask = 0;
+  Word Mask = 0;
 };
 
 } // namespace spike

@@ -68,6 +68,8 @@ const char *spike::errorCodeName(ErrCode Code) {
     return "InjectedFault";
   case ErrCode::CodeTooLarge:
     return "CodeTooLarge";
+  case ErrCode::AnnotationRegisterOutOfRange:
+    return "AnnotationRegisterOutOfRange";
   }
   return "Unknown";
 }

@@ -73,6 +73,8 @@ enum class ErrCode : uint8_t {
 
   // Analysis limits.
   CodeTooLarge, ///< Code section over MaxCodeWords (binary/Image.h).
+  AnnotationRegisterOutOfRange, ///< An annotation mask names a register
+                                ///< past MaxRegisters (support/RegSet.h).
 };
 
 /// Short stable name for an error code ("BadMagic", "EmptyJumpTable", ...).

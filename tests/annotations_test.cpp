@@ -78,6 +78,38 @@ TEST(AnnotationsTest, SerializeRoundTrip) {
             RegSet({reg::V0, reg::SP}));
 }
 
+TEST(AnnotationsTest, MasksPastR31AreLoadErrors) {
+  // Each annotation set is a 64-bit field in the file, but a RegSet holds
+  // r0..r31.  A mask naming a higher register is refused at load, never
+  // truncated; r31 itself round-trips.
+  Image Img = indirectSpillProgram();
+  IndirectCallAnnotation Call = quietAnnotation(4);
+  Call.Used = RegSet({reg::A0, reg::Zero});
+  Img.CallAnnotations.push_back(Call);
+  IndirectJumpAnnotation Jump;
+  Jump.Address = 7;
+  Jump.LiveAtTarget = RegSet({reg::V0, reg::Zero});
+  Img.JumpAnnotations.push_back(Jump);
+  std::vector<uint8_t> Bytes = writeImage(Img);
+  Expected<Image> Back = loadImage(Bytes);
+  ASSERT_TRUE(Back);
+  EXPECT_TRUE(Back->CallAnnotations == Img.CallAnnotations);
+  EXPECT_TRUE(Back->JumpAnnotations == Img.JumpAnnotations);
+
+  // The image ends with the call annotation's Used, Defined and Killed
+  // masks, then the jump-annotation count, address and LiveAtTarget.
+  const size_t End = Bytes.size();
+  for (size_t Field : {End - 48, End - 40, End - 32, End - 8})
+    for (unsigned Bit : {32u, 63u}) {
+      std::vector<uint8_t> Bad = Bytes;
+      Bad[Field + Bit / 8] |= uint8_t(1u << (Bit % 8));
+      Expected<Image> Result = loadImage(Bad);
+      ASSERT_FALSE(Result) << "field at " << Field << ", bit " << Bit;
+      EXPECT_EQ(Result.error().Code, ErrCode::AnnotationRegisterOutOfRange);
+      EXPECT_EQ(Result.error().Address, Field == End - 8 ? 7 : 4);
+    }
+}
+
 TEST(AnnotationsTest, ImagesWithoutAnnotationsStillLoad) {
   // The annotation sections are a format extension; an image serialized
   // before them (simulated by truncating the two empty section counts)

@@ -53,21 +53,23 @@ TEST_P(RegSetModel, AgreesWithStdSet) {
       Model.erase(R);
       break;
     case 2: { // Union with a random small set.
-      RegSet Other = {unsigned(Rand.below(64)), unsigned(Rand.below(64))};
+      RegSet Other = {unsigned(Rand.below(MaxRegisters)),
+                      unsigned(Rand.below(MaxRegisters))};
       for (unsigned X : Other)
         Model.insert(X);
       S |= Other;
       break;
     }
     case 3: { // Difference.
-      RegSet Other = {unsigned(Rand.below(64)), unsigned(Rand.below(64))};
+      RegSet Other = {unsigned(Rand.below(MaxRegisters)),
+                      unsigned(Rand.below(MaxRegisters))};
       for (unsigned X : Other)
         Model.erase(X);
       S -= Other;
       break;
     }
     case 4: { // Intersection with a half-space.
-      RegSet Half = RegSet::allBelow(unsigned(Rand.below(65)));
+      RegSet Half = RegSet::allBelow(unsigned(Rand.below(MaxRegisters + 1)));
       std::set<unsigned> NewModel;
       for (unsigned X : Model)
         if (Half.contains(X))

@@ -1009,8 +1009,8 @@ void expectArcsMatchScan(const Program &Prog, const std::string &Where,
 
 } // namespace
 
-TEST(ProgramLayout, BlocksAre48BytesAndInstDecodesTheBorrowedWords) {
-  static_assert(sizeof(BasicBlock) == 48);
+TEST(ProgramLayout, BlocksAre40BytesAndInstDecodesTheBorrowedWords) {
+  static_assert(sizeof(BasicBlock) == 40);
   Instruction Placeholder;
   Placeholder.Op = Opcode::Halt;
   uint64_t Undecodable = 0;
@@ -1027,6 +1027,18 @@ TEST(ProgramLayout, BlocksAre48BytesAndInstDecodesTheBorrowedWords) {
     }
   }
   EXPECT_GT(Undecodable, 0u) << "no input has an undecodable word";
+}
+
+TEST(ProgramLayout, PsgNodesAre36BytesEdges20AndSummaries12) {
+  // A RegSet is one word that the ISA's registers fill exactly, so the
+  // records that embed register sets carry no always-zero half.
+  static_assert(sizeof(RegSet) == 4);
+  static_assert(sizeof(FlowSets) == 12);
+  static_assert(sizeof(CallSummary) == 12);
+  static_assert(sizeof(PsgNode) == 36);
+  static_assert(sizeof(PsgEdge) == 20);
+  EXPECT_EQ(RegSet::allBelow(NumIntRegs).mask(), ~RegSet::Word(0));
+  EXPECT_EQ(RegSet::allBelow(NumIntRegs).count(), NumIntRegs);
 }
 
 TEST(ProgramLayout, DerivedArcRangesMatchAScan) {

@@ -24,10 +24,10 @@ TEST(RegSetTest, InsertEraseContains) {
   RegSet S;
   S.insert(3);
   S.insert(17);
-  S.insert(63);
+  S.insert(31);
   EXPECT_TRUE(S.contains(3));
   EXPECT_TRUE(S.contains(17));
-  EXPECT_TRUE(S.contains(63));
+  EXPECT_TRUE(S.contains(31));
   EXPECT_FALSE(S.contains(4));
   EXPECT_EQ(S.count(), 3u);
   S.erase(17);
@@ -68,15 +68,20 @@ TEST(RegSetTest, ContainsAllAndIntersects) {
 }
 
 TEST(RegSetTest, AllBelow) {
+  // One word holds every register: allBelow(32) is the full set.
+  EXPECT_EQ(MaxRegisters, 32u);
   EXPECT_EQ(RegSet::allBelow(0).count(), 0u);
   EXPECT_EQ(RegSet::allBelow(32).count(), 32u);
-  EXPECT_EQ(RegSet::allBelow(64).count(), 64u);
-  EXPECT_TRUE(RegSet::allBelow(32).contains(31));
-  EXPECT_FALSE(RegSet::allBelow(32).contains(32));
+  for (unsigned R = 0; R < 32; ++R)
+    EXPECT_TRUE(RegSet::allBelow(32).contains(R)) << R;
+  EXPECT_EQ(RegSet::allBelow(32).mask(), ~RegSet::Word(0));
+  EXPECT_EQ(RegSet::allBelow(31).count(), 31u);
+  EXPECT_TRUE(RegSet::allBelow(31).contains(30));
+  EXPECT_FALSE(RegSet::allBelow(31).contains(31));
 }
 
 TEST(RegSetTest, IterationAscending) {
-  RegSet S = {5, 0, 63, 31};
+  RegSet S = {5, 0, 31, 17};
   std::set<unsigned> Seen;
   unsigned Prev = 0;
   bool First = true;
@@ -88,7 +93,7 @@ TEST(RegSetTest, IterationAscending) {
     First = false;
     Seen.insert(R);
   }
-  EXPECT_EQ(Seen, std::set<unsigned>({0, 5, 31, 63}));
+  EXPECT_EQ(Seen, std::set<unsigned>({0, 5, 17, 31}));
 }
 
 TEST(RegSetTest, Str) {

@@ -8,6 +8,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "binary/Image.h"
 #include "telemetry/Json.h"
 #include "telemetry/RunReport.h"
 #include "TestPaths.h"
@@ -303,6 +304,49 @@ TEST(ToolsTest, UnsignedFlagsRejectGarbageSignsAndOverflow) {
   EXPECT_EQ(Out, runCommand(toolsDir() + "/spike-slice " + Img +
                                 " --backward 5",
                             &Status));
+  // A leading zero is still decimal, never octal, and only a lower-case
+  // "0x" starts hex.
+  Out = runCommand(toolsDir() + "/spike-slice " + Img + " --backward 010",
+                   &Status);
+  EXPECT_EQ(WEXITSTATUS(Status), 0) << Out;
+  EXPECT_EQ(Out, runCommand(toolsDir() + "/spike-slice " + Img +
+                                " --backward 10",
+                            &Status));
+  Out = runCommand(toolsDir() + "/spike-slice " + Img + " --backward 0X5",
+                   &Status);
+  EXPECT_EQ(WEXITSTATUS(Status), 2) << Out;
+  EXPECT_NE(Out.find("expects an unsigned number"), std::string::npos) << Out;
+}
+
+TEST(ToolsTest, AnalyzeRefusesAnnotationRegistersPastR31) {
+  // An annotation mask is a 64-bit field in the file, but a register set
+  // holds r0..r31: a higher bit is a coded load error, never a register
+  // the analysis keeps or drops.
+  std::string Asm = scratchPath("annot_demo.s");
+  std::string Img = scratchPath("annot_demo.spkx");
+  writeFile(Asm, DemoSource);
+  int Status = 0;
+  std::string Out =
+      runCommand(toolsDir() + "/spike-as " + Asm + " -o " + Img, &Status);
+  ASSERT_EQ(Status, 0) << Out;
+  spike::Expected<spike::Image> Loaded = spike::loadImageFile(Img);
+  ASSERT_TRUE(Loaded);
+  spike::IndirectCallAnnotation Annot;
+  Annot.Address = 1;
+  Annot.Used = spike::RegSet({16, 17});
+  Loaded->CallAnnotations.push_back(Annot);
+  std::vector<uint8_t> Bytes = spike::writeImage(*Loaded);
+  // The image ends with the annotation's Used, Defined and Killed masks
+  // and the empty jump-annotation section; name r40 in Used.
+  Bytes[Bytes.size() - 32 + 5] |= 1;
+  std::ofstream(Img, std::ios::binary)
+      .write(reinterpret_cast<const char *>(Bytes.data()),
+             std::streamsize(Bytes.size()));
+  Out = runCommand(toolsDir() + "/spike-analyze " + Img, &Status);
+  EXPECT_EQ(WEXITSTATUS(Status), 1) << Out;
+  EXPECT_NE(Out.find("error: [AnnotationRegisterOutOfRange]"),
+            std::string::npos)
+      << Out;
 }
 
 TEST(ToolsTest, FractionalFlagsRejectGarbageAndOutOfRange) {
@@ -1190,4 +1234,37 @@ TEST(BenchPaper, Smoke) {
         "== Optimization benefit", "jobs sweep (acad)",
         "jobs sweep (exec 96 routines)"})
     EXPECT_NE(Out.find(Title), std::string::npos) << Title << "\n" << Out;
+}
+
+TEST(BenchPaper, BadJobsAndScaleExitTwoBeforeAnyTable) {
+  // atoi and atof once read --jobs -1 as 2^32 - 1 lanes, "2x" as 2, "abc"
+  // and 0 as 1, and a bad scale as full scale.  Each value now exits 2 as
+  // soon as it is read, so the trailing unknown flag, which would also
+  // exit 2, is never reached: the message says which flag was refused.
+  const std::string Bench = std::string(SPIKE_BENCH_DIR) + "/bench_paper";
+  int Status = 0;
+  for (const char *Bad : {"--jobs -1", "--jobs 2x", "--jobs abc", "--jobs 0",
+                          "--jobs=1025", "--jobs ' 4'"}) {
+    std::string Out =
+        runCommand(Bench + " " + Bad + " --no-such-flag", &Status);
+    EXPECT_EQ(WEXITSTATUS(Status), 2) << Bad << ": " << Out;
+    EXPECT_NE(Out.find("error: --jobs expects a count in [1, 1024]"),
+              std::string::npos)
+        << Bad << ": " << Out;
+    EXPECT_EQ(Out.find("== "), std::string::npos) << Bad << ": " << Out;
+  }
+  for (const char *Bad : {"--scale abc", "--scale -1", "--scale=0"}) {
+    std::string Out =
+        runCommand(Bench + " " + Bad + " --no-such-flag", &Status);
+    EXPECT_EQ(WEXITSTATUS(Status), 2) << Bad << ": " << Out;
+    EXPECT_NE(Out.find("error: --scale expects a positive number"),
+              std::string::npos)
+        << Bad << ": " << Out;
+  }
+  std::string Out =
+      runCommand("SPIKE_BENCH_SCALE=abc " + Bench + " --no-such-flag", &Status);
+  EXPECT_EQ(WEXITSTATUS(Status), 2) << Out;
+  EXPECT_NE(Out.find("error: SPIKE_BENCH_SCALE expects a positive number"),
+            std::string::npos)
+      << Out;
 }

@@ -28,6 +28,7 @@
 #define SPIKE_TOOLS_TOOLOPTIONS_H
 
 #include "support/BuildInfo.h"
+#include "support/ParseUnsigned.h"
 #include "support/ThreadPool.h"
 
 #include <cctype>
@@ -38,6 +39,7 @@
 #include <cstdlib>
 #include <cmath>
 #include <cstring>
+#include <optional>
 
 namespace spike {
 namespace toolopts {
@@ -80,21 +82,19 @@ inline const char *flagValue(int Argc, char **Argv, int &I,
   return Value;
 }
 
-/// Parses \p Value, the value of \p Flag, as an unsigned number in base
-/// \p Base (0 also takes 0x-prefixed hex).  A sign, a trailing character
-/// or a value past 2^64 - 1 exits with a usage error: strtoull alone
-/// would read "-1" as 2^64 - 1.
+/// Parses \p Value, the value of \p Flag, as an unsigned number:
+/// decimal digits, or "0x" and hex digits when \p AllowHex
+/// (parseUnsignedStrict).  A sign, a space, a trailing character or a
+/// value past 2^64 - 1 exits with a usage error: strtoull alone would
+/// read "-1" as 2^64 - 1 and "010" as 8.
 inline uint64_t parseUnsigned(const char *Value, const char *Flag,
-                              int Base = 10) {
-  char *End = nullptr;
-  errno = 0;
-  unsigned long long Parsed = std::strtoull(Value, &End, Base);
-  if (!std::isdigit((unsigned char)Value[0]) || *End != '\0' ||
-      errno == ERANGE) {
+                              bool AllowHex = false) {
+  std::optional<uint64_t> Parsed = parseUnsignedStrict(Value, AllowHex);
+  if (!Parsed) {
     std::fprintf(stderr, "error: %s expects an unsigned number\n", Flag);
     std::exit(2);
   }
-  return uint64_t(Parsed);
+  return *Parsed;
 }
 
 /// parseUnsigned() for a flag whose variable is an `unsigned`: a decimal
@@ -136,13 +136,12 @@ inline bool parseJobs(int Argc, char **Argv, int &I, unsigned &Jobs) {
   const char *Value = flagValue(Argc, Argv, I, "--jobs");
   if (!Value)
     return false;
-  char *End = nullptr;
-  unsigned long Parsed = std::strtoul(Value, &End, 10);
-  if (End == Value || *End != '\0' || Parsed == 0 || Parsed > 1024) {
+  std::optional<uint64_t> Parsed = parseUnsignedStrict(Value);
+  if (!Parsed || *Parsed == 0 || *Parsed > 1024) {
     std::fprintf(stderr, "error: --jobs expects a count in [1, 1024]\n");
     std::exit(2);
   }
-  Jobs = unsigned(Parsed);
+  Jobs = unsigned(*Parsed);
   return true;
 }
 

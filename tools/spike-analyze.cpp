@@ -97,12 +97,9 @@ int runTool(int Argc, char **Argv) {
   toolbudget::Session Faults(BudgetOpts);
   tooltel::Emitter Telemetry("spike-analyze", TelemetryOpts);
 
-  std::string Error;
-  std::optional<Image> Img = readImageFile(Path, &Error);
-  if (!Img) {
-    std::fprintf(stderr, "error: %s\n", Error.c_str());
-    return 1;
-  }
+  Expected<Image> Img = loadImageFile(Path);
+  if (!Img)
+    return toolbudget::exitError(Img.error());
 
   AnalysisOptions AOpts;
   AOpts.Jobs = Jobs;

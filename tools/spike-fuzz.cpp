@@ -755,14 +755,14 @@ int runTool(int Argc, char **Argv) {
   tooltel::Options TelemetryOpts;
   for (int I = 1; I < Argc; ++I) {
     if (const char *V = toolopts::flagValue(Argc, Argv, I, "--seed"))
-      Config.Seed = toolopts::parseUnsigned(V, "--seed", 0);
+      Config.Seed = toolopts::parseUnsigned(V, "--seed", true);
     else if (const char *V =
                  toolopts::flagValue(Argc, Argv, I, "--iterations"))
-      Config.Iterations = toolopts::parseUnsigned(V, "--iterations", 0);
+      Config.Iterations = toolopts::parseUnsigned(V, "--iterations", true);
     else if (const char *V =
                  toolopts::flagValue(Argc, Argv, I, "--serve-iterations"))
       Config.ServeIterations =
-          toolopts::parseUnsigned(V, "--serve-iterations", 0);
+          toolopts::parseUnsigned(V, "--serve-iterations", true);
     else if (std::strcmp(Argv[I], "--artifact-dir") == 0 && I + 1 < Argc)
       Config.ArtifactDir = Argv[++I];
     else if (std::strcmp(Argv[I], "--skip-oracle") == 0)

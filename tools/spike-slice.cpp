@@ -78,11 +78,11 @@ int runTool(int Argc, char **Argv) {
   for (int I = 1; I < Argc; ++I) {
     if (const char *V = toolopts::flagValue(Argc, Argv, I, "--backward")) {
       Backward = true;
-      Seed = toolopts::parseUnsigned(V, "--backward", 0);
+      Seed = toolopts::parseUnsigned(V, "--backward", true);
     } else if (const char *V =
                    toolopts::flagValue(Argc, Argv, I, "--forward")) {
       Forward = true;
-      Seed = toolopts::parseUnsigned(V, "--forward", 0);
+      Seed = toolopts::parseUnsigned(V, "--forward", true);
     } else if (std::strcmp(Argv[I], "--slots") == 0)
       Slots = true;
     else if (std::strcmp(Argv[I], "--dot") == 0)
